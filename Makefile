@@ -1,5 +1,5 @@
 # Convenience targets; `make ci` mirrors the hosted pipeline.
-.PHONY: ci build test lint fmt bench doc smoke ingest-smoke stats-smoke trace-smoke adaptive-smoke probe-smoke serve-smoke incremental-smoke
+.PHONY: ci build test lint fmt bench doc smoke ingest-smoke stats-smoke trace-smoke layout-smoke probe-smoke serve-smoke incremental-smoke ledger
 
 ci:
 	./scripts/ci.sh
@@ -39,20 +39,25 @@ stats-smoke: build
 	DE=$$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$$SMOKE/dir.json" | head -1); \
 	test "$$FE" = "$$DE"
 
-# Skewed stream -> adaptive stats; every tier counter must be nonzero and
-# the adaptive/fixed layouts must agree on the live edge count (also part
-# of ci).
-adaptive-smoke: build
+# Skewed stream -> stats; every tier counter must be nonzero with no flag,
+# --paper-layout must tier nothing, and both layouts must agree on the
+# live edge count (also part of ci).
+layout-smoke: build
 	@SMOKE=$$(mktemp -d); trap 'rm -rf "$$SMOKE"' EXIT; \
 	target/release/gtinker generate --dataset Zipf_SourceSkew --scale-factor 512 --out "$$SMOKE/skew.txt"; \
-	target/release/gtinker stats "$$SMOKE/skew.txt" --adaptive --format json | tee "$$SMOKE/adaptive.json"; \
+	target/release/gtinker stats "$$SMOKE/skew.txt" --format json | tee "$$SMOKE/default.json"; \
 	for f in tier_inline_vertices tier_blocks_vertices tier_hub_vertices tier_promotions; do \
-		V=$$(sed -n "s/.*\"$$f\": \([0-9][0-9]*\).*/\1/p" "$$SMOKE/adaptive.json" | head -1); \
-		test -n "$$V"; test "$$V" -gt 0 || { echo "adaptive-smoke: $$f is 0" >&2; exit 1; }; \
+		V=$$(sed -n "s/.*\"$$f\": \([0-9][0-9]*\).*/\1/p" "$$SMOKE/default.json" | head -1); \
+		test -n "$$V"; test "$$V" -gt 0 || { echo "layout-smoke: $$f is 0" >&2; exit 1; }; \
 	done; \
-	AE=$$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$$SMOKE/adaptive.json" | head -1); \
-	FE=$$(target/release/gtinker stats "$$SMOKE/skew.txt" --format json | sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' | head -1); \
-	test "$$AE" = "$$FE"
+	target/release/gtinker stats "$$SMOKE/skew.txt" --paper-layout --format json > "$$SMOKE/paper.json"; \
+	for f in tier_inline_vertices tier_hub_vertices; do \
+		V=$$(sed -n "s/.*\"$$f\": \([0-9][0-9]*\).*/\1/p" "$$SMOKE/paper.json" | head -1); \
+		test "$$V" = 0 || { echo "layout-smoke: --paper-layout reports $$f = $$V" >&2; exit 1; }; \
+	done; \
+	DE=$$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$$SMOKE/default.json" | head -1); \
+	PE=$$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$$SMOKE/paper.json" | head -1); \
+	test "$$DE" = "$$PE"
 
 # Ingest -> stats; the SWAR tag engine must have group-scanned and its
 # fingerprint false-positive rate per scanned lane must stay under 2%
@@ -124,6 +129,17 @@ incremental-smoke: build
 	IREACH=$$(sed -n 's/BFS from 0: \([0-9][0-9]*\) reached.*/\1/p' "$$SMOKE/bfs_incr.out"); \
 	test "$$RREACH" = "$$IREACH"; \
 	echo "incremental-smoke ok: $$COLD components, $$RREACH reachable from 0"
+
+# The repo's benchmark (BENCHMARK.json): each workload once, tracing off,
+# as the driver runs it. Fails when any operation fails its output check;
+# timings are printed, not gated (the driver compares them to the parent).
+ledger:
+	@mkdir -p benchmark/out; for w in lib_churn durable_ingest serve_mixed; do \
+		cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+			--workload $$w --seed 7 --seconds 30 --trace 0 | tee benchmark/out/ledger-$$w.txt; \
+		tail -1 benchmark/out/ledger-$$w.txt | grep -q '"failed": 0,' \
+			|| { echo "ledger: $$w reports failed operations" >&2; exit 1; }; \
+	done
 
 build:
 	cargo build --release --workspace

@@ -24,7 +24,7 @@ fn bench_insert(c: &mut Criterion) {
 
     group.bench_function("graphtinker", |b| {
         b.iter(|| {
-            let mut g = GraphTinker::with_defaults();
+            let mut g = GraphTinker::new(TinkerConfig::paper()).unwrap();
             for &e in &edges {
                 g.insert_edge(black_box(e));
             }
@@ -33,7 +33,7 @@ fn bench_insert(c: &mut Criterion) {
     });
     group.bench_function("graphtinker_no_cal", |b| {
         b.iter(|| {
-            let mut g = GraphTinker::new(TinkerConfig::default().cal(false)).unwrap();
+            let mut g = GraphTinker::new(TinkerConfig::paper().cal(false)).unwrap();
             for &e in &edges {
                 g.insert_edge(black_box(e));
             }
@@ -54,7 +54,7 @@ fn bench_insert(c: &mut Criterion) {
 
 fn bench_lookup(c: &mut Criterion) {
     let edges = workload(50_000, 2);
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
     let mut st = Stinger::with_defaults();
     st.apply_batch(&EdgeBatch::inserts(&edges));
@@ -99,7 +99,7 @@ fn bench_delete(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut g = GraphTinker::new(TinkerConfig::default().delete_mode(mode)).unwrap();
+                let mut g = GraphTinker::new(TinkerConfig::paper().delete_mode(mode)).unwrap();
                 g.apply_batch(&EdgeBatch::inserts(&edges));
                 for &(s, d) in &pairs {
                     g.delete_edge(s, d);
@@ -123,7 +123,7 @@ fn bench_delete(c: &mut Criterion) {
 
 fn bench_stream(c: &mut Criterion) {
     let edges = workload(100_000, 4);
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
     let mut st = Stinger::with_defaults();
     st.apply_batch(&EdgeBatch::inserts(&edges));
@@ -185,7 +185,7 @@ fn bench_sgh(c: &mut Criterion) {
 fn bench_bfs_modes(c: &mut Criterion) {
     let edges = workload(100_000, 5);
     let root = edges[0].src;
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
 
     let mut group = c.benchmark_group("bfs_100k_rmat");
@@ -209,7 +209,7 @@ fn bench_bfs_modes(c: &mut Criterion) {
 fn bench_vc_vs_ec(c: &mut Criterion) {
     let edges = workload(80_000, 6);
     let root = edges[0].src;
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
 
     let mut group = c.benchmark_group("vc_vs_ec_bfs");
@@ -233,7 +233,7 @@ fn bench_vc_vs_ec(c: &mut Criterion) {
 
 fn bench_csr_rebuild(c: &mut Criterion) {
     let edges = workload(100_000, 7);
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
 
     let mut group = c.benchmark_group("csr_snapshot");
@@ -248,7 +248,7 @@ fn bench_triangles(c: &mut Criterion) {
     // graph (lookup count grows with degree^2).
     let edges = RmatConfig::graph500(10, 10_000, 8).generate();
     let batch = symmetrize(&EdgeBatch::inserts(&edges));
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&batch);
     let mut st = Stinger::with_defaults();
     st.apply_batch(&batch);
@@ -264,7 +264,7 @@ fn bench_parallel_gas(c: &mut Criterion) {
     // BFS/PageRank over the sharded engine path vs shard (thread) count.
     let edges = workload(100_000, 9);
     let root = edges[0].src;
-    let mut gt = GraphTinker::with_defaults();
+    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
     gt.apply_batch(&EdgeBatch::inserts(&edges));
 
     let mut group = c.benchmark_group("parallel_gas");

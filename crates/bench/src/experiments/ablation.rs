@@ -17,10 +17,10 @@ use crate::report::{f3, speedup, Table};
 /// pays off).
 pub fn run(args: &Args) -> Table {
     let configs: [(&str, TinkerConfig); 4] = [
-        ("SGH+CAL", TinkerConfig::default()),
-        ("no_SGH", TinkerConfig::default().sgh(false)),
-        ("no_CAL", TinkerConfig::default().cal(false)),
-        ("neither", TinkerConfig::default().sgh(false).cal(false)),
+        ("SGH+CAL", TinkerConfig::paper()),
+        ("no_SGH", TinkerConfig::paper().sgh(false)),
+        ("no_CAL", TinkerConfig::paper().cal(false)),
+        ("neither", TinkerConfig::paper().sgh(false).cal(false)),
     ];
 
     let mut t = Table::new(

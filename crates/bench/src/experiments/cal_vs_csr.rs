@@ -32,7 +32,7 @@ pub fn run(args: &Args) -> Table {
         let root = pick_root(&batches);
 
         // CAL path: stream the live structure.
-        let mut g = fresh_tinker_with(TinkerConfig::default());
+        let mut g = fresh_tinker_with(TinkerConfig::paper());
         let mut cal_time = Duration::ZERO;
         let mut weighted = 0u64;
         for b in &batches {
@@ -45,7 +45,7 @@ pub fn run(args: &Args) -> Table {
         }
 
         // CSR path: rebuild a snapshot each batch, then analyze it.
-        let mut g = fresh_tinker_with(TinkerConfig::default());
+        let mut g = fresh_tinker_with(TinkerConfig::paper());
         let mut rebuild_time = Duration::ZERO;
         let mut analyze_time = Duration::ZERO;
         for b in &batches {

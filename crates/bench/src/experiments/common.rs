@@ -206,9 +206,10 @@ pub fn pick_root(batches: &[EdgeBatch]) -> VertexId {
     batches.iter().flat_map(|b| b.iter()).find(|op| op.is_insert()).map(|op| op.src()).unwrap_or(0)
 }
 
-/// Fresh GraphTinker with the paper-default configuration.
+/// Fresh GraphTinker with the paper's fixed layout ([`TinkerConfig::paper`]),
+/// which every paper-figure experiment measures.
 pub fn fresh_tinker() -> GraphTinker {
-    GraphTinker::with_defaults()
+    fresh_tinker_with(TinkerConfig::paper())
 }
 
 /// Fresh GraphTinker with a custom configuration.

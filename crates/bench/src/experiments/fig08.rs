@@ -18,7 +18,7 @@ pub fn run(args: &Args) -> Table {
     let with_cal = timed_inserts(&mut gt_cal, &batches);
 
     let mut gt_nocal =
-        crate::experiments::common::fresh_tinker_with(TinkerConfig::default().cal(false));
+        crate::experiments::common::fresh_tinker_with(TinkerConfig::paper().cal(false));
     let no_cal = timed_inserts(&mut gt_nocal, &batches);
 
     let mut st = fresh_stinger();

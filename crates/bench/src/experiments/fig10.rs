@@ -23,7 +23,7 @@ fn first_last(durations: &[(u64, Duration)]) -> (f64, f64) {
 }
 
 fn run_parallel_tinker(batches: &[EdgeBatch], n: usize) -> Vec<(u64, Duration)> {
-    let p = ParallelTinker::new(TinkerConfig::default(), n).expect("valid config");
+    let p = ParallelTinker::new(TinkerConfig::paper(), n).expect("valid config");
     batches
         .iter()
         .map(|b| {

@@ -84,7 +84,7 @@ pub fn run(args: &Args) -> Table {
     let batch = EdgeBatch::inserts(&edges);
     let pr_iters = 10;
 
-    let mut g = GraphTinker::with_defaults();
+    let mut g = crate::experiments::common::fresh_tinker();
     g.apply_batch(&batch);
 
     let mut t = Table::new(

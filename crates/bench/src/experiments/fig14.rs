@@ -28,10 +28,9 @@ pub fn run(args: &Args) -> Table {
         &["batch", "cum_deleted", "GT_delete_only", "GT_compact", "STINGER"],
     );
 
-    let mut gt_tomb =
-        fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteOnly));
+    let mut gt_tomb = fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteOnly));
     let mut gt_comp =
-        fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact));
+        fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteAndCompact));
     let mut st = fresh_stinger();
     for b in &load {
         gt_tomb.apply(b);

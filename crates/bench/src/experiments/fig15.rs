@@ -31,10 +31,9 @@ pub fn run(args: &Args) -> Table {
     let load = insertion_batches(&edges, (edges.len() / args.batches).max(1));
     let dels = deletion_batches(&edges, (edges.len() / args.batches).max(1), 78);
 
-    let mut gt_tomb =
-        fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteOnly));
+    let mut gt_tomb = fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteOnly));
     let mut gt_comp =
-        fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact));
+        fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteAndCompact));
     let mut st = fresh_stinger();
     for b in &load {
         gt_tomb.apply(b);

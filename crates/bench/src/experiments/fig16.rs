@@ -46,9 +46,9 @@ pub fn run(args: &Args) -> Table {
 
     for algo in [Algo::Bfs, Algo::Sssp, Algo::Cc] {
         let mut gt_tomb =
-            fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteOnly));
+            fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteOnly));
         let mut gt_comp =
-            fresh_tinker_with(TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact));
+            fresh_tinker_with(TinkerConfig::paper().delete_mode(DeleteMode::DeleteAndCompact));
         let mut st = fresh_stinger();
         for b in &load {
             gt_tomb.apply(b);

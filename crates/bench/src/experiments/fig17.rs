@@ -19,7 +19,7 @@ pub fn run(args: &Args) -> Table {
     let series: Vec<Vec<(u64, std::time::Duration)>> = PAGEWIDTHS
         .iter()
         .map(|&pw| {
-            let mut g = fresh_tinker_with(TinkerConfig::with_pagewidth(pw));
+            let mut g = fresh_tinker_with(TinkerConfig { pagewidth: pw, ..TinkerConfig::paper() });
             timed_inserts(&mut g, &batches)
         })
         .collect();

@@ -27,7 +27,7 @@ pub fn run(args: &Args) -> Table {
         &["pagewidth", "bfs_meps", "edges_processed", "iterations"],
     );
     for &pw in &PAGEWIDTHS {
-        let mut g = fresh_tinker_with(TinkerConfig::with_pagewidth(pw));
+        let mut g = fresh_tinker_with(TinkerConfig { pagewidth: pw, ..TinkerConfig::paper() });
         for b in &batches {
             g.apply(b);
         }

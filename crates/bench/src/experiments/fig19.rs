@@ -31,7 +31,7 @@ fn one_experiment(
     interceptions: usize,
     analytics_per_stop: usize,
 ) -> f64 {
-    let mut g = fresh_tinker_with(TinkerConfig::with_pagewidth(pw));
+    let mut g = fresh_tinker_with(TinkerConfig { pagewidth: pw, ..TinkerConfig::paper() });
     let stops = interceptions.clamp(1, batches.len());
     let every = batches.len().div_ceil(stops);
     let mut root_idx = 0usize;

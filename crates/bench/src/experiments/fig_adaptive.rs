@@ -1,9 +1,10 @@
 //! Degree-adaptive tier benchmark (no paper counterpart; acceptance gate
 //! for the hybrid vertex representation): insert throughput, memory per
-//! edge, and analytics latency of the adaptive layout vs the fixed RHH
-//! geometry, on a hub-heavy Zipf stream and on a uniform stream.
+//! edge, and analytics latency of the default tiered layout vs the paper's
+//! fixed RHH geometry (`TinkerConfig::paper()`), on a hub-heavy Zipf stream
+//! and on a uniform stream.
 //!
-//! The adaptive layout should win on the skewed stream (the degree-1..4
+//! The default layout should win on the skewed stream (the degree-1..4
 //! tail skips edgeblock allocation entirely; hubs trade hash probing for a
 //! sorted gallop) and must not lose more than noise on the uniform stream,
 //! where almost every vertex sits in the edgeblock tier and the only cost
@@ -16,9 +17,9 @@
 //! structure.
 //!
 //! Alongside the TSV the run emits `BENCH_adaptive.json`; the acceptance
-//! criteria are `skew_adaptive_meps >= skew_fixed_meps`,
-//! `adaptive_bytes_per_edge <= fixed_bytes_per_edge`, and
-//! `uniform_adaptive_meps` within 5 % of `uniform_fixed_meps`.
+//! criteria are `skew_default_meps >= skew_paper_meps`,
+//! `default_bytes_per_edge <= paper_bytes_per_edge`, and
+//! `uniform_default_meps` within 5 % of `uniform_paper_meps`.
 
 use std::time::Instant;
 
@@ -36,14 +37,14 @@ const OPS_PER_BATCH: usize = 10_000;
 /// Interleaved trials per configuration; the best of each side is kept.
 const REPS: usize = 3;
 
-/// The fixed-geometry reference configuration (CAL off, see module doc).
-fn fixed_config() -> TinkerConfig {
-    TinkerConfig::default().cal(false)
+/// The paper's fixed-geometry baseline (CAL off, see module doc).
+fn paper_config() -> TinkerConfig {
+    TinkerConfig::paper().cal(false)
 }
 
-/// The adaptive configuration under test (same geometry, tiers on).
-fn adaptive_config() -> TinkerConfig {
-    fixed_config().adaptive()
+/// The default configuration under test (same geometry, tiers on).
+fn default_config() -> TinkerConfig {
+    TinkerConfig::default().cal(false)
 }
 
 fn slice_batches(edges: &[Edge]) -> Vec<EdgeBatch> {
@@ -60,14 +61,14 @@ fn measure_insert(config: TinkerConfig, batches: &[EdgeBatch], ops: u64) -> f64 
     meps(ops, t0.elapsed())
 }
 
-/// Best-of-[`REPS`] interleaved: `(fixed_meps, adaptive_meps)`.
+/// Best-of-[`REPS`] interleaved: `(paper_meps, default_meps)`.
 fn sample_insert(batches: &[EdgeBatch], ops: u64) -> (f64, f64) {
-    let (mut fixed, mut adaptive) = (0.0f64, 0.0f64);
+    let (mut paper, mut tiered) = (0.0f64, 0.0f64);
     for _ in 0..REPS {
-        fixed = fixed.max(measure_insert(fixed_config(), batches, ops));
-        adaptive = adaptive.max(measure_insert(adaptive_config(), batches, ops));
+        paper = paper.max(measure_insert(paper_config(), batches, ops));
+        tiered = tiered.max(measure_insert(default_config(), batches, ops));
     }
-    (fixed, adaptive)
+    (paper, tiered)
 }
 
 /// Builds a store once and reports `(bytes_per_edge, bfs_ms, store)`.
@@ -104,14 +105,14 @@ fn to_json(
     let mut out = String::from("{\n  \"benchmark\": \"adaptive_tiers\",\n");
     out.push_str(&format!("  \"ops\": {ops},\n"));
     out.push_str(&format!("  \"reps\": {REPS},\n"));
-    out.push_str(&format!("  \"skew_fixed_meps\": {:.3},\n", skew.0));
-    out.push_str(&format!("  \"skew_adaptive_meps\": {:.3},\n", skew.1));
-    out.push_str(&format!("  \"uniform_fixed_meps\": {:.3},\n", uniform.0));
-    out.push_str(&format!("  \"uniform_adaptive_meps\": {:.3},\n", uniform.1));
-    out.push_str(&format!("  \"fixed_bytes_per_edge\": {:.3},\n", bytes_per_edge.0));
-    out.push_str(&format!("  \"adaptive_bytes_per_edge\": {:.3},\n", bytes_per_edge.1));
-    out.push_str(&format!("  \"bfs_fixed_ms\": {:.3},\n", bfs_ms.0));
-    out.push_str(&format!("  \"bfs_adaptive_ms\": {:.3},\n", bfs_ms.1));
+    out.push_str(&format!("  \"skew_paper_meps\": {:.3},\n", skew.0));
+    out.push_str(&format!("  \"skew_default_meps\": {:.3},\n", skew.1));
+    out.push_str(&format!("  \"uniform_paper_meps\": {:.3},\n", uniform.0));
+    out.push_str(&format!("  \"uniform_default_meps\": {:.3},\n", uniform.1));
+    out.push_str(&format!("  \"paper_bytes_per_edge\": {:.3},\n", bytes_per_edge.0));
+    out.push_str(&format!("  \"default_bytes_per_edge\": {:.3},\n", bytes_per_edge.1));
+    out.push_str(&format!("  \"bfs_paper_ms\": {:.3},\n", bfs_ms.0));
+    out.push_str(&format!("  \"bfs_default_ms\": {:.3},\n", bfs_ms.1));
     out.push_str(&format!("  \"tier_inline_vertices\": {},\n", tiers.0));
     out.push_str(&format!("  \"tier_blocks_vertices\": {},\n", tiers.1));
     out.push_str(&format!("  \"tier_hub_vertices\": {},\n", tiers.2));
@@ -142,7 +143,7 @@ pub fn run(args: &Args) -> Table {
     let mut t = Table::new(
         "fig_adaptive",
         &format!(
-            "Degree-adaptive tiers vs fixed geometry: insert Medges/s, bytes/edge, \
+            "Default tiered layout vs the paper's fixed geometry: insert Medges/s, bytes/edge, \
              BFS latency ({}, {} ops, best of {REPS} interleaved trials)",
             skew_spec.name, skew_ops
         ),
@@ -154,31 +155,31 @@ pub fn run(args: &Args) -> Table {
 
     // A root with edges: the most frequent Zipf rank always has some.
     let root = skew_edges.first().map(|e| e.src).unwrap_or(0);
-    let (fixed_bpe, fixed_bfs, _) = build_and_probe(fixed_config(), &skew_batches, root);
-    let (adaptive_bpe, adaptive_bfs, ga) = build_and_probe(adaptive_config(), &skew_batches, root);
-    let st = ga.structure_stats();
+    let (paper_bpe, paper_bfs, _) = build_and_probe(paper_config(), &skew_batches, root);
+    let (default_bpe, default_bfs, gd) = build_and_probe(default_config(), &skew_batches, root);
+    let st = gd.structure_stats();
     assert!(
         st.tier_inline_vertices + st.tier_hub_vertices > 0,
-        "the skewed stream must exercise the non-default tiers"
+        "the skewed stream must exercise the inline and hub tiers"
     );
 
-    t.push_row(vec!["zipf_skew".into(), "fixed".into(), f3(skew.0), f3(fixed_bpe), f3(fixed_bfs)]);
+    t.push_row(vec!["zipf_skew".into(), "paper".into(), f3(skew.0), f3(paper_bpe), f3(paper_bfs)]);
     t.push_row(vec![
         "zipf_skew".into(),
-        "adaptive".into(),
+        "default".into(),
         f3(skew.1),
-        f3(adaptive_bpe),
-        f3(adaptive_bfs),
+        f3(default_bpe),
+        f3(default_bfs),
     ]);
-    t.push_row(vec!["uniform".into(), "fixed".into(), f3(uniform.0), "-".into(), "-".into()]);
-    t.push_row(vec!["uniform".into(), "adaptive".into(), f3(uniform.1), "-".into(), "-".into()]);
+    t.push_row(vec!["uniform".into(), "paper".into(), f3(uniform.0), "-".into(), "-".into()]);
+    t.push_row(vec!["uniform".into(), "default".into(), f3(uniform.1), "-".into(), "-".into()]);
 
     let json = to_json(
         skew_ops,
         skew,
         uniform,
-        (fixed_bpe, adaptive_bpe),
-        (fixed_bfs, adaptive_bfs),
+        (paper_bpe, default_bpe),
+        (paper_bfs, default_bfs),
         (
             st.tier_inline_vertices,
             st.tier_blocks_vertices,
@@ -203,9 +204,9 @@ mod tests {
     fn json_has_the_gate_fields() {
         let s = to_json(1_000, (5.0, 6.0), (7.0, 7.0), (30.0, 20.0), (1.5, 1.2), (10, 20, 3, 25));
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert!(s.contains("\"skew_adaptive_meps\": 6.000"));
-        assert!(s.contains("\"adaptive_bytes_per_edge\": 20.000"));
-        assert!(s.contains("\"uniform_fixed_meps\": 7.000"));
+        assert!(s.contains("\"skew_default_meps\": 6.000"));
+        assert!(s.contains("\"default_bytes_per_edge\": 20.000"));
+        assert!(s.contains("\"uniform_paper_meps\": 7.000"));
         assert!(s.contains("\"tier_hub_vertices\": 3"));
     }
 
@@ -221,9 +222,9 @@ mod tests {
         let t = run(&args);
         let rendered = t.render();
         assert!(rendered.contains("zipf_skew"));
-        assert!(rendered.contains("adaptive"));
+        assert!(rendered.contains("default"));
         let json = std::fs::read_to_string(dir.join("BENCH_adaptive.json")).unwrap();
-        assert!(json.contains("\"skew_adaptive_meps\""));
+        assert!(json.contains("\"skew_default_meps\""));
         assert!(json.contains("\"tier_promotions\""));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -38,14 +38,14 @@ const OPS_PER_BATCH: usize = 10_000;
 const REPS: usize = 3;
 
 /// The engine under test: SWAR tag probing on (the default), CAL off so
-/// the measurement stays on the probe structure. Wide 32-cell subblocks
+/// the measurement stays on the probe structure, tiers off so hub sources
+/// stay on the probed edgeblocks. Wide 32-cell subblocks
 /// put the store in the scan-bound regime the tag engine targets — a
 /// missed subblock costs the seed engine 32 full-cell compares (512 B of
 /// cell traffic) but the tagged engine four 8-byte tag loads; the default
 /// 8-cell geometry hides scan cost behind pointer-chasing instead.
 fn tagged_config() -> TinkerConfig {
-    TinkerConfig { pagewidth: 128, subblock: 32, workblock: 8, ..TinkerConfig::default() }
-        .cal(false)
+    TinkerConfig { pagewidth: 128, subblock: 32, workblock: 8, ..TinkerConfig::paper() }.cal(false)
 }
 
 /// The identical store flipped back to the seed scalar scan. Tag lanes are

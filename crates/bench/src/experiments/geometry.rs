@@ -44,7 +44,7 @@ pub fn run(args: &Args) -> Table {
             if workblock > subblock {
                 continue;
             }
-            let cfg = TinkerConfig { subblock, workblock, ..TinkerConfig::default() };
+            let cfg = TinkerConfig { subblock, workblock, ..TinkerConfig::paper() };
             let mut g = fresh_tinker_with(cfg);
             let series = timed_inserts(&mut g, &batches);
             let dur: Duration = series.iter().map(|x| x.1).sum();

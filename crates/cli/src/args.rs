@@ -26,7 +26,9 @@ const BARE_FLAGS: &[&str] = &[
     "pipeline",
     "stats",
     "analytics",
+    // Accepted and ignored: the degree-adaptive layout is the default.
     "adaptive",
+    "paper-layout",
     "hold",
     "validate",
     "verify",

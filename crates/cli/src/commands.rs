@@ -27,7 +27,7 @@ USAGE:
   gtinker generate (--dataset NAME | --rmat-scale N --edges M) [--seed S]
                    [--scale-factor F] --out FILE
   gtinker stats FILE|WALDIR [--format text|json|prom] [--pagewidth N]
-                [--no-sgh] [--no-cal] [--compact] [--adaptive]
+                [--no-sgh] [--no-cal] [--compact] [--paper-layout]
   gtinker bfs FILE --root R [--mode hybrid|da|fp|ip] [--shards N]
               [--restart static|incremental] [--churn-every K]
               [--batch N] [--verify]
@@ -55,12 +55,14 @@ RMAT_2M_32M, Hollywood-2009, Kron_g500-logn21 (paper Table 1; scaled by
 --scale-factor, default 64), plus Zipf_SourceSkew (hub-heavy Zipf
 sources, the degree-adaptive tier stress stream).
 
---adaptive (any command that builds a GraphTinker) enables the
-degree-adaptive layout: vertices with <= 4 edges stay inline in the
-vertex entry, ordinary vertices use the RHH edgeblock tree, and sources
-crossing 128 edges move to a dense sorted hub segment (demoted below
-64). 'stats --adaptive' reports per-tier vertex counts and the
-memory_*_bytes gauge family.
+Stores use the degree-adaptive layout: vertices with <= 4 edges stay
+inline in the vertex entry, ordinary vertices use the RHH edgeblock
+tree, and sources crossing 128 edges move to a dense sorted hub segment
+(demoted below 64); 'stats' reports per-tier vertex counts, hub dead
+slots and the memory_*_bytes gauge family. --paper-layout (any command
+that builds a GraphTinker) selects the paper's fixed geometry instead:
+every vertex on PAGEWIDTH edgeblocks, no inline or hub tier. A
+recovered snapshot keeps the layout it was written with.
 
 --restart picks how bfs/sssp/cc consume FILE: 'static' (default) loads
 everything and solves one cold fixpoint; 'incremental' streams FILE
@@ -282,8 +284,8 @@ fn config(parsed: &Parsed) -> Result<TinkerConfig, String> {
     if parsed.flag("compact") {
         cfg.delete_mode = DeleteMode::DeleteAndCompact;
     }
-    if parsed.flag("adaptive") {
-        cfg = cfg.adaptive();
+    if parsed.flag("paper-layout") {
+        cfg = cfg.tiers(0, 0, 0);
     }
     cfg.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     Ok(cfg)
@@ -372,7 +374,10 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
             println!("main blocks       : {}", st.main_blocks);
             println!("overflow blocks   : {}", st.overflow_blocks);
             println!("free blocks       : {}", st.free_blocks);
-            println!("tombstones        : {}", st.tombstones);
+            println!(
+                "tombstones        : {} (+ {} hub dead slots)",
+                st.tombstones, st.hub_dead_slots
+            );
             println!("CAL blocks        : {} ({} invalid records)", st.cal_blocks, st.cal_invalid);
             println!("occupancy         : {:.3}", st.occupancy);
             println!("memory            : {:.1} MiB", st.memory_bytes as f64 / (1024.0 * 1024.0));
@@ -464,6 +469,7 @@ fn stats_json(
     out.push_str(&format!("  \"overflow_blocks\": {},\n", st.overflow_blocks));
     out.push_str(&format!("  \"free_blocks\": {},\n", st.free_blocks));
     out.push_str(&format!("  \"tombstones\": {},\n", st.tombstones));
+    out.push_str(&format!("  \"hub_dead_slots\": {},\n", st.hub_dead_slots));
     out.push_str(&format!("  \"cal_blocks\": {},\n", st.cal_blocks));
     out.push_str(&format!("  \"cal_invalid\": {},\n", st.cal_invalid));
     out.push_str(&format!("  \"occupancy\": {:.6},\n", st.occupancy));
@@ -1166,13 +1172,20 @@ mod tests {
         assert_eq!(c.pagewidth, 32);
         assert_eq!(c.delete_mode, DeleteMode::DeleteAndCompact);
         assert!(config(&parsed(&["stats", "f", "--pagewidth", "33"])).is_err());
-        let c = config(&parsed(&["stats", "f", "--adaptive"])).unwrap();
-        assert!(c.adaptive_enabled());
-        assert!(!config(&parsed(&["stats", "f"])).unwrap().adaptive_enabled());
+        // Tiers are on unless --paper-layout; the retired --adaptive
+        // still parses and changes nothing.
+        let plain = config(&parsed(&["stats", "f"])).unwrap();
+        assert_eq!(plain, TinkerConfig::default());
+        assert_eq!(config(&parsed(&["stats", "f", "--adaptive"])).unwrap(), plain);
+        assert_eq!(
+            config(&parsed(&["stats", "f", "--paper-layout"])).unwrap(),
+            TinkerConfig::paper()
+        );
+        assert!(!USAGE.contains("--adaptive") && USAGE.contains("--paper-layout"));
     }
 
     #[test]
-    fn adaptive_stats_reports_tiers() {
+    fn stats_and_analytics_run_under_both_layouts() {
         let dir = std::env::temp_dir().join("gtinker_cli_adaptive");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1188,23 +1201,26 @@ mod tests {
         }
         std::fs::write(&file, edges).unwrap();
         let file_s = file.to_str().unwrap();
-        run(&parsed(&["stats", file_s, "--adaptive"])).unwrap();
-        run(&parsed(&["stats", file_s, "--adaptive", "--format", "json"])).unwrap();
-        run(&parsed(&["stats", file_s, "--adaptive", "--format", "prom"])).unwrap();
-        // Analytics agree with the fixed layout on the same input.
-        run(&parsed(&["bfs", file_s, "--root", "0", "--adaptive"])).unwrap();
-        run(&parsed(&["cc", file_s, "--adaptive"])).unwrap();
+        for layout in [&[][..], &["--paper-layout"][..]] {
+            let with = |args: &[&str]| parsed(&[args, layout].concat());
+            run(&with(&["stats", file_s])).unwrap();
+            run(&with(&["stats", file_s, "--format", "json"])).unwrap();
+            run(&with(&["stats", file_s, "--format", "prom"])).unwrap();
+            run(&with(&["bfs", file_s, "--root", "0"])).unwrap();
+            run(&with(&["cc", file_s])).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn adaptive_json_has_tier_fields() {
-        let mut g = GraphTinker::new(TinkerConfig::default().adaptive()).unwrap();
+    fn stats_json_has_tier_fields() {
+        let mut g = GraphTinker::with_defaults();
         g.apply_batch(&EdgeBatch::inserts(&[Edge::unit(0, 1), Edge::unit(0, 2)]));
         let snap = gtinker_core::metrics::global().snapshot();
         let s = stats_json(&g, "x", false, &snap);
         assert!(s.contains("\"tier_inline_vertices\": 1"), "{s}");
         assert!(s.contains("\"tier_hub_vertices\": 0"));
+        assert!(s.contains("\"hub_dead_slots\": 0"));
         assert!(s.contains("\"inline_bytes\""));
     }
 

@@ -13,6 +13,18 @@
 //! it exceeds [`TAIL_CAP`], so insertion is a push plus an amortized
 //! O(degree / TAIL_CAP) share of the merge.
 //!
+//! Deletes are lazy. A key is stored as `dst << 1 | dead`: deleting a
+//! main-run entry sets the low bit in place, which keeps the run sorted
+//! (no other key lies between `dst << 1` and `dst << 1 | 1`) and every
+//! fence a lower bound of its window, so a delete is the lookup plus one
+//! store — no memmove, no fence rebuild. Lookups search for the live key
+//! `dst << 1` and therefore never match a dead slot; a re-inserted
+//! destination simply lands in the tail. Dead slots are dropped by the
+//! merge pass, which is also forced once they exceed
+//! `1 / `[`MAX_DEAD_SHARE`] of the main run, so they stay a bounded
+//! fraction of the segment. A tail delete is a `swap_remove` across the
+//! four parallel lanes (the tail is unordered anyway).
+//!
 //! The tail additionally carries a SWAR tag lane (one fingerprint byte per
 //! tail entry, see [`crate::swar`]): [`HubSegment::find_tagged`] scans it
 //! eight bytes per `u64` with the shared group-match primitive and touches
@@ -31,6 +43,25 @@ pub const TAIL_CAP: usize = 256;
 
 /// Below this many candidates the gallop switches to the chunked linear scan.
 pub const SCAN_WINDOW: usize = 8;
+
+/// A main-run delete that leaves more than `1 / MAX_DEAD_SHARE` of the run
+/// dead forces the merge pass, bounding the memory held by dead slots.
+pub const MAX_DEAD_SHARE: usize = 4;
+
+/// Low key bit marking a lazily deleted main-run entry.
+const DEAD: u64 = 1;
+
+/// Sort key of a live edge to `dst`.
+#[inline]
+fn live_key(dst: VertexId) -> u64 {
+    (dst as u64) << 1
+}
+
+/// Destination encoded in `key` (live or dead).
+#[inline]
+fn key_dst(key: u64) -> VertexId {
+    (key >> 1) as VertexId
+}
 
 /// Every `2^FENCE_SHIFT`-th main-run key is copied into the fence array.
 const FENCE_SHIFT: usize = 6;
@@ -94,21 +125,24 @@ pub fn find_key_chunked(keys: &[u64], key: u64) -> Option<usize> {
 
 /// Sorted, growable adjacency segment for one hub vertex.
 ///
-/// Layout: `keys[0..split)` is the sorted main run, `keys[split..len)` is an
-/// append-order insert tail of at most [`TAIL_CAP`] entries. `weights` and
-/// `cal_ptrs` are parallel arrays carried through every reshuffle.
+/// Layout: `keys[0..split)` is the sorted main run (live and dead slots),
+/// `keys[split..)` is an append-order insert tail of at most [`TAIL_CAP`]
+/// live entries. `weights` and `cal_ptrs` are parallel arrays carried
+/// through every reshuffle.
 #[derive(Debug, Default, Clone)]
 pub struct HubSegment {
     keys: Vec<u64>,
     weights: Vec<Weight>,
     cal_ptrs: Vec<u32>,
     split: usize,
+    /// Dead (lazily deleted) slots in the main run.
+    dead: usize,
     /// Every [`FENCE_STRIDE`]-th main-run key, kept contiguous and small so
     /// the first gallop stage runs over an L1-resident array instead of
     /// cache-missing through the full run; a search then only touches one
-    /// 64-key window of `keys`. Rebuilt on merge/remove, never per insert.
+    /// 64-key window of `keys`. Rebuilt by the merge pass only.
     fences: Vec<u64>,
-    /// 256-bit presence filter over the tail keys (bit `key & 255`). A fresh
+    /// 256-bit presence filter over the tail (bit `dst & 255`). A fresh
     /// insert is a guaranteed miss, so most of them skip the tail scan on a
     /// clear bit instead of sweeping up to [`TAIL_CAP`] entries.
     tail_filter: [u64; 4],
@@ -117,12 +151,20 @@ pub struct HubSegment {
     /// is occupied, so no sentinel bytes appear here — the scan just
     /// bound-checks padded lanes.
     tail_tags: Vec<u8>,
+    /// Merge passes run, and how many of them a delete forced (unit tests
+    /// assert deletes cost no passes beyond these).
+    #[cfg(test)]
+    passes: usize,
+    #[cfg(test)]
+    forced: usize,
+    #[cfg(test)]
+    fence_rebuilds: usize,
 }
 
-/// Word index and bit mask of `key` in the 256-bit tail filter.
+/// Word index and bit mask of `dst` in the 256-bit tail filter.
 #[inline]
-fn filter_slot(key: u64) -> (usize, u64) {
-    let b = key & 255;
+fn filter_slot(dst: VertexId) -> (usize, u64) {
+    let b = dst & 255;
     ((b >> 6) as usize, 1u64 << (b & 63))
 }
 
@@ -136,12 +178,10 @@ impl HubSegment {
             weights: Vec::with_capacity(n),
             cal_ptrs: Vec::with_capacity(n),
             split: n,
-            fences: Vec::new(),
-            tail_filter: [0; 4],
-            tail_tags: Vec::new(),
+            ..HubSegment::default()
         };
         for (dst, w, ptr) in edges {
-            seg.keys.push(dst as u64);
+            seg.keys.push(live_key(dst));
             seg.weights.push(w);
             seg.cal_ptrs.push(ptr);
         }
@@ -151,6 +191,10 @@ impl HubSegment {
 
     /// Recomputes the fence array from the main run.
     fn rebuild_fences(&mut self) {
+        #[cfg(test)]
+        {
+            self.fence_rebuilds += 1;
+        }
         self.fences.clear();
         let mut i = 0;
         while i < self.split {
@@ -159,19 +203,26 @@ impl HubSegment {
         }
     }
 
-    /// Number of edges held.
+    /// Number of live edges held.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.len() - self.dead
     }
 
-    /// True when the segment holds no edges.
+    /// True when the segment holds no live edges.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
-    /// Gallop over the sorted main run (fences first, then one window).
+    /// Lazily deleted main-run slots awaiting the next merge pass.
+    #[inline]
+    pub fn dead_slots(&self) -> usize {
+        self.dead
+    }
+
+    /// Gallop over the sorted main run (fences first, then one window) for
+    /// the live key; a dead slot of the same destination never matches.
     #[inline]
     fn find_main(&self, key: u64) -> Option<usize> {
         if self.fences.len() > 1 {
@@ -187,12 +238,12 @@ impl HubSegment {
     /// chunked key compare (the `probe_tags = false` baseline; see
     /// [`Self::find_tagged`] for the SWAR path).
     pub fn find(&self, dst: VertexId) -> Option<usize> {
-        let key = dst as u64;
+        let key = live_key(dst);
         let hit = self.find_main(key);
         if hit.is_some() {
             return hit;
         }
-        let (w, bit) = filter_slot(key);
+        let (w, bit) = filter_slot(dst);
         if self.tail_filter[w] & bit == 0 {
             return None;
         }
@@ -206,12 +257,12 @@ impl HubSegment {
     /// path).
     pub fn find_tagged(&self, dst: VertexId, tag: u8) -> Option<usize> {
         debug_assert_eq!(tag, dst_tag(dst));
-        let key = dst as u64;
+        let key = live_key(dst);
         let hit = self.find_main(key);
         if hit.is_some() {
             return hit;
         }
-        let (w, bit) = filter_slot(key);
+        let (w, bit) = filter_slot(dst);
         if self.tail_filter[w] & bit == 0 {
             return None;
         }
@@ -240,29 +291,48 @@ impl HubSegment {
     pub fn insert_tagged(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32, tag: u8) {
         debug_assert!(self.find(dst).is_none());
         debug_assert_eq!(tag, dst_tag(dst));
-        let key = dst as u64;
-        let (w, bit) = filter_slot(key);
+        let (w, bit) = filter_slot(dst);
         self.tail_filter[w] |= bit;
-        self.keys.push(key);
+        self.keys.push(live_key(dst));
         self.weights.push(weight);
         self.cal_ptrs.push(cal_ptr);
         self.tail_tags.push(tag);
-        if self.len() - self.split > TAIL_CAP {
+        if self.keys.len() - self.split > TAIL_CAP {
             self.merge_tail();
         }
     }
 
-    /// Sorts the tail, then merges it into the main run with one backward
-    /// in-place two-pointer pass (the tail is first copied out, so main-run
-    /// elements shift right at most once each).
+    /// The merge pass: drops the dead main-run slots (one forward in-place
+    /// sweep, skipped when there are none), then sorts the tail and merges
+    /// it in with one backward in-place two-pointer pass (the tail is first
+    /// copied out, so main-run elements shift right at most once each).
+    /// The only place fences are rebuilt.
     fn merge_tail(&mut self) {
-        let n = self.len();
-        let mut order: Vec<usize> = (self.split..n).collect();
+        #[cfg(test)]
+        {
+            self.passes += 1;
+        }
+        let mut order: Vec<usize> = (self.split..self.keys.len()).collect();
         order.sort_unstable_by_key(|&i| self.keys[i]);
         let tail_keys: Vec<u64> = order.iter().map(|&i| self.keys[i]).collect();
         let tail_weights: Vec<Weight> = order.iter().map(|&i| self.weights[i]).collect();
         let tail_ptrs: Vec<u32> = order.iter().map(|&i| self.cal_ptrs[i]).collect();
         let mut main = self.split; // one past the next unmerged main element
+        if self.dead > 0 {
+            main = 0;
+            for i in 0..self.split {
+                if self.keys[i] & DEAD == 0 {
+                    self.keys[main] = self.keys[i];
+                    self.weights[main] = self.weights[i];
+                    self.cal_ptrs[main] = self.cal_ptrs[i];
+                    main += 1;
+                }
+            }
+        }
+        let n = main + tail_keys.len();
+        self.keys.truncate(n);
+        self.weights.truncate(n);
+        self.cal_ptrs.truncate(n);
         let mut tail = tail_keys.len();
         let mut out = n;
         while tail > 0 {
@@ -280,39 +350,54 @@ impl HubSegment {
             }
         }
         self.split = n;
+        self.dead = 0;
         self.tail_filter = [0; 4];
         self.tail_tags.clear();
         self.rebuild_fences();
         debug_assert!(self.keys.is_sorted());
     }
 
-    /// Removes the edge at `idx`, returning its CAL pointer.
+    /// Removes the live edge at `idx` (as returned by a find), returning
+    /// its CAL pointer. Indices into the segment are invalidated.
     ///
-    /// A tail removal leaves its filter bit set — a stale bit only costs a
-    /// spurious tail scan (the filter tolerates false positives, never false
-    /// negatives), and the next merge clears it.
+    /// A main-run removal marks the slot dead in place; a tail removal
+    /// swaps the last tail entry into the hole. The latter leaves its
+    /// filter bit set — a stale bit only costs a spurious tail scan (the
+    /// filter tolerates false positives, never false negatives), and the
+    /// next merge clears it.
     pub fn remove(&mut self, idx: usize) -> u32 {
-        self.keys.remove(idx);
-        self.weights.remove(idx);
-        let ptr = self.cal_ptrs.remove(idx);
-        if idx < self.split {
-            self.split -= 1;
-            self.rebuild_fences();
-        } else {
-            self.tail_tags.remove(idx - self.split);
+        if idx >= self.split {
+            self.keys.swap_remove(idx);
+            self.weights.swap_remove(idx);
+            self.tail_tags.swap_remove(idx - self.split);
+            return self.cal_ptrs.swap_remove(idx);
+        }
+        debug_assert_eq!(self.keys[idx] & DEAD, 0, "slot {idx} is already dead");
+        self.keys[idx] |= DEAD;
+        if idx.is_multiple_of(FENCE_STRIDE) {
+            self.fences[idx >> FENCE_SHIFT] = self.keys[idx];
+        }
+        self.dead += 1;
+        let ptr = self.cal_ptrs[idx];
+        if self.dead * MAX_DEAD_SHARE > self.split {
+            #[cfg(test)]
+            {
+                self.forced += 1;
+            }
+            self.merge_tail();
         }
         ptr
     }
 
     /// Checks the tail tag lane: one byte per tail entry, each the
-    /// [`dst_tag`] of its key. Part of `validate_tag_invariants`.
+    /// [`dst_tag`] of its key.
     pub fn validate_tail_tags(&self) -> Result<(), String> {
-        let tail = self.len() - self.split;
+        let tail = self.keys.len() - self.split;
         if self.tail_tags.len() != tail {
             return Err(format!("hub tail tags {} != tail len {tail}", self.tail_tags.len()));
         }
         for (i, &t) in self.tail_tags.iter().enumerate() {
-            let dst = self.keys[self.split + i] as VertexId;
+            let dst = key_dst(self.keys[self.split + i]);
             if t != dst_tag(dst) {
                 return Err(format!("hub tail slot {i} (dst {dst}): tag {t:#04x}"));
             }
@@ -320,10 +405,49 @@ impl HubSegment {
         Ok(())
     }
 
-    /// Destination at `idx`.
-    #[inline]
-    pub fn dst(&self, idx: usize) -> VertexId {
-        self.keys[idx] as VertexId
+    /// Checks every structural invariant of the segment: parallel lanes
+    /// the same length, main run strictly sorted with one slot per
+    /// destination, the dead count exact and within the compaction bound,
+    /// fences equal to every 64th main-run key, tail entries live, covered
+    /// by the filter and absent from the live main run, and the tail tag
+    /// lane ([`Self::validate_tail_tags`]). Part of
+    /// `validate_tag_invariants`.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.keys.len();
+        if self.weights.len() != n || self.cal_ptrs.len() != n || self.split > n {
+            return Err(format!(
+                "hub lanes diverge: keys {n}, weights {}, cal_ptrs {}, split {}",
+                self.weights.len(),
+                self.cal_ptrs.len(),
+                self.split
+            ));
+        }
+        let (main, tail) = self.keys.split_at(self.split);
+        if let Some(w) = main.windows(2).find(|w| key_dst(w[0]) >= key_dst(w[1])) {
+            return Err(format!("hub main run out of order: {} then {}", w[0], w[1]));
+        }
+        let dead = main.iter().filter(|&&k| k & DEAD != 0).count();
+        if dead != self.dead {
+            return Err(format!("hub dead count {} but {dead} dead slots", self.dead));
+        }
+        if dead * MAX_DEAD_SHARE > self.split {
+            return Err(format!(
+                "hub dead slots {dead} exceed the bound on a run of {}",
+                self.split
+            ));
+        }
+        if !self.fences.iter().eq(main.iter().step_by(FENCE_STRIDE)) {
+            return Err("hub fences diverge from the main run".into());
+        }
+        for &k in tail {
+            let (w, bit) = filter_slot(key_dst(k));
+            if k & DEAD != 0 || self.tail_filter[w] & bit == 0 || self.find_main(k).is_some() {
+                return Err(format!(
+                    "hub tail key {k} is dead, unfiltered or also in the main run"
+                ));
+            }
+        }
+        self.validate_tail_tags()
     }
 
     /// Weight at `idx`.
@@ -344,30 +468,38 @@ impl HubSegment {
         self.cal_ptrs[idx]
     }
 
-    /// Overwrites the CAL pointer at `idx`.
-    #[inline]
-    pub fn set_cal_ptr(&mut self, idx: usize, ptr: u32) {
-        self.cal_ptrs[idx] = ptr;
-    }
-
-    /// Visits every edge as `(dst, weight, cal_ptr)`.
+    /// Visits every live edge as `(dst, weight, cal_ptr)`.
     pub fn for_each(&self, mut f: impl FnMut(VertexId, Weight, u32)) {
-        for i in 0..self.len() {
-            f(self.keys[i] as VertexId, self.weights[i], self.cal_ptrs[i]);
+        for ((&k, &w), &ptr) in self.keys.iter().zip(&self.weights).zip(&self.cal_ptrs) {
+            if k & DEAD == 0 {
+                f(key_dst(k), w, ptr);
+            }
         }
     }
 
-    /// Drains the segment into an edge list `(dst, weight, cal_ptr)`.
+    /// Replaces the CAL pointer of every live edge with `f(dst, weight)`
+    /// (the CAL rebuild re-registers each edge and hands back its new slot).
+    pub fn remap_cal_ptrs(&mut self, mut f: impl FnMut(VertexId, Weight) -> u32) {
+        for (i, &k) in self.keys.iter().enumerate() {
+            if k & DEAD == 0 {
+                self.cal_ptrs[i] = f(key_dst(k), self.weights[i]);
+            }
+        }
+    }
+
+    /// Drains the segment into its live edges `(dst, weight, cal_ptr)`.
     pub fn into_edges(self) -> Vec<(VertexId, Weight, u32)> {
         self.keys
             .into_iter()
             .zip(self.weights)
             .zip(self.cal_ptrs)
-            .map(|((k, w), p)| (k as VertexId, w, p))
+            .filter(|((k, _), _)| k & DEAD == 0)
+            .map(|((k, w), p)| (key_dst(k), w, p))
             .collect()
     }
 
-    /// Estimated heap bytes held by the segment's allocations.
+    /// Estimated heap bytes held by the segment's allocations (capacity, so
+    /// dead slots and merge headroom are counted, never hidden).
     pub fn memory_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.weights.capacity() * std::mem::size_of::<Weight>()
@@ -408,7 +540,7 @@ mod tests {
         let mut seg = HubSegment::from_edges(vec![(10, 1, 0), (2, 2, 1), (30, 3, 2)]);
         assert_eq!(seg.len(), 3);
         let i = seg.find(10).unwrap();
-        assert_eq!((seg.dst(i), seg.weight(i), seg.cal_ptr(i)), (10, 1, 0));
+        assert_eq!((seg.weight(i), seg.cal_ptr(i)), (1, 0));
 
         seg.insert(5, 50, 3);
         seg.insert(40, 60, 4);
@@ -464,16 +596,113 @@ mod tests {
             assert_eq!(seg.find(i * 2), Some(i as usize), "key {}", i * 2);
             assert_eq!(seg.find(i * 2 + 1), None);
         }
-        // Removing from the main run shifts every later window by one.
-        let victim = seg.find(FENCE_STRIDE as u32 * 3).unwrap();
-        seg.remove(victim);
-        assert_eq!(seg.find(FENCE_STRIDE as u32 * 3), None);
+        // Kill a fence key itself (slot 3 * FENCE_STRIDE) and a mid-window
+        // one: neither moves an element, and every other key stays findable.
+        let victims = [FENCE_STRIDE as u32 * 6, FENCE_STRIDE as u32 * 3];
+        for v in victims {
+            let at = seg.find(v).unwrap();
+            seg.remove(at);
+            assert_eq!(seg.find(v), None);
+            seg.validate().unwrap();
+        }
+        assert_eq!((seg.keys.len(), seg.len(), seg.dead_slots()), (n as usize, n as usize - 2, 2));
         for i in 0..n {
             let k = i * 2;
-            if k != FENCE_STRIDE as u32 * 3 {
-                assert!(seg.find(k).is_some(), "key {k} lost after remove");
-            }
+            assert_eq!(seg.find(k).is_some(), !victims.contains(&k), "key {k}");
         }
+    }
+
+    #[test]
+    fn dead_key_reinsert_lands_in_tail_and_merge_drops_the_dead_slot() {
+        let mut seg = HubSegment::from_edges((0..40).map(|i| (i, i, i)).collect());
+        let at = seg.find(7).unwrap();
+        assert_eq!(seg.remove(at), 7);
+        assert_eq!((seg.len(), seg.dead_slots()), (39, 1));
+        seg.insert(7, 70, 700);
+        let at = seg.find(7).unwrap();
+        assert!(at >= seg.split, "the dead slot is not revived");
+        assert_eq!((seg.weight(at), seg.cal_ptr(at)), (70, 700));
+        assert_eq!(seg.find_tagged(7, dst_tag(7)), Some(at));
+        seg.validate().unwrap();
+        // Iteration and draining see the live copy only.
+        let mut seen = Vec::new();
+        seg.for_each(|d, w, p| seen.push((d, w, p)));
+        assert_eq!(seen.iter().filter(|e| e.0 == 7).collect::<Vec<_>>(), [&(7, 70, 700)]);
+        assert_eq!(seen.len(), 40);
+        seg.merge_tail();
+        assert_eq!((seg.len(), seg.dead_slots(), seg.keys.len()), (40, 0, 40));
+        seg.validate().unwrap();
+        let mut drained = seg.into_edges();
+        drained.sort_unstable();
+        seen.sort_unstable();
+        assert_eq!(drained, seen);
+    }
+
+    #[test]
+    fn dead_slots_force_a_compaction_at_the_bound() {
+        let n = 400usize;
+        let mut seg = HubSegment::from_edges((0..n as u32).map(|i| (i, i, i)).collect());
+        for d in 0..(n / MAX_DEAD_SHARE) as u32 {
+            let at = seg.find(d).unwrap();
+            seg.remove(at);
+            seg.validate().unwrap();
+        }
+        assert_eq!((seg.dead_slots(), seg.forced, seg.keys.len()), (n / MAX_DEAD_SHARE, 0, n));
+        let at = seg.find(300).unwrap();
+        seg.remove(at);
+        assert_eq!((seg.dead_slots(), seg.forced, seg.passes), (0, 1, 1));
+        assert_eq!(seg.keys.len(), seg.len());
+        seg.validate().unwrap();
+    }
+
+    /// Deterministic xorshift stream for the churn tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn main_run_deletes_shift_nothing_and_rebuild_no_fences() {
+        let n = 10_000u32;
+        let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i, i)).collect());
+        // A main-run delete leaves every lane where it was.
+        let at = seg.find(4_000).unwrap();
+        assert!(at < seg.split);
+        seg.remove(at);
+        assert_eq!((seg.keys.len(), seg.len()), (n as usize, n as usize - 1));
+        let base = seg.fence_rebuilds;
+
+        let mut live: Vec<u32> = (0..n).map(|i| i * 2).filter(|&d| d != 4_000).collect();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut inserts, mut deletes) = (0usize, 0usize);
+        for fresh in 0..5_000u32 {
+            let victim = live.swap_remove(xorshift(&mut rng) as usize % live.len());
+            let at = seg.find(victim).expect("live edge findable");
+            seg.remove(at);
+            deletes += 1;
+            let dst = fresh * 2 + 1; // odd ids: never in the seed run
+            seg.insert(dst, dst, dst);
+            live.push(dst);
+            inserts += 1;
+        }
+        assert_eq!((inserts, deletes), (5_000, 5_000));
+        seg.validate().unwrap();
+        assert_eq!(seg.len(), live.len());
+        for &d in &live {
+            assert!(seg.find(d).is_some(), "dst {d} lost");
+        }
+        // Fences are rebuilt by merge passes only, and the number of passes
+        // depends on inserts (tail overflows) plus forced compactions —
+        // not on how many deletes ran.
+        assert_eq!(seg.fence_rebuilds - base, seg.passes);
+        assert!(
+            seg.passes <= inserts / TAIL_CAP + seg.forced,
+            "{} passes for {inserts} inserts, {} forced",
+            seg.passes,
+            seg.forced
+        );
     }
 
     #[test]
@@ -488,7 +717,7 @@ mod tests {
         // Grow a tail past one merge, removing from both regions along the way.
         for i in 0..(TAIL_CAP as u32 + 40) {
             seg.insert(i * 3 + 1, i, i);
-            seg.validate_tail_tags().unwrap();
+            seg.validate().unwrap();
             if i % 17 == 0 {
                 if let Some(at) = seg.find(i * 3 + 1) {
                     seg.remove(at);
@@ -500,7 +729,7 @@ mod tests {
                 }
             }
         }
-        seg.validate_tail_tags().unwrap();
+        seg.validate().unwrap();
         for d in 0..(TAIL_CAP as u32 * 4) {
             assert_eq!(
                 seg.find_tagged(d, crate::hash::dst_tag(d)),
@@ -516,11 +745,16 @@ mod tests {
         for d in [100u32, 200, 300, 400] {
             seg.insert(d, d, d);
         }
-        // Remove from the middle of the tail; the lane must shift with it.
+        // Remove from the middle of the tail; the last entry (and its lane
+        // byte) is swapped into the hole.
         let at = seg.find(200).unwrap();
-        seg.remove(at);
-        seg.validate_tail_tags().unwrap();
-        assert!(seg.find_tagged(300, crate::hash::dst_tag(300)).is_some());
-        assert!(seg.find_tagged(200, crate::hash::dst_tag(200)).is_none());
+        assert_eq!(seg.remove(at), 200);
+        seg.validate().unwrap();
+        assert_eq!(seg.find(400), Some(at));
+        for d in [100u32, 300, 400] {
+            let i = seg.find_tagged(d, dst_tag(d)).unwrap();
+            assert_eq!((seg.weight(i), seg.cal_ptr(i)), (d, d));
+        }
+        assert!(seg.find_tagged(200, dst_tag(200)).is_none());
     }
 }

@@ -213,6 +213,12 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Adds a signed delta (a batch's net movement in one RMW).
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
     /// Overwrites the value (used by gauges published from store state,
     /// e.g. memory footprints, rather than maintained by paired inc/dec).
     #[inline]
@@ -250,6 +256,10 @@ impl Gauge {
     /// No-op.
     #[inline]
     pub fn dec(&self) {}
+
+    /// No-op.
+    #[inline]
+    pub fn add(&self, _delta: i64) {}
 
     /// No-op.
     #[inline]
@@ -687,6 +697,9 @@ registry! {
         tier_blocks_vertices: gauge,
         /// Active vertices currently stored in the dense hub tier.
         tier_hub_vertices: gauge,
+        /// Lazily deleted hub-segment slots not yet dropped by a merge
+        /// pass — the hub tier's tombstone population.
+        tier_hub_dead_slots: gauge,
         /// Tier promotions (inline→blocks and blocks→hub).
         tier_promotions: counter,
         /// Tier demotions (hub→blocks and blocks→inline).

@@ -80,6 +80,10 @@ pub struct StructureStats {
     pub free_blocks: usize,
     /// Tombstoned cells.
     pub tombstones: usize,
+    /// Lazily deleted hub-segment slots awaiting their merge pass (the hub
+    /// tier's tombstones; bounded per segment, see
+    /// [`MAX_DEAD_SHARE`](crate::hubseg::MAX_DEAD_SHARE)).
+    pub hub_dead_slots: usize,
     /// CAL blocks allocated (0 when CAL is disabled).
     pub cal_blocks: usize,
     /// CAL records flagged invalid.

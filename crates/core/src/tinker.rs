@@ -111,6 +111,9 @@ pub struct GraphTinker {
     /// recycled through `free_hubs`.
     hubs: Vec<HubSegment>,
     free_hubs: Vec<u32>,
+    /// Lazily deleted slots across all hub segments (running total of
+    /// [`HubSegment::dead_slots`]).
+    hub_dead_slots: usize,
     /// Vertices with live edges, per tier (indexed by `Tier as usize`).
     tier_counts: [u64; 3],
     tier_promotions: u64,
@@ -140,6 +143,7 @@ impl GraphTinker {
             hub_of: Vec::new(),
             hubs: Vec::new(),
             free_hubs: Vec::new(),
+            hub_dead_slots: 0,
             tier_counts: [0; 3],
             tier_promotions: 0,
             tier_demotions: 0,
@@ -147,7 +151,8 @@ impl GraphTinker {
         })
     }
 
-    /// Creates a GraphTinker with the default (paper-tuned) configuration.
+    /// Creates a GraphTinker with the default configuration (the paper's
+    /// geometry with the degree-adaptive tiers on).
     pub fn with_defaults() -> Self {
         Self::new(TinkerConfig::default()).expect("default config is valid")
     }
@@ -326,7 +331,7 @@ impl GraphTinker {
     /// vacant cell, so a miss can anchor the new edge without re-traversing
     /// the chain. RHH displacement still runs within the target subblock.
     pub fn insert_edge(&mut self, e: Edge) -> bool {
-        let tags0 = (self.stats.tag_group_scans, self.stats.tag_false_positives);
+        let mark = self.flush_mark();
         let fresh = self.insert_edge_local(e);
         let m = crate::metrics::global();
         if fresh {
@@ -334,23 +339,31 @@ impl GraphTinker {
         } else {
             m.tinker_updates.inc();
         }
-        self.flush_tag_counters(tags0);
+        self.flush_since(mark);
         fresh
     }
 
-    /// Flushes the delta of the instance tag counters since `before`
-    /// (`(tag_group_scans, tag_false_positives)`) to the global metrics.
-    /// Batched entry points snapshot once per batch so the instrumented
-    /// ingest path pays one atomic RMW per counter per batch.
-    fn flush_tag_counters(&self, before: (u64, u64)) {
+    /// The instance counters [`flush_since`](Self::flush_since) publishes:
+    /// `(tag_group_scans, tag_false_positives, hub_dead_slots)`.
+    fn flush_mark(&self) -> (u64, u64, usize) {
+        (self.stats.tag_group_scans, self.stats.tag_false_positives, self.hub_dead_slots)
+    }
+
+    /// Flushes the delta of the instance counters since `mark` to the
+    /// global metrics. Batched entry points mark once per batch so the
+    /// instrumented ingest path pays one atomic RMW per counter per batch.
+    fn flush_since(&self, mark: (u64, u64, usize)) {
         let m = crate::metrics::global();
-        let groups = self.stats.tag_group_scans - before.0;
-        let fps = self.stats.tag_false_positives - before.1;
+        let groups = self.stats.tag_group_scans - mark.0;
+        let fps = self.stats.tag_false_positives - mark.1;
         if groups > 0 {
             m.rhh_tag_group_scans.add(groups);
         }
         if fps > 0 {
             m.rhh_tag_false_positive.add(fps);
+        }
+        if self.hub_dead_slots != mark.2 {
+            m.tier_hub_dead_slots.add(self.hub_dead_slots as i64 - mark.2 as i64);
         }
     }
 
@@ -608,7 +621,12 @@ impl GraphTinker {
             Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
             None => NIL_U32,
         };
-        self.hubs[h].insert_tagged(e.dst, e.weight, cal_ptr, tag);
+        // An insert that overflows the tail runs the merge pass, which
+        // drops the segment's dead slots.
+        let seg = &mut self.hubs[h];
+        self.hub_dead_slots -= seg.dead_slots();
+        seg.insert_tagged(e.dst, e.weight, cal_ptr, tag);
+        self.hub_dead_slots += seg.dead_slots();
         self.note_insert(dense, e.src);
         true
     }
@@ -801,6 +819,7 @@ impl GraphTinker {
         let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
         let h = self.hub_of[dense as usize];
         let seg = std::mem::take(&mut self.hubs[h as usize]);
+        self.hub_dead_slots -= seg.dead_slots();
         self.free_hubs.push(h);
         self.hub_of[dense as usize] = NIL_U32;
         self.set_tier(dense, Tier::Blocks);
@@ -837,7 +856,7 @@ impl GraphTinker {
 
     /// Deletes the edge `(src, dst)`. Returns `true` if it existed.
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> bool {
-        let tags0 = (self.stats.tag_group_scans, self.stats.tag_false_positives);
+        let mark = self.flush_mark();
         let deleted = self.delete_edge_local(src, dst);
         let m = crate::metrics::global();
         if deleted {
@@ -845,7 +864,7 @@ impl GraphTinker {
         } else {
             m.tinker_delete_misses.inc();
         }
-        self.flush_tag_counters(tags0);
+        self.flush_since(mark);
         deleted
     }
 
@@ -918,7 +937,12 @@ impl GraphTinker {
                     self.hubs[h].find(dst)
                 };
                 let Some(i) = found else { return false };
-                let ptr = self.hubs[h].remove(i);
+                // A main-run delete leaves a dead slot behind (or, at the
+                // compaction bound, clears them all).
+                let seg = &mut self.hubs[h];
+                self.hub_dead_slots -= seg.dead_slots();
+                let ptr = seg.remove(i);
+                self.hub_dead_slots += seg.dead_slots();
                 if ptr != NIL_U32 {
                     if let Some(cal) = &mut self.cal {
                         cal.invalidate(ptr);
@@ -1096,7 +1120,7 @@ impl GraphTinker {
     /// counter per batch), keeping the instrumented ingest path within the
     /// metrics-overhead budget.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> BatchResult {
-        let tags0 = (self.stats.tag_group_scans, self.stats.tag_false_positives);
+        let mark = self.flush_mark();
         let mut r = BatchResult::default();
         for op in batch.iter() {
             match *op {
@@ -1121,7 +1145,7 @@ impl GraphTinker {
         m.tinker_updates.add(r.updated);
         m.tinker_deletes.add(r.deleted);
         m.tinker_delete_misses.add(r.not_found);
-        self.flush_tag_counters(tags0);
+        self.flush_since(mark);
         r
     }
 
@@ -1364,15 +1388,7 @@ impl GraphTinker {
                         let h = self.hub_of[idx] as usize;
                         if !self.hubs[h].is_empty() {
                             let src = self.original_of(dense);
-                            for i in 0..self.hubs[h].len() {
-                                let ptr = cal.insert(
-                                    dense,
-                                    src,
-                                    self.hubs[h].dst(i),
-                                    self.hubs[h].weight(i),
-                                );
-                                self.hubs[h].set_cal_ptr(i, ptr);
-                            }
+                            self.hubs[h].remap_cal_ptrs(|dst, w| cal.insert(dense, src, dst, w));
                         }
                         continue;
                     }
@@ -1426,6 +1442,7 @@ impl GraphTinker {
             overflow_blocks: total_blocks - free - self.main_blocks,
             free_blocks: free,
             tombstones: self.arena.count_tombstones(),
+            hub_dead_slots: self.hub_dead_slots,
             cal_blocks: self.cal.as_ref().map_or(0, |c| c.num_blocks()),
             cal_invalid: self.cal.as_ref().map_or(0, |c| c.num_invalid()),
             occupancy: if allocated_cells == 0 {
@@ -1632,7 +1649,10 @@ impl GraphTinker {
     ///    [`TAG_TOMBSTONE`] when tombstoned;
     /// 2. the SGH slot-table tag lane (including its wrap-around mirror)
     ///    matches the resident keys;
-    /// 3. every hub segment's tail-tag lane matches its unsorted tail keys.
+    /// 3. every hub segment passes [`HubSegment::validate`] (sorted main
+    ///    run, exact and bounded dead count, fences, tail-tag lane), holds
+    ///    exactly its vertex's out-degree in live edges, and the dead slots
+    ///    sum to the reported `hub_dead_slots`.
     ///
     /// Returns the first violation as an error string.
     pub fn validate_tag_invariants(&self) -> std::result::Result<(), String> {
@@ -1668,7 +1688,20 @@ impl GraphTinker {
             sgh.validate_tags().map_err(|e| format!("sgh: {e}"))?;
         }
         for (h, seg) in self.hubs.iter().enumerate() {
-            seg.validate_tail_tags().map_err(|e| format!("hub {h}: {e}"))?;
+            seg.validate().map_err(|e| format!("hub {h}: {e}"))?;
+        }
+        for (dense, &h) in self.hub_of.iter().enumerate() {
+            if h != NIL_U32 {
+                let (held, deg) =
+                    (self.hubs[h as usize].len(), self.props.out_degree(dense as u32));
+                if held != deg as usize {
+                    return Err(format!("hub {h}: {held} live edges but out-degree {deg}"));
+                }
+            }
+        }
+        let dead: usize = self.hubs.iter().map(|h| h.dead_slots()).sum();
+        if dead != self.hub_dead_slots {
+            return Err(format!("hub dead slots: counted {dead}, tracked {}", self.hub_dead_slots));
         }
         Ok(())
     }
@@ -1702,8 +1735,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn tiny_config() -> TinkerConfig {
-        // Small geometry so branching kicks in quickly.
-        TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::default() }
+        // Small geometry so branching kicks in quickly; tiers off, so every
+        // vertex exercises the edgeblock tier (`adaptive_tiny` covers tiers).
+        TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::paper() }
     }
 
     #[test]
@@ -1735,7 +1769,7 @@ mod tests {
 
     #[test]
     fn delete_only_tombstones_and_forgets_edge() {
-        let mut g = GraphTinker::with_defaults();
+        let mut g = GraphTinker::new(TinkerConfig::paper()).unwrap();
         g.insert_edge(Edge::new(1, 2, 1));
         g.insert_edge(Edge::new(1, 3, 1));
         assert!(g.delete_edge(1, 2));
@@ -1758,7 +1792,7 @@ mod tests {
 
     #[test]
     fn tombstone_slot_reused_by_insert() {
-        let mut g = GraphTinker::with_defaults();
+        let mut g = GraphTinker::new(TinkerConfig::paper()).unwrap();
         g.insert_edge(Edge::new(1, 2, 1));
         g.delete_edge(1, 2);
         assert_eq!(g.structure_stats().tombstones, 1);

@@ -475,14 +475,13 @@ mod tests {
             TinkerConfig::default().cal(false),
             TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact),
             TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::default() },
-            TinkerConfig::default().adaptive(),
+            TinkerConfig::paper(),
             TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::default() }
                 .tiers(2, 12, 6),
         ] {
             let g = sample_tinker(cfg);
             let (back, _) = decode_tinker(&encode_tinker(&g, 0)).unwrap();
-            assert_eq!(back.config().inline_cap, cfg.inline_cap);
-            assert_eq!(back.config().hub_promote, cfg.hub_promote);
+            assert_eq!(*back.config(), cfg);
             assert_equivalent(&g, &back);
         }
     }

@@ -24,6 +24,11 @@ pub enum DeleteMode {
 /// workblock = 4 (§V.A); those are the defaults here. All sizes are counts
 /// of edge-cells and must satisfy
 /// `workblock | subblock | pagewidth` (each divides the next).
+///
+/// [`Default`] layers the degree-adaptive tiers (4 inline slots, hub
+/// promotion at out-degree 128, demotion below 64) over that geometry;
+/// [`TinkerConfig::paper`] is the paper's fixed layout with tiering off,
+/// which the paper-figure experiments use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TinkerConfig {
     /// Edge-cells per edgeblock (the paper's PAGEWIDTH).
@@ -50,8 +55,8 @@ pub struct TinkerConfig {
     pub delete_mode: DeleteMode,
     /// Degree-adaptive tiering: adjacency lists of up to this many edges are
     /// packed inline in the vertex entry instead of allocating an edgeblock.
-    /// `0` disables the inline tier (every vertex starts on edgeblocks, the
-    /// paper's fixed geometry). Capped at [`INLINE_CAP_MAX`].
+    /// `0` disables the inline tier (every vertex starts on edgeblocks, as
+    /// in [`TinkerConfig::paper`]). Capped at [`INLINE_CAP_MAX`].
     pub inline_cap: usize,
     /// Degree-adaptive tiering: a vertex whose out-degree reaches this value
     /// is promoted from RHH edgeblocks to the sorted dense hub tier. `0`
@@ -77,7 +82,16 @@ pub struct TinkerConfig {
 pub const INLINE_CAP_MAX: usize = 4;
 
 impl Default for TinkerConfig {
+    /// The paper's geometry with the degree-adaptive tiers on.
     fn default() -> Self {
+        TinkerConfig::paper().tiers(INLINE_CAP_MAX, 128, 64)
+    }
+}
+
+impl TinkerConfig {
+    /// The paper's fixed layout: every vertex on PAGEWIDTH-64 edgeblocks,
+    /// no inline or hub tier.
+    pub fn paper() -> Self {
         TinkerConfig {
             pagewidth: 64,
             subblock: 8,
@@ -93,12 +107,9 @@ impl Default for TinkerConfig {
             probe_tags: true,
         }
     }
-}
 
-impl TinkerConfig {
     /// Default configuration with a different PAGEWIDTH, keeping the
-    /// subblock/workblock geometry. Used by the PAGEWIDTH sweeps
-    /// (Figs. 17-19).
+    /// subblock/workblock geometry.
     pub fn with_pagewidth(pagewidth: usize) -> Self {
         TinkerConfig { pagewidth, ..TinkerConfig::default() }
     }
@@ -137,12 +148,6 @@ impl TinkerConfig {
         self.hub_promote = hub_promote;
         self.hub_demote = hub_demote;
         self
-    }
-
-    /// Returns the config with the default degree-adaptive operating point:
-    /// 4 inline slots, hub promotion at out-degree 128, demotion below 64.
-    pub fn adaptive(self) -> Self {
-        self.tiers(INLINE_CAP_MAX, 128, 64)
     }
 
     /// True when any adaptive tier (inline or hub) is enabled.
@@ -252,14 +257,15 @@ mod tests {
 
     #[test]
     fn default_matches_paper_operating_point() {
-        let c = TinkerConfig::default();
-        assert_eq!((c.pagewidth, c.subblock, c.workblock), (64, 8, 4));
-        assert_eq!(c.subblocks_per_block(), 8);
-        assert_eq!(c.workblocks_per_subblock(), 2);
-        assert!(c.validate().is_ok());
-        assert!(c.enable_sgh && c.enable_cal);
-        assert!(c.probe_tags, "SWAR tag probing defaults on");
-        assert!(!c.probe_tags(false).probe_tags);
+        for c in [TinkerConfig::default(), TinkerConfig::paper()] {
+            assert_eq!((c.pagewidth, c.subblock, c.workblock), (64, 8, 4));
+            assert_eq!(c.subblocks_per_block(), 8);
+            assert_eq!(c.workblocks_per_subblock(), 2);
+            assert!(c.validate().is_ok());
+            assert!(c.enable_sgh && c.enable_cal);
+            assert!(c.probe_tags, "SWAR tag probing defaults on");
+            assert!(!c.probe_tags(false).probe_tags);
+        }
     }
 
     #[test]
@@ -295,14 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_tiers_default_off_and_validate() {
-        let c = TinkerConfig::default();
+    fn adaptive_tiers_default_on_paper_off_and_validate() {
+        let c = TinkerConfig::paper();
         assert!(!c.adaptive_enabled());
         assert_eq!((c.inline_cap, c.hub_promote, c.hub_demote), (0, 0, 0));
 
-        let a = TinkerConfig::default().adaptive();
+        let a = TinkerConfig::default();
         assert!(a.adaptive_enabled());
         assert_eq!((a.inline_cap, a.hub_promote, a.hub_demote), (INLINE_CAP_MAX, 128, 64));
+        assert_eq!(a, TinkerConfig::paper().tiers(INLINE_CAP_MAX, 128, 64));
         assert!(a.validate().is_ok());
 
         // Inline-only and hub-only variants are both legal.

@@ -42,8 +42,12 @@ echo "==> pipeline smoke test (pooled+pipelined ingest -> recover, edge counts a
     --pool 4 --pipeline | tee "$SMOKE/ingest_pool.out"
 LIVE=$(sed -n 's/.* \([0-9][0-9]*\) live, next lsn.*/\1/p' "$SMOKE/ingest_pool.out")
 test -n "$LIVE"
-"$GT" recover "$SMOKE/db_pool" | tee "$SMOKE/recover_pool.out"
+# A pooled ingest writes no snapshot: this is WAL-only recovery, which
+# rebuilds the store in the default (tiered) layout and must validate.
+"$GT" recover "$SMOKE/db_pool" --validate | tee "$SMOKE/recover_pool.out"
 grep -q "recovered GraphTinker: $LIVE edges" "$SMOKE/recover_pool.out"
+grep -q "snapshot lsn 0," "$SMOKE/recover_pool.out"
+grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_pool.out"
 
 echo "==> stats smoke test (ingest --stats; stats parity between file and recovered store)"
 "$GT" ingest "$SMOKE/g.txt" --wal "$SMOKE/db_stats" --batch 1024 --stats | tee "$SMOKE/ingest_stats.out"
@@ -68,22 +72,28 @@ test "$SCANS" -gt 0 || { echo "probe smoke: rhh_tag_group_scans is 0 (tag engine
 test $((FPS * 50)) -lt $((SCANS * 8)) || {
     echo "probe smoke: tag FP rate >= 2% ($FPS false positives / $SCANS group scans)" >&2; exit 1; }
 
-echo "==> adaptive smoke test (skewed ingest --adaptive populates all tier counters)"
+echo "==> layout smoke test (skewed ingest populates all tier counters by default; --paper-layout none)"
 "$GT" generate --dataset Zipf_SourceSkew --scale-factor 512 --out "$SMOKE/skew.txt"
-"$GT" stats "$SMOKE/skew.txt" --adaptive --format json | tee "$SMOKE/stats_adaptive.json"
+"$GT" stats "$SMOKE/skew.txt" --format json | tee "$SMOKE/stats_default.json"
 for field in tier_inline_vertices tier_blocks_vertices tier_hub_vertices tier_promotions; do
-    VAL=$(sed -n "s/.*\"$field\": \([0-9][0-9]*\).*/\1/p" "$SMOKE/stats_adaptive.json" | head -1)
+    VAL=$(sed -n "s/.*\"$field\": \([0-9][0-9]*\).*/\1/p" "$SMOKE/stats_default.json" | head -1)
     test -n "$VAL"
-    test "$VAL" -gt 0 || { echo "adaptive smoke: $field is 0" >&2; exit 1; }
+    test "$VAL" -gt 0 || { echo "layout smoke: $field is 0 with no flag" >&2; exit 1; }
 done
-"$GT" stats "$SMOKE/skew.txt" --adaptive --format prom > "$SMOKE/stats_adaptive.prom"
-grep -q "gtinker_memory_total_bytes" "$SMOKE/stats_adaptive.prom"
-grep -q "gtinker_tier_hub_vertices" "$SMOKE/stats_adaptive.prom"
-# The adaptive and fixed layouts must agree on what the store contains.
-ADAPTIVE_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_adaptive.json" | head -1)
-"$GT" stats "$SMOKE/skew.txt" --format json > "$SMOKE/stats_fixed.json"
-FIXED_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_fixed.json" | head -1)
-test "$ADAPTIVE_EDGES" = "$FIXED_EDGES"
+grep -q '"hub_dead_slots": 0' "$SMOKE/stats_default.json"
+"$GT" stats "$SMOKE/skew.txt" --format prom > "$SMOKE/stats_default.prom"
+grep -q "gtinker_memory_total_bytes" "$SMOKE/stats_default.prom"
+grep -q "gtinker_tier_hub_vertices" "$SMOKE/stats_default.prom"
+grep -q "gtinker_tier_hub_dead_slots" "$SMOKE/stats_default.prom"
+# The paper's fixed layout tiers nothing and must agree on what the store contains.
+DEFAULT_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_default.json" | head -1)
+"$GT" stats "$SMOKE/skew.txt" --paper-layout --format json > "$SMOKE/stats_paper.json"
+for field in tier_inline_vertices tier_hub_vertices; do
+    VAL=$(sed -n "s/.*\"$field\": \([0-9][0-9]*\).*/\1/p" "$SMOKE/stats_paper.json" | head -1)
+    test "$VAL" = 0 || { echo "layout smoke: --paper-layout reports $field = $VAL" >&2; exit 1; }
+done
+PAPER_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_paper.json" | head -1)
+test "$DEFAULT_EDGES" = "$PAPER_EDGES"
 
 echo "==> incremental smoke test (churned incremental CC == cold fixpoint; recover parity)"
 "$GT" cc "$SMOKE/g.txt" --restart incremental --churn-every 5 --batch 512 --verify | tee "$SMOKE/cc_churn.out"
@@ -207,6 +217,27 @@ print(f"debug requests ok: {d['count']} summaries")
 PYEOF
 # Non-GET methods get a 405 with an Allow header, never a hang or a 404.
 test "$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/healthz")" = 405
+# Kept-alive answers leave in one segment: ten sequential round trips on
+# one connection take milliseconds, not ten delayed-ACK timeouts (~440 ms).
+python3 - "$ADDR" <<'PYEOF'
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+c = socket.create_connection((host, int(port)))
+f = c.makefile("rb")
+t0 = time.monotonic()
+for _ in range(10):
+    c.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n")
+    status = f.readline()
+    assert status.startswith(b"HTTP/1.1 200"), status
+    length = 0
+    while (line := f.readline()) not in (b"\r\n", b""):
+        if line.lower().startswith(b"content-length:"):
+            length = int(line.split(b":")[1])
+    assert len(f.read(length)) == length
+ms = (time.monotonic() - t0) * 1e3
+assert ms < 100, f"10 keep-alive /healthz round trips took {ms:.1f} ms"
+print(f"keep-alive ok: 10 round trips in {ms:.1f} ms")
+PYEOF
 # Graceful shutdown: ask the server to stop instead of killing the process.
 curl -fsS "http://$ADDR/quitquitquit" | grep -q "shutting down"
 wait "$SERVE_PID"
@@ -286,7 +317,9 @@ fi
 echo "==> adaptive bench gate (fig_adaptive emits BENCH_adaptive.json and it passes bench_diff)"
 target/release/fig_adaptive --scale-factor 2048 --out-dir "$SMOKE/bench_adaptive"
 test -f "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-grep -q '"skew_adaptive_meps"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
+grep -q '"skew_default_meps"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
+grep -q '"skew_paper_meps"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
+grep -q '"default_bytes_per_edge"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
 grep -q '"tier_promotions"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
 # Self-comparison: the emitted file must parse through the regression gate.
 "$BD" "$SMOKE/bench_adaptive/BENCH_adaptive.json" "$SMOKE/bench_adaptive/BENCH_adaptive.json"

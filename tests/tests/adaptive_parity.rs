@@ -1,11 +1,14 @@
-//! Tier parity: a degree-adaptive store must be observationally identical
-//! to a fixed-geometry store on any update stream. The adaptive layout
-//! changes *where* adjacency lives (inline entry, RHH edgeblocks, dense
-//! hub segment) but never *what* the store contains, so edge sets,
-//! degrees, and every analytic must match exactly — across mixed
-//! insert/delete churn that crosses the promotion and demotion thresholds
-//! repeatedly, on the sequential and pooled paths, in both delete modes,
-//! and through a snapshot/recover round-trip with all three tiers live.
+//! Tier parity: the default degree-adaptive store must be observationally
+//! identical to the paper's fixed-geometry store (`TinkerConfig::paper()`,
+//! the oracle here) on any update stream. The tiered layout changes
+//! *where* adjacency lives (inline entry, RHH edgeblocks, dense hub
+//! segment with lazily deleted slots) but never *what* the store contains,
+//! so edge sets, degrees, and every analytic must match exactly — across
+//! mixed insert/delete churn that crosses the promotion and demotion
+//! thresholds repeatedly, on the sequential and pooled paths, in both
+//! delete modes, and through a snapshot/recover round-trip with all three
+//! tiers live. Each suite runs at the shipped 4 / 128 / 64 thresholds and
+//! on a tiny geometry whose 2 / 12 / 6 thresholds flap far more often.
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_datasets::{churn_batches, SourceSkewConfig};
@@ -19,33 +22,52 @@ use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 
 /// Tiny geometry + low thresholds: a few dozen edges per hub are enough to
 /// drive inline -> blocks -> hub promotions (and the reverse on deletes).
-fn adaptive_config(mode: DeleteMode) -> TinkerConfig {
+fn tiny_tiered(mode: DeleteMode) -> TinkerConfig {
+    tiny_paper(mode).tiers(2, 12, 6)
+}
+
+fn tiny_paper(mode: DeleteMode) -> TinkerConfig {
     TinkerConfig {
         pagewidth: 16,
         subblock: 4,
         workblock: 2,
         delete_mode: mode,
-        ..Default::default()
-    }
-    .tiers(2, 12, 6)
-}
-
-fn fixed_config(mode: DeleteMode) -> TinkerConfig {
-    TinkerConfig {
-        pagewidth: 16,
-        subblock: 4,
-        workblock: 2,
-        delete_mode: mode,
-        ..Default::default()
+        ..TinkerConfig::paper()
     }
 }
 
-/// A hub-heavy stream with interleaved deletes of earlier edges.
+/// `(tiered layout under test, fixed-geometry oracle)` pairs: the shipped
+/// default against the paper layout, and the tiny variants of both.
+fn layouts(mode: DeleteMode) -> [(TinkerConfig, TinkerConfig); 2] {
+    [
+        (TinkerConfig::default().delete_mode(mode), TinkerConfig::paper().delete_mode(mode)),
+        (tiny_tiered(mode), tiny_paper(mode)),
+    ]
+}
+
+/// A hub-heavy stream with interleaved deletes of earlier edges, then a
+/// drain of four edges in five so every hub falls back through its
+/// demotion threshold (and its segment through forced compactions).
 fn churn_stream(seed: u64) -> Vec<EdgeBatch> {
     let edges =
         SourceSkewConfig { num_vertices: 512, num_edges: 20_000, theta: 1.0, seed, max_weight: 16 }
             .generate();
-    churn_batches(&edges, 1_000, 3, seed)
+    let mut batches = churn_batches(&edges, 1_000, 3, seed);
+    let drained: Vec<&Edge> =
+        edges.iter().enumerate().filter(|(i, _)| i % 5 != 0).map(|p| p.1).collect();
+    for chunk in drained.chunks(1_000) {
+        let mut b = EdgeBatch::new();
+        for e in chunk {
+            b.push_delete(e.src, e.dst);
+        }
+        batches.push(b);
+    }
+    batches
+}
+
+fn assert_invariants(g: &GraphTinker, what: &str) {
+    g.validate_rhh_invariants().unwrap_or_else(|e| panic!("{what}: RHH invariant: {e}"));
+    g.validate_tag_invariants().unwrap_or_else(|e| panic!("{what}: tag invariant: {e}"));
 }
 
 fn edge_set(g: &impl Fn(&mut dyn FnMut(u32, u32, u32))) -> Vec<(u32, u32, u32)> {
@@ -60,61 +82,71 @@ fn tinker_edges(g: &GraphTinker) -> Vec<(u32, u32, u32)> {
 }
 
 #[test]
-fn adaptive_matches_fixed_under_churn_both_delete_modes() {
+fn default_matches_paper_under_churn_both_delete_modes() {
     for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
-        let batches = churn_stream(41);
-        let mut fixed = GraphTinker::new(fixed_config(mode)).unwrap();
-        let mut adaptive = GraphTinker::new(adaptive_config(mode)).unwrap();
-        for b in &batches {
-            let rf = fixed.apply_batch(b);
-            let ra = adaptive.apply_batch(b);
-            assert_eq!(rf, ra, "batch outcome diverged ({mode:?})");
+        for (tiered_cfg, paper_cfg) in layouts(mode) {
+            let what =
+                format!("{mode:?}, tiers {}/{}", tiered_cfg.inline_cap, tiered_cfg.hub_promote);
+            let batches = churn_stream(41);
+            let mut paper = GraphTinker::new(paper_cfg).unwrap();
+            let mut tiered = GraphTinker::new(tiered_cfg).unwrap();
+            let (mut peak_hubs, mut peak_dead) = (0, 0);
+            for b in &batches {
+                let rp = paper.apply_batch(b);
+                let rt = tiered.apply_batch(b);
+                assert_eq!(rp, rt, "batch outcome diverged ({what})");
+                assert_invariants(&tiered, &what);
+                assert_invariants(&paper, &what);
+                let st = tiered.structure_stats();
+                peak_hubs = peak_hubs.max(st.tier_hub_vertices);
+                peak_dead = peak_dead.max(st.hub_dead_slots);
+            }
+            assert_eq!(paper.num_edges(), tiered.num_edges(), "{what}");
+            assert_eq!(tinker_edges(&paper), tinker_edges(&tiered), "{what}");
+            for src in 0..512u32 {
+                assert_eq!(
+                    paper.out_degree(src),
+                    tiered.out_degree(src),
+                    "degree of {src} diverged ({what})"
+                );
+                assert_eq!(
+                    edge_set(&|f| paper.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
+                    edge_set(&|f| tiered.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
+                    "adjacency of {src} diverged ({what})"
+                );
+            }
+            let st = tiered.structure_stats();
+            assert!(st.tier_promotions > 0, "stream never promoted ({what}): {st:?}");
+            assert!(st.tier_demotions > 0, "stream never demoted ({what}): {st:?}");
+            assert!(peak_hubs > 0 && peak_dead > 0, "no hub ever held a dead slot ({what})");
+            assert!(st.tier_inline_vertices > 0, "final state must hold inline vertices: {st:?}");
+            let stp = paper.structure_stats();
+            assert_eq!(stp.tier_promotions, 0, "paper layout must not tier");
+            assert_eq!(stp.tier_inline_vertices + stp.tier_hub_vertices + stp.hub_dead_slots, 0);
         }
-        assert_eq!(fixed.num_edges(), adaptive.num_edges(), "{mode:?}");
-        assert_eq!(tinker_edges(&fixed), tinker_edges(&adaptive), "{mode:?}");
-        for src in 0..512u32 {
-            assert_eq!(
-                fixed.out_degree(src),
-                adaptive.out_degree(src),
-                "degree of {src} diverged ({mode:?})"
-            );
-            assert_eq!(
-                edge_set(&|f| fixed.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
-                edge_set(&|f| adaptive.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
-                "adjacency of {src} diverged ({mode:?})"
-            );
-        }
-        let st = adaptive.structure_stats();
-        assert!(st.tier_promotions > 0, "stream never promoted ({mode:?}): {st:?}");
-        assert!(st.tier_demotions > 0, "stream never demoted ({mode:?}): {st:?}");
-        assert!(
-            st.tier_inline_vertices > 0 && st.tier_hub_vertices > 0,
-            "final state must hold inline and hub vertices ({mode:?}): {st:?}"
-        );
-        let stf = fixed.structure_stats();
-        assert_eq!(stf.tier_promotions, 0, "fixed store must not tier");
-        assert_eq!(stf.tier_inline_vertices + stf.tier_hub_vertices, 0);
     }
 }
 
 #[test]
-fn pooled_adaptive_matches_sequential_fixed() {
-    let batches = churn_stream(42);
-    let mut seq = GraphTinker::new(fixed_config(DeleteMode::DeleteOnly)).unwrap();
-    let par = ParallelTinker::new(adaptive_config(DeleteMode::DeleteOnly), 4).unwrap();
-    for b in &batches {
-        seq.apply_batch(b);
-        par.apply_batch(b);
+fn pooled_default_matches_sequential_paper() {
+    for (tiered_cfg, paper_cfg) in layouts(DeleteMode::DeleteOnly) {
+        let batches = churn_stream(42);
+        let mut seq = GraphTinker::new(paper_cfg).unwrap();
+        let par = ParallelTinker::new(tiered_cfg, 4).unwrap();
+        for b in &batches {
+            seq.apply_batch(b);
+            par.apply_batch(b);
+        }
+        assert_eq!(par.num_edges(), seq.num_edges());
+        assert_eq!(edge_set(&|f| par.for_each_edge(f)), tinker_edges(&seq));
+        // The pipelined submit/flush path hits the same tier code.
+        let pipe = ParallelTinker::new(tiered_cfg, 3).unwrap();
+        for b in churn_stream(42) {
+            pipe.submit(b);
+        }
+        pipe.flush();
+        assert_eq!(edge_set(&|f| pipe.for_each_edge(f)), tinker_edges(&seq));
     }
-    assert_eq!(par.num_edges(), seq.num_edges());
-    assert_eq!(edge_set(&|f| par.for_each_edge(f)), tinker_edges(&seq));
-    // The pipelined submit/flush path hits the same tier code.
-    let pipe = ParallelTinker::new(adaptive_config(DeleteMode::DeleteOnly), 3).unwrap();
-    for b in churn_stream(42) {
-        pipe.submit(b);
-    }
-    pipe.flush();
-    assert_eq!(edge_set(&|f| pipe.for_each_edge(f)), tinker_edges(&seq));
 }
 
 #[test]
@@ -130,31 +162,33 @@ fn bfs_and_cc_identical_across_layouts() {
     let batch = EdgeBatch::inserts(&edges);
     let root = edges[0].src;
 
-    let mut fixed = GraphTinker::new(fixed_config(DeleteMode::DeleteOnly)).unwrap();
-    let mut adaptive = GraphTinker::new(adaptive_config(DeleteMode::DeleteOnly)).unwrap();
-    fixed.apply_batch(&batch);
-    adaptive.apply_batch(&batch);
-    assert!(adaptive.structure_stats().tier_hub_vertices > 0, "need hub-tier coverage");
+    for (tiered_cfg, paper_cfg) in layouts(DeleteMode::DeleteOnly) {
+        let mut paper = GraphTinker::new(paper_cfg).unwrap();
+        let mut tiered = GraphTinker::new(tiered_cfg).unwrap();
+        paper.apply_batch(&batch);
+        tiered.apply_batch(&batch);
+        assert!(tiered.structure_stats().tier_hub_vertices > 0, "need hub-tier coverage");
 
-    for policy in [ModePolicy::AlwaysFull, ModePolicy::hybrid()] {
-        let mut ef = Engine::new(Bfs::new(root), policy);
-        ef.run_from_roots(&fixed);
-        let mut ea = Engine::new(Bfs::new(root), policy);
-        ea.run_from_roots(&adaptive);
-        assert_eq!(ef.values(), ea.values(), "BFS diverged under {policy:?}");
+        for policy in [ModePolicy::AlwaysFull, ModePolicy::hybrid()] {
+            let mut ep = Engine::new(Bfs::new(root), policy);
+            ep.run_from_roots(&paper);
+            let mut et = Engine::new(Bfs::new(root), policy);
+            et.run_from_roots(&tiered);
+            assert_eq!(ep.values(), et.values(), "BFS diverged under {policy:?}");
+        }
+
+        // CC over symmetrized copies (undirected semantics).
+        let sym = symmetrize(&batch);
+        let mut paper = GraphTinker::new(paper_cfg).unwrap();
+        let mut tiered = GraphTinker::new(tiered_cfg).unwrap();
+        paper.apply_batch(&sym);
+        tiered.apply_batch(&sym);
+        let mut ep = Engine::new(Cc::new(), ModePolicy::hybrid());
+        ep.run_from_roots(&paper);
+        let mut et = Engine::new(Cc::new(), ModePolicy::hybrid());
+        et.run_from_roots(&tiered);
+        assert_eq!(ep.values(), et.values(), "CC diverged");
     }
-
-    // CC over symmetrized copies (undirected semantics).
-    let sym = symmetrize(&batch);
-    let mut fixed = GraphTinker::new(fixed_config(DeleteMode::DeleteOnly)).unwrap();
-    let mut adaptive = GraphTinker::new(adaptive_config(DeleteMode::DeleteOnly)).unwrap();
-    fixed.apply_batch(&sym);
-    adaptive.apply_batch(&sym);
-    let mut ef = Engine::new(Cc::new(), ModePolicy::hybrid());
-    ef.run_from_roots(&fixed);
-    let mut ea = Engine::new(Cc::new(), ModePolicy::hybrid());
-    ea.run_from_roots(&adaptive);
-    assert_eq!(ef.values(), ea.values(), "CC diverged");
 }
 
 #[test]
@@ -163,7 +197,7 @@ fn snapshot_recover_roundtrip_preserves_all_three_tiers() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let cfg = adaptive_config(DeleteMode::DeleteOnly);
+    let cfg = tiny_tiered(DeleteMode::DeleteOnly);
     let mut g = GraphTinker::new(cfg).unwrap();
     // Hub (20 edges > promote threshold 12), blocks (5), inline (1).
     for d in 0..20u32 {

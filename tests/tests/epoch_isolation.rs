@@ -112,14 +112,21 @@ fn check_cc_at_boundary(view: &gtinker_core::StoreView<'_>, boundary: &[(u32, u3
 /// track the boundaries exactly.
 #[test]
 fn sequential_pins_observe_every_boundary() {
+    // The default layout, the paper's fixed geometry, and thresholds low
+    // enough that this stream's ~60-edge vertices live in (and flap
+    // through) the hub tier on both the live store and the replicas.
+    let layouts =
+        [TinkerConfig::default(), TinkerConfig::paper(), TinkerConfig::default().tiers(2, 12, 6)];
     for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
-        let (batches, boundaries) = workload(0xE90C);
-        let g = ParallelTinker::new_with_views(config(mode), 4).unwrap();
-        for (k, b) in batches.iter().enumerate() {
-            g.apply_batch(b);
-            let view = g.pin_view().expect("views enabled");
-            assert_eq!(view.epoch(), k as u64 + 1, "mode {mode:?}");
-            assert_eq!(view_edges(&view), boundaries[k + 1], "mode {mode:?} at batch {k}");
+        for layout in layouts {
+            let (batches, boundaries) = workload(0xE90C);
+            let g = ParallelTinker::new_with_views(layout.delete_mode(mode), 4).unwrap();
+            for (k, b) in batches.iter().enumerate() {
+                g.apply_batch(b);
+                let view = g.pin_view().expect("views enabled");
+                assert_eq!(view.epoch(), k as u64 + 1, "mode {mode:?}");
+                assert_eq!(view_edges(&view), boundaries[k + 1], "mode {mode:?} at batch {k}");
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Dimensions swept: both delete modes, sequential `GraphTinker` and the
 //! pooled `ParallelTinker`, uniform and Zipf-skewed endpoint draws,
-//! adaptive tiers on and off; plus the adversarial deletions that break
+//! default tiers and paper layout; plus the adversarial deletions that break
 //! naive monotone-incremental engines (bridge cuts that split a
 //! component, removing the sole shortest path, delete-then-reinsert
 //! inside one batch).
@@ -114,7 +114,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Sequential GraphTinker, both delete modes, adaptive tiers on and off.
+// Sequential GraphTinker, both delete modes, default and paper layouts.
 // ---------------------------------------------------------------------
 
 fn tinker_sweep<P: IncrementalState + Copy>(program: P, seed: u64, skew: Skew, symmetric: bool)
@@ -122,12 +122,12 @@ where
     P::Value: std::fmt::Debug + PartialEq,
 {
     for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
-        for adaptive in [false, true] {
-            let cfg = TinkerConfig::default().delete_mode(mode);
-            let cfg = if adaptive { cfg.adaptive() } else { cfg };
-            let mut g = GraphTinker::new(cfg).unwrap();
+        for (layout, cfg) in
+            [("default", TinkerConfig::default()), ("paper", TinkerConfig::paper())]
+        {
+            let mut g = GraphTinker::new(cfg.delete_mode(mode)).unwrap();
             let batches = stream(seed, skew, symmetric);
-            let label = format!("tinker mode={mode:?} adaptive={adaptive}");
+            let label = format!("tinker mode={mode:?} layout={layout}");
             let mut runner =
                 DynamicRunner::new(program, ModePolicy::hybrid(), RestartPolicy::Incremental);
             for (k, b) in batches.iter().enumerate() {
@@ -194,8 +194,8 @@ fn pooled_store_bfs_equals_cold() {
 }
 
 #[test]
-fn pooled_adaptive_store_cc_equals_cold() {
-    let pool = ParallelTinker::new(TinkerConfig::default().adaptive(), 3).unwrap();
+fn pooled_paper_layout_cc_equals_cold() {
+    let pool = ParallelTinker::new(TinkerConfig::paper(), 3).unwrap();
     let mut runner =
         DynamicRunner::new(Cc::new(), ModePolicy::hybrid(), RestartPolicy::Incremental);
     for (k, b) in stream(0xCCCC, Skew::Zipf, true).iter().enumerate() {

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use gtinker_core::{metrics, GraphTinker};
-use gtinker_types::{DeleteMode, Edge, TinkerConfig};
+use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -132,4 +132,91 @@ fn bucket_bounds_are_consistent() {
         }
     }
     assert_eq!(metrics::bucket_index(u64::MAX), metrics::HIST_BUCKETS - 1);
+}
+
+/// The hub tier's tombstones are visible: a main-run delete on a hub moves
+/// `StructureStats::hub_dead_slots` and the `tier_hub_dead_slots` gauge
+/// together, a compaction (forced by the dead-slot bound, or a tail merge)
+/// returns both to zero, and demoting the hub drops whatever it still
+/// held. No other test in this binary builds a hub, so the gauge deltas
+/// are exact.
+#[test]
+fn hub_dead_slots_move_on_delete_and_clear_on_compaction() {
+    use gtinker_core::hubseg::{MAX_DEAD_SHARE, TAIL_CAP};
+
+    let gauge = || metrics::global().snapshot().tier_hub_dead_slots;
+    let base = gauge();
+    let mut g = GraphTinker::with_defaults();
+    let degree = 400u32;
+    for d in 0..degree {
+        g.insert_edge(Edge::new(7, d, 1));
+    }
+    let st = g.structure_stats();
+    assert_eq!((st.tier_hub_vertices, st.hub_dead_slots), (1, 0));
+
+    // The promotion built the run from the first 128 edges; the rest sit
+    // in (or were merged from) the tail. Delete oldest-first: main run.
+    assert!(g.delete_edge(7, 0));
+    assert_eq!(g.structure_stats().hub_dead_slots, 1);
+    // (Compiled out with the `metrics` feature, the gauge reads 0.)
+    let gauge_live = metrics::enabled();
+    if gauge_live {
+        assert_eq!(gauge() - base, 1, "gauge follows the structure stat");
+    }
+
+    // Keep deleting: the count climbs one per delete until the bound
+    // forces a compaction, which clears it.
+    let mut peak = 1;
+    let mut cleared = false;
+    for d in 1..degree / 2 {
+        assert!(g.delete_edge(7, d));
+        let dead = g.structure_stats().hub_dead_slots;
+        if dead == 0 {
+            cleared = true;
+            break;
+        }
+        assert_eq!(dead, peak + 1);
+        peak = dead;
+    }
+    assert!(cleared, "dead slots never compacted (peak {peak})");
+    assert!(peak * MAX_DEAD_SHARE <= degree as usize, "peak {peak} above the bound");
+    if gauge_live {
+        assert_eq!(gauge() - base, 0, "gauge returns to zero after compaction");
+    }
+    g.validate_tag_invariants().unwrap();
+
+    // A tail merge clears them too: leave a few dead, then overflow the tail.
+    for d in 300..310 {
+        assert!(g.delete_edge(7, d));
+    }
+    assert!(g.structure_stats().hub_dead_slots > 0);
+    for d in 0..=TAIL_CAP as u32 {
+        g.insert_edge(Edge::new(7, 10_000 + d, 1));
+    }
+    assert_eq!(g.structure_stats().hub_dead_slots, 0);
+    if gauge_live {
+        assert_eq!(gauge() - base, 0);
+    }
+
+    // Batched deletes flush the gauge once per batch; a demotion releases
+    // the segment and its dead slots with it.
+    let remaining: Vec<(u32, u32)> = {
+        let mut v = Vec::new();
+        g.for_each_out_edge(7, |d, _| v.push((7, d)));
+        v.sort_unstable();
+        v
+    };
+    g.apply_batch(&EdgeBatch::deletes(&remaining[..40]));
+    let dead = g.structure_stats().hub_dead_slots;
+    assert!(dead > 0);
+    if gauge_live {
+        assert_eq!(gauge() - base, dead as i64);
+    }
+    g.apply_batch(&EdgeBatch::deletes(&remaining[40..remaining.len() - 10]));
+    let st = g.structure_stats();
+    assert_eq!((st.tier_hub_vertices, st.hub_dead_slots), (0, 0), "{st:?}");
+    if gauge_live {
+        assert_eq!(gauge() - base, 0);
+    }
+    g.validate_tag_invariants().unwrap();
 }

@@ -27,8 +27,11 @@ impl Drop for Restore {
 }
 
 fn build(mode: DeleteMode, collect: bool) -> GraphTinker {
+    build_with(TinkerConfig::default().delete_mode(mode), collect)
+}
+
+fn build_with(cfg: TinkerConfig, collect: bool) -> GraphTinker {
     metrics::set_enabled(collect);
-    let cfg = TinkerConfig::default().delete_mode(mode);
     let mut g = GraphTinker::new(cfg).unwrap();
     let edges = RmatConfig::graph500(10, 8_000, 55).generate();
     g.apply_batch(&EdgeBatch::inserts(&edges));
@@ -54,9 +57,15 @@ fn edge_set(g: &GraphTinker) -> Vec<(u32, u32, u32)> {
 fn graph_state_identical_with_metrics_on_and_off() {
     let _guard = LOCK.lock().unwrap();
     let _restore = Restore;
-    for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
-        let on = build(mode, true);
-        let off = build(mode, false);
+    let configs = [
+        TinkerConfig::default(),
+        TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact),
+        TinkerConfig::paper(),
+    ];
+    for cfg in configs {
+        let mode = (cfg.delete_mode, cfg.adaptive_enabled());
+        let on = build_with(cfg, true);
+        let off = build_with(cfg, false);
         assert_eq!(on.num_edges(), off.num_edges(), "mode {mode:?}");
         assert_eq!(edge_set(&on), edge_set(&off), "mode {mode:?}: edge sets diverged");
         assert_eq!(on.probe_histogram(), off.probe_histogram(), "mode {mode:?}: layout diverged");

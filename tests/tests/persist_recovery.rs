@@ -306,23 +306,75 @@ proptest! {
 /// crashed at a fine grid of byte offsets across the whole log.
 #[test]
 fn dense_crash_sweep_fixed_stream() {
-    let cfg = TinkerConfig { pagewidth: 16, subblock: 8, workblock: 4, ..TinkerConfig::default() };
-    let mut ops = Vec::new();
-    for i in 0..120u32 {
-        ops.push((i % 5 != 0, i * 7 % 19, i * 11 % 23, i % 40 + 1));
+    // Default tiers, then the paper's fixed layout.
+    for base in [TinkerConfig::default(), TinkerConfig::paper()] {
+        let cfg = TinkerConfig { pagewidth: 16, subblock: 8, workblock: 4, ..base };
+        let mut ops = Vec::new();
+        for i in 0..120u32 {
+            ops.push((i % 5 != 0, i * 7 % 19, i * 11 % 23, i % 40 + 1));
+        }
+        let batches = ops_to_batches(&ops, 12);
+        let (dir, snap_lsn) = build_dir("dense", cfg, &batches, Some(4));
+        let layout = wal_layout(&dir);
+        assert!(layout.segments.len() > 1, "sweep should cross segment boundaries");
+        for at in (0..=layout.total_bytes).step_by(5) {
+            let crashed = fresh_dir("dense_c");
+            copy_dir(&dir, &crashed);
+            crash_at(&layout, &crashed, at);
+            let expected = expected_batches(&layout, snap_lsn, at);
+            assert_recovers_to(&crashed, cfg, &batches, expected, &format!("dense crash at {at}"));
+            fs::remove_dir_all(&crashed).ok();
+        }
+        fs::remove_dir_all(&dir).ok();
     }
-    let batches = ops_to_batches(&ops, 12);
-    let (dir, snap_lsn) = build_dir("dense", cfg, &batches, Some(4));
-    let layout = wal_layout(&dir);
-    assert!(layout.segments.len() > 1, "sweep should cross segment boundaries");
-    for at in (0..=layout.total_bytes).step_by(5) {
-        let crashed = fresh_dir("dense_c");
-        copy_dir(&dir, &crashed);
-        crash_at(&layout, &crashed, at);
-        let expected = expected_batches(&layout, snap_lsn, at);
-        assert_recovers_to(&crashed, cfg, &batches, expected, &format!("dense crash at {at}"));
-        fs::remove_dir_all(&crashed).ok();
-    }
+}
+
+/// One hub source (200 edges, then 120 deletes: lazy dead slots and a
+/// forced compaction) plus a tail of small sources.
+fn hub_stream() -> Vec<EdgeBatch> {
+    let mut ops: Vec<(bool, u32, u32, u32)> =
+        (0..200u32).map(|d| (true, 0, d + 1, d + 1)).collect();
+    ops.extend((0..40u32).map(|i| (true, i % 9 + 1, i + 300, 1)));
+    ops.extend((0..120u32).map(|d| (false, 0, d * 3 % 200 + 1, 0)));
+    ops_to_batches(&ops, 32)
+}
+
+/// A snapshot carries the layout it was written with: an image of a
+/// paper-layout store decodes with tiering off even though the caller's
+/// fallback config (used only for an empty directory) is the tiered
+/// default, and the WAL suffix replays into that fixed geometry.
+#[test]
+fn paper_layout_snapshot_decodes_with_tiering_off() {
+    let batches = hub_stream();
+    let n = batches.len() as u64;
+    let (dir, snap_lsn) = build_dir("papersnap", TinkerConfig::paper(), &batches, Some(n / 2));
+    assert!(snap_lsn > 0 && snap_lsn < n);
+    let (g, report) = recover_tinker(&dir, TinkerConfig::default()).unwrap();
+    assert_eq!(report.snapshot_lsn, snap_lsn);
+    assert_eq!(*g.config(), TinkerConfig::paper());
+    let st = g.structure_stats();
+    assert_eq!((st.tier_inline_vertices, st.tier_hub_vertices, st.tier_promotions), (0, 0, 0));
+    assert_eq!(edge_set(&g), edge_set(&truth_store(TinkerConfig::paper(), &batches, n)));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// With no snapshot the recovered store takes the caller's config — the
+/// tiered default — and a replay that promotes a hub and lazily deletes
+/// from it leaves every invariant `recover --validate` checks intact.
+#[test]
+fn wal_only_recovery_takes_the_default_layout_and_validates() {
+    let batches = hub_stream();
+    let n = batches.len() as u64;
+    let (dir, _) = build_dir("walonly", TinkerConfig::default(), &batches, None);
+    let (g, report) = recover_tinker(&dir, TinkerConfig::default()).unwrap();
+    assert_eq!((report.snapshot_lsn, report.replayed_records), (0, n));
+    assert_eq!(*g.config(), TinkerConfig::default());
+    let st = g.structure_stats();
+    assert_eq!(st.tier_hub_vertices, 1, "{st:?}");
+    assert!(st.tier_inline_vertices > 0, "{st:?}");
+    g.validate_rhh_invariants().unwrap();
+    g.validate_tag_invariants().unwrap();
+    assert_eq!(edge_set(&g), edge_set(&truth_store(TinkerConfig::paper(), &batches, n)));
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -57,10 +57,17 @@ fn tinker_edges(g: &GraphTinker) -> Vec<(u32, u32, u32)> {
 
 #[test]
 fn tagged_matches_seed_under_churn_both_delete_modes() {
-    for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
+    // Default tiers (4 / 128 / 64) and, second, the paper layout with every
+    // vertex on the probed edgeblocks.
+    let layouts = [TinkerConfig::default(), TinkerConfig::paper()];
+    for (mode, layout) in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact]
+        .into_iter()
+        .flat_map(|m| layouts.map(|l| (m, l)))
+    {
+        let (inline, hub, floor) = (layout.inline_cap, layout.hub_promote, layout.hub_demote);
         let batches = churn_stream(61);
-        let mut tagged = GraphTinker::new(tagged_config(mode)).unwrap();
-        let mut seed = GraphTinker::new(seed_config(mode)).unwrap();
+        let mut tagged = GraphTinker::new(tagged_config(mode).tiers(inline, hub, floor)).unwrap();
+        let mut seed = GraphTinker::new(seed_config(mode).tiers(inline, hub, floor)).unwrap();
         for b in &batches {
             let rt = tagged.apply_batch(b);
             let rs = seed.apply_batch(b);
