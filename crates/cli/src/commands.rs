@@ -780,34 +780,92 @@ fn sync_policy(parsed: &Parsed) -> Result<SyncPolicy, String> {
     }
 }
 
+/// The parse stage of `ingest`: the input file, one `--batch` of edges at
+/// a time, so that batch k+2 is still text while k+1 is being logged and
+/// k applied. A malformed line (or a failed read) ends the stream early
+/// and is held until [`finish`](Self::finish), after the batches before
+/// it have been made durable.
+struct IngestInput {
+    reader: io::EdgeListReader<std::io::BufReader<std::fs::File>>,
+    chunk: Vec<Edge>,
+    batch_size: usize,
+    edges: u64,
+    batches: u64,
+    failed: Option<String>,
+}
+
+impl IngestInput {
+    fn open(path: &str, batch_size: usize) -> Result<Self, String> {
+        Ok(IngestInput {
+            reader: io::EdgeListReader::open(path).map_err(|e| e.to_string())?,
+            chunk: Vec::new(),
+            batch_size,
+            edges: 0,
+            batches: 0,
+            failed: None,
+        })
+    }
+
+    /// The next batch of inserts, `None` once the input has ended.
+    fn next_batch(&mut self) -> Option<EdgeBatch> {
+        if self.failed.is_some() {
+            return None;
+        }
+        let timer = gtinker_core::metrics::timer();
+        let _t = gtinker_core::trace::span_arg(gtinker_core::SpanId::IngestParse, self.batches);
+        self.chunk.clear();
+        let read = self.reader.read_chunk(&mut self.chunk, self.batch_size);
+        let m = gtinker_core::metrics::global();
+        m.ingest_parse_ns.record_since(timer);
+        match read {
+            Ok(0) => None,
+            Ok(n) => {
+                m.ingest_parsed_edges_total.add(n as u64);
+                self.edges += n as u64;
+                self.batches += 1;
+                Some(EdgeBatch::inserts(&self.chunk))
+            }
+            Err(e) => {
+                self.failed = Some(e.to_string());
+                None
+            }
+        }
+    }
+
+    /// `(edges, batches)` handed out, or the error that cut the input
+    /// short. Call once everything handed out is logged and synced.
+    fn finish(self) -> Result<(u64, u64), String> {
+        match self.failed {
+            None => Ok((self.edges, self.batches)),
+            Some(e) => Err(format!(
+                "{e} (the {} edges in {} batches before it were logged)",
+                self.edges, self.batches
+            )),
+        }
+    }
+}
+
 fn ingest(parsed: &Parsed) -> Result<(), String> {
     let path = parsed.input()?;
     let dir = parsed.get("wal").ok_or("ingest requires --wal DIR")?;
     let batch_size = parsed.num("batch", 100_000usize)?.max(1);
     let snapshot_every = parsed.num("snapshot-every", 0u64)?;
     let opts = WalOptions { sync: sync_policy(parsed)?, ..WalOptions::default() };
-    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
     let pool = parsed.num("pool", 1usize)?;
     if pool == 0 {
         return Err("option --pool: must be at least 1".into());
     }
-    // Live query + telemetry endpoint for the duration of the ingest.
-    // Serving routes through the pooled store (even at --pool 1) so the
-    // query API reads epoch-pinned views of the very store being fed.
+    let mut input = IngestInput::open(path, batch_size)?;
+    // Live query + telemetry endpoint for the duration of the ingest, up
+    // before the first byte is parsed. Serving routes through the pooled
+    // store (even at --pool 1) so the query API reads epoch-pinned views
+    // of the very store being fed.
     if let Some(addr) = parsed.get("serve") {
         let listener = crate::serve::bind(addr)?;
-        return ingest_pooled(
-            parsed,
-            Path::new(dir),
-            &edges,
-            batch_size,
-            pool,
-            opts,
-            Some(listener),
-        );
+        return ingest_pooled(parsed, Path::new(dir), input, pool, opts, Some(listener));
     }
     if pool > 1 {
-        return ingest_pooled(parsed, Path::new(dir), &edges, batch_size, pool, opts, None);
+        return ingest_pooled(parsed, Path::new(dir), input, pool, opts, None);
     }
     let (mut d, report) =
         DurableTinker::open(Path::new(dir), config(parsed)?, opts).map_err(|e| e.to_string())?;
@@ -823,27 +881,25 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
         );
     }
     let t0 = Instant::now();
-    let mut batches = 0u64;
-    for chunk in edges.chunks(batch_size) {
-        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, batches);
-        d.apply_batch(&EdgeBatch::inserts(chunk)).map_err(|e| e.to_string())?;
-        batches += 1;
-        if snapshot_every > 0 && batches.is_multiple_of(snapshot_every) {
+    while let Some(batch) = input.next_batch() {
+        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, input.batches - 1);
+        d.apply_batch(&batch).map_err(|e| e.to_string())?;
+        if snapshot_every > 0 && input.batches.is_multiple_of(snapshot_every) {
             let p = d.snapshot().map_err(|e| e.to_string())?;
             eprintln!("snapshot at lsn {}: {}", d.next_lsn(), p.display());
         }
     }
     d.sync().map_err(|e| e.to_string())?;
+    let (edges, batches) = input.finish()?;
     if parsed.flag("final-snapshot") {
         let p = d.snapshot().map_err(|e| e.to_string())?;
         eprintln!("final snapshot: {}", p.display());
     }
     let dur = t0.elapsed();
     println!(
-        "ingested {} edges in {batches} batches in {dur:.2?} \
+        "ingested {edges} edges in {batches} batches in {dur:.2?} \
          ({:.3} Medges/s durable), {} live, next lsn {}",
-        edges.len(),
-        edges.len() as f64 / dur.as_secs_f64() / 1e6,
+        edges as f64 / dur.as_secs_f64() / 1e6,
         d.store().num_edges(),
         d.next_lsn()
     );
@@ -857,7 +913,8 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
 /// `ingest --pool N` (and any `ingest --serve`): WAL-first logging with
 /// batches applied across `n` interval-partitioned shard workers. With
 /// `--pipeline`, the apply of batch k overlaps the WAL append of batch
-/// k+1 (every batch is still logged before it is handed to the pool).
+/// k+1 and the parse of batch k+2 (every batch is still logged before it
+/// is handed to the pool).
 /// 'gtinker recover' replays the resulting log into a single store, so
 /// pooled ingest requires a fresh directory and does not support
 /// snapshots. With a serve listener, the store is built with epoch views
@@ -867,8 +924,7 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
 fn ingest_pooled(
     parsed: &Parsed,
     dir: &Path,
-    edges: &[Edge],
-    batch_size: usize,
+    mut input: IngestInput,
     pool: usize,
     opts: WalOptions,
     serve_listener: Option<std::net::TcpListener>,
@@ -905,29 +961,34 @@ fn ingest_pooled(
     });
     let pipelined = parsed.flag("pipeline");
     let t0 = Instant::now();
-    let mut batches = 0u64;
-    for chunk in edges.chunks(batch_size) {
-        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, batches);
-        let batch = EdgeBatch::inserts(chunk);
+    while let Some(batch) = input.next_batch() {
+        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, input.batches - 1);
         wal.append(&batch).map_err(|e| e.to_string())?;
         if pipelined {
             g.submit_shared(std::sync::Arc::new(batch));
         } else {
             g.apply_batch(&batch);
         }
-        batches += 1;
     }
     if pipelined {
         g.flush();
     }
     wal.sync().map_err(|e| e.to_string())?;
+    let (edges, batches) = match input.finish() {
+        Ok(totals) => totals,
+        Err(e) => {
+            if let Some(server) = server {
+                server.shutdown();
+            }
+            return Err(e);
+        }
+    };
     let dur = t0.elapsed();
     println!(
-        "ingested {} edges in {batches} batches across {pool} shards{} in {dur:.2?} \
+        "ingested {edges} edges in {batches} batches across {pool} shards{} in {dur:.2?} \
          ({:.3} Medges/s durable), {} live, next lsn {}",
-        edges.len(),
         if pipelined { " (pipelined)" } else { "" },
-        edges.len() as f64 / dur.as_secs_f64() / 1e6,
+        edges as f64 / dur.as_secs_f64() / 1e6,
         g.num_edges(),
         wal.next_lsn()
     );
@@ -1528,8 +1589,9 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.starts_with("{\"displayTimeUnit\""), "not chrome trace JSON");
         assert!(json.contains("\"traceEvents\":["));
-        // Driver-side WAL appends and worker-side applies share the file,
-        // each worker on its own named track.
+        // Driver-side chunk reads and WAL appends and worker-side applies
+        // share the file, each worker on its own named track.
+        assert!(json.contains("\"ingest_parse\""), "missing ingest_parse events");
         assert!(json.contains("\"wal_append\""), "missing wal_append events");
         assert!(json.contains("\"pool_apply\""), "missing pool_apply events");
         assert!(json.contains("\"engine_process\""), "missing traced analytics");
@@ -1570,6 +1632,79 @@ mod tests {
             "127.0.0.1:0",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The ingest modes: one durable store, the same pipelined, the pool.
+    const INGEST_MODES: [&[&str]; 3] = [&[], &["--pipeline"], &["--pool", "2", "--pipeline"]];
+
+    /// `ingest FILE --wal DB --batch 100` plus `rest`.
+    fn ingest_100(file: &Path, db: &Path, rest: &[&[&str]]) -> Parsed {
+        let head = ["ingest", file.to_str().unwrap(), "--wal", db.to_str().unwrap()];
+        parsed(&[&head[..], &["--batch", "100"], &rest.concat()].concat())
+    }
+
+    #[test]
+    fn ingest_streams_a_messy_file_to_the_same_store_as_its_clean_twin() {
+        let dir = std::env::temp_dir().join("gtinker_cli_stream");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (clean, messy) = (dir.join("clean.txt"), dir.join("messy.txt"));
+        let (mut clean_text, mut messy_text) = (String::new(), String::from("# header\r\n\r\n"));
+        for i in 0u32..950 {
+            let (s, d, w) = (i % 89, (i * 7) % 97, i % 5 + 1);
+            clean_text.push_str(&format!("{s} {d} {w}\n"));
+            messy_text.push_str(&format!(" {s}\t{d}  {w} \r\n"));
+            if i % 100 == 0 {
+                messy_text.push_str("# note\n\n");
+            }
+        }
+        std::fs::write(&clean, clean_text).unwrap();
+        std::fs::write(&messy, messy_text.trim_end()).unwrap();
+        let want = gtinker_datasets::stream::distinct_edge_count(
+            &io::read_edge_list(&clean).expect("clean file parses"),
+        );
+        for (m, mode) in INGEST_MODES.iter().enumerate() {
+            for (f, file) in [&clean, &messy].into_iter().enumerate() {
+                let db = dir.join(format!("db_{m}_{f}"));
+                run(&ingest_100(file, &db, &[&["--sync", "never"], mode])).unwrap();
+                let (g, report) = recover_tinker(&db, TinkerConfig::default()).unwrap();
+                assert_eq!(report.replayed_records, 10, "950 edges in batches of 100");
+                assert_eq!(g.num_edges(), want, "mode {mode:?}, file {f}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_parse_error_names_the_line_after_logging_what_preceded_it() {
+        let dir = std::env::temp_dir().join("gtinker_cli_badline");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("g.txt");
+        let mut text = String::new();
+        for i in 0u32..250 {
+            text.push_str(&format!("{i} {}\n", i + 1));
+        }
+        text.push_str("250 oops\n251 252\n");
+        std::fs::write(&file, text).unwrap();
+        for (m, mode) in INGEST_MODES.iter().enumerate() {
+            let db = dir.join(format!("db_{m}"));
+            let e = run(&ingest_100(&file, &db, &[&["--sync", "8"], mode])).unwrap_err();
+            assert!(e.contains("line 251"), "mode {mode:?}: {e}");
+            assert!(e.contains("200 edges in 2 batches"), "mode {mode:?}: {e}");
+            // Whole batches before the bad line are durable and replay into
+            // a valid store; the partial one was never logged.
+            run(&parsed(&["recover", db.to_str().unwrap(), "--validate"])).unwrap();
+            let (g, report) = recover_tinker(&db, TinkerConfig::default()).unwrap();
+            assert_eq!((report.replayed_records, g.num_edges()), (2, 200), "mode {mode:?}");
+        }
+        // With --serve the listener is already up when the line is met; the
+        // command still fails (and stops serving) instead of holding.
+        let db = dir.join("db_serve");
+        let serve = ["--sync", "never", "--serve", "127.0.0.1:0", "--hold"];
+        let e = run(&ingest_100(&file, &db, &[&serve])).unwrap_err();
+        assert!(e.contains("line 251"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,6 +5,8 @@
 //!
 //! Run `gtinker help` for usage.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod serve;

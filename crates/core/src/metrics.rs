@@ -662,6 +662,11 @@ registry! {
         pool_settle_waits: counter,
         /// In-flight (submitted, not yet reaped) pool batches right now.
         pool_queue_depth: gauge,
+        /// Time `gtinker ingest` spent reading and parsing one `--batch` of
+        /// its input file, nanoseconds (one observation per chunk read).
+        ingest_parse_ns: histogram,
+        /// Edges `gtinker ingest` parsed from its input file.
+        ingest_parsed_edges_total: counter,
         /// WAL records appended.
         wal_appends: counter,
         /// WAL append latency in nanoseconds (encode + write + any sync).

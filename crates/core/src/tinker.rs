@@ -72,6 +72,41 @@ struct FindCost {
     tag_false_positives: u64,
 }
 
+/// Resolve-ahead distance of [`GraphTinker::apply_batch`], in operations:
+/// each of the window's three read-only stages runs this far ahead of the
+/// next, the last this far ahead of execution. A constant, not a knob: 4,
+/// 8 and 16 measured alike (DESIGN.md, "The write path as a pipeline").
+const WINDOW: usize = 8;
+
+/// Slots in the window's ring of carried resolutions: the `3 * WINDOW + 1`
+/// operations in flight, rounded up so the slot index is a mask.
+const RING: usize = (3 * WINDOW + 1).next_power_of_two();
+
+/// What an operation's resolve stage hands to its execution: both hashes
+/// (each id is mixed once per operation) and the source's dense id.
+#[derive(Clone, Copy)]
+struct Resolved {
+    /// [`source_hash`] of the source.
+    src_hash: u64,
+    /// Depth-0 [`edge_hash`] of the destination: seeds the depth-0 bucket
+    /// split and the SWAR fingerprint.
+    h0: u64,
+    /// Dense id of the source, or [`NIL_U32`] when the SGH did not know it
+    /// at resolve time — execution then probes again, since an earlier
+    /// operation may have registered it since. A known id never goes
+    /// stale: the SGH neither deletes nor renumbers.
+    dense: u32,
+}
+
+impl Resolved {
+    /// Hashes only, source not looked up: where `insert_edge` and
+    /// `delete_edge` start from.
+    #[inline]
+    fn hashed(src: VertexId, dst: VertexId) -> Self {
+        Resolved { src_hash: source_hash(src), h0: edge_hash(dst, 0), dense: NIL_U32 }
+    }
+}
+
 /// The GraphTinker dynamic-graph data structure.
 ///
 /// See the [crate docs](crate) for an overview and a usage example.
@@ -332,7 +367,7 @@ impl GraphTinker {
     /// the chain. RHH displacement still runs within the target subblock.
     pub fn insert_edge(&mut self, e: Edge) -> bool {
         let mark = self.flush_mark();
-        let fresh = self.insert_edge_local(e);
+        let fresh = self.insert_resolved(e, Resolved::hashed(e.src, e.dst));
         let m = crate::metrics::global();
         if fresh {
             m.tinker_inserts.inc();
@@ -367,10 +402,21 @@ impl GraphTinker {
         }
     }
 
-    /// [`insert_edge`](Self::insert_edge) minus the global metric counters:
-    /// instance stats only, so `apply_batch` can flush the counters once
-    /// per batch instead of paying an atomic RMW per operation.
-    fn insert_edge_local(&mut self, e: Edge) -> bool {
+    /// Dense id of `src` for an executing operation: the id its resolve
+    /// stage carried, else a probe of the SGH as it is now.
+    #[inline]
+    fn dense_resolved(&self, src: VertexId, r: Resolved) -> Option<u32> {
+        if r.dense != NIL_U32 {
+            return Some(r.dense);
+        }
+        self.dense_lookup_hashed(src, r.src_hash)
+    }
+
+    /// Inserts `e` given what its resolve stage carried. Instance stats
+    /// only, no global metric counters: `insert_edge` adds them per call,
+    /// `apply_batch` flushes them once per batch instead of paying an
+    /// atomic RMW per operation.
+    fn insert_resolved(&mut self, e: Edge, r: Resolved) -> bool {
         assert!(
             e.src != NIL_VERTEX && e.dst != NIL_VERTEX,
             "NIL_VERTEX is reserved as the empty-cell sentinel"
@@ -378,25 +424,19 @@ impl GraphTinker {
         self.note_vertex(e.src);
         self.note_vertex(e.dst);
         self.stats.operations += 1;
-        // The source hash is mixed exactly once per operation: the lookup
-        // and (on a miss) the SGH registration both reuse it, on every tier.
-        // The destination is likewise mixed once — its depth-0 hash seeds
-        // both the depth-0 bucket split and the SWAR fingerprint.
-        let src_hash = source_hash(e.src);
-        let h0 = edge_hash(e.dst, 0);
-        let dense = match self.dense_lookup_hashed(e.src, src_hash) {
+        let dense = match self.dense_resolved(e.src, r) {
             Some(d) => d,
-            None => self.dense_insert_absent(e.src, src_hash),
+            None => self.dense_insert_absent(e.src, r.src_hash),
         };
         if self.adaptive {
             self.ensure_tier_slots(dense);
             match self.tiers[dense as usize] {
-                Tier::Inline => self.insert_inline(dense, e, h0),
-                Tier::Blocks => self.insert_blocks(dense, e, h0),
-                Tier::Hub => self.insert_hub(dense, e, h0),
+                Tier::Inline => self.insert_inline(dense, e, r.h0),
+                Tier::Blocks => self.insert_blocks(dense, e, r.h0),
+                Tier::Hub => self.insert_hub(dense, e, r.h0),
             }
         } else {
-            self.insert_blocks(dense, e, h0)
+            self.insert_blocks(dense, e, r.h0)
         }
     }
 
@@ -857,7 +897,7 @@ impl GraphTinker {
     /// Deletes the edge `(src, dst)`. Returns `true` if it existed.
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> bool {
         let mark = self.flush_mark();
-        let deleted = self.delete_edge_local(src, dst);
+        let deleted = self.delete_resolved(src, dst, Resolved::hashed(src, dst));
         let m = crate::metrics::global();
         if deleted {
             m.tinker_deletes.inc();
@@ -868,29 +908,21 @@ impl GraphTinker {
         deleted
     }
 
-    /// [`delete_edge`](Self::delete_edge) minus the global metric counters
-    /// (see [`insert_edge_local`](Self::insert_edge_local)).
-    fn delete_edge_local(&mut self, src: VertexId, dst: VertexId) -> bool {
+    /// Deletes `(src, dst)` given what its resolve stage carried (instance
+    /// stats only, see [`insert_resolved`](Self::insert_resolved)).
+    fn delete_resolved(&mut self, src: VertexId, dst: VertexId, r: Resolved) -> bool {
         self.stats.operations += 1;
-        let deleted = self.delete_edge_inner(src, dst);
+        let deleted = match self.dense_resolved(src, r) {
+            None => false,
+            Some(dense) if self.adaptive => self.delete_adaptive(dense, dst, r.h0),
+            Some(dense) => self.delete_blocks(dense, dst, r.h0),
+        };
         if deleted {
             self.stats.deletes += 1;
         } else {
             self.stats.delete_misses += 1;
         }
         deleted
-    }
-
-    fn delete_edge_inner(&mut self, src: VertexId, dst: VertexId) -> bool {
-        // One hash per operation, shared by the SGH probe on every tier;
-        // the destination hash likewise seeds bucket and tag exactly once.
-        let src_hash = source_hash(src);
-        let h0 = edge_hash(dst, 0);
-        let Some(dense) = self.dense_lookup_hashed(src, src_hash) else { return false };
-        if self.adaptive {
-            return self.delete_adaptive(dense, dst, h0);
-        }
-        self.delete_blocks(dense, dst, h0)
     }
 
     /// Tier-dispatched delete, with hysteresis demotions.
@@ -1115,6 +1147,17 @@ impl GraphTinker {
 
     /// Applies a batch of updates, returning outcome counts.
     ///
+    /// Operations execute strictly in arrival order through the same tier
+    /// code as [`insert_edge`](Self::insert_edge) /
+    /// [`delete_edge`](Self::delete_edge), but a read-only window runs
+    /// ahead of the execute cursor so that the cold lines an operation
+    /// will walk are already on their way when it runs: `3 * WINDOW` ops
+    /// ahead the source is hashed and looked up in the SGH (the result is
+    /// carried to execution), `2 * WINDOW` ahead its vertex entry is
+    /// touched, `WINDOW` ahead its depth-0 subblock. The window mutates
+    /// nothing and counts nothing, so structure, SGH order, CAL stream and
+    /// every statistic equal the op-at-a-time loop's.
+    ///
     /// The global op counters are flushed once per batch from the outcome
     /// counts (same totals as per-op increments, one atomic RMW per
     /// counter per batch), keeping the instrumented ingest path within the
@@ -1122,17 +1165,34 @@ impl GraphTinker {
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> BatchResult {
         let mark = self.flush_mark();
         let mut r = BatchResult::default();
-        for op in batch.iter() {
-            match *op {
+        let ops = batch.ops();
+        let n = ops.len();
+        let mut ring = [Resolved { src_hash: 0, h0: 0, dense: NIL_U32 }; RING];
+        // The warmed values are folded into one word the optimizer must
+        // produce, which is what keeps their loads in the program.
+        let mut warmed = 0u64;
+        for step in 0..n + 3 * WINDOW {
+            if step < n {
+                ring[step % RING] = self.resolve(&ops[step]);
+            }
+            if (WINDOW..n + WINDOW).contains(&step) {
+                warmed ^= self.warm_vertex(ring[(step - WINDOW) % RING]);
+            }
+            if (2 * WINDOW..n + 2 * WINDOW).contains(&step) {
+                warmed ^= self.warm_subblock(ring[(step - 2 * WINDOW) % RING]);
+            }
+            let Some(at) = step.checked_sub(3 * WINDOW) else { continue };
+            let carried = ring[at % RING];
+            match ops[at] {
                 UpdateOp::Insert(e) => {
-                    if self.insert_edge_local(e) {
+                    if self.insert_resolved(e, carried) {
                         r.inserted += 1;
                     } else {
                         r.updated += 1;
                     }
                 }
                 UpdateOp::Delete { src, dst } => {
-                    if self.delete_edge_local(src, dst) {
+                    if self.delete_resolved(src, dst, carried) {
                         r.deleted += 1;
                     } else {
                         r.not_found += 1;
@@ -1140,6 +1200,7 @@ impl GraphTinker {
                 }
             }
         }
+        std::hint::black_box(warmed);
         let m = crate::metrics::global();
         m.tinker_inserts.add(r.inserted);
         m.tinker_updates.add(r.updated);
@@ -1147,6 +1208,51 @@ impl GraphTinker {
         m.tinker_delete_misses.add(r.not_found);
         self.flush_since(mark);
         r
+    }
+
+    /// Window stage 1: both hashes of `op` and a plain SGH probe for its
+    /// source. `NIL_VERTEX` is left for execution to reject.
+    #[inline]
+    fn resolve(&self, op: &UpdateOp) -> Resolved {
+        let src = op.src();
+        let mut r = Resolved::hashed(src, op.dst());
+        if src != NIL_VERTEX {
+            r.dense = self.dense_lookup_hashed(src, r.src_hash).unwrap_or(NIL_U32);
+        }
+        r
+    }
+
+    /// Window stage 2: loads the resolved source's degree, tier and the
+    /// entry its tier dispatch will read first (inline slot, top-block id
+    /// or hub slot). Returns the loaded words; the tier may still change
+    /// before the operation executes, which only wastes the touch.
+    #[inline]
+    fn warm_vertex(&self, r: Resolved) -> u64 {
+        if r.dense == NIL_U32 {
+            return 0;
+        }
+        let idx = r.dense as usize;
+        let entry = match self.tiers.get(idx) {
+            Some(Tier::Inline) => self.inline[idx].dsts[0] ^ u32::from(self.inline[idx].len),
+            Some(Tier::Hub) => self.hub_of[idx],
+            // No tier slot: the fixed layout, or an imported source.
+            Some(Tier::Blocks) | None => self.top_blocks.get(idx).copied().unwrap_or(NIL_U32),
+        };
+        u64::from(entry ^ self.props.out_degree(r.dense))
+    }
+
+    /// Window stage 3, edgeblock-tier sources only: loads the tag group
+    /// and home cell the depth-0 probe starts at, and the top block's live
+    /// count.
+    #[inline]
+    fn warm_subblock(&self, r: Resolved) -> u64 {
+        // Unknown, inline and hub sources own no top block.
+        let Some(top) = self.top_block(r.dense) else { return 0 };
+        let (sub, bucket) =
+            split_hash(r.h0, self.arena.subblocks_per_block(), self.arena.subblock_len());
+        u64::from(self.arena.subblock_tags(top, sub)[0])
+            ^ u64::from(self.arena.subblock_cells(top, sub)[bucket].dst)
+            ^ u64::from(self.arena.live_count(top))
     }
 
     /// Visits every live out-edge of `src` as `(dst, weight)`, walking the

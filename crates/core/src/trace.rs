@@ -107,10 +107,14 @@ pub enum SpanId {
     EpochPin = 17,
     /// Serializing + writing one HTTP response (arg = request id).
     ServeSerialize = 18,
+    /// The ingest driver reading and parsing one `--batch` of the input
+    /// file (arg = batch seq) — the first stage of the write pipeline,
+    /// running while earlier batches are logged and applied.
+    IngestParse = 19,
 }
 
 /// Every catalogue entry, for iteration in exports and tests.
-pub const ALL_SPANS: [SpanId; 19] = [
+pub const ALL_SPANS: [SpanId; 20] = [
     SpanId::PoolClaim,
     SpanId::PoolApply,
     SpanId::PoolSettle,
@@ -130,6 +134,7 @@ pub const ALL_SPANS: [SpanId; 19] = [
     SpanId::Repair,
     SpanId::EpochPin,
     SpanId::ServeSerialize,
+    SpanId::IngestParse,
 ];
 
 impl SpanId {
@@ -155,6 +160,7 @@ impl SpanId {
             SpanId::Repair => "repair",
             SpanId::EpochPin => "epoch_pin",
             SpanId::ServeSerialize => "serve_serialize",
+            SpanId::IngestParse => "ingest_parse",
         }
     }
 

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use gtinker_core::GraphTinker;
 use gtinker_stinger::Stinger;
-use gtinker_types::{DeleteMode, Edge, StingerConfig, TinkerConfig};
+use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig};
 
 use crate::format::{crc32, ByteReader, ByteWriter, PersistError, Result};
 
@@ -57,6 +57,11 @@ const TAG_SGH: u8 = 2;
 const TAG_EDGES: u8 = 3;
 const TAG_SPACE: u8 = 4;
 const TAG_END: u8 = 0xFF;
+
+/// Decoded edges are replayed into the store this many at a time: batches
+/// go through the store's resolve-ahead window and flush its counters once
+/// each, and the op copy a batch needs stays cache-sized.
+const DECODE_BATCH_OPS: usize = 64 << 10;
 
 fn put_section(w: &mut ByteWriter, tag: u8, payload: &[u8]) {
     w.put_u8(tag);
@@ -284,8 +289,8 @@ pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
         g.import_sources(&sources);
     }
     let edges = decode_edges(s.edges)?;
-    for e in &edges {
-        g.insert_edge(*e);
+    for chunk in edges.chunks(DECODE_BATCH_OPS) {
+        g.apply_batch(&EdgeBatch::inserts(chunk));
     }
     if g.num_edges() != edges.len() as u64 {
         return Err(PersistError::Corrupt(format!(

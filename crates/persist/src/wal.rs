@@ -105,31 +105,36 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Encodes one record (framing + payload) for `batch` at `lsn`.
+/// Bytes of a record's frame: payload length, then payload CRC-32.
+const RECORD_FRAME_BYTES: usize = 8;
+
+/// Encodes one record (framing + payload) for `batch` at `lsn`, in one
+/// buffer: the frame is reserved up front and patched once the payload
+/// behind it is complete.
 pub fn encode_record(lsn: u64, batch: &EdgeBatch) -> Vec<u8> {
-    let mut p = ByteWriter::with_capacity(12 + batch.len() * 13);
-    p.put_u64(lsn);
-    p.put_u32(batch.len() as u32);
+    let mut w = ByteWriter::with_capacity(RECORD_FRAME_BYTES + 12 + batch.len() * 13);
+    w.put_u64(0);
+    w.put_u64(lsn);
+    w.put_u32(batch.len() as u32);
     for op in batch.iter() {
         match *op {
             UpdateOp::Insert(e) => {
-                p.put_u8(0);
-                p.put_u32(e.src);
-                p.put_u32(e.dst);
-                p.put_u32(e.weight);
+                w.put_u8(0);
+                w.put_u32(e.src);
+                w.put_u32(e.dst);
+                w.put_u32(e.weight);
             }
             UpdateOp::Delete { src, dst } => {
-                p.put_u8(1);
-                p.put_u32(src);
-                p.put_u32(dst);
+                w.put_u8(1);
+                w.put_u32(src);
+                w.put_u32(dst);
             }
         }
     }
-    let payload = p.into_bytes();
-    let mut w = ByteWriter::with_capacity(8 + payload.len());
-    w.put_u32(payload.len() as u32);
-    w.put_u32(crc32(&payload));
-    w.put_bytes(&payload);
+    let payload = &w.as_bytes()[RECORD_FRAME_BYTES..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    w.patch_u32(0, len);
+    w.patch_u32(4, crc);
     w.into_bytes()
 }
 
@@ -704,5 +709,26 @@ mod tests {
         let (lsn, back) = decode_payload(payload).unwrap();
         assert_eq!(lsn, 99);
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn record_bytes_are_the_format_not_the_encoder() {
+        // Captured from the two-buffer encoder this one replaced (and
+        // re-derived by hand: len, CRC-32, lsn, count, then tagged ops).
+        const GOLDEN: &str = "2f00000041aa3db9080706050403020103000000\
+                              0001000000020000000300000001070000000900000000\
+                              feffffff00000000ffffffff";
+        let mut b = EdgeBatch::new();
+        b.push_insert(Edge::new(1, 2, 3));
+        b.push_delete(7, 9);
+        b.push_insert(Edge::new(u32::MAX - 1, 0, u32::MAX));
+        let rec = encode_record(0x0102_0304_0506_0708, &b);
+        let hex: String = rec.iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        // An empty batch is a frame around lsn + count.
+        let empty = encode_record(1, &EdgeBatch::new());
+        assert_eq!(empty.len(), RECORD_FRAME_BYTES + 12);
+        assert_eq!(&empty[..4], &12u32.to_le_bytes());
+        assert_eq!(&empty[4..8], &crc32(&empty[8..]).to_le_bytes());
     }
 }

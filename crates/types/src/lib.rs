@@ -10,6 +10,8 @@
 //! workload generators (`gtinker-datasets`) and the benchmark harness
 //! (`gtinker-bench`) interoperate without depending on one another.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod edge;
 mod error;

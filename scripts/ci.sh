@@ -49,9 +49,36 @@ grep -q "recovered GraphTinker: $LIVE edges" "$SMOKE/recover_pool.out"
 grep -q "snapshot lsn 0," "$SMOKE/recover_pool.out"
 grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_pool.out"
 
+echo "==> streaming ingest smoke test (messy input == clean twin; bad last line leaves a valid prefix)"
+# The same edges rewritten with CRLF, comments and blank lines must ingest
+# to the same live count as the clean file.
+awk 'NR % 50 == 1 { printf "# block %d\r\n\r\n", NR } { printf " %s\t%s  %s \r\n", $1, $2, $3 }' \
+    "$SMOKE/g.txt" > "$SMOKE/g_messy.txt"
+"$GT" ingest "$SMOKE/g_messy.txt" --wal "$SMOKE/db_messy" --batch 512 --sync never \
+    --pool 4 --pipeline | tee "$SMOKE/ingest_messy.out"
+MESSY_LIVE=$(sed -n 's/.* \([0-9][0-9]*\) live, next lsn.*/\1/p' "$SMOKE/ingest_messy.out")
+test "$MESSY_LIVE" = "$LIVE"
+# A bad token on the last line: non-zero exit naming that line, and what
+# was logged before it recovers and validates.
+cp "$SMOKE/g.txt" "$SMOKE/g_bad.txt"
+echo "12 oops" >> "$SMOKE/g_bad.txt"
+BAD_LINE=$(wc -l < "$SMOKE/g_bad.txt" | tr -d ' ')
+if "$GT" ingest "$SMOKE/g_bad.txt" --wal "$SMOKE/db_bad" --batch 512 --sync never \
+    --pool 4 --pipeline > "$SMOKE/ingest_bad.out" 2> "$SMOKE/ingest_bad.err"; then
+    echo "streaming smoke: ingest of a file with a bad last line exited 0" >&2; exit 1
+fi
+grep -q "parse error at line $BAD_LINE:" "$SMOKE/ingest_bad.err"
+grep -q "batches before it were logged" "$SMOKE/ingest_bad.err"
+"$GT" recover "$SMOKE/db_bad" --validate | tee "$SMOKE/recover_bad.out"
+grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_bad.out"
+
 echo "==> stats smoke test (ingest --stats; stats parity between file and recovered store)"
 "$GT" ingest "$SMOKE/g.txt" --wal "$SMOKE/db_stats" --batch 1024 --stats | tee "$SMOKE/ingest_stats.out"
 grep -q "gtinker_tinker_inserts" "$SMOKE/ingest_stats.out"
+# The parse stage's metrics, end to end: every line of the file counted
+# once, one histogram observation per chunk read.
+grep -q "^gtinker_ingest_parsed_edges_total $(wc -l < "$SMOKE/g.txt" | tr -d ' ')$" "$SMOKE/ingest_stats.out"
+grep -q "^gtinker_ingest_parse_ns_count [1-9]" "$SMOKE/ingest_stats.out"
 "$GT" stats "$SMOKE/g.txt" --format json | tee "$SMOKE/stats_file.json"
 FILE_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_file.json" | head -1)
 test -n "$FILE_EDGES"
@@ -293,6 +320,41 @@ curl -fsS "http://$QADDR/quitquitquit" | grep -q "shutting down"
 wait "$INGEST_PID"
 grep -q "ingest done; serving queries" "$SMOKE/ingest_serve.err"
 trap 'rm -rf "$SMOKE"' EXIT
+
+echo "==> serve-first smoke test (ingest --serve answers /healthz before the ingest is done)"
+# The listener is bound before the first byte is parsed: on a 500k-edge
+# file the first /healthz answer must arrive while batches are still
+# outstanding (its acked_batches below the 50 the file holds) and before
+# the 'ingested' line. The probe starts the child itself so that its own
+# start-up cannot lose the race.
+"$GT" generate --rmat-scale 17 --edges 500000 --seed 3 --out "$SMOKE/big.txt"
+python3 - "$GT" "$SMOKE/big.txt" "$SMOKE/db_first" <<'PYEOF'
+import json, re, subprocess, sys, time, urllib.request
+gt, file, db = sys.argv[1:4]
+child = subprocess.Popen(
+    [gt, "ingest", file, "--wal", db, "--batch", "10000", "--sync", "8", "--pool", "2",
+     "--pipeline", "--serve", "127.0.0.1:0", "--hold"],
+    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+try:
+    addr = re.match(r"serving on http://(\S+)", child.stdout.readline()).group(1)
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            health = json.load(urllib.request.urlopen(f"http://{addr}/healthz", timeout=5))
+            break
+        except OSError:
+            assert time.monotonic() < deadline, "no /healthz answer within 30 s"
+            time.sleep(0.001)
+    assert health["status"] == "ok", health
+    assert health["acked_batches"] < 50, f"first /healthz answer came after the ingest: {health}"
+    line = child.stdout.readline()
+    assert line.startswith("ingested 500000 edges in 50 batches"), line
+    urllib.request.urlopen(f"http://{addr}/quitquitquit", timeout=5).read()
+    assert child.wait(timeout=30) == 0
+    print(f"serve-first ok: /healthz answered at {health['acked_batches']} of 50 batches acked")
+finally:
+    child.kill()
+PYEOF
 
 echo "==> bench regression gate self-check (bench_diff flags a seeded 20% drop)"
 BD=target/release/bench_diff

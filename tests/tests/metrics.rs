@@ -220,3 +220,44 @@ fn hub_dead_slots_move_on_delete_and_clear_on_compaction() {
     }
     g.validate_tag_invariants().unwrap();
 }
+
+/// The ingest parse stage's two metrics under the names DESIGN.md §7 and
+/// the dashboards use. `gtinker ingest` is what records them (the
+/// `--stats` smoke in `scripts/ci.sh` counts a file through it, in a
+/// process whose registry nothing else resets); here the pair is
+/// moved the way that stage moves it — one histogram observation per
+/// chunk read, the counter by the chunk's edges — and must show up in
+/// both renderings. Nothing else in this binary touches them, but deltas
+/// are still checked as lower bounds.
+#[test]
+fn ingest_parse_metrics_are_exported_under_their_documented_names() {
+    if !metrics::enabled() {
+        return;
+    }
+    let before = metrics::global().snapshot();
+    let file = std::env::temp_dir().join(format!("gtinker_metrics_parse_{}", std::process::id()));
+    std::fs::write(&file, "1 2\n3 4 5\n# c\n6 7\n").unwrap();
+    let mut reader = gtinker_datasets::io::EdgeListReader::open(&file).unwrap();
+    let mut chunk = Vec::new();
+    loop {
+        chunk.clear();
+        let timer = metrics::timer();
+        let n = reader.read_chunk(&mut chunk, 2).unwrap();
+        metrics::global().ingest_parse_ns.record_since(timer);
+        metrics::global().ingest_parsed_edges_total.add(n as u64);
+        if n == 0 {
+            break;
+        }
+    }
+    std::fs::remove_file(&file).ok();
+    let after = metrics::global().snapshot();
+    assert!(after.ingest_parsed_edges_total - before.ingest_parsed_edges_total >= 3);
+    assert!(after.ingest_parse_ns.count() - before.ingest_parse_ns.count() >= 3);
+    let prom = after.to_prometheus();
+    assert!(prom.contains("# TYPE gtinker_ingest_parse_ns histogram"), "{prom}");
+    assert!(prom.contains("gtinker_ingest_parse_ns_count "));
+    assert!(prom.contains("# TYPE gtinker_ingest_parsed_edges_total counter"));
+    let json = after.to_json();
+    assert!(json.contains("\"ingest_parse_ns\": {\"count\": "));
+    assert!(json.contains("\"ingest_parsed_edges_total\": "));
+}
