@@ -1,5 +1,5 @@
-//! Ingestion-pipeline benchmark: spawn-per-batch vs persistent shard pool
-//! vs pipelined submit, plus durable ingest with/without WAL overlap.
+//! Ingestion-pipeline benchmark: persistent shard pool vs pipelined
+//! submit, plus durable ingest with/without WAL overlap.
 fn main() {
     let args = gtinker_bench::Args::parse();
     let table = gtinker_bench::experiments::fig_ingest_pipeline::run(&args);

@@ -37,7 +37,6 @@ fn main() {
         ("Trace overhead", Box::new(experiments::fig_trace_overhead::run)),
         ("Log overhead", Box::new(experiments::fig_log_overhead::run)),
         ("Adaptive tiers", Box::new(experiments::fig_adaptive::run)),
-        ("SWAR probe", Box::new(experiments::fig_probe_swar::run)),
         ("Serve concurrent", Box::new(experiments::fig_serve_concurrent::run)),
         ("Incremental analytics", Box::new(experiments::fig_incremental::run)),
     ];

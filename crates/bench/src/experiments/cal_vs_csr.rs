@@ -12,11 +12,12 @@
 
 use std::time::{Duration, Instant};
 
+use gtinker_core::ApplyBatch;
 use gtinker_engine::{algorithms::Bfs, CsrSnapshot, Engine, ModePolicy};
 use gtinker_types::TinkerConfig;
 
 use crate::cli::Args;
-use crate::experiments::common::{dataset_batches, fresh_tinker_with, pick_root, DynStore};
+use crate::experiments::common::{dataset_batches, fresh_tinker_with, pick_root};
 use crate::report::{f3, meps, speedup, Table};
 use gtinker_datasets::scaled_datasets;
 

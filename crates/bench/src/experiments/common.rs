@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use gtinker_core::GraphTinker;
+use gtinker_core::{ApplyBatch, GraphTinker};
 use gtinker_datasets::{dataset_by_name, insertion_batches, DatasetSpec};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, Sssp},
@@ -13,24 +13,6 @@ use gtinker_stinger::Stinger;
 use gtinker_types::{EdgeBatch, TinkerConfig, VertexId};
 
 pub use gtinker_datasets::catalog::scaled_datasets;
-
-/// A store the dynamic experiments can both update and analyze.
-pub trait DynStore: GraphStore + Sync {
-    /// Applies an update batch.
-    fn apply(&mut self, batch: &EdgeBatch);
-}
-
-impl DynStore for GraphTinker {
-    fn apply(&mut self, batch: &EdgeBatch) {
-        self.apply_batch(batch);
-    }
-}
-
-impl DynStore for Stinger {
-    fn apply(&mut self, batch: &EdgeBatch) {
-        self.apply_batch(batch);
-    }
-}
 
 /// The Hollywood-2009 stand-in at the requested scale.
 pub fn hollywood(scale_factor: u32) -> DatasetSpec {
@@ -56,7 +38,7 @@ pub fn dataset_batches(spec: &DatasetSpec, n: usize, sym: bool) -> Vec<EdgeBatch
 }
 
 /// Inserts each batch, timing it; returns `(ops, duration)` per batch.
-pub fn timed_inserts<S: DynStore>(store: &mut S, batches: &[EdgeBatch]) -> Vec<(u64, Duration)> {
+pub fn timed_inserts<S: ApplyBatch>(store: &mut S, batches: &[EdgeBatch]) -> Vec<(u64, Duration)> {
     batches
         .iter()
         .map(|b| {
@@ -152,7 +134,7 @@ impl AnalyticsOutcome {
     }
 }
 
-fn drive<S: DynStore, P: IncrementalState>(
+fn drive<S: ApplyBatch + GraphStore + Sync, P: IncrementalState>(
     store: &mut S,
     batches: &[EdgeBatch],
     program: P,
@@ -186,7 +168,7 @@ fn drive<S: DynStore, P: IncrementalState>(
 
 /// Runs one algorithm under one series over a fresh store of type `S`,
 /// streaming the given batches.
-pub fn run_analytics<S: DynStore>(
+pub fn run_analytics<S: ApplyBatch + GraphStore + Sync>(
     mut store: S,
     batches: &[EdgeBatch],
     algo: Algo,

@@ -35,7 +35,7 @@ fn run_parallel_tinker(batches: &[EdgeBatch], n: usize) -> Vec<(u64, Duration)> 
 }
 
 fn run_parallel_stinger(batches: &[EdgeBatch], n: usize) -> Vec<(u64, Duration)> {
-    let mut p = ParallelStinger::new(StingerConfig::default(), n).expect("valid config");
+    let p = ParallelStinger::new(StingerConfig::default(), n).expect("valid config");
     batches
         .iter()
         .map(|b| {

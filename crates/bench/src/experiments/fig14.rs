@@ -4,10 +4,11 @@
 
 use std::time::Instant;
 
+use gtinker_core::ApplyBatch;
 use gtinker_types::{DeleteMode, TinkerConfig};
 
 use crate::cli::Args;
-use crate::experiments::common::{fresh_stinger, fresh_tinker_with, rmat_2m_32m, DynStore};
+use crate::experiments::common::{fresh_stinger, fresh_tinker_with, rmat_2m_32m};
 use crate::report::{f3, meps, Table};
 use gtinker_datasets::{deletion_batches, insertion_batches};
 

@@ -4,6 +4,7 @@
 
 use std::time::{Duration, Instant};
 
+use gtinker_core::ApplyBatch;
 use gtinker_engine::{
     algorithms::{Bfs, Cc, Sssp},
     Engine, GasProgram, GraphStore, ModePolicy,
@@ -11,7 +12,7 @@ use gtinker_engine::{
 use gtinker_types::{DeleteMode, TinkerConfig};
 
 use crate::cli::Args;
-use crate::experiments::common::{fresh_stinger, fresh_tinker_with, rmat_2m_32m, Algo, DynStore};
+use crate::experiments::common::{fresh_stinger, fresh_tinker_with, rmat_2m_32m, Algo};
 use crate::report::{f3, meps, Table};
 use gtinker_datasets::{deletion_batches, insertion_batches, top_degree_vertices};
 

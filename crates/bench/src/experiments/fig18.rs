@@ -5,11 +5,12 @@
 
 use std::time::Instant;
 
+use gtinker_core::ApplyBatch;
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
 use gtinker_types::TinkerConfig;
 
 use crate::cli::Args;
-use crate::experiments::common::{dataset_batches, fresh_tinker_with, hollywood, DynStore};
+use crate::experiments::common::{dataset_batches, fresh_tinker_with, hollywood};
 use crate::experiments::fig17::PAGEWIDTHS;
 use crate::report::{f3, meps, Table};
 use gtinker_datasets::top_degree_vertices;

@@ -10,11 +10,12 @@
 
 use std::time::Instant;
 
+use gtinker_core::ApplyBatch;
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
 use gtinker_types::TinkerConfig;
 
 use crate::cli::Args;
-use crate::experiments::common::{dataset_batches, fresh_tinker_with, DynStore};
+use crate::experiments::common::{dataset_batches, fresh_tinker_with};
 use crate::report::Table;
 use gtinker_datasets::{scaled_datasets, top_degree_vertices, DatasetKind};
 

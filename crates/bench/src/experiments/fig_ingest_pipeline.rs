@@ -1,12 +1,13 @@
-//! Ingestion-pipeline throughput (no paper counterpart — the paper's
-//! ingest loop is spawn-per-batch): Meps vs shard count for the three
-//! parallel apply paths — per-batch thread spawning, the persistent
-//! [`ShardPool`](gtinker_core::ShardPool) workers, and the pooled workers
-//! with pipelined (submit/flush) batch overlap — plus the durable path,
-//! serial vs WAL-overlapped group commit.
+//! Ingestion-pipeline throughput (no paper counterpart): Meps vs shard
+//! count for the two parallel apply paths — the persistent
+//! [`ShardPool`](gtinker_core::ShardPool) workers applied synchronously,
+//! and the same workers with pipelined (submit/flush) batch overlap — plus
+//! the durable path, serial vs WAL-overlapped group commit. (The
+//! spawn-per-batch baseline the pool replaced is recorded in
+//! EXPERIMENTS.md, "Closed experiments".)
 //!
 //! The stream is sliced into many *small* batches (~1000 ops) so the
-//! per-batch fixed costs the pipeline removes (thread spawn/join, WAL
+//! per-batch fixed costs the pipeline removes (the synchronous wait, WAL
 //! stalls) are visible rather than amortized away by giant batches.
 //!
 //! Alongside the TSV the run emits `BENCH_ingest_pipeline.json`.
@@ -32,7 +33,6 @@ const SHARDS: &[usize] = &[1, 2, 4];
 
 struct ShardSample {
     shards: usize,
-    spawn_meps: f64,
     pooled_meps: f64,
     pipelined_meps: f64,
 }
@@ -54,15 +54,6 @@ fn slice_batches(edges: &[Edge]) -> Vec<EdgeBatch> {
 
 fn fresh(n: usize) -> ParallelTinker {
     ParallelTinker::new(TinkerConfig::default(), n).expect("parallel store")
-}
-
-fn measure_spawn(batches: &[EdgeBatch], ops: u64, n: usize) -> f64 {
-    let g = fresh(n);
-    let t0 = Instant::now();
-    for b in batches {
-        g.apply_batch_spawn(b);
-    }
-    meps(ops, t0.elapsed())
 }
 
 fn measure_pooled(batches: &[EdgeBatch], ops: u64, n: usize) -> f64 {
@@ -108,10 +99,8 @@ fn to_json(ops: u64, n_batches: usize, shards: &[ShardSample], durable: &Durable
     out.push_str("  \"shards\": [\n");
     for (i, s) in shards.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"shards\": {}, \"spawn_meps\": {:.3}, \"pooled_meps\": {:.3}, \
-             \"pipelined_meps\": {:.3}}}{}\n",
+            "    {{\"shards\": {}, \"pooled_meps\": {:.3}, \"pipelined_meps\": {:.3}}}{}\n",
             s.shards,
-            s.spawn_meps,
             s.pooled_meps,
             s.pipelined_meps,
             if i + 1 == shards.len() { "" } else { "," }
@@ -119,16 +108,10 @@ fn to_json(ops: u64, n_batches: usize, shards: &[ShardSample], durable: &Durable
     }
     out.push_str("  ],\n");
     if let Some(at4) = shards.iter().find(|s| s.shards == 4).or_else(|| shards.last()) {
-        let base = at4.spawn_meps.max(1e-9);
         out.push_str(&format!(
-            "  \"speedup_pooled_vs_spawn_at_{}\": {:.3},\n",
+            "  \"speedup_pipelined_vs_pooled_at_{}\": {:.3},\n",
             at4.shards,
-            at4.pooled_meps / base
-        ));
-        out.push_str(&format!(
-            "  \"speedup_pipelined_vs_spawn_at_{}\": {:.3},\n",
-            at4.shards,
-            at4.pipelined_meps / base
+            at4.pipelined_meps / at4.pooled_meps.max(1e-9)
         ));
     }
     out.push_str(&format!(
@@ -154,34 +137,27 @@ pub fn run(args: &Args) -> Table {
     let mut t = Table::new(
         "fig_ingest_pipeline",
         &format!(
-            "Ingestion pipeline: Medges/s, spawn-per-batch vs persistent pool vs pipelined \
+            "Ingestion pipeline: Medges/s, persistent pool vs pipelined \
              ({}, {} ops in {} batches of {})",
             spec.name,
             ops,
             batches.len(),
             OPS_PER_BATCH
         ),
-        &["shards", "spawn_meps", "pooled_meps", "pipelined_meps", "pooled_vs_spawn"],
+        &["shards", "pooled_meps", "pipelined_meps", "pipelined_vs_pooled"],
     );
 
     let mut samples = Vec::new();
     for &n in SHARDS {
-        let spawn = measure_spawn(&batches, ops, n);
         let pooled = measure_pooled(&batches, ops, n);
         let pipelined = measure_pipelined(&shared, ops, n);
         t.push_row(vec![
             n.to_string(),
-            f3(spawn),
             f3(pooled),
             f3(pipelined),
-            format!("{}x", f3(pooled / spawn.max(1e-9))),
+            format!("{}x", f3(pipelined / pooled.max(1e-9))),
         ]);
-        samples.push(ShardSample {
-            shards: n,
-            spawn_meps: spawn,
-            pooled_meps: pooled,
-            pipelined_meps: pipelined,
-        });
+        samples.push(ShardSample { shards: n, pooled_meps: pooled, pipelined_meps: pipelined });
     }
 
     let durable = DurableSample {
@@ -190,7 +166,6 @@ pub fn run(args: &Args) -> Table {
     };
     t.push_row(vec![
         "durable".into(),
-        "-".into(),
         f3(durable.inline_meps),
         f3(durable.pipelined_meps),
         format!("{}x overlap", f3(durable.pipelined_meps / durable.inline_meps.max(1e-9))),
@@ -216,14 +191,13 @@ mod tests {
             4000,
             4,
             &[
-                ShardSample { shards: 1, spawn_meps: 1.0, pooled_meps: 1.5, pipelined_meps: 1.6 },
-                ShardSample { shards: 4, spawn_meps: 1.0, pooled_meps: 2.0, pipelined_meps: 2.5 },
+                ShardSample { shards: 1, pooled_meps: 1.5, pipelined_meps: 1.6 },
+                ShardSample { shards: 4, pooled_meps: 2.0, pipelined_meps: 2.5 },
             ],
             &DurableSample { inline_meps: 0.8, pipelined_meps: 1.2 },
         );
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert!(s.contains("\"speedup_pooled_vs_spawn_at_4\": 2.000"));
-        assert!(s.contains("\"speedup_pipelined_vs_spawn_at_4\": 2.500"));
+        assert!(s.contains("\"speedup_pipelined_vs_pooled_at_4\": 1.250"));
         assert!(s.contains("\"overlap_speedup\": 1.500"));
         assert!(!s.contains("},\n  ]"), "no trailing comma before array close");
     }

@@ -6,6 +6,7 @@
 
 use std::time::Instant;
 
+use gtinker_core::ApplyBatch;
 use gtinker_engine::{
     algorithms::{Bfs, Cc, Sssp},
     dynamic::prediction_accuracy,
@@ -13,7 +14,7 @@ use gtinker_engine::{
 };
 
 use crate::cli::Args;
-use crate::experiments::common::{dataset_batches, fresh_tinker, pick_root, Algo, DynStore};
+use crate::experiments::common::{dataset_batches, fresh_tinker, pick_root, Algo};
 use crate::report::{f3, Table};
 use gtinker_datasets::scaled_datasets;
 

@@ -23,7 +23,6 @@ pub mod fig_ingest_pipeline;
 pub mod fig_log_overhead;
 pub mod fig_metrics_overhead;
 pub mod fig_persist;
-pub mod fig_probe_swar;
 pub mod fig_serve_concurrent;
 pub mod fig_trace_overhead;
 pub mod geometry;

@@ -15,7 +15,7 @@ pub struct Parsed {
     pub options: HashMap<String, String>,
 }
 
-/// Options that take no value (everything else consumes the next token).
+/// Options that take no value.
 const BARE_FLAGS: &[&str] = &[
     "no-sgh",
     "no-cal",
@@ -26,15 +26,45 @@ const BARE_FLAGS: &[&str] = &[
     "pipeline",
     "stats",
     "analytics",
-    // Accepted and ignored: the degree-adaptive layout is the default.
-    "adaptive",
     "paper-layout",
     "hold",
     "validate",
     "verify",
 ];
 
-/// Parses a raw argument vector (excluding the program name).
+/// Options that consume the next token as their value.
+const VALUE_OPTIONS: &[&str] = &[
+    "addr",
+    "batch",
+    "churn-every",
+    "dataset",
+    "dir",
+    "edges",
+    "format",
+    "iterations",
+    "log",
+    "mode",
+    "out",
+    "pagewidth",
+    "pool",
+    "restart",
+    "rmat-scale",
+    "root",
+    "scale-factor",
+    "seed",
+    "serve",
+    "shards",
+    "slow-query-ms",
+    "snapshot-every",
+    "sync",
+    "top",
+    "wal",
+    "workers",
+];
+
+/// Parses a raw argument vector (excluding the program name). An option
+/// name in neither table is an error: guessing whether a misspelt name
+/// takes a value would silently swallow the next token.
 pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut iter = args.into_iter().peekable();
@@ -45,9 +75,11 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, String> 
             }
             if BARE_FLAGS.contains(&key) {
                 parsed.options.insert(key.to_string(), String::new());
-            } else {
+            } else if VALUE_OPTIONS.contains(&key) {
                 let value = iter.next().ok_or_else(|| format!("option --{key} expects a value"))?;
                 parsed.options.insert(key.to_string(), value);
+            } else {
+                return Err(format!("unknown option --{key}"));
             }
         } else if parsed.command.is_empty() {
             parsed.command = tok;
@@ -123,6 +155,80 @@ mod tests {
         let a = p(&["pagerank", "f", "--iterations", "abc"]);
         assert!(a.num::<usize>("iterations", 20).is_err());
         assert_eq!(a.num::<usize>("missing", 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let err = |args: &[&str]| parse(args.iter().map(|s| s.to_string())).unwrap_err();
+        // A value option nobody reads.
+        assert_eq!(err(&["bfs", "edges.txt", "--rooot", "5"]), "unknown option --rooot");
+        // A misspelt bare flag must not swallow the input file.
+        assert_eq!(err(&["bfs", "--verfy", "edges.txt"]), "unknown option --verfy");
+        // The retired no-op is gone, not a value option in disguise.
+        assert_eq!(err(&["stats", "--adaptive", "edges.txt"]), "unknown option --adaptive");
+    }
+
+    #[test]
+    fn command_lines_of_ci_and_benchmark_parse() {
+        // The option set `scripts/ci.sh` and `benchmark/` pass today.
+        let lines: &[&[&str]] = &[
+            &["generate", "--dataset", "Hollywood-2009", "--scale-factor", "512", "--out", "g"],
+            &["generate", "--rmat-scale", "17", "--edges", "500000", "--seed", "3", "--out", "g"],
+            &["ingest", "g", "--wal", "db", "--batch", "1024", "--snapshot-every", "4"],
+            &["ingest", "g", "--wal", "db", "--batch", "1024", "--stats"],
+            &[
+                "ingest",
+                "g",
+                "--wal",
+                "db",
+                "--serve",
+                "127.0.0.1:0",
+                "--hold",
+                "--batch",
+                "10000",
+                "--sync",
+                "8",
+                "--pool",
+                "2",
+                "--pipeline",
+                "--workers",
+                "2",
+            ],
+            &["recover", "db", "--root", "0", "--validate"],
+            &["stats", "g", "--paper-layout", "--format", "json"],
+            &[
+                "cc",
+                "g",
+                "--restart",
+                "incremental",
+                "--churn-every",
+                "5",
+                "--batch",
+                "512",
+                "--verify",
+            ],
+            &[
+                "trace",
+                "g",
+                "--wal",
+                "db",
+                "--sync",
+                "never",
+                "--pool",
+                "4",
+                "--pipeline",
+                "--analytics",
+            ],
+            &["serve", "g", "--addr", "127.0.0.1:0", "--slow-query-ms", "0"],
+            &["serve", "db", "--shards", "2", "--workers", "2"],
+        ];
+        for line in lines {
+            let parsed = parse(line.iter().map(|s| s.to_string()));
+            assert_eq!(parsed.map(|a| a.command), Ok(line[0].to_string()), "{line:?}");
+        }
+        for key in VALUE_OPTIONS {
+            assert!(!BARE_FLAGS.contains(key), "--{key} is in both tables");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
 use gtinker_datasets::{dataset_by_name, io, RmatConfig};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp, TriangleCount},
@@ -115,6 +115,9 @@ pooled store while batches apply (snapshots unsupported, like --pool);
 --log LEVEL (any command) sets the structured key=value log level on
 stderr: error|warn|info|debug|off (default warn). Records are
 line-oriented 'ts=... level=... target=... msg=\"...\" k=v' pairs.
+
+An option name gtinker does not know is an error ('unknown option
+--NAME'), whichever command it is given to.
 ";
 
 /// Runs a parsed command; returns an error message on failure.
@@ -192,29 +195,10 @@ fn churn_ops(edges: &[Edge], churn: usize) -> Vec<UpdateOp> {
     ops
 }
 
-/// Store kinds the incremental driver can feed batches into (the
-/// sequential store mutates through `&mut self`, the sharded pool
-/// through `&self`).
-trait BatchStore: GraphStore + Sync {
-    fn apply(&mut self, batch: &EdgeBatch);
-}
-
-impl BatchStore for GraphTinker {
-    fn apply(&mut self, batch: &EdgeBatch) {
-        self.apply_batch(batch);
-    }
-}
-
-impl BatchStore for ParallelTinker {
-    fn apply(&mut self, batch: &EdgeBatch) {
-        ParallelTinker::apply_batch(self, batch);
-    }
-}
-
 /// Streams the input through a [`DynamicRunner`] in `--batch`-op batches
 /// (repairing the standing result after each) and returns the runner
 /// plus the number of batches driven.
-fn drive_incremental<S: BatchStore, P: IncrementalState>(
+fn drive_incremental<S: ApplyBatch + GraphStore + Sync, P: IncrementalState>(
     g: &mut S,
     parsed: &Parsed,
     program: P,
@@ -291,12 +275,18 @@ fn config(parsed: &Parsed) -> Result<TinkerConfig, String> {
     Ok(cfg)
 }
 
-fn load_graph(parsed: &Parsed) -> Result<(GraphTinker, Vec<Edge>), String> {
+/// Loads the input edge list into a single store (symmetrizing first
+/// when `sym` is set, for the undirected analytics).
+fn load_graph(parsed: &Parsed, sym: bool) -> Result<(GraphTinker, Vec<Edge>), String> {
     let path = parsed.input()?;
     let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
+    let mut batch = EdgeBatch::inserts(&edges);
+    if sym {
+        batch = symmetrize(&batch);
+    }
     let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
     let t0 = Instant::now();
-    g.apply_batch(&EdgeBatch::inserts(&edges));
+    g.apply_batch(&batch);
     eprintln!(
         "loaded {} edges ({} live) from {path} in {:.2?}",
         edges.len(),
@@ -356,7 +346,7 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
         );
         g
     } else {
-        load_graph(parsed)?.0
+        load_graph(parsed, false)?.0
     };
     // Refresh the memory_*_bytes gauge family from the final structure
     // state so every output format reports it.
@@ -522,155 +512,83 @@ fn load_parallel(parsed: &Parsed, n: usize, sym: bool) -> Result<ParallelTinker,
 }
 
 fn bfs(parsed: &Parsed) -> Result<(), String> {
-    if incremental_restart(parsed)? {
-        return match shards(parsed)? {
-            1 => {
-                let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-                bfs_incremental(&mut g, parsed)
-            }
-            n => {
-                let mut g = ParallelTinker::new(config(parsed)?, n).map_err(|e| e.to_string())?;
-                bfs_incremental(&mut g, parsed)
-            }
-        };
-    }
-    match shards(parsed)? {
-        1 => bfs_on(&load_graph(parsed)?.0, parsed),
-        n => bfs_on(&load_parallel(parsed, n, false)?, parsed),
-    }
-}
-
-fn bfs_on<S: GraphStore + Sync>(g: &S, parsed: &Parsed) -> Result<(), String> {
     let root = parsed.num("root", 0u32)?;
-    let mut e = Engine::new(Bfs::new(root), mode_policy(parsed)?);
-    let t0 = Instant::now();
-    let r = e.run_from_roots(g);
-    let reached = e.values().iter().filter(|&&v| v != u32::MAX).count();
-    let max_level = e.values().iter().filter(|&&v| v != u32::MAX).max().copied().unwrap_or(0);
-    let (fp, ip) = r.mode_counts();
-    println!(
-        "BFS from {root}: {reached} reached, eccentricity {max_level}, \
-         {} iterations ({fp} FP / {ip} IP) in {:.2?}",
-        r.num_iterations(),
-        t0.elapsed()
-    );
-    if parsed.flag("verify") {
-        verify_against_cold(g, &e)?;
-    }
-    Ok(())
-}
-
-fn bfs_incremental<S: BatchStore>(g: &mut S, parsed: &Parsed) -> Result<(), String> {
-    let root = parsed.num("root", 0u32)?;
-    let t0 = Instant::now();
-    let (runner, batches) = drive_incremental(g, parsed, Bfs::new(root), false)?;
-    let e = runner.engine();
-    let reached = e.values().iter().filter(|&&v| v != u32::MAX).count();
-    let max_level = e.values().iter().filter(|&&v| v != u32::MAX).max().copied().unwrap_or(0);
-    println!(
-        "BFS from {root}: {reached} reached, eccentricity {max_level}, \
-         {batches} incremental batches in {:.2?}",
-        t0.elapsed()
-    );
-    if parsed.flag("verify") {
-        verify_against_cold(&*g, e)?;
-    }
-    Ok(())
+    analytic(parsed, Bfs::new(root), false, true, |levels| {
+        let reached = levels.iter().filter(|&&v| v != u32::MAX).count();
+        let max_level = levels.iter().filter(|&&v| v != u32::MAX).max().copied().unwrap_or(0);
+        format!("BFS from {root}: {reached} reached, eccentricity {max_level}")
+    })
 }
 
 fn sssp(parsed: &Parsed) -> Result<(), String> {
-    if incremental_restart(parsed)? {
-        return match shards(parsed)? {
-            1 => {
-                let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-                sssp_incremental(&mut g, parsed)
-            }
-            n => {
-                let mut g = ParallelTinker::new(config(parsed)?, n).map_err(|e| e.to_string())?;
-                sssp_incremental(&mut g, parsed)
-            }
-        };
-    }
-    match shards(parsed)? {
-        1 => sssp_on(&load_graph(parsed)?.0, parsed),
-        n => sssp_on(&load_parallel(parsed, n, false)?, parsed),
-    }
-}
-
-fn sssp_on<S: GraphStore + Sync>(g: &S, parsed: &Parsed) -> Result<(), String> {
     let root = parsed.num("root", 0u32)?;
-    let mut e = Engine::new(Sssp::new(root), mode_policy(parsed)?);
-    let t0 = Instant::now();
-    let r = e.run_from_roots(g);
-    let reached: Vec<u32> = e.values().iter().copied().filter(|&v| v != u32::MAX).collect();
-    let max = reached.iter().max().copied().unwrap_or(0);
-    println!(
-        "SSSP from {root}: {} reached, max distance {max}, {} iterations in {:.2?}",
-        reached.len(),
-        r.num_iterations(),
-        t0.elapsed()
-    );
-    if parsed.flag("verify") {
-        verify_against_cold(g, &e)?;
-    }
-    Ok(())
-}
-
-fn sssp_incremental<S: BatchStore>(g: &mut S, parsed: &Parsed) -> Result<(), String> {
-    let root = parsed.num("root", 0u32)?;
-    let t0 = Instant::now();
-    let (runner, batches) = drive_incremental(g, parsed, Sssp::new(root), false)?;
-    let e = runner.engine();
-    let reached: Vec<u32> = e.values().iter().copied().filter(|&v| v != u32::MAX).collect();
-    let max = reached.iter().max().copied().unwrap_or(0);
-    println!(
-        "SSSP from {root}: {} reached, max distance {max}, {batches} incremental batches \
-         in {:.2?}",
-        reached.len(),
-        t0.elapsed()
-    );
-    if parsed.flag("verify") {
-        verify_against_cold(&*g, e)?;
-    }
-    Ok(())
+    analytic(parsed, Sssp::new(root), false, false, |dist| {
+        let reached = dist.iter().filter(|&&v| v != u32::MAX).count();
+        let max = dist.iter().filter(|&&v| v != u32::MAX).max().copied().unwrap_or(0);
+        format!("SSSP from {root}: {reached} reached, max distance {max}")
+    })
 }
 
 fn cc(parsed: &Parsed) -> Result<(), String> {
+    analytic(parsed, Cc::new(), true, false, |labels| {
+        let mut distinct = labels.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        format!("CC: {} components over {} vertices", distinct.len(), labels.len())
+    })
+}
+
+/// The one driver behind `bfs`, `sssp` and `cc`: builds the store
+/// `--shards` asks for (the input symmetrized when `sym`), solves
+/// `program` the way `--restart` asks for, and prints `summary` of the
+/// final values followed by how the fixpoint was reached. `mode_split`
+/// adds the FP / IP split of a cold solve's iterations.
+fn analytic<P: IncrementalState<Value = u32> + Copy>(
+    parsed: &Parsed,
+    program: P,
+    sym: bool,
+    mode_split: bool,
+    summary: impl Fn(&[u32]) -> String,
+) -> Result<(), String> {
+    let n = shards(parsed)?;
     if incremental_restart(parsed)? {
-        return match shards(parsed)? {
+        let cfg = config(parsed)?;
+        return match n {
             1 => {
-                let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-                cc_incremental(&mut g, parsed)
+                let mut g = GraphTinker::new(cfg).map_err(|e| e.to_string())?;
+                solve_incremental(&mut g, parsed, program, sym, summary)
             }
             n => {
-                let mut g = ParallelTinker::new(config(parsed)?, n).map_err(|e| e.to_string())?;
-                cc_incremental(&mut g, parsed)
+                let mut g = ParallelTinker::new(cfg, n).map_err(|e| e.to_string())?;
+                solve_incremental(&mut g, parsed, program, sym, summary)
             }
         };
     }
-    match shards(parsed)? {
-        1 => {
-            let path = parsed.input()?;
-            let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-            let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-            g.apply_batch(&symmetrize(&EdgeBatch::inserts(&edges)));
-            cc_on(&g, parsed)
-        }
-        n => cc_on(&load_parallel(parsed, n, true)?, parsed),
+    match n {
+        1 => solve_cold(&load_graph(parsed, sym)?.0, parsed, program, mode_split, summary),
+        n => solve_cold(&load_parallel(parsed, n, sym)?, parsed, program, mode_split, summary),
     }
 }
 
-fn cc_on<S: GraphStore + Sync>(g: &S, parsed: &Parsed) -> Result<(), String> {
-    let mut e = Engine::new(Cc::new(), mode_policy(parsed)?);
+fn solve_cold<S: GraphStore + Sync, P: GasProgram<Value = u32> + Copy>(
+    g: &S,
+    parsed: &Parsed,
+    program: P,
+    mode_split: bool,
+    summary: impl Fn(&[u32]) -> String,
+) -> Result<(), String> {
+    let mut e = Engine::new(program, mode_policy(parsed)?);
     let t0 = Instant::now();
     let r = e.run_from_roots(g);
-    let mut labels: Vec<u32> = e.values().to_vec();
-    labels.sort_unstable();
-    labels.dedup();
+    let split = if mode_split {
+        let (fp, ip) = r.mode_counts();
+        format!(" ({fp} FP / {ip} IP)")
+    } else {
+        String::new()
+    };
     println!(
-        "CC: {} components over {} vertices, {} iterations in {:.2?}",
-        labels.len(),
-        e.values().len(),
+        "{}, {} iterations{split} in {:.2?}",
+        summary(e.values()),
         r.num_iterations(),
         t0.elapsed()
     );
@@ -680,19 +598,21 @@ fn cc_on<S: GraphStore + Sync>(g: &S, parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-fn cc_incremental<S: BatchStore>(g: &mut S, parsed: &Parsed) -> Result<(), String> {
+fn solve_incremental<S, P>(
+    g: &mut S,
+    parsed: &Parsed,
+    program: P,
+    sym: bool,
+    summary: impl Fn(&[u32]) -> String,
+) -> Result<(), String>
+where
+    S: ApplyBatch + GraphStore + Sync,
+    P: IncrementalState<Value = u32> + Copy,
+{
     let t0 = Instant::now();
-    let (runner, batches) = drive_incremental(g, parsed, Cc::new(), true)?;
+    let (runner, batches) = drive_incremental(g, parsed, program, sym)?;
     let e = runner.engine();
-    let mut labels: Vec<u32> = e.values().to_vec();
-    labels.sort_unstable();
-    labels.dedup();
-    println!(
-        "CC: {} components over {} vertices, {batches} incremental batches in {:.2?}",
-        labels.len(),
-        e.values().len(),
-        t0.elapsed()
-    );
+    println!("{}, {batches} incremental batches in {:.2?}", summary(e.values()), t0.elapsed());
     if parsed.flag("verify") {
         verify_against_cold(&*g, e)?;
     }
@@ -701,7 +621,7 @@ fn cc_incremental<S: BatchStore>(g: &mut S, parsed: &Parsed) -> Result<(), Strin
 
 fn pagerank(parsed: &Parsed) -> Result<(), String> {
     match shards(parsed)? {
-        1 => pagerank_on(&load_graph(parsed)?.0, parsed),
+        1 => pagerank_on(&load_graph(parsed, false)?.0, parsed),
         n => pagerank_on(&load_parallel(parsed, n, false)?, parsed),
     }
 }
@@ -1030,7 +950,7 @@ fn trace_cmd(parsed: &Parsed) -> Result<(), String> {
     // branch-out instants must not evict the ingest's WAL/pool spans.
     let mut dump = gtinker_core::trace::dump();
     if parsed.flag("analytics") {
-        let (mut g, edges) = load_graph(parsed)?;
+        let (mut g, edges) = load_graph(parsed, false)?;
         let root = parsed.num("root", 0u32)?;
         let mut runner =
             DynamicRunner::new(Bfs::new(root), mode_policy(parsed)?, RestartPolicy::Incremental);
@@ -1132,7 +1052,7 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
         s.apply_batch(&EdgeBatch::inserts(&edges));
         write_stinger_snapshot(dir, &s, 0).map_err(|e| e.to_string())?
     } else {
-        let (g, _) = load_graph(parsed)?;
+        let (g, _) = load_graph(parsed, false)?;
         write_tinker_snapshot(dir, &g, 0).map_err(|e| e.to_string())?
     };
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
@@ -1233,11 +1153,8 @@ mod tests {
         assert_eq!(c.pagewidth, 32);
         assert_eq!(c.delete_mode, DeleteMode::DeleteAndCompact);
         assert!(config(&parsed(&["stats", "f", "--pagewidth", "33"])).is_err());
-        // Tiers are on unless --paper-layout; the retired --adaptive
-        // still parses and changes nothing.
-        let plain = config(&parsed(&["stats", "f"])).unwrap();
-        assert_eq!(plain, TinkerConfig::default());
-        assert_eq!(config(&parsed(&["stats", "f", "--adaptive"])).unwrap(), plain);
+        // Tiers are on unless --paper-layout.
+        assert_eq!(config(&parsed(&["stats", "f"])).unwrap(), TinkerConfig::default());
         assert_eq!(
             config(&parsed(&["stats", "f", "--paper-layout"])).unwrap(),
             TinkerConfig::paper()

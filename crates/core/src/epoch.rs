@@ -146,7 +146,7 @@ impl<S: ShardStore> ViewLayer<S> {
                 }
             }
             if !claim.is_empty() {
-                replica.apply_shard_batch(&claim);
+                replica.apply(&claim);
             }
             folded += 1;
         }

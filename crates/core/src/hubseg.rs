@@ -26,12 +26,10 @@
 //! four parallel lanes (the tail is unordered anyway).
 //!
 //! The tail additionally carries a SWAR tag lane (one fingerprint byte per
-//! tail entry, see [`crate::swar`]): [`HubSegment::find_tagged`] scans it
-//! eight bytes per `u64` with the shared group-match primitive and touches
-//! the 8-byte keys only on fingerprint candidates, replacing the seed
-//! 4-wide key compare on the hot path. The seed scan is kept as
-//! [`HubSegment::find`] for A/B comparison; the lane is maintained in both
-//! modes.
+//! tail entry, see [`crate::swar`]): [`HubSegment::find`] scans it eight
+//! bytes per `u64` with the shared group-match primitive and touches the
+//! 8-byte keys only on fingerprint candidates. The 4-wide key compare over
+//! the tail it replaced is the reference model in this module's tests.
 
 use gtinker_types::{VertexId, Weight};
 
@@ -234,28 +232,12 @@ impl HubSegment {
         }
     }
 
-    /// Index of `dst`, probing the main run then the tail with the seed
-    /// chunked key compare (the `probe_tags = false` baseline; see
-    /// [`Self::find_tagged`] for the SWAR path).
-    pub fn find(&self, dst: VertexId) -> Option<usize> {
-        let key = live_key(dst);
-        let hit = self.find_main(key);
-        if hit.is_some() {
-            return hit;
-        }
-        let (w, bit) = filter_slot(dst);
-        if self.tail_filter[w] & bit == 0 {
-            return None;
-        }
-        find_key_chunked(&self.keys[self.split..], key).map(|i| self.split + i)
-    }
-
-    /// [`Self::find`] with the tail scanned through the SWAR tag lane:
-    /// eight fingerprint bytes per `u64` load, full 8-byte keys touched
-    /// only at candidate lanes. `tag` is the caller's hoisted
+    /// Index of `dst`, probing the main run, then the tail through its
+    /// SWAR tag lane: eight fingerprint bytes per `u64` load, full 8-byte
+    /// keys touched only at candidate lanes. `tag` is the caller's hoisted
     /// [`dst_tag`]`(dst)` byte (derived once per operation in the update
     /// path).
-    pub fn find_tagged(&self, dst: VertexId, tag: u8) -> Option<usize> {
+    pub fn find(&self, dst: VertexId, tag: u8) -> Option<usize> {
         debug_assert_eq!(tag, dst_tag(dst));
         let key = live_key(dst);
         let hit = self.find_main(key);
@@ -282,15 +264,10 @@ impl HubSegment {
         None
     }
 
-    /// Inserts a new edge. The caller must have checked `dst` is absent.
-    pub fn insert(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32) {
-        self.insert_tagged(dst, weight, cal_ptr, dst_tag(dst));
-    }
-
-    /// [`Self::insert`] with the fingerprint byte precomputed by the caller.
-    pub fn insert_tagged(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32, tag: u8) {
-        debug_assert!(self.find(dst).is_none());
-        debug_assert_eq!(tag, dst_tag(dst));
+    /// Inserts a new edge with its [`dst_tag`] byte. The caller must have
+    /// checked `dst` is absent.
+    pub fn insert(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32, tag: u8) {
+        debug_assert!(self.find(dst, tag).is_none());
         let (w, bit) = filter_slot(dst);
         self.tail_filter[w] |= bit;
         self.keys.push(live_key(dst));
@@ -513,6 +490,22 @@ impl HubSegment {
 mod tests {
     use super::*;
 
+    /// Reference model of [`HubSegment::find`]: the same main-run gallop,
+    /// then a 4-wide key compare over the whole tail, no filter, no tags.
+    fn find_scalar(seg: &HubSegment, dst: VertexId) -> Option<usize> {
+        let key = live_key(dst);
+        seg.find_main(key)
+            .or_else(|| find_key_chunked(&seg.keys[seg.split..], key).map(|i| seg.split + i))
+    }
+
+    fn find(seg: &HubSegment, dst: VertexId) -> Option<usize> {
+        seg.find(dst, dst_tag(dst))
+    }
+
+    fn insert(seg: &mut HubSegment, dst: VertexId, weight: Weight, cal_ptr: u32) {
+        seg.insert(dst, weight, cal_ptr, dst_tag(dst));
+    }
+
     #[test]
     fn find_key_matches_position_on_sorted_input() {
         let keys: Vec<u64> = (0..1000).map(|i| i * 3).collect();
@@ -539,20 +532,20 @@ mod tests {
     fn insert_find_remove_roundtrip() {
         let mut seg = HubSegment::from_edges(vec![(10, 1, 0), (2, 2, 1), (30, 3, 2)]);
         assert_eq!(seg.len(), 3);
-        let i = seg.find(10).unwrap();
+        let i = find(&seg, 10).unwrap();
         assert_eq!((seg.weight(i), seg.cal_ptr(i)), (1, 0));
 
-        seg.insert(5, 50, 3);
-        seg.insert(40, 60, 4);
+        insert(&mut seg, 5, 50, 3);
+        insert(&mut seg, 40, 60, 4);
         assert_eq!(seg.len(), 5);
         for d in [2, 5, 10, 30, 40] {
-            assert!(seg.find(d).is_some(), "dst {d}");
+            assert!(find(&seg, d).is_some(), "dst {d}");
         }
-        assert!(seg.find(7).is_none());
+        assert!(find(&seg, 7).is_none());
 
-        let i = seg.find(5).unwrap();
+        let i = find(&seg, 5).unwrap();
         assert_eq!(seg.remove(i), 3);
-        assert!(seg.find(5).is_none());
+        assert!(find(&seg, 5).is_none());
         assert_eq!(seg.len(), 4);
     }
 
@@ -561,14 +554,14 @@ mod tests {
         let mut seg = HubSegment::from_edges((0..100).map(|i| (i * 4, i, i)).collect());
         // Push well past TAIL_CAP with ids interleaved into the main run.
         for i in 0..(TAIL_CAP as u32 * 2 + 7) {
-            seg.insert(i * 4 + 1, i, 100 + i);
+            insert(&mut seg, i * 4 + 1, i, 100 + i);
         }
         for i in 0..100u32 {
-            let at = seg.find(i * 4).unwrap();
+            let at = find(&seg, i * 4).unwrap();
             assert_eq!((seg.weight(at), seg.cal_ptr(at)), (i, i));
         }
         for i in 0..(TAIL_CAP as u32 * 2 + 7) {
-            let at = seg.find(i * 4 + 1).unwrap();
+            let at = find(&seg, i * 4 + 1).unwrap();
             assert_eq!((seg.weight(at), seg.cal_ptr(at)), (i, 100 + i));
         }
         assert_eq!(seg.len(), 100 + TAIL_CAP * 2 + 7);
@@ -577,7 +570,7 @@ mod tests {
     #[test]
     fn for_each_and_into_edges_agree() {
         let mut seg = HubSegment::from_edges(vec![(3, 30, 0), (1, 10, 1)]);
-        seg.insert(2, 20, 2);
+        insert(&mut seg, 2, 20, 2);
         let mut seen = Vec::new();
         seg.for_each(|d, w, p| seen.push((d, w, p)));
         let mut drained = seg.into_edges();
@@ -593,36 +586,35 @@ mod tests {
         let n = FENCE_STRIDE as u32 * 10 + 13;
         let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i, i)).collect());
         for i in 0..n {
-            assert_eq!(seg.find(i * 2), Some(i as usize), "key {}", i * 2);
-            assert_eq!(seg.find(i * 2 + 1), None);
+            assert_eq!(find(&seg, i * 2), Some(i as usize), "key {}", i * 2);
+            assert_eq!(find(&seg, i * 2 + 1), None);
         }
         // Kill a fence key itself (slot 3 * FENCE_STRIDE) and a mid-window
         // one: neither moves an element, and every other key stays findable.
         let victims = [FENCE_STRIDE as u32 * 6, FENCE_STRIDE as u32 * 3];
         for v in victims {
-            let at = seg.find(v).unwrap();
+            let at = find(&seg, v).unwrap();
             seg.remove(at);
-            assert_eq!(seg.find(v), None);
+            assert_eq!(find(&seg, v), None);
             seg.validate().unwrap();
         }
         assert_eq!((seg.keys.len(), seg.len(), seg.dead_slots()), (n as usize, n as usize - 2, 2));
         for i in 0..n {
             let k = i * 2;
-            assert_eq!(seg.find(k).is_some(), !victims.contains(&k), "key {k}");
+            assert_eq!(find(&seg, k).is_some(), !victims.contains(&k), "key {k}");
         }
     }
 
     #[test]
     fn dead_key_reinsert_lands_in_tail_and_merge_drops_the_dead_slot() {
         let mut seg = HubSegment::from_edges((0..40).map(|i| (i, i, i)).collect());
-        let at = seg.find(7).unwrap();
+        let at = find(&seg, 7).unwrap();
         assert_eq!(seg.remove(at), 7);
         assert_eq!((seg.len(), seg.dead_slots()), (39, 1));
-        seg.insert(7, 70, 700);
-        let at = seg.find(7).unwrap();
+        insert(&mut seg, 7, 70, 700);
+        let at = find(&seg, 7).unwrap();
         assert!(at >= seg.split, "the dead slot is not revived");
         assert_eq!((seg.weight(at), seg.cal_ptr(at)), (70, 700));
-        assert_eq!(seg.find_tagged(7, dst_tag(7)), Some(at));
         seg.validate().unwrap();
         // Iteration and draining see the live copy only.
         let mut seen = Vec::new();
@@ -643,12 +635,12 @@ mod tests {
         let n = 400usize;
         let mut seg = HubSegment::from_edges((0..n as u32).map(|i| (i, i, i)).collect());
         for d in 0..(n / MAX_DEAD_SHARE) as u32 {
-            let at = seg.find(d).unwrap();
+            let at = find(&seg, d).unwrap();
             seg.remove(at);
             seg.validate().unwrap();
         }
         assert_eq!((seg.dead_slots(), seg.forced, seg.keys.len()), (n / MAX_DEAD_SHARE, 0, n));
-        let at = seg.find(300).unwrap();
+        let at = find(&seg, 300).unwrap();
         seg.remove(at);
         assert_eq!((seg.dead_slots(), seg.forced, seg.passes), (0, 1, 1));
         assert_eq!(seg.keys.len(), seg.len());
@@ -668,7 +660,7 @@ mod tests {
         let n = 10_000u32;
         let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i, i)).collect());
         // A main-run delete leaves every lane where it was.
-        let at = seg.find(4_000).unwrap();
+        let at = find(&seg, 4_000).unwrap();
         assert!(at < seg.split);
         seg.remove(at);
         assert_eq!((seg.keys.len(), seg.len()), (n as usize, n as usize - 1));
@@ -679,11 +671,11 @@ mod tests {
         let (mut inserts, mut deletes) = (0usize, 0usize);
         for fresh in 0..5_000u32 {
             let victim = live.swap_remove(xorshift(&mut rng) as usize % live.len());
-            let at = seg.find(victim).expect("live edge findable");
+            let at = find(&seg, victim).expect("live edge findable");
             seg.remove(at);
             deletes += 1;
             let dst = fresh * 2 + 1; // odd ids: never in the seed run
-            seg.insert(dst, dst, dst);
+            insert(&mut seg, dst, dst, dst);
             live.push(dst);
             inserts += 1;
         }
@@ -691,7 +683,7 @@ mod tests {
         seg.validate().unwrap();
         assert_eq!(seg.len(), live.len());
         for &d in &live {
-            assert!(seg.find(d).is_some(), "dst {d} lost");
+            assert!(find(&seg, d).is_some(), "dst {d} lost");
         }
         // Fences are rebuilt by merge passes only, and the number of passes
         // depends on inserts (tail overflows) plus forced compactions —
@@ -716,15 +708,15 @@ mod tests {
         let mut seg = HubSegment::from_edges((0..50).map(|i| (i * 3, i, i)).collect());
         // Grow a tail past one merge, removing from both regions along the way.
         for i in 0..(TAIL_CAP as u32 + 40) {
-            seg.insert(i * 3 + 1, i, i);
+            insert(&mut seg, i * 3 + 1, i, i);
             seg.validate().unwrap();
             if i % 17 == 0 {
-                if let Some(at) = seg.find(i * 3 + 1) {
+                if let Some(at) = find(&seg, i * 3 + 1) {
                     seg.remove(at);
                 }
             }
             if i % 23 == 0 {
-                if let Some(at) = seg.find((i % 50) * 3) {
+                if let Some(at) = find(&seg, (i % 50) * 3) {
                     seg.remove(at);
                 }
             }
@@ -732,8 +724,8 @@ mod tests {
         seg.validate().unwrap();
         for d in 0..(TAIL_CAP as u32 * 4) {
             assert_eq!(
-                seg.find_tagged(d, crate::hash::dst_tag(d)),
-                seg.find(d),
+                seg.find(d, dst_tag(d)),
+                find_scalar(&seg, d),
                 "tagged/seed find diverged for {d}"
             );
         }
@@ -743,18 +735,18 @@ mod tests {
     fn tail_tag_lane_tracks_removals() {
         let mut seg = HubSegment::from_edges(vec![(1, 1, 0)]);
         for d in [100u32, 200, 300, 400] {
-            seg.insert(d, d, d);
+            insert(&mut seg, d, d, d);
         }
         // Remove from the middle of the tail; the last entry (and its lane
         // byte) is swapped into the hole.
-        let at = seg.find(200).unwrap();
+        let at = find(&seg, 200).unwrap();
         assert_eq!(seg.remove(at), 200);
         seg.validate().unwrap();
-        assert_eq!(seg.find(400), Some(at));
+        assert_eq!(find(&seg, 400), Some(at));
         for d in [100u32, 300, 400] {
-            let i = seg.find_tagged(d, dst_tag(d)).unwrap();
+            let i = find(&seg, d).unwrap();
             assert_eq!((seg.weight(i), seg.cal_ptr(i)), (d, d));
         }
-        assert!(seg.find_tagged(200, dst_tag(200)).is_none());
+        assert!(find(&seg, 200).is_none());
     }
 }

@@ -66,11 +66,10 @@ pub use edgeblock::{BlockArena, CellState, EdgeCell};
 pub use epoch::{ReadGuard, ViewLayer};
 pub use hubseg::HubSegment;
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
-pub use parallel::ParallelTinker;
-pub use parallel::StoreView;
+pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};
 pub use pool::{ShardPool, ShardStore};
 pub use sgh::SghUnit;
 pub use stats::{ProbeStats, StructureStats};
-pub use tinker::{BatchResult, GraphTinker};
+pub use tinker::{ApplyBatch, BatchResult, GraphTinker};
 pub use trace::{SpanId, TraceDump, TraceEvent};
 pub use vertex::{InlineAdj, Tier, VertexProperty, VertexPropertyArray};

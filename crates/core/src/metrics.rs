@@ -604,10 +604,9 @@ registry! {
     struct Metrics / MetricsSnapshot {
         /// Edge-cells inspected per RHH placement: one observation per
         /// insertion attempt, recording how many full-width cells the
-        /// placement touched. The unit is identical on the SWAR tagged
-        /// fast path (which jumps via the tag lane and touches ~1 cell)
-        /// and the seed scalar walk, so before/after distributions in
-        /// `BENCH_probe_swar.json` compare directly.
+        /// placement touched: the Robin Hood walk's whole displacement
+        /// chain, or the one cell the no-swap path jumps to via the tag
+        /// lane.
         rhh_probe: histogram,
         /// Robin Hood swaps: residents displaced to seat a richer arrival.
         rhh_displacements: counter,

@@ -11,90 +11,82 @@
 //! Batches are applied through a persistent [`ShardPool`]: workers are
 //! spawned once and fed per-shard queues, each worker claims its own
 //! interval out of the shared batch (parallelizing the partition pass),
-//! and the asynchronous [`submit`](ParallelTinker::submit) /
-//! [`flush`](ParallelTinker::flush) pair double-buffers so batch *k+1*
+//! and the asynchronous [`submit`](Sharded::submit) /
+//! [`flush`](Sharded::flush) pair double-buffers so batch *k+1*
 //! partitions while batch *k* applies.
-//! The old spawn-a-scope-per-batch strategy survives as
-//! [`apply_batch_spawn`](ParallelTinker::apply_batch_spawn), the baseline
-//! the `fig_ingest_pipeline` benchmark compares against.
+//!
+//! Reads go through one facade, [`Sharded`], generic over how shard `i` is
+//! borrowed ([`ShardAccess`]): the live pool after a pipeline barrier
+//! ([`ParallelTinker`], and `ParallelStinger` in `gtinker-stinger`), or an
+//! epoch pin's frozen replicas with no barrier ([`StoreView`]).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig, VertexId, Weight};
+use gtinker_types::{partition_of, EdgeBatch, Result, VertexId, Weight};
 
 use crate::epoch::ReadGuard;
-use crate::pool::ShardPool;
+use crate::pool::{ShardPool, ShardStore};
 use crate::stats::ProbeStats;
-use crate::tinker::{BatchResult, GraphTinker};
+use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 
-/// A set of interval-partitioned GraphTinker instances updated in parallel
-/// by a persistent worker pool.
-pub struct ParallelTinker {
-    pool: ShardPool<GraphTinker>,
-    /// Partition scratch for the spawn-per-batch baseline, reused across
-    /// batches (behind a mutex so the ingest facade stays `&self` and an
-    /// `Arc<ParallelTinker>` can be shared with HTTP query workers).
-    parts: Mutex<Vec<EdgeBatch>>,
+/// How a sharded store lends out shard `i` for reading.
+pub trait ShardAccess {
+    /// The per-interval store.
+    type Shard: ShardStore;
+
+    /// Number of interval shards.
+    fn num_shards(&self) -> usize;
+
+    /// Runs `f` over shard `i` read-only.
+    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&Self::Shard) -> R) -> R;
 }
 
-impl ParallelTinker {
-    /// Creates `n` empty instances sharing one configuration, and spawns
-    /// the `n` worker threads that own them until drop.
-    pub fn new(config: TinkerConfig, n: usize) -> Result<Self> {
-        Self::build(config, n, false)
-    }
+/// The live shards, after a pipeline barrier so every submitted batch is
+/// visible.
+impl<S: ShardStore> ShardAccess for ShardPool<S> {
+    type Shard = S;
 
-    /// Like [`new`](Self::new), but the pool also maintains epoch-pinned
-    /// read replicas, so [`pin_view`](Self::pin_view) serves barrier-free
-    /// snapshot-isolated queries while ingestion keeps running.
-    pub fn new_with_views(config: TinkerConfig, n: usize) -> Result<Self> {
-        Self::build(config, n, true)
+    fn num_shards(&self) -> usize {
+        ShardPool::num_shards(self)
     }
-
-    fn build(config: TinkerConfig, n: usize, views: bool) -> Result<Self> {
-        assert!(n > 0, "need at least one instance");
-        let mut instances = Vec::with_capacity(n);
-        for _ in 0..n {
-            instances.push(GraphTinker::new(config)?);
-        }
-        let parts = Mutex::new((0..n).map(|_| EdgeBatch::new()).collect());
-        let pool =
-            if views { ShardPool::new_with_views(instances) } else { ShardPool::new(instances) };
-        Ok(ParallelTinker { pool, parts })
+    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
+        ShardPool::with_shard(self, i, f)
     }
+}
 
-    /// Whether this store was built with epoch-pinnable read views.
-    #[inline]
-    pub fn views_enabled(&self) -> bool {
-        self.pool.views_enabled()
+/// The replicas frozen at the pinned epoch; no barrier.
+impl<S: ShardStore> ShardAccess for ReadGuard<'_, S> {
+    type Shard = S;
+
+    fn num_shards(&self) -> usize {
+        ReadGuard::num_shards(self)
     }
-
-    /// Pins the current acked batch boundary and returns a consistent,
-    /// barrier-free [`StoreView`] over it — or `None` when the store was
-    /// built without views. The writer keeps applying later batches while
-    /// the view is held; see [`crate::epoch`] for the isolation contract.
-    pub fn pin_view(&self) -> Option<StoreView<'_>> {
-        self.pool.pin().map(|guard| StoreView { guard })
+    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
+        ReadGuard::with_shard(self, i, f)
     }
+}
 
+/// A set of interval-partitioned store instances behind one read API:
+/// point queries are routed to the instance owning the source, whole-graph
+/// reads visit the instances in interval order.
+pub struct Sharded<A>(A);
+
+/// Interval-partitioned [`GraphTinker`] instances updated in parallel by a
+/// persistent worker pool.
+pub type ParallelTinker = Sharded<ShardPool<GraphTinker>>;
+
+/// A pinned, snapshot-isolated view of a [`ParallelTinker`].
+///
+/// Obtained from [`pin_view`](Sharded::pin_view); reads the pool's lagging
+/// replicas at one acked batch boundary ([`epoch`](Sharded::epoch)) with no
+/// pipeline barrier, so queries run while ingestion continues.
+pub type StoreView<'a> = Sharded<ReadGuard<'a, GraphTinker>>;
+
+impl<A: ShardAccess> Sharded<A> {
     /// Number of parallel instances (one per intended core).
     #[inline]
     pub fn num_instances(&self) -> usize {
-        self.pool.num_shards()
-    }
-
-    /// One past the highest fully-applied batch seq (single atomic load —
-    /// safe on barrier-free paths like `/healthz` and `/debug/vars`).
-    #[inline]
-    pub fn acked_batches(&self) -> u64 {
-        self.pool.acked_batches()
-    }
-
-    /// Number of submitted-but-unreaped batches (racy diagnostic; see
-    /// [`ShardPool::pending_batches`]).
-    #[inline]
-    pub fn pending_batches(&self) -> usize {
-        self.pool.pending_batches()
+        self.0.num_shards()
     }
 
     #[inline]
@@ -102,11 +94,105 @@ impl ParallelTinker {
         partition_of(src, self.num_instances())
     }
 
+    /// Runs `f` over one instance read-only (shard = instance index).
+    pub fn with_instance<R>(&self, i: usize, f: impl FnOnce(&A::Shard) -> R) -> R {
+        self.0.with_shard(i, f)
+    }
+
+    /// Total live edges across instances.
+    pub fn num_edges(&self) -> u64 {
+        (0..self.num_instances()).map(|i| self.with_instance(i, |g| g.num_edges())).sum()
+    }
+
+    /// One past the largest vertex id seen by any instance.
+    pub fn vertex_space(&self) -> u32 {
+        (0..self.num_instances())
+            .map(|i| self.with_instance(i, |g| g.vertex_space()))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Weight of `(src, dst)`, routed to the owning instance.
+    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        self.with_instance(self.shard(src), |g| g.edge_weight(src, dst))
+    }
+
+    /// Whether `(src, dst)` is present.
+    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
+        self.edge_weight(src, dst).is_some()
+    }
+
+    /// Out-degree of `src`.
+    pub fn out_degree(&self, src: VertexId) -> u32 {
+        self.with_instance(self.shard(src), |g| g.out_degree(src))
+    }
+
+    /// Visits the out-edges of `src`.
+    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, f: F) {
+        self.with_instance(self.shard(src), |g| g.for_each_out_edge(src, f));
+    }
+
+    /// Visits every live edge, instance by instance (each instance in its
+    /// own streaming order — the CAL for GraphTinker).
+    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+        for i in 0..self.num_instances() {
+            self.with_instance(i, |g| g.for_each_edge(&mut f));
+        }
+    }
+}
+
+impl<S: ShardStore> Sharded<ShardPool<S>> {
+    /// Creates `n` empty instances sharing one configuration, and spawns
+    /// the `n` worker threads that own them until drop.
+    pub fn new(config: S::Config, n: usize) -> Result<Self> {
+        Ok(Sharded(ShardPool::new(Self::instances(config, n)?)))
+    }
+
+    /// Like [`new`](Self::new), but the pool also maintains epoch-pinned
+    /// read replicas, so [`pin_view`](Self::pin_view) serves barrier-free
+    /// snapshot-isolated queries while ingestion keeps running.
+    pub fn new_with_views(config: S::Config, n: usize) -> Result<Self> {
+        Ok(Sharded(ShardPool::new_with_views(Self::instances(config, n)?)))
+    }
+
+    fn instances(config: S::Config, n: usize) -> Result<Vec<S>> {
+        assert!(n > 0, "need at least one instance");
+        (0..n).map(|_| S::with_config(config)).collect()
+    }
+
+    /// Whether this store was built with epoch-pinnable read views.
+    #[inline]
+    pub fn views_enabled(&self) -> bool {
+        self.0.views_enabled()
+    }
+
+    /// Pins the current acked batch boundary and returns a consistent,
+    /// barrier-free view over it — or `None` when the store was built
+    /// without views. The writer keeps applying later batches while the
+    /// view is held; see [`crate::epoch`] for the isolation contract.
+    pub fn pin_view(&self) -> Option<Sharded<ReadGuard<'_, S>>> {
+        self.0.pin().map(Sharded)
+    }
+
+    /// One past the highest fully-applied batch seq (single atomic load —
+    /// safe on barrier-free paths like `/healthz` and `/debug/vars`).
+    #[inline]
+    pub fn acked_batches(&self) -> u64 {
+        self.0.acked_batches()
+    }
+
+    /// Number of submitted-but-unreaped batches (racy diagnostic; see
+    /// [`ShardPool::pending_batches`]).
+    #[inline]
+    pub fn pending_batches(&self) -> usize {
+        self.0.pending_batches()
+    }
+
     /// Applies a batch synchronously through the worker pool: every worker
     /// claims its interval from the shared batch and applies it, and the
     /// merged outcome counts are returned.
     pub fn apply_batch(&self, batch: &EdgeBatch) -> BatchResult {
-        self.pool.apply(batch)
+        self.0.apply(batch)
     }
 
     /// Queues a batch asynchronously (pipelined ingestion): the call
@@ -117,101 +203,43 @@ impl ParallelTinker {
     ///
     /// [`flush`]: Self::flush
     pub fn submit(&self, batch: EdgeBatch) {
-        self.pool.submit(Arc::new(batch));
+        self.0.submit(Arc::new(batch));
     }
 
     /// [`submit`](Self::submit) without re-owning the batch, for callers
     /// (e.g. a WAL writer) that keep a reference to it.
     pub fn submit_shared(&self, batch: Arc<EdgeBatch>) {
-        self.pool.submit(batch);
+        self.0.submit(batch);
     }
 
     /// Drains the pipeline, returning the merged outcome counts of every
     /// batch submitted since the last flush.
     pub fn flush(&self) -> BatchResult {
-        self.pool.flush()
+        self.0.flush()
     }
+}
 
-    /// The pre-pool strategy, kept as a benchmark baseline: partition the
-    /// batch serially, then spawn one scoped thread per non-empty
-    /// interval. Pays thread creation and a single-threaded partition scan
-    /// on every batch.
-    pub fn apply_batch_spawn(&self, batch: &EdgeBatch) -> BatchResult {
-        let mut parts = self.parts.lock().expect("parts poisoned");
-        batch.partition_into(&mut parts);
-        let pool = &self.pool;
-        let mut results = vec![BatchResult::default(); parts.len()];
-        std::thread::scope(|scope| {
-            for (i, (part, slot)) in parts.iter().zip(results.iter_mut()).enumerate() {
-                // Skip intervals that received nothing in this batch.
-                if part.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    *slot = pool.with_shard_mut(i, |g| g.apply_batch(part));
-                });
-            }
-        });
-        let mut total = BatchResult::default();
-        for r in &results {
-            total.merge(r);
-        }
-        total
+impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
+        self.apply_batch(batch)
     }
+}
 
-    /// Total live edges across instances.
-    pub fn num_edges(&self) -> u64 {
-        (0..self.num_instances()).map(|i| self.pool.with_shard(i, |g| g.num_edges())).sum()
+impl<S: ShardStore> Sharded<ReadGuard<'_, S>> {
+    /// The pinned batch boundary: exactly the first `epoch()` submitted
+    /// batches are visible, in submission order.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.0.epoch()
     }
+}
 
-    /// One past the largest vertex id seen by any instance.
-    pub fn vertex_space(&self) -> u32 {
-        (0..self.num_instances())
-            .map(|i| self.pool.with_shard(i, |g| g.vertex_space()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Weight of `(src, dst)`, routed to the owning instance.
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        self.pool.with_shard(self.shard(src), |g| g.edge_weight(src, dst))
-    }
-
-    /// Whether `(src, dst)` is present.
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.edge_weight(src, dst).is_some()
-    }
-
-    /// Out-degree of `src`.
-    pub fn out_degree(&self, src: VertexId) -> u32 {
-        self.pool.with_shard(self.shard(src), |g| g.out_degree(src))
-    }
-
-    /// Visits the out-edges of `src`.
-    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, f: F) {
-        self.pool.with_shard(self.shard(src), |g| g.for_each_out_edge(src, f));
-    }
-
-    /// Visits every live edge, instance by instance (each instance streams
-    /// its CAL sequentially).
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        for i in 0..self.num_instances() {
-            self.pool.with_shard(i, |g| g.for_each_edge(&mut f));
-        }
-    }
-
-    /// Runs `f` over one instance read-only (shard = instance index).
-    /// Replaces the old `instances()` slice accessor, which is impossible
-    /// now that the worker pool shares ownership of the instances.
-    pub fn with_instance<R>(&self, i: usize, f: impl FnOnce(&GraphTinker) -> R) -> R {
-        self.pool.with_shard(i, f)
-    }
-
+impl ParallelTinker {
     /// Merged probe statistics across instances.
     pub fn stats(&self) -> ProbeStats {
         let mut s = ProbeStats::default();
         for i in 0..self.num_instances() {
-            self.pool.with_shard(i, |g| s.merge(&g.stats()));
+            self.with_instance(i, |g| s.merge(&g.stats()));
         }
         s
     }
@@ -219,7 +247,7 @@ impl ParallelTinker {
     /// Clears probe statistics on all instances.
     pub fn reset_stats(&mut self) {
         for i in 0..self.num_instances() {
-            self.pool.with_shard_mut(i, |g| g.reset_stats());
+            self.0.with_shard_mut(i, |g| g.reset_stats());
         }
     }
 
@@ -228,8 +256,7 @@ impl ParallelTinker {
     pub fn publish_memory_metrics(&self) {
         let mut sums = (0usize, 0usize, 0usize, 0usize, 0usize);
         for i in 0..self.num_instances() {
-            let (inline, blocks, hub, cal, total) =
-                self.pool.with_shard(i, |g| g.memory_breakdown());
+            let (inline, blocks, hub, cal, total) = self.with_instance(i, |g| g.memory_breakdown());
             sums.0 += inline;
             sums.1 += blocks;
             sums.2 += hub;
@@ -245,93 +272,9 @@ impl ParallelTinker {
     }
 }
 
-/// A pinned, snapshot-isolated view of a [`ParallelTinker`].
-///
-/// Obtained from [`ParallelTinker::pin_view`]; reads the pool's lagging
-/// replicas at one acked batch boundary ([`epoch`](Self::epoch)) with no
-/// pipeline barrier, so queries run while ingestion continues. The query
-/// surface mirrors `ParallelTinker`'s read API.
-pub struct StoreView<'a> {
-    guard: ReadGuard<'a, GraphTinker>,
-}
-
-impl StoreView<'_> {
-    /// The pinned batch boundary: exactly the first `epoch()` submitted
-    /// batches are visible, in submission order.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.guard.epoch()
-    }
-
-    /// Number of replica instances (same partitioning as the live store).
-    #[inline]
-    pub fn num_instances(&self) -> usize {
-        self.guard.num_shards()
-    }
-
-    #[inline]
-    fn shard(&self, src: VertexId) -> usize {
-        partition_of(src, self.num_instances())
-    }
-
-    /// Total live edges at the pinned boundary.
-    pub fn num_edges(&self) -> u64 {
-        (0..self.num_instances()).map(|i| self.guard.with_shard(i, |g| g.num_edges())).sum()
-    }
-
-    /// One past the largest vertex id at the pinned boundary.
-    pub fn vertex_space(&self) -> u32 {
-        (0..self.num_instances())
-            .map(|i| self.guard.with_shard(i, |g| g.vertex_space()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Weight of `(src, dst)`, routed to the owning replica.
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        self.guard.with_shard(self.shard(src), |g| g.edge_weight(src, dst))
-    }
-
-    /// Whether `(src, dst)` is present at the pinned boundary.
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.edge_weight(src, dst).is_some()
-    }
-
-    /// Out-degree of `src` at the pinned boundary.
-    pub fn out_degree(&self, src: VertexId) -> u32 {
-        self.guard.with_shard(self.shard(src), |g| g.out_degree(src))
-    }
-
-    /// Visits the out-edges of `src`.
-    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, f: F) {
-        self.guard.with_shard(self.shard(src), |g| g.for_each_out_edge(src, f));
-    }
-
-    /// Visits every live edge, replica by replica (each streams its CAL).
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        for i in 0..self.num_instances() {
-            self.guard.with_shard(i, |g| g.for_each_edge(&mut f));
-        }
-    }
-
-    /// Runs `f` over one replica read-only (shard = instance index).
-    pub fn with_instance<R>(&self, i: usize, f: impl FnOnce(&GraphTinker) -> R) -> R {
-        self.guard.with_shard(i, f)
-    }
-}
-
-impl std::fmt::Debug for StoreView<'_> {
+impl<A: ShardAccess> std::fmt::Debug for Sharded<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreView")
-            .field("epoch", &self.epoch())
-            .field("instances", &self.num_instances())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for ParallelTinker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelTinker")
+        f.debug_struct("Sharded")
             .field("instances", &self.num_instances())
             .field("edges", &self.num_edges())
             .finish()
@@ -364,15 +307,6 @@ mod tests {
         seq_edges.sort_unstable();
         par_edges.sort_unstable();
         assert_eq!(seq_edges, par_edges);
-    }
-
-    #[test]
-    fn spawn_baseline_matches_pool() {
-        let b = batch(4_000);
-        let pooled = ParallelTinker::new(Default::default(), 4).unwrap();
-        let spawned = ParallelTinker::new(Default::default(), 4).unwrap();
-        assert_eq!(pooled.apply_batch(&b), spawned.apply_batch_spawn(&b));
-        assert_eq!(pooled.num_edges(), spawned.num_edges());
     }
 
     #[test]

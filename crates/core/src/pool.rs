@@ -30,34 +30,75 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use gtinker_types::{partition_of, EdgeBatch};
+use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig, VertexId, Weight};
 
 use crate::epoch::{ReadGuard, ViewLayer};
-use crate::tinker::{BatchResult, GraphTinker};
+use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 use crate::trace::{self, SpanId};
 
 /// How many batches may be in flight before [`ShardPool::submit`] blocks:
 /// one applying, one staged — classic double-buffering.
 pub const PIPELINE_DEPTH: usize = 2;
 
-/// A store that can own one interval shard of a [`ShardPool`].
-pub trait ShardStore: Send + Sync + 'static {
-    /// Applies the claimed sub-batch for this shard, returning outcome
-    /// counts (stores without per-op outcome tracking may return zeros).
-    fn apply_shard_batch(&mut self, batch: &EdgeBatch) -> BatchResult;
+/// A store that can own one interval shard of a [`ShardPool`]: it applies
+/// its claimed sub-batches ([`ApplyBatch`]) and answers the per-shard reads
+/// the [`Sharded`](crate::Sharded) facade routes to it.
+pub trait ShardStore: ApplyBatch + Sized + Send + Sync + 'static {
+    /// Construction parameters shared by every shard of one store.
+    type Config: Copy;
+
+    /// An empty store.
+    fn with_config(config: Self::Config) -> Result<Self>;
 
     /// An empty store with the same configuration, used as the shard's
     /// read replica when the pool is built with epoch views.
     fn fresh_replica(&self) -> Self;
+
+    /// Live edges in this shard.
+    fn num_edges(&self) -> u64;
+
+    /// One past the largest vertex id this shard has seen.
+    fn vertex_space(&self) -> u32;
+
+    /// Weight of `(src, dst)`, if present.
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight>;
+
+    /// Live out-degree of `src`.
+    fn out_degree(&self, src: VertexId) -> u32;
+
+    /// Visits the out-edges of `src`.
+    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight));
+
+    /// Visits every live edge of this shard in its streaming order.
+    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight));
 }
 
 impl ShardStore for GraphTinker {
-    fn apply_shard_batch(&mut self, batch: &EdgeBatch) -> BatchResult {
-        self.apply_batch(batch)
-    }
+    type Config = TinkerConfig;
 
+    fn with_config(config: TinkerConfig) -> Result<Self> {
+        GraphTinker::new(config)
+    }
     fn fresh_replica(&self) -> Self {
         GraphTinker::new(*self.config()).expect("replica shares a validated config")
+    }
+    fn num_edges(&self) -> u64 {
+        GraphTinker::num_edges(self)
+    }
+    fn vertex_space(&self) -> u32 {
+        GraphTinker::vertex_space(self)
+    }
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        GraphTinker::edge_weight(self, src, dst)
+    }
+    fn out_degree(&self, src: VertexId) -> u32 {
+        GraphTinker::out_degree(self, src)
+    }
+    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight)) {
+        GraphTinker::for_each_out_edge(self, src, f)
+    }
+    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
+        GraphTinker::for_each_edge(self, f)
     }
 }
 
@@ -167,7 +208,7 @@ fn worker_loop<S: ShardStore>(
             BatchResult::default()
         } else {
             let _t = trace::span_arg(SpanId::PoolApply, job.seq);
-            shards[index].lock().expect("shard poisoned").apply_shard_batch(&claim)
+            shards[index].lock().expect("shard poisoned").apply(&claim)
         };
         // Backlog before completing: once every worker has completed seq,
         // the batch is both fully applied and fully recorded, so the last

@@ -10,11 +10,10 @@
 //!
 //! Every subblock carries a parallel SWAR tag lane (see [`crate::swar`]):
 //! one control byte per cell holding the destination's 7-bit fingerprint or
-//! a vacancy sentinel. The insertion functions maintain the lane
-//! unconditionally; the `*_tagged` scan variants consult it to match
-//! fingerprints eight-at-a-time and touch full-width [`EdgeCell`]s only on
-//! candidate hits, while the untagged variants preserve the seed scalar
-//! scans for A/B comparison (`TinkerConfig::probe_tags`).
+//! a vacancy sentinel. The insertion functions maintain the lane; the scans
+//! consult it to match fingerprints eight-at-a-time and touch full-width
+//! [`EdgeCell`]s only on candidate hits. The cell-walking scans they
+//! replaced survive as reference models in this module's unit tests.
 //!
 //! The functions here operate on bare `&mut [EdgeCell]` / `&mut [u8]`
 //! slices (one subblock) so they can be unit-tested and property-tested in
@@ -68,40 +67,6 @@ pub struct TagScan {
     pub false_positives: u64,
 }
 
-/// Linear scan of a subblock for a live edge to `dst`.
-///
-/// Finds must inspect the whole subblock: tombstones do not terminate a
-/// probe sequence, and delete-and-compact mode stores edges without the RHH
-/// probe invariant. Vacant cells always carry the `NIL_VERTEX` sentinel in
-/// `dst` (and `NIL_VERTEX` is rejected at insertion), so a single compare
-/// per cell suffices. The scan runs in explicit chunks of four reduced to a
-/// bitmask — four independent compares per iteration that the compiler can
-/// vectorize, instead of a dependent early-exit per cell. Returns the offset
-/// of the matching cell. This is the seed scan, kept as the
-/// `probe_tags = false` baseline.
-#[inline]
-pub fn find_in_subblock(cells: &[EdgeCell], dst: VertexId) -> Option<usize> {
-    debug_assert!(cells.iter().all(|c| c.is_occupied() || c.dst == gtinker_types::NIL_VERTEX));
-    let mut chunks = cells.chunks_exact(4);
-    let mut base = 0usize;
-    for c in chunks.by_ref() {
-        let m = (c[0].dst == dst) as u32
-            | (((c[1].dst == dst) as u32) << 1)
-            | (((c[2].dst == dst) as u32) << 2)
-            | (((c[3].dst == dst) as u32) << 3);
-        if m != 0 {
-            return Some(base + m.trailing_zeros() as usize);
-        }
-        base += 4;
-    }
-    for (i, c) in chunks.remainder().iter().enumerate() {
-        if c.dst == dst {
-            return Some(base + i);
-        }
-    }
-    None
-}
-
 /// SWAR scan of a subblock for a live edge to `dst` with fingerprint `tag`.
 ///
 /// Loads the tag lane eight bytes at a time and compares the full
@@ -109,10 +74,11 @@ pub fn find_in_subblock(cells: &[EdgeCell], dst: VertexId) -> Option<usize> {
 /// 8-cell subblock costs one `u64` load and zero cell touches in the common
 /// case. A fingerprint match can never land on a vacant lane (sentinels
 /// have the high bit set, fingerprints do not — see [`crate::swar`]), so
-/// candidates need no occupancy check. Like the seed scan, the whole
-/// subblock is examined: tombstones terminate nothing.
+/// candidates need no occupancy check. The whole subblock is examined:
+/// tombstones do not terminate a probe sequence, and delete-and-compact
+/// mode stores edges without the RHH probe invariant.
 #[inline]
-pub fn find_in_subblock_tagged(cells: &[EdgeCell], tags: &[u8], dst: VertexId, tag: u8) -> TagScan {
+pub fn find_in_subblock(cells: &[EdgeCell], tags: &[u8], dst: VertexId, tag: u8) -> TagScan {
     let n = cells.len();
     debug_assert_eq!(tags.len(), n);
     let mut scan = TagScan::default();
@@ -135,22 +101,11 @@ pub fn find_in_subblock_tagged(cells: &[EdgeCell], tags: &[u8], dst: VertexId, t
     scan
 }
 
-/// First vacant (empty or tombstoned) offset in a subblock, probing
-/// circularly from `bucket`. Used by delete-and-compact mode, where RHH is
-/// disabled and insertion takes the first free slot on the probe path. This
-/// is the seed cell-walking variant; [`first_vacant_tagged`] answers the
-/// same question from the tag lane.
+/// First vacant (empty or tombstoned) offset on the circular probe path
+/// from `bucket`, read from the tag lane alone (the vacancy matcher is
+/// exact, so no cell is touched).
 #[inline]
-pub fn first_vacant(cells: &[EdgeCell], bucket: usize) -> Option<usize> {
-    let n = cells.len();
-    debug_assert!(n.is_power_of_two());
-    (0..n).map(|i| (bucket + i) & (n - 1)).find(|&p| cells[p].is_vacant())
-}
-
-/// First vacant offset on the circular probe path from `bucket`, read from
-/// the tag lane alone (the vacancy matcher is exact, so no cell is touched).
-#[inline]
-pub fn first_vacant_tagged(tags: &[u8], bucket: usize) -> Option<usize> {
+pub fn first_vacant(tags: &[u8], bucket: usize) -> Option<usize> {
     let n = tags.len();
     debug_assert!(n.is_power_of_two() && bucket < n);
     if n <= GROUP {
@@ -205,7 +160,7 @@ pub fn has_vacant_tags(tags: &[u8]) -> bool {
 /// scan modes. The walk itself is inherently scalar — every visited
 /// resident's probe distance must be compared to maintain the Robin Hood
 /// invariant — so the SWAR win on the insert path comes from the callers'
-/// tagged find/vacancy pre-checks, not from this loop.
+/// find/vacancy pre-checks, not from this loop.
 ///
 /// `inspected` is incremented once per cell touched, feeding the probe
 /// statistics the paper reports. The loop visits at most `cells.len()`
@@ -213,7 +168,7 @@ pub fn has_vacant_tags(tags: &[u8]) -> bool {
 /// resident, or moves on; after a full cycle without a vacancy the current
 /// floating edge overflows to the caller for tree-based branching. The
 /// `rhh_probe` histogram records the cells inspected by this placement (the
-/// same unit the tagged paths record), one observation per call.
+/// same unit [`linear_insert`] records), one observation per call.
 pub fn rhh_insert(
     cells: &mut [EdgeCell],
     tags: &mut [u8],
@@ -287,10 +242,10 @@ pub fn rhh_insert(
     }
 }
 
-/// Insertion without Robin Hood swapping: claim the first vacant cell on the
-/// circular probe path from `bucket`, walking cells one at a time (the seed
-/// scan). Used in delete-and-compact mode with `probe_tags = false`. The
-/// tag lane is maintained either way.
+/// Insertion without Robin Hood swapping (delete-and-compact mode, where
+/// RHH is disabled): claims the first vacancy on the circular probe path
+/// from `bucket`, found in the tag lane, touching exactly one cell on
+/// success.
 pub fn linear_insert(
     cells: &mut [EdgeCell],
     tags: &mut [u8],
@@ -302,46 +257,8 @@ pub fn linear_insert(
     let n = cells.len();
     debug_assert!(n.is_power_of_two());
     debug_assert_eq!(tags.len(), n);
-    let mask = n - 1;
     let m = crate::metrics::global();
-    for i in 0..n {
-        *inspected += 1;
-        let pos = (bucket + i) & mask;
-        if cells[pos].is_vacant() {
-            cells[pos] = EdgeCell {
-                dst: edge.dst,
-                weight: edge.weight,
-                cal_ptr: edge.cal_ptr,
-                probe: i as u8,
-                state: CellState::Occupied,
-            };
-            tags[pos] = tag;
-            m.rhh_probe.record(i as u64 + 1);
-            return RhhOutcome::Placed;
-        }
-    }
-    m.rhh_overflows.inc();
-    m.rhh_probe.record(n as u64);
-    RhhOutcome::Overflow(edge)
-}
-
-/// Tagged variant of [`linear_insert`]: jumps straight to the first vacancy
-/// found in the tag lane, touching exactly one cell on success. Produces
-/// the identical placement (same slot, same stored probe distance) as the
-/// seed walk — the probe path is the same, only the scan is vectorized.
-pub fn linear_insert_tagged(
-    cells: &mut [EdgeCell],
-    tags: &mut [u8],
-    bucket: usize,
-    edge: Floating,
-    tag: u8,
-    inspected: &mut u64,
-) -> RhhOutcome {
-    let n = cells.len();
-    debug_assert!(n.is_power_of_two());
-    debug_assert_eq!(tags.len(), n);
-    let m = crate::metrics::global();
-    match first_vacant_tagged(tags, bucket) {
+    match first_vacant(tags, bucket) {
         Some(pos) => {
             *inspected += 1;
             let probe = (pos + n - bucket) & (n - 1);
@@ -389,6 +306,43 @@ mod tests {
 
     fn empty_sub(n: usize) -> (Vec<EdgeCell>, Vec<u8>) {
         (vec![EdgeCell::EMPTY; n], vec![TAG_EMPTY; n])
+    }
+
+    /// Reference model of [`find_in_subblock`]: the cell-walking scan the
+    /// tag lane replaced. Vacant cells carry the `NIL_VERTEX` sentinel in
+    /// `dst`, so one compare per cell suffices.
+    fn find_in_subblock_scalar(cells: &[EdgeCell], dst: VertexId) -> Option<usize> {
+        debug_assert!(cells.iter().all(|c| c.is_occupied() || c.dst == gtinker_types::NIL_VERTEX));
+        cells.iter().position(|c| c.dst == dst)
+    }
+
+    /// Reference model of [`first_vacant`], walking cells one at a time.
+    fn first_vacant_scalar(cells: &[EdgeCell], bucket: usize) -> Option<usize> {
+        let n = cells.len();
+        (0..n).map(|i| (bucket + i) & (n - 1)).find(|&p| cells[p].is_vacant())
+    }
+
+    /// Reference model of [`linear_insert`]: the same placement, found by
+    /// walking cells.
+    fn linear_insert_scalar(
+        cells: &mut [EdgeCell],
+        tags: &mut [u8],
+        bucket: usize,
+        edge: Floating,
+        tag: u8,
+    ) -> RhhOutcome {
+        let Some(pos) = first_vacant_scalar(cells, bucket) else {
+            return RhhOutcome::Overflow(edge);
+        };
+        cells[pos] = EdgeCell {
+            dst: edge.dst,
+            weight: edge.weight,
+            cal_ptr: edge.cal_ptr,
+            probe: ((pos + cells.len() - bucket) & (cells.len() - 1)) as u8,
+            state: CellState::Occupied,
+        };
+        tags[pos] = tag;
+        RhhOutcome::Placed
     }
 
     /// Insert with the destination's real fingerprint.
@@ -544,11 +498,11 @@ mod tests {
         // path's invariant).
         cells[0] = EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY };
         tags[0] = TAG_TOMBSTONE;
-        assert_eq!(find_in_subblock(&cells, 2), Some(1));
-        assert_eq!(find_in_subblock(&cells, 1), None, "tombstoned edge must not be found");
+        assert_eq!(find_in_subblock_scalar(&cells, 2), Some(1));
+        assert_eq!(find_in_subblock_scalar(&cells, 1), None, "tombstoned edge must not be found");
         // The tagged scan agrees on both.
-        assert_eq!(find_in_subblock_tagged(&cells, &tags, 2, dst_tag(2)).hit, Some(1));
-        assert_eq!(find_in_subblock_tagged(&cells, &tags, 1, dst_tag(1)).hit, None);
+        assert_eq!(find_in_subblock(&cells, &tags, 2, dst_tag(2)).hit, Some(1));
+        assert_eq!(find_in_subblock(&cells, &tags, 1, dst_tag(1)).hit, None);
     }
 
     #[test]
@@ -559,8 +513,8 @@ mod tests {
             ins(&mut cells, &mut tags, (d as usize) % 8, fl(d), &mut n);
         }
         for d in 0..64u32 {
-            let seed = find_in_subblock(&cells, d);
-            let tagged = find_in_subblock_tagged(&cells, &tags, d, dst_tag(d));
+            let seed = find_in_subblock_scalar(&cells, d);
+            let tagged = find_in_subblock(&cells, &tags, d, dst_tag(d));
             assert_eq!(tagged.hit, seed, "scan disagreement for {d}");
             assert_eq!(tagged.groups, 1, "8-cell subblock is one group");
             // Candidate count = hits + false positives; a hit inspects the
@@ -579,7 +533,7 @@ mod tests {
                 linear_insert(&mut cells, &mut tags, 0, fl(d + 1), dst_tag(d + 1), &mut ctr);
             }
             assert!(!has_vacant_tags(&tags));
-            assert_eq!(first_vacant_tagged(&tags, 0), None);
+            assert_eq!(first_vacant(&tags, 0), None);
             for hole in [0usize, n / 2, n - 1] {
                 let (mut cells, mut tags) = (cells.clone(), tags.clone());
                 cells[hole] = EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY };
@@ -587,8 +541,8 @@ mod tests {
                 assert!(has_vacant_tags(&tags));
                 for bucket in 0..n {
                     assert_eq!(
-                        first_vacant_tagged(&tags, bucket),
-                        first_vacant(&cells, bucket),
+                        first_vacant(&tags, bucket),
+                        first_vacant_scalar(&cells, bucket),
                         "n={n} hole={hole} bucket={bucket}"
                     );
                 }
@@ -637,16 +591,9 @@ mod tests {
             let mut ctr = 0;
             for d in 1..=(sub as u32 * 2) {
                 let bucket = (d as usize * 5 + 1) % sub;
-                let oa =
-                    linear_insert(&mut a_cells, &mut a_tags, bucket, fl(d), dst_tag(d), &mut ctr);
-                let ob = linear_insert_tagged(
-                    &mut b_cells,
-                    &mut b_tags,
-                    bucket,
-                    fl(d),
-                    dst_tag(d),
-                    &mut ctr,
-                );
+                let oa = linear_insert_scalar(&mut a_cells, &mut a_tags, bucket, fl(d), dst_tag(d));
+                let ob =
+                    linear_insert(&mut b_cells, &mut b_tags, bucket, fl(d), dst_tag(d), &mut ctr);
                 assert_eq!(oa, ob, "outcome diverged at {d}");
                 if d == sub as u32 / 2 {
                     // Tombstone one slot in both and keep going.
@@ -675,7 +622,7 @@ mod tests {
         assert_eq!(n, 3, "collision probe touches two cells");
         // The tagged linear path touches exactly the placed cell.
         let mut n2 = 0;
-        linear_insert_tagged(&mut cells, &mut tags, 0, fl(3), dst_tag(3), &mut n2);
+        linear_insert(&mut cells, &mut tags, 0, fl(3), dst_tag(3), &mut n2);
         assert_eq!(n2, 1);
     }
 

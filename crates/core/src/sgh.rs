@@ -17,8 +17,9 @@
 //! byte per slot plus a [`GROUP`]-byte mirror of the table's head appended
 //! at the tail, so a wrapping probe can always load eight contiguous tag
 //! bytes. SGH never deletes, so an empty tag terminates any probe cluster
-//! exactly — the tagged lookup scans eight slots per `u64` and touches a
-//! full slot only on fingerprint candidates.
+//! exactly — the lookup scans eight slots per `u64` and touches a full
+//! slot only on fingerprint candidates. The slot-walking Robin Hood probe it
+//! replaced is the reference model in this module's tests.
 
 use gtinker_types::{VertexId, NIL_VERTEX};
 
@@ -51,9 +52,6 @@ pub struct SghUnit {
     mask: usize,
     /// Resize when len * 4 > capacity * 3 (load factor 0.75).
     len: usize,
-    /// Scan strategy: SWAR tag groups (default) or the seed scalar probe.
-    /// The lane is maintained either way.
-    probe_tags: bool,
 }
 
 impl SghUnit {
@@ -71,15 +69,7 @@ impl SghUnit {
             reverse: Vec::new(),
             mask: n - 1,
             len: 0,
-            probe_tags: true,
         }
-    }
-
-    /// Returns the unit with SWAR tag probing switched on/off (on by
-    /// default; off selects the seed scalar probe for A/B comparison).
-    pub fn probe_tags(mut self, enable: bool) -> Self {
-        self.probe_tags = enable;
-        self
     }
 
     /// Number of distinct source vertices hashed so far (= number of
@@ -112,37 +102,16 @@ impl SghUnit {
 
     /// [`get`](Self::get) with the `mix64(orig)` hash precomputed by the
     /// caller, so one mix per update covers both lookup and insert probes.
+    ///
+    /// Scans eight tag bytes per step from the home slot, verifies
+    /// fingerprint candidates against the full key, and stops at the first
+    /// group containing a truly-empty slot (exact — SGH never deletes, so
+    /// a probe cluster cannot span an empty slot). The mirror tail makes
+    /// the unaligned wrapping loads contiguous.
     #[inline]
     pub fn get_hashed(&self, hash: u64, orig: VertexId) -> Option<u32> {
         debug_assert_ne!(orig, NIL_VERTEX, "NIL_VERTEX is reserved");
         debug_assert_eq!(hash, mix64(orig as u64), "hash must be mix64(orig)");
-        if self.probe_tags {
-            return self.get_tagged(hash, orig);
-        }
-        let mut pos = (hash as usize) & self.mask;
-        let mut probe: u16 = 0;
-        loop {
-            let s = &self.slots[pos];
-            if s.key == orig {
-                return Some(s.value);
-            }
-            // Robin Hood invariant: if the resident's probe distance is
-            // smaller than ours would be, the key cannot be further on.
-            if s.key == NIL_VERTEX || s.probe < probe {
-                return None;
-            }
-            pos = (pos + 1) & self.mask;
-            probe += 1;
-        }
-    }
-
-    /// Tagged lookup: scan eight tag bytes per step from the home slot,
-    /// verify fingerprint candidates against the full key, and stop at the
-    /// first group containing a truly-empty slot (exact — SGH never
-    /// deletes, so a probe cluster cannot span an empty slot). The mirror
-    /// tail makes the unaligned wrapping loads contiguous.
-    #[inline]
-    fn get_tagged(&self, hash: u64, orig: VertexId) -> Option<u32> {
         let n = self.slots.len();
         let tag = tag_of_hash(hash);
         let mut at = (hash as usize) & self.mask;
@@ -317,7 +286,6 @@ impl std::fmt::Debug for SghUnit {
             .field("len", &self.len)
             .field("capacity", &self.slots.len())
             .field("max_probe", &self.max_probe())
-            .field("probe_tags", &self.probe_tags)
             .finish()
     }
 }
@@ -403,25 +371,44 @@ mod tests {
         assert_eq!(a.len(), b.len());
     }
 
+    /// Reference model of [`SghUnit::get`]: the slot-walking Robin Hood
+    /// probe, reading no tags.
+    fn get_scalar(sgh: &SghUnit, orig: VertexId) -> Option<u32> {
+        let mut pos = (mix64(orig as u64) as usize) & sgh.mask;
+        let mut probe: u16 = 0;
+        loop {
+            let s = &sgh.slots[pos];
+            if s.key == orig {
+                return Some(s.value);
+            }
+            // Robin Hood invariant: if the resident's probe distance is
+            // smaller than ours would be, the key cannot be further on.
+            if s.key == NIL_VERTEX || s.probe < probe {
+                return None;
+            }
+            pos = (pos + 1) & sgh.mask;
+            probe += 1;
+        }
+    }
+
     #[test]
     fn tagged_and_seed_probes_agree() {
-        // Same keys into a tagged and a seed-scanned unit: every present
-        // and absent lookup must agree, through multiple grows (which
-        // rebuild the lane) and wrap-around clusters.
-        let mut tagged = SghUnit::with_capacity(16);
-        let mut seed = SghUnit::with_capacity(16).probe_tags(false);
+        // Every present and absent lookup must agree with the slot walk,
+        // through multiple grows (which rebuild the lane) and wrap-around
+        // clusters.
+        let mut sgh = SghUnit::with_capacity(16);
         for i in 0..20_000u32 {
             let orig = i.wrapping_mul(2_654_435_761) | 1;
-            assert_eq!(tagged.get_or_insert(orig), seed.get_or_insert(orig));
+            assert_eq!(get_scalar(&sgh, orig), None);
+            assert_eq!(sgh.get_or_insert(orig), i);
         }
         for i in 0..40_000u32 {
             let orig = i.wrapping_mul(2_654_435_761) | 1;
-            assert_eq!(tagged.get(orig), seed.get(orig), "lookup diverged for {orig}");
+            assert_eq!(sgh.get(orig), get_scalar(&sgh, orig), "lookup diverged for {orig}");
             // A key that was never inserted (even ids).
-            assert_eq!(tagged.get(orig ^ 1), seed.get(orig ^ 1));
+            assert_eq!(sgh.get(orig ^ 1), get_scalar(&sgh, orig ^ 1));
         }
-        tagged.validate_tags().unwrap();
-        seed.validate_tags().unwrap();
+        sgh.validate_tags().unwrap();
     }
 
     #[test]

@@ -23,8 +23,7 @@ use crate::edgeblock::{BlockArena, BlockId, CellState, EdgeCell};
 use crate::hash::{dst_tag, edge_hash, source_hash, split_hash, subblock_and_bucket, tag_of_hash};
 use crate::hubseg::HubSegment;
 use crate::rhh::{
-    find_in_subblock, find_in_subblock_tagged, has_vacant_tags, linear_insert,
-    linear_insert_tagged, rhh_insert, vacant_tag, Floating, RhhOutcome,
+    find_in_subblock, has_vacant_tags, linear_insert, rhh_insert, vacant_tag, Floating, RhhOutcome,
 };
 use crate::sgh::SghUnit;
 use crate::stats::{ProbeStats, StructureStats};
@@ -57,6 +56,22 @@ impl BatchResult {
         self.updated += other.updated;
         self.deleted += other.deleted;
         self.not_found += other.not_found;
+    }
+}
+
+/// A store that applies an [`EdgeBatch`]: the one update contract the
+/// worker pool, the CLI's incremental driver and the experiment drivers are
+/// written against.
+pub trait ApplyBatch {
+    /// Applies `batch` in order and returns its outcome counts (a store
+    /// without per-op outcome tracking leaves the fields it cannot tell
+    /// apart at zero).
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult;
+}
+
+impl ApplyBatch for GraphTinker {
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
+        self.apply_batch(batch)
     }
 }
 
@@ -162,7 +177,7 @@ impl GraphTinker {
         Ok(GraphTinker {
             arena: BlockArena::new(config.pagewidth, config.subblock),
             top_blocks: Vec::new(),
-            sgh: config.enable_sgh.then(|| SghUnit::new().probe_tags(config.probe_tags)),
+            sgh: config.enable_sgh.then(SghUnit::new),
             props: VertexPropertyArray::new(),
             cal: config
                 .enable_cal
@@ -297,13 +312,11 @@ impl GraphTinker {
     ///
     /// `h0` is the precomputed depth-0 [`edge_hash`] of `dst` — it seeds
     /// both the depth-0 bucket split and the SWAR tag, so the hot find
-    /// path mixes the destination exactly once. With tag probing enabled
-    /// only fingerprint-matching candidate cells are inspected; the seed
-    /// path scans whole subblocks.
+    /// path mixes the destination exactly once. Only fingerprint-matching
+    /// candidate cells are inspected.
     fn locate(&self, top: BlockId, dst: VertexId, h0: u64) -> (Option<(BlockId, usize)>, FindCost) {
         let spb = self.arena.subblocks_per_block();
         let sublen = self.arena.subblock_len();
-        let tagged = self.config.probe_tags;
         let tag = tag_of_hash(h0);
         let mut cost = FindCost::default();
         let mut block = top;
@@ -316,28 +329,16 @@ impl GraphTinker {
             };
             cost.subblocks += 1;
             let cells = self.arena.subblock_cells(block, sub);
-            if tagged {
-                let tags = self.arena.subblock_tags(block, sub);
-                let scan = find_in_subblock_tagged(cells, tags, dst, tag);
-                cost.tag_groups += scan.groups;
-                cost.tag_false_positives += scan.false_positives;
-                cost.cells += scan.inspected;
-                // The tag lane itself is one fetch; candidate cells add more.
-                cost.workblocks += self.workblocks_for(scan.inspected).max(1);
-                cost.depth = depth;
-                if let Some(off) = scan.hit {
-                    return (Some((block, sub * sublen + off)), cost);
-                }
-            } else if let Some(off) = find_in_subblock(cells, dst) {
-                // The matching workblock and its predecessors were fetched.
-                cost.cells += (off + 1) as u64;
-                cost.workblocks += self.workblocks_for((off + 1) as u64);
-                cost.depth = depth;
+            let tags = self.arena.subblock_tags(block, sub);
+            let scan = find_in_subblock(cells, tags, dst, tag);
+            cost.tag_groups += scan.groups;
+            cost.tag_false_positives += scan.false_positives;
+            cost.cells += scan.inspected;
+            // The tag lane itself is one fetch; candidate cells add more.
+            cost.workblocks += self.workblocks_for(scan.inspected).max(1);
+            cost.depth = depth;
+            if let Some(off) = scan.hit {
                 return (Some((block, sub * sublen + off)), cost);
-            } else {
-                cost.cells += sublen as u64;
-                cost.workblocks += self.workblocks_for(sublen as u64);
-                cost.depth = depth;
             }
             match self.arena.child(block, sub) {
                 Some(c) => {
@@ -446,7 +447,6 @@ impl GraphTinker {
     fn insert_blocks(&mut self, dense: u32, e: Edge, h0: u64) -> bool {
         let spb = self.arena.subblocks_per_block();
         let sublen = self.arena.subblock_len();
-        let tagged = self.config.probe_tags;
         let tag = tag_of_hash(h0);
 
         // Existing-edge fast path: a repeat insertion of an un-displaced
@@ -487,37 +487,17 @@ impl GraphTinker {
                 subblock_and_bucket(e.dst, depth, spb, sublen)
             };
             self.stats.subblocks_visited += 1;
-            let hit = if tagged {
-                let cells = self.arena.subblock_cells(block, sub);
-                let tags = self.arena.subblock_tags(block, sub);
-                let scan = find_in_subblock_tagged(cells, tags, e.dst, tag);
-                self.stats.tag_group_scans += scan.groups;
-                self.stats.tag_false_positives += scan.false_positives;
-                self.stats.cells_inspected += scan.inspected;
-                self.stats.workblocks_fetched += self.workblocks_for(scan.inspected).max(1);
-                if scan.hit.is_none() && candidate.is_none() && has_vacant_tags(tags) {
-                    candidate = Some((block, sub, bucket));
-                }
-                scan.hit
-            } else {
-                let cells = self.arena.subblock_cells(block, sub);
-                let found = find_in_subblock(cells, e.dst);
-                match found {
-                    Some(off) => {
-                        self.stats.cells_inspected += (off + 1) as u64;
-                        self.stats.workblocks_fetched += self.workblocks_for((off + 1) as u64);
-                    }
-                    None => {
-                        self.stats.cells_inspected += sublen as u64;
-                        self.stats.workblocks_fetched += self.workblocks_for(sublen as u64);
-                        if candidate.is_none() && cells.iter().any(|c| c.is_vacant()) {
-                            candidate = Some((block, sub, bucket));
-                        }
-                    }
-                }
-                found
-            };
-            if let Some(off) = hit {
+            let cells = self.arena.subblock_cells(block, sub);
+            let tags = self.arena.subblock_tags(block, sub);
+            let scan = find_in_subblock(cells, tags, e.dst, tag);
+            self.stats.tag_group_scans += scan.groups;
+            self.stats.tag_false_positives += scan.false_positives;
+            self.stats.cells_inspected += scan.inspected;
+            self.stats.workblocks_fetched += self.workblocks_for(scan.inspected).max(1);
+            if scan.hit.is_none() && candidate.is_none() && has_vacant_tags(tags) {
+                candidate = Some((block, sub, bucket));
+            }
+            if let Some(off) = scan.hit {
                 let offset = sub * sublen + off;
                 let cell = self.arena.cell_mut(block, offset);
                 cell.weight = e.weight;
@@ -571,8 +551,6 @@ impl GraphTinker {
             let (cells, tags) = self.arena.subblock_cells_and_tags_mut(target_block, target_sub);
             if rhh {
                 rhh_insert(cells, tags, target_bucket, floating, tag, &mut touched)
-            } else if tagged {
-                linear_insert_tagged(cells, tags, target_bucket, floating, tag, &mut touched)
             } else {
                 linear_insert(cells, tags, target_bucket, floating, tag, &mut touched)
             }
@@ -638,12 +616,7 @@ impl GraphTinker {
         self.stats.subblocks_visited += 1;
         self.stats.cells_inspected += 2 * crate::hubseg::SCAN_WINDOW as u64;
         self.stats.workblocks_fetched += 1;
-        let found = if self.config.probe_tags {
-            self.hubs[h].find_tagged(e.dst, tag)
-        } else {
-            self.hubs[h].find(e.dst)
-        };
-        if let Some(i) = found {
+        if let Some(i) = self.hubs[h].find(e.dst, tag) {
             self.hubs[h].set_weight(i, e.weight);
             // Only touch the parallel cal_ptrs array when a CAL exists —
             // otherwise a weight update costs an extra cache line for
@@ -665,7 +638,7 @@ impl GraphTinker {
         // drops the segment's dead slots.
         let seg = &mut self.hubs[h];
         self.hub_dead_slots -= seg.dead_slots();
-        seg.insert_tagged(e.dst, e.weight, cal_ptr, tag);
+        seg.insert(e.dst, e.weight, cal_ptr, tag);
         self.hub_dead_slots += seg.dead_slots();
         self.note_insert(dense, e.src);
         true
@@ -764,7 +737,6 @@ impl GraphTinker {
         let spb = self.arena.subblocks_per_block();
         let sublen = self.arena.subblock_len();
         let rhh = self.rhh_enabled();
-        let tagged = self.config.probe_tags;
         // Tier migration is a cold path: recomputing the fingerprint here
         // keeps the hot-path plumbing (which hoists it) uncluttered.
         let tag = dst_tag(f.dst);
@@ -772,12 +744,7 @@ impl GraphTinker {
         let mut depth: u32 = 0;
         let (target_block, target_sub, target_bucket) = loop {
             let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
-            let vacant = if tagged {
-                has_vacant_tags(self.arena.subblock_tags(block, sub))
-            } else {
-                self.arena.subblock_cells(block, sub).iter().any(|c| c.is_vacant())
-            };
-            if vacant {
+            if has_vacant_tags(self.arena.subblock_tags(block, sub)) {
                 break (block, sub, bucket);
             }
             match self.arena.child(block, sub) {
@@ -802,8 +769,6 @@ impl GraphTinker {
         let (cells, tags) = self.arena.subblock_cells_and_tags_mut(target_block, target_sub);
         let outcome = if rhh {
             rhh_insert(cells, tags, target_bucket, f, tag, &mut touched)
-        } else if tagged {
-            linear_insert_tagged(cells, tags, target_bucket, f, tag, &mut touched)
         } else {
             linear_insert(cells, tags, target_bucket, f, tag, &mut touched)
         };
@@ -963,12 +928,7 @@ impl GraphTinker {
                 self.stats.subblocks_visited += 1;
                 self.stats.cells_inspected += 2 * crate::hubseg::SCAN_WINDOW as u64;
                 self.stats.workblocks_fetched += 1;
-                let found = if self.config.probe_tags {
-                    self.hubs[h].find_tagged(dst, tag_of_hash(h0))
-                } else {
-                    self.hubs[h].find(dst)
-                };
-                let Some(i) = found else { return false };
+                let Some(i) = self.hubs[h].find(dst, tag_of_hash(h0)) else { return false };
                 // A main-run delete leaves a dead slot behind (or, at the
                 // compaction bound, clears them all).
                 let seg = &mut self.hubs[h];
@@ -1124,7 +1084,7 @@ impl GraphTinker {
                 }
                 Some(Tier::Hub) => {
                     let seg = &self.hubs[self.hub_of[dense as usize] as usize];
-                    return seg.find(dst).map(|i| seg.weight(i));
+                    return seg.find(dst, dst_tag(dst)).map(|i| seg.weight(i));
                 }
                 _ => {}
             }
@@ -1746,9 +1706,7 @@ impl GraphTinker {
     }
 
     /// Checks the SWAR tag lanes against ground truth over the whole
-    /// structure (diagnostic / test hook; valid in both delete modes and
-    /// regardless of [`TinkerConfig::probe_tags`], because tag maintenance
-    /// is unconditional):
+    /// structure (diagnostic / test hook; valid in both delete modes):
     ///
     /// 1. every edgeblock cell's tag byte matches its state — the
     ///    destination fingerprint when occupied, [`TAG_EMPTY`] when empty,
@@ -2477,14 +2435,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_invariants_hold_with_probing_disabled() {
-        // Tag lanes are maintained even when the scan strategy is the seed
-        // scalar walk, so flipping the flag per-instance stays comparable.
-        let g = churned(tiny_config().probe_tags(false));
-        g.validate_tag_invariants().unwrap();
-    }
-
-    #[test]
     fn tag_invariants_hold_across_adaptive_tiers() {
         let g = churned(adaptive_tiny());
         let st = g.structure_stats();
@@ -2494,29 +2444,23 @@ mod tests {
 
     #[test]
     fn tagged_and_seed_probe_paths_agree() {
+        // The tagged FIND walk against the seed probe's answer: a scan of
+        // every cell of the main structure that reads no tag lane.
         for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
-            let base = TinkerConfig { delete_mode: mode, ..tiny_config() };
-            let tagged = churned(base);
-            let seed = churned(base.probe_tags(false));
-            assert_eq!(tagged.num_edges(), seed.num_edges(), "{mode:?}");
-            let mut a: Vec<(u32, u32, u32)> = Vec::new();
-            tagged.for_each_edge(|s, d, w| a.push((s, d, w)));
-            let mut b: Vec<(u32, u32, u32)> = Vec::new();
-            seed.for_each_edge(|s, d, w| b.push((s, d, w)));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "{mode:?}: tagged and seed probe paths diverged");
-            assert!(
-                tagged.stats().tag_group_scans > 0,
-                "tagged store must exercise the SWAR engine"
-            );
-            assert_eq!(seed.stats().tag_group_scans, 0, "seed store must not");
-            assert!(
-                tagged.stats().cells_inspected < seed.stats().cells_inspected,
-                "tag probing must inspect fewer cells ({} vs {})",
-                tagged.stats().cells_inspected,
-                seed.stats().cells_inspected
-            );
+            let g = churned(TinkerConfig { delete_mode: mode, ..tiny_config() });
+            let mut scanned: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+            g.for_each_edge_main(|s, d, w| assert!(scanned.insert((s, d), w).is_none()));
+            assert_eq!(scanned.len() as u64, g.num_edges(), "{mode:?}");
+            for src in 0..97u32 {
+                for dst in 0..431u32 {
+                    assert_eq!(
+                        g.edge_weight(src, dst),
+                        scanned.get(&(src, dst)).copied(),
+                        "{mode:?}: tagged find and cell scan diverged at ({src}, {dst})"
+                    );
+                }
+            }
+            assert!(g.stats().tag_group_scans > 0, "the store must exercise the SWAR engine");
         }
     }
 }

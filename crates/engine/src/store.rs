@@ -1,8 +1,8 @@
 //! The [`GraphStore`] abstraction: the two edge-retrieval paths the hybrid
 //! engine multiplexes between.
 
-use gtinker_core::{GraphTinker, ParallelTinker, StoreView};
-use gtinker_stinger::{ParallelStinger, Stinger};
+use gtinker_core::{GraphTinker, ShardAccess, ShardStore, Sharded};
+use gtinker_stinger::Stinger;
 use gtinker_types::{VertexId, Weight};
 
 /// A dynamic graph store the engine can run analytics over.
@@ -132,103 +132,44 @@ impl GraphStore for Stinger {
     }
 }
 
-impl GraphStore for ParallelTinker {
+/// Every interval-sharded store (`ParallelTinker`, a pinned `StoreView`,
+/// `ParallelStinger`): one shard per instance, each streaming its own
+/// edges, so sharded analytics mirror the ingestion layout.
+impl<A: ShardAccess> GraphStore for Sharded<A> {
     fn vertex_space(&self) -> u32 {
-        ParallelTinker::vertex_space(self)
+        Sharded::vertex_space(self)
     }
     fn num_edges(&self) -> u64 {
-        ParallelTinker::num_edges(self)
+        Sharded::num_edges(self)
     }
     fn out_degree(&self, v: VertexId) -> u32 {
-        ParallelTinker::out_degree(self, v)
+        Sharded::out_degree(self, v)
     }
     fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        ParallelTinker::for_each_out_edge(self, v, f)
+        Sharded::for_each_out_edge(self, v, f)
     }
     fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        ParallelTinker::for_each_edge(self, f)
+        Sharded::for_each_edge(self, f)
     }
     fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        ParallelTinker::contains_edge(self, src, dst)
-    }
-    // One shard per interval-partitioned instance: each instance streams
-    // its own CAL, so sharded analytics mirror the ingestion layout.
-    fn num_shards(&self) -> usize {
-        ParallelTinker::num_instances(self)
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        gtinker_types::partition_of(v, ParallelTinker::num_instances(self))
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        ParallelTinker::with_instance(self, shard, |g| g.for_each_edge(f))
-    }
-}
-
-impl GraphStore for StoreView<'_> {
-    fn vertex_space(&self) -> u32 {
-        StoreView::vertex_space(self)
-    }
-    fn num_edges(&self) -> u64 {
-        StoreView::num_edges(self)
-    }
-    fn out_degree(&self, v: VertexId) -> u32 {
-        StoreView::out_degree(self, v)
-    }
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        StoreView::for_each_out_edge(self, v, f)
-    }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        StoreView::for_each_edge(self, f)
-    }
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        StoreView::contains_edge(self, src, dst)
-    }
-    // Same interval layout as the live store the view was pinned from:
-    // one shard per replica, each streaming its own CAL.
-    fn num_shards(&self) -> usize {
-        StoreView::num_instances(self)
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        gtinker_types::partition_of(v, StoreView::num_instances(self))
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        StoreView::with_instance(self, shard, |g| g.for_each_edge(f))
-    }
-}
-
-impl GraphStore for ParallelStinger {
-    fn vertex_space(&self) -> u32 {
-        ParallelStinger::vertex_space(self)
-    }
-    fn num_edges(&self) -> u64 {
-        ParallelStinger::num_edges(self)
-    }
-    fn out_degree(&self, v: VertexId) -> u32 {
-        ParallelStinger::out_degree(self, v)
-    }
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        ParallelStinger::for_each_out_edge(self, v, f)
-    }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        ParallelStinger::for_each_edge(self, f)
-    }
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        ParallelStinger::contains_edge(self, src, dst)
+        Sharded::contains_edge(self, src, dst)
     }
     fn num_shards(&self) -> usize {
-        ParallelStinger::num_instances(self)
+        Sharded::num_instances(self)
     }
     fn shard_of_source(&self, v: VertexId) -> usize {
-        gtinker_types::partition_of(v, ParallelStinger::num_instances(self))
+        gtinker_types::partition_of(v, Sharded::num_instances(self))
     }
     fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        ParallelStinger::with_instance(self, shard, |g| g.for_each_edge(f))
+        Sharded::with_instance(self, shard, |g| g.for_each_edge(f))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtinker_core::ParallelTinker;
+    use gtinker_stinger::ParallelStinger;
     use gtinker_types::{Edge, EdgeBatch};
 
     fn sample_batch() -> EdgeBatch {
@@ -319,9 +260,19 @@ mod tests {
             let view = pv.pin_view().unwrap();
             check_sharding(&view);
 
-            let mut ps = ParallelStinger::new(Default::default(), shards).unwrap();
+            let ps = ParallelStinger::new(Default::default(), shards).unwrap();
             ps.apply_batch(&bigger_batch());
             check_sharding(&ps);
+
+            // The three sharded stores share one `GraphStore` impl: hold it
+            // to the exact-content contract at every shard count as well.
+            let pt = ParallelTinker::new_with_views(Default::default(), shards).unwrap();
+            pt.apply_batch(&sample_batch());
+            check_store(&pt);
+            check_store(&pt.pin_view().unwrap());
+            let ps = ParallelStinger::new(Default::default(), shards).unwrap();
+            ps.apply_batch(&sample_batch());
+            check_store(&ps);
         }
     }
 
@@ -366,7 +317,7 @@ mod tests {
 
     #[test]
     fn parallel_stinger_implements_store() {
-        let mut p = ParallelStinger::new(Default::default(), 2).unwrap();
+        let p = ParallelStinger::new(Default::default(), 2).unwrap();
         p.apply_batch(&sample_batch());
         check_store(&p);
     }

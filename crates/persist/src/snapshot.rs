@@ -116,7 +116,6 @@ pub fn encode_tinker(g: &GraphTinker, wal_lsn: u64) -> Vec<u8> {
     p.put_u64(cfg.inline_cap as u64);
     p.put_u64(cfg.hub_promote as u64);
     p.put_u64(cfg.hub_demote as u64);
-    p.put_u64(cfg.probe_tags as u64);
     put_section(&mut w, TAG_CONFIG, p.as_bytes());
 
     if cfg.enable_sgh {
@@ -243,7 +242,6 @@ pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
         inline_cap: 0,
         hub_promote: 0,
         hub_demote: 0,
-        probe_tags: true,
     };
     let flags = r.u8("config flags")?;
     let config = TinkerConfig {
@@ -271,13 +269,12 @@ pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
     } else {
         config
     };
-    // The probe-tags flag was appended still later; older snapshots decode
-    // with the SWAR tag engine on (its default).
-    let config = if r.remaining() >= 8 {
-        TinkerConfig { probe_tags: r.u64("probe_tags")? != 0, ..config }
-    } else {
-        config
-    };
+    // Snapshots written while the probe engine was switchable end with one
+    // more word, the switch (0 or 1). The store has one probe engine now:
+    // the word is checked and skipped.
+    if r.remaining() >= 8 && r.u64("retired probe switch")? > 1 {
+        return Err(PersistError::Corrupt("config: retired probe switch is not 0 or 1".into()));
+    }
     let mut g = GraphTinker::new(config)?;
     if let Some(sgh) = s.sgh {
         let mut r = ByteReader::new(sgh);

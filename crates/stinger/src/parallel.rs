@@ -3,137 +3,53 @@
 //! the multicore comparison in Fig. 10 is apples-to-apples.
 //!
 //! Batches flow through the same persistent [`ShardPool`] as
-//! `ParallelTinker`: workers are spawned once, claim their interval out of
-//! the shared batch, and skip batches that put nothing in their interval.
+//! `ParallelTinker`, and reads through the same [`Sharded`] facade:
+//! [`Stinger`] only has to be a [`ShardStore`].
 
-use std::sync::Arc;
+use gtinker_core::{ApplyBatch, BatchResult, ShardPool, ShardStore, Sharded};
+use gtinker_types::{EdgeBatch, Result, StingerConfig, VertexId, Weight};
 
-use gtinker_core::pool::ShardPool;
-use gtinker_core::tinker::BatchResult;
-use gtinker_core::ShardStore;
-use gtinker_types::{partition_of, EdgeBatch, Result, StingerConfig, VertexId, Weight};
+use crate::store::Stinger;
 
-use crate::store::{Stinger, StingerStats};
-
-impl ShardStore for Stinger {
-    fn apply_shard_batch(&mut self, batch: &EdgeBatch) -> BatchResult {
+impl ApplyBatch for Stinger {
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
         let (ins, del) = self.apply_batch(batch);
         BatchResult { inserted: ins, deleted: del, ..BatchResult::default() }
     }
+}
 
+impl ShardStore for Stinger {
+    type Config = StingerConfig;
+
+    fn with_config(config: StingerConfig) -> Result<Self> {
+        Stinger::new(config)
+    }
     fn fresh_replica(&self) -> Self {
         Stinger::new(*self.config()).expect("replica shares a validated config")
+    }
+    fn num_edges(&self) -> u64 {
+        Stinger::num_edges(self)
+    }
+    fn vertex_space(&self) -> u32 {
+        Stinger::vertex_space(self)
+    }
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        Stinger::edge_weight(self, src, dst)
+    }
+    fn out_degree(&self, src: VertexId) -> u32 {
+        Stinger::out_degree(self, src)
+    }
+    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight)) {
+        Stinger::for_each_out_edge(self, src, f)
+    }
+    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
+        Stinger::for_each_edge(self, f)
     }
 }
 
 /// Interval-partitioned STINGER instances updated in parallel by a
 /// persistent worker pool.
-pub struct ParallelStinger {
-    pool: ShardPool<Stinger>,
-}
-
-impl ParallelStinger {
-    /// Creates `n` empty instances sharing one configuration and spawns
-    /// their worker threads.
-    pub fn new(config: StingerConfig, n: usize) -> Result<Self> {
-        assert!(n > 0);
-        let mut instances = Vec::with_capacity(n);
-        for _ in 0..n {
-            instances.push(Stinger::new(config)?);
-        }
-        Ok(ParallelStinger { pool: ShardPool::new(instances) })
-    }
-
-    /// Number of parallel instances.
-    #[inline]
-    pub fn num_instances(&self) -> usize {
-        self.pool.num_shards()
-    }
-
-    #[inline]
-    fn shard(&self, src: VertexId) -> usize {
-        partition_of(src, self.num_instances())
-    }
-
-    /// Applies a batch across all instances through the worker pool.
-    pub fn apply_batch(&mut self, batch: &EdgeBatch) {
-        self.pool.apply(batch);
-    }
-
-    /// Queues a batch asynchronously; [`flush`](Self::flush) drains the
-    /// pipeline. Queries barrier on in-flight batches by themselves.
-    pub fn submit(&mut self, batch: EdgeBatch) {
-        self.pool.submit(Arc::new(batch));
-    }
-
-    /// Drains the pipeline of [`submit`](Self::submit)ted batches.
-    pub fn flush(&mut self) {
-        self.pool.flush();
-    }
-
-    /// Total live edges.
-    pub fn num_edges(&self) -> u64 {
-        (0..self.num_instances()).map(|i| self.pool.with_shard(i, |s| s.num_edges())).sum()
-    }
-
-    /// One past the largest vertex id observed by any instance.
-    pub fn vertex_space(&self) -> u32 {
-        (0..self.num_instances())
-            .map(|i| self.pool.with_shard(i, |s| s.vertex_space()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Live out-degree of `src` (its shard owns all of its edges).
-    pub fn out_degree(&self, src: VertexId) -> u32 {
-        self.pool.with_shard(self.shard(src), |s| s.out_degree(src))
-    }
-
-    /// Visits the out-edges of `src`.
-    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, f: F) {
-        self.pool.with_shard(self.shard(src), |s| s.for_each_out_edge(src, f));
-    }
-
-    /// Weight of `(src, dst)`.
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        self.pool.with_shard(self.shard(src), |s| s.edge_weight(src, dst))
-    }
-
-    /// Whether `(src, dst)` is present.
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.edge_weight(src, dst).is_some()
-    }
-
-    /// Visits every live edge across instances.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        for i in 0..self.num_instances() {
-            self.pool.with_shard(i, |s| s.for_each_edge(&mut f));
-        }
-    }
-
-    /// Runs `f` over one instance read-only (shard = instance index).
-    pub fn with_instance<R>(&self, i: usize, f: impl FnOnce(&Stinger) -> R) -> R {
-        self.pool.with_shard(i, f)
-    }
-
-    /// Merged probe counters.
-    pub fn stats(&self) -> StingerStats {
-        let mut t = StingerStats::default();
-        for i in 0..self.num_instances() {
-            self.pool.with_shard(i, |s| t.merge(&s.stats()));
-        }
-        t
-    }
-}
-
-impl std::fmt::Debug for ParallelStinger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelStinger")
-            .field("instances", &self.num_instances())
-            .field("edges", &self.num_edges())
-            .finish()
-    }
-}
+pub type ParallelStinger = Sharded<ShardPool<Stinger>>;
 
 #[cfg(test)]
 mod tests {
@@ -146,7 +62,7 @@ mod tests {
         let b = EdgeBatch::inserts(&edges);
         let mut seq = Stinger::with_defaults();
         seq.apply_batch(&b);
-        let mut par = ParallelStinger::new(StingerConfig::default(), 4).unwrap();
+        let par = ParallelStinger::new(StingerConfig::default(), 4).unwrap();
         par.apply_batch(&b);
         assert_eq!(par.num_edges(), seq.num_edges());
         let mut a: Vec<(u32, u32, u32)> = Vec::new();
@@ -161,7 +77,7 @@ mod tests {
     #[test]
     fn pipelined_submit_matches_sequential() {
         let mut seq = Stinger::with_defaults();
-        let mut par = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
+        let par = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
         for round in 0..4u32 {
             let n = 2_000 - round * 600;
             let edges: Vec<Edge> =
@@ -183,11 +99,12 @@ mod tests {
 
     #[test]
     fn routed_queries_and_stats() {
-        let mut par = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
+        let par = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
         par.apply_batch(&EdgeBatch::inserts(&[Edge::new(5, 6, 7)]));
         assert_eq!(par.edge_weight(5, 6), Some(7));
         assert!(!par.contains_edge(6, 5));
-        assert_eq!(par.stats().operations, 1);
+        let operations: u64 = (0..3).map(|i| par.with_instance(i, |s| s.stats().operations)).sum();
+        assert_eq!(operations, 1);
         assert_eq!(par.num_instances(), 3);
     }
 }

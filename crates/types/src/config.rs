@@ -67,14 +67,6 @@ pub struct TinkerConfig {
     /// Must be below `hub_promote` so churn around the threshold does not
     /// oscillate.
     pub hub_demote: u32,
-    /// Probe with the SWAR tag lane (SwissTable-style packed fingerprints,
-    /// 8 slots per `u64` scan) instead of walking full-width edge-cells.
-    /// Tag lanes are *maintained* regardless of this flag — it only selects
-    /// the scan strategy, so it can be flipped per-instance to A/B the seed
-    /// scalar scan against the vectorized one (the `fig_probe_swar` bench
-    /// and the probe-parity suite both do). Default on; snapshots written
-    /// before the tag engine existed load with tag probing on.
-    pub probe_tags: bool,
 }
 
 /// Hard cap on [`TinkerConfig::inline_cap`]: the inline tier stores adjacency
@@ -104,7 +96,6 @@ impl TinkerConfig {
             inline_cap: 0,
             hub_promote: 0,
             hub_demote: 0,
-            probe_tags: true,
         }
     }
 
@@ -129,13 +120,6 @@ impl TinkerConfig {
     /// Returns the config with the given delete mode.
     pub fn delete_mode(mut self, mode: DeleteMode) -> Self {
         self.delete_mode = mode;
-        self
-    }
-
-    /// Returns the config with SWAR tag probing switched on/off. Off = the
-    /// seed scalar scan (tags still maintained); used for A/B comparisons.
-    pub fn probe_tags(mut self, enable: bool) -> Self {
-        self.probe_tags = enable;
         self
     }
 
@@ -263,8 +247,6 @@ mod tests {
             assert_eq!(c.workblocks_per_subblock(), 2);
             assert!(c.validate().is_ok());
             assert!(c.enable_sgh && c.enable_cal);
-            assert!(c.probe_tags, "SWAR tag probing defaults on");
-            assert!(!c.probe_tags(false).probe_tags);
         }
     }
 

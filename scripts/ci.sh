@@ -386,16 +386,6 @@ grep -q '"tier_promotions"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
 # Self-comparison: the emitted file must parse through the regression gate.
 "$BD" "$SMOKE/bench_adaptive/BENCH_adaptive.json" "$SMOKE/bench_adaptive/BENCH_adaptive.json"
 
-echo "==> probe bench gate (fig_probe_swar emits BENCH_probe_swar.json and it passes bench_diff)"
-target/release/fig_probe_swar --scale-factor 2048 --out-dir "$SMOKE/bench_probe"
-test -f "$SMOKE/bench_probe/BENCH_probe_swar.json"
-grep -q '"zipf_find_tagged_meps"' "$SMOKE/bench_probe/BENCH_probe_swar.json"
-grep -q '"find_cells_ratio"' "$SMOKE/bench_probe/BENCH_probe_swar.json"
-grep -q '"find_tagged_mean_ns"' "$SMOKE/bench_probe/BENCH_probe_swar.json"
-# Self-comparison: the emitted file (throughput + latency fields) must
-# parse through the regression gate.
-"$BD" "$SMOKE/bench_probe/BENCH_probe_swar.json" "$SMOKE/bench_probe/BENCH_probe_swar.json"
-
 echo "==> serve bench gate (fig_serve_concurrent emits BENCH_serve_concurrent.json and it passes bench_diff)"
 target/release/fig_serve_concurrent --scale-factor 2048 --out-dir "$SMOKE/bench_serve"
 test -f "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
@@ -449,6 +439,9 @@ done
 # Self-comparison: the emitted file (cold + repair latency gates) must
 # parse through the regression gate.
 "$BD" "$SMOKE/bench_incremental/BENCH_incremental.json" "$SMOKE/bench_incremental/BENCH_incremental.json"
+
+echo "==> non-test Rust lines per crate (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

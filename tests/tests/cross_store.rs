@@ -47,7 +47,7 @@ fn all_structures_agree_on_mixed_stream() {
     st.apply_batch(&stream);
     let pt = ParallelTinker::new(TinkerConfig::default(), 4).unwrap();
     pt.apply_batch(&stream);
-    let mut ps = ParallelStinger::new(StingerConfig::default(), 4).unwrap();
+    let ps = ParallelStinger::new(StingerConfig::default(), 4).unwrap();
     ps.apply_batch(&stream);
 
     let reference = sorted_edges_gt(&gt);

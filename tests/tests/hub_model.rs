@@ -84,9 +84,8 @@ fn check_segment(seg: &HubSegment, model: &BTreeMap<u32, u32>, keys: u32) {
     seen.sort_unstable();
     assert!(seen.iter().copied().eq(model.iter().map(|(&d, &w)| (d, w))), "iteration != model");
     for d in 0..keys {
-        let (plain, tagged) = (seg.find(d), seg.find_tagged(d, dst_tag(d)));
-        assert_eq!(plain, tagged, "probe flavours disagree on {d}");
-        assert_eq!(plain.map(|i| seg.weight(i)), model.get(&d).copied(), "dst {d}");
+        let found = seg.find(d, dst_tag(d));
+        assert_eq!(found.map(|i| seg.weight(i)), model.get(&d).copied(), "dst {d}");
     }
 }
 
@@ -100,7 +99,7 @@ fn run_direct(seed: u32, keys: u32, ops: &[Op], check_every_op: bool) -> Passes 
     for &op in ops {
         let Some((dst, weight)) = resolve(op, &model, last_deleted) else { continue };
         let dead0 = seg.dead_slots();
-        let found = seg.find_tagged(dst, dst_tag(dst));
+        let found = seg.find(dst, dst_tag(dst));
         match (weight, found) {
             (Some(w), Some(i)) => {
                 seg.set_weight(i, w);
@@ -108,7 +107,7 @@ fn run_direct(seed: u32, keys: u32, ops: &[Op], check_every_op: bool) -> Passes 
             }
             (Some(w), None) => {
                 assert!(!model.contains_key(&dst));
-                seg.insert(dst, w, dst ^ 0x5555);
+                seg.insert(dst, w, dst ^ 0x5555, dst_tag(dst));
                 model.insert(dst, w);
                 passes.merges += (dead0 > 0 && seg.dead_slots() == 0) as usize;
             }

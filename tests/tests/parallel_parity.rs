@@ -269,7 +269,7 @@ fn dropping_pool_mid_stream_shuts_down_cleanly() {
     }
     drop(pt); // queued work still in flight
 
-    let mut ps = gtinker_stinger::ParallelStinger::new(Default::default(), 4).unwrap();
+    let ps = gtinker_stinger::ParallelStinger::new(Default::default(), 4).unwrap();
     for b in &chunks {
         ps.submit(b.clone());
     }

@@ -20,8 +20,9 @@ use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
 };
+use gtinker_persist::snapshot::{decode_tinker, encode_tinker};
 use gtinker_persist::{
-    corrupt_file, list_segments, recover_tinker, replay, DurableTinker, Fault, SyncPolicy,
+    corrupt_file, crc32, list_segments, recover_tinker, replay, DurableTinker, Fault, SyncPolicy,
     WalOptions,
 };
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
@@ -356,6 +357,66 @@ fn paper_layout_snapshot_decodes_with_tiering_off() {
     assert_eq!((st.tier_inline_vertices, st.tier_hub_vertices, st.tier_promotions), (0, 0, 0));
     assert_eq!(edge_set(&g), edge_set(&truth_store(TinkerConfig::paper(), &batches, n)));
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot image with its CONFIG payload (the first section: tag,
+/// `u64` length, payload, CRC-32, after the 17-byte header) rewritten by
+/// `edit` and re-framed.
+fn with_config_payload(image: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    const AT: usize = 8 + 1 + 8;
+    assert_eq!(image[AT], 1, "CONFIG is the first section");
+    let len = u64::from_le_bytes(image[AT + 1..AT + 9].try_into().unwrap()) as usize;
+    let mut payload = image[AT + 9..AT + 9 + len].to_vec();
+    edit(&mut payload);
+    let mut out = image[..AT + 1].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&image[AT + 9 + len + 4..]);
+    out
+}
+
+/// The CONFIG section grew twice and shrank once: the first release ended
+/// after the CAL geometry, tier thresholds (three words) were appended
+/// later, then a probe-switch word that this release stopped writing.
+/// Images in all three historical layouts decode to the store the current
+/// writer's image decodes to.
+#[test]
+fn every_historical_config_layout_decodes_to_the_same_store() {
+    let batches = hub_stream();
+    for cfg in [TinkerConfig::paper(), TinkerConfig::default()] {
+        let truth = truth_store(cfg, &batches, batches.len() as u64);
+        let image = encode_tinker(&truth, 7);
+        let (want, _) = decode_tinker(&image).unwrap();
+        let mut layouts = vec![
+            ("tiers", image.clone()),
+            (
+                "tiers + probe switch on",
+                with_config_payload(&image, |p| p.extend(1u64.to_le_bytes())),
+            ),
+            (
+                "tiers + probe switch off",
+                with_config_payload(&image, |p| p.extend(0u64.to_le_bytes())),
+            ),
+        ];
+        if !cfg.adaptive_enabled() {
+            // The first layout has no tier words and decodes with tiering off.
+            layouts
+                .push(("first release", with_config_payload(&image, |p| p.truncate(p.len() - 24))));
+        }
+        for (name, bytes) in layouts {
+            let (g, lsn) = decode_tinker(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(lsn, 7, "{name}");
+            assert_eq!(*g.config(), cfg, "{name}");
+            assert_eq!(edge_set(&g), edge_set(&truth), "{name}");
+            assert_eq!(g.sources(), truth.sources(), "{name}");
+            assert_eq!(g.structure_stats(), want.structure_stats(), "{name}");
+            g.validate_tag_invariants().unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        // The retired word was a flag; anything else there is corruption.
+        let bad = with_config_payload(&image, |p| p.extend(2u64.to_le_bytes()));
+        assert!(decode_tinker(&bad).is_err());
+    }
 }
 
 /// With no snapshot the recovered store takes the caller's config — the

@@ -1,25 +1,30 @@
 //! Probe parity: the SWAR tag-probe engine must be observationally
-//! identical to the seed scalar scan on any update stream. Tag probing
-//! changes *how* a subblock, SGH cluster, or hub tail is searched — 8-wide
-//! fingerprint groups instead of cell-by-cell compares — but never *what*
-//! the store contains, so batch outcomes, edge sets, degrees, and every
-//! analytic must match exactly: across mixed insert/delete churn, in both
-//! delete modes, with the adaptive tiers live, and through a
-//! snapshot/recover round-trip that rebuilds the tag lanes from scratch.
+//! identical to a plain map of the edges on any update stream. Tag probing
+//! decides *how* a subblock, SGH cluster, or hub tail is searched — 8-wide
+//! fingerprint groups, full-width compares only on candidates — never
+//! *what* the store contains, so batch outcomes, edge sets, degrees, and
+//! every analytic must match a `BTreeMap<(src, dst), weight>` model
+//! exactly: across mixed insert/delete churn, in both delete modes, with
+//! the adaptive tiers live, and through a snapshot/recover round-trip that
+//! rebuilds the tag lanes from scratch. The structural invariants are
+//! re-validated after *every* batch (ROADMAP item 4f).
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use std::collections::BTreeMap;
+
+use gtinker_core::{BatchResult, GraphTinker, ParallelTinker};
 use gtinker_datasets::{churn_batches, SourceSkewConfig};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
     dynamic::symmetrize,
     Engine, ModePolicy,
 };
+use gtinker_integration::reference;
 use gtinker_persist::{recover_tinker, write_tinker_snapshot};
-use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
+use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
 
 /// Tiny geometry so deep branch-out chains (and therefore multi-subblock
 /// tag scans) show up with a few thousand edges.
-fn tagged_config(mode: DeleteMode) -> TinkerConfig {
+fn tiny_config(mode: DeleteMode) -> TinkerConfig {
     TinkerConfig {
         pagewidth: 16,
         subblock: 4,
@@ -29,11 +34,39 @@ fn tagged_config(mode: DeleteMode) -> TinkerConfig {
     }
 }
 
-/// The identical store with the scan strategy flipped back to the seed
-/// scalar walk. Tag lanes are still maintained, so the two configurations
-/// differ only in the probe code they execute.
-fn seed_config(mode: DeleteMode) -> TinkerConfig {
-    tagged_config(mode).probe_tags(false)
+/// The oracle: the live edges as an ordered map, probing nothing.
+#[derive(Default)]
+struct Model(BTreeMap<(u32, u32), u32>);
+
+impl Model {
+    /// Applies `batch` in order and returns the outcome counts a store
+    /// must report for it.
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
+        let mut r = BatchResult::default();
+        for op in batch.iter() {
+            match *op {
+                UpdateOp::Insert(e) => match self.0.insert((e.src, e.dst), e.weight) {
+                    None => r.inserted += 1,
+                    Some(_) => r.updated += 1,
+                },
+                UpdateOp::Delete { src, dst } => match self.0.remove(&(src, dst)) {
+                    Some(_) => r.deleted += 1,
+                    None => r.not_found += 1,
+                },
+            }
+        }
+        r
+    }
+
+    /// Every live edge, sorted.
+    fn edges(&self) -> Vec<(u32, u32, u32)> {
+        self.0.iter().map(|(&(s, d), &w)| (s, d, w)).collect()
+    }
+
+    /// The live out-edges of `src`, sorted.
+    fn adjacency(&self, src: u32) -> Vec<(u32, u32, u32)> {
+        self.0.range((src, 0)..=(src, u32::MAX)).map(|(&(s, d), &w)| (s, d, w)).collect()
+    }
 }
 
 /// A skewed stream with interleaved deletes of earlier edges.
@@ -55,6 +88,25 @@ fn tinker_edges(g: &GraphTinker) -> Vec<(u32, u32, u32)> {
     edge_set(&|f| g.for_each_edge(f))
 }
 
+/// Streams `batches` into a store of `cfg` and into the model, holding the
+/// store to the model's batch outcome and to both structural invariants
+/// after every batch.
+fn churn_against_model(
+    cfg: TinkerConfig,
+    batches: &[EdgeBatch],
+    ctx: &str,
+) -> (GraphTinker, Model) {
+    let mut g = GraphTinker::new(cfg).unwrap();
+    let mut model = Model::default();
+    for (i, b) in batches.iter().enumerate() {
+        assert_eq!(g.apply_batch(b), model.apply(b), "outcome of batch {i} diverged ({ctx})");
+        g.validate_rhh_invariants().unwrap_or_else(|e| panic!("batch {i} ({ctx}): {e}"));
+        g.validate_tag_invariants().unwrap_or_else(|e| panic!("batch {i} ({ctx}): {e}"));
+    }
+    assert!(g.stats().tag_group_scans > 0, "store never exercised the SWAR engine ({ctx})");
+    (g, model)
+}
+
 #[test]
 fn tagged_matches_seed_under_churn_both_delete_modes() {
     // Default tiers (4 / 128 / 64) and, second, the paper layout with every
@@ -65,72 +117,54 @@ fn tagged_matches_seed_under_churn_both_delete_modes() {
         .flat_map(|m| layouts.map(|l| (m, l)))
     {
         let (inline, hub, floor) = (layout.inline_cap, layout.hub_promote, layout.hub_demote);
-        let batches = churn_stream(61);
-        let mut tagged = GraphTinker::new(tagged_config(mode).tiers(inline, hub, floor)).unwrap();
-        let mut seed = GraphTinker::new(seed_config(mode).tiers(inline, hub, floor)).unwrap();
-        for b in &batches {
-            let rt = tagged.apply_batch(b);
-            let rs = seed.apply_batch(b);
-            assert_eq!(rt, rs, "batch outcome diverged ({mode:?})");
-        }
-        assert_eq!(tagged.num_edges(), seed.num_edges(), "{mode:?}");
-        assert_eq!(tinker_edges(&tagged), tinker_edges(&seed), "{mode:?}");
+        let ctx = format!("{mode:?}, tiers {inline}/{hub}/{floor}");
+        let cfg = tiny_config(mode).tiers(inline, hub, floor);
+        let (g, model) = churn_against_model(cfg, &churn_stream(61), &ctx);
+        assert_eq!(g.num_edges(), model.0.len() as u64, "{ctx}");
+        assert_eq!(tinker_edges(&g), model.edges(), "{ctx}");
         for src in 0..512u32 {
+            let want = model.adjacency(src);
+            assert_eq!(g.out_degree(src) as usize, want.len(), "degree of {src} diverged ({ctx})");
             assert_eq!(
-                tagged.out_degree(src),
-                seed.out_degree(src),
-                "degree of {src} diverged ({mode:?})"
+                edge_set(&|f| g.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
+                want,
+                "adjacency of {src} diverged ({ctx})"
             );
-            assert_eq!(
-                edge_set(&|f| tagged.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
-                edge_set(&|f| seed.for_each_out_edge(src, &mut |d, w| f(src, d, w))),
-                "adjacency of {src} diverged ({mode:?})"
-            );
+            for &(_, dst, w) in &want {
+                assert_eq!(g.edge_weight(src, dst), Some(w), "find of ({src}, {dst}) ({ctx})");
+            }
         }
-        // The engines really took different scan paths...
-        assert!(
-            tagged.stats().tag_group_scans > 0,
-            "tagged store never exercised the SWAR engine ({mode:?})"
-        );
-        assert_eq!(seed.stats().tag_group_scans, 0, "seed store must not group-scan ({mode:?})");
-        // ...and both maintain valid tag lanes and structural invariants.
-        tagged.validate_tag_invariants().unwrap_or_else(|e| panic!("tagged {mode:?}: {e}"));
-        seed.validate_tag_invariants().unwrap_or_else(|e| panic!("seed {mode:?}: {e}"));
-        tagged.validate_rhh_invariants().unwrap();
-        seed.validate_rhh_invariants().unwrap();
     }
 }
 
 #[test]
 fn tagged_matches_seed_with_adaptive_tiers_live() {
-    let batches = churn_stream(62);
-    let mut tagged =
-        GraphTinker::new(tagged_config(DeleteMode::DeleteOnly).tiers(2, 12, 6)).unwrap();
-    let mut seed = GraphTinker::new(seed_config(DeleteMode::DeleteOnly).tiers(2, 12, 6)).unwrap();
-    for b in &batches {
-        assert_eq!(tagged.apply_batch(b), seed.apply_batch(b), "batch outcome diverged");
-    }
-    assert_eq!(tinker_edges(&tagged), tinker_edges(&seed));
-    let st = tagged.structure_stats();
+    let cfg = tiny_config(DeleteMode::DeleteOnly).tiers(2, 12, 6);
+    let (g, model) = churn_against_model(cfg, &churn_stream(62), "tiers 2/12/6");
+    assert_eq!(tinker_edges(&g), model.edges());
+    let st = g.structure_stats();
     assert!(
         st.tier_inline_vertices > 0 && st.tier_hub_vertices > 0,
         "stream must leave inline and hub vertices live: {st:?}"
     );
-    tagged.validate_tag_invariants().unwrap();
-    seed.validate_tag_invariants().unwrap();
 }
 
 #[test]
 fn pooled_tagged_matches_sequential_seed() {
-    let batches = churn_stream(63);
-    let mut seq = GraphTinker::new(seed_config(DeleteMode::DeleteOnly)).unwrap();
-    let par = ParallelTinker::new(tagged_config(DeleteMode::DeleteOnly), 4).unwrap();
-    for b in &batches {
-        seq.apply_batch(b);
-        par.apply_batch(b);
+    let mut model = Model::default();
+    let par = ParallelTinker::new(tiny_config(DeleteMode::DeleteOnly), 4).unwrap();
+    for (i, b) in churn_stream(63).iter().enumerate() {
+        assert_eq!(par.apply_batch(b), model.apply(b), "outcome of batch {i} diverged");
+        for shard in 0..par.num_instances() {
+            par.with_instance(shard, |g| {
+                g.validate_rhh_invariants().unwrap_or_else(|e| panic!("batch {i}: {e}"));
+                g.validate_tag_invariants().unwrap_or_else(|e| panic!("batch {i}: {e}"));
+            });
+        }
     }
-    assert_eq!(par.num_edges(), seq.num_edges());
-    assert_eq!(edge_set(&|f| par.for_each_edge(f)), tinker_edges(&seq));
+    assert_eq!(par.num_edges(), model.0.len() as u64);
+    assert_eq!(edge_set(&|f| par.for_each_edge(f)), model.edges());
+    assert!(par.stats().tag_group_scans > 0, "pooled store never exercised the SWAR engine");
 }
 
 #[test]
@@ -146,29 +180,20 @@ fn bfs_and_cc_identical_across_probe_engines() {
     let batch = EdgeBatch::inserts(&edges);
     let root = edges[0].src;
 
-    let mut tagged = GraphTinker::new(tagged_config(DeleteMode::DeleteOnly)).unwrap();
-    let mut seed = GraphTinker::new(seed_config(DeleteMode::DeleteOnly)).unwrap();
-    tagged.apply_batch(&batch);
-    seed.apply_batch(&batch);
-
+    let mut g = GraphTinker::new(tiny_config(DeleteMode::DeleteOnly)).unwrap();
+    g.apply_batch(&batch);
+    let levels = reference::bfs_levels(&edges, g.vertex_space(), root);
     for policy in [ModePolicy::AlwaysFull, ModePolicy::hybrid()] {
-        let mut et = Engine::new(Bfs::new(root), policy);
-        et.run_from_roots(&tagged);
-        let mut es = Engine::new(Bfs::new(root), policy);
-        es.run_from_roots(&seed);
-        assert_eq!(et.values(), es.values(), "BFS diverged under {policy:?}");
+        let mut e = Engine::new(Bfs::new(root), policy);
+        e.run_from_roots(&g);
+        assert_eq!(e.values(), &levels[..], "BFS diverged under {policy:?}");
     }
 
-    let sym = symmetrize(&batch);
-    let mut tagged = GraphTinker::new(tagged_config(DeleteMode::DeleteOnly)).unwrap();
-    let mut seed = GraphTinker::new(seed_config(DeleteMode::DeleteOnly)).unwrap();
-    tagged.apply_batch(&sym);
-    seed.apply_batch(&sym);
-    let mut et = Engine::new(Cc::new(), ModePolicy::hybrid());
-    et.run_from_roots(&tagged);
-    let mut es = Engine::new(Cc::new(), ModePolicy::hybrid());
-    es.run_from_roots(&seed);
-    assert_eq!(et.values(), es.values(), "CC diverged");
+    let mut g = GraphTinker::new(tiny_config(DeleteMode::DeleteOnly)).unwrap();
+    g.apply_batch(&symmetrize(&batch));
+    let mut e = Engine::new(Cc::new(), ModePolicy::hybrid());
+    e.run_from_roots(&g);
+    assert_eq!(e.values(), &reference::cc_labels(&edges, g.vertex_space())[..], "CC diverged");
 }
 
 #[test]
@@ -177,7 +202,7 @@ fn snapshot_recover_rebuilds_tags_with_all_three_tiers_live() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let cfg = tagged_config(DeleteMode::DeleteOnly).tiers(2, 12, 6);
+    let cfg = tiny_config(DeleteMode::DeleteOnly).tiers(2, 12, 6);
     let mut g = GraphTinker::new(cfg).unwrap();
     // Hub (20 edges > promote threshold 12), blocks (5), inline (1).
     for d in 0..20u32 {
@@ -201,7 +226,6 @@ fn snapshot_recover_rebuilds_tags_with_all_three_tiers_live() {
     let (back, report) = recover_tinker(&dir, cfg).unwrap();
     assert_eq!(report.replayed_records, 0);
     assert_eq!(tinker_edges(&back), tinker_edges(&g));
-    assert!(back.config().probe_tags, "probe flag must survive the round-trip");
     let after = back.structure_stats();
     assert_eq!(
         (after.tier_inline_vertices, after.tier_blocks_vertices, after.tier_hub_vertices),
