@@ -356,40 +356,8 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
         "json" => println!("{}", stats_json(&g, &input, recovered, &snap)),
         "prom" | "prometheus" => print!("{}", snap.to_prometheus()),
         _ => {
-            let st = g.structure_stats();
-            let ps = g.stats();
-            println!("vertices (sources): {}", st.num_sources);
-            println!("vertex space      : {}", g.vertex_space());
-            println!("live edges        : {}", st.live_edges);
-            println!("main blocks       : {}", st.main_blocks);
-            println!("overflow blocks   : {}", st.overflow_blocks);
-            println!("free blocks       : {}", st.free_blocks);
-            println!(
-                "tombstones        : {} (+ {} hub dead slots)",
-                st.tombstones, st.hub_dead_slots
-            );
-            println!("CAL blocks        : {} ({} invalid records)", st.cal_blocks, st.cal_invalid);
-            println!("occupancy         : {:.3}", st.occupancy);
-            println!("memory            : {:.1} MiB", st.memory_bytes as f64 / (1024.0 * 1024.0));
-            if g.config().adaptive_enabled() {
-                println!(
-                    "tiers             : {} inline / {} blocks / {} hub vertices \
-                     ({} promotions, {} demotions)",
-                    st.tier_inline_vertices,
-                    st.tier_blocks_vertices,
-                    st.tier_hub_vertices,
-                    st.tier_promotions,
-                    st.tier_demotions
-                );
-                println!(
-                    "tier memory       : inline {} B, hub {} B",
-                    st.inline_bytes, st.hub_bytes
-                );
-            }
-            println!("mean probe        : {:.2} cells/op", ps.mean_probe());
-            println!("mean tree depth   : {:.3}", g.mean_depth());
-            let hist = g.depth_histogram();
-            for (d, n) in hist.iter().enumerate() {
+            print!("{}", structure_report(&g, false));
+            for (d, n) in g.depth_histogram().iter().enumerate() {
                 println!("  depth {d}: {n} edges");
             }
             println!("-- hot-path metrics (this run) --");
@@ -438,46 +406,88 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders `gtinker stats` output as one JSON object: structure stats as
-/// scalar fields (one per line, sed/grep-friendly) plus the full metric
-/// registry under `"metrics"`.
+/// How one structure field prints. JSON takes the raw number (reals to
+/// six places); the text report rounds reals to the given places and shows
+/// byte counts as MiB.
+enum Num {
+    Int(u64),
+    Real(f64, usize),
+    Mib(usize),
+}
+
+/// The structure fields of `gtinker stats`, one `(key, lead, value, trail)`
+/// row each, rendered either as JSON members (`"key": value`, one per line,
+/// sed/grep-friendly) or as the text report (`lead value trail`, so several
+/// fields can share a line).
+fn structure_report(g: &GraphTinker, json: bool) -> String {
+    use Num::{Int, Mib, Real};
+    let st = g.structure_stats();
+    let n = |v: usize| Int(v as u64);
+    let head = [
+        ("live_edges", "live edges        : ", Int(st.live_edges), "\n"),
+        ("num_sources", "vertices (sources): ", n(st.num_sources), "\n"),
+        ("vertex_space", "vertex space      : ", Int(g.vertex_space().into()), "\n"),
+        ("main_blocks", "main blocks       : ", n(st.main_blocks), "\n"),
+        ("overflow_blocks", "overflow blocks   : ", n(st.overflow_blocks), "\n"),
+        ("free_blocks", "free blocks       : ", n(st.free_blocks), "\n"),
+        ("tombstones", "tombstones        : ", n(st.tombstones), ""),
+        ("hub_dead_slots", " (+ ", n(st.hub_dead_slots), " hub dead slots)\n"),
+        ("cal_blocks", "CAL blocks        : ", n(st.cal_blocks), ""),
+        ("cal_invalid", " (", Int(st.cal_invalid), " invalid records)\n"),
+        ("occupancy", "occupancy         : ", Real(st.occupancy, 3), "\n"),
+        ("memory_bytes", "memory            : ", Mib(st.memory_bytes), " MiB\n"),
+    ];
+    let tiers = [
+        ("tier_inline_vertices", "tiers             : ", n(st.tier_inline_vertices), " inline"),
+        ("tier_blocks_vertices", " / ", n(st.tier_blocks_vertices), " blocks"),
+        ("tier_hub_vertices", " / ", n(st.tier_hub_vertices), " hub vertices"),
+        ("tier_promotions", " (", Int(st.tier_promotions), " promotions"),
+        ("tier_demotions", ", ", Int(st.tier_demotions), " demotions)\n"),
+        ("inline_bytes", "tier memory       : inline ", n(st.inline_bytes), " B"),
+        ("hub_bytes", ", hub ", n(st.hub_bytes), " B\n"),
+    ];
+    let tail = [
+        ("mean_probe", "mean probe        : ", Real(g.stats().mean_probe(), 2), " cells/op\n"),
+        ("mean_depth", "mean tree depth   : ", Real(g.mean_depth(), 3), "\n"),
+    ];
+    // JSON lists every field, live_edges first; the text report leads with
+    // the vertex counts and shows the tier lines for tiered layouts only.
+    let tiered = json || g.config().adaptive_enabled();
+    let (first, rest) = head.split_at(if json { 0 } else { 1 });
+    let rows = rest[..2].iter().chain(first).chain(&rest[2..]);
+    let mut out = String::new();
+    for (key, lead, num, trail) in rows.chain(tiers.iter().filter(|_| tiered)).chain(&tail) {
+        let value = match *num {
+            Int(v) => v.to_string(),
+            Real(v, _) if json => format!("{v:.6}"),
+            Real(v, places) => format!("{v:.places$}"),
+            Mib(bytes) if json => bytes.to_string(),
+            Mib(bytes) => format!("{:.1}", bytes as f64 / (1024.0 * 1024.0)),
+        };
+        if json {
+            out.push_str(&format!("  \"{key}\": {value},\n"));
+        } else {
+            out.push_str(&format!("{lead}{value}{trail}"));
+        }
+    }
+    out
+}
+
+/// Renders `gtinker stats` output as one JSON object: the structure fields
+/// of [`structure_report`] plus the full metric registry under `"metrics"`.
 fn stats_json(
     g: &GraphTinker,
     input: &str,
     recovered: bool,
     snap: &gtinker_core::MetricsSnapshot,
 ) -> String {
-    let st = g.structure_stats();
-    let ps = g.stats();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"input\": \"{}\",\n", input.replace('\\', "/").replace('"', "'")));
-    out.push_str(&format!("  \"recovered\": {recovered},\n"));
-    out.push_str(&format!("  \"live_edges\": {},\n", st.live_edges));
-    out.push_str(&format!("  \"num_sources\": {},\n", st.num_sources));
-    out.push_str(&format!("  \"vertex_space\": {},\n", g.vertex_space()));
-    out.push_str(&format!("  \"main_blocks\": {},\n", st.main_blocks));
-    out.push_str(&format!("  \"overflow_blocks\": {},\n", st.overflow_blocks));
-    out.push_str(&format!("  \"free_blocks\": {},\n", st.free_blocks));
-    out.push_str(&format!("  \"tombstones\": {},\n", st.tombstones));
-    out.push_str(&format!("  \"hub_dead_slots\": {},\n", st.hub_dead_slots));
-    out.push_str(&format!("  \"cal_blocks\": {},\n", st.cal_blocks));
-    out.push_str(&format!("  \"cal_invalid\": {},\n", st.cal_invalid));
-    out.push_str(&format!("  \"occupancy\": {:.6},\n", st.occupancy));
-    out.push_str(&format!("  \"memory_bytes\": {},\n", st.memory_bytes));
-    out.push_str(&format!("  \"tier_inline_vertices\": {},\n", st.tier_inline_vertices));
-    out.push_str(&format!("  \"tier_blocks_vertices\": {},\n", st.tier_blocks_vertices));
-    out.push_str(&format!("  \"tier_hub_vertices\": {},\n", st.tier_hub_vertices));
-    out.push_str(&format!("  \"tier_promotions\": {},\n", st.tier_promotions));
-    out.push_str(&format!("  \"tier_demotions\": {},\n", st.tier_demotions));
-    out.push_str(&format!("  \"inline_bytes\": {},\n", st.inline_bytes));
-    out.push_str(&format!("  \"hub_bytes\": {},\n", st.hub_bytes));
-    out.push_str(&format!("  \"mean_probe\": {:.6},\n", ps.mean_probe()));
-    out.push_str(&format!("  \"mean_depth\": {:.6},\n", g.mean_depth()));
     // Indent the metrics object to nest under this one.
     let metrics = snap.to_json().replace('\n', "\n  ");
-    out.push_str(&format!("  \"metrics\": {metrics}\n"));
-    out.push('}');
-    out
+    format!(
+        "{{\n  \"input\": \"{}\",\n  \"recovered\": {recovered},\n{}  \"metrics\": {metrics}\n}}",
+        crate::serve::json_str(input),
+        structure_report(g, true)
+    )
 }
 
 /// Number of shards requested via `--shards` (1 = single store).
@@ -1397,8 +1407,9 @@ mod tests {
         let mut g = GraphTinker::with_defaults();
         g.apply_batch(&EdgeBatch::inserts(&[Edge::unit(0, 1), Edge::unit(0, 2)]));
         let snap = gtinker_core::metrics::global().snapshot();
-        let s = stats_json(&g, "some/input.txt", false, &snap);
+        let s = stats_json(&g, "some/in\"put\\\t\n\u{1}.txt", false, &snap);
         assert!(s.starts_with("{\n") && s.ends_with('}'));
+        assert!(s.contains(r#"  "input": "some/in\"put\\\t\n\u0001.txt","#), "{s}");
         assert!(s.contains("\"live_edges\": 2"));
         assert!(s.contains("\"recovered\": false"));
         assert!(s.contains("\"metrics\": {"));

@@ -704,16 +704,21 @@ fn pagerank_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
     ))
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_str(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+/// Escapes a string for embedding in a JSON string literal: quote and
+/// backslash, then `\n` / `\t` / `\u00XX` for control characters.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Liveness JSON. With a store attached, live edges and the epoch come

@@ -16,7 +16,7 @@
 //! semantics). [`GraphTinker::rebuild_cal`](crate::GraphTinker) can be used
 //! to re-compact a CAL that has accumulated many invalid slots.
 
-use gtinker_types::{VertexId, Weight, NIL_U32};
+use gtinker_types::{Edge, VertexId, Weight, NIL_U32};
 
 /// Packed pointer to a CAL record: block index in the high bits, slot within
 /// the block in the low bits.
@@ -174,8 +174,15 @@ impl CalArray {
 
     /// Reads the record behind a pointer (diagnostics/tests).
     pub fn record(&self, ptr: CalPtr) -> CalRecord {
+        self.get(ptr).expect("CAL pointer addresses a written record")
+    }
+
+    /// The record behind `ptr`, or `None` when the pointer addresses no
+    /// written slot (the validators' checked read).
+    pub fn get(&self, ptr: CalPtr) -> Option<CalRecord> {
         let (block, slot) = self.unpack(ptr);
-        self.records[block as usize * self.block_size + slot as usize]
+        let fill = *self.fill.get(block as usize)?;
+        (slot < fill).then(|| self.records[block as usize * self.block_size + slot as usize])
     }
 
     /// Streams every live edge copy sequentially: groups in order, each
@@ -232,6 +239,38 @@ impl CalArray {
         self.records.capacity() * std::mem::size_of::<CalRecord>()
             + (self.next_block.capacity() + self.fill.capacity()) * 4
             + (self.group_head.capacity() + self.group_tail.capacity()) * 4
+    }
+}
+
+/// Appends the CAL copy of a new edge of `dense` and returns its pointer
+/// ([`NIL_U32`] when the store keeps no CAL). With the two functions below,
+/// the one place the main copies mirror themselves into the store's
+/// optional CAL.
+#[inline]
+pub fn cal_append(cal: &mut Option<CalArray>, dense: u32, e: Edge) -> CalPtr {
+    match cal {
+        Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
+        None => NIL_U32,
+    }
+}
+
+/// Carries a weight update to the CAL copy behind `ptr`, if there is one.
+#[inline]
+pub fn cal_update(cal: &mut Option<CalArray>, ptr: CalPtr, weight: Weight) {
+    if ptr != NIL_U32 {
+        if let Some(cal) = cal {
+            cal.update_weight(ptr, weight);
+        }
+    }
+}
+
+/// Flags the CAL copy behind `ptr` invalid, if there is one.
+#[inline]
+pub fn cal_invalidate(cal: &mut Option<CalArray>, ptr: CalPtr) {
+    if ptr != NIL_U32 {
+        if let Some(cal) = cal {
+            cal.invalidate(ptr);
+        }
     }
 }
 

@@ -82,7 +82,7 @@ pub type BlockId = u32;
 ///
 /// The arena only manages storage and topology (allocation, recycling,
 /// child links, occupancy counts); the hashing policy that decides *where*
-/// edges go lives in [`crate::tinker::GraphTinker`].
+/// edges go lives in [`crate::tier::BlockTier`].
 #[derive(Debug, Clone)]
 pub struct BlockArena {
     cells: Vec<EdgeCell>,
@@ -316,24 +316,35 @@ impl BlockArena {
         *l = l.checked_add_signed(delta).expect("live count underflow");
     }
 
+    /// Visits every block of the subtree rooted at `top` as
+    /// `(block, depth below top)`: the one depth-first walk every subtree
+    /// scan shares, so they all see blocks in the same order (a block, then
+    /// its children from the last subblock to the first).
+    pub fn for_each_block(&self, top: BlockId, mut f: impl FnMut(BlockId, u32)) {
+        let mut stack = vec![(top, 0u32)];
+        while let Some((b, depth)) = stack.pop() {
+            f(b, depth);
+            for &child in self.child_slots(b) {
+                if child != NIL_U32 {
+                    stack.push((child, depth + 1));
+                }
+            }
+        }
+    }
+
     /// Collects every live edge in the subtree rooted at `top` (the block
     /// itself plus all branch-out descendants) as `(dst, weight, cal_ptr)`.
     /// Used by tier promotion/demotion to migrate a vertex's adjacency.
     pub fn collect_subtree(&self, top: BlockId) -> Vec<(VertexId, Weight, u32)> {
         let mut edges = Vec::new();
-        let mut stack = vec![top];
-        while let Some(b) = stack.pop() {
-            for c in self.block(b) {
-                if c.is_occupied() {
-                    edges.push((c.dst, c.weight, c.cal_ptr));
-                }
-            }
-            for &child in self.child_slots(b) {
-                if child != NIL_U32 {
-                    stack.push(child);
-                }
-            }
-        }
+        self.for_each_block(top, |b, _| {
+            edges.extend(
+                self.block(b)
+                    .iter()
+                    .filter(|c| c.is_occupied())
+                    .map(|c| (c.dst, c.weight, c.cal_ptr)),
+            );
+        });
         edges
     }
 

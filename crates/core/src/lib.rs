@@ -57,6 +57,7 @@ pub mod rhh;
 pub mod sgh;
 pub mod stats;
 pub mod swar;
+pub mod tier;
 pub mod tinker;
 pub mod trace;
 pub mod vertex;
@@ -70,6 +71,7 @@ pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};
 pub use pool::{ShardPool, ShardStore};
 pub use sgh::SghUnit;
 pub use stats::{ProbeStats, StructureStats};
+pub use tier::{BlockTier, HubTier, InlineTier, TierEdge, TierOps, Upsert};
 pub use tinker::{ApplyBatch, BatchResult, GraphTinker};
 pub use trace::{SpanId, TraceDump, TraceEvent};
 pub use vertex::{InlineAdj, Tier, VertexProperty, VertexPropertyArray};

@@ -25,15 +25,11 @@
 //!
 //! # Design
 //!
-//! Mirrors the two-gate pattern of `metrics`/`trace`:
-//!
-//! 1. The `log` cargo feature (default **on**). Off, [`Record`] is a
-//!    zero-sized type and every method is an empty inline body — the true
-//!    zero-cost path, covered by the log-off build check in CI.
-//! 2. A runtime maximum level (one relaxed atomic load per call site),
-//!    defaulting to [`Level::Warn`] so error and slow-query records are
-//!    live out of the box while per-request/per-batch chatter stays off
-//!    until `--log info` / `--log debug` opts in.
+//! One gate, like `metrics` and `trace`: a runtime maximum level (one
+//! relaxed atomic load per call site), defaulting to [`Level::Warn`] so
+//! error and slow-query records are live out of the box while
+//! per-request/per-batch chatter stays off until `--log info` /
+//! `--log debug` opts in.
 //!
 //! A suppressed record costs one load and one branch; an emitted record
 //! formats into a single `String` and writes it to the sink in one call
@@ -41,9 +37,7 @@
 //! and the `fig_log_overhead` bench can observe lines without scraping a
 //! child process).
 
-#[cfg(feature = "log")]
 use std::sync::atomic::{AtomicU8, Ordering};
-#[cfg(feature = "log")]
 use std::sync::Mutex;
 
 /// Severity of a record, ordered: `Error < Warn < Info < Debug`. A record
@@ -85,38 +79,24 @@ impl Level {
     }
 }
 
-#[cfg(feature = "log")]
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
 
-#[cfg(feature = "log")]
 static CAPTURE: Mutex<Option<Vec<String>>> = Mutex::new(None);
 
 /// Sets the runtime verbosity ceiling; `None` disables logging entirely.
-/// A no-op when the `log` feature is compiled out. Starts at
-/// [`Level::Warn`].
+/// Starts at [`Level::Warn`].
 pub fn set_max_level(level: Option<Level>) {
-    #[cfg(feature = "log")]
     MAX_LEVEL.store(level.map(|l| l as u8).unwrap_or(0), Ordering::Relaxed);
-    #[cfg(not(feature = "log"))]
-    let _ = level;
 }
 
-/// The current runtime verbosity ceiling (`None` = off). Always `None`
-/// when the `log` feature is compiled out.
+/// The current runtime verbosity ceiling (`None` = off).
 pub fn max_level() -> Option<Level> {
-    #[cfg(feature = "log")]
-    {
-        match MAX_LEVEL.load(Ordering::Relaxed) {
-            1 => Some(Level::Error),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Info),
-            4 => Some(Level::Debug),
-            _ => None,
-        }
-    }
-    #[cfg(not(feature = "log"))]
-    {
-        None
+    match MAX_LEVEL.load(Ordering::Relaxed) {
+        1 => Some(Level::Error),
+        2 => Some(Level::Warn),
+        3 => Some(Level::Info),
+        4 => Some(Level::Debug),
+        _ => None,
     }
 }
 
@@ -138,48 +118,27 @@ pub fn set_level_by_name(name: &str) -> bool {
 }
 
 /// Whether a record at `level` would currently be emitted — one relaxed
-/// load. Always `false` when the `log` feature is compiled out.
+/// load.
 #[inline]
 pub fn enabled(level: Level) -> bool {
-    #[cfg(feature = "log")]
-    {
-        level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "log"))]
-    {
-        let _ = level;
-        false
-    }
+    level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
 /// Redirects emitted lines into an in-process buffer (drained by
 /// [`drain_capture`]) instead of stderr. Tests and the log-overhead bench
-/// use this to observe records without scraping a child process. A no-op
-/// when the `log` feature is compiled out.
+/// use this to observe records without scraping a child process.
 pub fn set_capture(on: bool) {
-    #[cfg(feature = "log")]
-    {
-        let mut cap = CAPTURE.lock().expect("log capture poisoned");
-        *cap = if on { Some(Vec::new()) } else { None };
-    }
-    #[cfg(not(feature = "log"))]
-    let _ = on;
+    let mut cap = CAPTURE.lock().expect("log capture poisoned");
+    *cap = if on { Some(Vec::new()) } else { None };
 }
 
 /// Takes every line captured since the last drain (empty when capture is
-/// off or the feature is compiled out).
+/// off).
 pub fn drain_capture() -> Vec<String> {
-    #[cfg(feature = "log")]
-    {
-        let mut cap = CAPTURE.lock().expect("log capture poisoned");
-        match cap.as_mut() {
-            Some(lines) => std::mem::take(lines),
-            None => Vec::new(),
-        }
-    }
-    #[cfg(not(feature = "log"))]
-    {
-        Vec::new()
+    let mut cap = CAPTURE.lock().expect("log capture poisoned");
+    match cap.as_mut() {
+        Some(lines) => std::mem::take(lines),
+        None => Vec::new(),
     }
 }
 
@@ -191,7 +150,6 @@ pub fn drain_capture() -> Vec<String> {
 #[must_use = "a record does nothing until .emit()"]
 #[derive(Debug)]
 pub struct Record {
-    #[cfg(feature = "log")]
     buf: Option<String>,
 }
 
@@ -200,22 +158,14 @@ pub struct Record {
 /// then [`Record::emit`].
 #[inline]
 pub fn record(level: Level, target: &str) -> Record {
-    #[cfg(feature = "log")]
-    {
-        if !enabled(level) {
-            return Record { buf: None };
-        }
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
-        Record { buf: Some(format!("ts={ts:.3} level={} target={target}", level.name())) }
+    if !enabled(level) {
+        return Record { buf: None };
     }
-    #[cfg(not(feature = "log"))]
-    {
-        let _ = (level, target);
-        Record {}
-    }
+    let ts = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs_f64())
+        .unwrap_or(0.0);
+    Record { buf: Some(format!("ts={ts:.3} level={} target={target}", level.name())) }
 }
 
 /// Shorthand for [`record`]`(Level::Error, target)`.
@@ -253,24 +203,18 @@ impl Record {
     /// Appends `key=value` with a bare (unquoted) value — use for numbers
     /// and other values with no spaces or quotes.
     #[inline]
-    #[cfg_attr(not(feature = "log"), allow(unused_mut))]
     pub fn field(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        #[cfg(feature = "log")]
         if let Some(buf) = self.buf.as_mut() {
             use std::fmt::Write;
             let _ = write!(buf, " {key}={value}");
         }
-        #[cfg(not(feature = "log"))]
-        let _ = (key, value);
         self
     }
 
     /// Appends `key="value"` with the value quoted and escaped (quotes,
     /// backslashes and control characters never break the line grammar).
     #[inline]
-    #[cfg_attr(not(feature = "log"), allow(unused_mut))]
     pub fn field_str(mut self, key: &str, value: &str) -> Self {
-        #[cfg(feature = "log")]
         if let Some(buf) = self.buf.as_mut() {
             use std::fmt::Write;
             let _ = write!(buf, " {key}=\"");
@@ -284,8 +228,6 @@ impl Record {
             }
             buf.push('"');
         }
-        #[cfg(not(feature = "log"))]
-        let _ = (key, value);
         self
     }
 
@@ -293,7 +235,6 @@ impl Record {
     /// buffer when [`set_capture`] is on). A suppressed record emits
     /// nothing.
     pub fn emit(self) {
-        #[cfg(feature = "log")]
         if let Some(line) = self.buf {
             let mut cap = CAPTURE.lock().expect("log capture poisoned");
             match cap.as_mut() {
@@ -312,7 +253,6 @@ mod tests {
     use super::*;
 
     /// Serialises tests that touch the global level or capture buffer.
-    #[cfg(feature = "log")]
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -324,7 +264,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "log")]
     fn records_are_keyvalue_lines() {
         let _g = LOCK.lock().unwrap();
         set_capture(true);
@@ -346,7 +285,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "log")]
     fn suppressed_levels_emit_nothing() {
         let _g = LOCK.lock().unwrap();
         set_capture(true);
@@ -362,7 +300,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "log")]
     fn off_disables_everything_and_names_parse() {
         let _g = LOCK.lock().unwrap();
         set_capture(true);
@@ -379,7 +316,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "log")]
     fn string_values_are_escaped() {
         let _g = LOCK.lock().unwrap();
         set_capture(true);
@@ -388,17 +324,5 @@ mod tests {
         let lines = drain_capture();
         set_capture(false);
         assert!(lines[0].contains("msg=\"a\\\"b\\\\c d\""), "got: {}", lines[0]);
-    }
-
-    #[test]
-    #[cfg(not(feature = "log"))]
-    fn feature_off_is_inert() {
-        set_max_level(Some(Level::Debug));
-        assert_eq!(max_level(), None);
-        assert!(!enabled(Level::Error));
-        set_capture(true);
-        error("serve").msg("x").field("k", 1).field_str("s", "v").emit();
-        assert!(drain_capture().is_empty());
-        assert!(set_level_by_name("debug") && !set_level_by_name("nope"));
     }
 }

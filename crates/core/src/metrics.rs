@@ -20,23 +20,16 @@
 //!   one primitive that ignores the runtime enable flag, so increments and
 //!   decrements always pair up even if collection is toggled mid-flight.
 //!
-//! Two independent switches control collection:
-//!
-//! 1. The `metrics` cargo feature (default **on**). With the feature off the
-//!    primitives compile to zero-sized types whose methods are empty `#[inline]`
-//!    bodies — the true zero-cost path, proven behaviour-neutral by the
-//!    metrics-off parity tests and CI build check.
-//! 2. A runtime flag ([`set_enabled`]) checked with one relaxed load inside
-//!    each recording method. It exists so a single binary (the
-//!    `fig_metrics_overhead` bench) can measure enabled-vs-disabled ingest
-//!    throughput back to back.
+//! One switch controls collection: a runtime flag ([`set_enabled`], on by
+//! default) checked with one relaxed load inside each recording method. A
+//! single binary (the `fig_metrics_overhead` bench, the `metrics_parity`
+//! suite) measures and compares enabled-vs-disabled ingest back to back.
 //!
 //! The registry is a process-wide static ([`global`]). [`Metrics::snapshot`]
 //! materialises it into a plain-data [`MetricsSnapshot`] with hand-rolled
 //! JSON ([`MetricsSnapshot::to_json`]) and Prometheus-style text
 //! ([`MetricsSnapshot::to_prometheus`]) renderings.
 
-#[cfg(feature = "metrics")]
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -82,30 +75,17 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
     }
 }
 
-#[cfg(feature = "metrics")]
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether runtime collection is currently enabled. Always `false` when the
-/// `metrics` feature is compiled out.
+/// Whether runtime collection is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "metrics")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Toggles runtime collection. A no-op when the `metrics` feature is
-/// compiled out. Collection starts enabled.
+/// Toggles runtime collection. Collection starts enabled.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "metrics")]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "metrics"))]
-    let _ = on;
 }
 
 /// Starts a wall-clock timer for latency histograms, or `None` when
@@ -121,11 +101,9 @@ pub fn timer() -> Option<Instant> {
 }
 
 /// A monotonically increasing event count (relaxed atomic).
-#[cfg(feature = "metrics")]
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
-#[cfg(feature = "metrics")]
 impl Counter {
     /// Creates a zeroed counter (const so it can live in a static).
     pub const fn new() -> Self {
@@ -157,44 +135,13 @@ impl Counter {
     }
 }
 
-/// No-op stand-in compiled when the `metrics` feature is off.
-#[cfg(not(feature = "metrics"))]
-#[derive(Debug, Default)]
-pub struct Counter;
-
-#[cfg(not(feature = "metrics"))]
-impl Counter {
-    /// Creates the zero-sized no-op counter.
-    pub const fn new() -> Self {
-        Counter
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn inc(&self) {}
-
-    /// No-op.
-    #[inline]
-    pub fn add(&self, _n: u64) {}
-
-    /// Always zero.
-    pub fn get(&self) -> u64 {
-        0
-    }
-
-    /// No-op.
-    pub fn reset(&self) {}
-}
-
 /// A balanced up/down quantity (e.g. in-flight batch count). Unlike
 /// [`Counter`] and [`Histogram`], a gauge does **not** consult the runtime
 /// enable flag: increments and decrements must pair up even if collection
 /// is toggled between them, otherwise the gauge would drift permanently.
-#[cfg(feature = "metrics")]
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 
-#[cfg(feature = "metrics")]
 impl Gauge {
     /// Creates a zeroed gauge.
     pub const fn new() -> Self {
@@ -237,60 +184,20 @@ impl Gauge {
     }
 }
 
-/// No-op stand-in compiled when the `metrics` feature is off.
-#[cfg(not(feature = "metrics"))]
-#[derive(Debug, Default)]
-pub struct Gauge;
-
-#[cfg(not(feature = "metrics"))]
-impl Gauge {
-    /// Creates the zero-sized no-op gauge.
-    pub const fn new() -> Self {
-        Gauge
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn inc(&self) {}
-
-    /// No-op.
-    #[inline]
-    pub fn dec(&self) {}
-
-    /// No-op.
-    #[inline]
-    pub fn add(&self, _delta: i64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn set(&self, _v: i64) {}
-
-    /// Always zero.
-    pub fn get(&self) -> i64 {
-        0
-    }
-
-    /// No-op.
-    pub fn reset(&self) {}
-}
-
 /// A fixed-bucket histogram ([`HIST_BUCKETS`] buckets: exact below
 /// [`HIST_LINEAR`], power-of-two ranges above). [`record`](Self::record) is a
 /// single relaxed `fetch_add`; count/max/mean are derived at snapshot time.
-#[cfg(feature = "metrics")]
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
-#[cfg(feature = "metrics")]
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
     }
 }
 
-#[cfg(feature = "metrics")]
 impl Histogram {
     /// Creates a zeroed histogram (const so it can live in a static).
     pub const fn new() -> Self {
@@ -327,35 +234,6 @@ impl Histogram {
             b.store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// No-op stand-in compiled when the `metrics` feature is off.
-#[cfg(not(feature = "metrics"))]
-#[derive(Debug, Default)]
-pub struct Histogram;
-
-#[cfg(not(feature = "metrics"))]
-impl Histogram {
-    /// Creates the zero-sized no-op histogram.
-    pub const fn new() -> Self {
-        Histogram
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn record(&self, _v: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn record_since(&self, _start: Option<Instant>) {}
-
-    /// An all-zero snapshot (same shape as the instrumented build).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot { buckets: vec![0; HIST_BUCKETS] }
-    }
-
-    /// No-op.
-    pub fn reset(&self) {}
 }
 
 /// Plain-data view of a [`Histogram`] with derived statistics.
@@ -813,7 +691,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn histogram_derives_count_max_mean() {
         let _g = LOCK.lock().unwrap();
         set_enabled(true);
@@ -831,7 +708,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn disabled_records_nothing_but_gauge_still_moves() {
         let _g = LOCK.lock().unwrap();
         set_enabled(false);
@@ -889,11 +765,9 @@ mod tests {
         let prom = s.to_prometheus();
         assert!(prom.contains("# TYPE gtinker_tinker_inserts counter"));
         assert!(prom.contains("gtinker_rhh_probe_count"));
-        if cfg!(feature = "metrics") {
-            assert!(json.contains("\"tinker_inserts\": 3"));
-            assert!(json.contains("\"pool_queue_depth\": 1"));
-            assert!(prom.contains("gtinker_tinker_inserts 3"));
-        }
+        assert!(json.contains("\"tinker_inserts\": 3"));
+        assert!(json.contains("\"pool_queue_depth\": 1"));
+        assert!(prom.contains("gtinker_tinker_inserts 3"));
         m.reset();
         assert_eq!(m.snapshot().tinker_inserts, 0);
         assert_eq!(m.snapshot().pool_queue_depth, 0);
@@ -917,7 +791,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "metrics")]
     fn windowed_histogram_evicts_old_observations() {
         let _g = LOCK.lock().unwrap();
         set_enabled(true);

@@ -1,0 +1,646 @@
+//! The edgeblock tier: the paper's structure (§III.B–C). Each source owns a
+//! top-parent edgeblock in the main region; Robin Hood Hashing places edges
+//! within a subblock and Tree-Based Hashing branches a congested subblock
+//! out into a child edgeblock of the overflow region.
+//!
+//! Operation map from the paper's interface components to this module:
+//!
+//! * **load / writeback units** — the subblock slices handed to the RHH
+//!   routines; workblock-granular retrieval is accounted in [`ProbeStats`].
+//! * **find-edge unit** — the `walk` over a source's subblock chain (FIND
+//!   mode).
+//! * **insert-edge unit** — the INSERT-mode walk in [`TierOps::upsert`].
+//! * **inference / interval units** — the per-depth control flow of the
+//!   walks (which subblock next, when to branch out).
+
+use gtinker_types::{DeleteMode, Edge, TinkerConfig, VertexId, Weight, NIL_U32};
+
+use super::{TierEdge, TierOps, Upsert};
+use crate::cal::{cal_append, cal_update, CalArray};
+use crate::edgeblock::{BlockArena, BlockId, CellState, EdgeCell};
+use crate::hash::{dst_tag, edge_hash, split_hash, subblock_and_bucket, tag_of_hash};
+use crate::rhh::{
+    find_in_subblock, has_vacant_tags, linear_insert, rhh_insert, vacant_tag, Floating, RhhOutcome,
+};
+use crate::stats::ProbeStats;
+use crate::swar::{TAG_EMPTY, TAG_TOMBSTONE};
+
+/// What one FIND-mode walk of a source's subblock chain saw.
+struct Walk {
+    /// `(block, cell offset)` of the edge, if present.
+    hit: Option<(BlockId, usize)>,
+    /// First `(block, subblock, bucket)` on the path with a vacant cell;
+    /// only scouting walks look.
+    vacancy: Option<(BlockId, usize, usize)>,
+    /// Last `(block, subblock)` visited: where a branch-out hangs its child.
+    tail: (BlockId, usize),
+    /// Depth of the last subblock visited.
+    depth: u32,
+}
+
+/// The edgeblock arena and the main region's index into it.
+#[derive(Debug, Clone)]
+pub struct BlockTier {
+    arena: BlockArena,
+    /// Top-parent edgeblock per dense source id ([`NIL_U32`] = none).
+    top_blocks: Vec<u32>,
+    /// Blocks currently serving as top-parents (main region size).
+    main_blocks: usize,
+    /// Cells per workblock (the load unit's retrieval granularity).
+    workblock: u64,
+    mode: DeleteMode,
+}
+
+impl BlockTier {
+    /// An empty tier with the geometry and delete mode of `config`.
+    pub fn new(config: &TinkerConfig) -> Self {
+        BlockTier {
+            arena: BlockArena::new(config.pagewidth, config.subblock),
+            top_blocks: Vec::new(),
+            main_blocks: 0,
+            workblock: config.workblock as u64,
+            mode: config.delete_mode,
+        }
+    }
+
+    /// Grows the main region's index to cover `n` sources.
+    #[inline]
+    pub fn cover(&mut self, n: usize) {
+        if self.top_blocks.len() < n {
+            self.top_blocks.resize(n, NIL_U32);
+        }
+    }
+
+    /// The paper disables RHH under delete-and-compact to avoid the
+    /// edge-tracking overhead of undoing swap chains during backfill.
+    #[inline]
+    fn rhh_enabled(&self) -> bool {
+        self.mode == DeleteMode::DeleteOnly
+    }
+
+    #[inline]
+    fn top(&self, dense: u32) -> Option<BlockId> {
+        self.top_blocks.get(dense as usize).copied().filter(|&b| b != NIL_U32)
+    }
+
+    fn ensure_top(&mut self, dense: u32) -> BlockId {
+        self.cover(dense as usize + 1);
+        let idx = dense as usize;
+        if self.top_blocks[idx] == NIL_U32 {
+            self.top_blocks[idx] = self.arena.alloc_block();
+            self.main_blocks += 1;
+        }
+        self.top_blocks[idx]
+    }
+
+    #[inline]
+    fn workblocks_for(&self, cells: u64) -> u64 {
+        cells.div_ceil(self.workblock)
+    }
+
+    /// FIND mode: walks the subblock chain of `top` for `dst`, counting the
+    /// traversal into `stats` (all but `max_depth`, which the callers fold
+    /// in from [`Walk::depth`]). A `SCOUT` walk also notes the first
+    /// subblock with a vacant cell, so that an insert's miss can anchor the
+    /// new edge without re-traversing the chain.
+    ///
+    /// `h0` is the precomputed depth-0 [`edge_hash`] of `dst` — it seeds
+    /// both the depth-0 bucket split and the SWAR tag, so the hot path
+    /// mixes the destination exactly once. Only fingerprint-matching
+    /// candidate cells are inspected.
+    fn walk<const SCOUT: bool>(
+        &self,
+        top: BlockId,
+        dst: VertexId,
+        h0: u64,
+        stats: &mut ProbeStats,
+    ) -> Walk {
+        let spb = self.arena.subblocks_per_block();
+        let sublen = self.arena.subblock_len();
+        let tag = tag_of_hash(h0);
+        let mut vacancy = None;
+        let mut block = top;
+        let mut depth: u32 = 0;
+        loop {
+            let (sub, bucket) = if depth == 0 {
+                split_hash(h0, spb, sublen)
+            } else {
+                subblock_and_bucket(dst, depth, spb, sublen)
+            };
+            stats.subblocks_visited += 1;
+            let tags = self.arena.subblock_tags(block, sub);
+            let scan = find_in_subblock(self.arena.subblock_cells(block, sub), tags, dst, tag);
+            stats.tag_group_scans += scan.groups;
+            stats.tag_false_positives += scan.false_positives;
+            stats.cells_inspected += scan.inspected;
+            // The tag lane itself is one fetch; candidate cells add more.
+            stats.workblocks_fetched += self.workblocks_for(scan.inspected).max(1);
+            let hit = scan.hit.map(|off| (block, sub * sublen + off));
+            if SCOUT && hit.is_none() && vacancy.is_none() && has_vacant_tags(tags) {
+                vacancy = Some((block, sub, bucket));
+            }
+            match (hit, self.arena.child(block, sub)) {
+                (None, Some(c)) => {
+                    block = c;
+                    depth += 1;
+                }
+                _ => return Walk { hit, vacancy, tail: (block, sub), depth },
+            }
+        }
+    }
+
+    /// Hangs a fresh child edgeblock off `(block, sub)` (Tree-Based
+    /// Hashing's branch-out) and returns it; `depth` is the child's.
+    fn branch_out(
+        &mut self,
+        block: BlockId,
+        sub: usize,
+        depth: u32,
+        stats: &mut ProbeStats,
+    ) -> BlockId {
+        let child = self.arena.alloc_block();
+        self.arena.set_child(block, sub, Some(child));
+        stats.branches_created += 1;
+        crate::metrics::global().tinker_branch_depth.record(depth as u64);
+        crate::trace::instant(crate::trace::SpanId::TinkerBranchOut, depth as u64);
+        stats.max_depth = stats.max_depth.max(depth);
+        child
+    }
+
+    /// Places `f` in a subblock scouted to have a vacancy, starting at
+    /// `bucket`; returns the cells the placement touched.
+    fn place(&mut self, block: BlockId, sub: usize, bucket: usize, f: Floating, tag: u8) -> u64 {
+        let mut touched = 0u64;
+        let rhh = self.rhh_enabled();
+        let (cells, tags) = self.arena.subblock_cells_and_tags_mut(block, sub);
+        let outcome = if rhh {
+            rhh_insert(cells, tags, bucket, f, tag, &mut touched)
+        } else {
+            linear_insert(cells, tags, bucket, f, tag, &mut touched)
+        };
+        let RhhOutcome::Placed = outcome else {
+            unreachable!("scouted subblock must accept the edge")
+        };
+        self.arena.add_live(block, 1);
+        touched
+    }
+
+    /// Anchors a floating edge (CAL copy already registered) into the
+    /// subtree of `dense` — the migration primitive. The edge is known
+    /// absent, so the walk may stop at the *first* subblock with a vacancy:
+    /// FIND scans whole subblocks per depth, so an early anchor stays on
+    /// the edge's lookup path.
+    fn anchor(&mut self, dense: u32, f: Floating, stats: &mut ProbeStats) {
+        let spb = self.arena.subblocks_per_block();
+        let sublen = self.arena.subblock_len();
+        let mut block = self.ensure_top(dense);
+        let mut depth: u32 = 0;
+        let (block, sub, bucket) = loop {
+            let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
+            if has_vacant_tags(self.arena.subblock_tags(block, sub)) {
+                break (block, sub, bucket);
+            }
+            depth += 1;
+            match self.arena.child(block, sub) {
+                Some(c) => block = c,
+                None => {
+                    let child = self.branch_out(block, sub, depth, stats);
+                    let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
+                    break (child, sub, bucket);
+                }
+            }
+        };
+        stats.max_depth = stats.max_depth.max(depth);
+        // Migration is a cold path: recomputing the fingerprint here keeps
+        // the hot-path plumbing (which hoists it) uncluttered.
+        self.place(block, sub, bucket, f, dst_tag(f.dst));
+    }
+
+    /// Delete-and-compact backfill: pull an edge from the deepest block of
+    /// the subtree hanging off `(block, sub)` into the freed cell at
+    /// `offset`, then recycle any blocks the pull emptied. Every edge in
+    /// that subtree hashed through `(block, sub)` on its way down, so the
+    /// freed cell is on its FIND path and the move is invisible to lookups.
+    fn backfill(&mut self, block: BlockId, sub: usize, offset: usize) {
+        let Some(child) = self.arena.child(block, sub) else { return };
+
+        // The deepest block holding at least one live edge.
+        let mut best: Option<(u32, BlockId)> = None;
+        self.arena.for_each_block(child, |b, depth| {
+            if self.arena.live_count(b) > 0 && best.is_none_or(|(bd, _)| depth > bd) {
+                best = Some((depth, b));
+            }
+        });
+        let Some((_, donor)) = best else { return };
+
+        // Take any live cell from the donor block.
+        let pw = self.arena.pagewidth();
+        let donor_off = (0..pw)
+            .find(|&i| self.arena.cell(donor, i).is_occupied())
+            .expect("donor block advertises live edges");
+        let moved = *self.arena.cell(donor, donor_off);
+        *self.arena.cell_mut(donor, donor_off) = EdgeCell::EMPTY;
+        self.arena.set_tag(donor, donor_off, TAG_EMPTY);
+        self.arena.add_live(donor, -1);
+
+        // Anchor it in the freed slot. Probe distances carry no meaning in
+        // compact mode (finds scan whole subblocks), so store 0. The tag
+        // lane follows the edge: fingerprints are depth-independent, so the
+        // moved cell's tag is valid at its new depth too.
+        *self.arena.cell_mut(block, offset) = EdgeCell { probe: 0, ..moved };
+        self.arena.set_tag(block, offset, dst_tag(moved.dst));
+        self.arena.add_live(block, 1);
+        crate::metrics::global().tinker_backfill_moves.inc();
+
+        // Recycle emptied, childless blocks bottom-up from the donor.
+        self.free_upward(donor);
+    }
+
+    /// Walks up the parent chain from `start`, recycling every block that is
+    /// empty and childless. Top-parent (main region) blocks are never
+    /// recycled — the main region is indexed positionally by dense id.
+    fn free_upward(&mut self, start: BlockId) {
+        let mut b = start;
+        loop {
+            let Some((parent, psub)) = self.arena.parent(b) else { return };
+            let childless = self.arena.child_slots(b).iter().all(|&c| c == NIL_U32);
+            if self.arena.live_count(b) != 0 || !childless {
+                return;
+            }
+            self.arena.set_child(parent, psub, None);
+            self.arena.free_block(b);
+            crate::metrics::global().tinker_blocks_freed.inc();
+            b = parent;
+        }
+    }
+
+    /// Window stage 3 of `apply_batch`: loads the tag group and home cell
+    /// the depth-0 probe for `h0` starts at, and the top block's live
+    /// count. Sources that own no top block cost nothing.
+    #[inline]
+    pub fn warm_subblock(&self, dense: u32, h0: u64) -> u64 {
+        let Some(top) = self.top(dense) else { return 0 };
+        let (sub, bucket) =
+            split_hash(h0, self.arena.subblocks_per_block(), self.arena.subblock_len());
+        u64::from(self.arena.subblock_tags(top, sub)[0])
+            ^ u64::from(self.arena.subblock_cells(top, sub)[bucket].dst)
+            ^ u64::from(self.arena.live_count(top))
+    }
+
+    /// Top-parent subtrees in dense-id order.
+    fn tops(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.top_blocks.iter().copied().filter(|&b| b != NIL_U32)
+    }
+
+    /// Runs `check` over every block of every subtree as `(block, depth)`
+    /// and returns its first error.
+    fn try_each_block(
+        &self,
+        mut check: impl FnMut(BlockId, u32) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut first = Ok(());
+        for top in self.tops() {
+            self.arena.for_each_block(top, |b, depth| {
+                if first.is_ok() {
+                    first = check(b, depth);
+                }
+            });
+        }
+        first
+    }
+
+    /// Edgeblocks as `(main region, overflow region, free list)`.
+    pub fn block_counts(&self) -> (usize, usize, usize) {
+        let free = self.arena.num_free_blocks();
+        (self.main_blocks, self.arena.num_blocks() - free - self.main_blocks, free)
+    }
+
+    /// Number of tombstoned cells (O(cells); diagnostic only).
+    pub fn count_tombstones(&self) -> usize {
+        self.arena.count_tombstones()
+    }
+
+    /// Heap bytes of the arena alone (the `memory_blocks_bytes` gauge;
+    /// [`TierOps::memory_bytes`] adds the main region's index).
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.memory_bytes()
+    }
+
+    /// Edges of a store holding `live_edges` that sit outside the
+    /// edgeblocks: inline and hub adjacency is flat (tree depth 0) and
+    /// position-exact (probe distance 0), which is where the histograms
+    /// count it.
+    fn flat_edges(&self, live_edges: u64) -> u64 {
+        live_edges - self.arena.total_live()
+    }
+
+    /// Histogram of the store's `live_edges` by tree depth: `hist[d]` =
+    /// edges stored in blocks `d` generations below a top-parent.
+    pub fn depth_histogram(&self, live_edges: u64) -> Vec<u64> {
+        let mut hist: Vec<u64> = Vec::new();
+        let flat = self.flat_edges(live_edges);
+        if flat > 0 {
+            hist.push(flat);
+        }
+        for top in self.tops() {
+            self.arena.for_each_block(top, |b, depth| {
+                let depth = depth as usize;
+                if hist.len() <= depth {
+                    hist.resize(depth + 1, 0);
+                }
+                hist[depth] += u64::from(self.arena.live_count(b));
+            });
+        }
+        hist
+    }
+
+    /// Histogram of stored Robin Hood probe distances over the store's
+    /// `live_edges`.
+    pub fn probe_histogram(&self, live_edges: u64) -> Vec<u64> {
+        let mut hist = vec![0u64; self.arena.subblock_len()];
+        hist[0] += self.flat_edges(live_edges);
+        for top in self.tops() {
+            self.arena.for_each_block(top, |b, _| {
+                for cell in self.arena.block(b).iter().filter(|c| c.is_occupied()) {
+                    hist[cell.probe as usize] += 1;
+                }
+            });
+        }
+        hist
+    }
+
+    /// Checks the Robin Hood invariants over every live cell (`Ok(())`
+    /// immediately in delete-and-compact mode, where RHH is disabled and
+    /// probe distances carry no meaning):
+    ///
+    /// 1. every occupied cell sits in the subblock its destination hashes to
+    ///    at that depth, and its stored probe equals the circular distance
+    ///    from its hash bucket;
+    /// 2. the probe-path predecessor of a probe-`d > 0` cell is never truly
+    ///    empty (delete-only mode leaves tombstones, so a hole before a
+    ///    displaced edge would break the FIND shortcut);
+    /// 3. while the structure has never deleted an edge (`never_deleted`),
+    ///    the full Robin Hood ordering holds: the predecessor's probe is at
+    ///    least `d - 1`. Once a delete has happened anywhere, a later
+    ///    insert may legally reuse a tombstone slot ahead of a displaced
+    ///    cell, so strict ordering is no longer implied — even in subblocks
+    ///    that are tombstone-free *now*.
+    pub fn validate_rhh(&self, never_deleted: bool) -> Result<(), String> {
+        if !self.rhh_enabled() {
+            return Ok(());
+        }
+        self.try_each_block(|b, depth| self.validate_rhh_block(b, depth, never_deleted))
+    }
+
+    fn validate_rhh_block(
+        &self,
+        b: BlockId,
+        depth: u32,
+        never_deleted: bool,
+    ) -> Result<(), String> {
+        let spb = self.arena.subblocks_per_block();
+        let sublen = self.arena.subblock_len();
+        for sub in 0..spb {
+            let cells = self.arena.subblock_cells(b, sub);
+            for (pos, cell) in cells.iter().enumerate().filter(|(_, c)| c.is_occupied()) {
+                let (esub, ebucket) = subblock_and_bucket(cell.dst, depth, spb, sublen);
+                if esub != sub {
+                    return Err(format!(
+                        "edge to {} stored in subblock {sub} of block {b} at depth {depth}, but \
+                         hashes to subblock {esub}",
+                        cell.dst
+                    ));
+                }
+                let dist = (pos + sublen - ebucket) % sublen;
+                if dist != cell.probe as usize {
+                    return Err(format!(
+                        "edge to {} at offset {pos} of block {b} stores probe {} but sits {dist} \
+                         cells from bucket {ebucket}",
+                        cell.dst, cell.probe
+                    ));
+                }
+                if cell.probe > 0 {
+                    let prev = &cells[(pos + sublen - 1) % sublen];
+                    if prev.state == CellState::Empty {
+                        return Err(format!(
+                            "edge to {} has probe {} but an empty predecessor in block {b} \
+                             subblock {sub}",
+                            cell.dst, cell.probe
+                        ));
+                    }
+                    if never_deleted && (prev.probe as usize) < cell.probe as usize - 1 {
+                        return Err(format!(
+                            "Robin Hood ordering violated in block {b} subblock {sub}: probe {} \
+                             follows probe {}",
+                            cell.probe, prev.probe
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One block of [`TierOps::validate`]: tag lane against cell states,
+    /// live counter against occupied cells.
+    fn validate_block(&self, b: BlockId) -> Result<(), String> {
+        let mut occupied = 0;
+        for off in 0..self.arena.pagewidth() {
+            let cell = self.arena.cell(b, off);
+            let expect = match cell.state {
+                CellState::Occupied => dst_tag(cell.dst),
+                CellState::Empty => TAG_EMPTY,
+                CellState::Tombstone => TAG_TOMBSTONE,
+            };
+            occupied += u32::from(cell.is_occupied());
+            let got = self.arena.tag(b, off);
+            if got != expect {
+                return Err(format!(
+                    "block {b} offset {off}: cell state {:?} (dst {}) expects tag {expect:#04x} \
+                     but the lane holds {got:#04x}",
+                    cell.state, cell.dst
+                ));
+            }
+        }
+        let live = self.arena.live_count(b);
+        if live != occupied {
+            return Err(format!("block {b}: live count {live} but {occupied} occupied cells"));
+        }
+        Ok(())
+    }
+}
+
+impl TierOps for BlockTier {
+    fn find(&self, dense: u32, dst: VertexId) -> Option<Weight> {
+        let walk = self.walk::<false>(
+            self.top(dense)?,
+            dst,
+            edge_hash(dst, 0),
+            &mut ProbeStats::default(),
+        );
+        walk.hit.map(|(b, off)| self.arena.cell(b, off).weight)
+    }
+
+    /// The FIND and INSERT modes share one walk: while FIND scans the
+    /// subblock chain for the edge, it also scouts the first subblock with
+    /// a vacant cell, so a miss can anchor the new edge without
+    /// re-traversing the chain. RHH displacement still runs within the
+    /// target subblock.
+    fn upsert(
+        &mut self,
+        dense: u32,
+        e: Edge,
+        h0: u64,
+        stats: &mut ProbeStats,
+        cal: &mut Option<CalArray>,
+    ) -> Upsert {
+        let spb = self.arena.subblocks_per_block();
+        let sublen = self.arena.subblock_len();
+        let tag = tag_of_hash(h0);
+
+        // Existing-edge fast path: a repeat insertion of an un-displaced
+        // edge sits in its home bucket of the top block's depth-0 subblock.
+        // One probe settles it (weight update + CAL refresh) without the
+        // full FIND walk; any miss falls through to the general path.
+        if let Some(top) = self.top(dense) {
+            let (sub, bucket) = split_hash(h0, spb, sublen);
+            let cell = self.arena.subblock_cells(top, sub)[bucket];
+            if cell.is_occupied() && cell.dst == e.dst {
+                stats.subblocks_visited += 1;
+                stats.cells_inspected += 1;
+                stats.workblocks_fetched += 1;
+                self.arena.cell_mut(top, sub * sublen + bucket).weight = e.weight;
+                cal_update(cal, cell.cal_ptr, e.weight);
+                return Upsert::Updated;
+            }
+        }
+
+        // FIND mode + vacancy scout.
+        let top = self.ensure_top(dense);
+        let walk = self.walk::<true>(top, e.dst, h0, stats);
+        if let Some((block, offset)) = walk.hit {
+            let cell = self.arena.cell_mut(block, offset);
+            cell.weight = e.weight;
+            cal_update(cal, cell.cal_ptr, e.weight);
+            return Upsert::Updated;
+        }
+        stats.max_depth = stats.max_depth.max(walk.depth);
+
+        // INSERT mode: append the CAL copy (O(1)), then anchor the main
+        // copy — in the scouted subblock, or in a fresh branch when every
+        // subblock on the path is full (Tree-Based Hashing).
+        let floating =
+            Floating { dst: e.dst, weight: e.weight, cal_ptr: cal_append(cal, dense, e) };
+        let (block, sub, bucket) = walk.vacancy.unwrap_or_else(|| {
+            let child = self.branch_out(walk.tail.0, walk.tail.1, walk.depth + 1, stats);
+            let (sub, bucket) = subblock_and_bucket(e.dst, walk.depth + 1, spb, sublen);
+            (child, sub, bucket)
+        });
+        let touched = self.place(block, sub, bucket, floating, tag);
+        stats.cells_inspected += touched;
+        stats.workblocks_fetched += self.workblocks_for(touched);
+        Upsert::Inserted
+    }
+
+    fn remove(
+        &mut self,
+        dense: u32,
+        dst: VertexId,
+        h0: u64,
+        stats: &mut ProbeStats,
+    ) -> Option<u32> {
+        let walk = self.walk::<false>(self.top(dense)?, dst, h0, stats);
+        stats.max_depth = stats.max_depth.max(walk.depth);
+        let (block, offset) = walk.hit?;
+
+        let tombstone = self.mode == DeleteMode::DeleteOnly;
+        let cell = self.arena.cell_mut(block, offset);
+        let cal_ptr = cell.cal_ptr;
+        *cell = if tombstone {
+            EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY }
+        } else {
+            EdgeCell::EMPTY
+        };
+        self.arena.set_tag(block, offset, vacant_tag(tombstone));
+        self.arena.add_live(block, -1);
+        if !tombstone {
+            self.backfill(block, offset / self.arena.subblock_len(), offset);
+            self.free_upward(block);
+        }
+        Some(cal_ptr)
+    }
+
+    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight, u32)) {
+        let Some(top) = self.top(dense) else { return };
+        self.arena.for_each_block(top, |b, _| {
+            for cell in self.arena.block(b).iter().filter(|c| c.is_occupied()) {
+                f(cell.dst, cell.weight, cell.cal_ptr);
+            }
+        });
+    }
+
+    fn len(&self, dense: u32) -> usize {
+        let mut live = 0;
+        if let Some(top) = self.top(dense) {
+            self.arena.for_each_block(top, |b, _| live += self.arena.live_count(b) as usize);
+        }
+        live
+    }
+
+    fn holds(&self, dense: u32) -> bool {
+        self.top(dense).is_some()
+    }
+
+    fn drain(&mut self, dense: u32) -> Vec<TierEdge> {
+        let Some(top) = self.top(dense) else { return Vec::new() };
+        let edges = self.arena.collect_subtree(top);
+        let freed = self.arena.free_subtree(top);
+        crate::metrics::global().tinker_blocks_freed.add(freed as u64);
+        self.top_blocks[dense as usize] = NIL_U32;
+        self.main_blocks -= 1;
+        edges
+    }
+
+    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, stats: &mut ProbeStats) {
+        for (dst, weight, cal_ptr) in edges {
+            self.anchor(dense, Floating { dst, weight, cal_ptr }, stats);
+        }
+    }
+
+    fn remap_cal_ptrs(&mut self, dense: u32, mut f: impl FnMut(VertexId, Weight) -> u32) {
+        let Some(top) = self.top(dense) else { return };
+        let mut blocks = Vec::new();
+        self.arena.for_each_block(top, |b, _| blocks.push(b));
+        for b in blocks {
+            for off in 0..self.arena.pagewidth() {
+                let cell = self.arena.cell_mut(b, off);
+                if cell.is_occupied() {
+                    cell.cal_ptr = f(cell.dst, cell.weight);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn warm(&self, dense: u32) -> u32 {
+        self.top_blocks.get(dense as usize).copied().unwrap_or(NIL_U32)
+    }
+
+    /// The arena plus the main region's index.
+    fn memory_bytes(&self) -> usize {
+        self.arena.memory_bytes() + self.top_blocks.capacity() * 4
+    }
+
+    /// Every cell's tag byte matches its state — the destination
+    /// fingerprint when occupied, [`TAG_EMPTY`] when empty,
+    /// [`TAG_TOMBSTONE`] when tombstoned — every block's live counter
+    /// equals its occupied cells, and the main region counts its tops.
+    fn validate(&self) -> Result<(), String> {
+        self.try_each_block(|b, _| self.validate_block(b))?;
+        let tops = self.tops().count();
+        if tops != self.main_blocks {
+            return Err(format!("{tops} top blocks but main region counts {}", self.main_blocks));
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,166 @@
+//! The inline tier: up to `cap` edges packed into the vertex's own
+//! [`InlineAdj`] entry, probed with one branchless 4-wide compare. No
+//! edgeblock is allocated for a vertex that lives here.
+
+use gtinker_types::{Edge, VertexId, Weight, INLINE_CAP_MAX, NIL_U32, NIL_VERTEX};
+
+use super::{TierEdge, TierOps, Upsert};
+use crate::cal::{cal_append, cal_update, CalArray};
+use crate::stats::ProbeStats;
+use crate::vertex::InlineAdj;
+
+/// Inline adjacency entries, indexed by dense source id.
+#[derive(Debug, Clone)]
+pub struct InlineTier {
+    entries: Vec<InlineAdj>,
+    /// Edges an entry may hold (`TinkerConfig::inline_cap`, at most
+    /// [`INLINE_CAP_MAX`]).
+    cap: usize,
+}
+
+impl InlineTier {
+    /// An empty tier whose entries hold up to `cap` edges.
+    pub fn new(cap: usize) -> Self {
+        assert!(cap <= INLINE_CAP_MAX, "inline entries hold at most {INLINE_CAP_MAX} edges");
+        InlineTier { entries: Vec::new(), cap }
+    }
+
+    /// Grows the entry table to cover `n` sources.
+    #[inline]
+    pub fn cover(&mut self, n: usize) {
+        if self.entries.len() < n {
+            self.entries.resize(n, InlineAdj::EMPTY);
+        }
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, dense: u32) -> &mut InlineAdj {
+        self.cover(dense as usize + 1);
+        &mut self.entries[dense as usize]
+    }
+
+    /// Nominal probe accounting: one 4-wide compare over the entry.
+    #[inline]
+    fn count_probe(stats: &mut ProbeStats) {
+        stats.subblocks_visited += 1;
+        stats.cells_inspected += INLINE_CAP_MAX as u64;
+        stats.workblocks_fetched += 1;
+    }
+}
+
+impl TierOps for InlineTier {
+    #[inline]
+    fn find(&self, dense: u32, dst: VertexId) -> Option<Weight> {
+        let adj = self.entries.get(dense as usize)?;
+        adj.find(dst).map(|i| adj.weights[i])
+    }
+
+    #[inline]
+    fn upsert(
+        &mut self,
+        dense: u32,
+        e: Edge,
+        _h0: u64,
+        stats: &mut ProbeStats,
+        cal: &mut Option<CalArray>,
+    ) -> Upsert {
+        Self::count_probe(stats);
+        let cap = self.cap;
+        let adj = self.entry_mut(dense);
+        if let Some(slot) = adj.find(e.dst) {
+            adj.weights[slot] = e.weight;
+            cal_update(cal, adj.cal_ptrs[slot], e.weight);
+            return Upsert::Updated;
+        }
+        if adj.len as usize >= cap {
+            return Upsert::Full;
+        }
+        adj.push(e.dst, e.weight, cal_append(cal, dense, e));
+        Upsert::Inserted
+    }
+
+    #[inline]
+    fn remove(
+        &mut self,
+        dense: u32,
+        dst: VertexId,
+        _h0: u64,
+        stats: &mut ProbeStats,
+    ) -> Option<u32> {
+        Self::count_probe(stats);
+        let adj = self.entries.get_mut(dense as usize)?;
+        adj.find(dst).map(|slot| adj.remove(slot))
+    }
+
+    #[inline]
+    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight, u32)) {
+        if let Some(adj) = self.entries.get(dense as usize) {
+            for i in 0..adj.len as usize {
+                f(adj.dsts[i], adj.weights[i], adj.cal_ptrs[i]);
+            }
+        }
+    }
+
+    fn len(&self, dense: u32) -> usize {
+        self.entries.get(dense as usize).map_or(0, |a| a.len as usize)
+    }
+
+    fn holds(&self, dense: u32) -> bool {
+        self.len(dense) > 0
+    }
+
+    fn drain(&mut self, dense: u32) -> Vec<TierEdge> {
+        let mut edges = Vec::new();
+        self.for_each(dense, |dst, w, ptr| edges.push((dst, w, ptr)));
+        if let Some(adj) = self.entries.get_mut(dense as usize) {
+            *adj = InlineAdj::EMPTY;
+        }
+        edges
+    }
+
+    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, _stats: &mut ProbeStats) {
+        assert!(edges.len() <= self.cap, "{} edges exceed the inline cap", edges.len());
+        let adj = self.entry_mut(dense);
+        debug_assert_eq!(adj.len, 0, "adopting into an occupied inline entry");
+        for (dst, weight, cal_ptr) in edges {
+            adj.push(dst, weight, cal_ptr);
+        }
+    }
+
+    fn remap_cal_ptrs(&mut self, dense: u32, mut f: impl FnMut(VertexId, Weight) -> u32) {
+        if let Some(adj) = self.entries.get_mut(dense as usize) {
+            for i in 0..adj.len as usize {
+                adj.cal_ptrs[i] = f(adj.dsts[i], adj.weights[i]);
+            }
+        }
+    }
+
+    #[inline]
+    fn warm(&self, dense: u32) -> u32 {
+        self.entries.get(dense as usize).map_or(NIL_U32, |a| a.dsts[0] ^ u32::from(a.len))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<InlineAdj>()
+    }
+
+    /// Every entry is a duplicate-free prefix of at most `cap` slots, and
+    /// the slots past it are blank (the 4-wide compare reads all four).
+    fn validate(&self) -> Result<(), String> {
+        for (dense, adj) in self.entries.iter().enumerate() {
+            let len = adj.len as usize;
+            if len > self.cap {
+                return Err(format!("inline entry {dense}: {len} edges over the cap {}", self.cap));
+            }
+            for i in 0..INLINE_CAP_MAX {
+                let blank =
+                    (adj.dsts[i], adj.weights[i], adj.cal_ptrs[i]) == (NIL_VERTEX, 0, NIL_U32);
+                let dup = i < len && adj.dsts[..i].contains(&adj.dsts[i]);
+                if (i < len) == (adj.dsts[i] == NIL_VERTEX) || (i >= len && !blank) || dup {
+                    return Err(format!("inline entry {dense}: slot {i} of {len} is {adj:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+}

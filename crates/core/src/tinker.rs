@@ -1,34 +1,25 @@
-//! The GraphTinker data structure: ties the EdgeblockArray, SGH unit,
-//! VertexPropertyArray and CAL together (paper Figs. 2-5).
+//! The GraphTinker data structure: ties the SGH unit, the
+//! VertexPropertyArray, the CAL and the three adjacency tiers together
+//! (paper Figs. 2-5).
 //!
-//! Operation map from the paper's interface components (§III.B) to this
-//! implementation:
-//!
-//! * **load / writeback units** — the subblock slices handed to the RHH
-//!   routines; workblock-granular retrieval is accounted in [`ProbeStats`].
-//! * **find-edge unit** — the internal `locate` walk (FIND mode).
-//! * **insert-edge unit** — the INSERT-mode walk in
-//!   [`GraphTinker::insert_edge`].
-//! * **inference / interval units** — the per-depth control flow of the
-//!   walks (which subblock next, when to branch out).
-//! * **SGH unit** — [`crate::sgh::SghUnit`].
+//! `GraphTinker` owns what every tier shares — the dense remapping of
+//! source ids ([`crate::sgh::SghUnit`], the paper's SGH unit), degrees, the
+//! CAL mirror, [`ProbeStats`], the per-vertex tier map and the threshold
+//! policy that moves a vertex between tiers. Where an edge is stored and
+//! how it is probed is the tier's business ([`crate::tier`]); the paper's
+//! find-edge and insert-edge units are [`crate::tier::BlockTier`].
 
 use gtinker_types::{
     DeleteMode, Edge, EdgeBatch, GraphError, Result, TinkerConfig, UpdateOp, VertexId, Weight,
-    INLINE_CAP_MAX, NIL_U32, NIL_VERTEX,
+    NIL_U32, NIL_VERTEX,
 };
 
-use crate::cal::CalArray;
-use crate::edgeblock::{BlockArena, BlockId, CellState, EdgeCell};
-use crate::hash::{dst_tag, edge_hash, source_hash, split_hash, subblock_and_bucket, tag_of_hash};
-use crate::hubseg::HubSegment;
-use crate::rhh::{
-    find_in_subblock, has_vacant_tags, linear_insert, rhh_insert, vacant_tag, Floating, RhhOutcome,
-};
+use crate::cal::{cal_invalidate, CalArray};
+use crate::hash::{edge_hash, source_hash};
 use crate::sgh::SghUnit;
-use crate::stats::{ProbeStats, StructureStats};
-use crate::swar::{TAG_EMPTY, TAG_TOMBSTONE};
-use crate::vertex::{InlineAdj, Tier, VertexPropertyArray};
+use crate::stats::ProbeStats;
+use crate::tier::{BlockTier, HubTier, InlineTier, TierOps, Upsert};
+use crate::vertex::{Tier, VertexPropertyArray};
 
 /// Outcome counts of applying an [`EdgeBatch`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,18 +66,6 @@ impl ApplyBatch for GraphTinker {
     }
 }
 
-/// Cost of one FIND-mode walk; folded into [`ProbeStats`] by mutating
-/// entry points.
-#[derive(Debug, Clone, Copy, Default)]
-struct FindCost {
-    cells: u64,
-    subblocks: u64,
-    workblocks: u64,
-    depth: u32,
-    tag_groups: u64,
-    tag_false_positives: u64,
-}
-
 /// Resolve-ahead distance of [`GraphTinker::apply_batch`], in operations:
 /// each of the window's three read-only stages runs this far ahead of the
 /// next, the last this far ahead of execution. A constant, not a knob: 4,
@@ -122,18 +101,28 @@ impl Resolved {
     }
 }
 
+/// The one tier dispatch: calls `$method` on the tier module that stores
+/// the adjacency of a vertex in tier `$tier`. Static — each arm is a direct
+/// call the compiler can inline.
+macro_rules! on_tier {
+    ($store:ident, $tier:expr, $method:ident($($arg:expr),*)) => {
+        match $tier {
+            Tier::Inline => $store.inline.$method($($arg),*),
+            Tier::Blocks => $store.blocks.$method($($arg),*),
+            Tier::Hub => $store.hub.$method($($arg),*),
+        }
+    };
+}
+
+mod diagnostics;
+
 /// The GraphTinker dynamic-graph data structure.
 ///
 /// See the [crate docs](crate) for an overview and a usage example.
 pub struct GraphTinker {
     config: TinkerConfig,
-    arena: BlockArena,
-    /// Top-parent edgeblock per dense source id (`NIL_U32` = none yet).
-    /// This is the main region's index: with SGH enabled the array is
-    /// exactly as long as the number of non-empty vertices.
-    top_blocks: Vec<u32>,
     /// Dense remapping of source ids; `None` when SGH is disabled (the
-    /// ablation), in which case the raw source id indexes `top_blocks`.
+    /// ablation), in which case the raw source id is the dense id.
     sgh: Option<SghUnit>,
     props: VertexPropertyArray,
     cal: Option<CalArray>,
@@ -141,29 +130,17 @@ pub struct GraphTinker {
     live_edges: u64,
     /// One past the largest original vertex id seen (src or dst side).
     vertex_space: u32,
-    /// Blocks currently serving as top-parents (main region size).
-    main_blocks: usize,
     /// Logical shard count for parallel analytics streaming (see
     /// [`for_each_edge_shard`](Self::for_each_edge_shard)). Purely a read
     /// path setting; ingestion is unaffected.
     analytics_shards: usize,
-    /// Cached [`TinkerConfig::adaptive_enabled`]. When false, the tier
-    /// vectors below stay empty and every path takes the fixed-geometry
-    /// code, byte-identical to the non-tiered structure.
-    adaptive: bool,
-    /// Adjacency tier per dense source (parallel to `top_blocks`).
+    /// Adjacency tier per dense source: one slot per source ever inserted
+    /// (with SGH enabled, exactly as long as the number of such sources).
+    /// A source registered by `import_sources` alone has no slot yet.
     tiers: Vec<Tier>,
-    /// Inline-tier adjacency per dense source.
-    inline: Vec<InlineAdj>,
-    /// Hub-segment slot per dense source (`NIL_U32` = not a hub).
-    hub_of: Vec<u32>,
-    /// Hub segments, indexed by `hub_of`; slots of demoted hubs are
-    /// recycled through `free_hubs`.
-    hubs: Vec<HubSegment>,
-    free_hubs: Vec<u32>,
-    /// Lazily deleted slots across all hub segments (running total of
-    /// [`HubSegment::dead_slots`]).
-    hub_dead_slots: usize,
+    inline: InlineTier,
+    blocks: BlockTier,
+    hub: HubTier,
     /// Vertices with live edges, per tier (indexed by `Tier as usize`).
     tier_counts: [u64; 3],
     tier_promotions: u64,
@@ -175,8 +152,6 @@ impl GraphTinker {
     pub fn new(config: TinkerConfig) -> Result<Self> {
         config.validate().map_err(GraphError::InvalidConfig)?;
         Ok(GraphTinker {
-            arena: BlockArena::new(config.pagewidth, config.subblock),
-            top_blocks: Vec::new(),
             sgh: config.enable_sgh.then(SghUnit::new),
             props: VertexPropertyArray::new(),
             cal: config
@@ -185,15 +160,11 @@ impl GraphTinker {
             stats: ProbeStats::default(),
             live_edges: 0,
             vertex_space: 0,
-            main_blocks: 0,
             analytics_shards: 1,
-            adaptive: config.adaptive_enabled(),
             tiers: Vec::new(),
-            inline: Vec::new(),
-            hub_of: Vec::new(),
-            hubs: Vec::new(),
-            free_hubs: Vec::new(),
-            hub_dead_slots: 0,
+            inline: InlineTier::new(config.inline_cap),
+            blocks: BlockTier::new(&config),
+            hub: HubTier::new(),
             tier_counts: [0; 3],
             tier_promotions: 0,
             tier_demotions: 0,
@@ -227,7 +198,7 @@ impl GraphTinker {
     pub fn num_sources(&self) -> usize {
         match &self.sgh {
             Some(s) => s.len(),
-            None => self.top_blocks.len(),
+            None => self.tiers.len(),
         }
     }
 
@@ -252,27 +223,10 @@ impl GraphTinker {
     }
 
     #[inline]
-    fn rhh_enabled(&self) -> bool {
-        // The paper disables RHH under delete-and-compact to avoid the
-        // edge-tracking overhead of undoing swap chains during backfill.
-        self.config.delete_mode == DeleteMode::DeleteOnly
-    }
-
-    #[inline]
     fn note_vertex(&mut self, v: VertexId) {
         debug_assert_ne!(v, NIL_VERTEX, "NIL_VERTEX is reserved");
         if v >= self.vertex_space {
             self.vertex_space = v + 1;
-        }
-    }
-
-    /// Dense id of a source, allocating on first sight. Takes the
-    /// precomputed [`source_hash`](crate::hash::source_hash) so the update
-    /// path mixes each source id exactly once.
-    fn dense_of_mut(&mut self, src: VertexId, src_hash: u64) -> u32 {
-        match &mut self.sgh {
-            Some(sgh) => sgh.get_or_insert_hashed(src_hash, src),
-            None => src,
         }
     }
 
@@ -284,88 +238,63 @@ impl GraphTinker {
         }
     }
 
-    fn top_block(&self, dense: u32) -> Option<BlockId> {
-        self.top_blocks.get(dense as usize).copied().filter(|&b| b != NIL_U32)
+    /// Looks up the dense id without allocating.
+    fn dense_lookup(&self, src: VertexId) -> Option<u32> {
+        self.dense_lookup_hashed(src, source_hash(src))
     }
 
-    fn ensure_top_block(&mut self, dense: u32) -> BlockId {
-        let idx = dense as usize;
-        if idx >= self.top_blocks.len() {
-            self.top_blocks.resize(idx + 1, NIL_U32);
-        }
-        if self.top_blocks[idx] == NIL_U32 {
-            let b = self.arena.alloc_block();
-            self.top_blocks[idx] = b;
-            self.main_blocks += 1;
-        }
-        self.top_blocks[idx]
-    }
-
+    /// [`dense_lookup`](Self::dense_lookup) with the source hash already
+    /// computed by the caller.
     #[inline]
-    fn workblocks_for(&self, cells: u64) -> u64 {
-        let wb = self.config.workblock as u64;
-        cells.div_ceil(wb)
-    }
-
-    /// FIND mode: walks the subblock chain of `top` for `dst`. Pure (no
-    /// stats mutation); returns the location and the traversal cost.
-    ///
-    /// `h0` is the precomputed depth-0 [`edge_hash`] of `dst` — it seeds
-    /// both the depth-0 bucket split and the SWAR tag, so the hot find
-    /// path mixes the destination exactly once. Only fingerprint-matching
-    /// candidate cells are inspected.
-    fn locate(&self, top: BlockId, dst: VertexId, h0: u64) -> (Option<(BlockId, usize)>, FindCost) {
-        let spb = self.arena.subblocks_per_block();
-        let sublen = self.arena.subblock_len();
-        let tag = tag_of_hash(h0);
-        let mut cost = FindCost::default();
-        let mut block = top;
-        let mut depth: u32 = 0;
-        loop {
-            let (sub, _) = if depth == 0 {
-                split_hash(h0, spb, sublen)
-            } else {
-                subblock_and_bucket(dst, depth, spb, sublen)
-            };
-            cost.subblocks += 1;
-            let cells = self.arena.subblock_cells(block, sub);
-            let tags = self.arena.subblock_tags(block, sub);
-            let scan = find_in_subblock(cells, tags, dst, tag);
-            cost.tag_groups += scan.groups;
-            cost.tag_false_positives += scan.false_positives;
-            cost.cells += scan.inspected;
-            // The tag lane itself is one fetch; candidate cells add more.
-            cost.workblocks += self.workblocks_for(scan.inspected).max(1);
-            cost.depth = depth;
-            if let Some(off) = scan.hit {
-                return (Some((block, sub * sublen + off)), cost);
-            }
-            match self.arena.child(block, sub) {
-                Some(c) => {
-                    block = c;
-                    depth += 1;
-                }
-                None => return (None, cost),
-            }
+    fn dense_lookup_hashed(&self, src: VertexId, src_hash: u64) -> Option<u32> {
+        match &self.sgh {
+            Some(sgh) => sgh.get_hashed(src_hash, src),
+            None => ((src as usize) < self.tiers.len()).then_some(src),
         }
     }
 
-    fn absorb_cost(&mut self, cost: FindCost) {
-        self.stats.cells_inspected += cost.cells;
-        self.stats.subblocks_visited += cost.subblocks;
-        self.stats.workblocks_fetched += cost.workblocks;
-        self.stats.max_depth = self.stats.max_depth.max(cost.depth);
-        self.stats.tag_group_scans += cost.tag_groups;
-        self.stats.tag_false_positives += cost.tag_false_positives;
+    /// Dense id of `src` for an executing operation: the id its resolve
+    /// stage carried, else a probe of the SGH as it is now.
+    #[inline]
+    fn dense_resolved(&self, src: VertexId, r: Resolved) -> Option<u32> {
+        if r.dense != NIL_U32 {
+            return Some(r.dense);
+        }
+        self.dense_lookup_hashed(src, r.src_hash)
+    }
+
+    /// The tier holding the adjacency of `dense`; `None` for a source
+    /// `import_sources` registered that no insert has reached yet (it has
+    /// no edges).
+    #[inline]
+    fn tier_of(&self, dense: u32) -> Option<Tier> {
+        self.tiers.get(dense as usize).copied()
+    }
+
+    /// Tier of `dense` for an insert, giving a source its slot on first
+    /// sight: it starts inline when the layout has an inline tier, in the
+    /// edgeblocks (the paper's layout) when it has none. Every tier the
+    /// thresholds can reach grows its table in step with the tier map, so
+    /// all of them stay one slot per source.
+    #[inline]
+    fn admit(&mut self, dense: u32) -> Tier {
+        let n = dense as usize + 1;
+        if self.tiers.len() < n {
+            let inline = self.config.inline_cap > 0;
+            self.tiers.resize(n, if inline { Tier::Inline } else { Tier::Blocks });
+            if inline {
+                self.inline.cover(n);
+            }
+            self.blocks.cover(n);
+            if self.config.hub_promote > 0 {
+                self.hub.cover(n);
+            }
+        }
+        self.tiers[dense as usize]
     }
 
     /// Inserts an edge; returns `true` if it was new, `false` if an existing
     /// `(src, dst)` edge had its weight updated.
-    ///
-    /// The FIND and INSERT modes share one walk: while FIND scans the
-    /// subblock chain for the edge, it also scouts the first subblock with a
-    /// vacant cell, so a miss can anchor the new edge without re-traversing
-    /// the chain. RHH displacement still runs within the target subblock.
     pub fn insert_edge(&mut self, e: Edge) -> bool {
         let mark = self.flush_mark();
         let fresh = self.insert_resolved(e, Resolved::hashed(e.src, e.dst));
@@ -382,7 +311,7 @@ impl GraphTinker {
     /// The instance counters [`flush_since`](Self::flush_since) publishes:
     /// `(tag_group_scans, tag_false_positives, hub_dead_slots)`.
     fn flush_mark(&self) -> (u64, u64, usize) {
-        (self.stats.tag_group_scans, self.stats.tag_false_positives, self.hub_dead_slots)
+        (self.stats.tag_group_scans, self.stats.tag_false_positives, self.hub.dead_slots())
     }
 
     /// Flushes the delta of the instance counters since `mark` to the
@@ -390,27 +319,16 @@ impl GraphTinker {
     /// instrumented ingest path pays one atomic RMW per counter per batch.
     fn flush_since(&self, mark: (u64, u64, usize)) {
         let m = crate::metrics::global();
-        let groups = self.stats.tag_group_scans - mark.0;
-        let fps = self.stats.tag_false_positives - mark.1;
-        if groups > 0 {
-            m.rhh_tag_group_scans.add(groups);
+        let (groups, fps, dead) = self.flush_mark();
+        if groups > mark.0 {
+            m.rhh_tag_group_scans.add(groups - mark.0);
         }
-        if fps > 0 {
-            m.rhh_tag_false_positive.add(fps);
+        if fps > mark.1 {
+            m.rhh_tag_false_positive.add(fps - mark.1);
         }
-        if self.hub_dead_slots != mark.2 {
-            m.tier_hub_dead_slots.add(self.hub_dead_slots as i64 - mark.2 as i64);
+        if dead != mark.2 {
+            m.tier_hub_dead_slots.add(dead as i64 - mark.2 as i64);
         }
-    }
-
-    /// Dense id of `src` for an executing operation: the id its resolve
-    /// stage carried, else a probe of the SGH as it is now.
-    #[inline]
-    fn dense_resolved(&self, src: VertexId, r: Resolved) -> Option<u32> {
-        if r.dense != NIL_U32 {
-            return Some(r.dense);
-        }
-        self.dense_lookup_hashed(src, r.src_hash)
     }
 
     /// Inserts `e` given what its resolve stage carried. Instance stats
@@ -425,280 +343,48 @@ impl GraphTinker {
         self.note_vertex(e.src);
         self.note_vertex(e.dst);
         self.stats.operations += 1;
-        let dense = match self.dense_resolved(e.src, r) {
-            Some(d) => d,
-            None => self.dense_insert_absent(e.src, r.src_hash),
+        let dense = match (self.dense_resolved(e.src, r), &mut self.sgh) {
+            (Some(d), _) => d,
+            (None, Some(sgh)) => sgh.insert_absent_hashed(r.src_hash, e.src),
+            (None, None) => e.src,
         };
-        if self.adaptive {
-            self.ensure_tier_slots(dense);
-            match self.tiers[dense as usize] {
-                Tier::Inline => self.insert_inline(dense, e, r.h0),
-                Tier::Blocks => self.insert_blocks(dense, e, r.h0),
-                Tier::Hub => self.insert_hub(dense, e, r.h0),
-            }
-        } else {
-            self.insert_blocks(dense, e, r.h0)
+        let mut tier = self.admit(dense);
+        let mut outcome =
+            on_tier!(self, tier, upsert(dense, e, r.h0, &mut self.stats, &mut self.cal));
+        if outcome == Upsert::Full {
+            // Only the inline tier fills up: the vertex moves to the
+            // edgeblocks and the insert retries there.
+            tier = Tier::Blocks;
+            self.migrate(dense, tier);
+            outcome = self.blocks.upsert(dense, e, r.h0, &mut self.stats, &mut self.cal);
         }
-    }
-
-    /// Insert into the RHH edgeblock tier (the only tier when adaptive
-    /// layout is disabled). `dense` is already resolved; `h0` is the
-    /// precomputed depth-0 [`edge_hash`] of the destination.
-    fn insert_blocks(&mut self, dense: u32, e: Edge, h0: u64) -> bool {
-        let spb = self.arena.subblocks_per_block();
-        let sublen = self.arena.subblock_len();
-        let tag = tag_of_hash(h0);
-
-        // Existing-edge fast path: a repeat insertion of an un-displaced
-        // edge sits in its home bucket of the top block's depth-0 subblock.
-        // One probe settles it (weight update + CAL refresh) without the
-        // full FIND walk; any miss falls through to the general path.
-        if let Some(top) = self.top_block(dense) {
-            let (sub, bucket) = split_hash(h0, spb, sublen);
-            let cell = self.arena.subblock_cells(top, sub)[bucket];
-            if cell.is_occupied() && cell.dst == e.dst {
-                self.stats.subblocks_visited += 1;
-                self.stats.cells_inspected += 1;
-                self.stats.workblocks_fetched += 1;
-                let hot = self.arena.cell_mut(top, sub * sublen + bucket);
-                hot.weight = e.weight;
-                let ptr = hot.cal_ptr;
-                if ptr != NIL_U32 {
-                    if let Some(cal) = &mut self.cal {
-                        cal.update_weight(ptr, e.weight);
-                    }
-                }
-                self.stats.updates += 1;
-                return false;
-            }
-        }
-
-        let top = self.ensure_top_block(dense);
-
-        // FIND mode + vacancy scout.
-        let mut block = top;
-        let mut depth: u32 = 0;
-        let mut candidate: Option<(BlockId, usize, usize)> = None;
-        let (tail_block, tail_sub);
-        loop {
-            let (sub, bucket) = if depth == 0 {
-                split_hash(h0, spb, sublen)
-            } else {
-                subblock_and_bucket(e.dst, depth, spb, sublen)
-            };
-            self.stats.subblocks_visited += 1;
-            let cells = self.arena.subblock_cells(block, sub);
-            let tags = self.arena.subblock_tags(block, sub);
-            let scan = find_in_subblock(cells, tags, e.dst, tag);
-            self.stats.tag_group_scans += scan.groups;
-            self.stats.tag_false_positives += scan.false_positives;
-            self.stats.cells_inspected += scan.inspected;
-            self.stats.workblocks_fetched += self.workblocks_for(scan.inspected).max(1);
-            if scan.hit.is_none() && candidate.is_none() && has_vacant_tags(tags) {
-                candidate = Some((block, sub, bucket));
-            }
-            if let Some(off) = scan.hit {
-                let offset = sub * sublen + off;
-                let cell = self.arena.cell_mut(block, offset);
-                cell.weight = e.weight;
-                let ptr = cell.cal_ptr;
-                if ptr != NIL_U32 {
-                    if let Some(cal) = &mut self.cal {
-                        cal.update_weight(ptr, e.weight);
-                    }
-                }
-                self.stats.updates += 1;
-                return false;
-            }
-            match self.arena.child(block, sub) {
-                Some(c) => {
-                    block = c;
-                    depth += 1;
-                }
-                None => {
-                    (tail_block, tail_sub) = (block, sub);
-                    break;
-                }
-            }
-        }
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-
-        // INSERT mode: append the CAL copy (O(1)), then anchor the main
-        // copy — in the scouted subblock, or in a fresh branch when every
-        // subblock on the path is full (Tree-Based Hashing).
-        let cal_ptr = match &mut self.cal {
-            Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
-            None => NIL_U32,
-        };
-        let floating = Floating { dst: e.dst, weight: e.weight, cal_ptr };
-        let rhh = self.rhh_enabled();
-        let (target_block, target_sub, target_bucket) = match candidate {
-            Some(c) => c,
-            None => {
-                let child = self.arena.alloc_block();
-                self.arena.set_child(tail_block, tail_sub, Some(child));
-                self.stats.branches_created += 1;
-                depth += 1;
-                crate::metrics::global().tinker_branch_depth.record(depth as u64);
-                crate::trace::instant(crate::trace::SpanId::TinkerBranchOut, depth as u64);
-                self.stats.max_depth = self.stats.max_depth.max(depth);
-                let (sub, bucket) = subblock_and_bucket(e.dst, depth, spb, sublen);
-                (child, sub, bucket)
-            }
-        };
-        let mut touched = 0u64;
-        let outcome = {
-            let (cells, tags) = self.arena.subblock_cells_and_tags_mut(target_block, target_sub);
-            if rhh {
-                rhh_insert(cells, tags, target_bucket, floating, tag, &mut touched)
-            } else {
-                linear_insert(cells, tags, target_bucket, floating, tag, &mut touched)
-            }
-        };
-        self.stats.cells_inspected += touched;
-        self.stats.workblocks_fetched += self.workblocks_for(touched);
-        debug_assert!(
-            matches!(outcome, RhhOutcome::Placed),
-            "target subblock was scouted to have a vacancy"
-        );
-        let RhhOutcome::Placed = outcome else {
-            unreachable!("scouted subblock must accept the edge")
-        };
-        self.arena.add_live(target_block, 1);
-        self.note_insert(dense, e.src);
-        if self.adaptive
-            && self.config.hub_promote > 0
-            && self.props.out_degree(dense) >= self.config.hub_promote
-        {
-            self.promote_blocks_to_hub(dense);
-        }
-        true
-    }
-
-    /// Insert into the inline tier; a full inline entry promotes the vertex
-    /// to the edgeblock tier and retries there.
-    fn insert_inline(&mut self, dense: u32, e: Edge, h0: u64) -> bool {
-        let idx = dense as usize;
-        // Nominal probe accounting: one 4-wide compare over the entry.
-        self.stats.subblocks_visited += 1;
-        self.stats.cells_inspected += INLINE_CAP_MAX as u64;
-        self.stats.workblocks_fetched += 1;
-        if let Some(slot) = self.inline[idx].find(e.dst) {
-            self.inline[idx].weights[slot] = e.weight;
-            let ptr = self.inline[idx].cal_ptrs[slot];
-            if ptr != NIL_U32 {
-                if let Some(cal) = &mut self.cal {
-                    cal.update_weight(ptr, e.weight);
-                }
-            }
+        if outcome == Upsert::Updated {
             self.stats.updates += 1;
             return false;
         }
-        if (self.inline[idx].len as usize) < self.config.inline_cap {
-            let cal_ptr = match &mut self.cal {
-                Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
-                None => NIL_U32,
-            };
-            self.inline[idx].push(e.dst, e.weight, cal_ptr);
-            self.note_insert(dense, e.src);
-            return true;
-        }
-        self.promote_inline_to_blocks(dense);
-        self.insert_blocks(dense, e, h0)
-    }
-
-    /// Insert into the dense hub tier.
-    fn insert_hub(&mut self, dense: u32, e: Edge, h0: u64) -> bool {
-        let h = self.hub_of[dense as usize] as usize;
-        let tag = tag_of_hash(h0);
-        // Nominal probe accounting: the gallop narrows to a scan window
-        // in the main run, plus (at most) one more over the tail.
-        self.stats.subblocks_visited += 1;
-        self.stats.cells_inspected += 2 * crate::hubseg::SCAN_WINDOW as u64;
-        self.stats.workblocks_fetched += 1;
-        if let Some(i) = self.hubs[h].find(e.dst, tag) {
-            self.hubs[h].set_weight(i, e.weight);
-            // Only touch the parallel cal_ptrs array when a CAL exists —
-            // otherwise a weight update costs an extra cache line for
-            // a pointer that is never used.
-            if let Some(cal) = &mut self.cal {
-                let ptr = self.hubs[h].cal_ptr(i);
-                if ptr != NIL_U32 {
-                    cal.update_weight(ptr, e.weight);
-                }
-            }
-            self.stats.updates += 1;
-            return false;
-        }
-        let cal_ptr = match &mut self.cal {
-            Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
-            None => NIL_U32,
-        };
-        // An insert that overflows the tail runs the merge pass, which
-        // drops the segment's dead slots.
-        let seg = &mut self.hubs[h];
-        self.hub_dead_slots -= seg.dead_slots();
-        seg.insert(e.dst, e.weight, cal_ptr, tag);
-        self.hub_dead_slots += seg.dead_slots();
-        self.note_insert(dense, e.src);
-        true
-    }
-
-    /// Dense id for a source known to be absent from the SGH ([`source_hash`]
-    /// already computed by the caller's lookup).
-    fn dense_insert_absent(&mut self, src: VertexId, src_hash: u64) -> u32 {
-        match &mut self.sgh {
-            Some(sgh) => sgh.insert_absent_hashed(src_hash, src),
-            None => src,
-        }
-    }
-
-    /// Grows the tier-tracking vectors (and `top_blocks`, which must stay
-    /// the same length) to cover `dense`. Only called on the adaptive path.
-    fn ensure_tier_slots(&mut self, dense: u32) {
-        let n = dense as usize + 1;
-        if self.tiers.len() >= n {
-            return;
-        }
-        let starting = if self.config.inline_cap > 0 { Tier::Inline } else { Tier::Blocks };
-        self.tiers.resize(n, starting);
-        self.inline.resize(n, InlineAdj::EMPTY);
-        self.hub_of.resize(n, NIL_U32);
-        if self.top_blocks.len() < n {
-            self.top_blocks.resize(n, NIL_U32);
-        }
-    }
-
-    /// Registers one new live edge of `dense`: degree, live-edge count,
-    /// insert stat, and (on the adaptive path) the active-vertex tier count
-    /// when the vertex's first edge appears.
-    fn note_insert(&mut self, dense: u32, src: VertexId) {
-        let p = self.props.ensure(dense, src);
+        // One new live edge: degree, totals, and the tier population when
+        // the vertex's first edge appears.
+        let p = self.props.ensure(dense, e.src);
         p.out_degree += 1;
         let deg = p.out_degree;
         self.live_edges += 1;
         self.stats.inserts += 1;
-        if self.adaptive && deg == 1 {
-            self.tier_active(self.tiers[dense as usize], true);
+        if deg == 1 {
+            self.tier_active(tier, true);
         }
+        if tier == Tier::Blocks && self.config.hub_promote > 0 && deg >= self.config.hub_promote {
+            self.migrate(dense, Tier::Hub);
+        }
+        true
     }
 
-    /// Mirror of [`note_insert`](Self::note_insert) for deletes; returns the
-    /// new out-degree. (`stats.deletes` is counted by the caller, which also
-    /// counts misses.)
-    fn note_delete(&mut self, dense: u32) -> u32 {
-        let p = self.props.get_mut(dense).expect("source with an edge has properties");
-        p.out_degree -= 1;
-        let deg = p.out_degree;
-        self.live_edges -= 1;
-        if self.adaptive && deg == 0 {
-            self.tier_active(self.tiers[dense as usize], false);
-        }
-        deg
-    }
-
-    /// Adjusts the active-vertex count (and gauge) of a tier.
+    /// Adjusts the active-vertex count (and gauge) of a tier. The
+    /// population is reported for tiered layouts only: with no threshold
+    /// set every vertex is in the edgeblocks and the counts stay zero.
     fn tier_active(&mut self, tier: Tier, up: bool) {
+        if !self.config.adaptive_enabled() {
+            return;
+        }
         let m = crate::metrics::global();
         let g = match tier {
             Tier::Inline => &m.tier_inline_vertices,
@@ -714,149 +400,28 @@ impl GraphTinker {
         }
     }
 
-    /// Moves `dense` to tier `to`, keeping the active-vertex counts honest.
-    fn set_tier(&mut self, dense: u32, to: Tier) {
-        let from = self.tiers[dense as usize];
-        if from == to {
-            return;
-        }
-        self.tiers[dense as usize] = to;
+    /// Moves the adjacency of `dense` to tier `to`: [`TierOps::drain`] from
+    /// the tier that holds it, [`TierOps::adopt`] into the new one. Every
+    /// edge keeps its CAL pointer, so the CAL — records, order, invalid
+    /// count — is untouched; degree and live-edge totals do not move.
+    fn migrate(&mut self, dense: u32, to: Tier) {
+        let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
+        let from = std::mem::replace(&mut self.tiers[dense as usize], to);
+        debug_assert_ne!(from, to);
         if self.props.out_degree(dense) > 0 {
             self.tier_active(from, false);
             self.tier_active(to, true);
         }
-    }
-
-    /// Anchors a floating edge (CAL copy already registered) into the
-    /// edgeblock subtree of `dense` without touching degree, live-edge or
-    /// CAL state — the tier-migration primitive. The edge is known absent,
-    /// so the walk may stop at the *first* subblock with a vacancy: FIND
-    /// scans whole subblocks per depth, so an early anchor stays on the
-    /// edge's lookup path.
-    fn anchor_in_blocks(&mut self, dense: u32, f: Floating) {
-        let spb = self.arena.subblocks_per_block();
-        let sublen = self.arena.subblock_len();
-        let rhh = self.rhh_enabled();
-        // Tier migration is a cold path: recomputing the fingerprint here
-        // keeps the hot-path plumbing (which hoists it) uncluttered.
-        let tag = dst_tag(f.dst);
-        let mut block = self.ensure_top_block(dense);
-        let mut depth: u32 = 0;
-        let (target_block, target_sub, target_bucket) = loop {
-            let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
-            if has_vacant_tags(self.arena.subblock_tags(block, sub)) {
-                break (block, sub, bucket);
-            }
-            match self.arena.child(block, sub) {
-                Some(c) => {
-                    block = c;
-                    depth += 1;
-                }
-                None => {
-                    let child = self.arena.alloc_block();
-                    self.arena.set_child(block, sub, Some(child));
-                    self.stats.branches_created += 1;
-                    depth += 1;
-                    crate::metrics::global().tinker_branch_depth.record(depth as u64);
-                    crate::trace::instant(crate::trace::SpanId::TinkerBranchOut, depth as u64);
-                    let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
-                    break (child, sub, bucket);
-                }
-            }
-        };
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        let mut touched = 0u64;
-        let (cells, tags) = self.arena.subblock_cells_and_tags_mut(target_block, target_sub);
-        let outcome = if rhh {
-            rhh_insert(cells, tags, target_bucket, f, tag, &mut touched)
+        let edges = on_tier!(self, from, drain(dense));
+        on_tier!(self, to, adopt(dense, edges, &mut self.stats));
+        let m = crate::metrics::global();
+        if to as u8 > from as u8 {
+            self.tier_promotions += 1;
+            m.tier_promotions.inc();
         } else {
-            linear_insert(cells, tags, target_bucket, f, tag, &mut touched)
-        };
-        let RhhOutcome::Placed = outcome else { unreachable!("vacancy was scouted") };
-        self.arena.add_live(target_block, 1);
-    }
-
-    /// Inline → edgeblock promotion: re-anchors the inline slots into a
-    /// fresh top block, preserving their CAL pointers.
-    fn promote_inline_to_blocks(&mut self, dense: u32) {
-        let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
-        let adj = std::mem::replace(&mut self.inline[dense as usize], InlineAdj::EMPTY);
-        self.set_tier(dense, Tier::Blocks);
-        for i in 0..adj.len as usize {
-            self.anchor_in_blocks(
-                dense,
-                Floating { dst: adj.dsts[i], weight: adj.weights[i], cal_ptr: adj.cal_ptrs[i] },
-            );
+            self.tier_demotions += 1;
+            m.tier_demotions.inc();
         }
-        self.tier_promotions += 1;
-        crate::metrics::global().tier_promotions.inc();
-    }
-
-    /// Edgeblock → hub promotion: drains the whole subtree into a sorted
-    /// dense segment and recycles the blocks.
-    fn promote_blocks_to_hub(&mut self, dense: u32) {
-        let Some(top) = self.top_block(dense) else { return };
-        let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
-        let edges = self.arena.collect_subtree(top);
-        let freed = self.arena.free_subtree(top);
-        crate::metrics::global().tinker_blocks_freed.add(freed as u64);
-        self.top_blocks[dense as usize] = NIL_U32;
-        self.main_blocks -= 1;
-        let seg = HubSegment::from_edges(edges);
-        let h = match self.free_hubs.pop() {
-            Some(h) => {
-                self.hubs[h as usize] = seg;
-                h
-            }
-            None => {
-                self.hubs.push(seg);
-                (self.hubs.len() - 1) as u32
-            }
-        };
-        self.hub_of[dense as usize] = h;
-        self.set_tier(dense, Tier::Hub);
-        self.tier_promotions += 1;
-        crate::metrics::global().tier_promotions.inc();
-    }
-
-    /// Hub → edgeblock demotion (hysteresis floor crossed).
-    fn demote_hub_to_blocks(&mut self, dense: u32) {
-        let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
-        let h = self.hub_of[dense as usize];
-        let seg = std::mem::take(&mut self.hubs[h as usize]);
-        self.hub_dead_slots -= seg.dead_slots();
-        self.free_hubs.push(h);
-        self.hub_of[dense as usize] = NIL_U32;
-        self.set_tier(dense, Tier::Blocks);
-        for (dst, weight, cal_ptr) in seg.into_edges() {
-            self.anchor_in_blocks(dense, Floating { dst, weight, cal_ptr });
-        }
-        self.tier_demotions += 1;
-        crate::metrics::global().tier_demotions.inc();
-    }
-
-    /// Edgeblock → inline demotion: the remaining handful of edges moves
-    /// back into the vertex entry and the subtree is recycled.
-    fn demote_blocks_to_inline(&mut self, dense: u32) {
-        let Some(top) = self.top_block(dense) else {
-            self.set_tier(dense, Tier::Inline);
-            return;
-        };
-        let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
-        let edges = self.arena.collect_subtree(top);
-        debug_assert!(edges.len() <= self.config.inline_cap);
-        let freed = self.arena.free_subtree(top);
-        crate::metrics::global().tinker_blocks_freed.add(freed as u64);
-        self.top_blocks[dense as usize] = NIL_U32;
-        self.main_blocks -= 1;
-        let mut adj = InlineAdj::EMPTY;
-        for (dst, weight, cal_ptr) in edges {
-            adj.push(dst, weight, cal_ptr);
-        }
-        self.inline[dense as usize] = adj;
-        self.set_tier(dense, Tier::Inline);
-        self.tier_demotions += 1;
-        crate::metrics::global().tier_demotions.inc();
     }
 
     /// Deletes the edge `(src, dst)`. Returns `true` if it existed.
@@ -877,11 +442,7 @@ impl GraphTinker {
     /// stats only, see [`insert_resolved`](Self::insert_resolved)).
     fn delete_resolved(&mut self, src: VertexId, dst: VertexId, r: Resolved) -> bool {
         self.stats.operations += 1;
-        let deleted = match self.dense_resolved(src, r) {
-            None => false,
-            Some(dense) if self.adaptive => self.delete_adaptive(dense, dst, r.h0),
-            Some(dense) => self.delete_blocks(dense, dst, r.h0),
-        };
+        let deleted = self.remove_edge(src, dst, r);
         if deleted {
             self.stats.deletes += 1;
         } else {
@@ -890,208 +451,51 @@ impl GraphTinker {
         deleted
     }
 
-    /// Tier-dispatched delete, with hysteresis demotions.
-    fn delete_adaptive(&mut self, dense: u32, dst: VertexId, h0: u64) -> bool {
-        // A source registered by `import_sources` but never inserted through
-        // the adaptive path has no tier slot (and no edges).
-        if dense as usize >= self.tiers.len() {
+    /// The tier-dispatched delete, with the hysteresis demotions.
+    fn remove_edge(&mut self, src: VertexId, dst: VertexId, r: Resolved) -> bool {
+        let Some(dense) = self.dense_resolved(src, r) else { return false };
+        let Some(tier) = self.tier_of(dense) else { return false };
+        let Some(cal_ptr) = on_tier!(self, tier, remove(dense, dst, r.h0, &mut self.stats)) else {
             return false;
+        };
+        cal_invalidate(&mut self.cal, cal_ptr);
+        let p = self.props.get_mut(dense).expect("source with an edge has properties");
+        p.out_degree -= 1;
+        let deg = p.out_degree;
+        self.live_edges -= 1;
+        if deg == 0 {
+            self.tier_active(tier, false);
         }
-        match self.tiers[dense as usize] {
-            Tier::Inline => {
-                let idx = dense as usize;
-                self.stats.subblocks_visited += 1;
-                self.stats.cells_inspected += INLINE_CAP_MAX as u64;
-                self.stats.workblocks_fetched += 1;
-                let Some(slot) = self.inline[idx].find(dst) else { return false };
-                let ptr = self.inline[idx].remove(slot);
-                if ptr != NIL_U32 {
-                    if let Some(cal) = &mut self.cal {
-                        cal.invalidate(ptr);
-                    }
-                }
-                self.note_delete(dense);
-                true
-            }
+        match tier {
+            Tier::Inline => {}
             Tier::Blocks => {
-                let deleted = self.delete_blocks(dense, dst, h0);
-                if deleted
-                    && self.config.inline_cap > 0
-                    && self.props.out_degree(dense) as usize * 2 <= self.config.inline_cap
+                // Compact mode keeps the *whole* database compact, CAL
+                // included: once invalidated records outnumber live ones,
+                // rebuild the CAL from the main structure (amortized O(1)
+                // per delete).
+                if self.config.delete_mode == DeleteMode::DeleteAndCompact
+                    && self.cal.as_ref().is_some_and(|c| c.num_invalid() > c.num_live().max(1024))
                 {
-                    self.demote_blocks_to_inline(dense);
+                    self.rebuild_cal();
                 }
-                deleted
+                let cap = self.config.inline_cap;
+                if cap > 0 && deg as usize * 2 <= cap {
+                    self.migrate(dense, Tier::Inline);
+                }
             }
             Tier::Hub => {
-                let h = self.hub_of[dense as usize] as usize;
-                self.stats.subblocks_visited += 1;
-                self.stats.cells_inspected += 2 * crate::hubseg::SCAN_WINDOW as u64;
-                self.stats.workblocks_fetched += 1;
-                let Some(i) = self.hubs[h].find(dst, tag_of_hash(h0)) else { return false };
-                // A main-run delete leaves a dead slot behind (or, at the
-                // compaction bound, clears them all).
-                let seg = &mut self.hubs[h];
-                self.hub_dead_slots -= seg.dead_slots();
-                let ptr = seg.remove(i);
-                self.hub_dead_slots += seg.dead_slots();
-                if ptr != NIL_U32 {
-                    if let Some(cal) = &mut self.cal {
-                        cal.invalidate(ptr);
-                    }
-                }
-                let deg = self.note_delete(dense);
                 if deg < self.config.hub_demote {
-                    self.demote_hub_to_blocks(dense);
-                }
-                true
-            }
-        }
-    }
-
-    /// Delete from the RHH edgeblock tier (the only tier when adaptive
-    /// layout is disabled).
-    fn delete_blocks(&mut self, dense: u32, dst: VertexId, h0: u64) -> bool {
-        let Some(top) = self.top_block(dense) else { return false };
-        let (found, cost) = self.locate(top, dst, h0);
-        self.absorb_cost(cost);
-        let Some((block, offset)) = found else { return false };
-
-        let sublen = self.arena.subblock_len();
-        let sub = offset / sublen;
-        let tombstone = self.config.delete_mode == DeleteMode::DeleteOnly;
-        let cell = self.arena.cell_mut(block, offset);
-        let cal_ptr = cell.cal_ptr;
-        if tombstone {
-            *cell = EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY };
-        } else {
-            *cell = EdgeCell::EMPTY;
-        }
-        self.arena.set_tag(block, offset, vacant_tag(tombstone));
-        self.arena.add_live(block, -1);
-        if cal_ptr != NIL_U32 {
-            if let Some(cal) = &mut self.cal {
-                cal.invalidate(cal_ptr);
-            }
-        }
-        self.note_delete(dense);
-
-        if self.config.delete_mode == DeleteMode::DeleteAndCompact {
-            self.backfill(block, sub, offset);
-            self.free_upward(block);
-            // Compact mode keeps the *whole* database compact, CAL included:
-            // once invalidated records outnumber live ones, rebuild the CAL
-            // from the main structure (amortized O(1) per delete).
-            if let Some(cal) = &self.cal {
-                if cal.num_invalid() > cal.num_live().max(1024) {
-                    self.rebuild_cal();
+                    self.migrate(dense, Tier::Blocks);
                 }
             }
         }
         true
     }
 
-    /// Looks up the dense id without allocating.
-    fn dense_lookup(&self, src: VertexId) -> Option<u32> {
-        match &self.sgh {
-            Some(sgh) => sgh.get(src),
-            None => ((src as usize) < self.top_blocks.len()).then_some(src),
-        }
-    }
-
-    /// [`dense_lookup`](Self::dense_lookup) with the source hash already
-    /// computed by the caller.
-    #[inline]
-    fn dense_lookup_hashed(&self, src: VertexId, src_hash: u64) -> Option<u32> {
-        match &self.sgh {
-            Some(sgh) => sgh.get_hashed(src_hash, src),
-            None => ((src as usize) < self.top_blocks.len()).then_some(src),
-        }
-    }
-
-    /// Delete-and-compact backfill: pull an edge from the deepest block of
-    /// the subtree hanging off `(block, sub)` into the freed cell at
-    /// `offset`, then recycle any blocks the pull emptied. Every edge in
-    /// that subtree hashed through `(block, sub)` on its way down, so the
-    /// freed cell is on its FIND path and the move is invisible to lookups.
-    fn backfill(&mut self, block: BlockId, sub: usize, offset: usize) {
-        let Some(child) = self.arena.child(block, sub) else { return };
-
-        // DFS for the deepest block holding at least one live edge.
-        let mut best: Option<(usize, BlockId)> = None;
-        let mut stack: Vec<(BlockId, usize)> = vec![(child, 0)];
-        while let Some((b, depth)) = stack.pop() {
-            if self.arena.live_count(b) > 0 && best.is_none_or(|(bd, _)| depth > bd) {
-                best = Some((depth, b));
-            }
-            for s in 0..self.arena.subblocks_per_block() {
-                if let Some(c) = self.arena.child(b, s) {
-                    stack.push((c, depth + 1));
-                }
-            }
-        }
-        let Some((_, donor)) = best else { return };
-
-        // Take any live cell from the donor block.
-        let pw = self.arena.pagewidth();
-        let donor_off = (0..pw)
-            .find(|&i| self.arena.cell(donor, i).is_occupied())
-            .expect("donor block advertises live edges");
-        let moved = *self.arena.cell(donor, donor_off);
-        *self.arena.cell_mut(donor, donor_off) = EdgeCell::EMPTY;
-        self.arena.set_tag(donor, donor_off, TAG_EMPTY);
-        self.arena.add_live(donor, -1);
-
-        // Anchor it in the freed slot. Probe distances carry no meaning in
-        // compact mode (finds scan whole subblocks), so store 0. The tag
-        // lane follows the edge: fingerprints are depth-independent, so the
-        // moved cell's tag is valid at its new depth too.
-        *self.arena.cell_mut(block, offset) = EdgeCell { probe: 0, ..moved };
-        self.arena.set_tag(block, offset, dst_tag(moved.dst));
-        self.arena.add_live(block, 1);
-        crate::metrics::global().tinker_backfill_moves.inc();
-
-        // Recycle emptied, childless blocks bottom-up from the donor.
-        self.free_upward(donor);
-    }
-
-    /// Walks up the parent chain from `start`, recycling every block that is
-    /// empty and childless. Top-parent (main region) blocks are never
-    /// recycled — the main region is indexed positionally by dense id.
-    fn free_upward(&mut self, start: BlockId) {
-        let mut b = start;
-        loop {
-            let Some((parent, psub)) = self.arena.parent(b) else { return };
-            let childless = self.arena.child_slots(b).iter().all(|&c| c == NIL_U32);
-            if self.arena.live_count(b) != 0 || !childless {
-                return;
-            }
-            self.arena.set_child(parent, psub, None);
-            self.arena.free_block(b);
-            crate::metrics::global().tinker_blocks_freed.inc();
-            b = parent;
-        }
-    }
-
     /// Weight of the edge `(src, dst)`, if present.
     pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
         let dense = self.dense_lookup(src)?;
-        if self.adaptive {
-            match self.tiers.get(dense as usize) {
-                Some(Tier::Inline) => {
-                    let adj = &self.inline[dense as usize];
-                    return adj.find(dst).map(|i| adj.weights[i]);
-                }
-                Some(Tier::Hub) => {
-                    let seg = &self.hubs[self.hub_of[dense as usize] as usize];
-                    return seg.find(dst, dst_tag(dst)).map(|i| seg.weight(i));
-                }
-                _ => {}
-            }
-        }
-        let top = self.top_block(dense)?;
-        let (found, _) = self.locate(top, dst, edge_hash(dst, 0));
-        found.map(|(b, off)| self.arena.cell(b, off).weight)
+        on_tier!(self, self.tier_of(dense)?, find(dense, dst))
     }
 
     /// Whether the edge `(src, dst)` is present.
@@ -1139,7 +543,8 @@ impl GraphTinker {
                 warmed ^= self.warm_vertex(ring[(step - WINDOW) % RING]);
             }
             if (2 * WINDOW..n + 2 * WINDOW).contains(&step) {
-                warmed ^= self.warm_subblock(ring[(step - 2 * WINDOW) % RING]);
+                let ahead = ring[(step - 2 * WINDOW) % RING];
+                warmed ^= self.blocks.warm_subblock(ahead.dense, ahead.h0);
             }
             let Some(at) = step.checked_sub(3 * WINDOW) else { continue };
             let carried = ring[at % RING];
@@ -1188,68 +593,17 @@ impl GraphTinker {
     /// before the operation executes, which only wastes the touch.
     #[inline]
     fn warm_vertex(&self, r: Resolved) -> u64 {
-        if r.dense == NIL_U32 {
-            return 0;
-        }
-        let idx = r.dense as usize;
-        let entry = match self.tiers.get(idx) {
-            Some(Tier::Inline) => self.inline[idx].dsts[0] ^ u32::from(self.inline[idx].len),
-            Some(Tier::Hub) => self.hub_of[idx],
-            // No tier slot: the fixed layout, or an imported source.
-            Some(Tier::Blocks) | None => self.top_blocks.get(idx).copied().unwrap_or(NIL_U32),
-        };
-        u64::from(entry ^ self.props.out_degree(r.dense))
+        let Some(tier) = self.tier_of(r.dense) else { return 0 };
+        u64::from(on_tier!(self, tier, warm(r.dense)) ^ self.props.out_degree(r.dense))
     }
 
-    /// Window stage 3, edgeblock-tier sources only: loads the tag group
-    /// and home cell the depth-0 probe starts at, and the top block's live
-    /// count.
-    #[inline]
-    fn warm_subblock(&self, r: Resolved) -> u64 {
-        // Unknown, inline and hub sources own no top block.
-        let Some(top) = self.top_block(r.dense) else { return 0 };
-        let (sub, bucket) =
-            split_hash(r.h0, self.arena.subblocks_per_block(), self.arena.subblock_len());
-        u64::from(self.arena.subblock_tags(top, sub)[0])
-            ^ u64::from(self.arena.subblock_cells(top, sub)[bucket].dst)
-            ^ u64::from(self.arena.live_count(top))
-    }
-
-    /// Visits every live out-edge of `src` as `(dst, weight)`, walking the
-    /// EdgeblockArray subtree of the vertex. This is the incremental-mode
-    /// (random access) retrieval path.
+    /// Visits every live out-edge of `src` as `(dst, weight)` from the
+    /// tier that holds its adjacency. This is the incremental-mode (random
+    /// access) retrieval path.
     pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, mut f: F) {
         let Some(dense) = self.dense_lookup(src) else { return };
-        if self.adaptive {
-            match self.tiers.get(dense as usize) {
-                Some(Tier::Inline) => {
-                    let adj = &self.inline[dense as usize];
-                    for i in 0..adj.len as usize {
-                        f(adj.dsts[i], adj.weights[i]);
-                    }
-                    return;
-                }
-                Some(Tier::Hub) => {
-                    self.hubs[self.hub_of[dense as usize] as usize].for_each(|d, w, _| f(d, w));
-                    return;
-                }
-                _ => {}
-            }
-        }
-        let Some(top) = self.top_block(dense) else { return };
-        let mut stack = vec![top];
-        while let Some(b) = stack.pop() {
-            for cell in self.arena.block(b) {
-                if cell.is_occupied() {
-                    f(cell.dst, cell.weight);
-                }
-            }
-            for &c in self.arena.child_slots(b) {
-                if c != NIL_U32 {
-                    stack.push(c);
-                }
-            }
-        }
+        let Some(tier) = self.tier_of(dense) else { return };
+        on_tier!(self, tier, for_each(dense, |d, w, _| f(d, w)));
     }
 
     /// Visits every live edge as `(src, dst, weight)`.
@@ -1265,10 +619,10 @@ impl GraphTinker {
         }
     }
 
-    /// Visits every live edge by scanning the main EdgeblockArray,
-    /// regardless of CAL availability (used by tests and the CAL ablation).
+    /// Visits every live edge by scanning the main structure, regardless
+    /// of CAL availability (used by tests and the CAL ablation).
     pub fn for_each_edge_main<F: FnMut(VertexId, VertexId, Weight)>(&self, f: F) {
-        self.for_each_edge_main_range(0..self.top_blocks.len() as u32, f);
+        self.for_each_edge_main_range(0..self.tiers.len() as u32, f);
     }
 
     /// Main-structure scan restricted to a contiguous dense-source range,
@@ -1279,44 +633,9 @@ impl GraphTinker {
         mut f: F,
     ) {
         for dense in dense_range {
-            if self.adaptive {
-                match self.tiers.get(dense as usize) {
-                    Some(Tier::Inline) => {
-                        let adj = &self.inline[dense as usize];
-                        if adj.len > 0 {
-                            let src = self.original_of(dense);
-                            for i in 0..adj.len as usize {
-                                f(src, adj.dsts[i], adj.weights[i]);
-                            }
-                        }
-                        continue;
-                    }
-                    Some(Tier::Hub) => {
-                        let seg = &self.hubs[self.hub_of[dense as usize] as usize];
-                        if !seg.is_empty() {
-                            let src = self.original_of(dense);
-                            seg.for_each(|d, w, _| f(src, d, w));
-                        }
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            let Some(top) = self.top_block(dense) else { continue };
+            let Some(tier) = self.tier_of(dense) else { break };
             let src = self.original_of(dense);
-            let mut stack = vec![top];
-            while let Some(b) = stack.pop() {
-                for cell in self.arena.block(b) {
-                    if cell.is_occupied() {
-                        f(src, cell.dst, cell.weight);
-                    }
-                }
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push(c);
-                    }
-                }
-            }
+            on_tier!(self, tier, for_each(dense, |d, w, _| f(src, d, w)));
         }
     }
 
@@ -1349,7 +668,7 @@ impl GraphTinker {
                 cal.for_each_edge_in_groups(r, f);
             }
             None => {
-                let r = gtinker_types::shard_range(self.top_blocks.len(), n, shard);
+                let r = gtinker_types::shard_range(self.tiers.len(), n, shard);
                 self.for_each_edge_main_range(r.start as u32..r.end as u32, f);
             }
         }
@@ -1365,7 +684,7 @@ impl GraphTinker {
         let Some(dense) = self.dense_lookup(src) else { return 0 };
         let (index, items) = match &self.cal {
             Some(cal) => (cal.group_of(dense), cal.num_groups()),
-            None => (dense as usize, self.top_blocks.len()),
+            None => (dense as usize, self.tiers.len()),
         };
         if index >= items {
             // A CAL rebuild drops trailing groups whose edges were all
@@ -1380,21 +699,12 @@ impl GraphTinker {
     pub fn sources(&self) -> Vec<VertexId> {
         match &self.sgh {
             Some(sgh) => sgh.iter_dense().map(|(_, o)| o).collect(),
-            None => (0..self.top_blocks.len() as u32).filter(|&d| self.source_active(d)).collect(),
+            // Without SGH the raw id is the slot; a slot has held a source
+            // once an insert bound its property entry.
+            None => (0..self.tiers.len() as u32)
+                .filter(|&d| self.props.get(d).is_some_and(|p| p.original_id != NIL_VERTEX))
+                .collect(),
         }
-    }
-
-    /// Whether a dense slot has ever held a source (no-SGH accounting; with
-    /// SGH enabled every dense id is a source by construction). Inline and
-    /// hub vertices own no top block, so presence is read from the property
-    /// array instead.
-    fn source_active(&self, dense: u32) -> bool {
-        if self.adaptive {
-            if let Some(Tier::Inline | Tier::Hub) = self.tiers.get(dense as usize) {
-                return self.props.get(dense).is_some_and(|p| p.original_id != NIL_VERTEX);
-            }
-        }
-        self.top_block(dense).is_some()
     }
 
     /// Pre-assigns dense source ids in the given order, as if each source
@@ -1407,7 +717,9 @@ impl GraphTinker {
     pub fn import_sources(&mut self, sources: &[VertexId]) {
         for &src in sources {
             self.note_vertex(src);
-            self.dense_of_mut(src, source_hash(src));
+            if let Some(sgh) = &mut self.sgh {
+                sgh.get_or_insert_hashed(source_hash(src), src);
+            }
         }
     }
 
@@ -1431,354 +743,17 @@ impl GraphTinker {
         }
         crate::metrics::global().tinker_cal_rebuilds.inc();
         let mut cal = CalArray::new(self.config.cal_group_size, self.config.cal_block_size);
-        for dense in 0..self.top_blocks.len() as u32 {
-            let idx = dense as usize;
-            if self.adaptive {
-                match self.tiers.get(idx) {
-                    Some(Tier::Inline) => {
-                        if self.inline[idx].len > 0 {
-                            let src = self.original_of(dense);
-                            for i in 0..self.inline[idx].len as usize {
-                                let ptr = cal.insert(
-                                    dense,
-                                    src,
-                                    self.inline[idx].dsts[i],
-                                    self.inline[idx].weights[i],
-                                );
-                                self.inline[idx].cal_ptrs[i] = ptr;
-                            }
-                        }
-                        continue;
-                    }
-                    Some(Tier::Hub) => {
-                        let h = self.hub_of[idx] as usize;
-                        if !self.hubs[h].is_empty() {
-                            let src = self.original_of(dense);
-                            self.hubs[h].remap_cal_ptrs(|dst, w| cal.insert(dense, src, dst, w));
-                        }
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            let Some(top) = self.top_block(dense) else { continue };
+        for dense in 0..self.tiers.len() as u32 {
             let src = self.original_of(dense);
-            let mut stack = vec![top];
-            while let Some(b) = stack.pop() {
-                let pw = self.arena.pagewidth();
-                for off in 0..pw {
-                    let cell = *self.arena.cell(b, off);
-                    if cell.is_occupied() {
-                        let ptr = cal.insert(dense, src, cell.dst, cell.weight);
-                        self.arena.cell_mut(b, off).cal_ptr = ptr;
-                    }
-                }
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push(c);
-                    }
-                }
-            }
+            let tier = self.tiers[dense as usize];
+            on_tier!(self, tier, remap_cal_ptrs(dense, |dst, w| cal.insert(dense, src, dst, w)));
         }
         self.cal = Some(cal);
-    }
-
-    /// Estimated heap bytes of the inline tier.
-    fn inline_bytes(&self) -> usize {
-        self.inline.capacity() * std::mem::size_of::<InlineAdj>()
-    }
-
-    /// Estimated heap bytes of the hub tier (segments + slot table).
-    fn hub_bytes(&self) -> usize {
-        self.hubs.iter().map(|h| h.memory_bytes()).sum::<usize>()
-            + self.hubs.capacity() * std::mem::size_of::<HubSegment>()
-            + self.hub_of.capacity() * 4
-            + self.free_hubs.capacity() * 4
-    }
-
-    /// Point-in-time structure statistics.
-    pub fn structure_stats(&self) -> StructureStats {
-        let total_blocks = self.arena.num_blocks();
-        let free = self.arena.num_free_blocks();
-        let allocated_cells = (total_blocks - free) * self.arena.pagewidth();
-        StructureStats {
-            live_edges: self.live_edges,
-            num_sources: self.num_sources(),
-            main_blocks: self.main_blocks,
-            overflow_blocks: total_blocks - free - self.main_blocks,
-            free_blocks: free,
-            tombstones: self.arena.count_tombstones(),
-            hub_dead_slots: self.hub_dead_slots,
-            cal_blocks: self.cal.as_ref().map_or(0, |c| c.num_blocks()),
-            cal_invalid: self.cal.as_ref().map_or(0, |c| c.num_invalid()),
-            occupancy: if allocated_cells == 0 {
-                0.0
-            } else {
-                self.live_edges as f64 / allocated_cells as f64
-            },
-            tier_inline_vertices: self.tier_counts[Tier::Inline as usize] as usize,
-            tier_blocks_vertices: self.tier_counts[Tier::Blocks as usize] as usize,
-            tier_hub_vertices: self.tier_counts[Tier::Hub as usize] as usize,
-            tier_promotions: self.tier_promotions,
-            tier_demotions: self.tier_demotions,
-            inline_bytes: self.inline_bytes(),
-            hub_bytes: self.hub_bytes(),
-            memory_bytes: self.arena.memory_bytes()
-                + self.cal.as_ref().map_or(0, |c| c.memory_bytes())
-                + self.top_blocks.capacity() * 4
-                + self.tiers.capacity()
-                + self.inline_bytes()
-                + self.hub_bytes(),
-        }
-    }
-
-    /// Publishes the `memory_*_bytes` gauge family from current structure
-    /// state (estimated adjacency bytes per tier, CAL, and total). Gauges
-    /// are set-from-state, so calling this again simply refreshes them.
-    pub fn publish_memory_metrics(&self) {
-        let m = crate::metrics::global();
-        let (inline, blocks, hub, cal, total) = self.memory_breakdown();
-        m.memory_inline_bytes.set(inline as i64);
-        m.memory_blocks_bytes.set(blocks as i64);
-        m.memory_hub_bytes.set(hub as i64);
-        m.memory_cal_bytes.set(cal as i64);
-        m.memory_total_bytes.set(total as i64);
-    }
-
-    /// Estimated heap bytes per component as
-    /// `(inline tier, edgeblock arena, hub tier, CAL, total)`. The parallel
-    /// wrapper sums these across instances before publishing gauges.
-    pub fn memory_breakdown(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.inline_bytes(),
-            self.arena.memory_bytes(),
-            self.hub_bytes(),
-            self.cal.as_ref().map_or(0, |c| c.memory_bytes()),
-            self.structure_stats().memory_bytes,
-        )
     }
 
     /// Direct access to the CAL (tests/diagnostics).
     pub fn cal(&self) -> Option<&CalArray> {
         self.cal.as_ref()
-    }
-
-    /// Histogram of live edges by tree depth: `hist[d]` = edges stored in
-    /// blocks `d` generations below a top-parent. Directly exhibits the
-    /// `O(log degree)` depth bound of Tree-Based Hashing (an adjacency list
-    /// would put the k-th edge at "depth" `k / blocksize`).
-    pub fn depth_histogram(&self) -> Vec<u64> {
-        let mut hist: Vec<u64> = Vec::new();
-        if self.adaptive {
-            // Inline and hub adjacency is flat: everything sits at depth 0.
-            let shallow: u64 = self.inline.iter().map(|a| a.len as u64).sum::<u64>()
-                + self.hubs.iter().map(|h| h.len() as u64).sum::<u64>();
-            if shallow > 0 {
-                hist.push(shallow);
-            }
-        }
-        for dense in 0..self.top_blocks.len() as u32 {
-            let Some(top) = self.top_block(dense) else { continue };
-            let mut stack = vec![(top, 0usize)];
-            while let Some((b, depth)) = stack.pop() {
-                if hist.len() <= depth {
-                    hist.resize(depth + 1, 0);
-                }
-                hist[depth] += self.arena.live_count(b) as u64;
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push((c, depth + 1));
-                    }
-                }
-            }
-        }
-        hist
-    }
-
-    /// Histogram of stored Robin Hood probe distances over live edges:
-    /// `hist[p]` = edges whose cell sits `p` positions from its initial
-    /// bucket. RHH keeps this distribution tight (bounded by the subblock
-    /// length).
-    pub fn probe_histogram(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; self.arena.subblock_len()];
-        if self.adaptive {
-            // Inline and hub probes are position-exact: distance 0.
-            hist[0] += self.inline.iter().map(|a| a.len as u64).sum::<u64>()
-                + self.hubs.iter().map(|h| h.len() as u64).sum::<u64>();
-        }
-        for dense in 0..self.top_blocks.len() as u32 {
-            let Some(top) = self.top_block(dense) else { continue };
-            let mut stack = vec![top];
-            while let Some(b) = stack.pop() {
-                for cell in self.arena.block(b) {
-                    if cell.is_occupied() {
-                        hist[cell.probe as usize] += 1;
-                    }
-                }
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        hist
-    }
-
-    /// Checks the Robin Hood invariants over every live cell (diagnostic /
-    /// test hook; `Ok(())` immediately in delete-and-compact mode, where RHH
-    /// is disabled and probe distances carry no meaning):
-    ///
-    /// 1. every occupied cell sits in the subblock its destination hashes to
-    ///    at that depth, and its stored probe equals the circular distance
-    ///    from its hash bucket;
-    /// 2. the probe-path predecessor of a probe-`d > 0` cell is never truly
-    ///    empty (delete-only mode leaves tombstones, so a hole before a
-    ///    displaced edge would break the FIND shortcut);
-    /// 3. while the structure has never deleted an edge, the full Robin
-    ///    Hood ordering holds: the predecessor's probe is at least `d - 1`.
-    ///    Once a delete has happened anywhere, a later insert may legally
-    ///    reuse a tombstone slot ahead of a displaced cell, so strict
-    ///    ordering is no longer implied — even in subblocks that are
-    ///    tombstone-free *now*.
-    ///
-    /// Returns the first violation as an error string.
-    pub fn validate_rhh_invariants(&self) -> std::result::Result<(), String> {
-        if !self.rhh_enabled() {
-            return Ok(());
-        }
-        let never_deleted = self.stats.deletes == 0;
-        let spb = self.arena.subblocks_per_block();
-        let sublen = self.arena.subblock_len();
-        for dense in 0..self.top_blocks.len() as u32 {
-            let Some(top) = self.top_block(dense) else { continue };
-            let mut stack = vec![(top, 0u32)];
-            while let Some((b, depth)) = stack.pop() {
-                for sub in 0..spb {
-                    let cells = self.arena.subblock_cells(b, sub);
-                    for (pos, cell) in cells.iter().enumerate() {
-                        if !cell.is_occupied() {
-                            continue;
-                        }
-                        let (esub, ebucket) = subblock_and_bucket(cell.dst, depth, spb, sublen);
-                        if esub != sub {
-                            return Err(format!(
-                                "edge to {} stored in subblock {sub} of block {b} at depth \
-                                 {depth}, but hashes to subblock {esub}",
-                                cell.dst
-                            ));
-                        }
-                        let dist = (pos + sublen - ebucket) % sublen;
-                        if dist != cell.probe as usize {
-                            return Err(format!(
-                                "edge to {} at offset {pos} of block {b} stores probe {} but \
-                                 sits {dist} cells from bucket {ebucket}",
-                                cell.dst, cell.probe
-                            ));
-                        }
-                        if cell.probe > 0 {
-                            let prev = &cells[(pos + sublen - 1) % sublen];
-                            if prev.state == CellState::Empty {
-                                return Err(format!(
-                                    "edge to {} has probe {} but an empty predecessor in block \
-                                     {b} subblock {sub}",
-                                    cell.dst, cell.probe
-                                ));
-                            }
-                            if never_deleted && (prev.probe as usize) < cell.probe as usize - 1 {
-                                return Err(format!(
-                                    "Robin Hood ordering violated in block {b} subblock {sub}: \
-                                     probe {} follows probe {}",
-                                    cell.probe, prev.probe
-                                ));
-                            }
-                        }
-                    }
-                }
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push((c, depth + 1));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks the SWAR tag lanes against ground truth over the whole
-    /// structure (diagnostic / test hook; valid in both delete modes):
-    ///
-    /// 1. every edgeblock cell's tag byte matches its state — the
-    ///    destination fingerprint when occupied, [`TAG_EMPTY`] when empty,
-    ///    [`TAG_TOMBSTONE`] when tombstoned;
-    /// 2. the SGH slot-table tag lane (including its wrap-around mirror)
-    ///    matches the resident keys;
-    /// 3. every hub segment passes [`HubSegment::validate`] (sorted main
-    ///    run, exact and bounded dead count, fences, tail-tag lane), holds
-    ///    exactly its vertex's out-degree in live edges, and the dead slots
-    ///    sum to the reported `hub_dead_slots`.
-    ///
-    /// Returns the first violation as an error string.
-    pub fn validate_tag_invariants(&self) -> std::result::Result<(), String> {
-        let pw = self.arena.pagewidth();
-        for dense in 0..self.top_blocks.len() as u32 {
-            let Some(top) = self.top_block(dense) else { continue };
-            let mut stack = vec![top];
-            while let Some(b) = stack.pop() {
-                for off in 0..pw {
-                    let cell = self.arena.cell(b, off);
-                    let expect = match cell.state {
-                        CellState::Occupied => dst_tag(cell.dst),
-                        CellState::Empty => TAG_EMPTY,
-                        CellState::Tombstone => TAG_TOMBSTONE,
-                    };
-                    let got = self.arena.tag(b, off);
-                    if got != expect {
-                        return Err(format!(
-                            "block {b} offset {off}: cell state {:?} (dst {}) expects tag \
-                             {expect:#04x} but the lane holds {got:#04x}",
-                            cell.state, cell.dst
-                        ));
-                    }
-                }
-                for &c in self.arena.child_slots(b) {
-                    if c != NIL_U32 {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        if let Some(sgh) = &self.sgh {
-            sgh.validate_tags().map_err(|e| format!("sgh: {e}"))?;
-        }
-        for (h, seg) in self.hubs.iter().enumerate() {
-            seg.validate().map_err(|e| format!("hub {h}: {e}"))?;
-        }
-        for (dense, &h) in self.hub_of.iter().enumerate() {
-            if h != NIL_U32 {
-                let (held, deg) =
-                    (self.hubs[h as usize].len(), self.props.out_degree(dense as u32));
-                if held != deg as usize {
-                    return Err(format!("hub {h}: {held} live edges but out-degree {deg}"));
-                }
-            }
-        }
-        let dead: usize = self.hubs.iter().map(|h| h.dead_slots()).sum();
-        if dead != self.hub_dead_slots {
-            return Err(format!("hub dead slots: counted {dead}, tracked {}", self.hub_dead_slots));
-        }
-        Ok(())
-    }
-
-    /// Mean tree depth of live edges (0 = everything in top-parents).
-    pub fn mean_depth(&self) -> f64 {
-        let hist = self.depth_histogram();
-        let total: u64 = hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = hist.iter().enumerate().map(|(d, &n)| d as u64 * n).sum();
-        weighted as f64 / total as f64
     }
 }
 
@@ -2443,9 +1418,9 @@ mod tests {
     }
 
     #[test]
-    fn tagged_and_seed_probe_paths_agree() {
-        // The tagged FIND walk against the seed probe's answer: a scan of
-        // every cell of the main structure that reads no tag lane.
+    fn tagged_find_agrees_with_full_cell_scan() {
+        // The tagged FIND walk against a scan of every cell of the main
+        // structure, which reads no tag lane.
         for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
             let g = churned(TinkerConfig { delete_mode: mode, ..tiny_config() });
             let mut scanned: BTreeMap<(u32, u32), u32> = BTreeMap::new();

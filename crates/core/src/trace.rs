@@ -26,12 +26,10 @@
 //!   sequence number; a slot whose sequence does not match the expected
 //!   one (it was overwritten mid-read) is skipped rather than mis-read.
 //!   Dumps are diagnostics, not ground truth, and are documented as such.
-//! - **Two gates**, mirroring the metrics layer: the `trace` cargo feature
-//!   (default **on**; off compiles every call to an empty inline body,
-//!   proven by the trace-off build check in CI) and a runtime flag that
-//!   starts **disabled** — tracing is opt-in per run, unlike metrics,
-//!   because a timeline is only meaningful for a deliberately traced
-//!   workload.
+//! - **One gate**, like the metrics layer's: a runtime flag, one relaxed
+//!   load per call site. It starts **disabled** — tracing is opt-in per
+//!   run, unlike metrics, because a timeline is only meaningful for a
+//!   deliberately traced workload.
 //!
 //! A [`SpanGuard`] records `Begin` on creation and `End` on drop. The
 //! `End` is recorded even if the runtime flag was switched off mid-span,
@@ -242,15 +240,13 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Whether runtime trace collection is currently enabled. Always `false`
-/// when the `trace` feature is compiled out.
+/// Whether runtime trace collection is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
     imp::enabled()
 }
 
-/// Toggles runtime collection (starts **disabled**). A no-op when the
-/// `trace` feature is compiled out.
+/// Toggles runtime collection (starts **disabled**).
 pub fn set_enabled(on: bool) {
     imp::set_enabled(on);
 }
@@ -291,15 +287,14 @@ pub fn instant(id: SpanId, arg: u64) {
 /// work, and instrumentation sites deep in the stack (epoch pin, pool
 /// settle, engine iterations) read it back via [`thread_ctx`] to stamp
 /// their span args — so every span a request touches carries the same id
-/// without threading a parameter through every API. A no-op when the
-/// `trace` feature is compiled out.
+/// without threading a parameter through every API.
 #[inline]
 pub fn set_thread_ctx(id: u64) {
     imp::set_thread_ctx(id);
 }
 
-/// The calling thread's request context id (0 when unset, outside a
-/// request, or with the `trace` feature compiled out).
+/// The calling thread's request context id (0 when unset or outside a
+/// request).
 #[inline]
 pub fn thread_ctx() -> u64 {
     imp::thread_ctx()
@@ -383,7 +378,6 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-#[cfg(feature = "trace")]
 mod imp {
     use super::{EventKind, SpanId, ThreadInfo, TraceDump, TraceEvent, MAX_RINGS, RING_CAP};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -567,38 +561,6 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    //! Zero-cost no-op path: every entry point is an empty inline body.
-    use super::{EventKind, SpanId, TraceDump};
-
-    #[inline]
-    pub(super) fn enabled() -> bool {
-        false
-    }
-
-    pub(super) fn set_enabled(_on: bool) {}
-
-    pub(super) fn clear() {}
-
-    #[inline]
-    pub(super) fn record(_kind: EventKind, _span: SpanId, _arg: u64, _force: bool) -> bool {
-        false
-    }
-
-    #[inline]
-    pub(super) fn set_thread_ctx(_id: u64) {}
-
-    #[inline]
-    pub(super) fn thread_ctx() -> u64 {
-        0
-    }
-
-    pub(super) fn dump() -> TraceDump {
-        TraceDump::default()
-    }
-}
-
 /// Starts a wall-clock timer when tracing is enabled (the [`Instant`]
 /// mirror of [`metrics::timer`](crate::metrics::timer); handy for callers
 /// that want both a span and a latency sample without two clock reads).
@@ -639,7 +601,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn records_begin_end_and_instant() {
         let _g = LOCK.lock().unwrap();
         set_enabled(true);
@@ -665,7 +626,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn disabled_records_nothing_but_open_spans_still_close() {
         let _g = LOCK.lock().unwrap();
         set_enabled(false);
@@ -687,7 +647,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn wraparound_keeps_newest_events() {
         let _g = LOCK.lock().unwrap();
         set_enabled(true);
@@ -708,7 +667,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn clear_hides_old_events_only() {
         let _g = LOCK.lock().unwrap();
         set_enabled(true);
@@ -726,7 +684,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn thread_ctx_is_per_thread_and_resettable() {
         assert_eq!(thread_ctx(), 0);
         set_thread_ctx(42);
@@ -734,20 +691,6 @@ mod tests {
         let other = std::thread::spawn(thread_ctx).join().unwrap();
         assert_eq!(other, 0, "ctx must not leak across threads");
         set_thread_ctx(0);
-        assert_eq!(thread_ctx(), 0);
-    }
-
-    #[test]
-    #[cfg(not(feature = "trace"))]
-    fn feature_off_is_inert() {
-        set_enabled(true);
-        assert!(!enabled());
-        let _s = span_arg(SpanId::PoolApply, 1);
-        instant(SpanId::IngestBatch, 2);
-        let d = dump();
-        assert!(d.events.is_empty() && d.threads.is_empty());
-        assert!(timer().is_none());
-        set_thread_ctx(9);
         assert_eq!(thread_ctx(), 0);
     }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
-use gtinker_integration::reference;
+use gtinker_integration::{assert_shards_valid as assert_valid, reference};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,7 +123,9 @@ fn sequential_pins_observe_every_boundary() {
             let g = ParallelTinker::new_with_views(layout.delete_mode(mode), 4).unwrap();
             for (k, b) in batches.iter().enumerate() {
                 g.apply_batch(b);
+                assert_valid(&g, &format!("live store, mode {mode:?} batch {k}"));
                 let view = g.pin_view().expect("views enabled");
+                assert_valid(&view, &format!("pinned view, mode {mode:?} batch {k}"));
                 assert_eq!(view.epoch(), k as u64 + 1, "mode {mode:?}");
                 assert_eq!(view_edges(&view), boundaries[k + 1], "mode {mode:?} at batch {k}");
             }
@@ -189,6 +191,7 @@ fn concurrent_readers_scenario(mode: DeleteMode, pipelined: bool, seed: u64) {
     });
     // After the stream drains, the final pinned view is the final boundary.
     let view = g.pin_view().expect("views enabled");
+    assert_valid(&view, "final pinned view");
     assert_eq!(view.epoch(), BATCHES as u64);
     assert_eq!(view_edges(&view), *boundaries.last().unwrap());
     check_bfs_at_boundary(&view, boundaries.last().unwrap());
@@ -243,6 +246,7 @@ fn incremental_repair_over_pins(pipelined: bool) {
         let view = g.pin_view().expect("views enabled");
         let epoch = view.epoch() as usize;
         if epoch > applied {
+            assert_valid(&view, &format!("pinned view at epoch {epoch}"));
             // The combined delta between the runner's boundary and the
             // pinned one: net effect equals the view's edge set.
             let mut delta = EdgeBatch::new();
@@ -299,6 +303,7 @@ fn overlapping_pins_stay_frozen_under_writes() {
     let (first, rest) = batches.split_at(8);
     for b in first {
         g.apply_batch(b);
+        assert_valid(&g, "live store before the pin");
     }
     let view = g.pin_view().expect("views enabled");
     assert_eq!(view.epoch(), 8);
@@ -323,6 +328,7 @@ fn overlapping_pins_stay_frozen_under_writes() {
     assert_eq!(view_edges(&view), boundaries[8], "still frozen after writer finished");
     drop(view);
     let fresh = g.pin_view().expect("views enabled");
+    assert_valid(&fresh, "fresh view after the writer finished");
     assert_eq!(fresh.epoch(), BATCHES as u64);
     assert_eq!(view_edges(&fresh), *boundaries.last().unwrap());
 }

@@ -1,23 +1,38 @@
-//! Model test for the dense hub tier and its lazy deletes: a
-//! `BTreeMap<dst, weight>` against [`HubSegment`] driven directly, and
-//! against a [`GraphTinker`] whose one vertex is forced into the hub tier,
-//! under random insert / delete / re-insert-of-a-dead-key / weight-update
-//! streams long enough to cross several tail merges and forced
-//! compactions. After every operation the segment must agree with the
-//! model (`find` in both probe flavours, `len`, iteration) and pass its
-//! own structural validation: live main run sorted, fences equal to every
-//! 64th key, tail tag lane, dead slots within the compaction bound.
+//! Per-tier model tests: each tier module of `gtinker_core::tier` driven
+//! directly, through the [`TierOps`] every tier answers, against a
+//! `BTreeMap<dst, weight>` and a real CAL, with one op alphabet (upsert /
+//! delete / delete-nth / re-insert-dead / update-nth):
 //!
-//! Plus the hub-flapping stream: one vertex oscillating across the
-//! 128 / 64 hysteresis band may change tier at most once per 64 ops.
+//! * the inline tier at caps 1, 2 and 4 (a full entry must refuse, not
+//!   drop, the edge);
+//! * the edgeblock tier in both delete modes at a tiny geometry, deep
+//!   enough that branch-out, backfill and block recycling all run;
+//! * the hub tier, on streams long enough to cross several tail merges and
+//!   forced compactions (dead slots within the compaction bound, fences,
+//!   tail tag lane — [`HubTier`]'s own `validate`).
+//!
+//! After every op `find`, `len`, iteration and the tier's `validate` agree
+//! with the model and every stored CAL pointer resolves to its edge; at the
+//! end `drain` followed by `adopt` into each other tier preserves the edge
+//! set and every CAL pointer. The same streams then run through a
+//! [`GraphTinker`] whose one vertex is forced into the hub tier, and the
+//! hub-flapping stream holds the 128 / 64 hysteresis band to one tier
+//! change per 64 ops. (The file keeps the name of its oldest cases.)
 
 use std::collections::BTreeMap;
 
-use gtinker_core::hash::dst_tag;
+use gtinker_core::cal::{cal_invalidate, CalArray, CalRecord};
+use gtinker_core::hash::edge_hash;
 use gtinker_core::hubseg::TAIL_CAP;
-use gtinker_core::{GraphTinker, HubSegment};
+use gtinker_core::{
+    BlockTier, GraphTinker, HubTier, InlineTier, ProbeStats, TierEdge, TierOps, Upsert,
+};
 use gtinker_types::{DeleteMode, Edge, TinkerConfig};
 use proptest::prelude::*;
+
+/// The one source every tier is driven for, and its original id.
+const DENSE: u32 = 0;
+const SRC: u32 = 77;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -27,8 +42,8 @@ enum Op {
     Delete(u32),
     /// Delete the n-th live destination (always a hit).
     DeleteNth(usize),
-    /// Re-insert the most recently deleted destination — a dead main-run
-    /// slot unless it sat in the tail.
+    /// Re-insert the most recently deleted destination — in the hub tier a
+    /// dead main-run slot unless it sat in the tail.
     ReinsertDead(u32),
     /// Overwrite the weight of the n-th live destination.
     UpdateNth(usize, u32),
@@ -61,8 +76,8 @@ fn resolve(
     }
 }
 
-/// What a stream did to the segment, read off `dead_slots()` (the merge
-/// counters themselves are unit-test-only).
+/// What a stream did to a hub segment, read off `dead_slots()` (zero
+/// throughout for the tiers that delete eagerly).
 #[derive(Debug, Default)]
 struct Passes {
     /// Inserts that overflowed the tail and merged dead slots away.
@@ -70,65 +85,151 @@ struct Passes {
     /// Deletes that hit the compaction bound.
     forced: usize,
     peak_dead: usize,
+    /// Deepest edgeblock level the stream reached.
+    max_depth: u32,
 }
 
-fn check_segment(seg: &HubSegment, model: &BTreeMap<u32, u32>, keys: u32) {
-    seg.validate().unwrap_or_else(|e| panic!("segment invalid: {e}"));
-    assert_eq!(seg.len(), model.len());
-    assert_eq!(seg.is_empty(), model.is_empty());
-    let mut seen: Vec<(u32, u32)> = Vec::with_capacity(model.len());
-    seg.for_each(|d, w, ptr| {
-        assert_eq!(ptr, d ^ 0x5555, "CAL pointer must travel with its edge");
-        seen.push((d, w));
-    });
-    seen.sort_unstable();
-    assert!(seen.iter().copied().eq(model.iter().map(|(&d, &w)| (d, w))), "iteration != model");
-    for d in 0..keys {
-        let found = seg.find(d, dst_tag(d));
-        assert_eq!(found.map(|i| seg.weight(i)), model.get(&d).copied(), "dst {d}");
+/// A tier under test with the state the store would hold around it.
+struct Driven<T> {
+    tier: T,
+    cal: Option<CalArray>,
+    stats: ProbeStats,
+    model: BTreeMap<u32, u32>,
+    /// Edges the tier can hold for one source (the inline cap).
+    room: usize,
+}
+
+impl<T: TierOps> Driven<T> {
+    fn new(tier: T, room: usize) -> Self {
+        let cal = Some(CalArray::new(4, 8));
+        Driven { tier, cal, stats: ProbeStats::default(), model: BTreeMap::new(), room }
+    }
+
+    /// The tier against the model: `find` over the key space, `len`,
+    /// iteration, CAL pointers, and the tier's own invariants.
+    fn check(&self, keys: u32) {
+        self.tier.validate().unwrap_or_else(|e| panic!("tier invalid: {e}"));
+        assert_eq!(self.tier.len(DENSE), self.model.len());
+        assert!(self.tier.holds(DENSE) || self.model.is_empty(), "edges without storage");
+        let cal = self.cal.as_ref().unwrap();
+        let mut seen = Vec::with_capacity(self.model.len());
+        self.tier.for_each(DENSE, |dst, weight, ptr| {
+            let want = CalRecord { src: SRC, dst, weight, valid: true };
+            assert_eq!(cal.get(ptr), Some(want), "CAL pointer must travel with its edge");
+            seen.push((dst, weight));
+        });
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(self.model.iter().map(|(&d, &w)| (d, w))), "iteration");
+        assert_eq!(cal.num_live() as usize, self.model.len());
+        for d in 0..keys {
+            assert_eq!(self.tier.find(DENSE, d), self.model.get(&d).copied(), "dst {d}");
+        }
+    }
+
+    /// Seeds the tier the way a migration would: CAL copies first, then
+    /// one `adopt`.
+    fn seed(&mut self, edges: impl Iterator<Item = (u32, u32)>) {
+        let cal = self.cal.as_mut().unwrap();
+        let adopted: Vec<TierEdge> =
+            edges.map(|(d, w)| (d, w, cal.insert(DENSE, SRC, d, w))).collect();
+        self.model.extend(adopted.iter().map(|&(d, w, _)| (d, w)));
+        self.tier.adopt(DENSE, adopted, &mut self.stats);
+    }
+
+    fn run(&mut self, keys: u32, ops: &[Op], every_op: bool, dead: impl Fn(&T) -> usize) -> Passes {
+        let mut passes = Passes::default();
+        let mut last_deleted = None;
+        self.check(keys);
+        for &op in ops {
+            let Some((dst, weight)) = resolve(op, &self.model, last_deleted) else { continue };
+            let dead0 = dead(&self.tier);
+            let h0 = edge_hash(dst, 0);
+            match weight {
+                Some(w) => {
+                    let e = Edge::new(SRC, dst, w);
+                    let got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                    let want = match self.model.contains_key(&dst) {
+                        true => Upsert::Updated,
+                        false if self.model.len() >= self.room => Upsert::Full,
+                        false => Upsert::Inserted,
+                    };
+                    assert_eq!(got, want, "upsert of {dst}");
+                    if got != Upsert::Full {
+                        self.model.insert(dst, w);
+                    }
+                    passes.merges += (dead0 > 0 && dead(&self.tier) == 0) as usize;
+                }
+                None => {
+                    let ptr = self.tier.remove(DENSE, dst, h0, &mut self.stats);
+                    assert_eq!(ptr.is_some(), self.model.remove(&dst).is_some(), "remove {dst}");
+                    if let Some(ptr) = ptr {
+                        let rec = self.cal.as_ref().unwrap().get(ptr).unwrap();
+                        assert_eq!((rec.src, rec.dst, rec.valid), (SRC, dst, true));
+                        cal_invalidate(&mut self.cal, ptr);
+                        last_deleted = Some(dst);
+                        passes.forced += (dead(&self.tier) < dead0) as usize;
+                    }
+                }
+            }
+            passes.peak_dead = passes.peak_dead.max(dead(&self.tier));
+            if every_op {
+                self.check(keys);
+            }
+        }
+        self.check(keys);
+        passes.max_depth = self.stats.max_depth;
+        passes
+    }
+
+    /// `drain`, then `adopt` into a fresh tier of every kind that has room:
+    /// the edge set and every CAL pointer must survive each move.
+    fn migrate_everywhere(mut self, keys: u32) {
+        let drained = self.tier.drain(DENSE);
+        assert!(!self.tier.holds(DENSE) && self.tier.len(DENSE) == 0, "drain must release");
+        self.tier.validate().unwrap();
+        assert_eq!(drained.len(), self.model.len());
+        let Driven { cal, model, .. } = self;
+        let tiny = tiny_blocks(DeleteMode::DeleteOnly);
+        fn adopt_into<T: TierOps>(
+            tier: T,
+            room: usize,
+            edges: &[TierEdge],
+            cal: &Option<CalArray>,
+            model: &BTreeMap<u32, u32>,
+            keys: u32,
+        ) {
+            if edges.len() > room {
+                return;
+            }
+            let mut to = Driven::new(tier, room);
+            to.cal = cal.clone();
+            to.model = model.clone();
+            to.tier.adopt(DENSE, edges.to_vec(), &mut to.stats);
+            to.check(keys);
+            let mut back = to.tier.drain(DENSE);
+            let mut want = edges.to_vec();
+            back.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(back, want, "a round trip must hand every edge and pointer back");
+        }
+        adopt_into(InlineTier::new(4), 4, &drained, &cal, &model, keys);
+        adopt_into(BlockTier::new(&tiny), usize::MAX, &drained, &cal, &model, keys);
+        adopt_into(HubTier::new(), usize::MAX, &drained, &cal, &model, keys);
     }
 }
 
-/// Drives `ops` straight into a segment seeded with `seed` edges.
-fn run_direct(seed: u32, keys: u32, ops: &[Op], check_every_op: bool) -> Passes {
-    let mut model: BTreeMap<u32, u32> = (0..seed).map(|d| (d * 2 % keys, d + 1)).collect();
-    let mut seg = HubSegment::from_edges(model.iter().map(|(&d, &w)| (d, w, d ^ 0x5555)).collect());
-    let mut passes = Passes::default();
-    let mut last_deleted = None;
-    check_segment(&seg, &model, keys);
-    for &op in ops {
-        let Some((dst, weight)) = resolve(op, &model, last_deleted) else { continue };
-        let dead0 = seg.dead_slots();
-        let found = seg.find(dst, dst_tag(dst));
-        match (weight, found) {
-            (Some(w), Some(i)) => {
-                seg.set_weight(i, w);
-                model.insert(dst, w);
-            }
-            (Some(w), None) => {
-                assert!(!model.contains_key(&dst));
-                seg.insert(dst, w, dst ^ 0x5555, dst_tag(dst));
-                model.insert(dst, w);
-                passes.merges += (dead0 > 0 && seg.dead_slots() == 0) as usize;
-            }
-            (None, Some(i)) => {
-                assert_eq!(seg.remove(i), dst ^ 0x5555);
-                assert!(model.remove(&dst).is_some());
-                last_deleted = Some(dst);
-                passes.forced += (seg.dead_slots() < dead0) as usize;
-            }
-            (None, None) => assert!(!model.contains_key(&dst)),
-        }
-        passes.peak_dead = passes.peak_dead.max(seg.dead_slots());
-        if check_every_op {
-            check_segment(&seg, &model, keys);
-        }
-    }
-    check_segment(&seg, &model, keys);
-    let mut drained: Vec<(u32, u32)> =
-        seg.into_edges().into_iter().map(|(d, w, _)| (d, w)).collect();
-    drained.sort_unstable();
-    assert!(drained.iter().copied().eq(model.iter().map(|(&d, &w)| (d, w))), "drain != model");
+/// Geometry small enough that a few dozen edges branch out.
+fn tiny_blocks(mode: DeleteMode) -> TinkerConfig {
+    TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::paper() }
+        .delete_mode(mode)
+}
+
+/// Drives `ops` straight into a hub tier seeded with `seed` edges.
+fn run_hub(seed: u32, keys: u32, ops: &[Op], every_op: bool) -> Passes {
+    let mut hub = Driven::new(HubTier::new(), usize::MAX);
+    hub.seed((0..seed).map(|d| (d * 2 % keys, d + 1)).collect::<BTreeMap<_, _>>().into_iter());
+    let passes = hub.run(keys, ops, every_op, HubTier::dead_slots);
+    hub.migrate_everywhere(keys);
     passes
 }
 
@@ -139,8 +240,7 @@ fn forced_hub_config(mode: DeleteMode) -> TinkerConfig {
 }
 
 fn check_store(g: &GraphTinker, model: &BTreeMap<u32, u32>, keys: u32) {
-    g.validate_tag_invariants().unwrap_or_else(|e| panic!("tag invariant: {e}"));
-    g.validate_rhh_invariants().unwrap_or_else(|e| panic!("RHH invariant: {e}"));
+    gtinker_integration::assert_valid(g, "hub store");
     assert_eq!(g.out_degree(0) as usize, model.len());
     assert_eq!(g.num_edges() as usize, model.len());
     let mut seen = Vec::with_capacity(model.len());
@@ -195,9 +295,41 @@ proptest! {
     /// over, the run stays short, so forced compactions dominate.
     #[test]
     fn segment_matches_model_dense_keys(ops in prop::collection::vec(op_strategy(256), 600..1_000)) {
-        let passes = run_direct(100, 256, &ops, true);
+        let passes = run_hub(100, 256, &ops, true);
         prop_assert!(passes.peak_dead > 0, "{passes:?}");
         prop_assert!(passes.forced >= 2, "stream must cross forced compactions: {passes:?}");
+    }
+
+    /// The inline tier at every cap the store ships or tests: with a key
+    /// space of 8 the entry is full most of the time, so refusals, swap
+    /// removes and re-inserts into the freed slot all occur.
+    #[test]
+    fn inline_entry_matches_model(
+        ops in prop::collection::vec(op_strategy(8), 200..400),
+        cap in (0..3usize).prop_map(|i| [1, 2, 4][i]),
+    ) {
+        let mut inline = Driven::new(InlineTier::new(cap), cap);
+        inline.run(8, &ops, true, |_| 0);
+        inline.migrate_everywhere(8);
+    }
+
+    /// The edgeblock tier at the tiny geometry, in both delete modes: the
+    /// stream branches at least two levels deep, and in compact mode
+    /// backfills and recycles on the way back down.
+    #[test]
+    fn edgeblocks_match_model(
+        ops in prop::collection::vec(op_strategy(300), 500..800),
+        compact in any::<bool>(),
+    ) {
+        let mode = if compact { DeleteMode::DeleteAndCompact } else { DeleteMode::DeleteOnly };
+        let mut blocks = Driven::new(BlockTier::new(&tiny_blocks(mode)), usize::MAX);
+        blocks.seed((0..150).map(|d| (d * 2, d + 1)));
+        let passes = blocks.run(300, &ops, true, |_| 0);
+        prop_assert!(passes.max_depth >= 2, "stream must branch two levels deep: {passes:?}");
+        if !compact {
+            blocks.tier.validate_rhh(false).unwrap();
+        }
+        blocks.migrate_everywhere(300);
     }
 
     /// The same streams through the store, in both delete modes.
@@ -236,7 +368,7 @@ fn long_stream_crosses_merges_and_forced_compactions() {
             _ => Op::Upsert((r >> 8) as u32 % keys, (r >> 40) as u32 % 999 + 1),
         });
     }
-    let passes = run_direct(4_000, keys, &ops, false);
+    let passes = run_hub(4_000, keys, &ops, false);
     assert!(passes.merges >= 3, "{passes:?}");
     assert!(passes.forced >= 3, "{passes:?}");
     assert!(passes.peak_dead > TAIL_CAP / 2, "{passes:?}");

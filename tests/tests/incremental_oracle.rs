@@ -18,6 +18,7 @@ use gtinker_engine::{
     dynamic::symmetrize,
     DynamicRunner, Engine, GraphStore, IncrementalState, ModePolicy, RestartPolicy, NO_WITNESS,
 };
+use gtinker_integration::{assert_shards_valid, assert_valid};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +133,7 @@ where
                 DynamicRunner::new(program, ModePolicy::hybrid(), RestartPolicy::Incremental);
             for (k, b) in batches.iter().enumerate() {
                 g.apply_batch(b);
+                assert_valid(&g, &format!("{label} batch {k}"));
                 runner.after_batch(&g, b);
                 let want = cold(program, &g);
                 assert_eq!(
@@ -186,6 +188,7 @@ fn pooled_store_bfs_equals_cold() {
         DynamicRunner::new(Bfs::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
     for (k, b) in stream(0xB00, Skew::Uniform, false).iter().enumerate() {
         pool.apply_batch(b);
+        assert_shards_valid(&pool, &format!("pooled bfs batch {k}"));
         runner.after_batch(&pool, b);
         let want = cold(Bfs::new(0), &pool);
         assert_eq!(runner.engine().values(), &want[..], "pooled bfs batch {k}");
@@ -200,6 +203,7 @@ fn pooled_paper_layout_cc_equals_cold() {
         DynamicRunner::new(Cc::new(), ModePolicy::hybrid(), RestartPolicy::Incremental);
     for (k, b) in stream(0xCCCC, Skew::Zipf, true).iter().enumerate() {
         pool.apply_batch(b);
+        assert_shards_valid(&pool, &format!("pooled cc batch {k}"));
         runner.after_batch(&pool, b);
         let want = cold(Cc::new(), &pool);
         assert_eq!(runner.engine().values(), &want[..], "pooled cc batch {k}");
@@ -219,6 +223,7 @@ fn pagerank_incremental_within_tolerance() {
     let mut g = GraphTinker::with_defaults();
     for (k, b) in stream(0xFA6E, Skew::Zipf, false).iter().enumerate() {
         g.apply_batch(b);
+        assert_valid(&g, &format!("pagerank batch {k}"));
         inc.after_batch(&g);
         let (want, _) = pr.run_with_tolerance(&g, None, tol);
         for (v, (x, y)) in want.iter().zip(inc.ranks()).enumerate() {
@@ -239,12 +244,14 @@ fn adversarial_deletions_equal_cold() {
     let b1 = symmetrize(&EdgeBatch::inserts(&base));
     let mut g = GraphTinker::with_defaults();
     g.apply_batch(&b1);
+    assert_valid(&g, "after b1");
     let mut cc = DynamicRunner::new(Cc::new(), ModePolicy::hybrid(), RestartPolicy::Incremental);
     cc.after_batch(&g, &b1);
     let mut cut = EdgeBatch::new();
     cut.push_delete(5, 6);
     let cut = symmetrize(&cut);
     g.apply_batch(&cut);
+    assert_valid(&g, "after cut");
     cc.after_batch(&g, &cut);
     assert_eq!(cc.engine().values(), &cold(Cc::new(), &g)[..]);
     assert_eq!(cc.engine().values()[10], 6, "far side must re-anchor at 6");
@@ -254,12 +261,14 @@ fn adversarial_deletions_equal_cold() {
     let b1 = EdgeBatch::inserts(&[Edge::new(0, 1, 1), Edge::new(1, 2, 1), Edge::new(0, 2, 50)]);
     let mut g = GraphTinker::with_defaults();
     g.apply_batch(&b1);
+    assert_valid(&g, "after b1");
     let mut sp = DynamicRunner::new(Sssp::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
     sp.after_batch(&g, &b1);
     assert_eq!(sp.engine().values()[2], 2);
     let mut b2 = EdgeBatch::new();
     b2.push_delete(1, 2);
     g.apply_batch(&b2);
+    assert_valid(&g, "after b2");
     sp.after_batch(&g, &b2);
     assert_eq!(sp.engine().values(), &cold(Sssp::new(0), &g)[..]);
     assert_eq!(sp.engine().values()[2], 50);
@@ -268,6 +277,7 @@ fn adversarial_deletions_equal_cold() {
     let b1 = EdgeBatch::inserts(&[Edge::unit(0, 1), Edge::unit(1, 2), Edge::unit(2, 3)]);
     let mut g = GraphTinker::with_defaults();
     g.apply_batch(&b1);
+    assert_valid(&g, "after b1");
     let mut bf = DynamicRunner::new(Bfs::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
     bf.after_batch(&g, &b1);
     let mut b2 = EdgeBatch::new();
@@ -275,6 +285,7 @@ fn adversarial_deletions_equal_cold() {
     b2.push_insert(Edge::unit(1, 2));
     b2.push_delete(2, 3); // and one real deletion alongside the churn
     g.apply_batch(&b2);
+    assert_valid(&g, "after b2");
     bf.after_batch(&g, &b2);
     assert_eq!(bf.engine().values(), &cold(Bfs::new(0), &g)[..]);
     assert_eq!(bf.engine().values()[2], 2, "reinserted edge keeps 2 reachable");
@@ -296,6 +307,7 @@ fn drain_heavy_stream_equals_cold() {
     let mut g = GraphTinker::with_defaults();
     let b1 = EdgeBatch::inserts(&edges);
     g.apply_batch(&b1);
+    assert_valid(&g, "after b1");
     let mut runner =
         DynamicRunner::new(Bfs::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
     runner.after_batch(&g, &b1);
@@ -310,6 +322,7 @@ fn drain_heavy_stream_equals_cold() {
             b.push_delete(e.src, e.dst);
         }
         g.apply_batch(&b);
+        assert_valid(&g, "after b");
         runner.after_batch(&g, &b);
         assert_eq!(
             runner.engine().values(),

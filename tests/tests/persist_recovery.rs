@@ -20,6 +20,7 @@ use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
 };
+use gtinker_integration::assert_valid;
 use gtinker_persist::snapshot::{decode_tinker, encode_tinker};
 use gtinker_persist::{
     corrupt_file, crc32, list_segments, recover_tinker, replay, DurableTinker, Fault, SyncPolicy,
@@ -124,6 +125,7 @@ fn truth_store(cfg: TinkerConfig, batches: &[EdgeBatch], n: u64) -> GraphTinker 
     let mut g = GraphTinker::new(cfg).unwrap();
     for b in &batches[..n as usize] {
         g.apply_batch(b);
+        assert_valid(&g, "truth store");
     }
     g
 }
@@ -151,6 +153,7 @@ fn cc_labels(g: &GraphTinker) -> Vec<u32> {
 /// store: edge set, replayed-record accounting, BFS and CC outputs.
 fn assert_recovers_to(dir: &Path, cfg: TinkerConfig, batches: &[EdgeBatch], n: u64, ctx: &str) {
     let (recovered, report) = recover_tinker(dir, cfg).unwrap();
+    assert_valid(&recovered, ctx);
     let truth = truth_store(cfg, batches, n);
     assert_eq!(
         report.snapshot_lsn + report.replayed_records,
@@ -180,6 +183,7 @@ fn build_dir(
     let mut snap_lsn = 0;
     for (i, b) in batches.iter().enumerate() {
         d.apply_batch(b).unwrap();
+        assert_valid(d.store(), "durable store");
         if snap_after == Some(i as u64) {
             d.snapshot().unwrap();
             snap_lsn = d.next_lsn();
@@ -352,6 +356,7 @@ fn paper_layout_snapshot_decodes_with_tiering_off() {
     assert!(snap_lsn > 0 && snap_lsn < n);
     let (g, report) = recover_tinker(&dir, TinkerConfig::default()).unwrap();
     assert_eq!(report.snapshot_lsn, snap_lsn);
+    assert_valid(&g, "paper-layout snapshot");
     assert_eq!(*g.config(), TinkerConfig::paper());
     let st = g.structure_stats();
     assert_eq!((st.tier_inline_vertices, st.tier_hub_vertices, st.tier_promotions), (0, 0, 0));
@@ -411,7 +416,7 @@ fn every_historical_config_layout_decodes_to_the_same_store() {
             assert_eq!(edge_set(&g), edge_set(&truth), "{name}");
             assert_eq!(g.sources(), truth.sources(), "{name}");
             assert_eq!(g.structure_stats(), want.structure_stats(), "{name}");
-            g.validate_tag_invariants().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_valid(&g, name);
         }
         // The retired word was a flag; anything else there is corruption.
         let bad = with_config_payload(&image, |p| p.extend(2u64.to_le_bytes()));
@@ -433,8 +438,7 @@ fn wal_only_recovery_takes_the_default_layout_and_validates() {
     let st = g.structure_stats();
     assert_eq!(st.tier_hub_vertices, 1, "{st:?}");
     assert!(st.tier_inline_vertices > 0, "{st:?}");
-    g.validate_rhh_invariants().unwrap();
-    g.validate_tag_invariants().unwrap();
+    assert_valid(&g, "WAL-only recovery");
     assert_eq!(edge_set(&g), edge_set(&truth_store(TinkerConfig::paper(), &batches, n)));
     fs::remove_dir_all(&dir).ok();
 }
