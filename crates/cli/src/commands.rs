@@ -57,9 +57,11 @@ sources, the degree-adaptive tier stress stream).
 
 Stores use the degree-adaptive layout: vertices with <= 4 edges stay
 inline in the vertex entry, ordinary vertices use the RHH edgeblock
-tree, and sources crossing 128 edges move to a dense sorted hub segment
-(demoted below 64); 'stats' reports per-tier vertex counts, hub dead
-slots and the memory_*_bytes gauge family. --paper-layout (any command
+tree on a page of PAGEWIDTH/4, /2 or PAGEWIDTH cells (16 / 32 / 64; a
+full page regrows into the next width, only the widest branches out),
+and sources crossing 128 edges move to a dense sorted hub segment
+(demoted below 64); 'stats' reports per-tier vertex counts, blocks per
+page width, hub dead slots and the memory_*_bytes gauge family. --paper-layout (any command
 that builds a GraphTinker) selects the paper's fixed geometry instead:
 every vertex on PAGEWIDTH edgeblocks, no inline or hub tier. A
 recovered snapshot keeps the layout it was written with.
@@ -408,11 +410,13 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
 
 /// How one structure field prints. JSON takes the raw number (reals to
 /// six places); the text report rounds reals to the given places and shows
-/// byte counts as MiB.
+/// byte counts as MiB. The page-width classes are one `[width, blocks,
+/// free]` triple each in JSON, `width x blocks (+free free)` in text.
 enum Num {
     Int(u64),
     Real(f64, usize),
     Mib(usize),
+    Classes([gtinker_core::ClassBlocks; gtinker_core::stats::MAX_CLASSES]),
 }
 
 /// The structure fields of `gtinker stats`, one `(key, lead, value, trail)`
@@ -420,7 +424,7 @@ enum Num {
 /// sed/grep-friendly) or as the text report (`lead value trail`, so several
 /// fields can share a line).
 fn structure_report(g: &GraphTinker, json: bool) -> String {
-    use Num::{Int, Mib, Real};
+    use Num::{Classes, Int, Mib, Real};
     let st = g.structure_stats();
     let n = |v: usize| Int(v as u64);
     let head = [
@@ -430,6 +434,7 @@ fn structure_report(g: &GraphTinker, json: bool) -> String {
         ("main_blocks", "main blocks       : ", n(st.main_blocks), "\n"),
         ("overflow_blocks", "overflow blocks   : ", n(st.overflow_blocks), "\n"),
         ("free_blocks", "free blocks       : ", n(st.free_blocks), "\n"),
+        ("block_classes", "block classes     : ", Classes(st.block_classes), "\n"),
         ("tombstones", "tombstones        : ", n(st.tombstones), ""),
         ("hub_dead_slots", " (+ ", n(st.hub_dead_slots), " hub dead slots)\n"),
         ("cal_blocks", "CAL blocks        : ", n(st.cal_blocks), ""),
@@ -458,6 +463,19 @@ fn structure_report(g: &GraphTinker, json: bool) -> String {
     let mut out = String::new();
     for (key, lead, num, trail) in rows.chain(tiers.iter().filter(|_| tiered)).chain(&tail) {
         let value = match *num {
+            Classes(classes) => {
+                let used = classes.iter().filter(|c| c.width > 0);
+                if json {
+                    let each: Vec<String> =
+                        used.map(|c| format!("[{}, {}, {}]", c.width, c.blocks, c.free)).collect();
+                    format!("[{}]", each.join(", "))
+                } else {
+                    let each: Vec<String> = used
+                        .map(|c| format!("{} x {} (+{} free)", c.width, c.blocks, c.free))
+                        .collect();
+                    each.join(" / ")
+                }
+            }
             Int(v) => v.to_string(),
             Real(v, _) if json => format!("{v:.6}"),
             Real(v, places) => format!("{v:.places$}"),

@@ -12,14 +12,21 @@
 //! Every edge in the main EdgeblockArray carries a [`CalPtr`] to its copy
 //! here, so insert/update/delete reach the copy in O(1) — "this process of
 //! updating the CAL EdgeblockArray does not involve traversing edges".
-//! Deletion flags the copy invalid; slots are not reused (the paper's
-//! semantics). [`GraphTinker::rebuild_cal`](crate::GraphTinker) can be used
-//! to re-compact a CAL that has accumulated many invalid slots.
+//! Deletion flags the copy invalid and threads its slot onto the group's
+//! free list, which the group's next insert pops before it appends — a
+//! deviation from the paper, whose CAL never reuses a slot and so grows
+//! without bound under churn (DESIGN.md §5d). A reused slot sits in the
+//! same group's chain, so a source's copies still stream with its group.
+//! [`GraphTinker::rebuild_cal`](crate::GraphTinker) re-compacts a CAL
+//! that deletes have left sparse.
 
 use gtinker_types::{Edge, VertexId, Weight, NIL_U32};
 
+use crate::segvec::{SegVec, SEGMENT_LEN};
+
 /// Packed pointer to a CAL record: block index in the high bits, slot within
-/// the block in the low bits.
+/// the block in the low bits — which is also the record's index in the
+/// record table, whose blocks sit a power-of-two stride apart.
 pub type CalPtr = u32;
 
 /// One edge copy in the CAL.
@@ -28,7 +35,8 @@ pub struct CalRecord {
     /// Original source vertex id (kept per-record because edges of several
     /// vertices share a block).
     pub src: VertexId,
-    /// Destination vertex id.
+    /// Destination vertex id; in an invalidated record, the next slot on
+    /// its group's free list ([`NIL_U32`] ends the list).
     pub dst: VertexId,
     /// Edge weight.
     pub weight: Weight,
@@ -36,13 +44,17 @@ pub struct CalRecord {
     pub valid: bool,
 }
 
-const DEAD: CalRecord = CalRecord { src: 0, dst: 0, weight: 0, valid: false };
+/// A never-written slot, and the shape of a freed one (whose `dst` links
+/// the free list).
+const DEAD: CalRecord = CalRecord { src: 0, dst: NIL_U32, weight: 0, valid: false };
 
 /// The CAL EdgeblockArray: per-group chains of fixed-size record blocks.
 #[derive(Debug, Clone)]
 pub struct CalArray {
-    /// Record arena; block `b` occupies `[b*block_size, (b+1)*block_size)`.
-    records: Vec<CalRecord>,
+    /// Record table, indexed by [`CalPtr`]: block `b` occupies
+    /// `[b << slot_bits, (b << slot_bits) + block_size)`, whole blocks per
+    /// segment.
+    records: SegVec<CalRecord>,
     /// Next block in a group's chain, per block.
     next_block: Vec<u32>,
     /// Occupied slots per block (records written, valid or not).
@@ -52,6 +64,9 @@ pub struct CalArray {
     group_head: Vec<u32>,
     /// Last block of each group's chain, where appends go.
     group_tail: Vec<u32>,
+    /// Most recently freed slot of each group: the head of an intrusive
+    /// list through the dead records' `dst` fields.
+    group_free: Vec<u32>,
     block_size: usize,
     group_size: usize,
     slot_bits: u32,
@@ -66,11 +81,12 @@ impl CalArray {
         let slot_bits = usize::BITS - (block_size - 1).leading_zeros().min(usize::BITS - 1);
         let slot_bits = slot_bits.max(1);
         CalArray {
-            records: Vec::new(),
+            records: SegVec::new((1usize << slot_bits).max(SEGMENT_LEN)),
             next_block: Vec::new(),
             fill: Vec::new(),
             group_head: Vec::new(),
             group_tail: Vec::new(),
+            group_free: Vec::new(),
             block_size,
             group_size,
             slot_bits,
@@ -90,7 +106,8 @@ impl CalArray {
         self.fill.len()
     }
 
-    /// Number of records written but flagged invalid.
+    /// Number of written slots holding no live copy: freed and not yet
+    /// reused.
     pub fn num_invalid(&self) -> u64 {
         let written: u64 = self.fill.iter().map(|&f| f as u64).sum();
         written - self.live
@@ -102,28 +119,20 @@ impl CalArray {
         dense_src as usize / self.group_size
     }
 
-    #[inline]
-    fn pack(&self, block: u32, slot: u32) -> CalPtr {
-        (block << self.slot_bits) | slot
-    }
-
-    #[inline]
-    fn unpack(&self, ptr: CalPtr) -> (u32, u32) {
-        (ptr >> self.slot_bits, ptr & ((1 << self.slot_bits) - 1))
-    }
-
     fn alloc_block(&mut self) -> u32 {
         let id = self.fill.len() as u32;
-        self.records.resize(self.records.len() + self.block_size, DEAD);
+        self.records.extend_with(1 << self.slot_bits, DEAD);
         self.next_block.push(NIL_U32);
         self.fill.push(0);
         id
     }
 
-    /// Appends an edge copy for `dense_src` and returns its CAL pointer.
+    /// Stores an edge copy for `dense_src` and returns its CAL pointer: in
+    /// the group's most recently freed slot if it has one, else appended.
     ///
-    /// This is the "look up the last assigned edgeblock of the group and the
-    /// last unoccupied slot" path of the paper — O(1), no edge traversal.
+    /// The append is the "look up the last assigned edgeblock of the group
+    /// and the last unoccupied slot" path of the paper — O(1) either way, no
+    /// edge traversal.
     pub fn insert(
         &mut self,
         dense_src: u32,
@@ -135,6 +144,16 @@ impl CalArray {
         if group >= self.group_head.len() {
             self.group_head.resize(group + 1, NIL_U32);
             self.group_tail.resize(group + 1, NIL_U32);
+            self.group_free.resize(group + 1, NIL_U32);
+        }
+        let record = CalRecord { src, dst, weight, valid: true };
+        self.live += 1;
+        let free = self.group_free[group];
+        if free != NIL_U32 {
+            let slot = &mut self.records[free as usize];
+            self.group_free[group] = slot.dst;
+            *slot = record;
+            return free;
         }
         let mut tail = self.group_tail[group];
         if tail == NIL_U32 || self.fill[tail as usize] as usize == self.block_size {
@@ -148,27 +167,28 @@ impl CalArray {
             tail = nb;
         }
         let slot = self.fill[tail as usize];
-        self.records[tail as usize * self.block_size + slot as usize] =
-            CalRecord { src, dst, weight, valid: true };
         self.fill[tail as usize] = slot + 1;
-        self.live += 1;
-        self.pack(tail, slot)
+        let ptr = tail << self.slot_bits | slot;
+        self.records[ptr as usize] = record;
+        ptr
     }
 
     /// Updates the weight of a live edge copy through its pointer.
     pub fn update_weight(&mut self, ptr: CalPtr, weight: Weight) {
-        let (block, slot) = self.unpack(ptr);
-        let r = &mut self.records[block as usize * self.block_size + slot as usize];
+        let r = &mut self.records[ptr as usize];
         debug_assert!(r.valid, "updating an invalidated CAL record");
         r.weight = weight;
     }
 
-    /// Invalidates an edge copy (the paper's delete: "flagged as invalid").
-    pub fn invalidate(&mut self, ptr: CalPtr) {
-        let (block, slot) = self.unpack(ptr);
-        let r = &mut self.records[block as usize * self.block_size + slot as usize];
+    /// Invalidates the copy of an edge of `dense_src` (the paper's delete:
+    /// "flagged as invalid") and puts its slot at the head of the group's
+    /// free list.
+    pub fn invalidate(&mut self, dense_src: u32, ptr: CalPtr) {
+        let group = self.group_of(dense_src);
+        let r = &mut self.records[ptr as usize];
         debug_assert!(r.valid, "double invalidation of a CAL record");
-        r.valid = false;
+        *r = CalRecord { dst: self.group_free[group], ..DEAD };
+        self.group_free[group] = ptr;
         self.live -= 1;
     }
 
@@ -180,9 +200,8 @@ impl CalArray {
     /// The record behind `ptr`, or `None` when the pointer addresses no
     /// written slot (the validators' checked read).
     pub fn get(&self, ptr: CalPtr) -> Option<CalRecord> {
-        let (block, slot) = self.unpack(ptr);
-        let fill = *self.fill.get(block as usize)?;
-        (slot < fill).then(|| self.records[block as usize * self.block_size + slot as usize])
+        let fill = *self.fill.get((ptr >> self.slot_bits) as usize)?;
+        (ptr & ((1 << self.slot_bits) - 1) < fill).then(|| self.records[ptr as usize])
     }
 
     /// Streams every live edge copy sequentially: groups in order, each
@@ -212,9 +231,8 @@ impl CalArray {
         for g in groups {
             let mut b = self.group_head[g];
             while b != NIL_U32 {
-                let base = b as usize * self.block_size;
                 let fill = self.fill[b as usize] as usize;
-                for r in &self.records[base..base + fill] {
+                for r in self.records.slice((b as usize) << self.slot_bits, fill) {
                     if r.valid {
                         f(r.src, r.dst, r.weight);
                     }
@@ -231,14 +249,16 @@ impl CalArray {
         self.fill.clear();
         self.group_head.clear();
         self.group_tail.clear();
+        self.group_free.clear();
         self.live = 0;
     }
 
-    /// Heap footprint in bytes.
+    /// Heap footprint in bytes, as allocated.
     pub fn memory_bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<CalRecord>()
-            + (self.next_block.capacity() + self.fill.capacity()) * 4
-            + (self.group_head.capacity() + self.group_tail.capacity()) * 4
+        let group_lanes =
+            self.group_head.capacity() + self.group_tail.capacity() + self.group_free.capacity();
+        self.records.allocated_bytes()
+            + (self.next_block.capacity() + self.fill.capacity() + group_lanes) * 4
     }
 }
 
@@ -264,12 +284,13 @@ pub fn cal_update(cal: &mut Option<CalArray>, ptr: CalPtr, weight: Weight) {
     }
 }
 
-/// Flags the CAL copy behind `ptr` invalid, if there is one.
+/// Flags the CAL copy of an edge of `dense` behind `ptr` invalid, if there
+/// is one.
 #[inline]
-pub fn cal_invalidate(cal: &mut Option<CalArray>, ptr: CalPtr) {
+pub fn cal_invalidate(cal: &mut Option<CalArray>, dense: u32, ptr: CalPtr) {
     if ptr != NIL_U32 {
         if let Some(cal) = cal {
-            cal.invalidate(ptr);
+            cal.invalidate(dense, ptr);
         }
     }
 }
@@ -318,7 +339,7 @@ mod tests {
         let mut cal = CalArray::new(1024, 8);
         let p0 = cal.insert(0, 0, 1, 1);
         let p1 = cal.insert(0, 0, 2, 1);
-        cal.invalidate(p0);
+        cal.invalidate(0, p0);
         assert_eq!(cal.num_live(), 1);
         assert_eq!(cal.num_invalid(), 1);
         let mut seen = Vec::new();
@@ -360,6 +381,60 @@ mod tests {
             assert_eq!(cal.record(p).dst, i as u32);
         }
         assert_eq!(cal.num_blocks(), 4);
+    }
+
+    /// Interleaved inserts and invalidations over three groups against a
+    /// `Vec` model of the live records: a pointer never moves while its
+    /// record lives, the stream is exactly the live set with every source
+    /// inside its own group's run, and freed slots are reused before a
+    /// group's chain grows.
+    #[test]
+    fn freed_slots_are_reused_within_their_group() {
+        let (group_size, block_size) = (4u32, 4);
+        let mut cal = CalArray::new(group_size as usize, block_size);
+        // (dense source, dst, weight, pointer) of every live record.
+        let mut model: Vec<(u32, u32, u32, CalPtr)> = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut peak_blocks = 0;
+        for step in 0..4_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Grow to ~200 records, then hold the size: half the steps delete.
+            if model.len() < 200 || x.is_multiple_of(2) {
+                let dense = (x >> 8) as u32 % (3 * group_size);
+                let ptr = cal.insert(dense, dense + 100, step, step % 7);
+                assert!(model.iter().all(|m| m.3 != ptr), "slot {ptr} handed out twice");
+                model.push((dense, step, step % 7, ptr));
+            } else {
+                let (dense, _, _, ptr) = model.swap_remove((x >> 8) as usize % model.len());
+                cal.invalidate(dense, ptr);
+                assert!(!cal.record(ptr).valid);
+            }
+            if step == 1_000 {
+                peak_blocks = cal.num_blocks();
+            }
+            for &(dense, dst, weight, ptr) in &model {
+                assert_eq!(
+                    cal.record(ptr),
+                    CalRecord { src: dense + 100, dst, weight, valid: true }
+                );
+            }
+            assert_eq!(cal.num_live() as usize, model.len());
+            let mut streamed = Vec::new();
+            cal.for_each_edge(|s, d, w| streamed.push((s - 100, d, w)));
+            assert!(streamed.windows(2).all(|p| p[0].0 / group_size <= p[1].0 / group_size));
+            let mut want: Vec<_> = model.iter().map(|&(s, d, w, _)| (s, d, w)).collect();
+            streamed.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(streamed, want);
+        }
+        // Churn at a size that only random-walks: holes are refilled, so the
+        // chains all but stop growing (appending the ~1 500 inserts since
+        // step 1 000 would have added 375 blocks) and the invalid count
+        // stays a fraction of the live.
+        assert!(cal.num_blocks() < 2 * peak_blocks, "{} vs {peak_blocks}", cal.num_blocks());
+        assert!(cal.num_invalid() < cal.num_live(), "{} holes", cal.num_invalid());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Fig. 4 hierarchy maps onto this module as:
 //!
 //! ```text
-//! EdgeblockArray  = BlockArena            (cells: Vec<EdgeCell>)
+//! EdgeblockArray  = BlockArena            (cells: SegVec<EdgeCell>)
 //! edgeblock  i    = cells[i*PW .. (i+1)*PW]
 //! subblock (i,s)  = cells[i*PW + s*SB .. i*PW + (s+1)*SB]
 //! workblock       = SB/WB-sized chunks the inspection loop walks
@@ -17,7 +17,12 @@
 //! branch-out) are blocks in the same arena; the region distinction lives in
 //! who points at a block (the vertex table vs. a parent subblock's child
 //! pointer). A free list recycles blocks emptied by delete-and-compact.
+//!
+//! Every lane is a [`SegVec`] whose segments hold whole pages, so the arena
+//! grows a segment at a time: no page ever moves and at most one segment
+//! per lane is allocated ahead of use.
 
+use crate::segvec::{SegVec, SEGMENT_LEN};
 use crate::swar::TAG_EMPTY;
 use gtinker_types::{VertexId, Weight, NIL_U32, NIL_VERTEX};
 
@@ -85,23 +90,23 @@ pub type BlockId = u32;
 /// edges go lives in [`crate::tier::BlockTier`].
 #[derive(Debug, Clone)]
 pub struct BlockArena {
-    cells: Vec<EdgeCell>,
+    cells: SegVec<EdgeCell>,
     /// SWAR tag lane: one control byte per cell (same indexing as `cells`)
     /// holding the 7-bit destination fingerprint when occupied or a vacancy
     /// sentinel ([`TAG_EMPTY`] / [`TAG_TOMBSTONE`]) otherwise, so probes can
     /// scan 8 slots per `u64` load without touching 16-byte cells.
-    tags: Vec<u8>,
+    tags: SegVec<u8>,
     /// Child block per (block, subblock): `children[b * spb + s]`, NIL_U32
     /// if the subblock has not branched out.
-    children: Vec<u32>,
+    children: SegVec<u32>,
     /// Live (occupied) cells per block, used by compaction to decide when a
     /// block can be recycled.
-    live: Vec<u32>,
+    live: SegVec<u32>,
     /// Parent block of each block (`NIL_U32` for top-parents), paired with
     /// the parent subblock the child hangs off. Lets compaction detach and
     /// recycle emptied blocks bottom-up without recording DFS paths.
-    parent: Vec<u32>,
-    parent_sub: Vec<u8>,
+    parent: SegVec<u32>,
+    parent_sub: SegVec<u8>,
     /// Recycled block ids available for reuse.
     free: Vec<BlockId>,
     pagewidth: usize,
@@ -112,14 +117,14 @@ pub struct BlockArena {
 impl BlockArena {
     /// Creates an empty arena for the given geometry.
     pub fn new(pagewidth: usize, subblock: usize) -> Self {
-        assert!(pagewidth > 0 && subblock > 0 && pagewidth.is_multiple_of(subblock));
+        assert!(subblock.is_power_of_two() && pagewidth.is_power_of_two() && subblock <= pagewidth);
         BlockArena {
-            cells: Vec::new(),
-            tags: Vec::new(),
-            children: Vec::new(),
-            live: Vec::new(),
-            parent: Vec::new(),
-            parent_sub: Vec::new(),
+            cells: SegVec::new(pagewidth.max(SEGMENT_LEN)),
+            tags: SegVec::new(pagewidth.max(SEGMENT_LEN)),
+            children: SegVec::new((pagewidth / subblock).max(SEGMENT_LEN)),
+            live: SegVec::new(SEGMENT_LEN),
+            parent: SegVec::new(SEGMENT_LEN),
+            parent_sub: SegVec::new(SEGMENT_LEN),
             free: Vec::new(),
             pagewidth,
             subblock,
@@ -148,7 +153,7 @@ impl BlockArena {
     /// Total blocks ever allocated (including currently free ones).
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.cells.len() / self.pagewidth
+        self.live.len()
     }
 
     /// Number of blocks sitting on the free list.
@@ -161,19 +166,19 @@ impl BlockArena {
     pub fn alloc_block(&mut self) -> BlockId {
         if let Some(id) = self.free.pop() {
             let base = id as usize * self.pagewidth;
-            self.cells[base..base + self.pagewidth].fill(EdgeCell::EMPTY);
-            self.tags[base..base + self.pagewidth].fill(TAG_EMPTY);
+            self.cells.slice_mut(base, self.pagewidth).fill(EdgeCell::EMPTY);
+            self.tags.slice_mut(base, self.pagewidth).fill(TAG_EMPTY);
             let cbase = id as usize * self.subblocks_per_block;
-            self.children[cbase..cbase + self.subblocks_per_block].fill(NIL_U32);
+            self.children.slice_mut(cbase, self.subblocks_per_block).fill(NIL_U32);
             self.live[id as usize] = 0;
             self.parent[id as usize] = NIL_U32;
             self.parent_sub[id as usize] = 0;
             return id;
         }
         let id = self.num_blocks() as BlockId;
-        self.cells.resize(self.cells.len() + self.pagewidth, EdgeCell::EMPTY);
-        self.tags.resize(self.tags.len() + self.pagewidth, TAG_EMPTY);
-        self.children.resize(self.children.len() + self.subblocks_per_block, NIL_U32);
+        self.cells.extend_with(self.pagewidth, EdgeCell::EMPTY);
+        self.tags.extend_with(self.pagewidth, TAG_EMPTY);
+        self.children.extend_with(self.subblocks_per_block, NIL_U32);
         self.live.push(0);
         self.parent.push(NIL_U32);
         self.parent_sub.push(0);
@@ -194,30 +199,20 @@ impl BlockArena {
     /// The cells of one block.
     #[inline]
     pub fn block(&self, id: BlockId) -> &[EdgeCell] {
-        let base = id as usize * self.pagewidth;
-        &self.cells[base..base + self.pagewidth]
+        self.cells.slice(id as usize * self.pagewidth, self.pagewidth)
     }
 
     /// The cells of one subblock of a block.
     #[inline]
     pub fn subblock_cells(&self, id: BlockId, sub: usize) -> &[EdgeCell] {
-        let base = id as usize * self.pagewidth + sub * self.subblock;
-        &self.cells[base..base + self.subblock]
-    }
-
-    /// Mutable cells of one subblock of a block.
-    #[inline]
-    pub fn subblock_cells_mut(&mut self, id: BlockId, sub: usize) -> &mut [EdgeCell] {
-        let base = id as usize * self.pagewidth + sub * self.subblock;
-        &mut self.cells[base..base + self.subblock]
+        self.cells.slice(id as usize * self.pagewidth + sub * self.subblock, self.subblock)
     }
 
     /// The tag lane of one subblock of a block (parallel to
     /// [`Self::subblock_cells`]).
     #[inline]
     pub fn subblock_tags(&self, id: BlockId, sub: usize) -> &[u8] {
-        let base = id as usize * self.pagewidth + sub * self.subblock;
-        &self.tags[base..base + self.subblock]
+        self.tags.slice(id as usize * self.pagewidth + sub * self.subblock, self.subblock)
     }
 
     /// The cells *and* tag lane of one subblock, mutably — insertion paths
@@ -229,14 +224,7 @@ impl BlockArena {
         sub: usize,
     ) -> (&mut [EdgeCell], &mut [u8]) {
         let base = id as usize * self.pagewidth + sub * self.subblock;
-        (&mut self.cells[base..base + self.subblock], &mut self.tags[base..base + self.subblock])
-    }
-
-    /// The tag lane of a whole block (diagnostics / invariant validation).
-    #[inline]
-    pub fn block_tags(&self, id: BlockId) -> &[u8] {
-        let base = id as usize * self.pagewidth;
-        &self.tags[base..base + self.pagewidth]
+        (self.cells.slice_mut(base, self.subblock), self.tags.slice_mut(base, self.subblock))
     }
 
     /// One tag byte, by (block, offset within block).
@@ -299,8 +287,7 @@ impl BlockArena {
     /// All child slots of a block.
     #[inline]
     pub fn child_slots(&self, id: BlockId) -> &[u32] {
-        let base = id as usize * self.subblocks_per_block;
-        &self.children[base..base + self.subblocks_per_block]
+        self.children.slice(id as usize * self.subblocks_per_block, self.subblocks_per_block)
     }
 
     /// Live-edge count of a block.
@@ -321,14 +308,18 @@ impl BlockArena {
     /// scan shares, so they all see blocks in the same order (a block, then
     /// its children from the last subblock to the first).
     pub fn for_each_block(&self, top: BlockId, mut f: impl FnMut(BlockId, u32)) {
-        let mut stack = vec![(top, 0u32)];
-        while let Some((b, depth)) = stack.pop() {
+        // The stack allocates on the first child pushed: walking a
+        // childless top (most vertices) costs no allocation.
+        let mut stack = Vec::new();
+        let mut next = Some((top, 0u32));
+        while let Some((b, depth)) = next {
             f(b, depth);
             for &child in self.child_slots(b) {
                 if child != NIL_U32 {
                     stack.push((child, depth + 1));
                 }
             }
+            next = stack.pop();
         }
     }
 
@@ -353,8 +344,9 @@ impl BlockArena {
     /// migrating the edges out first (see [`Self::collect_subtree`]).
     pub fn free_subtree(&mut self, top: BlockId) -> usize {
         let mut freed = 0;
-        let mut stack = vec![top];
-        while let Some(b) = stack.pop() {
+        let mut stack = Vec::new();
+        let mut next = Some(top);
+        while let Some(b) = next {
             for s in 0..self.subblocks_per_block {
                 if let Some(child) = self.child(b, s) {
                     stack.push(child);
@@ -364,6 +356,7 @@ impl BlockArena {
             self.live[b as usize] = 0;
             self.free_block(b);
             freed += 1;
+            next = stack.pop();
         }
         freed
     }
@@ -378,14 +371,15 @@ impl BlockArena {
         self.cells.iter().filter(|c| c.state == CellState::Tombstone).count()
     }
 
-    /// Heap footprint of the arena in bytes (cells + topology).
+    /// Heap footprint of the arena in bytes (cells + topology), as
+    /// allocated.
     pub fn memory_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<EdgeCell>()
-            + self.tags.capacity()
-            + self.children.capacity() * std::mem::size_of::<u32>()
-            + self.live.capacity() * std::mem::size_of::<u32>()
-            + self.parent.capacity() * std::mem::size_of::<u32>()
-            + self.parent_sub.capacity()
+        self.cells.allocated_bytes()
+            + self.tags.allocated_bytes()
+            + self.children.allocated_bytes()
+            + self.live.allocated_bytes()
+            + self.parent.allocated_bytes()
+            + self.parent_sub.allocated_bytes()
             + self.free.capacity() * std::mem::size_of::<BlockId>()
     }
 }
@@ -425,7 +419,7 @@ mod tests {
         let mut a = arena();
         let b = a.alloc_block();
         for s in 0..a.subblocks_per_block() {
-            let cells = a.subblock_cells_mut(b, s);
+            let (cells, _) = a.subblock_cells_and_tags_mut(b, s);
             for c in cells.iter_mut() {
                 c.dst = s as u32;
                 c.state = CellState::Occupied;
@@ -536,7 +530,7 @@ mod tests {
     fn tag_lane_starts_empty_and_tracks_writes() {
         let mut a = arena();
         let b = a.alloc_block();
-        assert!(a.block_tags(b).iter().all(|&t| t == TAG_EMPTY));
+        assert!((0..64).all(|off| a.tag(b, off) == TAG_EMPTY));
         a.set_tag(b, 5, 0x2A);
         a.set_tag(b, 9, TAG_TOMBSTONE);
         assert_eq!(a.tag(b, 5), 0x2A);
@@ -556,6 +550,6 @@ mod tests {
         a.free_block(b);
         let b2 = a.alloc_block();
         assert_eq!(b2, b);
-        assert!(a.block_tags(b2).iter().all(|&t| t == TAG_EMPTY));
+        assert!((0..64).all(|off| a.tag(b2, off) == TAG_EMPTY));
     }
 }

@@ -54,6 +54,7 @@ pub mod metrics;
 pub mod parallel;
 pub mod pool;
 pub mod rhh;
+pub mod segvec;
 pub mod sgh;
 pub mod stats;
 pub mod swar;
@@ -70,7 +71,7 @@ pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};
 pub use pool::{ShardPool, ShardStore};
 pub use sgh::SghUnit;
-pub use stats::{ProbeStats, StructureStats};
+pub use stats::{ClassBlocks, ProbeStats, StructureStats};
 pub use tier::{BlockTier, HubTier, InlineTier, TierEdge, TierOps, Upsert};
 pub use tinker::{ApplyBatch, BatchResult, GraphTinker};
 pub use trace::{SpanId, TraceDump, TraceEvent};

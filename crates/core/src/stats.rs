@@ -65,6 +65,21 @@ impl ProbeStats {
     }
 }
 
+/// Most page-width classes an edgeblock tier keeps (`PAGEWIDTH/4`,
+/// `PAGEWIDTH/2`, `PAGEWIDTH`).
+pub const MAX_CLASSES: usize = 3;
+
+/// Edgeblocks of one page-width class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ClassBlocks {
+    /// Cells per page of the class (0 in a slot the layout does not use).
+    pub width: usize,
+    /// Blocks holding a subtree (main and overflow region).
+    pub blocks: usize,
+    /// Blocks on the class's free list.
+    pub free: usize,
+}
+
 /// Point-in-time snapshot of the structure's shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StructureStats {
@@ -78,6 +93,9 @@ pub struct StructureStats {
     pub overflow_blocks: usize,
     /// Edgeblocks currently on the free list.
     pub free_blocks: usize,
+    /// The three counts above by page-width class, narrowest first; the
+    /// fixed-geometry layout has one class.
+    pub block_classes: [ClassBlocks; MAX_CLASSES],
     /// Tombstoned cells.
     pub tombstones: usize,
     /// Lazily deleted hub-segment slots awaiting their merge pass (the hub
@@ -88,7 +106,11 @@ pub struct StructureStats {
     pub cal_blocks: usize,
     /// CAL records flagged invalid.
     pub cal_invalid: u64,
-    /// Fraction of allocated edge-cells holding live edges, in `[0, 1]`.
+    /// Live edges of the store ÷ edge-cells of the blocks in use, over all
+    /// page-width classes. On the fixed-geometry layout that is the
+    /// fraction of cells holding an edge; on a tiered one the numerator
+    /// also counts inline and hub edges, so a store that keeps most edges
+    /// there reads above 1.
     pub occupancy: f64,
     /// Vertices with live edges stored in the inline tier (0 on a
     /// fixed-geometry store, where tiering is disabled).

@@ -3,6 +3,14 @@
 //! within a subblock and Tree-Based Hashing branches a congested subblock
 //! out into a child edgeblock of the overflow region.
 //!
+//! Pages come in up to three width classes — `PAGEWIDTH/4`, `PAGEWIDTH/2`
+//! and `PAGEWIDTH`, one [`BlockArena`] each — and a vertex's whole subtree
+//! lives in one of them. Only the full-width class branches out: a narrower
+//! page whose subblock is congested reports [`Upsert::Full`] and the store
+//! [`regrow`](BlockTier::regrow)s the vertex into the next class, so a
+//! narrow vertex is one subblock scan deep. With no tier thresholds
+//! ([`TinkerConfig::paper`]) `PAGEWIDTH` is the only class.
+//!
 //! Operation map from the paper's interface components to this module:
 //!
 //! * **load / writeback units** — the subblock slices handed to the RHH
@@ -22,8 +30,24 @@ use crate::hash::{dst_tag, edge_hash, split_hash, subblock_and_bucket, tag_of_ha
 use crate::rhh::{
     find_in_subblock, has_vacant_tags, linear_insert, rhh_insert, vacant_tag, Floating, RhhOutcome,
 };
-use crate::stats::ProbeStats;
+use crate::stats::{ClassBlocks, ProbeStats, MAX_CLASSES};
 use crate::swar::{TAG_EMPTY, TAG_TOMBSTONE};
+
+/// A source's entry in the main region's index packs its class into the
+/// bits above its top block's id ([`NIL_U32`] would be class 3, which no
+/// layout has).
+const CLASS_SHIFT: u32 = 30;
+const ID_MASK: u32 = (1 << CLASS_SHIFT) - 1;
+
+/// Page widths of `config`'s classes, narrowest first: the fractions of
+/// PAGEWIDTH that still hold two subblocks (tiered layouts only), then
+/// PAGEWIDTH itself.
+fn class_widths(config: &TinkerConfig) -> Vec<usize> {
+    let mut widths = vec![config.pagewidth / 4, config.pagewidth / 2];
+    widths.retain(|&w| config.adaptive_enabled() && w >= 2 * config.subblock);
+    widths.push(config.pagewidth);
+    widths
+}
 
 /// What one FIND-mode walk of a source's subblock chain saw.
 struct Walk {
@@ -38,59 +62,35 @@ struct Walk {
     depth: u32,
 }
 
-/// The edgeblock arena and the main region's index into it.
+/// The pages of one width class and the hashing policy over them; every
+/// operation takes the top block of the subtree it works on.
 #[derive(Debug, Clone)]
-pub struct BlockTier {
+struct PageClass {
     arena: BlockArena,
-    /// Top-parent edgeblock per dense source id ([`NIL_U32`] = none).
-    top_blocks: Vec<u32>,
-    /// Blocks currently serving as top-parents (main region size).
-    main_blocks: usize,
+    /// Whether a congested subblock branches out (the full-width class) or
+    /// the vertex regrows into the next class instead.
+    branches: bool,
     /// Cells per workblock (the load unit's retrieval granularity).
     workblock: u64,
     mode: DeleteMode,
 }
 
-impl BlockTier {
-    /// An empty tier with the geometry and delete mode of `config`.
-    pub fn new(config: &TinkerConfig) -> Self {
-        BlockTier {
-            arena: BlockArena::new(config.pagewidth, config.subblock),
-            top_blocks: Vec::new(),
-            main_blocks: 0,
-            workblock: config.workblock as u64,
-            mode: config.delete_mode,
-        }
-    }
+/// The edgeblock arenas and the main region's index into them.
+#[derive(Debug, Clone)]
+pub struct BlockTier {
+    /// One class per page width, narrowest first; the last is PAGEWIDTH.
+    classes: Vec<PageClass>,
+    /// `class << CLASS_SHIFT | top-parent block` per dense source
+    /// ([`NIL_U32`] = none).
+    tops: Vec<u32>,
+}
 
-    /// Grows the main region's index to cover `n` sources.
-    #[inline]
-    pub fn cover(&mut self, n: usize) {
-        if self.top_blocks.len() < n {
-            self.top_blocks.resize(n, NIL_U32);
-        }
-    }
-
+impl PageClass {
     /// The paper disables RHH under delete-and-compact to avoid the
     /// edge-tracking overhead of undoing swap chains during backfill.
     #[inline]
     fn rhh_enabled(&self) -> bool {
         self.mode == DeleteMode::DeleteOnly
-    }
-
-    #[inline]
-    fn top(&self, dense: u32) -> Option<BlockId> {
-        self.top_blocks.get(dense as usize).copied().filter(|&b| b != NIL_U32)
-    }
-
-    fn ensure_top(&mut self, dense: u32) -> BlockId {
-        self.cover(dense as usize + 1);
-        let idx = dense as usize;
-        if self.top_blocks[idx] == NIL_U32 {
-            self.top_blocks[idx] = self.arena.alloc_block();
-            self.main_blocks += 1;
-        }
-        self.top_blocks[idx]
     }
 
     #[inline]
@@ -139,7 +139,10 @@ impl BlockTier {
             if SCOUT && hit.is_none() && vacancy.is_none() && has_vacant_tags(tags) {
                 vacancy = Some((block, sub, bucket));
             }
-            match (hit, self.arena.child(block, sub)) {
+            // A page that does not branch has no child to look up (and its
+            // child lane stays cold).
+            let child = if self.branches { self.arena.child(block, sub) } else { None };
+            match (hit, child) {
                 (None, Some(c)) => {
                     block = c;
                     depth += 1;
@@ -186,34 +189,32 @@ impl BlockTier {
     }
 
     /// Anchors a floating edge (CAL copy already registered) into the
-    /// subtree of `dense` — the migration primitive. The edge is known
+    /// subtree of `top` — the migration primitive. The edge is known
     /// absent, so the walk may stop at the *first* subblock with a vacancy:
     /// FIND scans whole subblocks per depth, so an early anchor stays on
-    /// the edge's lookup path.
-    fn anchor(&mut self, dense: u32, f: Floating, stats: &mut ProbeStats) {
+    /// the edge's lookup path. `false` (nothing written) when a page that
+    /// does not branch has no room in the edge's subblock.
+    fn anchor(&mut self, top: BlockId, f: Floating, stats: &mut ProbeStats) -> bool {
         let spb = self.arena.subblocks_per_block();
         let sublen = self.arena.subblock_len();
-        let mut block = self.ensure_top(dense);
-        let mut depth: u32 = 0;
-        let (block, sub, bucket) = loop {
-            let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
-            if has_vacant_tags(self.arena.subblock_tags(block, sub)) {
-                break (block, sub, bucket);
+        // One mix of the destination serves the depth-0 split and the tag.
+        let h0 = edge_hash(f.dst, 0);
+        let (mut sub, mut bucket) = split_hash(h0, spb, sublen);
+        let (mut block, mut depth) = (top, 0u32);
+        while !has_vacant_tags(self.arena.subblock_tags(block, sub)) {
+            if !self.branches {
+                return false;
             }
             depth += 1;
-            match self.arena.child(block, sub) {
-                Some(c) => block = c,
-                None => {
-                    let child = self.branch_out(block, sub, depth, stats);
-                    let (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
-                    break (child, sub, bucket);
-                }
-            }
-        };
+            block = match self.arena.child(block, sub) {
+                Some(c) => c,
+                None => self.branch_out(block, sub, depth, stats),
+            };
+            (sub, bucket) = subblock_and_bucket(f.dst, depth, spb, sublen);
+        }
         stats.max_depth = stats.max_depth.max(depth);
-        // Migration is a cold path: recomputing the fingerprint here keeps
-        // the hot-path plumbing (which hoists it) uncluttered.
-        self.place(block, sub, bucket, f, dst_tag(f.dst));
+        self.place(block, sub, bucket, f, tag_of_hash(h0));
+        true
     }
 
     /// Delete-and-compact backfill: pull an edge from the deepest block of
@@ -274,124 +275,98 @@ impl BlockTier {
         }
     }
 
-    /// Window stage 3 of `apply_batch`: loads the tag group and home cell
-    /// the depth-0 probe for `h0` starts at, and the top block's live
-    /// count. Sources that own no top block cost nothing.
-    #[inline]
-    pub fn warm_subblock(&self, dense: u32, h0: u64) -> u64 {
-        let Some(top) = self.top(dense) else { return 0 };
-        let (sub, bucket) =
-            split_hash(h0, self.arena.subblocks_per_block(), self.arena.subblock_len());
-        u64::from(self.arena.subblock_tags(top, sub)[0])
-            ^ u64::from(self.arena.subblock_cells(top, sub)[bucket].dst)
-            ^ u64::from(self.arena.live_count(top))
-    }
+    /// [`TierOps::upsert`] on the subtree of `top`. The FIND and INSERT
+    /// modes share one walk: while FIND scans the subblock chain for the
+    /// edge, it also scouts the first subblock with a vacant cell, so a
+    /// miss can anchor the new edge without re-traversing the chain. RHH
+    /// displacement still runs within the target subblock.
+    fn upsert(
+        &mut self,
+        top: BlockId,
+        dense: u32,
+        e: Edge,
+        h0: u64,
+        stats: &mut ProbeStats,
+        cal: &mut Option<CalArray>,
+    ) -> Upsert {
+        let spb = self.arena.subblocks_per_block();
+        let sublen = self.arena.subblock_len();
+        let tag = tag_of_hash(h0);
 
-    /// Top-parent subtrees in dense-id order.
-    fn tops(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.top_blocks.iter().copied().filter(|&b| b != NIL_U32)
-    }
-
-    /// Runs `check` over every block of every subtree as `(block, depth)`
-    /// and returns its first error.
-    fn try_each_block(
-        &self,
-        mut check: impl FnMut(BlockId, u32) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let mut first = Ok(());
-        for top in self.tops() {
-            self.arena.for_each_block(top, |b, depth| {
-                if first.is_ok() {
-                    first = check(b, depth);
-                }
-            });
+        // Existing-edge fast path: a repeat insertion of an un-displaced
+        // edge sits in its home bucket of the top block's depth-0 subblock.
+        // One probe settles it (weight update + CAL refresh) without the
+        // full FIND walk; any miss falls through to the general path.
+        let (sub, bucket) = split_hash(h0, spb, sublen);
+        let cell = self.arena.subblock_cells(top, sub)[bucket];
+        if cell.is_occupied() && cell.dst == e.dst {
+            stats.subblocks_visited += 1;
+            stats.cells_inspected += 1;
+            stats.workblocks_fetched += 1;
+            self.arena.cell_mut(top, sub * sublen + bucket).weight = e.weight;
+            cal_update(cal, cell.cal_ptr, e.weight);
+            return Upsert::Updated;
         }
-        first
-    }
 
-    /// Edgeblocks as `(main region, overflow region, free list)`.
-    pub fn block_counts(&self) -> (usize, usize, usize) {
-        let free = self.arena.num_free_blocks();
-        (self.main_blocks, self.arena.num_blocks() - free - self.main_blocks, free)
-    }
-
-    /// Number of tombstoned cells (O(cells); diagnostic only).
-    pub fn count_tombstones(&self) -> usize {
-        self.arena.count_tombstones()
-    }
-
-    /// Heap bytes of the arena alone (the `memory_blocks_bytes` gauge;
-    /// [`TierOps::memory_bytes`] adds the main region's index).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.memory_bytes()
-    }
-
-    /// Edges of a store holding `live_edges` that sit outside the
-    /// edgeblocks: inline and hub adjacency is flat (tree depth 0) and
-    /// position-exact (probe distance 0), which is where the histograms
-    /// count it.
-    fn flat_edges(&self, live_edges: u64) -> u64 {
-        live_edges - self.arena.total_live()
-    }
-
-    /// Histogram of the store's `live_edges` by tree depth: `hist[d]` =
-    /// edges stored in blocks `d` generations below a top-parent.
-    pub fn depth_histogram(&self, live_edges: u64) -> Vec<u64> {
-        let mut hist: Vec<u64> = Vec::new();
-        let flat = self.flat_edges(live_edges);
-        if flat > 0 {
-            hist.push(flat);
+        // FIND mode + vacancy scout.
+        let walk = self.walk::<true>(top, e.dst, h0, stats);
+        if let Some((block, offset)) = walk.hit {
+            let cell = self.arena.cell_mut(block, offset);
+            cell.weight = e.weight;
+            cal_update(cal, cell.cal_ptr, e.weight);
+            return Upsert::Updated;
         }
-        for top in self.tops() {
-            self.arena.for_each_block(top, |b, depth| {
-                let depth = depth as usize;
-                if hist.len() <= depth {
-                    hist.resize(depth + 1, 0);
-                }
-                hist[depth] += u64::from(self.arena.live_count(b));
-            });
+        stats.max_depth = stats.max_depth.max(walk.depth);
+        if walk.vacancy.is_none() && !self.branches {
+            return Upsert::Full;
         }
-        hist
+
+        // INSERT mode: append the CAL copy (O(1)), then anchor the main
+        // copy — in the scouted subblock, or in a fresh branch when every
+        // subblock on the path is full (Tree-Based Hashing).
+        let floating =
+            Floating { dst: e.dst, weight: e.weight, cal_ptr: cal_append(cal, dense, e) };
+        let (block, sub, bucket) = walk.vacancy.unwrap_or_else(|| {
+            let child = self.branch_out(walk.tail.0, walk.tail.1, walk.depth + 1, stats);
+            let (sub, bucket) = subblock_and_bucket(e.dst, walk.depth + 1, spb, sublen);
+            (child, sub, bucket)
+        });
+        let touched = self.place(block, sub, bucket, floating, tag);
+        stats.cells_inspected += touched;
+        stats.workblocks_fetched += self.workblocks_for(touched);
+        Upsert::Inserted
     }
 
-    /// Histogram of stored Robin Hood probe distances over the store's
-    /// `live_edges`.
-    pub fn probe_histogram(&self, live_edges: u64) -> Vec<u64> {
-        let mut hist = vec![0u64; self.arena.subblock_len()];
-        hist[0] += self.flat_edges(live_edges);
-        for top in self.tops() {
-            self.arena.for_each_block(top, |b, _| {
-                for cell in self.arena.block(b).iter().filter(|c| c.is_occupied()) {
-                    hist[cell.probe as usize] += 1;
-                }
-            });
+    /// [`TierOps::remove`] on the subtree of `top`.
+    fn remove(
+        &mut self,
+        top: BlockId,
+        dst: VertexId,
+        h0: u64,
+        stats: &mut ProbeStats,
+    ) -> Option<u32> {
+        let walk = self.walk::<false>(top, dst, h0, stats);
+        stats.max_depth = stats.max_depth.max(walk.depth);
+        let (block, offset) = walk.hit?;
+
+        let tombstone = self.mode == DeleteMode::DeleteOnly;
+        let cell = self.arena.cell_mut(block, offset);
+        let cal_ptr = cell.cal_ptr;
+        *cell = if tombstone {
+            EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY }
+        } else {
+            EdgeCell::EMPTY
+        };
+        self.arena.set_tag(block, offset, vacant_tag(tombstone));
+        self.arena.add_live(block, -1);
+        if !tombstone {
+            self.backfill(block, offset / self.arena.subblock_len(), offset);
+            self.free_upward(block);
         }
-        hist
+        Some(cal_ptr)
     }
 
-    /// Checks the Robin Hood invariants over every live cell (`Ok(())`
-    /// immediately in delete-and-compact mode, where RHH is disabled and
-    /// probe distances carry no meaning):
-    ///
-    /// 1. every occupied cell sits in the subblock its destination hashes to
-    ///    at that depth, and its stored probe equals the circular distance
-    ///    from its hash bucket;
-    /// 2. the probe-path predecessor of a probe-`d > 0` cell is never truly
-    ///    empty (delete-only mode leaves tombstones, so a hole before a
-    ///    displaced edge would break the FIND shortcut);
-    /// 3. while the structure has never deleted an edge (`never_deleted`),
-    ///    the full Robin Hood ordering holds: the predecessor's probe is at
-    ///    least `d - 1`. Once a delete has happened anywhere, a later
-    ///    insert may legally reuse a tombstone slot ahead of a displaced
-    ///    cell, so strict ordering is no longer implied — even in subblocks
-    ///    that are tombstone-free *now*.
-    pub fn validate_rhh(&self, never_deleted: bool) -> Result<(), String> {
-        if !self.rhh_enabled() {
-            return Ok(());
-        }
-        self.try_each_block(|b, depth| self.validate_rhh_block(b, depth, never_deleted))
-    }
-
+    /// The Robin Hood invariants of one block ([`BlockTier::validate_rhh`]).
     fn validate_rhh_block(
         &self,
         b: BlockId,
@@ -442,7 +417,8 @@ impl BlockTier {
     }
 
     /// One block of [`TierOps::validate`]: tag lane against cell states,
-    /// live counter against occupied cells.
+    /// live counter against occupied cells, and no child under a page that
+    /// does not branch.
     fn validate_block(&self, b: BlockId) -> Result<(), String> {
         let mut occupied = 0;
         for off in 0..self.arena.pagewidth() {
@@ -466,26 +442,225 @@ impl BlockTier {
         if live != occupied {
             return Err(format!("block {b}: live count {live} but {occupied} occupied cells"));
         }
+        if !self.branches && self.arena.child_slots(b).iter().any(|&c| c != NIL_U32) {
+            return Err(format!(
+                "block {b} of a {}-cell page branched out",
+                self.arena.pagewidth()
+            ));
+        }
         Ok(())
+    }
+}
+
+impl BlockTier {
+    /// An empty tier with the geometry and delete mode of `config`.
+    pub fn new(config: &TinkerConfig) -> Self {
+        let class = |width| PageClass {
+            arena: BlockArena::new(width, config.subblock),
+            branches: width == config.pagewidth,
+            workblock: config.workblock as u64,
+            mode: config.delete_mode,
+        };
+        BlockTier {
+            classes: class_widths(config).into_iter().map(class).collect(),
+            tops: Vec::new(),
+        }
+    }
+
+    /// `(class, top-parent block)` of `dense`, if it has one.
+    #[inline]
+    fn top(&self, dense: u32) -> Option<(usize, BlockId)> {
+        let packed = *self.tops.get(dense as usize)?;
+        (packed != NIL_U32).then_some(((packed >> CLASS_SHIFT) as usize, packed & ID_MASK))
+    }
+
+    /// Gives `dense`, which has no subtree, a fresh top block in `class`.
+    fn install_top(&mut self, dense: u32, class: usize) -> BlockId {
+        let idx = dense as usize;
+        if self.tops.len() <= idx {
+            self.tops.resize(idx + 1, NIL_U32);
+        }
+        debug_assert_eq!(self.tops[idx], NIL_U32, "vertex already owns a subtree");
+        let top = self.classes[class].arena.alloc_block();
+        assert!(top <= ID_MASK, "block id overflows the class-packed index");
+        self.tops[idx] = (class as u32) << CLASS_SHIFT | top;
+        top
+    }
+
+    /// Stores `edges` for `dense` in the narrowest class from `from` up
+    /// that takes them at no more than ¾ load with no depth-0 subblock over
+    /// capacity; the full-width class takes anything (it branches out).
+    fn adopt_from(&mut self, dense: u32, edges: &[TierEdge], from: usize, stats: &mut ProbeStats) {
+        let last = self.classes.len() - 1;
+        let roomy = |c: &PageClass| edges.len() * 4 <= c.arena.pagewidth() * 3;
+        let mut class = (from..last).find(|&c| roomy(&self.classes[c])).unwrap_or(last);
+        loop {
+            let top = self.install_top(dense, class);
+            let pages = &mut self.classes[class];
+            let fits = edges.iter().all(|&(dst, weight, cal_ptr)| {
+                pages.anchor(top, Floating { dst, weight, cal_ptr }, stats)
+            });
+            if fits {
+                return;
+            }
+            // Rare (one subblock crowded): give the page back, go wider.
+            self.drain(dense);
+            class += 1;
+        }
+    }
+
+    /// Moves the subtree of `dense`, whose page just reported
+    /// [`Upsert::Full`], into the next wider class. CAL pointers travel
+    /// with the edges, as in a tier migration.
+    pub fn regrow(&mut self, dense: u32, stats: &mut ProbeStats) {
+        let (class, _) = self.top(dense).expect("a full page belongs to a vertex");
+        let edges = self.drain(dense);
+        self.adopt_from(dense, &edges, class + 1, stats);
+    }
+
+    /// Window stage 3 of `apply_batch`: loads the tag group and home cell
+    /// the depth-0 probe for `h0` starts at, and the top block's live
+    /// count. Sources that own no top block cost nothing.
+    #[inline]
+    pub fn warm_subblock(&self, dense: u32, h0: u64) -> u64 {
+        let Some((class, top)) = self.top(dense) else { return 0 };
+        let arena = &self.classes[class].arena;
+        let (sub, bucket) = split_hash(h0, arena.subblocks_per_block(), arena.subblock_len());
+        u64::from(arena.subblock_tags(top, sub)[0])
+            ^ u64::from(arena.subblock_cells(top, sub)[bucket].dst)
+            ^ u64::from(arena.live_count(top))
+    }
+
+    /// Visits every block of every subtree, in dense-id order, as
+    /// `(class, block, depth)`.
+    fn each_block(&self, mut f: impl FnMut(&PageClass, BlockId, u32)) {
+        for dense in 0..self.tops.len() as u32 {
+            let Some((class, top)) = self.top(dense) else { continue };
+            let pages = &self.classes[class];
+            pages.arena.for_each_block(top, |b, depth| f(pages, b, depth));
+        }
+    }
+
+    /// Runs `check` over [`each_block`](Self::each_block); its first error.
+    fn try_each_block(
+        &self,
+        mut check: impl FnMut(&PageClass, BlockId, u32) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut first = Ok(());
+        self.each_block(|pages, b, depth| {
+            if first.is_ok() {
+                first = check(pages, b, depth);
+            }
+        });
+        first
+    }
+
+    /// Blocks serving as top-parents: the main region's size (O(sources);
+    /// diagnostic only).
+    pub fn main_blocks(&self) -> usize {
+        self.tops.iter().filter(|&&t| t != NIL_U32).count()
+    }
+
+    /// Blocks in use and on the free list, per class (unused slots zero).
+    pub fn class_counts(&self) -> [ClassBlocks; MAX_CLASSES] {
+        let mut counts = [ClassBlocks::default(); MAX_CLASSES];
+        for (count, pages) in counts.iter_mut().zip(&self.classes) {
+            let free = pages.arena.num_free_blocks();
+            *count = ClassBlocks {
+                width: pages.arena.pagewidth(),
+                blocks: pages.arena.num_blocks() - free,
+                free,
+            };
+        }
+        counts
+    }
+
+    /// Number of tombstoned cells (O(cells); diagnostic only).
+    pub fn count_tombstones(&self) -> usize {
+        self.classes.iter().map(|c| c.arena.count_tombstones()).sum()
+    }
+
+    /// Heap bytes of the arenas alone (the `memory_blocks_bytes` gauge;
+    /// [`TierOps::memory_bytes`] adds the main region's index).
+    pub fn arena_bytes(&self) -> usize {
+        self.classes.iter().map(|c| c.arena.memory_bytes()).sum()
+    }
+
+    /// Edges of a store holding `live_edges` that sit outside the
+    /// edgeblocks: inline and hub adjacency is flat (tree depth 0) and
+    /// position-exact (probe distance 0), which is where the histograms
+    /// count it.
+    fn flat_edges(&self, live_edges: u64) -> u64 {
+        live_edges - self.classes.iter().map(|c| c.arena.total_live()).sum::<u64>()
+    }
+
+    /// Histogram of the store's `live_edges` by tree depth: `hist[d]` =
+    /// edges stored in blocks `d` generations below a top-parent.
+    pub fn depth_histogram(&self, live_edges: u64) -> Vec<u64> {
+        let mut hist: Vec<u64> = Vec::new();
+        let flat = self.flat_edges(live_edges);
+        if flat > 0 {
+            hist.push(flat);
+        }
+        self.each_block(|pages, b, depth| {
+            let depth = depth as usize;
+            if hist.len() <= depth {
+                hist.resize(depth + 1, 0);
+            }
+            hist[depth] += u64::from(pages.arena.live_count(b));
+        });
+        hist
+    }
+
+    /// Histogram of stored Robin Hood probe distances over the store's
+    /// `live_edges`.
+    pub fn probe_histogram(&self, live_edges: u64) -> Vec<u64> {
+        let mut hist = vec![0u64; self.classes[0].arena.subblock_len()];
+        hist[0] += self.flat_edges(live_edges);
+        self.each_block(|pages, b, _| {
+            for cell in pages.arena.block(b).iter().filter(|c| c.is_occupied()) {
+                hist[cell.probe as usize] += 1;
+            }
+        });
+        hist
+    }
+
+    /// Checks the Robin Hood invariants over every live cell (`Ok(())`
+    /// immediately in delete-and-compact mode, where RHH is disabled and
+    /// probe distances carry no meaning):
+    ///
+    /// 1. every occupied cell sits in the subblock its destination hashes to
+    ///    at that depth, and its stored probe equals the circular distance
+    ///    from its hash bucket;
+    /// 2. the probe-path predecessor of a probe-`d > 0` cell is never truly
+    ///    empty (delete-only mode leaves tombstones, so a hole before a
+    ///    displaced edge would break the FIND shortcut);
+    /// 3. while the structure has never deleted an edge (`never_deleted`),
+    ///    the full Robin Hood ordering holds: the predecessor's probe is at
+    ///    least `d - 1`. Once a delete has happened anywhere, a later
+    ///    insert may legally reuse a tombstone slot ahead of a displaced
+    ///    cell, so strict ordering is no longer implied — even in subblocks
+    ///    that are tombstone-free *now*.
+    pub fn validate_rhh(&self, never_deleted: bool) -> Result<(), String> {
+        if !self.classes[0].rhh_enabled() {
+            return Ok(());
+        }
+        self.try_each_block(|pages, b, depth| pages.validate_rhh_block(b, depth, never_deleted))
     }
 }
 
 impl TierOps for BlockTier {
     fn find(&self, dense: u32, dst: VertexId) -> Option<Weight> {
-        let walk = self.walk::<false>(
-            self.top(dense)?,
-            dst,
-            edge_hash(dst, 0),
-            &mut ProbeStats::default(),
-        );
-        walk.hit.map(|(b, off)| self.arena.cell(b, off).weight)
+        let (class, top) = self.top(dense)?;
+        let pages = &self.classes[class];
+        let walk = pages.walk::<false>(top, dst, edge_hash(dst, 0), &mut ProbeStats::default());
+        walk.hit.map(|(b, off)| pages.arena.cell(b, off).weight)
     }
 
-    /// The FIND and INSERT modes share one walk: while FIND scans the
-    /// subblock chain for the edge, it also scouts the first subblock with
-    /// a vacant cell, so a miss can anchor the new edge without
-    /// re-traversing the chain. RHH displacement still runs within the
-    /// target subblock.
+    /// [`Upsert::Full`] when the vertex's page is narrower than PAGEWIDTH
+    /// and the edge's subblock has no vacancy: nothing was written, the CAL
+    /// included, and the caller [`regrow`](BlockTier::regrow)s and retries.
+    /// A vertex with no subtree yet starts in the narrowest class.
     fn upsert(
         &mut self,
         dense: u32,
@@ -494,52 +669,8 @@ impl TierOps for BlockTier {
         stats: &mut ProbeStats,
         cal: &mut Option<CalArray>,
     ) -> Upsert {
-        let spb = self.arena.subblocks_per_block();
-        let sublen = self.arena.subblock_len();
-        let tag = tag_of_hash(h0);
-
-        // Existing-edge fast path: a repeat insertion of an un-displaced
-        // edge sits in its home bucket of the top block's depth-0 subblock.
-        // One probe settles it (weight update + CAL refresh) without the
-        // full FIND walk; any miss falls through to the general path.
-        if let Some(top) = self.top(dense) {
-            let (sub, bucket) = split_hash(h0, spb, sublen);
-            let cell = self.arena.subblock_cells(top, sub)[bucket];
-            if cell.is_occupied() && cell.dst == e.dst {
-                stats.subblocks_visited += 1;
-                stats.cells_inspected += 1;
-                stats.workblocks_fetched += 1;
-                self.arena.cell_mut(top, sub * sublen + bucket).weight = e.weight;
-                cal_update(cal, cell.cal_ptr, e.weight);
-                return Upsert::Updated;
-            }
-        }
-
-        // FIND mode + vacancy scout.
-        let top = self.ensure_top(dense);
-        let walk = self.walk::<true>(top, e.dst, h0, stats);
-        if let Some((block, offset)) = walk.hit {
-            let cell = self.arena.cell_mut(block, offset);
-            cell.weight = e.weight;
-            cal_update(cal, cell.cal_ptr, e.weight);
-            return Upsert::Updated;
-        }
-        stats.max_depth = stats.max_depth.max(walk.depth);
-
-        // INSERT mode: append the CAL copy (O(1)), then anchor the main
-        // copy — in the scouted subblock, or in a fresh branch when every
-        // subblock on the path is full (Tree-Based Hashing).
-        let floating =
-            Floating { dst: e.dst, weight: e.weight, cal_ptr: cal_append(cal, dense, e) };
-        let (block, sub, bucket) = walk.vacancy.unwrap_or_else(|| {
-            let child = self.branch_out(walk.tail.0, walk.tail.1, walk.depth + 1, stats);
-            let (sub, bucket) = subblock_and_bucket(e.dst, walk.depth + 1, spb, sublen);
-            (child, sub, bucket)
-        });
-        let touched = self.place(block, sub, bucket, floating, tag);
-        stats.cells_inspected += touched;
-        stats.workblocks_fetched += self.workblocks_for(touched);
-        Upsert::Inserted
+        let (class, top) = self.top(dense).unwrap_or_else(|| (0, self.install_top(dense, 0)));
+        self.classes[class].upsert(top, dense, e, h0, stats, cal)
     }
 
     fn remove(
@@ -549,31 +680,15 @@ impl TierOps for BlockTier {
         h0: u64,
         stats: &mut ProbeStats,
     ) -> Option<u32> {
-        let walk = self.walk::<false>(self.top(dense)?, dst, h0, stats);
-        stats.max_depth = stats.max_depth.max(walk.depth);
-        let (block, offset) = walk.hit?;
-
-        let tombstone = self.mode == DeleteMode::DeleteOnly;
-        let cell = self.arena.cell_mut(block, offset);
-        let cal_ptr = cell.cal_ptr;
-        *cell = if tombstone {
-            EdgeCell { state: CellState::Tombstone, ..EdgeCell::EMPTY }
-        } else {
-            EdgeCell::EMPTY
-        };
-        self.arena.set_tag(block, offset, vacant_tag(tombstone));
-        self.arena.add_live(block, -1);
-        if !tombstone {
-            self.backfill(block, offset / self.arena.subblock_len(), offset);
-            self.free_upward(block);
-        }
-        Some(cal_ptr)
+        let (class, top) = self.top(dense)?;
+        self.classes[class].remove(top, dst, h0, stats)
     }
 
     fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight, u32)) {
-        let Some(top) = self.top(dense) else { return };
-        self.arena.for_each_block(top, |b, _| {
-            for cell in self.arena.block(b).iter().filter(|c| c.is_occupied()) {
+        let Some((class, top)) = self.top(dense) else { return };
+        let arena = &self.classes[class].arena;
+        arena.for_each_block(top, |b, _| {
+            for cell in arena.block(b).iter().filter(|c| c.is_occupied()) {
                 f(cell.dst, cell.weight, cell.cal_ptr);
             }
         });
@@ -581,8 +696,9 @@ impl TierOps for BlockTier {
 
     fn len(&self, dense: u32) -> usize {
         let mut live = 0;
-        if let Some(top) = self.top(dense) {
-            self.arena.for_each_block(top, |b, _| live += self.arena.live_count(b) as usize);
+        if let Some((class, top)) = self.top(dense) {
+            let arena = &self.classes[class].arena;
+            arena.for_each_block(top, |b, _| live += arena.live_count(b) as usize);
         }
         live
     }
@@ -592,28 +708,30 @@ impl TierOps for BlockTier {
     }
 
     fn drain(&mut self, dense: u32) -> Vec<TierEdge> {
-        let Some(top) = self.top(dense) else { return Vec::new() };
-        let edges = self.arena.collect_subtree(top);
-        let freed = self.arena.free_subtree(top);
+        let Some((class, top)) = self.top(dense) else { return Vec::new() };
+        let arena = &mut self.classes[class].arena;
+        let edges = arena.collect_subtree(top);
+        let freed = arena.free_subtree(top);
         crate::metrics::global().tinker_blocks_freed.add(freed as u64);
-        self.top_blocks[dense as usize] = NIL_U32;
-        self.main_blocks -= 1;
+        self.tops[dense as usize] = NIL_U32;
         edges
     }
 
+    /// Picks the narrowest class that holds `edges` at ¾ load or less; a
+    /// later move out and back in re-picks it, so a class only ever grows
+    /// while the vertex stays in the tier.
     fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, stats: &mut ProbeStats) {
-        for (dst, weight, cal_ptr) in edges {
-            self.anchor(dense, Floating { dst, weight, cal_ptr }, stats);
-        }
+        self.adopt_from(dense, &edges, 0, stats);
     }
 
     fn remap_cal_ptrs(&mut self, dense: u32, mut f: impl FnMut(VertexId, Weight) -> u32) {
-        let Some(top) = self.top(dense) else { return };
+        let Some((class, top)) = self.top(dense) else { return };
+        let arena = &mut self.classes[class].arena;
         let mut blocks = Vec::new();
-        self.arena.for_each_block(top, |b, _| blocks.push(b));
+        arena.for_each_block(top, |b, _| blocks.push(b));
         for b in blocks {
-            for off in 0..self.arena.pagewidth() {
-                let cell = self.arena.cell_mut(b, off);
+            for off in 0..arena.pagewidth() {
+                let cell = arena.cell_mut(b, off);
                 if cell.is_occupied() {
                     cell.cal_ptr = f(cell.dst, cell.weight);
                 }
@@ -623,24 +741,19 @@ impl TierOps for BlockTier {
 
     #[inline]
     fn warm(&self, dense: u32) -> u32 {
-        self.top_blocks.get(dense as usize).copied().unwrap_or(NIL_U32)
+        self.tops.get(dense as usize).copied().unwrap_or(NIL_U32)
     }
 
-    /// The arena plus the main region's index.
+    /// The arenas plus the main region's index.
     fn memory_bytes(&self) -> usize {
-        self.arena.memory_bytes() + self.top_blocks.capacity() * 4
+        self.arena_bytes() + self.tops.capacity() * 4
     }
 
     /// Every cell's tag byte matches its state — the destination
     /// fingerprint when occupied, [`TAG_EMPTY`] when empty,
     /// [`TAG_TOMBSTONE`] when tombstoned — every block's live counter
-    /// equals its occupied cells, and the main region counts its tops.
+    /// equals its occupied cells, and only full-width pages have children.
     fn validate(&self) -> Result<(), String> {
-        self.try_each_block(|b, _| self.validate_block(b))?;
-        let tops = self.tops().count();
-        if tops != self.main_blocks {
-            return Err(format!("{tops} top blocks but main region counts {}", self.main_blocks));
-        }
-        Ok(())
+        self.try_each_block(|pages, b, _| pages.validate_block(b))
     }
 }

@@ -29,14 +29,6 @@ impl HubTier {
         HubTier::default()
     }
 
-    /// Grows the slot table to cover `n` sources.
-    #[inline]
-    pub fn cover(&mut self, n: usize) {
-        if self.hub_of.len() < n {
-            self.hub_of.resize(n, NIL_U32);
-        }
-    }
-
     /// Lazily deleted slots awaiting a merge pass, over all segments.
     #[inline]
     pub fn dead_slots(&self) -> usize {
@@ -56,7 +48,9 @@ impl HubTier {
 
     /// Installs `seg` as the segment of `dense`, in a recycled slot if any.
     fn install(&mut self, dense: u32, seg: HubSegment) -> usize {
-        self.cover(dense as usize + 1);
+        if self.hub_of.len() <= dense as usize {
+            self.hub_of.resize(dense as usize + 1, NIL_U32);
+        }
         debug_assert_eq!(self.hub_of[dense as usize], NIL_U32, "vertex is already a hub");
         let h = match self.free_hubs.pop() {
             Some(h) => {

@@ -6,13 +6,17 @@ use gtinker_types::{Edge, VertexId, Weight, INLINE_CAP_MAX, NIL_U32, NIL_VERTEX}
 
 use super::{TierEdge, TierOps, Upsert};
 use crate::cal::{cal_append, cal_update, CalArray};
+use crate::segvec::SegVec;
 use crate::stats::ProbeStats;
 use crate::vertex::InlineAdj;
+
+/// Entries per segment of the entry table (52 KiB of 52-byte entries).
+const SEGMENT_ENTRIES: usize = 1024;
 
 /// Inline adjacency entries, indexed by dense source id.
 #[derive(Debug, Clone)]
 pub struct InlineTier {
-    entries: Vec<InlineAdj>,
+    entries: SegVec<InlineAdj>,
     /// Edges an entry may hold (`TinkerConfig::inline_cap`, at most
     /// [`INLINE_CAP_MAX`]).
     cap: usize,
@@ -22,20 +26,16 @@ impl InlineTier {
     /// An empty tier whose entries hold up to `cap` edges.
     pub fn new(cap: usize) -> Self {
         assert!(cap <= INLINE_CAP_MAX, "inline entries hold at most {INLINE_CAP_MAX} edges");
-        InlineTier { entries: Vec::new(), cap }
+        InlineTier { entries: SegVec::new(SEGMENT_ENTRIES), cap }
     }
 
-    /// Grows the entry table to cover `n` sources.
-    #[inline]
-    pub fn cover(&mut self, n: usize) {
-        if self.entries.len() < n {
-            self.entries.resize(n, InlineAdj::EMPTY);
-        }
-    }
-
+    /// The entry of `dense`, growing the table to reach it.
     #[inline]
     fn entry_mut(&mut self, dense: u32) -> &mut InlineAdj {
-        self.cover(dense as usize + 1);
+        let n = dense as usize + 1;
+        if self.entries.len() < n {
+            self.entries.extend_with(n - self.entries.len(), InlineAdj::EMPTY);
+        }
         &mut self.entries[dense as usize]
     }
 
@@ -141,7 +141,7 @@ impl TierOps for InlineTier {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<InlineAdj>()
+        self.entries.allocated_bytes()
     }
 
     /// Every entry is a duplicate-free prefix of at most `cap` slots, and

@@ -40,7 +40,9 @@ pub enum Upsert {
     /// The edge was present: weight overwritten in both copies.
     Updated,
     /// The edge is new and the tier has no room for it; nothing was
-    /// written. Only the inline tier fills up.
+    /// written. An inline entry at its cap and an edgeblock page narrower
+    /// than PAGEWIDTH whose subblock is congested report it; the store
+    /// moves the vertex up and retries.
     Full,
 }
 

@@ -273,22 +273,14 @@ impl GraphTinker {
 
     /// Tier of `dense` for an insert, giving a source its slot on first
     /// sight: it starts inline when the layout has an inline tier, in the
-    /// edgeblocks (the paper's layout) when it has none. Every tier the
-    /// thresholds can reach grows its table in step with the tier map, so
-    /// all of them stay one slot per source.
+    /// edgeblocks (the paper's layout) when it has none. A tier's own table
+    /// grows when a source first enters it.
     #[inline]
     fn admit(&mut self, dense: u32) -> Tier {
         let n = dense as usize + 1;
         if self.tiers.len() < n {
-            let inline = self.config.inline_cap > 0;
-            self.tiers.resize(n, if inline { Tier::Inline } else { Tier::Blocks });
-            if inline {
-                self.inline.cover(n);
-            }
-            self.blocks.cover(n);
-            if self.config.hub_promote > 0 {
-                self.hub.cover(n);
-            }
+            let first = if self.config.inline_cap > 0 { Tier::Inline } else { Tier::Blocks };
+            self.tiers.resize(n, first);
         }
         self.tiers[dense as usize]
     }
@@ -349,15 +341,20 @@ impl GraphTinker {
             (None, None) => e.src,
         };
         let mut tier = self.admit(dense);
-        let mut outcome =
-            on_tier!(self, tier, upsert(dense, e, r.h0, &mut self.stats, &mut self.cal));
-        if outcome == Upsert::Full {
-            // Only the inline tier fills up: the vertex moves to the
-            // edgeblocks and the insert retries there.
-            tier = Tier::Blocks;
-            self.migrate(dense, tier);
-            outcome = self.blocks.upsert(dense, e, r.h0, &mut self.stats, &mut self.cal);
-        }
+        // A tier with no room for the edge has written nothing: the vertex
+        // moves up — inline entry to edgeblocks, narrow page to the next
+        // class — and the insert retries, at most once per inline tier and
+        // page class.
+        let outcome = loop {
+            match on_tier!(self, tier, upsert(dense, e, r.h0, &mut self.stats, &mut self.cal)) {
+                Upsert::Full if tier == Tier::Inline => {
+                    tier = Tier::Blocks;
+                    self.migrate(dense, tier);
+                }
+                Upsert::Full => self.blocks.regrow(dense, &mut self.stats),
+                settled => break settled,
+            }
+        };
         if outcome == Upsert::Updated {
             self.stats.updates += 1;
             return false;
@@ -458,7 +455,7 @@ impl GraphTinker {
         let Some(cal_ptr) = on_tier!(self, tier, remove(dense, dst, r.h0, &mut self.stats)) else {
             return false;
         };
-        cal_invalidate(&mut self.cal, cal_ptr);
+        cal_invalidate(&mut self.cal, dense, cal_ptr);
         let p = self.props.get_mut(dense).expect("source with an edge has properties");
         p.out_degree -= 1;
         let deg = p.out_degree;

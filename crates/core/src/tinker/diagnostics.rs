@@ -11,14 +11,17 @@ use crate::vertex::Tier;
 impl GraphTinker {
     /// Point-in-time structure statistics.
     pub fn structure_stats(&self) -> StructureStats {
-        let (main_blocks, overflow_blocks, free_blocks) = self.blocks.block_counts();
-        let allocated_cells = (main_blocks + overflow_blocks) * self.config.pagewidth;
+        let block_classes = self.blocks.class_counts();
+        let main_blocks = self.blocks.main_blocks();
+        let in_use: usize = block_classes.iter().map(|c| c.blocks).sum();
+        let allocated_cells: usize = block_classes.iter().map(|c| c.blocks * c.width).sum();
         StructureStats {
             live_edges: self.live_edges,
             num_sources: self.num_sources(),
             main_blocks,
-            overflow_blocks,
-            free_blocks,
+            overflow_blocks: in_use - main_blocks,
+            free_blocks: block_classes.iter().map(|c| c.free).sum(),
+            block_classes,
             tombstones: self.blocks.count_tombstones(),
             hub_dead_slots: self.hub.dead_slots(),
             cal_blocks: self.cal.as_ref().map_or(0, |c| c.num_blocks()),

@@ -113,6 +113,31 @@ done
 PAPER_EDGES=$(sed -n 's/.*"live_edges": \([0-9][0-9]*\).*/\1/p' "$SMOKE/stats_paper.json" | head -1)
 test "$DEFAULT_EDGES" = "$PAPER_EDGES"
 
+echo "==> layout bytes gate (default layout: bytes/edge <= 0.45 x --paper-layout's and <= an absolute bound)"
+# Counts, not timings: memory_bytes is the store's allocated bytes and the
+# RMAT generator is seeded, so both figures repeat exactly on any box.
+# At the commit that set the bounds (PR 22: page-width classes, segmented
+# tables, CAL slot reuse) the default layout holds this graph in 61.3
+# B/edge and the paper layout in 160.9 (ratio 0.38); the commit before it
+# measured 111.0 and 170.0 (0.65).
+MAX_DEFAULT_BYTES_PER_EDGE=64
+"$GT" generate --rmat-scale 17 --edges 500000 --seed 3 --out "$SMOKE/big.txt"
+"$GT" stats "$SMOKE/big.txt" --format json > "$SMOKE/stats_rmat_default.json"
+"$GT" stats "$SMOKE/big.txt" --paper-layout --format json > "$SMOKE/stats_rmat_paper.json"
+python3 - "$SMOKE/stats_rmat_default.json" "$SMOKE/stats_rmat_paper.json" "$MAX_DEFAULT_BYTES_PER_EDGE" <<'PYEOF'
+import json, sys
+default, paper = (json.load(open(p)) for p in sys.argv[1:3])
+assert default["live_edges"] == paper["live_edges"] > 0
+per_edge = lambda st: st["memory_bytes"] / st["live_edges"]
+widths = [c[0] for c in default["block_classes"]]
+assert widths == [16, 32, 64] and [c[0] for c in paper["block_classes"]] == [64], widths
+assert per_edge(default) <= 0.45 * per_edge(paper), \
+    f"default {per_edge(default):.1f} B/edge > 0.45 x paper {per_edge(paper):.1f}"
+assert per_edge(default) <= float(sys.argv[3]), \
+    f"default layout {per_edge(default):.1f} B/edge over the bound {sys.argv[3]}"
+print(f"layout bytes ok: default {per_edge(default):.1f} B/edge, paper {per_edge(paper):.1f}")
+PYEOF
+
 echo "==> incremental smoke test (churned incremental CC == cold fixpoint; recover parity)"
 "$GT" cc "$SMOKE/g.txt" --restart incremental --churn-every 5 --batch 512 --verify | tee "$SMOKE/cc_churn.out"
 grep -q "verify: PASS" "$SMOKE/cc_churn.out"
@@ -314,11 +339,10 @@ trap 'rm -rf "$SMOKE"' EXIT
 
 echo "==> serve-first smoke test (ingest --serve answers /healthz before the ingest is done)"
 # The listener is bound before the first byte is parsed: on a 500k-edge
-# file the first /healthz answer must arrive while batches are still
-# outstanding (its acked_batches below the 50 the file holds) and before
-# the 'ingested' line. The probe starts the child itself so that its own
+# file (the layout bytes gate's RMAT-17) the first /healthz answer must
+# arrive while batches are still outstanding (its acked_batches below the
+# 50 the file holds) and before the 'ingested' line. The probe starts the child itself so that its own
 # start-up cannot lose the race.
-"$GT" generate --rmat-scale 17 --edges 500000 --seed 3 --out "$SMOKE/big.txt"
 python3 - "$GT" "$SMOKE/big.txt" "$SMOKE/db_first" <<'PYEOF'
 import json, re, subprocess, sys, time, urllib.request
 gt, file, db = sys.argv[1:4]

@@ -8,7 +8,10 @@
 //! thresholds repeatedly, on the sequential and pooled paths, in both
 //! delete modes, and through a snapshot/recover round-trip with all three
 //! tiers live. Each suite runs at the shipped 4 / 128 / 64 thresholds and
-//! on a tiny geometry whose 2 / 12 / 6 thresholds flap far more often.
+//! on a tiny geometry whose 2 / 12 / 6 thresholds flap far more often. A
+//! degree sweep walks a few vertices up through every page-width class of
+//! the edgeblock tier into the hub tier and back down through both
+//! demotions, against the same oracle.
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_datasets::{churn_batches, SourceSkewConfig};
@@ -123,6 +126,53 @@ fn default_matches_paper_under_churn_both_delete_modes() {
             let stp = paper.structure_stats();
             assert_eq!(stp.tier_promotions, 0, "paper layout must not tier");
             assert_eq!(stp.tier_inline_vertices + stp.tier_hub_vertices + stp.hub_dead_slots, 0);
+        }
+    }
+}
+
+/// A handful of vertices climb in lock step from degree 0 past the hub
+/// threshold and back to 0: on the way up each crosses inline → blocks,
+/// every page-width class boundary and blocks → hub, on the way down
+/// hub → blocks and blocks → inline. After every step the tiered store
+/// equals the fixed-geometry oracle, and every class held blocks at some
+/// point.
+#[test]
+fn degree_sweep_crosses_every_class_boundary_and_both_demotions() {
+    for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
+        for (tiered_cfg, paper_cfg) in layouts(mode) {
+            let what = format!("{mode:?}, pagewidth {}", tiered_cfg.pagewidth);
+            let mut paper = GraphTinker::new(paper_cfg).unwrap();
+            let mut tiered = GraphTinker::new(tiered_cfg).unwrap();
+            let peak = tiered_cfg.hub_promote * 3 / 2;
+            let mut classes_seen = [false; 3];
+            let mut step = |b: EdgeBatch, paper: &mut GraphTinker, tiered: &mut GraphTinker| {
+                assert_eq!(paper.apply_batch(&b), tiered.apply_batch(&b), "{what}");
+                assert_invariants(tiered, &what);
+                assert_eq!(tinker_edges(paper), tinker_edges(tiered), "{what}");
+                for (seen, class) in
+                    classes_seen.iter_mut().zip(tiered.structure_stats().block_classes)
+                {
+                    *seen |= class.blocks > 0;
+                }
+            };
+            for d in 0..peak {
+                let edges: Vec<Edge> =
+                    (0..5).map(|s| Edge::new(s, 1_000 + d * 7 + s, d + 1)).collect();
+                step(EdgeBatch::inserts(&edges), &mut paper, &mut tiered);
+            }
+            let st = tiered.structure_stats();
+            assert_eq!(st.tier_hub_vertices, 5, "{what}: {st:?}");
+            for d in 0..peak {
+                let mut b = EdgeBatch::new();
+                (0..5).for_each(|s| b.push_delete(s, 1_000 + d * 7 + s));
+                step(b, &mut paper, &mut tiered);
+            }
+            let st = tiered.structure_stats();
+            assert_eq!(tiered.num_edges(), 0, "{what}");
+            assert!(st.tier_demotions >= 10, "both demotions per vertex ({what}): {st:?}");
+            let classes = st.block_classes.iter().filter(|c| c.width > 0).count();
+            assert!(classes >= 2, "{what}: {st:?}");
+            assert!(classes_seen[..classes].iter().all(|&s| s), "{what}: {classes_seen:?}");
         }
     }
 }

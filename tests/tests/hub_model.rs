@@ -6,7 +6,10 @@
 //! * the inline tier at caps 1, 2 and 4 (a full entry must refuse, not
 //!   drop, the edge);
 //! * the edgeblock tier in both delete modes at a tiny geometry, deep
-//!   enough that branch-out, backfill and block recycling all run;
+//!   enough that branch-out, backfill and block recycling all run, and at
+//!   a tiny geometry with three page-width classes, started in each class
+//!   and driven across regrows (a narrow page refuses an edge whose
+//!   subblock is congested; the driver regrows it, as the store does);
 //! * the hub tier, on streams long enough to cross several tail merges and
 //!   forced compactions (dead slots within the compaction bound, fences,
 //!   tail tag lane — [`HubTier`]'s own `validate`).
@@ -15,9 +18,11 @@
 //! with the model and every stored CAL pointer resolves to its edge; at the
 //! end `drain` followed by `adopt` into each other tier preserves the edge
 //! set and every CAL pointer. The same streams then run through a
-//! [`GraphTinker`] whose one vertex is forced into the hub tier, and the
+//! [`GraphTinker`] whose one vertex is forced into the hub tier, the
 //! hub-flapping stream holds the 128 / 64 hysteresis band to one tier
-//! change per 64 ops. (The file keeps the name of its oldest cases.)
+//! change per 64 ops, and a degree sweep holds a vertex to one regrow per
+//! page class between two tier moves. (The file keeps the name of its
+//! oldest cases.)
 
 use std::collections::BTreeMap;
 
@@ -25,7 +30,7 @@ use gtinker_core::cal::{cal_invalidate, CalArray, CalRecord};
 use gtinker_core::hash::edge_hash;
 use gtinker_core::hubseg::TAIL_CAP;
 use gtinker_core::{
-    BlockTier, GraphTinker, HubTier, InlineTier, ProbeStats, TierEdge, TierOps, Upsert,
+    BlockTier, ClassBlocks, GraphTinker, HubTier, InlineTier, ProbeStats, TierEdge, TierOps, Upsert,
 };
 use gtinker_types::{DeleteMode, Edge, TinkerConfig};
 use proptest::prelude::*;
@@ -87,6 +92,24 @@ struct Passes {
     peak_dead: usize,
     /// Deepest edgeblock level the stream reached.
     max_depth: u32,
+    /// Times a narrow edgeblock page refused an edge and was regrown.
+    regrows: usize,
+}
+
+/// What the store does for a tier that reports `Full` with room to spare:
+/// only a narrow edgeblock page does, and the store regrows it.
+trait Regrow: TierOps {
+    fn regrow(&mut self, _stats: &mut ProbeStats) {
+        panic!("only an edgeblock page may refuse an edge below its room");
+    }
+}
+
+impl Regrow for InlineTier {}
+impl Regrow for HubTier {}
+impl Regrow for BlockTier {
+    fn regrow(&mut self, stats: &mut ProbeStats) {
+        BlockTier::regrow(self, DENSE, stats);
+    }
 }
 
 /// A tier under test with the state the store would hold around it.
@@ -99,7 +122,7 @@ struct Driven<T> {
     room: usize,
 }
 
-impl<T: TierOps> Driven<T> {
+impl<T: Regrow> Driven<T> {
     fn new(tier: T, room: usize) -> Self {
         let cal = Some(CalArray::new(4, 8));
         Driven { tier, cal, stats: ProbeStats::default(), model: BTreeMap::new(), room }
@@ -147,7 +170,16 @@ impl<T: TierOps> Driven<T> {
             match weight {
                 Some(w) => {
                     let e = Edge::new(SRC, dst, w);
-                    let got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                    let mut got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                    while got == Upsert::Full && self.model.len() < self.room {
+                        // The refusal wrote nothing and the regrow keeps
+                        // the edge set and every CAL pointer.
+                        self.check(keys);
+                        self.tier.regrow(&mut self.stats);
+                        passes.regrows += 1;
+                        self.check(keys);
+                        got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                    }
                     let want = match self.model.contains_key(&dst) {
                         true => Upsert::Updated,
                         false if self.model.len() >= self.room => Upsert::Full,
@@ -165,7 +197,7 @@ impl<T: TierOps> Driven<T> {
                     if let Some(ptr) = ptr {
                         let rec = self.cal.as_ref().unwrap().get(ptr).unwrap();
                         assert_eq!((rec.src, rec.dst, rec.valid), (SRC, dst, true));
-                        cal_invalidate(&mut self.cal, ptr);
+                        cal_invalidate(&mut self.cal, DENSE, ptr);
                         last_deleted = Some(dst);
                         passes.forced += (dead(&self.tier) < dead0) as usize;
                     }
@@ -190,7 +222,7 @@ impl<T: TierOps> Driven<T> {
         assert_eq!(drained.len(), self.model.len());
         let Driven { cal, model, .. } = self;
         let tiny = tiny_blocks(DeleteMode::DeleteOnly);
-        fn adopt_into<T: TierOps>(
+        fn adopt_into<T: Regrow>(
             tier: T,
             room: usize,
             edges: &[TierEdge],
@@ -214,6 +246,8 @@ impl<T: TierOps> Driven<T> {
         }
         adopt_into(InlineTier::new(4), 4, &drained, &cal, &model, keys);
         adopt_into(BlockTier::new(&tiny), usize::MAX, &drained, &cal, &model, keys);
+        let classes = tiny_classes(DeleteMode::DeleteOnly);
+        adopt_into(BlockTier::new(&classes), usize::MAX, &drained, &cal, &model, keys);
         adopt_into(HubTier::new(), usize::MAX, &drained, &cal, &model, keys);
     }
 }
@@ -222,6 +256,23 @@ impl<T: TierOps> Driven<T> {
 fn tiny_blocks(mode: DeleteMode) -> TinkerConfig {
     TinkerConfig { pagewidth: 16, subblock: 4, workblock: 2, ..TinkerConfig::paper() }
         .delete_mode(mode)
+}
+
+/// A tiny geometry with three page-width classes — 8, 16 and 32 cells in
+/// subblocks of 4 — which any tier threshold switches on.
+fn tiny_classes(mode: DeleteMode) -> TinkerConfig {
+    TinkerConfig { pagewidth: 32, subblock: 4, workblock: 2, ..TinkerConfig::paper() }
+        .tiers(2, 48, 24)
+        .delete_mode(mode)
+}
+
+/// Index of the one page-width class holding blocks (a tier driven for a
+/// single source keeps its whole subtree in one class).
+fn class_in_use(classes: &[ClassBlocks]) -> Option<usize> {
+    let mut held = classes.iter().enumerate().filter(|(_, c)| c.blocks > 0).map(|(i, _)| i);
+    let class = held.next();
+    assert_eq!(held.next(), None, "one vertex spans two classes: {classes:?}");
+    class
 }
 
 /// Drives `ops` straight into a hub tier seeded with `seed` edges.
@@ -332,6 +383,43 @@ proptest! {
         blocks.migrate_everywhere(300);
     }
 
+    /// The edgeblock tier with three page-width classes, started in each
+    /// class (the last one branches out) over a key space that keeps the
+    /// vertex near the class's capacity: a page that refuses an edge is
+    /// regrown, classes move up one regrow at a time and never down.
+    #[test]
+    fn edgeblock_classes_match_model_across_regrows(
+        ops in prop::collection::vec(op_strategy(120), 300..500),
+        compact in any::<bool>(),
+        start in 0..4usize,
+    ) {
+        let mode = if compact { DeleteMode::DeleteAndCompact } else { DeleteMode::DeleteOnly };
+        // (edges adopted, key space): ≤ ¾ of 8, of 16, of 32, and a subtree.
+        let (seed, keys) = [(2, 8), (9, 14), (20, 28), (60, 120)][start];
+        let mut blocks = Driven::new(BlockTier::new(&tiny_classes(mode)), usize::MAX);
+        blocks.seed((0..seed).map(|d| (d, d + 1)));
+        let before = class_in_use(&blocks.tier.class_counts()).unwrap();
+        prop_assert!(before >= start.min(2), "adopt picked class {before} for {seed} edges");
+        let ops: Vec<Op> = ops.into_iter().map(|op| match op {
+            Op::Upsert(d, w) => Op::Upsert(d % keys, w),
+            Op::Delete(d) => Op::Delete(d % keys),
+            other => other,
+        }).collect();
+        let passes = blocks.run(keys, &ops, true, |_| 0);
+        let after = class_in_use(&blocks.tier.class_counts()).unwrap();
+        prop_assert!(after >= before + passes.regrows, "{before} -> {after}: {passes:?}");
+        prop_assert!(after < 3 && (passes.regrows > 0 || after == before), "{passes:?}");
+        if start == 3 {
+            prop_assert!(passes.max_depth >= 1, "the full-width class must branch: {passes:?}");
+        } else {
+            prop_assert!(after == 2 || passes.max_depth == 0, "a narrow page branched");
+        }
+        if !compact {
+            blocks.tier.validate_rhh(false).unwrap();
+        }
+        blocks.migrate_everywhere(keys);
+    }
+
     /// The same streams through the store, in both delete modes.
     #[test]
     fn forced_hub_vertex_matches_model(
@@ -436,5 +524,58 @@ fn hub_flapping_is_bounded_by_the_hysteresis_band() {
         let changes = changes(&g);
         assert!(changes >= 48, "the stream must actually cross the band ({mode:?})");
         assert!(changes <= ops / 64, "{changes} tier changes in {ops} ops ({mode:?})");
+    }
+}
+
+/// One vertex swept up and down through every page-width class and both
+/// tier boundaries of the default layout (16 / 32 / 64-cell pages between
+/// an inline entry of 4 and a hub at 128), with deletes mixed into every
+/// climb: between two tier moves its class never shrinks and it regrows at
+/// most once per class boundary; every move keeps the model.
+#[test]
+fn page_classes_only_grow_between_tier_moves() {
+    for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
+        let mut g = GraphTinker::new(TinkerConfig::default().delete_mode(mode)).unwrap();
+        let mut model = BTreeMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next_dst = 0u32;
+        // (class, tier moves) after the previous op, and regrows since the
+        // last tier move.
+        let (mut last, mut regrows, mut seen) = ((None, 0), 0, [false; 3]);
+        for &target in &[127usize, 0, 200, 50, 110, 0, 30, 3, 90] {
+            while model.len() != target {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Climb with one delete in four, descend with one insert in four.
+                let insert = (model.len() < target) != x.is_multiple_of(4) || model.is_empty();
+                if insert {
+                    next_dst += 1;
+                    assert!(g.insert_edge(Edge::new(0, next_dst, next_dst)));
+                    model.insert(next_dst, next_dst);
+                } else {
+                    let dst = *model.keys().nth(x as usize % model.len()).unwrap();
+                    assert!(g.delete_edge(0, dst));
+                    model.remove(&dst);
+                }
+                let st = g.structure_stats();
+                let now = (class_in_use(&st.block_classes), st.tier_promotions + st.tier_demotions);
+                if now.1 != last.1 {
+                    regrows = 0;
+                } else if let (Some(was), Some(is)) = (last.0, now.0) {
+                    assert!(is >= was, "class shrank {was} -> {is} with no tier move ({mode:?})");
+                    regrows += usize::from(is > was);
+                    assert!(regrows <= 2, "{regrows} regrows between two tier moves ({mode:?})");
+                }
+                if let Some(class) = now.0 {
+                    seen[class] = true;
+                }
+                last = now;
+                check_store(&g, &model, 0);
+            }
+        }
+        assert_eq!(seen, [true; 3], "the sweep must visit every class ({mode:?})");
+        let st = g.structure_stats();
+        assert!(st.tier_promotions >= 4 && st.tier_demotions >= 4, "{st:?}");
     }
 }

@@ -99,7 +99,8 @@ fn three_structures_stay_in_lockstep_under_churn() {
 
 /// Alternating full-load / full-drain cycles with analytics in between:
 /// the delete-and-compact structure must return to a small footprint every
-/// cycle instead of ratcheting up.
+/// cycle instead of ratcheting up — in every page-width class on its own,
+/// since a vertex climbing through the classes frees a page in each.
 #[test]
 fn repeated_drain_cycles_do_not_leak_blocks() {
     let cfg = TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact);
@@ -111,11 +112,14 @@ fn repeated_drain_cycles_do_not_leak_blocks() {
         p.dedup();
         p
     };
-    let mut peak_blocks = 0usize;
+    // Blocks a class has ever allocated: in use plus on its free list.
+    let allocated = |g: &GraphTinker| g.structure_stats().block_classes.map(|c| c.blocks + c.free);
+    let mut first_cycle = [0usize; 3];
     for cycle in 0..5 {
         g.apply_batch(&EdgeBatch::inserts(&edges));
-        let loaded = g.structure_stats();
-        peak_blocks = peak_blocks.max(loaded.main_blocks + loaded.overflow_blocks);
+        if cycle == 0 {
+            first_cycle = allocated(&g);
+        }
 
         let mut e = Engine::new(Bfs::new(0), ModePolicy::hybrid());
         e.run_from_roots(&g);
@@ -125,14 +129,65 @@ fn repeated_drain_cycles_do_not_leak_blocks() {
         let drained = g.structure_stats();
         assert_eq!(drained.overflow_blocks, 0, "cycle {cycle}: {drained:?}");
     }
-    // The arena never grows beyond the single-cycle peak (free list reuse).
-    let final_total = g.structure_stats().main_blocks
-        + g.structure_stats().overflow_blocks
-        + g.structure_stats().free_blocks;
-    assert!(
-        final_total <= peak_blocks + 8,
-        "arena ratcheted: {final_total} blocks vs peak {peak_blocks}"
-    );
+    // No class's arena grows beyond its single-cycle peak (free list reuse).
+    assert!(first_cycle.iter().sum::<usize>() > 0);
+    for (class, (now, peak)) in allocated(&g).into_iter().zip(first_cycle).enumerate() {
+        assert!(now <= peak + 8, "class {class} ratcheted: {now} blocks vs peak {peak}");
+    }
+}
+
+/// The store's allocated bytes against the bytes its own counts say are in
+/// use. The arena lanes, the CAL records and the inline entries grow a
+/// segment at a time, so each may run at most one segment ahead; only the
+/// small per-source and per-block index lanes still double. Checked on a
+/// freshly loaded store and again after churn.
+#[test]
+fn memory_is_used_bytes_plus_at_most_one_segment_per_table() {
+    use gtinker_core::segvec::SEGMENT_LEN;
+    use gtinker_core::{cal::CalRecord, EdgeCell, InlineAdj};
+    use std::mem::size_of;
+
+    fn check(g: &GraphTinker, what: &str) {
+        let st = g.structure_stats();
+        let cfg = g.config();
+        let (mut arena, mut ahead) = (0, 0);
+        for c in st.block_classes.iter().filter(|c| c.blocks + c.free > 0) {
+            // Cells and tags per page, one child slot per subblock, and the
+            // live / parent / parent-subblock lanes per block.
+            let page = c.width * (size_of::<EdgeCell>() + 1) + c.width / cfg.subblock * 4 + 9;
+            arena += (c.blocks + c.free) * page;
+            ahead += SEGMENT_LEN * (size_of::<EdgeCell>() + 1 + 4 + 9);
+        }
+        let cal = st.cal_blocks * cfg.cal_block_size * size_of::<CalRecord>();
+        let inline = st.num_sources * size_of::<InlineAdj>();
+        ahead += SEGMENT_LEN * size_of::<CalRecord>() + 1024 * size_of::<InlineAdj>();
+        let used = arena + cal + inline + st.hub_bytes;
+        // The lanes still on `Vec` (tier map, top-block index, CAL block and
+        // group lanes, free lists) at up to twice their length, and the
+        // segment directories (no segment is shorter than SEGMENT_LEN bytes;
+        // 20 tables may each have one partly filled).
+        let groups = st.num_sources.div_ceil(cfg.cal_group_size);
+        let doubling =
+            2 * (st.num_sources * 5 + st.cal_blocks * 8 + groups * 12 + st.free_blocks * 4);
+        let directories = 2 * (used / SEGMENT_LEN + 20) * size_of::<Vec<u8>>();
+        assert!(st.memory_bytes >= used, "{what}: {} allocated < {used} used", st.memory_bytes);
+        let over = st.memory_bytes - used;
+        assert!(
+            over <= ahead + doubling + directories,
+            "{what}: {over} B over use; segments {ahead}, index lanes {doubling}, \
+             directories {directories}: {st:?}"
+        );
+        assert!(over * 20 <= used, "{what}: {over} B over {used} B used is more than 5 %");
+    }
+
+    let edges = gtinker_datasets::RmatConfig::graph500(15, 300_000, 5).generate();
+    let mut g = GraphTinker::with_defaults();
+    g.apply_batch(&EdgeBatch::inserts(&edges));
+    check(&g, "loaded");
+    for batch in gtinker_datasets::churn_batches(&edges[..150_000], 5_000, 2, 9) {
+        g.apply_batch(&batch);
+    }
+    check(&g, "churned");
 }
 
 /// Vertex ids at the top of the supported range work (NIL sentinel is
