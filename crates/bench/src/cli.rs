@@ -1,4 +1,4 @@
-//! Minimal argument handling shared by all experiment binaries.
+//! Argument handling for the `gtinker-bench` binary.
 
 /// Common experiment parameters.
 #[derive(Debug, Clone)]
@@ -24,62 +24,76 @@ impl Default for Args {
     }
 }
 
+/// Each option's environment variable and command-line flag.
+const OPTIONS: [(&str, &str); 4] = [
+    ("GT_SCALE_FACTOR", "--scale-factor"),
+    ("GT_BATCHES", "--batches"),
+    ("GT_THREADS", "--threads"),
+    ("GT_OUT_DIR", "--out-dir"),
+];
+
 impl Args {
     /// Builds arguments from the environment (`GT_SCALE_FACTOR`,
-    /// `GT_BATCHES`, `GT_THREADS`, `GT_OUT_DIR`) and then the process
-    /// command line (`--scale-factor N`, `--batches N`, `--threads a,b,c`,
-    /// `--out-dir PATH`), with the command line winning.
-    pub fn parse() -> Self {
+    /// `GT_BATCHES`, `GT_THREADS`, `GT_OUT_DIR`) and then `argv`
+    /// (`--scale-factor N`, `--batches N`, `--threads a,b,c`,
+    /// `--out-dir PATH`), with the command line winning. Returns the
+    /// arguments and the words that are not options, in order; a malformed
+    /// value or an unknown flag is an error naming it.
+    pub fn parse(argv: &[String]) -> Result<(Args, Vec<String>), String> {
         let mut args = Args::default();
-        if let Ok(v) = std::env::var("GT_SCALE_FACTOR") {
-            if let Ok(n) = v.parse() {
-                args.scale_factor = n;
+        for (var, flag) in OPTIONS {
+            if let Ok(v) = std::env::var(var) {
+                args.set(flag, &v).map_err(|e| format!("{var}: {e}"))?;
             }
         }
-        if let Ok(v) = std::env::var("GT_BATCHES") {
-            if let Ok(n) = v.parse() {
-                args.batches = n;
+        let mut words = Vec::new();
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if a.starts_with("--") {
+                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                args.set(a, v)?;
+            } else {
+                words.push(a.clone());
             }
-        }
-        if let Ok(v) = std::env::var("GT_THREADS") {
-            args.threads = parse_list(&v);
-        }
-        if let Ok(v) = std::env::var("GT_OUT_DIR") {
-            args.out_dir = v;
-        }
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < argv.len() {
-            match argv[i].as_str() {
-                "--scale-factor" => {
-                    args.scale_factor = argv[i + 1].parse().unwrap_or(args.scale_factor)
-                }
-                "--batches" => args.batches = argv[i + 1].parse().unwrap_or(args.batches),
-                "--threads" => args.threads = parse_list(&argv[i + 1]),
-                "--out-dir" => args.out_dir = argv[i + 1].clone(),
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            }
-            i += 2;
         }
         args.scale_factor = args.scale_factor.max(1);
         args.batches = args.batches.max(1);
-        if args.threads.is_empty() {
-            args.threads = vec![1];
+        Ok((args, words))
+    }
+
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        match flag {
+            "--scale-factor" => self.scale_factor = number(flag, value)?,
+            "--batches" => self.batches = number(flag, value)?,
+            "--threads" => self.threads = parse_list(value)?,
+            "--out-dir" => self.out_dir = value.to_string(),
+            _ => return Err(format!("unknown flag {flag}")),
         }
-        args
+        Ok(())
     }
 }
 
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect()
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.trim().parse().map_err(|_| format!("{flag}: '{value}' is not a number"))
+}
+
+/// A comma-separated list of positive thread counts.
+fn parse_list(s: &str) -> Result<Vec<usize>, String> {
+    s.split(',')
+        .map(|t| match number("--threads", t)? {
+            0 => Err(format!("--threads: 0 in '{s}'")),
+            n => Ok(n),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(argv: &[&str]) -> Result<(Args, Vec<String>), String> {
+        Args::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
 
     #[test]
     fn defaults_are_sane() {
@@ -91,8 +105,31 @@ mod tests {
 
     #[test]
     fn list_parsing() {
-        assert_eq!(parse_list("1,2, 4"), vec![1, 2, 4]);
-        assert_eq!(parse_list("x,0,3"), vec![3]);
-        assert!(parse_list("").is_empty());
+        assert_eq!(parse_list("1,2, 4"), Ok(vec![1, 2, 4]));
+        assert!(parse_list("x,0,3").is_err());
+        assert!(parse_list("2,0").is_err());
+        assert!(parse_list("").is_err());
+    }
+
+    #[test]
+    fn flags_and_words_split_in_order() {
+        let (a, words) =
+            parse(&["fig11_bfs", "--scale-factor", "2048", "fig13_cc", "--threads", "1,2"])
+                .unwrap();
+        assert_eq!((a.scale_factor, a.threads), (2048, vec![1, 2]));
+        assert_eq!(words, ["fig11_bfs", "fig13_cc"]);
+    }
+
+    #[test]
+    fn malformed_number_is_an_error() {
+        let e = parse(&["all", "--scale-factor", "2o48"]).unwrap_err();
+        assert!(e.contains("--scale-factor") && e.contains("2o48"), "{e}");
+        assert!(parse(&["--batches", "-3"]).is_err());
+        assert!(parse(&["--batches"]).unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        assert_eq!(parse(&["all", "--scale", "64"]).unwrap_err(), "unknown flag --scale");
     }
 }

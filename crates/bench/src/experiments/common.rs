@@ -92,16 +92,6 @@ pub enum Series {
 }
 
 impl Series {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Series::Hybrid => "Hybrid",
-            Series::FullProcessing => "FP",
-            Series::Incremental => "IP",
-            Series::DegreeAware => "HybridDA",
-        }
-    }
-
     fn policies(&self) -> (ModePolicy, RestartPolicy) {
         match self {
             Series::Hybrid => (ModePolicy::hybrid(), RestartPolicy::Incremental),
@@ -121,10 +111,6 @@ pub struct AnalyticsOutcome {
     pub weighted_edges: u64,
     /// Total analytics wall time (updates excluded).
     pub analytics_time: Duration,
-    /// Iterations run in (full, incremental) mode.
-    pub mode_counts: (usize, usize),
-    /// Edges visited by processing phases.
-    pub edges_processed: u64,
 }
 
 impl AnalyticsOutcome {
@@ -144,26 +130,14 @@ fn drive<S: ApplyBatch + GraphStore + Sync, P: IncrementalState>(
     let mut runner = DynamicRunner::new(program, mode, restart);
     let mut weighted = 0u64;
     let mut time = Duration::ZERO;
-    let mut full = 0usize;
-    let mut inc = 0usize;
-    let mut processed = 0u64;
     for b in batches {
         store.apply(b);
         let t0 = Instant::now();
-        let report = runner.after_batch(&*store, b);
+        runner.after_batch(&*store, b);
         time += t0.elapsed();
         weighted += store.num_edges();
-        let (f, i) = report.mode_counts();
-        full += f;
-        inc += i;
-        processed += report.total_edges_processed;
     }
-    AnalyticsOutcome {
-        weighted_edges: weighted,
-        analytics_time: time,
-        mode_counts: (full, inc),
-        edges_processed: processed,
-    }
+    AnalyticsOutcome { weighted_edges: weighted, analytics_time: time }
 }
 
 /// Runs one algorithm under one series over a fresh store of type `S`,

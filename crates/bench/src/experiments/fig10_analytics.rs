@@ -5,7 +5,7 @@
 //! Like the update-side Fig. 10, absolute scaling flattens when the host
 //! has fewer cores than shards; the per-shard timing columns expose the
 //! partition balance either way. Alongside the TSV the run emits
-//! `BENCH_parallel_gas.json` for machine consumption.
+//! `BENCH_fig10_analytics.json` for machine consumption.
 
 use std::time::{Duration, Instant};
 
@@ -15,15 +15,7 @@ use gtinker_types::EdgeBatch;
 
 use crate::cli::Args;
 use crate::experiments::common::hollywood;
-use crate::report::{f3, meps, Table};
-
-/// One shard-count measurement.
-struct Sample {
-    shards: usize,
-    bfs_meps: f64,
-    bfs_imbalance: f64,
-    pagerank_meps: f64,
-}
+use crate::report::{f3, meps, Fact, Table};
 
 /// Ratio of the slowest shard's processing time to the mean (1.0 =
 /// perfectly balanced; meaningless at one shard, reported as 1.0).
@@ -58,25 +50,7 @@ fn measure(g: &GraphTinker, root: u32, pr_iters: usize) -> (f64, f64, f64) {
     (bfs_meps, bfs_imb, pr_meps)
 }
 
-fn to_json(samples: &[Sample], edges: u64) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"parallel_gas\",\n");
-    out.push_str(&format!("  \"edges\": {edges},\n  \"series\": [\n"));
-    for (i, s) in samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"bfs_meps\": {:.3}, \"bfs_imbalance\": {:.3}, \"pagerank_meps\": {:.3}}}{}\n",
-            s.shards,
-            s.bfs_meps,
-            s.bfs_imbalance,
-            s.pagerank_meps,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs the analytics shard-scaling sweep; also writes
-/// `<out-dir>/BENCH_parallel_gas.json`.
+/// Runs the analytics shard-scaling sweep.
 pub fn run(args: &Args) -> Table {
     let spec = hollywood(args.scale_factor);
     let edges = spec.generate();
@@ -96,21 +70,20 @@ pub fn run(args: &Args) -> Table {
         ),
         &["shards", "BFS_fp", "BFS_imbalance", "PageRank"],
     );
-    let mut samples = Vec::new();
+    let mut series = Vec::new();
     for &n in &args.threads {
         g.set_analytics_shards(n);
         let (bfs_meps, bfs_imb, pagerank_meps) = measure(&g, root, pr_iters);
         t.push_row(vec![n.to_string(), f3(bfs_meps), f3(bfs_imb), f3(pagerank_meps)]);
-        samples.push(Sample { shards: n, bfs_meps, bfs_imbalance: bfs_imb, pagerank_meps });
+        series.push(Fact::Obj(vec![
+            ("shards", n.into()),
+            ("bfs_meps", bfs_meps.into()),
+            ("bfs_imbalance", bfs_imb.into()),
+            ("pagerank_meps", pagerank_meps.into()),
+        ]));
     }
-
-    let json = to_json(&samples, edges.len() as u64);
-    let path = std::path::Path::new(&args.out_dir).join("BENCH_parallel_gas.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, json))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    t.fact("edges", edges.len());
+    t.fact("series", Fact::List(series));
     t
 }
 
@@ -124,19 +97,5 @@ mod tests {
         assert!((imbalance(&[d, d, d]) - 1.0).abs() < 1e-9);
         assert_eq!(imbalance(&[d]), 1.0);
         assert_eq!(imbalance(&[]), 1.0);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let s = to_json(
-            &[
-                Sample { shards: 1, bfs_meps: 1.0, bfs_imbalance: 1.0, pagerank_meps: 2.0 },
-                Sample { shards: 2, bfs_meps: 1.5, bfs_imbalance: 1.1, pagerank_meps: 2.5 },
-            ],
-            100,
-        );
-        assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert_eq!(s.matches("\"shards\"").count(), 2);
-        assert!(!s.contains("},\n  ]"), "no trailing comma before array close");
     }
 }

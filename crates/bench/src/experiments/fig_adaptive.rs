@@ -16,8 +16,8 @@
 //! adjacency walks and the bytes/edge comparison count only adjacency
 //! structure.
 //!
-//! Alongside the TSV the run emits `BENCH_adaptive.json`; the acceptance
-//! criteria are `skew_default_meps >= skew_paper_meps`,
+//! Alongside the TSV the run emits `BENCH_fig_adaptive.json`; the
+//! acceptance criteria are `skew_default_meps >= skew_paper_meps`,
 //! `default_bytes_per_edge <= paper_bytes_per_edge`, and
 //! `uniform_default_meps` within 5 % of `uniform_paper_meps`.
 
@@ -93,36 +93,7 @@ fn build_and_probe(
     (bpe, best_ms, g)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    ops: u64,
-    skew: (f64, f64),
-    uniform: (f64, f64),
-    bytes_per_edge: (f64, f64),
-    bfs_ms: (f64, f64),
-    tiers: (usize, usize, usize, u64),
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"adaptive_tiers\",\n");
-    out.push_str(&format!("  \"ops\": {ops},\n"));
-    out.push_str(&format!("  \"reps\": {REPS},\n"));
-    out.push_str(&format!("  \"skew_paper_meps\": {:.3},\n", skew.0));
-    out.push_str(&format!("  \"skew_default_meps\": {:.3},\n", skew.1));
-    out.push_str(&format!("  \"uniform_paper_meps\": {:.3},\n", uniform.0));
-    out.push_str(&format!("  \"uniform_default_meps\": {:.3},\n", uniform.1));
-    out.push_str(&format!("  \"paper_bytes_per_edge\": {:.3},\n", bytes_per_edge.0));
-    out.push_str(&format!("  \"default_bytes_per_edge\": {:.3},\n", bytes_per_edge.1));
-    out.push_str(&format!("  \"bfs_paper_ms\": {:.3},\n", bfs_ms.0));
-    out.push_str(&format!("  \"bfs_default_ms\": {:.3},\n", bfs_ms.1));
-    out.push_str(&format!("  \"tier_inline_vertices\": {},\n", tiers.0));
-    out.push_str(&format!("  \"tier_blocks_vertices\": {},\n", tiers.1));
-    out.push_str(&format!("  \"tier_hub_vertices\": {},\n", tiers.2));
-    out.push_str(&format!("  \"tier_promotions\": {}\n", tiers.3));
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the adaptive-tier benchmark; also writes
-/// `<out-dir>/BENCH_adaptive.json`.
+/// Runs the adaptive-tier benchmark.
 pub fn run(args: &Args) -> Table {
     let skew_spec = dataset_by_name("Zipf_SourceSkew", args.scale_factor).expect("catalog dataset");
     let skew_edges = skew_spec.generate();
@@ -174,25 +145,20 @@ pub fn run(args: &Args) -> Table {
     t.push_row(vec!["uniform".into(), "paper".into(), f3(uniform.0), "-".into(), "-".into()]);
     t.push_row(vec!["uniform".into(), "default".into(), f3(uniform.1), "-".into(), "-".into()]);
 
-    let json = to_json(
-        skew_ops,
-        skew,
-        uniform,
-        (paper_bpe, default_bpe),
-        (paper_bfs, default_bfs),
-        (
-            st.tier_inline_vertices,
-            st.tier_blocks_vertices,
-            st.tier_hub_vertices,
-            st.tier_promotions,
-        ),
-    );
-    let path = std::path::Path::new(&args.out_dir).join("BENCH_adaptive.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, json))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    t.fact("ops", skew_ops);
+    t.fact("reps", REPS);
+    t.fact("skew_paper_meps", skew.0);
+    t.fact("skew_default_meps", skew.1);
+    t.fact("uniform_paper_meps", uniform.0);
+    t.fact("uniform_default_meps", uniform.1);
+    t.fact("paper_bytes_per_edge", paper_bpe);
+    t.fact("default_bytes_per_edge", default_bpe);
+    t.fact("bfs_paper_ms", paper_bfs);
+    t.fact("bfs_default_ms", default_bfs);
+    t.fact("tier_inline_vertices", st.tier_inline_vertices);
+    t.fact("tier_blocks_vertices", st.tier_blocks_vertices);
+    t.fact("tier_hub_vertices", st.tier_hub_vertices);
+    t.fact("tier_promotions", st.tier_promotions);
     t
 }
 
@@ -201,31 +167,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_has_the_gate_fields() {
-        let s = to_json(1_000, (5.0, 6.0), (7.0, 7.0), (30.0, 20.0), (1.5, 1.2), (10, 20, 3, 25));
-        assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert!(s.contains("\"skew_default_meps\": 6.000"));
-        assert!(s.contains("\"default_bytes_per_edge\": 20.000"));
-        assert!(s.contains("\"uniform_paper_meps\": 7.000"));
-        assert!(s.contains("\"tier_hub_vertices\": 3"));
-    }
-
-    #[test]
     fn tiny_end_to_end_run() {
-        let dir = std::env::temp_dir().join(format!("gtinker_fig_adaptive_{}", std::process::id()));
-        let args = Args {
-            scale_factor: 8192,
-            batches: 4,
-            threads: vec![1],
-            out_dir: dir.to_string_lossy().into_owned(),
-        };
+        let args = Args { scale_factor: 8192, batches: 4, threads: vec![1], ..Args::default() };
         let t = run(&args);
         let rendered = t.render();
         assert!(rendered.contains("zipf_skew"));
         assert!(rendered.contains("default"));
-        let json = std::fs::read_to_string(dir.join("BENCH_adaptive.json")).unwrap();
+        let json = t.json();
         assert!(json.contains("\"skew_default_meps\""));
         assert!(json.contains("\"tier_promotions\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,10 +17,10 @@
 //!   cone broken by the batch, re-seed it from its still-valid boundary,
 //!   and run the ordinary frontier machinery to fixpoint.
 //!
-//! Alongside the TSV the run emits `BENCH_incremental.json` with the
-//! cold and repair per-batch p99 latencies (regression-gated) and the
-//! steady-state mean speedups (informational; the CI smoke asserts the
-//! headline >= 10x at its pinned scale).
+//! Alongside the TSV the run emits `BENCH_fig_incremental.json` with the
+//! cold and repair per-batch p99 latencies and the steady-state mean
+//! speedups (the CI smoke asserts the headline >= 10x at its pinned
+//! scale).
 
 use std::time::Instant;
 
@@ -235,38 +235,7 @@ fn find<'a>(r: &'a AlgoResult, name: &str) -> &'a Sample {
     &r.samples.iter().find(|(n, _)| *n == name).expect("series present").1
 }
 
-fn to_json(args: &Args, n_batches: usize, bfs: &AlgoResult, cc: &AlgoResult) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"incremental\",\n");
-    out.push_str(&format!("  \"scale_factor\": {},\n", args.scale_factor));
-    out.push_str(&format!("  \"batches\": {n_batches},\n"));
-    out.push_str(&format!("  \"ops_per_batch\": {OPS_PER_BATCH},\n"));
-    for (algo, r) in [("bfs", bfs), ("cc", cc)] {
-        // Gated: cold (no cold-path regression) and repair (the tentpole).
-        out.push_str(&format!("  \"cold_{algo}_batch_p99_us\": {:.1},\n", find(r, "cold").p99_us));
-        out.push_str(&format!(
-            "  \"repair_{algo}_batch_p99_us\": {:.1},\n",
-            find(r, "repair").p99_us
-        ));
-        // Informational: means for every series plus the headline ratio.
-        for s in SERIES {
-            out.push_str(&format!(
-                "  \"{}_{algo}_batch_mean\": {:.1},\n",
-                s.name,
-                find(r, s.name).mean_us
-            ));
-        }
-        out.push_str(&format!("  \"{algo}_speedup_vs_cold\": {:.2},\n", r.speedup_vs_cold));
-        out.push_str(&format!("  \"{algo}_mean_cone\": {:.1},\n", r.mean_cone));
-        out.push_str(&format!("  \"{algo}_mean_repair_iters\": {:.1},\n", r.mean_iters));
-    }
-    let fallbacks = gtinker_core::metrics::global().engine_delete_fallbacks.get();
-    out.push_str(&format!("  \"delete_fallbacks_observed\": {fallbacks}\n"));
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the incremental-analytics benchmark; also writes
-/// `<out-dir>/BENCH_incremental.json`.
+/// Runs the incremental-analytics benchmark.
 pub fn run(args: &Args) -> Table {
     let bfs_w = workload(args, false);
     let cc_w = workload(args, true);
@@ -285,6 +254,9 @@ pub fn run(args: &Args) -> Table {
         ),
         &["algo", "series", "mean_us", "p99_us", "speedup_vs_cold"],
     );
+    t.fact("scale_factor", args.scale_factor as u64);
+    t.fact("batches", bfs_w.churn.len());
+    t.fact("ops_per_batch", OPS_PER_BATCH);
     for (algo, r) in [("bfs", &bfs), ("cc", &cc)] {
         let cold_mean = find(r, "cold").mean_us;
         for (name, s) in &r.samples {
@@ -296,15 +268,19 @@ pub fn run(args: &Args) -> Table {
                 format!("{:.2}", cold_mean / s.mean_us.max(1e-9)),
             ]);
         }
+        t.fact(&format!("cold_{algo}_batch_p99_us"), find(r, "cold").p99_us);
+        t.fact(&format!("repair_{algo}_batch_p99_us"), find(r, "repair").p99_us);
+        for s in SERIES {
+            t.fact(&format!("{}_{algo}_batch_mean", s.name), find(r, s.name).mean_us);
+        }
+        t.fact(&format!("{algo}_speedup_vs_cold"), r.speedup_vs_cold);
+        t.fact(&format!("{algo}_mean_cone"), r.mean_cone);
+        t.fact(&format!("{algo}_mean_repair_iters"), r.mean_iters);
     }
-
-    let json = to_json(args, bfs_w.churn.len(), &bfs, &cc);
-    let path = std::path::Path::new(&args.out_dir).join("BENCH_incremental.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, json))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    t.fact(
+        "delete_fallbacks_observed",
+        gtinker_core::metrics::global().engine_delete_fallbacks.get(),
+    );
     t
 }
 
@@ -336,22 +312,14 @@ mod tests {
 
     #[test]
     fn tiny_end_to_end_run() {
-        let dir = std::env::temp_dir().join(format!("gtinker_fig_incr_out_{}", std::process::id()));
-        let args = Args {
-            scale_factor: 4096,
-            batches: 3,
-            threads: vec![1],
-            out_dir: dir.to_string_lossy().into_owned(),
-        };
+        let args = Args { scale_factor: 4096, batches: 3, threads: vec![1], ..Args::default() };
         let t = run(&args);
         let rendered = t.render();
         assert!(rendered.contains("repair"));
         assert!(rendered.contains("monotone"));
-        let json =
-            std::fs::read_to_string(dir.join("BENCH_incremental.json")).expect("json written");
+        let json = t.json();
         assert!(json.contains("repair_bfs_batch_p99_us"));
         assert!(json.contains("cold_cc_batch_p99_us"));
         assert!(json.contains("bfs_speedup_vs_cold"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,7 @@
 //! sync policy, and recovery time as a function of how much log must be
 //! replayed, on the Hollywood-2009 RMAT stand-in.
 //!
-//! Alongside the TSV the run emits `BENCH_persist.json`.
+//! Alongside the TSV the run emits `BENCH_fig_persist.json`.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -16,7 +16,7 @@ use gtinker_types::{EdgeBatch, TinkerConfig};
 
 use crate::cli::Args;
 use crate::experiments::common::{dataset_batches, hollywood};
-use crate::report::{f3, meps, Table};
+use crate::report::{f3, meps, Fact, Table};
 
 struct SnapshotSample {
     bytes: u64,
@@ -27,7 +27,6 @@ struct SnapshotSample {
 }
 
 struct AppendSample {
-    policy: &'static str,
     ms: f64,
     meps: f64,
 }
@@ -75,7 +74,7 @@ fn measure_snapshot(g: &GraphTinker) -> SnapshotSample {
     }
 }
 
-fn measure_append(batches: &[EdgeBatch], policy: SyncPolicy, label: &'static str) -> AppendSample {
+fn measure_append(batches: &[EdgeBatch], policy: SyncPolicy, label: &str) -> AppendSample {
     let dir = scratch(label);
     let opts = WalOptions { sync: policy, ..WalOptions::default() };
     let (mut wal, _) = WalWriter::open(&dir, opts).expect("wal open");
@@ -88,7 +87,7 @@ fn measure_append(batches: &[EdgeBatch], policy: SyncPolicy, label: &'static str
     let dur = t0.elapsed();
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
-    AppendSample { policy: label, ms: dur.as_secs_f64() * 1e3, meps: meps(ops, dur) }
+    AppendSample { ms: dur.as_secs_f64() * 1e3, meps: meps(ops, dur) }
 }
 
 fn measure_recovery(batches: &[EdgeBatch], records: usize) -> RecoverySample {
@@ -116,43 +115,7 @@ fn measure_recovery(batches: &[EdgeBatch], records: usize) -> RecoverySample {
     }
 }
 
-fn to_json(
-    edges: u64,
-    snap: &SnapshotSample,
-    appends: &[AppendSample],
-    recoveries: &[RecoverySample],
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"persist\",\n");
-    out.push_str(&format!("  \"edges\": {edges},\n"));
-    out.push_str(&format!(
-        "  \"snapshot\": {{\"bytes\": {}, \"write_mbps\": {:.3}, \"load_mbps\": {:.3}}},\n",
-        snap.bytes, snap.write_mbps, snap.load_mbps
-    ));
-    out.push_str("  \"wal_append_meps\": {");
-    for (i, a) in appends.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{}\": {:.3}{}",
-            a.policy,
-            a.meps,
-            if i + 1 == appends.len() { "" } else { ", " }
-        ));
-    }
-    out.push_str("},\n  \"recovery\": [\n");
-    for (i, r) in recoveries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"records\": {}, \"ops\": {}, \"ms\": {:.3}, \"meps\": {:.3}}}{}\n",
-            r.records,
-            r.ops,
-            r.ms,
-            r.meps,
-            if i + 1 == recoveries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs the durability benchmark; also writes `<out-dir>/BENCH_persist.json`.
+/// Runs the durability benchmark.
 pub fn run(args: &Args) -> Table {
     let spec = hollywood(args.scale_factor);
     let batches = dataset_batches(&spec, args.batches, false);
@@ -175,6 +138,7 @@ pub fn run(args: &Args) -> Table {
         &["stage", "size", "time_ms", "throughput"],
     );
 
+    t.fact("edges", total_ops);
     let snap = measure_snapshot(&g);
     t.push_row(vec![
         "snapshot_write".into(),
@@ -188,44 +152,54 @@ pub fn run(args: &Args) -> Table {
         f3(snap.load_ms),
         format!("{} MB/s", f3(snap.load_mbps)),
     ]);
+    t.fact(
+        "snapshot",
+        Fact::Obj(vec![
+            ("bytes", snap.bytes.into()),
+            ("write_mbps", snap.write_mbps.into()),
+            ("load_mbps", snap.load_mbps.into()),
+        ]),
+    );
 
-    let appends = vec![
-        measure_append(&batches, SyncPolicy::Never, "never"),
-        measure_append(&batches, SyncPolicy::EveryN(8), "every8"),
-        measure_append(&batches, SyncPolicy::EveryRecord, "always"),
-    ];
-    for a in &appends {
+    let mut wal_append_meps = Vec::new();
+    for (policy, label) in [
+        (SyncPolicy::Never, "never"),
+        (SyncPolicy::EveryN(8), "every8"),
+        (SyncPolicy::EveryRecord, "always"),
+    ] {
+        let a = measure_append(&batches, policy, label);
         t.push_row(vec![
-            format!("wal_append[{}]", a.policy),
+            format!("wal_append[{label}]"),
             format!("{total_ops} ops"),
             f3(a.ms),
             format!("{} Medges/s", f3(a.meps)),
         ]);
+        wal_append_meps.push((label, a.meps.into()));
     }
+    t.fact("wal_append_meps", Fact::Obj(wal_append_meps));
 
     let mut lengths: Vec<usize> = [batches.len() / 4, batches.len() / 2, batches.len()]
         .into_iter()
         .filter(|&n| n > 0)
         .collect();
     lengths.dedup();
-    let recoveries: Vec<RecoverySample> =
-        lengths.iter().map(|&n| measure_recovery(&batches, n)).collect();
-    for r in &recoveries {
+    let mut recovery = Vec::new();
+    for n in lengths {
+        let r = measure_recovery(&batches, n);
         t.push_row(vec![
             format!("recover[{} records]", r.records),
             format!("{} ops", r.ops),
             f3(r.ms),
             format!("{} Medges/s", f3(r.meps)),
         ]);
+        recovery.push(Fact::Obj(vec![
+            ("records", r.records.into()),
+            ("ops", r.ops.into()),
+            ("ms", r.ms.into()),
+            ("meps", r.meps.into()),
+        ]));
     }
-
-    let json = to_json(total_ops, &snap, &appends, &recoveries);
-    let path = std::path::Path::new(&args.out_dir).join("BENCH_persist.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, json))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    t.fact("recovery", Fact::List(recovery));
     t
 }
 
@@ -234,41 +208,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let s = to_json(
-            100,
-            &SnapshotSample {
-                bytes: 1200,
-                write_ms: 0.1,
-                load_ms: 0.1,
-                write_mbps: 10.0,
-                load_mbps: 20.0,
-            },
-            &[
-                AppendSample { policy: "never", ms: 1.0, meps: 5.0 },
-                AppendSample { policy: "always", ms: 5.0, meps: 1.0 },
-            ],
-            &[RecoverySample { records: 4, ops: 100, ms: 2.0, meps: 0.05 }],
-        );
-        assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert!(s.contains("\"write_mbps\": 10.000"));
-        assert!(s.contains("\"never\": 5.000, \"always\": 1.000"));
-        assert!(!s.contains("},\n  ]"), "no trailing comma before array close");
-    }
-
-    #[test]
     fn tiny_end_to_end_run() {
-        let dir =
-            std::env::temp_dir().join(format!("gtinker_fig_persist_out_{}", std::process::id()));
-        let args = Args {
-            scale_factor: 4096,
-            batches: 4,
-            threads: vec![1],
-            out_dir: dir.to_string_lossy().into_owned(),
-        };
+        let args = Args { scale_factor: 4096, batches: 4, threads: vec![1], ..Args::default() };
         let t = run(&args);
         assert!(t.render().contains("snapshot_write"));
-        assert!(dir.join("BENCH_persist.json").exists());
-        std::fs::remove_dir_all(&dir).ok();
+        let json = t.json();
+        for key in
+            ["\"snapshot\": {\"bytes\"", "\"wal_append_meps\": {\"never\"", "\"recovery\": [{"]
+        {
+            assert!(json.contains(key), "{key} missing from {json}");
+        }
     }
 }

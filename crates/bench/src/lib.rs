@@ -1,12 +1,13 @@
 //! Benchmark harness for the GraphTinker reproduction.
 //!
 //! Every table and figure of the paper's evaluation (§V) has a
-//! corresponding experiment module under [`experiments`] and a thin binary
-//! under `src/bin/`; `run_all` executes the full suite and appends the
-//! results to `results/*.tsv`.
+//! corresponding experiment module under [`experiments`], named in
+//! [`experiments::REGISTRY`]; the one binary, `gtinker-bench`, runs the
+//! named experiments (`all` = the full suite) and writes each result to
+//! `results/<name>.tsv`.
 //!
 //! All experiments honor two environment knobs (also settable as CLI
-//! flags on each binary):
+//! flags):
 //!
 //! * `GT_SCALE_FACTOR` (default 64) — divides every dataset's vertex and
 //!   edge counts; 1 reproduces the paper-reported sizes (needs tens of GB
@@ -19,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod diff;
 pub mod experiments;
 pub mod plot;
 pub mod report;

@@ -11,7 +11,7 @@ pub struct Series {
     pub values: Vec<f64>,
 }
 
-/// Parses a TSV produced by [`crate::report::Table::write_tsv`]: returns
+/// Parses a TSV produced by [`crate::report::Table::write`]: returns
 /// `(caption, x labels from the first column, numeric series per remaining
 /// column)`. Non-numeric cells (summary rows) terminate their row's
 /// inclusion.

@@ -503,7 +503,7 @@ fn stats_json(
     let metrics = snap.to_json().replace('\n', "\n  ");
     format!(
         "{{\n  \"input\": \"{}\",\n  \"recovered\": {recovered},\n{}  \"metrics\": {metrics}\n}}",
-        crate::serve::json_str(input),
+        gtinker_core::trace::json_escape(input),
         structure_report(g, true)
     )
 }

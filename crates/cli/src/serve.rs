@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use gtinker_core::log;
 use gtinker_core::metrics::{Counter, WindowedHistogram};
-use gtinker_core::trace::{self, SpanId};
+use gtinker_core::trace::{self, json_escape, SpanId};
 use gtinker_core::{ParallelTinker, StoreView};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
@@ -704,23 +704,6 @@ fn pagerank_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
     ))
 }
 
-/// Escapes a string for embedding in a JSON string literal: quote and
-/// backslash, then `\n` / `\t` / `\u00XX` for control characters.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Liveness JSON. With a store attached, live edges and the epoch come
 /// from a pinned view (exact, barrier-free). Without one, live edges fall
 /// back to the hot-path counters (inserts − deletes) — NOT `num_edges()`,
@@ -737,8 +720,8 @@ fn healthz_json(ctx: &ServeCtx) -> String {
         "{{\"status\":\"ok\",\"version\":\"{}\",\"git_hash\":\"{}\",\"uptime_s\":{:.3},\
          \"live_edges\":{},\"live_vertices\":{},\"epoch\":{},\"acked_batches\":{},\
          \"backlog_depth\":{},\"trace_enabled\":{}}}\n",
-        json_str(VERSION),
-        json_str(GIT_HASH),
+        json_escape(VERSION),
+        json_escape(GIT_HASH),
         ctx.start.elapsed().as_secs_f64(),
         live_edges,
         m.sgh_sources.get().max(0),
@@ -764,7 +747,7 @@ fn debug_vars_json(ctx: &ServeCtx) -> String {
         endpoints.push(format!(
             "\"{}\":{{\"requests\":{},\"errors\":{},\"window\":{{\"count\":{},\
              \"p50_ns\":{p50},\"p95_ns\":{p95},\"p99_ns\":{p99}}}}}",
-            json_str(endpoint_name(i)),
+            json_escape(endpoint_name(i)),
             s.requests.get(),
             s.errors.get(),
             w.count(),
@@ -775,8 +758,8 @@ fn debug_vars_json(ctx: &ServeCtx) -> String {
          \"acked_batches\":{},\"pending_batches\":{},\"backlog_depth\":{},\
          \"active_pins\":{},\"epoch_pins\":{},\"trace_enabled\":{},\"log_level\":\"{}\",\
          \"window_rotate_s\":{WINDOW_ROTATE_SECS},\"endpoints\":{{{}}}}}\n",
-        json_str(VERSION),
-        json_str(GIT_HASH),
+        json_escape(VERSION),
+        json_escape(GIT_HASH),
         ctx.start.elapsed().as_secs_f64(),
         store.map(|s| s.acked_batches()).unwrap_or(0),
         store.map(|s| s.pending_batches()).unwrap_or(0),
@@ -800,7 +783,7 @@ fn debug_requests_json(ctx: &ServeCtx) -> String {
                 "{{\"id\":{},\"route\":\"{}\",\"status\":{},\"queue_us\":{},\"pin_us\":{},\
                  \"engine_us\":{},\"serialize_us\":{},\"total_us\":{}}}",
                 r.id,
-                json_str(&r.path),
+                json_escape(&r.path),
                 r.status,
                 r.queue_us,
                 r.pin_us,

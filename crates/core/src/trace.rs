@@ -41,6 +41,8 @@
 //! <https://ui.perfetto.dev> (or `chrome://tracing`) and each thread —
 //! `gtinker-shard-0..n`, `gtinker-wal`, the caller — is its own track.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Capacity (events) of each per-thread ring buffer. Must be a power of
@@ -235,26 +237,9 @@ impl Drop for SpanGuard {
         if let Some(id) = self.id {
             // Forced: the End must pair the recorded Begin even if the
             // runtime flag was toggled off mid-span.
-            imp::record(EventKind::End, id, 0, true);
+            record(EventKind::End, id, 0, true);
         }
     }
-}
-
-/// Whether runtime trace collection is currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    imp::enabled()
-}
-
-/// Toggles runtime collection (starts **disabled**).
-pub fn set_enabled(on: bool) {
-    imp::set_enabled(on);
-}
-
-/// Hides all previously recorded events from future dumps. Rings are kept
-/// (threads keep recording into them); only the dump watermark moves.
-pub fn clear() {
-    imp::clear();
 }
 
 /// Opens a span on the calling thread's track; the returned guard closes
@@ -269,7 +254,7 @@ pub fn span(id: SpanId) -> SpanGuard {
 /// exported timeline as `args.v`.
 #[inline]
 pub fn span_arg(id: SpanId, arg: u64) -> SpanGuard {
-    if imp::record(EventKind::Begin, id, arg, false) {
+    if record(EventKind::Begin, id, arg, false) {
         SpanGuard { id: Some(id) }
     } else {
         SpanGuard { id: None }
@@ -279,32 +264,7 @@ pub fn span_arg(id: SpanId, arg: u64) -> SpanGuard {
 /// Records a point event on the calling thread's track.
 #[inline]
 pub fn instant(id: SpanId, arg: u64) {
-    imp::record(EventKind::Instant, id, arg, false);
-}
-
-/// Tags the calling thread with a request context id (0 = none). The
-/// serving path sets this to the per-request `RequestId` before doing any
-/// work, and instrumentation sites deep in the stack (epoch pin, pool
-/// settle, engine iterations) read it back via [`thread_ctx`] to stamp
-/// their span args — so every span a request touches carries the same id
-/// without threading a parameter through every API.
-#[inline]
-pub fn set_thread_ctx(id: u64) {
-    imp::set_thread_ctx(id);
-}
-
-/// The calling thread's request context id (0 when unset or outside a
-/// request).
-#[inline]
-pub fn thread_ctx() -> u64 {
-    imp::thread_ctx()
-}
-
-/// Merges every registered ring into one time-sorted dump. Concurrent
-/// recorders are not paused: slots overwritten mid-read are skipped, so a
-/// dump taken during ingest is a consistent *sample*, not a barrier.
-pub fn dump() -> TraceDump {
-    imp::dump()
+    record(EventKind::Instant, id, arg, false);
 }
 
 impl TraceDump {
@@ -367,198 +327,214 @@ impl TraceDump {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+/// Escapes a string for embedding in a JSON string literal: quote and
+/// backslash, then `\n` / `\t` / `\u00XX` for control characters. The one
+/// escaper of the workspace (trace export, the serve endpoints, the bench
+/// emitter).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
-mod imp {
-    use super::{EventKind, SpanId, ThreadInfo, TraceDump, TraceEvent, MAX_RINGS, RING_CAP};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+/// Overflow ring shared by threads past [`MAX_RINGS`]; never dumped.
+static DISCARD: OnceLock<Arc<ThreadRing>> = OnceLock::new();
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
-    /// Overflow ring shared by threads past [`MAX_RINGS`]; never dumped.
-    static DISCARD: OnceLock<Arc<ThreadRing>> = OnceLock::new();
+const SEQ_BITS: u32 = 48;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
-    const SEQ_BITS: u32 = 48;
-    const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+fn pack(seq: u64, span: SpanId, kind: EventKind) -> u64 {
+    let k = match kind {
+        EventKind::Begin => 0u64,
+        EventKind::End => 1,
+        EventKind::Instant => 2,
+    };
+    (k << 62) | ((span as u64) << SEQ_BITS) | (seq & SEQ_MASK)
+}
 
-    fn pack(seq: u64, span: SpanId, kind: EventKind) -> u64 {
-        let k = match kind {
-            EventKind::Begin => 0u64,
-            EventKind::End => 1,
-            EventKind::Instant => 2,
-        };
-        (k << 62) | ((span as u64) << SEQ_BITS) | (seq & SEQ_MASK)
-    }
+fn unpack(meta: u64) -> (u64, Option<SpanId>, EventKind) {
+    let kind = match meta >> 62 {
+        0 => EventKind::Begin,
+        1 => EventKind::End,
+        _ => EventKind::Instant,
+    };
+    let span = SpanId::from_u8(((meta >> SEQ_BITS) & 0xff) as u8);
+    (meta & SEQ_MASK, span, kind)
+}
 
-    fn unpack(meta: u64) -> (u64, Option<SpanId>, EventKind) {
-        let kind = match meta >> 62 {
-            0 => EventKind::Begin,
-            1 => EventKind::End,
-            _ => EventKind::Instant,
-        };
-        let span = SpanId::from_u8(((meta >> SEQ_BITS) & 0xff) as u8);
-        (meta & SEQ_MASK, span, kind)
-    }
+fn now_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
-    fn now_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
+struct ThreadRing {
+    tid: u64,
+    name: String,
+    /// Total events ever recorded by this ring (the next slot is
+    /// `cursor % RING_CAP`). Bumped with one relaxed `fetch_add`.
+    cursor: AtomicU64,
+    /// Dump watermark: events with `seq <` this are hidden ([`clear`]).
+    cleared: AtomicU64,
+    meta: Vec<AtomicU64>,
+    ts: Vec<AtomicU64>,
+    arg: Vec<AtomicU64>,
+}
 
-    struct ThreadRing {
-        tid: u64,
-        name: String,
-        /// Total events ever recorded by this ring (the next slot is
-        /// `cursor % RING_CAP`). Bumped with one relaxed `fetch_add`.
-        cursor: AtomicU64,
-        /// Dump watermark: events with `seq <` this are hidden ([`clear`]).
-        cleared: AtomicU64,
-        meta: Vec<AtomicU64>,
-        ts: Vec<AtomicU64>,
-        arg: Vec<AtomicU64>,
-    }
-
-    impl ThreadRing {
-        fn new(tid: u64, name: String) -> Self {
-            ThreadRing {
-                tid,
-                name,
-                cursor: AtomicU64::new(0),
-                cleared: AtomicU64::new(0),
-                meta: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
-                ts: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
-                arg: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
-            }
+impl ThreadRing {
+    fn new(tid: u64, name: String) -> Self {
+        ThreadRing {
+            tid,
+            name,
+            cursor: AtomicU64::new(0),
+            cleared: AtomicU64::new(0),
+            meta: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
+            ts: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
+            arg: (0..RING_CAP).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
 
-        fn record(&self, kind: EventKind, span: SpanId, arg: u64) {
-            let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
+    fn record(&self, kind: EventKind, span: SpanId, arg: u64) {
+        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let slot = (seq as usize) & (RING_CAP - 1);
+        // The meta word embeds the sequence number so a concurrent
+        // dump can detect (and skip) a slot it caught mid-overwrite.
+        self.meta[slot].store(pack(seq, span, kind), Ordering::Relaxed);
+        self.arg[slot].store(arg, Ordering::Relaxed);
+        self.ts[slot].store(now_ns(), Ordering::Relaxed);
+    }
+
+    fn read_into(&self, out: &mut Vec<TraceEvent>) -> ThreadInfo {
+        let cursor = self.cursor.load(Ordering::Relaxed);
+        let cleared = self.cleared.load(Ordering::Relaxed);
+        let start = cursor.saturating_sub(RING_CAP as u64).max(cleared);
+        for seq in start..cursor {
             let slot = (seq as usize) & (RING_CAP - 1);
-            // The meta word embeds the sequence number so a concurrent
-            // dump can detect (and skip) a slot it caught mid-overwrite.
-            self.meta[slot].store(pack(seq, span, kind), Ordering::Relaxed);
-            self.arg[slot].store(arg, Ordering::Relaxed);
-            self.ts[slot].store(now_ns(), Ordering::Relaxed);
-        }
-
-        fn read_into(&self, out: &mut Vec<TraceEvent>) -> ThreadInfo {
-            let cursor = self.cursor.load(Ordering::Relaxed);
-            let cleared = self.cleared.load(Ordering::Relaxed);
-            let start = cursor.saturating_sub(RING_CAP as u64).max(cleared);
-            for seq in start..cursor {
-                let slot = (seq as usize) & (RING_CAP - 1);
-                let (got_seq, span, kind) = unpack(self.meta[slot].load(Ordering::Relaxed));
-                // Torn read: the owner lapped this slot while we scanned.
-                if got_seq != (seq & SEQ_MASK) {
-                    continue;
-                }
-                let Some(span) = span else { continue };
-                out.push(TraceEvent {
-                    seq,
-                    ts_ns: self.ts[slot].load(Ordering::Relaxed),
-                    tid: self.tid,
-                    span,
-                    kind,
-                    arg: self.arg[slot].load(Ordering::Relaxed),
-                });
+            let (got_seq, span, kind) = unpack(self.meta[slot].load(Ordering::Relaxed));
+            // Torn read: the owner lapped this slot while we scanned.
+            if got_seq != (seq & SEQ_MASK) {
+                continue;
             }
-            ThreadInfo {
+            let Some(span) = span else { continue };
+            out.push(TraceEvent {
+                seq,
+                ts_ns: self.ts[slot].load(Ordering::Relaxed),
                 tid: self.tid,
-                name: self.name.clone(),
-                dropped: cursor.saturating_sub(RING_CAP as u64),
-            }
+                span,
+                kind,
+                arg: self.arg[slot].load(Ordering::Relaxed),
+            });
+        }
+        ThreadInfo {
+            tid: self.tid,
+            name: self.name.clone(),
+            dropped: cursor.saturating_sub(RING_CAP as u64),
         }
     }
+}
 
-    thread_local! {
-        static RING: std::cell::OnceCell<Arc<ThreadRing>> =
-            const { std::cell::OnceCell::new() };
-        static CTX: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+thread_local! {
+    static RING: std::cell::OnceCell<Arc<ThreadRing>> =
+        const { std::cell::OnceCell::new() };
+    static CTX: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Tags the calling thread with a request context id (0 = none). The
+/// serving path sets this to the per-request `RequestId` before doing any
+/// work, and instrumentation sites deep in the stack (epoch pin, pool
+/// settle, engine iterations) read it back via [`thread_ctx`] to stamp
+/// their span args — so every span a request touches carries the same id
+/// without threading a parameter through every API.
+#[inline]
+pub fn set_thread_ctx(id: u64) {
+    CTX.with(|c| c.set(id));
+}
+
+/// The calling thread's request context id (0 when unset or outside a
+/// request).
+#[inline]
+pub fn thread_ctx() -> u64 {
+    CTX.with(|c| c.get())
+}
+
+fn register_current_thread() -> Arc<ThreadRing> {
+    let mut reg = REGISTRY.lock().expect("trace registry poisoned");
+    if reg.len() >= MAX_RINGS {
+        return Arc::clone(
+            DISCARD.get_or_init(|| Arc::new(ThreadRing::new(u64::MAX, "discard".into()))),
+        );
     }
+    let tid = reg.len() as u64 + 1; // tid 0 is the process metadata row
+    let name =
+        std::thread::current().name().map(str::to_string).unwrap_or_else(|| format!("t{tid}"));
+    let ring = Arc::new(ThreadRing::new(tid, name));
+    reg.push(Arc::clone(&ring));
+    ring
+}
 
-    #[inline]
-    pub(super) fn set_thread_ctx(id: u64) {
-        CTX.with(|c| c.set(id));
+/// Whether runtime trace collection is currently enabled.
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Toggles runtime collection (starts **disabled**).
+pub fn set_enabled(on: bool) {
+    // Pin the epoch before the first event so timestamps are
+    // comparable across threads from the very first record.
+    if on {
+        EPOCH.get_or_init(Instant::now);
     }
+    ENABLED.store(on, Ordering::Relaxed);
+}
 
-    #[inline]
-    pub(super) fn thread_ctx() -> u64 {
-        CTX.with(|c| c.get())
+/// Hides all previously recorded events from future dumps. Rings are kept
+/// (threads keep recording into them); only the dump watermark moves.
+pub fn clear() {
+    let reg = REGISTRY.lock().expect("trace registry poisoned");
+    for ring in reg.iter() {
+        ring.cleared.store(ring.cursor.load(Ordering::Relaxed), Ordering::Relaxed);
     }
+}
 
-    fn register_current_thread() -> Arc<ThreadRing> {
-        let mut reg = REGISTRY.lock().expect("trace registry poisoned");
-        if reg.len() >= MAX_RINGS {
-            return Arc::clone(
-                DISCARD.get_or_init(|| Arc::new(ThreadRing::new(u64::MAX, "discard".into()))),
-            );
-        }
-        let tid = reg.len() as u64 + 1; // tid 0 is the process metadata row
-        let name =
-            std::thread::current().name().map(str::to_string).unwrap_or_else(|| format!("t{tid}"));
-        let ring = Arc::new(ThreadRing::new(tid, name));
-        reg.push(Arc::clone(&ring));
-        ring
+/// Records one event; returns whether it was recorded. `force`
+/// bypasses the runtime flag (span End pairing).
+#[inline]
+fn record(kind: EventKind, span: SpanId, arg: u64, force: bool) -> bool {
+    if !force && !enabled() {
+        return false;
     }
+    RING.with(|cell| {
+        let ring = cell.get_or_init(register_current_thread);
+        ring.record(kind, span, arg);
+    });
+    true
+}
 
-    #[inline]
-    pub(super) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn set_enabled(on: bool) {
-        // Pin the epoch before the first event so timestamps are
-        // comparable across threads from the very first record.
-        if on {
-            EPOCH.get_or_init(Instant::now);
-        }
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    pub(super) fn clear() {
+/// Merges every registered ring into one time-sorted dump. Concurrent
+/// recorders are not paused: slots overwritten mid-read are skipped, so a
+/// dump taken during ingest is a consistent *sample*, not a barrier.
+pub fn dump() -> TraceDump {
+    let rings: Vec<Arc<ThreadRing>> = {
         let reg = REGISTRY.lock().expect("trace registry poisoned");
-        for ring in reg.iter() {
-            ring.cleared.store(ring.cursor.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        reg.iter().map(Arc::clone).collect()
+    };
+    let mut d = TraceDump::default();
+    for ring in &rings {
+        d.threads.push(ring.read_into(&mut d.events));
     }
-
-    /// Records one event; returns whether it was recorded. `force`
-    /// bypasses the runtime flag (span End pairing).
-    #[inline]
-    pub(super) fn record(kind: EventKind, span: SpanId, arg: u64, force: bool) -> bool {
-        if !force && !enabled() {
-            return false;
-        }
-        RING.with(|cell| {
-            let ring = cell.get_or_init(register_current_thread);
-            ring.record(kind, span, arg);
-        });
-        true
-    }
-
-    pub(super) fn dump() -> TraceDump {
-        let rings: Vec<Arc<ThreadRing>> = {
-            let reg = REGISTRY.lock().expect("trace registry poisoned");
-            reg.iter().map(Arc::clone).collect()
-        };
-        let mut d = TraceDump::default();
-        for ring in &rings {
-            d.threads.push(ring.read_into(&mut d.events));
-        }
-        d.events.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
-        d
-    }
+    d.events.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
+    d
 }
 
 /// Starts a wall-clock timer when tracing is enabled (the [`Instant`]
@@ -769,6 +745,6 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c d");
+        assert_eq!(json_escape("a\"b\\c\nd\te\u{1}é"), "a\\\"b\\\\c\\nd\\te\\u0001é");
     }
 }

@@ -371,46 +371,7 @@ finally:
     child.kill()
 PYEOF
 
-echo "==> bench regression gate self-check (bench_diff flags a seeded 20% drop)"
-BD=target/release/bench_diff
-printf '{\n  "x_meps": 10.000,\n  "ops": 5\n}\n' > "$SMOKE/old.json"
-printf '{\n  "x_meps": 9.500,\n  "ops": 5\n}\n' > "$SMOKE/new_ok.json"
-printf '{\n  "x_meps": 8.000,\n  "ops": 5\n}\n' > "$SMOKE/new_bad.json"
-"$BD" "$SMOKE/old.json" "$SMOKE/new_ok.json"
-if "$BD" "$SMOKE/old.json" "$SMOKE/new_bad.json"; then
-    echo "bench_diff failed to flag a 20% regression" >&2
-    exit 1
-fi
-# Latency fields gate in the inverted direction: a drop passes, a rise fails.
-printf '{\n  "find_mean_ns": 100.0,\n  "ops": 5\n}\n' > "$SMOKE/old_lat.json"
-printf '{\n  "find_mean_ns": 80.0,\n  "ops": 5\n}\n' > "$SMOKE/new_lat_ok.json"
-printf '{\n  "find_mean_ns": 130.0,\n  "ops": 5\n}\n' > "$SMOKE/new_lat_bad.json"
-"$BD" "$SMOKE/old_lat.json" "$SMOKE/new_lat_ok.json"
-if "$BD" "$SMOKE/old_lat.json" "$SMOKE/new_lat_bad.json"; then
-    echo "bench_diff failed to flag a 30% latency rise" >&2
-    exit 1
-fi
-
-echo "==> adaptive bench gate (fig_adaptive emits BENCH_adaptive.json and it passes bench_diff)"
-target/release/fig_adaptive --scale-factor 2048 --out-dir "$SMOKE/bench_adaptive"
-test -f "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-grep -q '"skew_default_meps"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-grep -q '"skew_paper_meps"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-grep -q '"default_bytes_per_edge"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-grep -q '"tier_promotions"' "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-# Self-comparison: the emitted file must parse through the regression gate.
-"$BD" "$SMOKE/bench_adaptive/BENCH_adaptive.json" "$SMOKE/bench_adaptive/BENCH_adaptive.json"
-
-echo "==> serve bench gate (fig_serve_concurrent emits BENCH_serve_concurrent.json and it passes bench_diff)"
-target/release/fig_serve_concurrent --scale-factor 2048 --out-dir "$SMOKE/bench_serve"
-test -f "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
-grep -q '"writer_only_meps"' "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
-grep -q '"writer_pinned_meps"' "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
-grep -q '"read_p99_us"' "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
-# Self-comparison: the emitted file must parse through the regression gate.
-"$BD" "$SMOKE/bench_serve/BENCH_serve_concurrent.json" "$SMOKE/bench_serve/BENCH_serve_concurrent.json"
-
-echo "==> log bench gate (fig_log_overhead emits BENCH_log_overhead.json; overhead < 5%)"
+echo "==> log bench gate (fig_log_overhead emits BENCH_fig_log_overhead.json; overhead < 5%)"
 # The gated number is already a median of paired trials, but on a small
 # (single-CPU) box the multi-threaded pool makes individual runs
 # scheduler-noisy, so allow up to three attempts. A genuinely expensive
@@ -418,11 +379,11 @@ echo "==> log bench gate (fig_log_overhead emits BENCH_log_overhead.json; overhe
 # every attempt.
 LOG_GATE_OK=0
 for LOG_ATTEMPT in 1 2 3; do
-    target/release/fig_log_overhead --scale-factor 2048 --out-dir "$SMOKE/bench_log"
-    test -f "$SMOKE/bench_log/BENCH_log_overhead.json"
-    grep -q '"enabled_meps"' "$SMOKE/bench_log/BENCH_log_overhead.json"
-    grep -q '"disabled_meps"' "$SMOKE/bench_log/BENCH_log_overhead.json"
-    if python3 - "$SMOKE/bench_log/BENCH_log_overhead.json" <<'PYEOF'
+    target/release/gtinker-bench fig_log_overhead --scale-factor 2048 --out-dir "$SMOKE/bench_log"
+    test -f "$SMOKE/bench_log/BENCH_fig_log_overhead.json"
+    grep -q '"enabled_meps"' "$SMOKE/bench_log/BENCH_fig_log_overhead.json"
+    grep -q '"disabled_meps"' "$SMOKE/bench_log/BENCH_fig_log_overhead.json"
+    if python3 - "$SMOKE/bench_log/BENCH_fig_log_overhead.json" <<'PYEOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["lines_captured"] > 0, "enabled side captured no log records (site dead?)"
@@ -433,34 +394,31 @@ PYEOF
     echo "log bench gate: attempt $LOG_ATTEMPT over threshold (scheduling noise); retrying" >&2
 done
 test "$LOG_GATE_OK" -eq 1
-# Self-comparison: the emitted file must parse through the regression gate.
-"$BD" "$SMOKE/bench_log/BENCH_log_overhead.json" "$SMOKE/bench_log/BENCH_log_overhead.json"
 
-echo "==> incremental bench gate (fig_incremental emits BENCH_incremental.json; repair >= 10x cold)"
-target/release/fig_incremental --scale-factor 128 --batches 8 --out-dir "$SMOKE/bench_incremental"
-test -f "$SMOKE/bench_incremental/BENCH_incremental.json"
-grep -q '"cold_bfs_batch_p99_us"' "$SMOKE/bench_incremental/BENCH_incremental.json"
-grep -q '"repair_cc_batch_p99_us"' "$SMOKE/bench_incremental/BENCH_incremental.json"
-grep -q '"bfs_mean_cone"' "$SMOKE/bench_incremental/BENCH_incremental.json"
+echo "==> incremental bench gate (fig_incremental emits BENCH_fig_incremental.json; repair >= 10x cold)"
+target/release/gtinker-bench fig_incremental --scale-factor 128 --batches 8 --out-dir "$SMOKE/bench_incremental"
+test -f "$SMOKE/bench_incremental/BENCH_fig_incremental.json"
+grep -q '"cold_bfs_batch_p99_us"' "$SMOKE/bench_incremental/BENCH_fig_incremental.json"
+grep -q '"repair_cc_batch_p99_us"' "$SMOKE/bench_incremental/BENCH_fig_incremental.json"
+grep -q '"bfs_mean_cone"' "$SMOKE/bench_incremental/BENCH_fig_incremental.json"
 # The acceptance bar: steady-state incremental BFS and CC each >= 10x
 # over the cold per-batch re-solve on 1k-op churn batches.
 for algo in bfs cc; do
     SPEEDUP=$(sed -n "s/.*\"${algo}_speedup_vs_cold\": \([0-9][0-9]*\)\..*/\1/p" \
-        "$SMOKE/bench_incremental/BENCH_incremental.json" | head -1)
+        "$SMOKE/bench_incremental/BENCH_fig_incremental.json" | head -1)
     test -n "$SPEEDUP"
     test "$SPEEDUP" -ge 10 || {
         echo "incremental bench: $algo repair speedup ${SPEEDUP}x < 10x over cold" >&2; exit 1; }
 done
-# Self-comparison: the emitted file (cold + repair latency gates) must
-# parse through the regression gate.
-"$BD" "$SMOKE/bench_incremental/BENCH_incremental.json" "$SMOKE/bench_incremental/BENCH_incremental.json"
 
-echo "==> non-test Rust lines per crate, largest files (scripts/loc.sh); no core file above 900"
+echo "==> non-test Rust lines per crate, largest files (scripts/loc.sh); no core file above 900; one bench binary"
 scripts/loc.sh
 scripts/loc.sh all > "$SMOKE/loc.out"
 # An 1 800-line tinker.rs accreted one reasonable PR at a time; the next
 # one fails here instead.
 awk '$2 ~ /^crates\/core\/src\// && $1 > 900 { print "loc gate: " $2 " has " $1 " non-test lines (limit 900)"; bad = 1 } END { exit bad }' "$SMOKE/loc.out" >&2
+# Thirty thin-LTO links, one per figure, were most of a release build.
+test "$(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml)" -le 1 || { echo "bench gate: crates/bench/Cargo.toml declares more than one [[bin]]; add a registry entry instead" >&2; exit 1; }
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
