@@ -11,8 +11,8 @@ use gtinker_engine::{
     Engine, GasProgram, GraphStore, IncrementalState, ModePolicy,
 };
 use gtinker_persist::{
-    list_snapshots, recover_stinger, recover_tinker, write_stinger_snapshot, write_tinker_snapshot,
-    DurableTinker, SyncPolicy, WalOptions, WalWriter,
+    recover_sharded, recover_stinger, recover_tinker, replay, write_stinger_snapshot,
+    write_tinker_snapshot, DurableTinker, SyncPolicy, WalOptions,
 };
 use gtinker_stinger::Stinger;
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, UpdateOp};
@@ -39,11 +39,11 @@ USAGE:
   gtinker triangles FILE
   gtinker bench-insert FILE [--batch N] [--baseline]
   gtinker ingest FILE --wal DIR [--batch N] [--sync never|always|N]
-                 [--snapshot-every K] [--final-snapshot] [--pipeline]
-                 [--pool N] [--stats] [--serve HOST:PORT] [--hold]
+                 [--snapshot-every K] [--final-snapshot] [--pool N]
+                 [--stats] [--serve HOST:PORT] [--hold]
                  [--workers N] [--slow-query-ms N]
   gtinker trace FILE --wal DIR [--out TRACE.json] [--analytics]
-                [--batch N] [--pool N] [--pipeline] [--sync never|always|N]
+                [--batch N] [--pool N] [--sync never|always|N]
   gtinker serve [FILE|WALDIR] [--addr HOST:PORT] [--shards N] [--workers N]
                 [--slow-query-ms N]
   gtinker snapshot FILE --dir DIR [--baseline]
@@ -82,10 +82,13 @@ line.
 FILE is a plain edge list: 'src dst [weight]' per line, '#' comments.
 --shards N (> 1) runs the analytic over an interval-partitioned parallel
 store. 'ingest' streams FILE through a write-ahead log in DIR so a crash
-at any point recovers via 'gtinker recover DIR'; --pipeline overlaps WAL
-I/O for batch k+1 with the in-memory apply of batch k (ack stays
-WAL-first), and --pool N applies batches through N interval-partitioned
-shard workers (fresh DIR only; no snapshots). 'stats' reports structure
+at any point recovers via 'gtinker recover DIR': each batch is logged
+first, then applied by --pool N interval-partitioned shard workers
+(default 1) while the next one is logged (ack stays WAL-first). A DIR
+that already holds a log or snapshots is resumed, at any --pool, and
+--snapshot-every / --final-snapshot write one image of all shards.
+--pipeline is accepted and does nothing (that overlap is the only path;
+the flag goes with the next benchmark PR). 'stats' reports structure
 stats plus the hot-path metric registry (probe/displacement histograms,
 WAL latencies); give it a WAL DIR to profile recovery instead of a fresh
 ingest, and --format json|prom for machine-readable output. 'ingest
@@ -93,8 +96,8 @@ ingest, and --format json|prom for machine-readable output. 'ingest
 
 'trace' runs the same ingest with span tracing enabled and writes the
 timeline as Chrome trace-event JSON (--out, default trace.json): load it
-in https://ui.perfetto.dev and each shard worker / the WAL thread / the
-driver is its own track (--analytics appends a traced BFS plus a
+in https://ui.perfetto.dev and each shard worker and the driver (parse +
+WAL) is its own track (--analytics appends a traced BFS plus a
 delete/re-insert churn round through the incremental repair engine, so
 'repair' spans carry per-batch cone sizes). 'serve'
 (optionally after loading FILE or recovering WALDIR into --shards N
@@ -111,8 +114,8 @@ request's pin/engine/serialize spans in /trace carry that id as their
 arg. --slow-query-ms N logs a structured warn record with a per-phase
 breakdown (queue/pin/engine/serialize) for any request slower than N ms.
 'ingest --serve' runs the same endpoint in-process against the live
-pooled store while batches apply (snapshots unsupported, like --pool);
---hold keeps serving after the ingest finishes until /quitquitquit.
+store while batches apply; --hold keeps serving after the ingest
+finishes until /quitquitquit.
 
 --log LEVEL (any command) sets the structured key=value log level on
 stderr: error|warn|info|debug|off (default warn). Records are
@@ -793,6 +796,14 @@ impl IngestInput {
     }
 }
 
+/// `gtinker ingest FILE --wal DIR`: streams FILE through the durable store
+/// — logged on this thread, applied by `--pool N` shard workers (default
+/// 1), so the apply of batch k overlaps the WAL append of batch k+1 and
+/// the parse of batch k+2. A non-empty DIR is resumed, whatever `--pool`
+/// wrote it. With `--serve` the store keeps epoch views and is shared with
+/// the HTTP workers (listening before the first byte is parsed), so
+/// `/query/*` reads pinned snapshots while batches keep applying; `--hold`
+/// keeps serving after the ingest finishes until `/quitquitquit`.
 fn ingest(parsed: &Parsed) -> Result<(), String> {
     let path = parsed.input()?;
     let dir = parsed.get("wal").ok_or("ingest requires --wal DIR")?;
@@ -803,23 +814,13 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
     if pool == 0 {
         return Err("option --pool: must be at least 1".into());
     }
-    let mut input = IngestInput::open(path, batch_size)?;
-    // Live query + telemetry endpoint for the duration of the ingest, up
-    // before the first byte is parsed. Serving routes through the pooled
-    // store (even at --pool 1) so the query API reads epoch-pinned views
-    // of the very store being fed.
-    if let Some(addr) = parsed.get("serve") {
-        let listener = crate::serve::bind(addr)?;
-        return ingest_pooled(parsed, Path::new(dir), input, pool, opts, Some(listener));
-    }
-    if pool > 1 {
-        return ingest_pooled(parsed, Path::new(dir), input, pool, opts, None);
-    }
+    let workers = parsed.num("workers", crate::serve::DEFAULT_WORKERS)?.max(1);
+    let slow_query_ms = slow_query_ms(parsed)?;
+    let input = IngestInput::open(path, batch_size)?;
+    let listener = parsed.get("serve").map(crate::serve::bind).transpose()?;
     let (mut d, report) =
-        DurableTinker::open(Path::new(dir), config(parsed)?, opts).map_err(|e| e.to_string())?;
-    if parsed.flag("pipeline") {
-        d.set_pipelined(true).map_err(|e| e.to_string())?;
-    }
+        DurableTinker::open(Path::new(dir), config(parsed)?, opts, pool, listener.is_some())
+            .map_err(|e| e.to_string())?;
     if report.next_lsn > 0 {
         eprintln!(
             "recovered {} edges at lsn {} ({} records replayed)",
@@ -828,124 +829,29 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
             report.replayed_records
         );
     }
-    let t0 = Instant::now();
-    while let Some(batch) = input.next_batch() {
-        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, input.batches - 1);
-        d.apply_batch(&batch).map_err(|e| e.to_string())?;
-        if snapshot_every > 0 && input.batches.is_multiple_of(snapshot_every) {
-            let p = d.snapshot().map_err(|e| e.to_string())?;
-            eprintln!("snapshot at lsn {}: {}", d.next_lsn(), p.display());
-        }
-    }
-    d.sync().map_err(|e| e.to_string())?;
-    let (edges, batches) = input.finish()?;
-    if parsed.flag("final-snapshot") {
-        let p = d.snapshot().map_err(|e| e.to_string())?;
-        eprintln!("final snapshot: {}", p.display());
-    }
-    let dur = t0.elapsed();
-    println!(
-        "ingested {edges} edges in {batches} batches in {dur:.2?} \
-         ({:.3} Medges/s durable), {} live, next lsn {}",
-        edges as f64 / dur.as_secs_f64() / 1e6,
-        d.store().num_edges(),
-        d.next_lsn()
-    );
-    if parsed.flag("stats") {
-        d.store().publish_memory_metrics();
-        print!("{}", gtinker_core::metrics::global().snapshot().to_prometheus());
-    }
-    Ok(())
-}
-
-/// `ingest --pool N` (and any `ingest --serve`): WAL-first logging with
-/// batches applied across `n` interval-partitioned shard workers. With
-/// `--pipeline`, the apply of batch k overlaps the WAL append of batch
-/// k+1 and the parse of batch k+2 (every batch is still logged before it
-/// is handed to the pool).
-/// 'gtinker recover' replays the resulting log into a single store, so
-/// pooled ingest requires a fresh directory and does not support
-/// snapshots. With a serve listener, the store is built with epoch views
-/// and shared with the HTTP workers, so `/query/*` runs against pinned
-/// snapshots while batches keep applying; `--hold` keeps serving after
-/// the ingest finishes until `/quitquitquit`.
-fn ingest_pooled(
-    parsed: &Parsed,
-    dir: &Path,
-    mut input: IngestInput,
-    pool: usize,
-    opts: WalOptions,
-    serve_listener: Option<std::net::TcpListener>,
-) -> Result<(), String> {
-    if parsed.num("snapshot-every", 0u64)? > 0 || parsed.flag("final-snapshot") {
-        return Err("--pool/--serve ingest does not support snapshots (drop \
-                    --snapshot-every/--final-snapshot)"
-            .to_string());
-    }
-    let (mut wal, _) = WalWriter::open(dir, opts).map_err(|e| e.to_string())?;
-    if wal.next_lsn() > 0 || !list_snapshots(dir).map_err(|e| e.to_string())?.is_empty() {
-        return Err("--pool requires a fresh --wal DIR (existing state cannot be resumed into \
-                    a sharded store; rerun without --pool)"
-            .to_string());
-    }
-    let serving = serve_listener.is_some();
-    let g = std::sync::Arc::new(
-        if serving {
-            ParallelTinker::new_with_views(config(parsed)?, pool)
-        } else {
-            ParallelTinker::new(config(parsed)?, pool)
-        }
-        .map_err(|e| e.to_string())?,
-    );
-    let workers = parsed.num("workers", crate::serve::DEFAULT_WORKERS)?.max(1);
-    let slow_query_ms = slow_query_ms(parsed)?;
-    let server = serve_listener.map(|listener| {
-        let ctx = crate::serve::ServeCtx::with_options(
-            Instant::now(),
-            Some(std::sync::Arc::clone(&g)),
-            slow_query_ms,
-        );
+    let server = listener.map(|listener| {
+        let store = Some(std::sync::Arc::clone(d.store()));
+        let ctx = crate::serve::ServeCtx::with_options(Instant::now(), store, slow_query_ms);
         crate::serve::spawn(listener, ctx, workers)
     });
-    let pipelined = parsed.flag("pipeline");
     let t0 = Instant::now();
-    while let Some(batch) = input.next_batch() {
-        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, input.batches - 1);
-        wal.append(&batch).map_err(|e| e.to_string())?;
-        if pipelined {
-            g.submit_shared(std::sync::Arc::new(batch));
-        } else {
-            g.apply_batch(&batch);
+    let driven = drive_ingest(&mut d, input, snapshot_every, parsed.flag("final-snapshot"));
+    if let Ok((edges, batches)) = driven {
+        let dur = t0.elapsed();
+        println!(
+            "ingested {edges} edges in {batches} batches across {pool} shards in {dur:.2?} \
+             ({:.3} Medges/s durable), {} live, next lsn {}",
+            edges as f64 / dur.as_secs_f64() / 1e6,
+            d.store().num_edges(),
+            d.next_lsn()
+        );
+        if parsed.flag("stats") {
+            d.store().publish_memory_metrics();
+            print!("{}", gtinker_core::metrics::global().snapshot().to_prometheus());
         }
-    }
-    if pipelined {
-        g.flush();
-    }
-    wal.sync().map_err(|e| e.to_string())?;
-    let (edges, batches) = match input.finish() {
-        Ok(totals) => totals,
-        Err(e) => {
-            if let Some(server) = server {
-                server.shutdown();
-            }
-            return Err(e);
-        }
-    };
-    let dur = t0.elapsed();
-    println!(
-        "ingested {edges} edges in {batches} batches across {pool} shards{} in {dur:.2?} \
-         ({:.3} Medges/s durable), {} live, next lsn {}",
-        if pipelined { " (pipelined)" } else { "" },
-        edges as f64 / dur.as_secs_f64() / 1e6,
-        g.num_edges(),
-        wal.next_lsn()
-    );
-    if parsed.flag("stats") {
-        g.publish_memory_metrics();
-        print!("{}", gtinker_core::metrics::global().snapshot().to_prometheus());
     }
     if let Some(server) = server {
-        if parsed.flag("hold") {
+        if driven.is_ok() && parsed.flag("hold") {
             eprintln!(
                 "ingest done; serving queries on http://{} until GET /quitquitquit",
                 server.addr()
@@ -955,23 +861,45 @@ fn ingest_pooled(
             server.shutdown();
         }
     }
-    Ok(())
+    driven.map(|_| ())
+}
+
+/// The write loop of `ingest`: every batch of `input` logged and handed to
+/// the shards, a snapshot every `snapshot_every` batches (0 = never) and,
+/// if asked, one at the end. Returns the `(edges, batches)` made durable;
+/// a parse error surfaces only after what preceded it is synced.
+fn drive_ingest(
+    d: &mut DurableTinker,
+    mut input: IngestInput,
+    snapshot_every: u64,
+    final_snapshot: bool,
+) -> Result<(u64, u64), String> {
+    while let Some(batch) = input.next_batch() {
+        gtinker_core::trace::instant(gtinker_core::SpanId::IngestBatch, input.batches - 1);
+        d.apply_batch(batch).map_err(|e| e.to_string())?;
+        if snapshot_every > 0 && input.batches.is_multiple_of(snapshot_every) {
+            let p = d.snapshot().map_err(|e| e.to_string())?;
+            eprintln!("snapshot at lsn {}: {}", d.next_lsn(), p.display());
+        }
+    }
+    d.sync().map_err(|e| e.to_string())?;
+    let totals = input.finish()?;
+    if final_snapshot {
+        let p = d.snapshot().map_err(|e| e.to_string())?;
+        eprintln!("final snapshot: {}", p.display());
+    }
+    Ok(totals)
 }
 
 /// `gtinker trace FILE --wal DIR`: the same durable ingest as `ingest`,
 /// run with span tracing enabled, then exported as a Chrome trace-event
-/// timeline. With `--pool N --pipeline` the file shows the PR 3 overlap
-/// directly: `wal_append` of batch k+1 on the driver track running while
-/// the shard tracks apply batch k. `--analytics` appends a traced BFS so
-/// the engine's process/apply phases appear too.
+/// timeline. The file shows the write pipeline's overlap directly:
+/// `wal_append` of batch k+1 on the driver track running while the shard
+/// tracks apply batch k. `--analytics` appends a traced BFS so the
+/// engine's process/apply phases appear too.
 fn trace_cmd(parsed: &Parsed) -> Result<(), String> {
     let out = parsed.get("out").unwrap_or("trace.json").to_string();
     gtinker_core::trace::set_enabled(true);
-    if !gtinker_core::trace::enabled() {
-        return Err("this gtinker was built without the 'trace' feature \
-                    (rebuild with default features to record timelines)"
-            .into());
-    }
     gtinker_core::trace::clear();
     ingest(parsed)?;
     // Snapshot the rings at the phase boundary: the analytics load's
@@ -1015,8 +943,6 @@ fn trace_cmd(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `gtinker serve [FILE|WALDIR]`: loads/recovers a store (if given) into
-/// an epoch-view-enabled parallel store (`--shards N`), then serves the
 /// Parses `--slow-query-ms` (None = slow-query log disabled; 0 logs
 /// every request, handy for smoke tests).
 fn slow_query_ms(parsed: &Parsed) -> Result<Option<u64>, String> {
@@ -1029,35 +955,39 @@ fn slow_query_ms(parsed: &Parsed) -> Result<Option<u64>, String> {
     }
 }
 
-/// telemetry routes plus the `/query/*` API over HTTP until SIGTERM or a
-/// loopback `GET /quitquitquit`.
+/// `gtinker serve [FILE|WALDIR]`: loads a file, or recovers a directory
+/// (snapshot layout and vertex space kept, each WAL record replayed once),
+/// into an epoch-view-enabled parallel store (`--shards N`), then serves
+/// the telemetry routes plus the `/query/*` API over HTTP until SIGTERM or
+/// a loopback `GET /quitquitquit`.
 fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
     let started = Instant::now();
     let shards = parsed.num("shards", 1usize)?.max(1);
     let workers = parsed.num("workers", crate::serve::DEFAULT_WORKERS)?.max(1);
-    let store = match parsed.positional.first().cloned() {
+    let store = match parsed.positional.first() {
         None => None,
         Some(input) => {
             gtinker_core::metrics::global().reset();
-            let edges: Vec<Edge> = if Path::new(&input).is_dir() {
-                let (g, report) = recover_tinker(Path::new(&input), config(parsed)?)
+            let g = if Path::new(input).is_dir() {
+                let dir = Path::new(input);
+                let scan = replay(dir).map_err(|e| e.to_string())?;
+                let (g, report) = recover_sharded(dir, &scan, config(parsed)?, shards, true)
                     .map_err(|e| e.to_string())?;
                 eprintln!(
                     "recovered {} edges from {input} ({} records replayed)",
                     g.num_edges(),
                     report.replayed_records
                 );
-                let mut edges = Vec::with_capacity(g.num_edges() as usize);
-                g.for_each_edge(|s, d, w| edges.push(Edge::new(s, d, w)));
-                edges
+                g
             } else {
-                io::read_edge_list(&input).map_err(|e| e.to_string())?
+                let edges = io::read_edge_list(input).map_err(|e| e.to_string())?;
+                let g = ParallelTinker::new_with_views(config(parsed)?, shards)
+                    .map_err(|e| e.to_string())?;
+                for chunk in edges.chunks(100_000) {
+                    g.apply_batch(&EdgeBatch::inserts(chunk));
+                }
+                g
             };
-            let g = ParallelTinker::new_with_views(config(parsed)?, shards)
-                .map_err(|e| e.to_string())?;
-            for chunk in edges.chunks(100_000) {
-                g.apply_batch(&EdgeBatch::inserts(chunk));
-            }
             eprintln!("serving {} edges over {shards} shard(s)", g.num_edges());
             Some(std::sync::Arc::new(g))
         }
@@ -1581,8 +1511,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The ingest modes: one durable store, the same pipelined, the pool.
-    const INGEST_MODES: [&[&str]; 3] = [&[], &["--pipeline"], &["--pool", "2", "--pipeline"]];
+    /// The ingest shapes: one shard, two, and three with the inert flag.
+    const INGEST_MODES: [&[&str]; 3] = [&[], &["--pool", "2"], &["--pool", "3", "--pipeline"]];
 
     /// `ingest FILE --wal DB --batch 100` plus `rest`.
     fn ingest_100(file: &Path, db: &Path, rest: &[&[&str]]) -> Parsed {
@@ -1659,61 +1589,26 @@ mod tests {
         let dir = std::env::temp_dir().join("gtinker_cli_pipeline");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("g.txt");
-        let file_s = file.to_str().unwrap();
-        run(&parsed(&[
-            "generate",
-            "--rmat-scale",
-            "8",
-            "--edges",
-            "1200",
-            "--seed",
-            "11",
-            "--out",
-            file_s,
-        ]))
-        .unwrap();
-        // Pipelined DurableTinker ingest: same log, overlapped apply.
-        let db = dir.join("db_pipe");
-        let db_s = db.to_str().unwrap();
-        run(&parsed(&[
-            "ingest",
-            file_s,
-            "--wal",
-            db_s,
-            "--batch",
-            "200",
-            "--sync",
-            "4",
-            "--pipeline",
-        ]))
-        .unwrap();
-        run(&parsed(&["recover", db_s, "--root", "0"])).unwrap();
-        // Pooled (and pooled+pipelined) ingest, recoverable the same way.
-        let pooled = dir.join("db_pool");
-        let pooled_s = pooled.to_str().unwrap();
-        run(&parsed(&[
-            "ingest",
-            file_s,
-            "--wal",
-            pooled_s,
-            "--batch",
-            "200",
-            "--sync",
-            "never",
-            "--pool",
-            "3",
-            "--pipeline",
-        ]))
-        .unwrap();
-        run(&parsed(&["recover", pooled_s])).unwrap();
-        // Pooled mode refuses snapshots and non-fresh directories.
-        let e =
-            run(&parsed(&["ingest", file_s, "--wal", pooled_s, "--pool", "2", "--final-snapshot"]))
-                .unwrap_err();
-        assert!(e.contains("snapshot"));
-        let e = run(&parsed(&["ingest", file_s, "--wal", pooled_s, "--pool", "2"])).unwrap_err();
-        assert!(e.contains("fresh"));
+        // One stream in three files, ingested into one directory by three
+        // runs of different shapes: each resumes what the last one left.
+        let edges = RmatConfig::graph500(8, 1200, 11).generate();
+        let parts: Vec<_> = (0..3).map(|i| dir.join(format!("g{i}.txt"))).collect();
+        for (part, chunk) in parts.iter().zip(edges.chunks(400)) {
+            io::write_edge_list(part, chunk).unwrap();
+        }
+        let db = dir.join("db");
+        let pooled: [&[&str]; 2] = [&["--pool", "2", "--snapshot-every", "1"], &["--sync", "4"]];
+        run(&ingest_100(&parts[0], &db, &pooled)).unwrap();
+        assert!(!gtinker_persist::list_snapshots(&db).unwrap().is_empty());
+        let resumed: [&[&str]; 2] = [&["--pool", "3", "--final-snapshot"], &["--sync", "never"]];
+        run(&ingest_100(&parts[1], &db, &resumed)).unwrap();
+        let serving: [&[&str]; 1] = [&["--serve", "127.0.0.1:0", "--sync", "never"]];
+        run(&ingest_100(&parts[2], &db, &serving)).unwrap();
+        run(&parsed(&["recover", db.to_str().unwrap(), "--root", "0", "--validate"])).unwrap();
+        let (g, report) = recover_tinker(&db, TinkerConfig::default()).unwrap();
+        assert_eq!(report.snapshot_lsn, 8, "the second run's final snapshot");
+        assert_eq!(report.next_lsn, 12, "three runs of four batches each");
+        assert_eq!(g.num_edges(), gtinker_datasets::stream::distinct_edge_count(&edges));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

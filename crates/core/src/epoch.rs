@@ -155,6 +155,18 @@ impl<S: ShardStore> ViewLayer<S> {
         m.epoch_backlog_depth.set(backlog.len() as i64);
     }
 
+    /// Runs `f` over replica `i` (nothing to do when the layer is
+    /// disabled), after folding its backlog up to `acked` so the mutation
+    /// lands behind every batch acked before it, as it does on the live
+    /// shard. The caller holds the pool exclusively: no pin is alive and
+    /// no worker is folding.
+    pub(crate) fn with_replica_mut(&self, i: usize, f: impl FnOnce(&mut S)) {
+        if self.enabled() {
+            self.fold_shard(i, self.acked());
+            f(&mut self.replicas[i].write().expect("replica poisoned"));
+        }
+    }
+
     /// Pins the current acked epoch and returns a guard for reading the
     /// replicas, or `None` when the layer is disabled. The first pin
     /// catches every replica up to `acked`; joiners share the already

@@ -188,6 +188,13 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         self.0.pending_batches()
     }
 
+    /// Runs `f` over instance `i` mutably after a pipeline barrier — and
+    /// over its read replica too when the store keeps epoch views (see
+    /// [`ShardPool::with_shard_mut`]).
+    pub fn with_instance_mut(&mut self, i: usize, f: impl FnMut(&mut S)) {
+        self.0.with_shard_mut(i, f);
+    }
+
     /// Applies a batch synchronously through the worker pool: every worker
     /// claims its interval from the shared batch and applies it, and the
     /// merged outcome counts are returned.
@@ -247,7 +254,7 @@ impl ParallelTinker {
     /// Clears probe statistics on all instances.
     pub fn reset_stats(&mut self) {
         for i in 0..self.num_instances() {
-            self.0.with_shard_mut(i, |g| g.reset_stats());
+            self.with_instance_mut(i, |g| g.reset_stats());
         }
     }
 
@@ -441,6 +448,19 @@ mod tests {
         par.flush();
         let fresh = par.pin_view().expect("views enabled");
         assert_eq!(fresh.out_degree(1), 2);
+    }
+
+    #[test]
+    fn with_instance_mut_reaches_the_live_shard_and_its_replica() {
+        let mut p = ParallelTinker::new_with_views(Default::default(), 2).unwrap();
+        p.submit(batch(500));
+        for i in 0..2 {
+            p.with_instance_mut(i, |g| g.expand_vertex_space(9_000));
+        }
+        assert_eq!(p.vertex_space(), 9_000);
+        let view = p.pin_view().expect("views enabled");
+        assert_eq!(view.vertex_space(), 9_000, "state outside the batches reaches the replicas");
+        assert_eq!(view.num_edges(), p.num_edges());
     }
 
     #[test]

@@ -396,10 +396,14 @@ impl<S: ShardStore> ShardPool<S> {
         f(&self.shards[i].lock().expect("shard poisoned"))
     }
 
-    /// Runs `f` over shard `i` mutably, after a pipeline barrier.
-    pub fn with_shard_mut<R>(&self, i: usize, f: impl FnOnce(&mut S) -> R) -> R {
+    /// Runs `f` over shard `i` mutably after a pipeline barrier, and then
+    /// over the shard's read replica when the pool keeps views — state that
+    /// does not travel in batches (a restored SGH order, a recorded vertex
+    /// space) has to reach both copies. `&mut self`: no pin can be alive.
+    pub fn with_shard_mut(&mut self, i: usize, mut f: impl FnMut(&mut S)) {
         self.settle();
-        f(&mut self.shards[i].lock().expect("shard poisoned"))
+        f(&mut self.shards[i].lock().expect("shard poisoned"));
+        self.views.with_replica_mut(i, f);
     }
 }
 

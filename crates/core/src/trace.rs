@@ -39,7 +39,7 @@
 //! [`TraceDump::to_chrome_json`] renders the merged, time-sorted stream in
 //! the Chrome trace-event format: load the file in
 //! <https://ui.perfetto.dev> (or `chrome://tracing`) and each thread —
-//! `gtinker-shard-0..n`, `gtinker-wal`, the caller — is its own track.
+//! `gtinker-shard-0..n`, the caller — is its own track.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -77,44 +77,38 @@ pub enum SpanId {
     SnapshotEncode = 6,
     /// Snapshot write + atomic rename publish.
     SnapshotWrite = 7,
-    /// Pipelined group commit folding the previously acked batch into the
-    /// in-memory store while the WAL thread logs the next one.
-    DurablePendingApply = 8,
-    /// Pipelined group commit blocking for the in-flight batch's durable
-    /// acknowledgement.
-    DurableAckWait = 9,
     /// Engine gather/scatter processing phase of one iteration.
-    EngineProcess = 10,
+    EngineProcess = 8,
     /// Engine apply phase of one iteration.
-    EngineApply = 11,
+    EngineApply = 9,
     /// Instant: a congested subblock branched out a child edgeblock
     /// (arg = tree depth of the new child).
-    TinkerBranchOut = 12,
+    TinkerBranchOut = 10,
     /// Instant: the ingest driver handed batch `arg` to the pipeline.
-    IngestBatch = 13,
+    IngestBatch = 11,
     /// Instant: the telemetry server answered an HTTP request.
-    ServeRequest = 14,
+    ServeRequest = 12,
     /// A vertex changed adjacency tier (arg = its dense index). Covers the
     /// migration work: collecting, freeing and re-anchoring edges.
-    TierPromote = 15,
+    TierPromote = 13,
     /// Invalidate-and-repair pass after a batch containing deletions
     /// (arg = size of the invalidated cone). Covers the witness sweep,
     /// boundary re-seeding, and the repair fixpoint.
-    Repair = 16,
+    Repair = 14,
     /// Epoch pin: acquiring a read guard, including any first-pin backlog
     /// fold (arg = requesting thread's [`thread_ctx`], i.e. the serving
     /// request id, or 0 outside a request).
-    EpochPin = 17,
+    EpochPin = 15,
     /// Serializing + writing one HTTP response (arg = request id).
-    ServeSerialize = 18,
+    ServeSerialize = 16,
     /// The ingest driver reading and parsing one `--batch` of the input
     /// file (arg = batch seq) — the first stage of the write pipeline,
     /// running while earlier batches are logged and applied.
-    IngestParse = 19,
+    IngestParse = 17,
 }
 
 /// Every catalogue entry, for iteration in exports and tests.
-pub const ALL_SPANS: [SpanId; 20] = [
+pub const ALL_SPANS: [SpanId; 18] = [
     SpanId::PoolClaim,
     SpanId::PoolApply,
     SpanId::PoolSettle,
@@ -123,8 +117,6 @@ pub const ALL_SPANS: [SpanId; 20] = [
     SpanId::WalSync,
     SpanId::SnapshotEncode,
     SpanId::SnapshotWrite,
-    SpanId::DurablePendingApply,
-    SpanId::DurableAckWait,
     SpanId::EngineProcess,
     SpanId::EngineApply,
     SpanId::TinkerBranchOut,
@@ -149,8 +141,6 @@ impl SpanId {
             SpanId::WalSync => "wal_sync",
             SpanId::SnapshotEncode => "snapshot_encode",
             SpanId::SnapshotWrite => "snapshot_write",
-            SpanId::DurablePendingApply => "durable_pending_apply",
-            SpanId::DurableAckWait => "durable_ack_wait",
             SpanId::EngineProcess => "engine_process",
             SpanId::EngineApply => "engine_apply",
             SpanId::TinkerBranchOut => "tinker_branch_out",

@@ -20,12 +20,14 @@
 
 use std::path::{Path, PathBuf};
 
-use gtinker_core::GraphTinker;
+use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
 use gtinker_stinger::Stinger;
-use gtinker_types::{EdgeBatch, StingerConfig, TinkerConfig};
+use gtinker_types::{StingerConfig, TinkerConfig};
 
 use crate::format::{PersistError, Result};
-use crate::snapshot::{list_snapshots, load_stinger_snapshot, load_tinker_snapshot};
+use crate::snapshot::{
+    list_snapshots, load_sharded_snapshot, load_stinger_snapshot, load_tinker_snapshot, new_sharded,
+};
 use crate::wal::{replay, WalRecord, WalReplay};
 
 /// What a recovery pass did, for logging and tests.
@@ -67,12 +69,12 @@ fn best_snapshot<T>(
     Ok((None, skipped))
 }
 
-/// Applies the WAL records beyond `snapshot_lsn`, enforcing the no-gap
-/// rule. Returns how many were applied.
+/// Applies the WAL records beyond `snapshot_lsn` to `store`, enforcing the
+/// no-gap rule. Returns how many were applied.
 fn apply_tail(
     records: &[WalRecord],
     snapshot_lsn: u64,
-    mut apply: impl FnMut(&EdgeBatch),
+    store: &mut impl ApplyBatch,
 ) -> Result<u64> {
     let mut applied = 0;
     for rec in records {
@@ -85,27 +87,25 @@ fn apply_tail(
                 rec.lsn
             )));
         }
-        apply(&rec.batch);
+        store.apply(&rec.batch);
         applied += 1;
     }
     Ok(applied)
 }
 
 /// Shared recovery skeleton over an already-scanned log.
-fn recover_with_scan<T>(
+fn recover_with_scan<T: ApplyBatch>(
     dir: &Path,
     scan: &WalReplay,
     load: impl Fn(&Path) -> Result<(T, u64)>,
     fresh: impl FnOnce() -> Result<T>,
-    apply: impl FnMut(&mut T, &EdgeBatch),
 ) -> Result<(T, RecoveryReport)> {
     let (best, snapshots_skipped) = best_snapshot(dir, load)?;
     let (mut store, snapshot_lsn, snapshot_path) = match best {
         Some((s, lsn, path)) => (s, lsn, Some(path)),
         None => (fresh()?, 0, None),
     };
-    let mut apply = apply;
-    let replayed_records = apply_tail(&scan.records, snapshot_lsn, |b| apply(&mut store, b))?;
+    let replayed_records = apply_tail(&scan.records, snapshot_lsn, &mut store)?;
     let report = RecoveryReport {
         snapshot_lsn,
         snapshot_path,
@@ -118,31 +118,37 @@ fn recover_with_scan<T>(
 }
 
 /// Recovers a [`GraphTinker`] from `dir` (snapshots and WAL segments side
-/// by side). With no valid snapshot, starts from an empty store built with
-/// `default_config`. Read-only: the torn tail, if any, is ignored but not
-/// truncated on disk (opening a [`crate::DurableTinker`] truncates it).
+/// by side), building the one store on the caller's thread. With no valid
+/// snapshot, starts from an empty store built with `default_config`.
+/// Read-only: the torn tail, if any, is ignored but not truncated on disk
+/// (opening a [`crate::DurableTinker`] truncates it).
 pub fn recover_tinker(
     dir: &Path,
     default_config: TinkerConfig,
 ) -> Result<(GraphTinker, RecoveryReport)> {
-    let scan = replay(dir)?;
-    recover_tinker_with_scan(dir, &scan, default_config)
+    recover_with_scan(dir, &replay(dir)?, load_tinker_snapshot, || {
+        GraphTinker::new(default_config).map_err(Into::into)
+    })
 }
 
-/// [`recover_tinker`] over a log scan the caller already has.
-pub(crate) fn recover_tinker_with_scan(
+/// [`recover_tinker`] into `shards` interval shards (with epoch views when
+/// `views`), over a log scan the caller has: [`replay`]'s to read `dir` as
+/// it is, or the one [`crate::WalWriter::open`] returns once it has cut a
+/// torn tail. The snapshot — whatever shard count wrote it — is restored
+/// across the shard workers and every surviving WAL record is handed to
+/// the pool once, as logged.
+pub fn recover_sharded(
     dir: &Path,
     scan: &WalReplay,
     default_config: TinkerConfig,
-) -> Result<(GraphTinker, RecoveryReport)> {
+    shards: usize,
+    views: bool,
+) -> Result<(ParallelTinker, RecoveryReport)> {
     recover_with_scan(
         dir,
         scan,
-        load_tinker_snapshot,
-        || GraphTinker::new(default_config).map_err(Into::into),
-        |g, b| {
-            g.apply_batch(b);
-        },
+        |path| load_sharded_snapshot(path, shards, views),
+        || new_sharded(default_config, shards, views),
     )
 }
 
@@ -151,16 +157,9 @@ pub fn recover_stinger(
     dir: &Path,
     default_config: StingerConfig,
 ) -> Result<(Stinger, RecoveryReport)> {
-    let scan = replay(dir)?;
-    recover_with_scan(
-        dir,
-        &scan,
-        load_stinger_snapshot,
-        || Stinger::new(default_config).map_err(Into::into),
-        |s, b| {
-            s.apply_batch(b);
-        },
-    )
+    recover_with_scan(dir, &replay(dir)?, load_stinger_snapshot, || {
+        Stinger::new(default_config).map_err(Into::into)
+    })
 }
 
 #[cfg(test)]
@@ -169,7 +168,7 @@ mod tests {
     use crate::fault::{corrupt_file, Fault};
     use crate::snapshot::write_tinker_snapshot;
     use crate::wal::{WalOptions, WalWriter};
-    use gtinker_types::Edge;
+    use gtinker_types::{Edge, EdgeBatch};
     use std::fs;
     use std::path::PathBuf;
 

@@ -23,6 +23,12 @@
 //! observable query — point lookups, degrees, full/sharded edge streams,
 //! engine results — matches the saved store.
 //!
+//! The image of an interval-sharded store is the same file, each section
+//! holding the shards' payloads in shard order. A source lives in exactly
+//! one interval, so filtering the SGH and edge payloads by interval gives
+//! every shard its own arrival order back at the shard count the image
+//! was written at, and a logically equal store at any other — one included.
+//!
 //! Writes go to a `.tmp` sibling first and are published by an atomic
 //! rename after `sync_all`, so a crash mid-snapshot never leaves a
 //! half-written file under a valid snapshot name.
@@ -30,9 +36,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gtinker_core::GraphTinker;
+use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_stinger::Stinger;
-use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig};
+use gtinker_types::{
+    partition_of, DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, VertexId,
+};
 
 use crate::format::{crc32, ByteReader, ByteWriter, PersistError, Result};
 
@@ -58,6 +66,9 @@ const TAG_EDGES: u8 = 3;
 const TAG_SPACE: u8 = 4;
 const TAG_END: u8 = 0xFF;
 
+/// Bytes of a GraphTinker CONFIG payload: eight words and the flags byte.
+const CONFIG_BYTES: usize = 8 * 8 + 1;
+
 /// Decoded edges are replayed into the store this many at a time: batches
 /// go through the store's resolve-ahead window and flush its counters once
 /// each, and the op copy a batch needs stays cache-sized.
@@ -70,7 +81,8 @@ fn put_section(w: &mut ByteWriter, tag: u8, payload: &[u8]) {
     w.put_u32(crc32(payload));
 }
 
-fn put_edges(w: &mut ByteWriter, edges: &[Edge]) {
+/// The sections every image ends with: EDGES, SPACE and the end marker.
+fn put_tail(mut w: ByteWriter, edges: &[Edge], space: u32) -> Vec<u8> {
     let mut p = ByteWriter::with_capacity(8 + edges.len() * 12);
     p.put_u64(edges.len() as u64);
     for e in edges {
@@ -78,7 +90,10 @@ fn put_edges(w: &mut ByteWriter, edges: &[Edge]) {
         p.put_u32(e.dst);
         p.put_u32(e.weight);
     }
-    put_section(w, TAG_EDGES, p.as_bytes());
+    put_section(&mut w, TAG_EDGES, p.as_bytes());
+    put_section(&mut w, TAG_SPACE, &space.to_le_bytes());
+    put_section(&mut w, TAG_END, &[]);
+    w.into_bytes()
 }
 
 fn header(kind: StoreKind, wal_lsn: u64, cap: usize) -> ByteWriter {
@@ -92,50 +107,73 @@ fn header(kind: StoreKind, wal_lsn: u64, cap: usize) -> ByteWriter {
     w
 }
 
+/// What a [`GraphTinker`] snapshot preserves, apart from any store: read
+/// out of one store or out of every shard of a sharded one, and restored
+/// into either kind.
+pub(crate) struct TinkerImage {
+    config: TinkerConfig,
+    /// SGH arrival order (empty with the SGH disabled).
+    sources: Vec<VertexId>,
+    edges: Vec<Edge>,
+    space: u32,
+}
+
+impl TinkerImage {
+    /// The image of an empty store.
+    fn of(config: TinkerConfig) -> Self {
+        TinkerImage { config, sources: Vec::new(), edges: Vec::new(), space: 0 }
+    }
+
+    /// Appends what `g` holds (one store, or the next shard of several).
+    fn absorb(&mut self, g: &GraphTinker) {
+        self.edges.reserve(g.num_edges() as usize);
+        // Main-structure order: deterministic and available with or without
+        // the CAL (the CAL's own order is rebuilt on restore anyway).
+        g.for_each_edge_main(|src, dst, w| self.edges.push(Edge::new(src, dst, w)));
+        if self.config.enable_sgh {
+            self.sources.extend(g.sources());
+        }
+        self.space = self.space.max(g.vertex_space());
+    }
+
+    fn encode(&self, wal_lsn: u64) -> Vec<u8> {
+        let mut w = header(StoreKind::Tinker, wal_lsn, 64 + self.edges.len() * 12);
+        let cfg = &self.config;
+        let mut p = ByteWriter::with_capacity(CONFIG_BYTES);
+        p.put_u64(cfg.pagewidth as u64);
+        p.put_u64(cfg.subblock as u64);
+        p.put_u64(cfg.workblock as u64);
+        let flags = (cfg.enable_sgh as u8)
+            | ((cfg.enable_cal as u8) << 1)
+            | (((cfg.delete_mode == DeleteMode::DeleteAndCompact) as u8) << 2);
+        p.put_u8(flags);
+        p.put_u64(cfg.cal_group_size as u64);
+        p.put_u64(cfg.cal_block_size as u64);
+        p.put_u64(cfg.inline_cap as u64);
+        p.put_u64(cfg.hub_promote as u64);
+        p.put_u64(cfg.hub_demote as u64);
+        put_section(&mut w, TAG_CONFIG, p.as_bytes());
+
+        if cfg.enable_sgh {
+            let mut p = ByteWriter::with_capacity(8 + self.sources.len() * 4);
+            p.put_u64(self.sources.len() as u64);
+            for &s in &self.sources {
+                p.put_u32(s);
+            }
+            put_section(&mut w, TAG_SGH, p.as_bytes());
+        }
+
+        put_tail(w, &self.edges, self.space)
+    }
+}
+
 /// Serializes a [`GraphTinker`] to snapshot bytes. `wal_lsn` records how
 /// many WAL records are already folded into this image; recovery replays
 /// the log from there.
 pub fn encode_tinker(g: &GraphTinker, wal_lsn: u64) -> Vec<u8> {
-    let mut edges = Vec::with_capacity(g.num_edges() as usize);
-    // Main-structure order: deterministic and available with or without
-    // the CAL (the CAL's own order is rebuilt on restore anyway).
-    g.for_each_edge_main(|src, dst, w| edges.push(Edge::new(src, dst, w)));
-
-    let mut w = header(StoreKind::Tinker, wal_lsn, 64 + edges.len() * 12);
-    let cfg = g.config();
-    let mut p = ByteWriter::with_capacity(64);
-    p.put_u64(cfg.pagewidth as u64);
-    p.put_u64(cfg.subblock as u64);
-    p.put_u64(cfg.workblock as u64);
-    let flags = (cfg.enable_sgh as u8)
-        | ((cfg.enable_cal as u8) << 1)
-        | (((cfg.delete_mode == DeleteMode::DeleteAndCompact) as u8) << 2);
-    p.put_u8(flags);
-    p.put_u64(cfg.cal_group_size as u64);
-    p.put_u64(cfg.cal_block_size as u64);
-    p.put_u64(cfg.inline_cap as u64);
-    p.put_u64(cfg.hub_promote as u64);
-    p.put_u64(cfg.hub_demote as u64);
-    put_section(&mut w, TAG_CONFIG, p.as_bytes());
-
-    if cfg.enable_sgh {
-        let sources = g.sources();
-        let mut p = ByteWriter::with_capacity(8 + sources.len() * 4);
-        p.put_u64(sources.len() as u64);
-        for s in sources {
-            p.put_u32(s);
-        }
-        put_section(&mut w, TAG_SGH, p.as_bytes());
-    }
-
-    put_edges(&mut w, &edges);
-
-    let mut p = ByteWriter::with_capacity(4);
-    p.put_u32(g.vertex_space());
-    put_section(&mut w, TAG_SPACE, p.as_bytes());
-
-    put_section(&mut w, TAG_END, &[]);
-    w.into_bytes()
+    let mut image = TinkerImage::of(*g.config());
+    image.absorb(g);
+    image.encode(wal_lsn)
 }
 
 /// Serializes a [`Stinger`] to snapshot bytes.
@@ -144,31 +182,26 @@ pub fn encode_stinger(s: &Stinger, wal_lsn: u64) -> Vec<u8> {
     s.for_each_edge(|src, dst, w| edges.push(Edge::new(src, dst, w)));
 
     let mut w = header(StoreKind::Stinger, wal_lsn, 32 + edges.len() * 12);
-    let mut p = ByteWriter::with_capacity(8);
-    p.put_u64(s.config().edges_per_block as u64);
-    put_section(&mut w, TAG_CONFIG, p.as_bytes());
-    put_edges(&mut w, &edges);
-    let mut p = ByteWriter::with_capacity(4);
-    p.put_u32(s.vertex_space());
-    put_section(&mut w, TAG_SPACE, p.as_bytes());
-    put_section(&mut w, TAG_END, &[]);
-    w.into_bytes()
+    put_section(&mut w, TAG_CONFIG, &(s.config().edges_per_block as u64).to_le_bytes());
+    put_tail(w, &edges, s.vertex_space())
 }
 
 /// The verified sections of a snapshot, before store reconstruction.
 struct Sections<'a> {
-    kind: StoreKind,
     wal_lsn: u64,
     config: &'a [u8],
-    sgh: Option<&'a [u8]>,
-    edges: &'a [u8],
-    space: Option<&'a [u8]>,
+    /// SGH arrival order; empty without the section.
+    sources: Vec<VertexId>,
+    edges: Vec<Edge>,
+    /// The recorded vertex space; 0 (widens nothing) without the section.
+    space: u32,
 }
 
-/// Parses and checksum-verifies the section framing. Any structural
-/// defect — bad magic, short section, CRC mismatch, missing end marker,
-/// trailing bytes — is [`PersistError::Corrupt`].
-fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>> {
+/// Parses and checksum-verifies the section framing of a `want` image. Any
+/// structural defect — bad magic, the other store kind, short section, CRC
+/// mismatch, missing end marker, trailing bytes — is
+/// [`PersistError::Corrupt`].
+fn parse_sections(bytes: &[u8], want: StoreKind) -> Result<Sections<'_>> {
     let mut r = ByteReader::new(bytes);
     let magic = r.bytes(8, "snapshot magic")?;
     if magic != SNAPSHOT_MAGIC {
@@ -179,8 +212,11 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>> {
         1 => StoreKind::Stinger,
         k => return Err(PersistError::Corrupt(format!("unknown store kind {k}"))),
     };
+    if kind != want {
+        return Err(PersistError::Corrupt(format!("snapshot holds a {kind:?}, not a {want:?}")));
+    }
     let wal_lsn = r.u64("wal lsn")?;
-    let (mut config, mut sgh, mut edges, mut space) = (None, None, None, None);
+    let (mut config, mut sources, mut edges, mut space) = (None, Vec::new(), None, 0);
     loop {
         let tag = r.u8("section tag")?;
         let len = r.u64("section length")? as usize;
@@ -191,9 +227,16 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>> {
         }
         match tag {
             TAG_CONFIG => config = Some(payload),
-            TAG_SGH => sgh = Some(payload),
+            TAG_SGH => {
+                let mut r = ByteReader::new(payload);
+                let n = r.u64("sgh count")? as usize;
+                sources.reserve(n.min(payload.len() / 4 + 1));
+                for _ in 0..n {
+                    sources.push(r.u32("sgh source")?);
+                }
+            }
             TAG_EDGES => edges = Some(payload),
-            TAG_SPACE => space = Some(payload),
+            TAG_SPACE => space = ByteReader::new(payload).u32("vertex space")?,
             TAG_END => break,
             other => return Err(PersistError::Corrupt(format!("unknown section tag {other}"))),
         }
@@ -206,7 +249,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>> {
     }
     let config = config.ok_or_else(|| PersistError::Corrupt("missing CONFIG section".into()))?;
     let edges = edges.ok_or_else(|| PersistError::Corrupt("missing EDGES section".into()))?;
-    Ok(Sections { kind, wal_lsn, config, sgh, edges, space })
+    Ok(Sections { wal_lsn, config, sources, edges: decode_edges(edges)?, space })
 }
 
 fn decode_edges(payload: &[u8]) -> Result<Vec<Edge>> {
@@ -222,108 +265,121 @@ fn decode_edges(payload: &[u8]) -> Result<Vec<Edge>> {
     Ok(edges)
 }
 
-/// Reconstructs a [`GraphTinker`] from snapshot bytes, returning the store
-/// and the WAL position recorded in the image.
-pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
-    let s = parse_sections(bytes)?;
-    if s.kind != StoreKind::Tinker {
-        return Err(PersistError::Corrupt("snapshot holds a Stinger, not a GraphTinker".into()));
-    }
-    let mut r = ByteReader::new(s.config);
-    let config = TinkerConfig {
-        pagewidth: r.u64("pagewidth")? as usize,
-        subblock: r.u64("subblock")? as usize,
-        workblock: r.u64("workblock")? as usize,
-        enable_sgh: false, // patched from flags below
-        enable_cal: false,
-        cal_group_size: 0,
-        cal_block_size: 0,
-        delete_mode: DeleteMode::DeleteOnly,
-        inline_cap: 0,
-        hub_promote: 0,
-        hub_demote: 0,
-    };
-    let flags = r.u8("config flags")?;
-    let config = TinkerConfig {
-        enable_sgh: flags & 1 != 0,
-        enable_cal: flags & 2 != 0,
-        delete_mode: if flags & 4 != 0 {
-            DeleteMode::DeleteAndCompact
-        } else {
-            DeleteMode::DeleteOnly
-        },
-        cal_group_size: r.u64("cal_group_size")? as usize,
-        cal_block_size: r.u64("cal_block_size")? as usize,
-        ..config
-    };
-    // Tier thresholds were appended to the CONFIG payload after the first
-    // release of the format; snapshots written before that simply end here
-    // and decode with tiering off.
-    let config = if r.remaining() >= 24 {
-        TinkerConfig {
+impl TinkerImage {
+    /// Verifies and decodes snapshot bytes, returning the image and the
+    /// WAL position recorded in it. The CONFIG payload is exactly what
+    /// [`encode`](Self::encode) writes: a shorter or longer one is corrupt.
+    fn decode(bytes: &[u8]) -> Result<(Self, u64)> {
+        let s = parse_sections(bytes, StoreKind::Tinker)?;
+        let mut r = ByteReader::new(s.config);
+        let pagewidth = r.u64("pagewidth")? as usize;
+        let subblock = r.u64("subblock")? as usize;
+        let workblock = r.u64("workblock")? as usize;
+        let flags = r.u8("config flags")?;
+        let config = TinkerConfig {
+            pagewidth,
+            subblock,
+            workblock,
+            enable_sgh: flags & 1 != 0,
+            enable_cal: flags & 2 != 0,
+            delete_mode: if flags & 4 != 0 {
+                DeleteMode::DeleteAndCompact
+            } else {
+                DeleteMode::DeleteOnly
+            },
+            cal_group_size: r.u64("cal_group_size")? as usize,
+            cal_block_size: r.u64("cal_block_size")? as usize,
             inline_cap: r.u64("inline_cap")? as usize,
             hub_promote: r.u64("hub_promote")? as u32,
             hub_demote: r.u64("hub_demote")? as u32,
-            ..config
+        };
+        if r.remaining() != 0 {
+            return Err(PersistError::Corrupt(format!(
+                "config: {} bytes beyond the {CONFIG_BYTES} the format defines",
+                r.remaining()
+            )));
         }
-    } else {
-        config
-    };
-    // Snapshots written while the probe engine was switchable end with one
-    // more word, the switch (0 or 1). The store has one probe engine now:
-    // the word is checked and skipped.
-    if r.remaining() >= 8 && r.u64("retired probe switch")? > 1 {
-        return Err(PersistError::Corrupt("config: retired probe switch is not 0 or 1".into()));
+        let image = TinkerImage { config, sources: s.sources, edges: s.edges, space: s.space };
+        Ok((image, s.wal_lsn))
     }
-    let mut g = GraphTinker::new(config)?;
-    if let Some(sgh) = s.sgh {
-        let mut r = ByteReader::new(sgh);
-        let n = r.u64("sgh count")? as usize;
-        let mut sources = Vec::with_capacity(n.min(sgh.len() / 4 + 1));
-        for _ in 0..n {
-            sources.push(r.u32("sgh source")?);
+
+    /// Rebuilds one store, on the caller's thread.
+    fn restore(&self) -> Result<GraphTinker> {
+        let mut g = GraphTinker::new(self.config)?;
+        g.import_sources(&self.sources);
+        for chunk in self.edges.chunks(DECODE_BATCH_OPS) {
+            g.apply_batch(&EdgeBatch::inserts(chunk));
         }
-        g.import_sources(&sources);
+        check_distinct(&self.edges, g.num_edges())?;
+        g.expand_vertex_space(self.space);
+        Ok(g)
     }
-    let edges = decode_edges(s.edges)?;
-    for chunk in edges.chunks(DECODE_BATCH_OPS) {
-        g.apply_batch(&EdgeBatch::inserts(chunk));
+
+    /// Rebuilds a store of `shards` interval shards (with epoch views when
+    /// `views`), each shard on its own worker: a shard imports the sources
+    /// of its interval in image order, takes the recorded vertex space (a
+    /// maximum, so it commutes with the edges that follow), and claims its
+    /// edges out of the shared payload.
+    fn restore_sharded(&self, shards: usize, views: bool) -> Result<ParallelTinker> {
+        let mut store = new_sharded(self.config, shards, views)?;
+        let mut own = vec![Vec::new(); shards];
+        for &src in &self.sources {
+            own[partition_of(src, shards)].push(src);
+        }
+        for (i, own) in own.iter().enumerate() {
+            store.with_instance_mut(i, |g| {
+                g.import_sources(own);
+                g.expand_vertex_space(self.space);
+            });
+        }
+        for chunk in self.edges.chunks(DECODE_BATCH_OPS) {
+            store.submit(EdgeBatch::inserts(chunk));
+        }
+        store.flush();
+        check_distinct(&self.edges, store.num_edges())?;
+        Ok(store)
     }
-    if g.num_edges() != edges.len() as u64 {
-        return Err(PersistError::Corrupt(format!(
-            "edge payload held {} records but {} distinct edges",
-            edges.len(),
-            g.num_edges()
-        )));
+}
+
+/// An empty store of `shards` interval shards, with epoch views or not.
+pub(crate) fn new_sharded(
+    config: TinkerConfig,
+    shards: usize,
+    views: bool,
+) -> Result<ParallelTinker> {
+    let new = if views { ParallelTinker::new_with_views } else { ParallelTinker::new };
+    Ok(new(config, shards)?)
+}
+
+/// The edge payload of an image holds each live edge once: a store that
+/// replayed it must count as many edges as it had records.
+fn check_distinct(payload: &[Edge], live: u64) -> Result<()> {
+    if live == payload.len() as u64 {
+        return Ok(());
     }
-    if let Some(space) = s.space {
-        g.expand_vertex_space(ByteReader::new(space).u32("vertex space")?);
-    }
-    Ok((g, s.wal_lsn))
+    Err(PersistError::Corrupt(format!(
+        "edge payload held {} records but {live} distinct edges",
+        payload.len()
+    )))
+}
+
+/// Reconstructs a [`GraphTinker`] from snapshot bytes, returning the store
+/// and the WAL position recorded in the image.
+pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
+    let (image, wal_lsn) = TinkerImage::decode(bytes)?;
+    Ok((image.restore()?, wal_lsn))
 }
 
 /// Reconstructs a [`Stinger`] from snapshot bytes.
 pub fn decode_stinger(bytes: &[u8]) -> Result<(Stinger, u64)> {
-    let s = parse_sections(bytes)?;
-    if s.kind != StoreKind::Stinger {
-        return Err(PersistError::Corrupt("snapshot holds a GraphTinker, not a Stinger".into()));
-    }
+    let s = parse_sections(bytes, StoreKind::Stinger)?;
     let epb = ByteReader::new(s.config).u64("edges_per_block")? as usize;
     let mut st = Stinger::new(StingerConfig { edges_per_block: epb })?;
-    let edges = decode_edges(s.edges)?;
-    for e in &edges {
+    for e in &s.edges {
         st.insert_edge(*e);
     }
-    if st.num_edges() != edges.len() as u64 {
-        return Err(PersistError::Corrupt(format!(
-            "edge payload held {} records but {} distinct edges",
-            edges.len(),
-            st.num_edges()
-        )));
-    }
-    if let Some(space) = s.space {
-        st.expand_vertex_space(ByteReader::new(space).u32("vertex space")?);
-    }
+    check_distinct(&s.edges, st.num_edges())?;
+    st.expand_vertex_space(s.space);
     Ok((st, s.wal_lsn))
 }
 
@@ -386,13 +442,13 @@ pub fn write_snapshot_bytes(dir: &Path, lsn: u64, bytes: &[u8]) -> Result<PathBu
     Ok(path)
 }
 
-/// Snapshots a [`GraphTinker`] into `dir` at WAL position `lsn`.
-pub fn write_tinker_snapshot(dir: &Path, g: &GraphTinker, lsn: u64) -> Result<PathBuf> {
+/// Encodes and publishes one snapshot at `lsn`, timing both halves.
+fn publish(dir: &Path, lsn: u64, encode: impl FnOnce() -> Vec<u8>) -> Result<PathBuf> {
     let m = gtinker_core::metrics::global();
     let encode_timer = gtinker_core::metrics::timer();
     let bytes = {
         let _t = gtinker_core::trace::span_arg(gtinker_core::SpanId::SnapshotEncode, lsn);
-        encode_tinker(g, lsn)
+        encode()
     };
     m.snapshot_encode_ns.record_since(encode_timer);
     let write_timer = gtinker_core::metrics::timer();
@@ -403,26 +459,46 @@ pub fn write_tinker_snapshot(dir: &Path, g: &GraphTinker, lsn: u64) -> Result<Pa
     Ok(path)
 }
 
+/// Snapshots a [`GraphTinker`] into `dir` at WAL position `lsn`.
+pub fn write_tinker_snapshot(dir: &Path, g: &GraphTinker, lsn: u64) -> Result<PathBuf> {
+    publish(dir, lsn, || encode_tinker(g, lsn))
+}
+
+/// Snapshots every shard of `store` into `dir` as one image at WAL
+/// position `lsn` (a pipeline barrier: in-flight batches are in it).
+pub(crate) fn write_sharded_snapshot(
+    dir: &Path,
+    store: &ParallelTinker,
+    lsn: u64,
+) -> Result<PathBuf> {
+    publish(dir, lsn, || {
+        let mut image = TinkerImage::of(store.with_instance(0, |g| *g.config()));
+        for i in 0..store.num_instances() {
+            store.with_instance(i, |g| image.absorb(g));
+        }
+        image.encode(lsn)
+    })
+}
+
 /// Snapshots a [`Stinger`] into `dir` at WAL position `lsn`.
 pub fn write_stinger_snapshot(dir: &Path, s: &Stinger, lsn: u64) -> Result<PathBuf> {
-    let m = gtinker_core::metrics::global();
-    let encode_timer = gtinker_core::metrics::timer();
-    let bytes = {
-        let _t = gtinker_core::trace::span_arg(gtinker_core::SpanId::SnapshotEncode, lsn);
-        encode_stinger(s, lsn)
-    };
-    m.snapshot_encode_ns.record_since(encode_timer);
-    let write_timer = gtinker_core::metrics::timer();
-    let _t = gtinker_core::trace::span_arg(gtinker_core::SpanId::SnapshotWrite, lsn);
-    let path = write_snapshot_bytes(dir, lsn, &bytes)?;
-    m.snapshot_write_ns.record_since(write_timer);
-    m.snapshot_writes.inc();
-    Ok(path)
+    publish(dir, lsn, || encode_stinger(s, lsn))
 }
 
 /// Loads a [`GraphTinker`] snapshot file.
 pub fn load_tinker_snapshot(path: &Path) -> Result<(GraphTinker, u64)> {
     decode_tinker(&fs::read(path)?)
+}
+
+/// Loads a [`GraphTinker`] snapshot file — written from one store or from
+/// any number of shards — into `shards` interval shards.
+pub(crate) fn load_sharded_snapshot(
+    path: &Path,
+    shards: usize,
+    views: bool,
+) -> Result<(ParallelTinker, u64)> {
+    let (image, wal_lsn) = TinkerImage::decode(&fs::read(path)?)?;
+    Ok((image.restore_sharded(shards, views)?, wal_lsn))
 }
 
 /// Loads a [`Stinger`] snapshot file.

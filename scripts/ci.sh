@@ -28,16 +28,26 @@ trap 'rm -rf "$SMOKE"' EXIT
 grep -q "replayed" "$SMOKE/recover.out"
 grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover.out"
 
-echo "==> pipeline smoke test (pooled+pipelined ingest -> recover, edge counts agree)"
+echo "==> pipeline smoke test (pooled ingest with snapshots, resumed at another --pool -> recover; edge counts agree with a one-shot ingest)"
 "$GT" ingest "$SMOKE/g.txt" --wal "$SMOKE/db_pool" --batch 512 --sync never \
     --pool 4 --pipeline | tee "$SMOKE/ingest_pool.out"
 LIVE=$(sed -n 's/.* \([0-9][0-9]*\) live, next lsn.*/\1/p' "$SMOKE/ingest_pool.out")
 test -n "$LIVE"
-# A pooled ingest writes no snapshot: this is WAL-only recovery, which
-# rebuilds the store in the default (tiered) layout and must validate.
-"$GT" recover "$SMOKE/db_pool" --validate | tee "$SMOKE/recover_pool.out"
+# The same file in two runs into one directory: its head at --pool 4 with
+# a snapshot every 4 batches, its tail resumed at --pool 2. What recovers
+# is the one-shot ingest's graph, rebuilt from a snapshot plus a log tail.
+HEAD_LINES=$(($(wc -l < "$SMOKE/g.txt") / 2))
+head -n "$HEAD_LINES" "$SMOKE/g.txt" > "$SMOKE/g_head.txt"
+tail -n +"$((HEAD_LINES + 1))" "$SMOKE/g.txt" > "$SMOKE/g_tail.txt"
+"$GT" ingest "$SMOKE/g_head.txt" --wal "$SMOKE/db_resume" --batch 512 --sync never \
+    --pool 4 --snapshot-every 4 2> "$SMOKE/ingest_head.err"
+grep -q "^snapshot at lsn 4: " "$SMOKE/ingest_head.err"
+"$GT" ingest "$SMOKE/g_tail.txt" --wal "$SMOKE/db_resume" --batch 512 --sync never \
+    --pool 2 | tee "$SMOKE/ingest_resume.out"
+grep -q " $LIVE live, next lsn" "$SMOKE/ingest_resume.out"
+"$GT" recover "$SMOKE/db_resume" --validate | tee "$SMOKE/recover_pool.out"
 grep -q "recovered GraphTinker: $LIVE edges" "$SMOKE/recover_pool.out"
-grep -q "snapshot lsn 0," "$SMOKE/recover_pool.out"
+grep -q "snapshot lsn [1-9]" "$SMOKE/recover_pool.out"
 grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_pool.out"
 
 echo "==> streaming ingest smoke test (messy input == clean twin; bad last line leaves a valid prefix)"

@@ -132,19 +132,19 @@ fn tinker_hub_heavy_workload_matches_oracle() {
     check_tinker_against_model(TinkerConfig::default(), 8, 20_000, 8);
 }
 
-/// Durable store in pipelined group-commit mode against the model: batched
-/// mixed ops through the WAL-first pipeline, with the store's op counters
-/// (inserts / updates / deletes / misses) checked against counts derived
-/// from the model op by op.
-fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64) {
+/// The durable store (`shards` interval shards behind the WAL) against the
+/// model: batched mixed ops through the WAL-first pipeline, with the
+/// store's op counters (inserts / updates / deletes / misses) checked
+/// against counts derived from the model op by op.
+fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64, shards: usize) {
     let dir = std::env::temp_dir()
         .join(format!("gtinker_oracle_durable_{mode:?}_{seed}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = TinkerConfig::default().delete_mode(mode);
     let opts = WalOptions { sync: SyncPolicy::EveryN(8), ..WalOptions::default() };
-    let (mut d, report) = DurableTinker::open(&dir, cfg, opts).expect("open durable store");
+    let (mut d, report) =
+        DurableTinker::open(&dir, cfg, opts, shards, false).expect("open durable store");
     assert_eq!(report.replayed_records, 0, "fresh directory");
-    d.set_pipelined(true).expect("enable group-commit pipelining");
 
     let mut model = Model::new();
     let (mut inserts, mut updates, mut deletes, mut misses) = (0u64, 0u64, 0u64, 0u64);
@@ -167,12 +167,12 @@ fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64) {
                 batch.push(UpdateOp::Insert(Edge::new(src, dst, w)));
             }
         }
-        d.apply_batch(&batch).expect("pipelined apply");
+        d.apply_batch(batch).expect("pipelined apply");
     }
-    // Fold the lag-by-one pending batch in before inspecting the store.
     d.sync().expect("final sync");
 
     let g = d.store();
+    gtinker_integration::assert_shards_valid(g, "durable store");
     assert_eq!(g.num_edges() as usize, model.len(), "mode {mode:?}");
     let mut got: Vec<(u32, u32, u32)> = Vec::new();
     g.for_each_edge(|s, dst, w| got.push((s, dst, w)));
@@ -195,12 +195,12 @@ fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64) {
 
 #[test]
 fn durable_pipelined_delete_only_matches_oracle() {
-    check_durable_pipelined_against_model(DeleteMode::DeleteOnly, 40);
+    check_durable_pipelined_against_model(DeleteMode::DeleteOnly, 40, 1);
 }
 
 #[test]
 fn durable_pipelined_compact_matches_oracle() {
-    check_durable_pipelined_against_model(DeleteMode::DeleteAndCompact, 41);
+    check_durable_pipelined_against_model(DeleteMode::DeleteAndCompact, 41, 2);
 }
 
 #[test]

@@ -20,11 +20,11 @@ use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
 };
-use gtinker_integration::assert_valid;
-use gtinker_persist::snapshot::{decode_tinker, encode_tinker};
+use gtinker_integration::{assert_shards_valid, assert_valid};
+use gtinker_persist::snapshot::decode_tinker;
 use gtinker_persist::{
-    corrupt_file, crc32, list_segments, recover_tinker, replay, DurableTinker, Fault, SyncPolicy,
-    WalOptions,
+    corrupt_file, crc32, list_segments, list_snapshots, recover_tinker, replay, DurableTinker,
+    Fault, PersistError, SyncPolicy, WalOptions,
 };
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use proptest::prelude::*;
@@ -168,22 +168,24 @@ fn assert_recovers_to(dir: &Path, cfg: TinkerConfig, batches: &[EdgeBatch], n: u
 }
 
 /// Builds the persistence directory: log `batches` through a
-/// `DurableTinker`, snapshotting after batch `snap_after` (if any).
-/// Returns the directory and the effective snapshot LSN.
+/// `DurableTinker` of `shards` shards, snapshotting after batch
+/// `snap_after` (if any). Returns the directory and the effective
+/// snapshot LSN.
 fn build_dir(
     tag: &str,
     cfg: TinkerConfig,
+    shards: usize,
     batches: &[EdgeBatch],
     snap_after: Option<u64>,
 ) -> (PathBuf, u64) {
     let dir = fresh_dir(tag);
     // Tiny segments force rotation so crashes span segment boundaries.
     let opts = WalOptions { segment_bytes: 300, sync: SyncPolicy::Never };
-    let (mut d, _) = DurableTinker::open(&dir, cfg, opts).unwrap();
+    let (mut d, _) = DurableTinker::open(&dir, cfg, opts, shards, false).unwrap();
     let mut snap_lsn = 0;
     for (i, b) in batches.iter().enumerate() {
-        d.apply_batch(b).unwrap();
-        assert_valid(d.store(), "durable store");
+        d.apply_batch(b.clone()).unwrap();
+        assert_shards_valid(d.store(), "durable store");
         if snap_after == Some(i as u64) {
             d.snapshot().unwrap();
             snap_lsn = d.next_lsn();
@@ -224,6 +226,7 @@ proptest! {
         batch_size in 8..24usize,
         snap_permille in 0..1000u64,
         compact in any::<bool>(),
+        shards in 1..3usize,
         crash_permille in prop::collection::vec(0..1000u64, 3..8),
     ) {
         let mode = if compact { DeleteMode::DeleteAndCompact } else { DeleteMode::DeleteOnly };
@@ -232,7 +235,7 @@ proptest! {
         let batches = ops_to_batches(&ops, batch_size);
         let n = batches.len() as u64;
         let snap_after = (snap_permille * n / 1000).min(n - 1);
-        let (dir, snap_lsn) = build_dir("prop", cfg, &batches, Some(snap_after));
+        let (dir, snap_lsn) = build_dir("prop", cfg, shards, &batches, Some(snap_after));
         let layout = wal_layout(&dir);
         prop_assert_eq!(snap_lsn, snap_after + 1);
 
@@ -272,12 +275,13 @@ proptest! {
         flip_permille in 0..1000u64,
         flip_bit in 0..8u32,
         compact in any::<bool>(),
+        shards in 1..3usize,
     ) {
         let mode = if compact { DeleteMode::DeleteAndCompact } else { DeleteMode::DeleteOnly };
         let cfg = TinkerConfig::default().delete_mode(mode);
         let batches = ops_to_batches(&ops, 10);
-        let (dir, snap_lsn) = build_dir("flip", cfg, &batches, None);
-        prop_assert_eq!(snap_lsn, 0);
+        let (dir, snap_lsn) = build_dir("flip", cfg, shards, &batches, Some(1));
+        prop_assert_eq!(snap_lsn, 2);
         let layout = wal_layout(&dir);
         let at = (flip_permille * layout.total_bytes / 1000).min(layout.total_bytes - 1);
 
@@ -297,7 +301,7 @@ proptest! {
             .find(|&&(_, start, end)| start <= local && local < end)
             .map(|&(_, start, _)| seg.base + start)
             .unwrap_or(seg.base);
-        let expected = expected_batches(&layout, 0, unit_start);
+        let expected = expected_batches(&layout, snap_lsn, unit_start);
 
         let name = seg.path.file_name().unwrap();
         corrupt_file(&dir.join(name), Fault::BitFlip { at: local, bit: flip_bit as u8 }).unwrap();
@@ -319,18 +323,21 @@ fn dense_crash_sweep_fixed_stream() {
             ops.push((i % 5 != 0, i * 7 % 19, i * 11 % 23, i % 40 + 1));
         }
         let batches = ops_to_batches(&ops, 12);
-        let (dir, snap_lsn) = build_dir("dense", cfg, &batches, Some(4));
-        let layout = wal_layout(&dir);
-        assert!(layout.segments.len() > 1, "sweep should cross segment boundaries");
-        for at in (0..=layout.total_bytes).step_by(5) {
-            let crashed = fresh_dir("dense_c");
-            copy_dir(&dir, &crashed);
-            crash_at(&layout, &crashed, at);
-            let expected = expected_batches(&layout, snap_lsn, at);
-            assert_recovers_to(&crashed, cfg, &batches, expected, &format!("dense crash at {at}"));
-            fs::remove_dir_all(&crashed).ok();
+        for shards in [1, 2] {
+            let (dir, snap_lsn) = build_dir("dense", cfg, shards, &batches, Some(4));
+            let layout = wal_layout(&dir);
+            assert!(layout.segments.len() > 1, "sweep should cross segment boundaries");
+            for at in (0..=layout.total_bytes).step_by(5) {
+                let crashed = fresh_dir("dense_c");
+                copy_dir(&dir, &crashed);
+                crash_at(&layout, &crashed, at);
+                let expected = expected_batches(&layout, snap_lsn, at);
+                let ctx = format!("dense crash at {at}, {shards} shard(s)");
+                assert_recovers_to(&crashed, cfg, &batches, expected, &ctx);
+                fs::remove_dir_all(&crashed).ok();
+            }
+            fs::remove_dir_all(&dir).ok();
         }
-        fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -352,7 +359,7 @@ fn hub_stream() -> Vec<EdgeBatch> {
 fn paper_layout_snapshot_decodes_with_tiering_off() {
     let batches = hub_stream();
     let n = batches.len() as u64;
-    let (dir, snap_lsn) = build_dir("papersnap", TinkerConfig::paper(), &batches, Some(n / 2));
+    let (dir, snap_lsn) = build_dir("papersnap", TinkerConfig::paper(), 2, &batches, Some(n / 2));
     assert!(snap_lsn > 0 && snap_lsn < n);
     let (g, report) = recover_tinker(&dir, TinkerConfig::default()).unwrap();
     assert_eq!(report.snapshot_lsn, snap_lsn);
@@ -381,47 +388,127 @@ fn with_config_payload(image: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
     out
 }
 
-/// The CONFIG section grew twice and shrank once: the first release ended
-/// after the CAL geometry, tier thresholds (three words) were appended
-/// later, then a probe-switch word that this release stopped writing.
-/// Images in all three historical layouts decode to the store the current
-/// writer's image decodes to.
+/// The CONFIG payload has one layout, the 65 bytes the encoder writes. A
+/// shorter payload (the first release's ended before the tier thresholds)
+/// or a longer one (a later release appended a word it stopped writing
+/// again) is corrupt, and recovery falls back to the older snapshot plus
+/// the log behind it.
 #[test]
-fn every_historical_config_layout_decodes_to_the_same_store() {
+fn config_payload_of_any_other_length_is_corrupt_and_recovery_falls_back() {
     let batches = hub_stream();
-    for cfg in [TinkerConfig::paper(), TinkerConfig::default()] {
-        let truth = truth_store(cfg, &batches, batches.len() as u64);
-        let image = encode_tinker(&truth, 7);
-        let (want, _) = decode_tinker(&image).unwrap();
-        let mut layouts = vec![
-            ("tiers", image.clone()),
-            (
-                "tiers + probe switch on",
-                with_config_payload(&image, |p| p.extend(1u64.to_le_bytes())),
-            ),
-            (
-                "tiers + probe switch off",
-                with_config_payload(&image, |p| p.extend(0u64.to_le_bytes())),
-            ),
-        ];
-        if !cfg.adaptive_enabled() {
-            // The first layout has no tier words and decodes with tiering off.
-            layouts
-                .push(("first release", with_config_payload(&image, |p| p.truncate(p.len() - 24))));
+    let n = batches.len() as u64;
+    let cfg = TinkerConfig::default();
+    let dir = fresh_dir("cfglen");
+    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 2, false).unwrap();
+    for (i, b) in batches.iter().enumerate() {
+        d.apply_batch(b.clone()).unwrap();
+        if i as u64 + 1 == n / 2 || i as u64 + 1 == n {
+            d.snapshot().unwrap();
         }
-        for (name, bytes) in layouts {
-            let (g, lsn) = decode_tinker(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(lsn, 7, "{name}");
-            assert_eq!(*g.config(), cfg, "{name}");
-            assert_eq!(edge_set(&g), edge_set(&truth), "{name}");
-            assert_eq!(g.sources(), truth.sources(), "{name}");
-            assert_eq!(g.structure_stats(), want.structure_stats(), "{name}");
-            assert_valid(&g, name);
-        }
-        // The retired word was a flag; anything else there is corruption.
-        let bad = with_config_payload(&image, |p| p.extend(2u64.to_le_bytes()));
-        assert!(decode_tinker(&bad).is_err());
     }
+    drop(d);
+    let newest = list_snapshots(&dir).unwrap().pop().unwrap();
+    assert_eq!(newest.lsn, n);
+    let image = fs::read(&newest.path).unwrap();
+    assert!(decode_tinker(&image).is_ok());
+    // The first release's length (no tier thresholds), one byte short, one
+    // byte long, and the retired trailing word.
+    for len in [65 - 24, 64, 66, 65 + 8] {
+        let name = format!("CONFIG of {len} bytes");
+        let bytes = with_config_payload(&image, |p| p.resize(len, 0));
+        let e = decode_tinker(&bytes).expect_err(&name);
+        assert!(matches!(e, PersistError::Corrupt(_)), "{name}: {e}");
+        fs::write(&newest.path, &bytes).unwrap();
+        let (g, report) = recover_tinker(&dir, cfg).unwrap();
+        assert_eq!(report.snapshots_skipped, 1, "{name}");
+        assert_eq!((report.snapshot_lsn, report.replayed_records), (n / 2, n - n / 2), "{name}");
+        assert_eq!(edge_set(&g), edge_set(&truth_store(cfg, &batches, n)), "{name}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+fn sharded_edge_set(d: &DurableTinker) -> Vec<(u32, u32, u32)> {
+    let mut v = Vec::new();
+    d.store().for_each_edge(|s, dst, w| v.push((s, dst, w)));
+    v.sort_unstable();
+    v
+}
+
+/// A directory is not tied to the shard count that wrote it: half a
+/// stream at 2 shards with a snapshot, the rest at 3, then a reopen at 1 —
+/// the edge set, every out-degree and a BFS equal the uninterrupted store
+/// each time.
+#[test]
+fn resume_across_shard_counts_matches_the_model() {
+    let cfg = TinkerConfig { pagewidth: 16, subblock: 8, workblock: 4, ..TinkerConfig::default() };
+    let ops: Vec<(bool, u32, u32, u32)> =
+        (0..400u32).map(|i| (i % 6 != 0, i * 7 % 31, i * 11 % 37, i % 40 + 1)).collect();
+    let batches = ops_to_batches(&ops, 16);
+    let n = batches.len();
+    let dir = fresh_dir("reshard");
+    let opts = WalOptions { segment_bytes: 300, sync: SyncPolicy::Never };
+    for (shards, range, snap_at) in
+        [(2, 0..n / 2, Some(n / 4)), (3, n / 2..n, None), (1, n..n, None)]
+    {
+        let (mut d, report) = DurableTinker::open(&dir, cfg, opts, shards, false).unwrap();
+        assert_eq!(report.next_lsn, range.start as u64, "{shards} shards resume the log");
+        for i in range.clone() {
+            d.apply_batch(batches[i].clone()).unwrap();
+            if snap_at == Some(i) {
+                d.snapshot().unwrap();
+            }
+        }
+        d.sync().unwrap();
+        let truth = truth_store(cfg, &batches, range.end as u64);
+        let ctx = format!("{shards} shards after batch {}", range.end);
+        assert_shards_valid(d.store(), &ctx);
+        assert_eq!(d.store().num_instances(), shards);
+        assert_eq!(sharded_edge_set(&d), edge_set(&truth), "{ctx}");
+        assert_eq!(d.store().vertex_space(), truth.vertex_space(), "{ctx}");
+        for v in 0..truth.vertex_space() {
+            assert_eq!(d.store().out_degree(v), truth.out_degree(v), "{ctx}: degree of {v}");
+        }
+        let mut e = Engine::new(Bfs::new(0), ModePolicy::AlwaysFull);
+        e.run_from_roots(&**d.store());
+        assert_eq!(e.values(), bfs_levels(&truth, 0), "{ctx}: BFS differs");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// An image written at N shards and restored at N gives every shard its
+/// own SGH arrival order back (so dense ids, CAL grouping and stream order
+/// are the ones it had), and the same image restores into one store.
+#[test]
+fn image_written_at_n_shards_restores_each_shards_source_order() {
+    let mut batches = hub_stream();
+    let spread: Vec<(bool, u32, u32, u32)> =
+        (0..240u32).map(|i| (i % 7 != 0, i * 7 % 41, i % 19 + 500, i + 1)).collect();
+    batches.extend(ops_to_batches(&spread, 32));
+    let n = batches.len() as u64;
+    let dir = fresh_dir("shardorder");
+    let cfg = TinkerConfig::default();
+    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3, false).unwrap();
+    for b in &batches {
+        d.apply_batch(b.clone()).unwrap();
+    }
+    d.snapshot().unwrap();
+    let per_shard = |d: &DurableTinker| -> Vec<_> {
+        (0..3).map(|i| d.store().with_instance(i, |g| (g.sources(), edge_set(g)))).collect()
+    };
+    let written = per_shard(&d);
+    assert!(written.iter().all(|(sources, _)| !sources.is_empty()), "every shard holds sources");
+    drop(d);
+    let (d, report) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3, false).unwrap();
+    assert_eq!((report.snapshot_lsn, report.replayed_records), (n, 0));
+    assert_eq!(per_shard(&d), written);
+    assert_shards_valid(d.store(), "restored at the written shard count");
+    drop(d);
+    let (g, _) = recover_tinker(&dir, cfg).unwrap();
+    assert_valid(&g, "3-shard image into one store");
+    let concatenated: Vec<u32> = written.iter().flat_map(|(s, _)| s.clone()).collect();
+    assert_eq!(g.sources(), concatenated);
+    assert_eq!(edge_set(&g), edge_set(&truth_store(cfg, &batches, n)));
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// With no snapshot the recovered store takes the caller's config — the
@@ -431,7 +518,7 @@ fn every_historical_config_layout_decodes_to_the_same_store() {
 fn wal_only_recovery_takes_the_default_layout_and_validates() {
     let batches = hub_stream();
     let n = batches.len() as u64;
-    let (dir, _) = build_dir("walonly", TinkerConfig::default(), &batches, None);
+    let (dir, _) = build_dir("walonly", TinkerConfig::default(), 2, &batches, None);
     let (g, report) = recover_tinker(&dir, TinkerConfig::default()).unwrap();
     assert_eq!((report.snapshot_lsn, report.replayed_records), (0, n));
     assert_eq!(*g.config(), TinkerConfig::default());
@@ -451,7 +538,7 @@ fn crash_during_snapshot_publish_is_harmless() {
     let ops: Vec<(bool, u32, u32, u32)> =
         (0..80u32).map(|i| (true, i % 13, i % 17, i + 1)).collect();
     let batches = ops_to_batches(&ops, 10);
-    let (dir, _) = build_dir("tmpsnap", cfg, &batches, None);
+    let (dir, _) = build_dir("tmpsnap", cfg, 1, &batches, None);
     // A torn half-written snapshot image under the temporary name.
     fs::write(dir.join("snap-0000000000000008.tmp"), b"GTSNAP01 partial garbage").unwrap();
     let n = batches.len() as u64;
@@ -467,7 +554,7 @@ fn pruned_log_with_snapshot_recovers() {
     let ops: Vec<(bool, u32, u32, u32)> =
         (0..120u32).map(|i| (i % 7 != 0, i % 11, i % 19, i + 1)).collect();
     let batches = ops_to_batches(&ops, 8);
-    let (dir, snap_lsn) = build_dir("pruned", cfg, &batches, Some(batches.len() as u64 - 2));
+    let (dir, snap_lsn) = build_dir("pruned", cfg, 1, &batches, Some(batches.len() as u64 - 2));
     // Snapshot pruning already removed covered segments; what remains must
     // still recover to the full stream.
     let n = batches.len() as u64;
