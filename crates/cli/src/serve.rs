@@ -580,11 +580,11 @@ fn route(path: &str, query: &str, ctx: &ServeCtx) -> (u16, &'static str, String,
 /// Dispatches one store-backed query against a freshly pinned epoch view.
 fn query_route(path: &str, query: &str, ctx: &ServeCtx) -> (u16, &'static str, String, u64) {
     let Some(store) = ctx.store.as_deref() else {
-        return (503, "application/json", "{\"error\":\"no store attached\"}\n".into(), 0);
+        return (503, "application/json", error_json("no store attached"), 0);
     };
     let pin_start = Instant::now();
     let Some(view) = store.pin_view() else {
-        return (503, "application/json", "{\"error\":\"store built without views\"}\n".into(), 0);
+        return (503, "application/json", error_json("store built without views"), 0);
     };
     let pin_ns = pin_start.elapsed().as_nanos() as u64;
     let m = gtinker_core::metrics::global();
@@ -602,8 +602,14 @@ fn query_route(path: &str, query: &str, ctx: &ServeCtx) -> (u16, &'static str, S
     m.serve_query_ns.record_since(t);
     match out {
         Ok(body) => (200, "application/json", body, pin_ns),
-        Err(msg) => (400, "application/json", format!("{{\"error\":\"{msg}\"}}\n"), pin_ns),
+        Err(msg) => (400, "application/json", error_json(&msg), pin_ns),
     }
+}
+
+/// The JSON body of an error answer. `msg` may echo request bytes, so it
+/// is escaped.
+fn error_json(msg: &str) -> String {
+    format!("{{\"error\":\"{}\"}}\n", json_escape(msg))
 }
 
 /// `?key=value` lookup in a raw query string.
@@ -1234,6 +1240,12 @@ mod tests {
                 assert!(r.starts_with("HTTP/1.1 400"), "{path} got: {r}");
                 assert!(r.contains("\"error\""), "{path} got: {r}");
             }
+            // A quote and a backslash in the echoed value stay inside the
+            // JSON string.
+            let r = get_at(addr, "/query/pagerank?top=a\"b\\c");
+            assert!(r.starts_with("HTTP/1.1 400"), "got: {r}");
+            let body = r.split_once("\r\n\r\n").map(|(_, b)| b);
+            assert_eq!(body, Some("{\"error\":\"bad top: 'a\\\"b\\\\c'\"}\n"), "got: {r}");
         });
     }
 

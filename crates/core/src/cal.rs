@@ -11,7 +11,10 @@
 //!
 //! Every edge in the main EdgeblockArray carries a [`CalPtr`] to its copy
 //! here, so insert/update/delete reach the copy in O(1) — "this process of
-//! updating the CAL EdgeblockArray does not involve traversing edges".
+//! updating the CAL EdgeblockArray does not involve traversing edges". The
+//! CAL belongs to the edgeblock tier ([`crate::tier::BlockTier`]): in a
+//! tiered layout the inline entries and hub segments are dense runs
+//! already and have no copy here (DESIGN.md §5d).
 //! Deletion flags the copy invalid and threads its slot onto the group's
 //! free list, which the group's next insert pops before it appends — a
 //! deviation from the paper, whose CAL never reuses a slot and so grows
@@ -20,7 +23,7 @@
 //! [`GraphTinker::rebuild_cal`](crate::GraphTinker) re-compacts a CAL
 //! that deletes have left sparse.
 
-use gtinker_types::{Edge, VertexId, Weight, NIL_U32};
+use gtinker_types::{VertexId, Weight, NIL_U32};
 
 use crate::segvec::{SegVec, SEGMENT_LEN};
 
@@ -94,6 +97,12 @@ impl CalArray {
         }
     }
 
+    /// An empty CAL with this one's group and block sizes (what a rebuild
+    /// refills).
+    pub(crate) fn emptied(&self) -> Self {
+        CalArray::new(self.group_size, self.block_size)
+    }
+
     /// Number of live (valid) edge copies.
     #[inline]
     pub fn num_live(&self) -> u64 {
@@ -115,7 +124,7 @@ impl CalArray {
 
     /// The group a dense source id belongs to.
     #[inline]
-    pub fn group_of(&self, dense_src: u32) -> usize {
+    fn group_of(&self, dense_src: u32) -> usize {
         dense_src as usize / self.group_size
     }
 
@@ -208,49 +217,26 @@ impl CalArray {
     /// group's chain in order, each block front-to-fill. This is the
     /// full-processing retrieval path — the accesses walk the record arena
     /// chain-contiguously instead of hopping per-vertex.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, f: F) {
-        self.for_each_edge_in_groups(0..self.group_head.len(), f);
-    }
-
-    /// Number of source groups currently tracked (the unit sharded
-    /// streaming splits over).
-    #[inline]
-    pub fn num_groups(&self) -> usize {
-        self.group_head.len()
-    }
-
-    /// Streams the live edge copies of a contiguous group range, in the
-    /// same order [`for_each_edge`](Self::for_each_edge) visits them.
-    /// Concatenating disjoint adjacent ranges therefore reproduces the
-    /// full stream exactly.
-    pub fn for_each_edge_in_groups<F: FnMut(VertexId, VertexId, Weight)>(
-        &self,
-        groups: std::ops::Range<usize>,
-        mut f: F,
-    ) {
-        for g in groups {
-            let mut b = self.group_head[g];
-            while b != NIL_U32 {
-                let fill = self.fill[b as usize] as usize;
-                for r in self.records.slice((b as usize) << self.slot_bits, fill) {
-                    if r.valid {
-                        f(r.src, r.dst, r.weight);
-                    }
-                }
-                b = self.next_block[b as usize];
-            }
+    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+        for g in 0..self.group_head.len() {
+            self.for_each_edge_in_group(g, &mut f);
         }
     }
 
-    /// Clears the CAL to empty (used by rebuild).
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.next_block.clear();
-        self.fill.clear();
-        self.group_head.clear();
-        self.group_tail.clear();
-        self.group_free.clear();
-        self.live = 0;
+    /// Streams the live edge copies of group `g` (none for a group no
+    /// insert has reached), in [`for_each_edge`](Self::for_each_edge)
+    /// order.
+    pub fn for_each_edge_in_group<F: FnMut(VertexId, VertexId, Weight)>(&self, g: usize, mut f: F) {
+        let mut b = self.group_head.get(g).copied().unwrap_or(NIL_U32);
+        while b != NIL_U32 {
+            let fill = self.fill[b as usize] as usize;
+            for r in self.records.slice((b as usize) << self.slot_bits, fill) {
+                if r.valid {
+                    f(r.src, r.dst, r.weight);
+                }
+            }
+            b = self.next_block[b as usize];
+        }
     }
 
     /// Heap footprint in bytes, as allocated.
@@ -259,39 +245,6 @@ impl CalArray {
             self.group_head.capacity() + self.group_tail.capacity() + self.group_free.capacity();
         self.records.allocated_bytes()
             + (self.next_block.capacity() + self.fill.capacity() + group_lanes) * 4
-    }
-}
-
-/// Appends the CAL copy of a new edge of `dense` and returns its pointer
-/// ([`NIL_U32`] when the store keeps no CAL). With the two functions below,
-/// the one place the main copies mirror themselves into the store's
-/// optional CAL.
-#[inline]
-pub fn cal_append(cal: &mut Option<CalArray>, dense: u32, e: Edge) -> CalPtr {
-    match cal {
-        Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
-        None => NIL_U32,
-    }
-}
-
-/// Carries a weight update to the CAL copy behind `ptr`, if there is one.
-#[inline]
-pub fn cal_update(cal: &mut Option<CalArray>, ptr: CalPtr, weight: Weight) {
-    if ptr != NIL_U32 {
-        if let Some(cal) = cal {
-            cal.update_weight(ptr, weight);
-        }
-    }
-}
-
-/// Flags the CAL copy of an edge of `dense` behind `ptr` invalid, if there
-/// is one.
-#[inline]
-pub fn cal_invalidate(cal: &mut Option<CalArray>, dense: u32, ptr: CalPtr) {
-    if ptr != NIL_U32 {
-        if let Some(cal) = cal {
-            cal.invalidate(dense, ptr);
-        }
     }
 }
 
@@ -435,17 +388,5 @@ mod tests {
         // stays a fraction of the live.
         assert!(cal.num_blocks() < 2 * peak_blocks, "{} vs {peak_blocks}", cal.num_blocks());
         assert!(cal.num_invalid() < cal.num_live(), "{} holes", cal.num_invalid());
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut cal = CalArray::new(8, 4);
-        cal.insert(0, 0, 1, 1);
-        cal.clear();
-        assert_eq!(cal.num_live(), 0);
-        assert_eq!(cal.num_blocks(), 0);
-        let mut n = 0;
-        cal.for_each_edge(|_, _, _| n += 1);
-        assert_eq!(n, 0);
     }
 }

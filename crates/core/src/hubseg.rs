@@ -8,7 +8,7 @@
 //! ([`find_key_chunked`]) that the compiler autovectorizes; no per-probe
 //! pointer chasing, no hash displacement. Inserts append to the tail — it is
 //! scanned linearly on lookup anyway, so keeping it sorted would only add an
-//! O(tail) shift across three parallel arrays per insert — and the tail is
+//! O(tail) shift across two parallel arrays per insert — and the tail is
 //! sorted and merged into the main run in one backward two-pointer pass when
 //! it exceeds [`TAIL_CAP`], so insertion is a push plus an amortized
 //! O(degree / TAIL_CAP) share of the merge.
@@ -23,7 +23,7 @@
 //! merge pass, which is also forced once they exceed
 //! `1 / `[`MAX_DEAD_SHARE`] of the main run, so they stay a bounded
 //! fraction of the segment. A tail delete is a `swap_remove` across the
-//! four parallel lanes (the tail is unordered anyway).
+//! three parallel lanes (the tail is unordered anyway).
 //!
 //! The tail additionally carries a SWAR tag lane (one fingerprint byte per
 //! tail entry, see [`crate::swar`]): [`HubSegment::find`] scans it eight
@@ -125,13 +125,12 @@ pub fn find_key_chunked(keys: &[u64], key: u64) -> Option<usize> {
 ///
 /// Layout: `keys[0..split)` is the sorted main run (live and dead slots),
 /// `keys[split..)` is an append-order insert tail of at most [`TAIL_CAP`]
-/// live entries. `weights` and `cal_ptrs` are parallel arrays carried
-/// through every reshuffle.
+/// live entries. `weights` is a parallel array carried through every
+/// reshuffle.
 #[derive(Debug, Default, Clone)]
 pub struct HubSegment {
     keys: Vec<u64>,
     weights: Vec<Weight>,
-    cal_ptrs: Vec<u32>,
     split: usize,
     /// Dead (lazily deleted) slots in the main run.
     dead: usize,
@@ -167,21 +166,19 @@ fn filter_slot(dst: VertexId) -> (usize, u64) {
 }
 
 impl HubSegment {
-    /// Builds a segment from an unordered edge list `(dst, weight, cal_ptr)`.
-    pub fn from_edges(mut edges: Vec<(VertexId, Weight, u32)>) -> Self {
+    /// Builds a segment from an unordered edge list `(dst, weight)`.
+    pub fn from_edges(mut edges: Vec<(VertexId, Weight)>) -> Self {
         edges.sort_unstable_by_key(|e| e.0);
         let n = edges.len();
         let mut seg = HubSegment {
             keys: Vec::with_capacity(n),
             weights: Vec::with_capacity(n),
-            cal_ptrs: Vec::with_capacity(n),
             split: n,
             ..HubSegment::default()
         };
-        for (dst, w, ptr) in edges {
+        for (dst, w) in edges {
             seg.keys.push(live_key(dst));
             seg.weights.push(w);
-            seg.cal_ptrs.push(ptr);
         }
         seg.rebuild_fences();
         seg
@@ -266,13 +263,12 @@ impl HubSegment {
 
     /// Inserts a new edge with its [`dst_tag`] byte. The caller must have
     /// checked `dst` is absent.
-    pub fn insert(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32, tag: u8) {
+    pub fn insert(&mut self, dst: VertexId, weight: Weight, tag: u8) {
         debug_assert!(self.find(dst, tag).is_none());
         let (w, bit) = filter_slot(dst);
         self.tail_filter[w] |= bit;
         self.keys.push(live_key(dst));
         self.weights.push(weight);
-        self.cal_ptrs.push(cal_ptr);
         self.tail_tags.push(tag);
         if self.keys.len() - self.split > TAIL_CAP {
             self.merge_tail();
@@ -293,7 +289,6 @@ impl HubSegment {
         order.sort_unstable_by_key(|&i| self.keys[i]);
         let tail_keys: Vec<u64> = order.iter().map(|&i| self.keys[i]).collect();
         let tail_weights: Vec<Weight> = order.iter().map(|&i| self.weights[i]).collect();
-        let tail_ptrs: Vec<u32> = order.iter().map(|&i| self.cal_ptrs[i]).collect();
         let mut main = self.split; // one past the next unmerged main element
         if self.dead > 0 {
             main = 0;
@@ -301,7 +296,6 @@ impl HubSegment {
                 if self.keys[i] & DEAD == 0 {
                     self.keys[main] = self.keys[i];
                     self.weights[main] = self.weights[i];
-                    self.cal_ptrs[main] = self.cal_ptrs[i];
                     main += 1;
                 }
             }
@@ -309,7 +303,6 @@ impl HubSegment {
         let n = main + tail_keys.len();
         self.keys.truncate(n);
         self.weights.truncate(n);
-        self.cal_ptrs.truncate(n);
         let mut tail = tail_keys.len();
         let mut out = n;
         while tail > 0 {
@@ -318,12 +311,10 @@ impl HubSegment {
                 main -= 1;
                 self.keys[out] = self.keys[main];
                 self.weights[out] = self.weights[main];
-                self.cal_ptrs[out] = self.cal_ptrs[main];
             } else {
                 tail -= 1;
                 self.keys[out] = tail_keys[tail];
                 self.weights[out] = tail_weights[tail];
-                self.cal_ptrs[out] = tail_ptrs[tail];
             }
         }
         self.split = n;
@@ -334,20 +325,20 @@ impl HubSegment {
         debug_assert!(self.keys.is_sorted());
     }
 
-    /// Removes the live edge at `idx` (as returned by a find), returning
-    /// its CAL pointer. Indices into the segment are invalidated.
+    /// Removes the live edge at `idx` (as returned by a find). Indices into
+    /// the segment are invalidated.
     ///
     /// A main-run removal marks the slot dead in place; a tail removal
     /// swaps the last tail entry into the hole. The latter leaves its
     /// filter bit set — a stale bit only costs a spurious tail scan (the
     /// filter tolerates false positives, never false negatives), and the
     /// next merge clears it.
-    pub fn remove(&mut self, idx: usize) -> u32 {
+    pub fn remove(&mut self, idx: usize) {
         if idx >= self.split {
             self.keys.swap_remove(idx);
             self.weights.swap_remove(idx);
             self.tail_tags.swap_remove(idx - self.split);
-            return self.cal_ptrs.swap_remove(idx);
+            return;
         }
         debug_assert_eq!(self.keys[idx] & DEAD, 0, "slot {idx} is already dead");
         self.keys[idx] |= DEAD;
@@ -355,7 +346,6 @@ impl HubSegment {
             self.fences[idx >> FENCE_SHIFT] = self.keys[idx];
         }
         self.dead += 1;
-        let ptr = self.cal_ptrs[idx];
         if self.dead * MAX_DEAD_SHARE > self.split {
             #[cfg(test)]
             {
@@ -363,7 +353,6 @@ impl HubSegment {
             }
             self.merge_tail();
         }
-        ptr
     }
 
     /// Checks the tail tag lane: one byte per tail entry, each the
@@ -391,11 +380,10 @@ impl HubSegment {
     /// `validate_tag_invariants`.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.keys.len();
-        if self.weights.len() != n || self.cal_ptrs.len() != n || self.split > n {
+        if self.weights.len() != n || self.split > n {
             return Err(format!(
-                "hub lanes diverge: keys {n}, weights {}, cal_ptrs {}, split {}",
+                "hub lanes diverge: keys {n}, weights {}, split {}",
                 self.weights.len(),
-                self.cal_ptrs.len(),
                 self.split
             ));
         }
@@ -439,39 +427,22 @@ impl HubSegment {
         self.weights[idx] = w;
     }
 
-    /// CAL pointer at `idx`.
-    #[inline]
-    pub fn cal_ptr(&self, idx: usize) -> u32 {
-        self.cal_ptrs[idx]
-    }
-
-    /// Visits every live edge as `(dst, weight, cal_ptr)`.
-    pub fn for_each(&self, mut f: impl FnMut(VertexId, Weight, u32)) {
-        for ((&k, &w), &ptr) in self.keys.iter().zip(&self.weights).zip(&self.cal_ptrs) {
+    /// Visits every live edge as `(dst, weight)`.
+    pub fn for_each(&self, mut f: impl FnMut(VertexId, Weight)) {
+        for (&k, &w) in self.keys.iter().zip(&self.weights) {
             if k & DEAD == 0 {
-                f(key_dst(k), w, ptr);
+                f(key_dst(k), w);
             }
         }
     }
 
-    /// Replaces the CAL pointer of every live edge with `f(dst, weight)`
-    /// (the CAL rebuild re-registers each edge and hands back its new slot).
-    pub fn remap_cal_ptrs(&mut self, mut f: impl FnMut(VertexId, Weight) -> u32) {
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k & DEAD == 0 {
-                self.cal_ptrs[i] = f(key_dst(k), self.weights[i]);
-            }
-        }
-    }
-
-    /// Drains the segment into its live edges `(dst, weight, cal_ptr)`.
-    pub fn into_edges(self) -> Vec<(VertexId, Weight, u32)> {
+    /// Drains the segment into its live edges `(dst, weight)`.
+    pub fn into_edges(self) -> Vec<(VertexId, Weight)> {
         self.keys
             .into_iter()
             .zip(self.weights)
-            .zip(self.cal_ptrs)
-            .filter(|((k, _), _)| k & DEAD == 0)
-            .map(|((k, w), p)| (key_dst(k), w, p))
+            .filter(|(k, _)| k & DEAD == 0)
+            .map(|(k, w)| (key_dst(k), w))
             .collect()
     }
 
@@ -480,7 +451,6 @@ impl HubSegment {
     pub fn memory_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.weights.capacity() * std::mem::size_of::<Weight>()
-            + self.cal_ptrs.capacity() * std::mem::size_of::<u32>()
             + self.fences.capacity() * std::mem::size_of::<u64>()
             + self.tail_tags.capacity()
     }
@@ -502,8 +472,8 @@ mod tests {
         seg.find(dst, dst_tag(dst))
     }
 
-    fn insert(seg: &mut HubSegment, dst: VertexId, weight: Weight, cal_ptr: u32) {
-        seg.insert(dst, weight, cal_ptr, dst_tag(dst));
+    fn insert(seg: &mut HubSegment, dst: VertexId, weight: Weight) {
+        seg.insert(dst, weight, dst_tag(dst));
     }
 
     #[test]
@@ -530,13 +500,13 @@ mod tests {
 
     #[test]
     fn insert_find_remove_roundtrip() {
-        let mut seg = HubSegment::from_edges(vec![(10, 1, 0), (2, 2, 1), (30, 3, 2)]);
+        let mut seg = HubSegment::from_edges(vec![(10, 1), (2, 2), (30, 3)]);
         assert_eq!(seg.len(), 3);
         let i = find(&seg, 10).unwrap();
-        assert_eq!((seg.weight(i), seg.cal_ptr(i)), (1, 0));
+        assert_eq!(seg.weight(i), 1);
 
-        insert(&mut seg, 5, 50, 3);
-        insert(&mut seg, 40, 60, 4);
+        insert(&mut seg, 5, 50);
+        insert(&mut seg, 40, 60);
         assert_eq!(seg.len(), 5);
         for d in [2, 5, 10, 30, 40] {
             assert!(find(&seg, d).is_some(), "dst {d}");
@@ -544,47 +514,47 @@ mod tests {
         assert!(find(&seg, 7).is_none());
 
         let i = find(&seg, 5).unwrap();
-        assert_eq!(seg.remove(i), 3);
+        seg.remove(i);
         assert!(find(&seg, 5).is_none());
         assert_eq!(seg.len(), 4);
     }
 
     #[test]
     fn tail_merge_keeps_everything_findable() {
-        let mut seg = HubSegment::from_edges((0..100).map(|i| (i * 4, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..100).map(|i| (i * 4, i)).collect());
         // Push well past TAIL_CAP with ids interleaved into the main run.
         for i in 0..(TAIL_CAP as u32 * 2 + 7) {
-            insert(&mut seg, i * 4 + 1, i, 100 + i);
+            insert(&mut seg, i * 4 + 1, 100 + i);
         }
         for i in 0..100u32 {
             let at = find(&seg, i * 4).unwrap();
-            assert_eq!((seg.weight(at), seg.cal_ptr(at)), (i, i));
+            assert_eq!(seg.weight(at), i);
         }
         for i in 0..(TAIL_CAP as u32 * 2 + 7) {
             let at = find(&seg, i * 4 + 1).unwrap();
-            assert_eq!((seg.weight(at), seg.cal_ptr(at)), (i, 100 + i));
+            assert_eq!(seg.weight(at), 100 + i);
         }
         assert_eq!(seg.len(), 100 + TAIL_CAP * 2 + 7);
     }
 
     #[test]
     fn for_each_and_into_edges_agree() {
-        let mut seg = HubSegment::from_edges(vec![(3, 30, 0), (1, 10, 1)]);
-        insert(&mut seg, 2, 20, 2);
+        let mut seg = HubSegment::from_edges(vec![(3, 30), (1, 10)]);
+        insert(&mut seg, 2, 20);
         let mut seen = Vec::new();
-        seg.for_each(|d, w, p| seen.push((d, w, p)));
+        seg.for_each(|d, w| seen.push((d, w)));
         let mut drained = seg.into_edges();
         drained.sort_unstable();
         seen.sort_unstable();
         assert_eq!(seen, drained);
-        assert_eq!(seen, vec![(1, 10, 1), (2, 20, 2), (3, 30, 0)]);
+        assert_eq!(seen, vec![(1, 10), (2, 20), (3, 30)]);
     }
 
     #[test]
     fn fenced_find_covers_every_window_and_survives_removes() {
         // Main run far larger than one fence stride, odd keys absent.
         let n = FENCE_STRIDE as u32 * 10 + 13;
-        let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i)).collect());
         for i in 0..n {
             assert_eq!(find(&seg, i * 2), Some(i as usize), "key {}", i * 2);
             assert_eq!(find(&seg, i * 2 + 1), None);
@@ -607,19 +577,19 @@ mod tests {
 
     #[test]
     fn dead_key_reinsert_lands_in_tail_and_merge_drops_the_dead_slot() {
-        let mut seg = HubSegment::from_edges((0..40).map(|i| (i, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..40).map(|i| (i, i)).collect());
         let at = find(&seg, 7).unwrap();
-        assert_eq!(seg.remove(at), 7);
+        seg.remove(at);
         assert_eq!((seg.len(), seg.dead_slots()), (39, 1));
-        insert(&mut seg, 7, 70, 700);
+        insert(&mut seg, 7, 70);
         let at = find(&seg, 7).unwrap();
         assert!(at >= seg.split, "the dead slot is not revived");
-        assert_eq!((seg.weight(at), seg.cal_ptr(at)), (70, 700));
+        assert_eq!(seg.weight(at), 70);
         seg.validate().unwrap();
         // Iteration and draining see the live copy only.
         let mut seen = Vec::new();
-        seg.for_each(|d, w, p| seen.push((d, w, p)));
-        assert_eq!(seen.iter().filter(|e| e.0 == 7).collect::<Vec<_>>(), [&(7, 70, 700)]);
+        seg.for_each(|d, w| seen.push((d, w)));
+        assert_eq!(seen.iter().filter(|e| e.0 == 7).collect::<Vec<_>>(), [&(7, 70)]);
         assert_eq!(seen.len(), 40);
         seg.merge_tail();
         assert_eq!((seg.len(), seg.dead_slots(), seg.keys.len()), (40, 0, 40));
@@ -633,7 +603,7 @@ mod tests {
     #[test]
     fn dead_slots_force_a_compaction_at_the_bound() {
         let n = 400usize;
-        let mut seg = HubSegment::from_edges((0..n as u32).map(|i| (i, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..n as u32).map(|i| (i, i)).collect());
         for d in 0..(n / MAX_DEAD_SHARE) as u32 {
             let at = find(&seg, d).unwrap();
             seg.remove(at);
@@ -658,7 +628,7 @@ mod tests {
     #[test]
     fn main_run_deletes_shift_nothing_and_rebuild_no_fences() {
         let n = 10_000u32;
-        let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..n).map(|i| (i * 2, i)).collect());
         // A main-run delete leaves every lane where it was.
         let at = find(&seg, 4_000).unwrap();
         assert!(at < seg.split);
@@ -675,7 +645,7 @@ mod tests {
             seg.remove(at);
             deletes += 1;
             let dst = fresh * 2 + 1; // odd ids: never in the seed run
-            insert(&mut seg, dst, dst, dst);
+            insert(&mut seg, dst, dst);
             live.push(dst);
             inserts += 1;
         }
@@ -699,16 +669,16 @@ mod tests {
 
     #[test]
     fn memory_bytes_nonzero_when_populated() {
-        let seg = HubSegment::from_edges(vec![(1, 1, 0)]);
+        let seg = HubSegment::from_edges(vec![(1, 1)]);
         assert!(seg.memory_bytes() >= 16);
     }
 
     #[test]
     fn tagged_find_matches_seed_through_churn() {
-        let mut seg = HubSegment::from_edges((0..50).map(|i| (i * 3, i, i)).collect());
+        let mut seg = HubSegment::from_edges((0..50).map(|i| (i * 3, i)).collect());
         // Grow a tail past one merge, removing from both regions along the way.
         for i in 0..(TAIL_CAP as u32 + 40) {
-            insert(&mut seg, i * 3 + 1, i, i);
+            insert(&mut seg, i * 3 + 1, i);
             seg.validate().unwrap();
             if i % 17 == 0 {
                 if let Some(at) = find(&seg, i * 3 + 1) {
@@ -733,19 +703,19 @@ mod tests {
 
     #[test]
     fn tail_tag_lane_tracks_removals() {
-        let mut seg = HubSegment::from_edges(vec![(1, 1, 0)]);
+        let mut seg = HubSegment::from_edges(vec![(1, 1)]);
         for d in [100u32, 200, 300, 400] {
-            insert(&mut seg, d, d, d);
+            insert(&mut seg, d, d);
         }
         // Remove from the middle of the tail; the last entry (and its lane
         // byte) is swapped into the hole.
         let at = find(&seg, 200).unwrap();
-        assert_eq!(seg.remove(at), 200);
+        seg.remove(at);
         seg.validate().unwrap();
         assert_eq!(find(&seg, 400), Some(at));
         for d in [100u32, 300, 400] {
             let i = find(&seg, d).unwrap();
-            assert_eq!((seg.weight(i), seg.cal_ptr(i)), (d, d));
+            assert_eq!(seg.weight(i), d);
         }
         assert!(find(&seg, 200).is_none());
     }

@@ -12,8 +12,10 @@
 //! * a **Scatter-Gather Hashing (SGH)** unit that densely remaps source
 //!   vertex ids so only non-empty vertices occupy the main region, and
 //! * a **Coarse Adjacency List (CAL)** — a compacted, sequentially
-//!   streamable copy of the live edges, maintained in real time through
-//!   per-edge CAL-pointers so analytics never needs a pre-processing pass.
+//!   streamable copy of the edgeblocks' live edges, maintained in real time
+//!   through per-edge CAL-pointers so analytics never needs a
+//!   pre-processing pass (the tiered layout's inline and hub runs stream in
+//!   place).
 //!
 //! The crate is 100 % safe Rust: the edge store is a flat arena of
 //! fixed-width blocks addressed by index, so there are no linked-list

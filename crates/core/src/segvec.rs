@@ -118,12 +118,6 @@ impl<T: Copy> SegVec<T> {
         self.segs.iter().flatten()
     }
 
-    /// Drops every element and every segment.
-    pub fn clear(&mut self) {
-        self.segs.clear();
-        self.len = 0;
-    }
-
     /// Heap bytes held: every segment at its capacity plus the segment
     /// directory.
     pub fn allocated_bytes(&self) -> usize {
@@ -225,7 +219,5 @@ mod tests {
             assert!(v.allocated_bytes() >= used);
             assert!(v.allocated_bytes() - directory < used + 16 * 8, "slack over one segment");
         }
-        v.clear();
-        assert_eq!((v.len(), v.iter().count()), (0, 0));
     }
 }

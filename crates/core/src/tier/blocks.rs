@@ -11,6 +11,13 @@
 //! narrow vertex is one subblock scan deep. With no tier thresholds
 //! ([`TinkerConfig::paper`]) `PAGEWIDTH` is the only class.
 //!
+//! The tier owns the store's optional [`CalArray`] (paper §III.B): every
+//! edge it holds has one CAL copy, which its cell points at. An edge gets
+//! its copy when it enters the tier — inserted, or adopted from another
+//! tier — and loses it when it leaves — deleted, or drained into another
+//! tier. A regrow into a wider page class moves each pointer with its cell
+//! and leaves the CAL as it is.
+//!
 //! Operation map from the paper's interface components to this module:
 //!
 //! * **load / writeback units** — the subblock slices handed to the RHH
@@ -24,7 +31,7 @@
 use gtinker_types::{DeleteMode, Edge, TinkerConfig, VertexId, Weight, NIL_U32};
 
 use super::{TierEdge, TierOps, Upsert};
-use crate::cal::{cal_append, cal_update, CalArray};
+use crate::cal::{CalArray, CalPtr, CalRecord};
 use crate::edgeblock::{BlockArena, BlockId, CellState, EdgeCell};
 use crate::hash::{dst_tag, edge_hash, split_hash, subblock_and_bucket, tag_of_hash};
 use crate::rhh::{
@@ -38,6 +45,37 @@ use crate::swar::{TAG_EMPTY, TAG_TOMBSTONE};
 /// layout has).
 const CLASS_SHIFT: u32 = 30;
 const ID_MASK: u32 = (1 << CLASS_SHIFT) - 1;
+
+/// An edge with the pointer to its CAL copy, as a regrow moves it.
+type Held = (VertexId, Weight, CalPtr);
+
+/// Appends the CAL copy of a new edge of `dense` and returns its pointer
+/// ([`NIL_U32`] when the tier keeps no CAL). With the two functions below,
+/// the one place the cells mirror themselves into the optional CAL.
+#[inline]
+fn cal_append(cal: &mut Option<CalArray>, dense: u32, e: Edge) -> CalPtr {
+    match cal {
+        Some(cal) => cal.insert(dense, e.src, e.dst, e.weight),
+        None => NIL_U32,
+    }
+}
+
+/// Carries a weight update to the CAL copy behind `ptr`, if there is one.
+#[inline]
+fn cal_update(cal: &mut Option<CalArray>, ptr: CalPtr, weight: Weight) {
+    if let Some(cal) = cal {
+        cal.update_weight(ptr, weight);
+    }
+}
+
+/// Flags the CAL copy of an edge of `dense` behind `ptr` invalid, if there
+/// is one.
+#[inline]
+fn cal_invalidate(cal: &mut Option<CalArray>, dense: u32, ptr: CalPtr) {
+    if let Some(cal) = cal {
+        cal.invalidate(dense, ptr);
+    }
+}
 
 /// Page widths of `config`'s classes, narrowest first: the fractions of
 /// PAGEWIDTH that still hold two subblocks (tiered layouts only), then
@@ -75,7 +113,7 @@ struct PageClass {
     mode: DeleteMode,
 }
 
-/// The edgeblock arenas and the main region's index into them.
+/// The edgeblock arenas, the main region's index into them and the CAL.
 #[derive(Debug, Clone)]
 pub struct BlockTier {
     /// One class per page width, narrowest first; the last is PAGEWIDTH.
@@ -83,6 +121,9 @@ pub struct BlockTier {
     /// `class << CLASS_SHIFT | top-parent block` per dense source
     /// ([`NIL_U32`] = none).
     tops: Vec<u32>,
+    /// One copy of every edge the tier holds; `None` when the layout keeps
+    /// no CAL (`TinkerConfig::enable_cal`).
+    cal: Option<CalArray>,
 }
 
 impl PageClass {
@@ -464,7 +505,83 @@ impl BlockTier {
         BlockTier {
             classes: class_widths(config).into_iter().map(class).collect(),
             tops: Vec::new(),
+            cal: config
+                .enable_cal
+                .then(|| CalArray::new(config.cal_group_size, config.cal_block_size)),
         }
+    }
+
+    /// The tier's CAL, if the layout keeps one.
+    #[inline]
+    pub fn cal(&self) -> Option<&CalArray> {
+        self.cal.as_ref()
+    }
+
+    /// Rebuilds the CAL from the live cells, dropping its invalidated
+    /// records and re-pointing every cell: sources in dense order, each
+    /// subtree in block-walk order. `original_of` maps a dense id to the
+    /// source id the records carry. No-op without a CAL.
+    pub(crate) fn rebuild_cal(&mut self, original_of: impl Fn(u32) -> VertexId) {
+        let Some(old) = &self.cal else { return };
+        let mut cal = old.emptied();
+        for dense in 0..self.tops.len() as u32 {
+            let Some((class, top)) = self.top(dense) else { continue };
+            let src = original_of(dense);
+            let arena = &mut self.classes[class].arena;
+            let mut blocks = Vec::new();
+            arena.for_each_block(top, |b, _| blocks.push(b));
+            for b in blocks {
+                for off in 0..arena.pagewidth() {
+                    let cell = arena.cell_mut(b, off);
+                    if cell.is_occupied() {
+                        cell.cal_ptr = cal.insert(dense, src, cell.dst, cell.weight);
+                    }
+                }
+            }
+        }
+        self.cal = Some(cal);
+    }
+
+    /// Checks that every edge of `dense`, whose original id is `src`,
+    /// points at a live CAL copy carrying `(src, dst, weight)`. `Ok`
+    /// without a CAL.
+    pub fn validate_cal(&self, dense: u32, src: VertexId) -> Result<(), String> {
+        let Some(cal) = &self.cal else { return Ok(()) };
+        let mut first = Ok(());
+        self.for_each_cell(dense, |c| {
+            let want = CalRecord { src, dst: c.dst, weight: c.weight, valid: true };
+            if first.is_ok() && cal.get(c.cal_ptr) != Some(want) {
+                first = Err(format!(
+                    "edge ({src}, {}, {}): CAL pointer {} holds {:?}",
+                    c.dst,
+                    c.weight,
+                    c.cal_ptr,
+                    cal.get(c.cal_ptr)
+                ));
+            }
+        });
+        first
+    }
+
+    /// Visits the occupied cells of the subtree of `dense`.
+    fn for_each_cell(&self, dense: u32, mut f: impl FnMut(&EdgeCell)) {
+        let Some((class, top)) = self.top(dense) else { return };
+        let arena = &self.classes[class].arena;
+        arena.for_each_block(top, |b, _| {
+            arena.block(b).iter().filter(|c| c.is_occupied()).for_each(&mut f);
+        });
+    }
+
+    /// Takes the edges of `dense` out with their CAL pointers and releases
+    /// its subtree; the CAL copies stay live.
+    fn take(&mut self, dense: u32) -> Vec<Held> {
+        let Some((class, top)) = self.top(dense) else { return Vec::new() };
+        let arena = &mut self.classes[class].arena;
+        let edges = arena.collect_subtree(top);
+        let freed = arena.free_subtree(top);
+        crate::metrics::global().tinker_blocks_freed.add(freed as u64);
+        self.tops[dense as usize] = NIL_U32;
+        edges
     }
 
     /// `(class, top-parent block)` of `dense`, if it has one.
@@ -487,10 +604,11 @@ impl BlockTier {
         top
     }
 
-    /// Stores `edges` for `dense` in the narrowest class from `from` up
-    /// that takes them at no more than ¾ load with no depth-0 subblock over
-    /// capacity; the full-width class takes anything (it branches out).
-    fn adopt_from(&mut self, dense: u32, edges: &[TierEdge], from: usize, stats: &mut ProbeStats) {
+    /// Stores `edges` (CAL copies registered) for `dense` in the narrowest
+    /// class from `from` up that takes them at no more than ¾ load with no
+    /// depth-0 subblock over capacity; the full-width class takes anything
+    /// (it branches out).
+    fn adopt_from(&mut self, dense: u32, edges: &[Held], from: usize, stats: &mut ProbeStats) {
         let last = self.classes.len() - 1;
         let roomy = |c: &PageClass| edges.len() * 4 <= c.arena.pagewidth() * 3;
         let mut class = (from..last).find(|&c| roomy(&self.classes[c])).unwrap_or(last);
@@ -504,17 +622,17 @@ impl BlockTier {
                 return;
             }
             // Rare (one subblock crowded): give the page back, go wider.
-            self.drain(dense);
+            self.take(dense);
             class += 1;
         }
     }
 
     /// Moves the subtree of `dense`, whose page just reported
-    /// [`Upsert::Full`], into the next wider class. CAL pointers travel
-    /// with the edges, as in a tier migration.
+    /// [`Upsert::Full`], into the next wider class. Each CAL pointer moves
+    /// with its cell; the CAL is untouched.
     pub fn regrow(&mut self, dense: u32, stats: &mut ProbeStats) {
         let (class, _) = self.top(dense).expect("a full page belongs to a vertex");
-        let edges = self.drain(dense);
+        let edges = self.take(dense);
         self.adopt_from(dense, &edges, class + 1, stats);
     }
 
@@ -661,37 +779,20 @@ impl TierOps for BlockTier {
     /// and the edge's subblock has no vacancy: nothing was written, the CAL
     /// included, and the caller [`regrow`](BlockTier::regrow)s and retries.
     /// A vertex with no subtree yet starts in the narrowest class.
-    fn upsert(
-        &mut self,
-        dense: u32,
-        e: Edge,
-        h0: u64,
-        stats: &mut ProbeStats,
-        cal: &mut Option<CalArray>,
-    ) -> Upsert {
+    fn upsert(&mut self, dense: u32, e: Edge, h0: u64, stats: &mut ProbeStats) -> Upsert {
         let (class, top) = self.top(dense).unwrap_or_else(|| (0, self.install_top(dense, 0)));
-        self.classes[class].upsert(top, dense, e, h0, stats, cal)
+        self.classes[class].upsert(top, dense, e, h0, stats, &mut self.cal)
     }
 
-    fn remove(
-        &mut self,
-        dense: u32,
-        dst: VertexId,
-        h0: u64,
-        stats: &mut ProbeStats,
-    ) -> Option<u32> {
-        let (class, top) = self.top(dense)?;
-        self.classes[class].remove(top, dst, h0, stats)
+    fn remove(&mut self, dense: u32, dst: VertexId, h0: u64, stats: &mut ProbeStats) -> bool {
+        let Some((class, top)) = self.top(dense) else { return false };
+        let Some(ptr) = self.classes[class].remove(top, dst, h0, stats) else { return false };
+        cal_invalidate(&mut self.cal, dense, ptr);
+        true
     }
 
-    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight, u32)) {
-        let Some((class, top)) = self.top(dense) else { return };
-        let arena = &self.classes[class].arena;
-        arena.for_each_block(top, |b, _| {
-            for cell in arena.block(b).iter().filter(|c| c.is_occupied()) {
-                f(cell.dst, cell.weight, cell.cal_ptr);
-            }
-        });
+    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight)) {
+        self.for_each_cell(dense, |c| f(c.dst, c.weight));
     }
 
     fn len(&self, dense: u32) -> usize {
@@ -707,36 +808,29 @@ impl TierOps for BlockTier {
         self.top(dense).is_some()
     }
 
+    /// Invalidates the CAL copy of every edge it hands out.
     fn drain(&mut self, dense: u32) -> Vec<TierEdge> {
-        let Some((class, top)) = self.top(dense) else { return Vec::new() };
-        let arena = &mut self.classes[class].arena;
-        let edges = arena.collect_subtree(top);
-        let freed = arena.free_subtree(top);
-        crate::metrics::global().tinker_blocks_freed.add(freed as u64);
-        self.tops[dense as usize] = NIL_U32;
-        edges
+        let held = self.take(dense);
+        let cal = &mut self.cal;
+        held.into_iter()
+            .map(|(dst, weight, ptr)| {
+                cal_invalidate(cal, dense, ptr);
+                (dst, weight)
+            })
+            .collect()
     }
 
-    /// Picks the narrowest class that holds `edges` at ¾ load or less; a
-    /// later move out and back in re-picks it, so a class only ever grows
-    /// while the vertex stays in the tier.
-    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, stats: &mut ProbeStats) {
-        self.adopt_from(dense, &edges, 0, stats);
-    }
-
-    fn remap_cal_ptrs(&mut self, dense: u32, mut f: impl FnMut(VertexId, Weight) -> u32) {
-        let Some((class, top)) = self.top(dense) else { return };
-        let arena = &mut self.classes[class].arena;
-        let mut blocks = Vec::new();
-        arena.for_each_block(top, |b, _| blocks.push(b));
-        for b in blocks {
-            for off in 0..arena.pagewidth() {
-                let cell = arena.cell_mut(b, off);
-                if cell.is_occupied() {
-                    cell.cal_ptr = f(cell.dst, cell.weight);
-                }
-            }
-        }
+    /// Registers one CAL copy per edge, then picks the narrowest class that
+    /// holds `edges` at ¾ load or less; a later move out and back in
+    /// re-picks it, so a class only ever grows while the vertex stays in
+    /// the tier.
+    fn adopt(&mut self, dense: u32, src: VertexId, edges: Vec<TierEdge>, stats: &mut ProbeStats) {
+        let cal = &mut self.cal;
+        let held: Vec<Held> = edges
+            .into_iter()
+            .map(|(dst, weight)| (dst, weight, cal_append(cal, dense, Edge::new(src, dst, weight))))
+            .collect();
+        self.adopt_from(dense, &held, 0, stats);
     }
 
     #[inline]
@@ -744,9 +838,10 @@ impl TierOps for BlockTier {
         self.tops.get(dense as usize).copied().unwrap_or(NIL_U32)
     }
 
-    /// The arenas plus the main region's index.
+    /// The arenas, the main region's index and the CAL.
     fn memory_bytes(&self) -> usize {
-        self.arena_bytes() + self.tops.capacity() * 4
+        let cal = self.cal.as_ref().map_or(0, CalArray::memory_bytes);
+        self.arena_bytes() + self.tops.capacity() * 4 + cal
     }
 
     /// Every cell's tag byte matches its state — the destination

@@ -4,7 +4,6 @@
 use gtinker_types::{Edge, VertexId, Weight, NIL_U32};
 
 use super::{TierEdge, TierOps, Upsert};
-use crate::cal::{cal_append, cal_update, CalArray};
 use crate::hash::{dst_tag, tag_of_hash};
 use crate::hubseg::{HubSegment, SCAN_WINDOW};
 use crate::stats::ProbeStats;
@@ -33,6 +32,24 @@ impl HubTier {
     #[inline]
     pub fn dead_slots(&self) -> usize {
         self.dead
+    }
+
+    /// Streams the segments of the hubs among the dense ids in `dense` as
+    /// `(src, dst, weight)`, in dense order, naming each source by
+    /// `src_of`.
+    pub(crate) fn stream(
+        &self,
+        dense: std::ops::Range<usize>,
+        src_of: impl Fn(u32) -> VertexId,
+        mut f: impl FnMut(VertexId, VertexId, Weight),
+    ) {
+        let end = dense.end.min(self.hub_of.len());
+        for (d, &h) in self.hub_of[dense.start.min(end)..end].iter().enumerate() {
+            if h != NIL_U32 {
+                let src = src_of((dense.start + d) as u32);
+                self.hubs[h as usize].for_each(|v, w| f(src, v, w));
+            }
+        }
     }
 
     /// Segment slot of `dense`, if it is a hub.
@@ -66,8 +83,9 @@ impl HubTier {
         h as usize
     }
 
-    /// Runs `f` on segment `h`, keeping the dead-slot total in step: a tail overflow merges dead slots away, a main-run delete
-    /// leaves one behind (or, at the compaction bound, clears them all).
+    /// Runs `f` on segment `h`, keeping the dead-slot total in step: a tail
+    /// overflow merges dead slots away, a main-run delete leaves one behind
+    /// (or, at the compaction bound, clears them all).
     #[inline]
     fn mutate<R>(&mut self, h: usize, f: impl FnOnce(&mut HubSegment) -> R) -> R {
         let seg = &mut self.hubs[h];
@@ -95,14 +113,7 @@ impl TierOps for HubTier {
     }
 
     #[inline]
-    fn upsert(
-        &mut self,
-        dense: u32,
-        e: Edge,
-        h0: u64,
-        stats: &mut ProbeStats,
-        cal: &mut Option<CalArray>,
-    ) -> Upsert {
+    fn upsert(&mut self, dense: u32, e: Edge, h0: u64, stats: &mut ProbeStats) -> Upsert {
         let h = match self.slot(dense) {
             Some(h) => h,
             None => self.install(dense, HubSegment::default()),
@@ -112,35 +123,23 @@ impl TierOps for HubTier {
         let seg = &mut self.hubs[h];
         if let Some(i) = seg.find(e.dst, tag) {
             seg.set_weight(i, e.weight);
-            // The parallel cal_ptrs lane is only touched when a CAL exists:
-            // otherwise a weight update would cost an extra cache line for
-            // a pointer that is never used.
-            if cal.is_some() {
-                cal_update(cal, seg.cal_ptr(i), e.weight);
-            }
             return Upsert::Updated;
         }
-        let cal_ptr = cal_append(cal, dense, e);
-        self.mutate(h, |seg| seg.insert(e.dst, e.weight, cal_ptr, tag));
+        self.mutate(h, |seg| seg.insert(e.dst, e.weight, tag));
         Upsert::Inserted
     }
 
     #[inline]
-    fn remove(
-        &mut self,
-        dense: u32,
-        dst: VertexId,
-        h0: u64,
-        stats: &mut ProbeStats,
-    ) -> Option<u32> {
-        let h = self.slot(dense)?;
+    fn remove(&mut self, dense: u32, dst: VertexId, h0: u64, stats: &mut ProbeStats) -> bool {
+        let Some(h) = self.slot(dense) else { return false };
         Self::count_probe(stats);
-        let i = self.hubs[h].find(dst, tag_of_hash(h0))?;
-        Some(self.mutate(h, |seg| seg.remove(i)))
+        let Some(i) = self.hubs[h].find(dst, tag_of_hash(h0)) else { return false };
+        self.mutate(h, |seg| seg.remove(i));
+        true
     }
 
     #[inline]
-    fn for_each(&self, dense: u32, f: impl FnMut(VertexId, Weight, u32)) {
+    fn for_each(&self, dense: u32, f: impl FnMut(VertexId, Weight)) {
         if let Some(seg) = self.segment(dense) {
             seg.for_each(f);
         }
@@ -163,14 +162,8 @@ impl TierOps for HubTier {
         seg.into_edges()
     }
 
-    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, _stats: &mut ProbeStats) {
+    fn adopt(&mut self, dense: u32, _src: VertexId, edges: Vec<TierEdge>, _: &mut ProbeStats) {
         self.install(dense, HubSegment::from_edges(edges));
-    }
-
-    fn remap_cal_ptrs(&mut self, dense: u32, f: impl FnMut(VertexId, Weight) -> u32) {
-        if let Some(h) = self.slot(dense) {
-            self.hubs[h].remap_cal_ptrs(f);
-        }
     }
 
     #[inline]

@@ -5,12 +5,11 @@
 use gtinker_types::{Edge, VertexId, Weight, INLINE_CAP_MAX, NIL_U32, NIL_VERTEX};
 
 use super::{TierEdge, TierOps, Upsert};
-use crate::cal::{cal_append, cal_update, CalArray};
 use crate::segvec::SegVec;
 use crate::stats::ProbeStats;
 use crate::vertex::InlineAdj;
 
-/// Entries per segment of the entry table (52 KiB of 52-byte entries).
+/// Entries per segment of the entry table (36 KiB of 36-byte entries).
 const SEGMENT_ENTRIES: usize = 1024;
 
 /// Inline adjacency entries, indexed by dense source id.
@@ -39,6 +38,25 @@ impl InlineTier {
         &mut self.entries[dense as usize]
     }
 
+    /// Streams the edges of the dense ids in `dense` as `(src, dst,
+    /// weight)`, in dense order, naming each source by `src_of`: one
+    /// sequential walk of the table (an entry outside this tier is empty).
+    pub(crate) fn stream(
+        &self,
+        dense: std::ops::Range<usize>,
+        src_of: impl Fn(u32) -> VertexId,
+        mut f: impl FnMut(VertexId, VertexId, Weight),
+    ) {
+        let n = dense.end.min(self.entries.len()).saturating_sub(dense.start);
+        for (d, adj) in self.entries.iter().enumerate().skip(dense.start).take(n) {
+            let len = adj.len as usize;
+            if len > 0 {
+                let src = src_of(d as u32);
+                adj.dsts[..len].iter().zip(&adj.weights[..len]).for_each(|(&v, &w)| f(src, v, w));
+            }
+        }
+    }
+
     /// Nominal probe accounting: one 4-wide compare over the entry.
     #[inline]
     fn count_probe(stats: &mut ProbeStats) {
@@ -56,47 +74,35 @@ impl TierOps for InlineTier {
     }
 
     #[inline]
-    fn upsert(
-        &mut self,
-        dense: u32,
-        e: Edge,
-        _h0: u64,
-        stats: &mut ProbeStats,
-        cal: &mut Option<CalArray>,
-    ) -> Upsert {
+    fn upsert(&mut self, dense: u32, e: Edge, _h0: u64, stats: &mut ProbeStats) -> Upsert {
         Self::count_probe(stats);
         let cap = self.cap;
         let adj = self.entry_mut(dense);
         if let Some(slot) = adj.find(e.dst) {
             adj.weights[slot] = e.weight;
-            cal_update(cal, adj.cal_ptrs[slot], e.weight);
             return Upsert::Updated;
         }
         if adj.len as usize >= cap {
             return Upsert::Full;
         }
-        adj.push(e.dst, e.weight, cal_append(cal, dense, e));
+        adj.push(e.dst, e.weight);
         Upsert::Inserted
     }
 
     #[inline]
-    fn remove(
-        &mut self,
-        dense: u32,
-        dst: VertexId,
-        _h0: u64,
-        stats: &mut ProbeStats,
-    ) -> Option<u32> {
+    fn remove(&mut self, dense: u32, dst: VertexId, _h0: u64, stats: &mut ProbeStats) -> bool {
         Self::count_probe(stats);
-        let adj = self.entries.get_mut(dense as usize)?;
-        adj.find(dst).map(|slot| adj.remove(slot))
+        let Some(adj) = self.entries.get_mut(dense as usize) else { return false };
+        let Some(slot) = adj.find(dst) else { return false };
+        adj.remove(slot);
+        true
     }
 
     #[inline]
-    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight, u32)) {
+    fn for_each(&self, dense: u32, mut f: impl FnMut(VertexId, Weight)) {
         if let Some(adj) = self.entries.get(dense as usize) {
             for i in 0..adj.len as usize {
-                f(adj.dsts[i], adj.weights[i], adj.cal_ptrs[i]);
+                f(adj.dsts[i], adj.weights[i]);
             }
         }
     }
@@ -111,27 +117,19 @@ impl TierOps for InlineTier {
 
     fn drain(&mut self, dense: u32) -> Vec<TierEdge> {
         let mut edges = Vec::new();
-        self.for_each(dense, |dst, w, ptr| edges.push((dst, w, ptr)));
+        self.for_each(dense, |dst, w| edges.push((dst, w)));
         if let Some(adj) = self.entries.get_mut(dense as usize) {
             *adj = InlineAdj::EMPTY;
         }
         edges
     }
 
-    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, _stats: &mut ProbeStats) {
+    fn adopt(&mut self, dense: u32, _src: VertexId, edges: Vec<TierEdge>, _: &mut ProbeStats) {
         assert!(edges.len() <= self.cap, "{} edges exceed the inline cap", edges.len());
         let adj = self.entry_mut(dense);
         debug_assert_eq!(adj.len, 0, "adopting into an occupied inline entry");
-        for (dst, weight, cal_ptr) in edges {
-            adj.push(dst, weight, cal_ptr);
-        }
-    }
-
-    fn remap_cal_ptrs(&mut self, dense: u32, mut f: impl FnMut(VertexId, Weight) -> u32) {
-        if let Some(adj) = self.entries.get_mut(dense as usize) {
-            for i in 0..adj.len as usize {
-                adj.cal_ptrs[i] = f(adj.dsts[i], adj.weights[i]);
-            }
+        for (dst, weight) in edges {
+            adj.push(dst, weight);
         }
     }
 
@@ -153,8 +151,7 @@ impl TierOps for InlineTier {
                 return Err(format!("inline entry {dense}: {len} edges over the cap {}", self.cap));
             }
             for i in 0..INLINE_CAP_MAX {
-                let blank =
-                    (adj.dsts[i], adj.weights[i], adj.cal_ptrs[i]) == (NIL_VERTEX, 0, NIL_U32);
+                let blank = (adj.dsts[i], adj.weights[i]) == (NIL_VERTEX, 0);
                 let dup = i < len && adj.dsts[..i].contains(&adj.dsts[i]);
                 if (i < len) == (adj.dsts[i] == NIL_VERTEX) || (i >= len && !blank) || dup {
                     return Err(format!("inline entry {dense}: slot {i} of {len} is {adj:?}"));

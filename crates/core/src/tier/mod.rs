@@ -5,13 +5,18 @@
 //!
 //! Every tier owns its storage and its per-source side table, and answers
 //! the same [`TierOps`] on a dense source id. [`GraphTinker`] keeps what
-//! is shared — SGH, vertex properties, CAL, [`ProbeStats`], the per-vertex
-//! tier map and the threshold policy — and reaches a tier through one
-//! static `match` on the vertex's [`Tier`](crate::vertex::Tier); moving a
-//! vertex between tiers is [`drain`](TierOps::drain) from one and
+//! is shared — SGH, vertex properties, [`ProbeStats`], the per-vertex tier
+//! map and the threshold policy — and reaches a tier through one static
+//! `match` on the vertex's [`Tier`](crate::vertex::Tier); moving a vertex
+//! between tiers is [`drain`](TierOps::drain) from one and
 //! [`adopt`](TierOps::adopt) into the other. A tier's table grows on its
 //! first write to a source and its reads go through `.get()`, so a tier no
 //! vertex enters allocates nothing.
+//!
+//! The CAL is the edgeblock tier's own: only [`BlockTier`] edges have a
+//! CAL copy, registered when an edge enters the tier (insert or adopt) and
+//! invalidated when it leaves (delete or drain). Inline entries and hub
+//! segments are dense runs already, which the store streams in place.
 //!
 //! [`GraphTinker`]: crate::GraphTinker
 
@@ -25,19 +30,17 @@ pub use inline::InlineTier;
 
 use gtinker_types::{Edge, VertexId, Weight};
 
-use crate::cal::CalArray;
 use crate::stats::ProbeStats;
 
-/// A stored edge as the tiers exchange it: `(dst, weight, cal_ptr)`. The
-/// CAL pointer travels with the edge, so a migration never touches the CAL.
-pub type TierEdge = (VertexId, Weight, u32);
+/// A stored edge as the tiers exchange it: `(dst, weight)`.
+pub type TierEdge = (VertexId, Weight);
 
 /// Outcome of [`TierOps::upsert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Upsert {
-    /// The edge was new: main copy anchored, CAL copy appended.
+    /// The edge was new and is stored.
     Inserted,
-    /// The edge was present: weight overwritten in both copies.
+    /// The edge was present: its weight is overwritten.
     Updated,
     /// The edge is new and the tier has no room for it; nothing was
     /// written. An inline entry at its cap and an edgeblock page narrower
@@ -49,29 +52,20 @@ pub enum Upsert {
 /// The operations every tier answers for one dense source id. `h0` is the
 /// hoisted depth-0 [`edge_hash`](crate::hash::edge_hash) of the destination
 /// (the update path mixes each destination once); `stats` takes the probe
-/// accounting of the walk, `cal` the store's optional CAL.
+/// accounting of the walk.
 pub trait TierOps {
     /// Weight of the edge to `dst`, if the tier holds it. Pure.
     fn find(&self, dense: u32, dst: VertexId) -> Option<Weight>;
 
-    /// Inserts `e` or overwrites its weight, mirroring either into `cal`.
-    fn upsert(
-        &mut self,
-        dense: u32,
-        e: Edge,
-        h0: u64,
-        stats: &mut ProbeStats,
-        cal: &mut Option<CalArray>,
-    ) -> Upsert;
+    /// Inserts `e` or overwrites its weight.
+    fn upsert(&mut self, dense: u32, e: Edge, h0: u64, stats: &mut ProbeStats) -> Upsert;
 
-    /// Removes the edge to `dst`, returning its CAL pointer for the caller
-    /// to invalidate; `None` when the tier does not hold it.
-    fn remove(&mut self, dense: u32, dst: VertexId, h0: u64, stats: &mut ProbeStats)
-        -> Option<u32>;
+    /// Removes the edge to `dst`; `false` when the tier does not hold it.
+    fn remove(&mut self, dense: u32, dst: VertexId, h0: u64, stats: &mut ProbeStats) -> bool;
 
-    /// Visits the live edges of `dense` as `(dst, weight, cal_ptr)`, in the
-    /// tier's storage order (the order [`drain`](Self::drain) returns).
-    fn for_each(&self, dense: u32, f: impl FnMut(VertexId, Weight, u32));
+    /// Visits the live edges of `dense` as `(dst, weight)`, in the tier's
+    /// storage order (the order [`drain`](Self::drain) returns).
+    fn for_each(&self, dense: u32, f: impl FnMut(VertexId, Weight));
 
     /// Live edges held for `dense`.
     fn len(&self, dense: u32) -> usize;
@@ -84,14 +78,9 @@ pub trait TierOps {
     /// storage. Order: inline slots, edgeblock subtree walk, hub key array.
     fn drain(&mut self, dense: u32) -> Vec<TierEdge>;
 
-    /// Stores `edges` (absent from the tier, CAL copies already registered)
-    /// for `dense`, which the tier must not hold.
-    fn adopt(&mut self, dense: u32, edges: Vec<TierEdge>, stats: &mut ProbeStats);
-
-    /// Replaces the CAL pointer of every live edge of `dense` with
-    /// `f(dst, weight)`, in [`for_each`](Self::for_each) order (the CAL
-    /// rebuild re-registers each edge and hands back its new slot).
-    fn remap_cal_ptrs(&mut self, dense: u32, f: impl FnMut(VertexId, Weight) -> u32);
+    /// Stores `edges` (absent from the tier) for `dense`, whose original
+    /// id is `src`; the tier must not hold `dense`.
+    fn adopt(&mut self, dense: u32, src: VertexId, edges: Vec<TierEdge>, stats: &mut ProbeStats);
 
     /// Loads the word an operation on `dense` reads first and returns it
     /// (the resolve-ahead window's touch; mutates and counts nothing).

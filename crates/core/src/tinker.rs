@@ -1,20 +1,19 @@
 //! The GraphTinker data structure: ties the SGH unit, the
-//! VertexPropertyArray, the CAL and the three adjacency tiers together
-//! (paper Figs. 2-5).
+//! VertexPropertyArray and the three adjacency tiers together (paper
+//! Figs. 2-5).
 //!
 //! `GraphTinker` owns what every tier shares — the dense remapping of
-//! source ids ([`crate::sgh::SghUnit`], the paper's SGH unit), degrees, the
-//! CAL mirror, [`ProbeStats`], the per-vertex tier map and the threshold
-//! policy that moves a vertex between tiers. Where an edge is stored and
-//! how it is probed is the tier's business ([`crate::tier`]); the paper's
-//! find-edge and insert-edge units are [`crate::tier::BlockTier`].
+//! source ids ([`crate::sgh::SghUnit`], the paper's SGH unit), degrees,
+//! [`ProbeStats`], the per-vertex tier map and the threshold policy that
+//! moves a vertex between tiers. Where an edge is stored and how it is
+//! probed is the tier's business ([`crate::tier`]); the paper's find-edge
+//! and insert-edge units, and the CAL, are [`crate::tier::BlockTier`]'s.
 
 use gtinker_types::{
     DeleteMode, Edge, EdgeBatch, GraphError, Result, TinkerConfig, UpdateOp, VertexId, Weight,
     NIL_U32, NIL_VERTEX,
 };
 
-use crate::cal::{cal_invalidate, CalArray};
 use crate::hash::{edge_hash, source_hash};
 use crate::sgh::SghUnit;
 use crate::stats::ProbeStats;
@@ -125,7 +124,6 @@ pub struct GraphTinker {
     /// ablation), in which case the raw source id is the dense id.
     sgh: Option<SghUnit>,
     props: VertexPropertyArray,
-    cal: Option<CalArray>,
     stats: ProbeStats,
     live_edges: u64,
     /// One past the largest original vertex id seen (src or dst side).
@@ -154,9 +152,6 @@ impl GraphTinker {
         Ok(GraphTinker {
             sgh: config.enable_sgh.then(SghUnit::new),
             props: VertexPropertyArray::new(),
-            cal: config
-                .enable_cal
-                .then(|| CalArray::new(config.cal_group_size, config.cal_block_size)),
             stats: ProbeStats::default(),
             live_edges: 0,
             vertex_space: 0,
@@ -346,7 +341,7 @@ impl GraphTinker {
         // class — and the insert retries, at most once per inline tier and
         // page class.
         let outcome = loop {
-            match on_tier!(self, tier, upsert(dense, e, r.h0, &mut self.stats, &mut self.cal)) {
+            match on_tier!(self, tier, upsert(dense, e, r.h0, &mut self.stats)) {
                 Upsert::Full if tier == Tier::Inline => {
                     tier = Tier::Blocks;
                     self.migrate(dense, tier);
@@ -398,9 +393,9 @@ impl GraphTinker {
     }
 
     /// Moves the adjacency of `dense` to tier `to`: [`TierOps::drain`] from
-    /// the tier that holds it, [`TierOps::adopt`] into the new one. Every
-    /// edge keeps its CAL pointer, so the CAL — records, order, invalid
-    /// count — is untouched; degree and live-edge totals do not move.
+    /// the tier that holds it, [`TierOps::adopt`] into the new one. Draining
+    /// the edgeblock tier invalidates the edges' CAL copies and adopting
+    /// into it registers new ones; degree and live-edge totals do not move.
     fn migrate(&mut self, dense: u32, to: Tier) {
         let _span = crate::trace::span_arg(crate::trace::SpanId::TierPromote, dense as u64);
         let from = std::mem::replace(&mut self.tiers[dense as usize], to);
@@ -409,8 +404,9 @@ impl GraphTinker {
             self.tier_active(from, false);
             self.tier_active(to, true);
         }
+        let src = self.original_of(dense);
         let edges = on_tier!(self, from, drain(dense));
-        on_tier!(self, to, adopt(dense, edges, &mut self.stats));
+        on_tier!(self, to, adopt(dense, src, edges, &mut self.stats));
         let m = crate::metrics::global();
         if to as u8 > from as u8 {
             self.tier_promotions += 1;
@@ -452,10 +448,9 @@ impl GraphTinker {
     fn remove_edge(&mut self, src: VertexId, dst: VertexId, r: Resolved) -> bool {
         let Some(dense) = self.dense_resolved(src, r) else { return false };
         let Some(tier) = self.tier_of(dense) else { return false };
-        let Some(cal_ptr) = on_tier!(self, tier, remove(dense, dst, r.h0, &mut self.stats)) else {
+        if !on_tier!(self, tier, remove(dense, dst, r.h0, &mut self.stats)) {
             return false;
-        };
-        cal_invalidate(&mut self.cal, dense, cal_ptr);
+        }
         let p = self.props.get_mut(dense).expect("source with an edge has properties");
         p.out_degree -= 1;
         let deg = p.out_degree;
@@ -468,10 +463,10 @@ impl GraphTinker {
             Tier::Blocks => {
                 // Compact mode keeps the *whole* database compact, CAL
                 // included: once invalidated records outnumber live ones,
-                // rebuild the CAL from the main structure (amortized O(1)
-                // per delete).
+                // rebuild the CAL from the edgeblocks (amortized O(1) per
+                // delete).
                 if self.config.delete_mode == DeleteMode::DeleteAndCompact
-                    && self.cal.as_ref().is_some_and(|c| c.num_invalid() > c.num_live().max(1024))
+                    && self.blocks.cal().is_some_and(|c| c.num_invalid() > c.num_live().max(1024))
                 {
                     self.rebuild_cal();
                 }
@@ -600,39 +595,69 @@ impl GraphTinker {
     pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, mut f: F) {
         let Some(dense) = self.dense_lookup(src) else { return };
         let Some(tier) = self.tier_of(dense) else { return };
-        on_tier!(self, tier, for_each(dense, |d, w, _| f(d, w)));
+        on_tier!(self, tier, for_each(dense, &mut f));
     }
 
-    /// Visits every live edge as `(src, dst, weight)`.
+    /// Visits every live edge as `(src, dst, weight)`: the full-processing
+    /// retrieval path.
     ///
-    /// With CAL enabled this streams the compacted CAL EdgeblockArray
-    /// sequentially (the full-processing retrieval path); with CAL disabled
-    /// it falls back to scanning the main structure vertex-by-vertex, which
-    /// is exactly the non-contiguous access pattern the CAL exists to avoid.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, f: F) {
-        match &self.cal {
-            Some(cal) => cal.for_each_edge(f),
-            None => self.for_each_edge_main(f),
+    /// With the CAL enabled it walks the CAL groups (`cal_group_size` dense
+    /// sources each) in order. A group streams its CAL chain — the
+    /// edgeblock tier's edges, read sequentially — and then, each in dense
+    /// order, the inline entries and the hub segments of its sources,
+    /// which are dense runs themselves. With the CAL disabled it is
+    /// [`for_each_edge_main`](Self::for_each_edge_main), which walks the
+    /// edgeblocks vertex by vertex: the non-contiguous access pattern the
+    /// CAL exists to avoid.
+    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+        self.stream_groups(0..self.num_groups(), &mut f);
+    }
+
+    /// Visits every live edge from the tiers themselves, source by source
+    /// in dense order, whether or not a CAL exists (snapshots, tests and
+    /// the CAL ablation).
+    pub fn for_each_edge_main<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+        self.stream_sources(0..self.tiers.len(), &mut f);
+    }
+
+    /// Dense sources per streaming group: a CAL group, or one source
+    /// without a CAL.
+    fn group_len(&self) -> usize {
+        self.blocks.cal().map_or(1, |_| self.config.cal_group_size)
+    }
+
+    /// Streaming groups covering every dense source.
+    fn num_groups(&self) -> usize {
+        self.tiers.len().div_ceil(self.group_len())
+    }
+
+    /// Streams the groups in `groups`, in the
+    /// [`for_each_edge`](Self::for_each_edge) order.
+    fn stream_groups(
+        &self,
+        groups: std::ops::Range<usize>,
+        f: &mut impl FnMut(VertexId, VertexId, Weight),
+    ) {
+        let Some(cal) = self.blocks.cal() else { return self.stream_sources(groups, f) };
+        let len = self.group_len();
+        for g in groups {
+            let dense = g * len..((g + 1) * len).min(self.tiers.len());
+            cal.for_each_edge_in_group(g, &mut *f);
+            self.inline.stream(dense.clone(), |d| self.original_of(d), &mut *f);
+            self.hub.stream(dense, |d| self.original_of(d), &mut *f);
         }
     }
 
-    /// Visits every live edge by scanning the main structure, regardless
-    /// of CAL availability (used by tests and the CAL ablation).
-    pub fn for_each_edge_main<F: FnMut(VertexId, VertexId, Weight)>(&self, f: F) {
-        self.for_each_edge_main_range(0..self.tiers.len() as u32, f);
-    }
-
-    /// Main-structure scan restricted to a contiguous dense-source range,
-    /// in [`for_each_edge_main`](Self::for_each_edge_main) order.
-    pub fn for_each_edge_main_range<F: FnMut(VertexId, VertexId, Weight)>(
+    /// Streams the sources in `dense` one by one, from the tier holding
+    /// each.
+    fn stream_sources(
         &self,
-        dense_range: std::ops::Range<u32>,
-        mut f: F,
+        dense: std::ops::Range<usize>,
+        f: &mut impl FnMut(VertexId, VertexId, Weight),
     ) {
-        for dense in dense_range {
-            let Some(tier) = self.tier_of(dense) else { break };
-            let src = self.original_of(dense);
-            on_tier!(self, tier, for_each(dense, |d, w, _| f(src, d, w)));
+        for d in dense {
+            let src = self.original_of(d as u32);
+            on_tier!(self, self.tiers[d], for_each(d as u32, |v, w| f(src, v, w)));
         }
     }
 
@@ -644,8 +669,10 @@ impl GraphTinker {
 
     /// Sets the logical shard count for parallel analytics streaming.
     /// The edges are split into `n` balanced, contiguous intervals of the
-    /// streaming order (CAL groups when the CAL is enabled, dense source
-    /// ids otherwise); ingestion and point queries are unaffected.
+    /// streaming order, counted in CAL groups of dense source ids when the
+    /// CAL is enabled and in dense source ids otherwise, so every source's
+    /// edges stream in one shard; ingestion and point queries are
+    /// unaffected.
     pub fn set_analytics_shards(&mut self, n: usize) {
         assert!(n > 0, "shard count must be positive");
         self.analytics_shards = n;
@@ -657,18 +684,13 @@ impl GraphTinker {
     /// the edges of [`for_each_edge`](Self::for_each_edge), in the same
     /// order — the contract parallel full-processing analytics rely on to
     /// reproduce sequential results.
-    pub fn for_each_edge_shard<F: FnMut(VertexId, VertexId, Weight)>(&self, shard: usize, f: F) {
-        let n = self.analytics_shards;
-        match &self.cal {
-            Some(cal) => {
-                let r = gtinker_types::shard_range(cal.num_groups(), n, shard);
-                cal.for_each_edge_in_groups(r, f);
-            }
-            None => {
-                let r = gtinker_types::shard_range(self.tiers.len(), n, shard);
-                self.for_each_edge_main_range(r.start as u32..r.end as u32, f);
-            }
-        }
+    pub fn for_each_edge_shard<F: FnMut(VertexId, VertexId, Weight)>(
+        &self,
+        shard: usize,
+        mut f: F,
+    ) {
+        let r = gtinker_types::shard_range(self.num_groups(), self.analytics_shards, shard);
+        self.stream_groups(r, &mut f);
     }
 
     /// The analytics shard owning the out-edges of `src` (vertices not in
@@ -679,16 +701,13 @@ impl GraphTinker {
             return 0;
         }
         let Some(dense) = self.dense_lookup(src) else { return 0 };
-        let (index, items) = match &self.cal {
-            Some(cal) => (cal.group_of(dense), cal.num_groups()),
-            None => (dense as usize, self.tiers.len()),
-        };
-        if index >= items {
-            // A CAL rebuild drops trailing groups whose edges were all
-            // deleted; such sources own no edges, any shard serves.
+        let (group, groups) = (dense as usize / self.group_len(), self.num_groups());
+        if group >= groups {
+            // Registered by `import_sources` alone: no edges, any shard
+            // serves.
             return 0;
         }
-        gtinker_types::shard_of_index(index, items, self.analytics_shards)
+        gtinker_types::shard_of_index(group, groups, self.analytics_shards)
     }
 
     /// Iterates the original ids of all non-empty source vertices, in SGH
@@ -731,26 +750,16 @@ impl GraphTinker {
         }
     }
 
-    /// Rebuilds the CAL from the live edges in the main structure,
-    /// discarding accumulated invalid records and refreshing every
-    /// CAL-pointer. No-op when CAL is disabled.
+    /// Rebuilds the CAL from the live edges of the edgeblock tier,
+    /// discarding accumulated invalid records and refreshing every CAL
+    /// pointer. No-op when CAL is disabled.
     pub fn rebuild_cal(&mut self) {
-        if self.cal.is_none() {
+        if self.blocks.cal().is_none() {
             return;
         }
         crate::metrics::global().tinker_cal_rebuilds.inc();
-        let mut cal = CalArray::new(self.config.cal_group_size, self.config.cal_block_size);
-        for dense in 0..self.tiers.len() as u32 {
-            let src = self.original_of(dense);
-            let tier = self.tiers[dense as usize];
-            on_tier!(self, tier, remap_cal_ptrs(dense, |dst, w| cal.insert(dense, src, dst, w)));
-        }
-        self.cal = Some(cal);
-    }
-
-    /// Direct access to the CAL (tests/diagnostics).
-    pub fn cal(&self) -> Option<&CalArray> {
-        self.cal.as_ref()
+        let sgh = &self.sgh;
+        self.blocks.rebuild_cal(|dense| sgh.as_ref().map_or(dense, |s| s.original_of(dense)));
     }
 }
 
@@ -962,7 +971,6 @@ mod tests {
         let mut n = 0;
         g.for_each_edge(|_, _, _| n += 1);
         assert_eq!(n, 49);
-        assert!(g.cal().is_none());
         assert_eq!(g.structure_stats().cal_blocks, 0);
     }
 
@@ -986,10 +994,10 @@ mod tests {
         for i in 0..50u32 {
             g.delete_edge(0, i);
         }
-        assert_eq!(g.cal().unwrap().num_invalid(), 50);
+        assert_eq!(g.structure_stats().cal_invalid, 50);
         g.rebuild_cal();
-        assert_eq!(g.cal().unwrap().num_invalid(), 0);
-        assert_eq!(g.cal().unwrap().num_live(), 50);
+        assert_eq!(g.structure_stats().cal_invalid, 0);
+        g.validate_tag_invariants().unwrap();
         // Pointers still valid: weight updates must reach the new CAL.
         g.insert_edge(Edge::new(0, 99, 12345));
         let mut found = false;
@@ -1313,15 +1321,19 @@ mod tests {
             (1, 1, 1)
         );
         g.rebuild_cal();
-        assert_eq!(g.cal().unwrap().num_invalid(), 0);
-        // CAL pointers survived: weight updates land in the new CAL.
+        assert_eq!(g.structure_stats().cal_invalid, 0);
+        g.validate_tag_invariants().unwrap();
+        // Weight updates reach the stream from every tier: through the
+        // rebuilt CAL pointers for the edgeblock vertex, in place otherwise.
         g.insert_edge(Edge::new(0, 1001, 777));
+        g.insert_edge(Edge::new(1, 1002, 555));
         g.insert_edge(Edge::new(2, 1000, 888));
         let mut seen = BTreeMap::new();
         g.for_each_edge(|s, d, w| {
             seen.insert((s, d), w);
         });
         assert_eq!(seen.get(&(0, 1001)), Some(&777));
+        assert_eq!(seen.get(&(1, 1002)), Some(&555));
         assert_eq!(seen.get(&(2, 1000)), Some(&888));
         assert_eq!(seen.len() as u64, g.num_edges());
     }

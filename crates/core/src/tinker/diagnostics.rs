@@ -24,8 +24,8 @@ impl GraphTinker {
             block_classes,
             tombstones: self.blocks.count_tombstones(),
             hub_dead_slots: self.hub.dead_slots(),
-            cal_blocks: self.cal.as_ref().map_or(0, |c| c.num_blocks()),
-            cal_invalid: self.cal.as_ref().map_or(0, |c| c.num_invalid()),
+            cal_blocks: self.blocks.cal().map_or(0, |c| c.num_blocks()),
+            cal_invalid: self.blocks.cal().map_or(0, |c| c.num_invalid()),
             occupancy: if allocated_cells == 0 {
                 0.0
             } else {
@@ -61,8 +61,8 @@ impl GraphTinker {
     /// sums these across instances before publishing gauges.
     pub fn memory_breakdown(&self) -> (usize, usize, usize, usize, usize) {
         let (inline, hub) = (self.inline.memory_bytes(), self.hub.memory_bytes());
-        let cal = self.cal.as_ref().map_or(0, |c| c.memory_bytes());
-        let total = self.blocks.memory_bytes() + cal + self.tiers.capacity() + inline + hub;
+        let cal = self.blocks.cal().map_or(0, |c| c.memory_bytes());
+        let total = self.blocks.memory_bytes() + self.tiers.capacity() + inline + hub;
         (inline, self.blocks.arena_bytes(), hub, cal, total)
     }
 
@@ -102,8 +102,10 @@ impl GraphTinker {
     ///    its wrap-around mirror) matches the resident keys;
     /// 2. every source is held by exactly one tier, the one the tier map
     ///    names, and that tier holds exactly its out-degree in live edges;
-    /// 3. when a CAL exists, every stored CAL pointer resolves to a valid
-    ///    record carrying the same `(src, dst, weight)`.
+    /// 3. when a CAL exists, every edgeblock-tier edge points at a valid
+    ///    record carrying the same `(src, dst, weight)`, and the CAL holds
+    ///    exactly as many live records as the edgeblock tier holds edges (a
+    ///    copy leaked by a move out of the tier fails this).
     ///
     /// Returns the first violation as an error string.
     pub fn validate_tag_invariants(&self) -> Result<(), String> {
@@ -113,7 +115,7 @@ impl GraphTinker {
         if let Some(sgh) = &self.sgh {
             sgh.validate_tags().map_err(|e| format!("sgh: {e}"))?;
         }
-        let mut live = 0;
+        let (mut live, mut in_blocks) = (0, 0);
         for dense in 0..self.props.len().max(self.tiers.len()) as u32 {
             let tier = self.tier_of(dense);
             for t in [Tier::Inline, Tier::Blocks, Tier::Hub] {
@@ -127,28 +129,21 @@ impl GraphTinker {
                 return Err(format!("source {dense}: {tier:?} holds {held} edges, degree {deg}"));
             }
             live += held as u64;
-            let (Some(tier), Some(cal)) = (tier, &self.cal) else { continue };
-            let src = self.original_of(dense);
-            let mut first = Ok(());
-            on_tier!(
-                self,
-                tier,
-                for_each(dense, |dst, weight, ptr| {
-                    let want = crate::cal::CalRecord { src, dst, weight, valid: true };
-                    if first.is_ok() && cal.get(ptr) != Some(want) {
-                        first = Err(format!(
-                            "edge ({src}, {dst}, {weight}): CAL pointer {ptr} holds {:?}",
-                            cal.get(ptr)
-                        ));
-                    }
-                })
-            );
-            first?;
+            if tier == Some(Tier::Blocks) {
+                in_blocks += held as u64;
+                self.blocks.validate_cal(dense, self.original_of(dense))?;
+            }
         }
         if live != self.live_edges {
             return Err(format!("tiers hold {live} edges, store counts {}", self.live_edges));
         }
-        Ok(())
+        match self.blocks.cal() {
+            Some(cal) if cal.num_live() != in_blocks => Err(format!(
+                "CAL holds {} live copies, the edgeblock tier {in_blocks} edges",
+                cal.num_live()
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Mean tree depth of live edges (0 = everything in top-parents).

@@ -6,7 +6,7 @@
 //! active set) and algorithms may use the value/flags slots as scratch
 //! state that lives alongside the structure.
 
-use gtinker_types::{VertexId, Weight, NIL_U32, NIL_VERTEX};
+use gtinker_types::{VertexId, Weight, NIL_VERTEX};
 
 /// Storage tier of a vertex's adjacency in the degree-adaptive layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,16 +29,13 @@ pub struct InlineAdj {
     pub dsts: [VertexId; 4],
     /// Weight per slot.
     pub weights: [Weight; 4],
-    /// CAL pointer per slot ([`NIL_U32`] when the CAL is disabled).
-    pub cal_ptrs: [u32; 4],
     /// Number of occupied slots (always a prefix).
     pub len: u8,
 }
 
 impl InlineAdj {
     /// An inline entry with no edges.
-    pub const EMPTY: InlineAdj =
-        InlineAdj { dsts: [NIL_VERTEX; 4], weights: [0; 4], cal_ptrs: [NIL_U32; 4], len: 0 };
+    pub const EMPTY: InlineAdj = InlineAdj { dsts: [NIL_VERTEX; 4], weights: [0; 4], len: 0 };
 
     /// Slot index of `dst`, if present. Empty slots hold [`NIL_VERTEX`] and
     /// `dst` is never the sentinel, so all four lanes compare unconditionally
@@ -55,30 +52,25 @@ impl InlineAdj {
 
     /// Appends an edge. The caller must have checked capacity and absence.
     #[inline]
-    pub fn push(&mut self, dst: VertexId, weight: Weight, cal_ptr: u32) {
+    pub fn push(&mut self, dst: VertexId, weight: Weight) {
         debug_assert!(self.find(dst).is_none());
         debug_assert!((self.len as usize) < 4);
         let i = self.len as usize;
         self.dsts[i] = dst;
         self.weights[i] = weight;
-        self.cal_ptrs[i] = cal_ptr;
         self.len += 1;
     }
 
-    /// Swap-removes the slot at `idx`, returning its CAL pointer.
+    /// Swap-removes the slot at `idx`.
     #[inline]
-    pub fn remove(&mut self, idx: usize) -> u32 {
+    pub fn remove(&mut self, idx: usize) {
         debug_assert!(idx < self.len as usize);
-        let ptr = self.cal_ptrs[idx];
         let last = self.len as usize - 1;
         self.dsts[idx] = self.dsts[last];
         self.weights[idx] = self.weights[last];
-        self.cal_ptrs[idx] = self.cal_ptrs[last];
         self.dsts[last] = NIL_VERTEX;
         self.weights[last] = 0;
-        self.cal_ptrs[last] = NIL_U32;
         self.len = last as u8;
-        ptr
     }
 }
 
@@ -204,18 +196,18 @@ mod tests {
     fn inline_adj_push_find_remove() {
         let mut a = InlineAdj::EMPTY;
         assert_eq!(a.find(7), None);
-        a.push(7, 70, 0);
-        a.push(9, 90, 1);
-        a.push(11, 110, 2);
+        a.push(7, 70);
+        a.push(9, 90);
+        a.push(11, 110);
         assert_eq!(a.len, 3);
         assert_eq!(a.find(9), Some(1));
         assert_eq!(a.find(8), None);
         // Swap-remove pulls the last slot into the hole.
-        assert_eq!(a.remove(0), 0);
+        a.remove(0);
         assert_eq!(a.len, 2);
         assert_eq!(a.find(7), None);
         let i = a.find(11).unwrap();
-        assert_eq!((a.dsts[i], a.weights[i], a.cal_ptrs[i]), (11, 110, 2));
+        assert_eq!((i, a.dsts[i], a.weights[i]), (0, 11, 110));
         assert!(a.find(9).is_some());
     }
 

@@ -82,8 +82,9 @@ impl GraphStore for GraphTinker {
         GraphTinker::for_each_out_edge(self, v, f)
     }
     fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        // CAL stream when enabled; scattered main-structure scan otherwise
-        // (the ablation's cost).
+        // Per CAL group, the edgeblock tier's CAL chain and then the inline
+        // and hub runs in place; a scattered main-structure scan without a
+        // CAL (the ablation's cost).
         GraphTinker::for_each_edge(self, f)
     }
     fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
@@ -170,7 +171,7 @@ mod tests {
     use super::*;
     use gtinker_core::ParallelTinker;
     use gtinker_stinger::ParallelStinger;
-    use gtinker_types::{Edge, EdgeBatch};
+    use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 
     fn sample_batch() -> EdgeBatch {
         EdgeBatch::inserts(&[Edge::new(0, 1, 5), Edge::new(1, 2, 3), Edge::new(0, 2, 7)])
@@ -210,6 +211,54 @@ mod tests {
         assert_eq!(cat, whole, "shard concatenation must equal the full stream");
     }
 
+    /// [`check_sharding`], and the stream is exactly `model`'s edges.
+    fn check_model_sharding<S: GraphStore>(s: &S, model: &[(VertexId, VertexId, Weight)]) {
+        check_sharding(s);
+        let mut all = Vec::new();
+        s.stream_edges(|a, b, w| all.push((a, b, w)));
+        all.sort_unstable();
+        let mut want = model.to_vec();
+        want.sort_unstable();
+        assert_eq!(all, want, "the stream must be the model's edge multiset");
+    }
+
+    /// Edges that fill every tier of the default layout: one hub source
+    /// (200 edges), two edgeblock sources (20 each) and eight inline ones
+    /// (3 each), arriving interleaved so small CAL groups mix tiers.
+    fn three_tier_edges() -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for i in 0..200u32 {
+            edges.push(Edge::new(5, i, i + 1));
+            if i < 40 {
+                edges.push(Edge::new(10 + i % 2, 1000 + i, i));
+            }
+            if i < 24 {
+                edges.push(Edge::new(20 + i % 8, 2000 + i, 7));
+            }
+        }
+        edges
+    }
+
+    /// A compact-mode default-layout store with CAL groups of
+    /// `cal_group_size` sources (no CAL at 0) holding `edges`.
+    fn three_tier_store(cal_group_size: usize, edges: &[Edge]) -> GraphTinker {
+        let cfg = TinkerConfig {
+            enable_cal: cal_group_size > 0,
+            cal_group_size: cal_group_size.max(1),
+            ..TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact)
+        };
+        let mut g = GraphTinker::new(cfg).unwrap();
+        g.apply_batch(&EdgeBatch::inserts(edges));
+        let st = g.structure_stats();
+        let tiers = (st.tier_inline_vertices, st.tier_blocks_vertices, st.tier_hub_vertices);
+        assert_eq!(tiers, (8, 2, 1), "every tier must be populated");
+        g
+    }
+
+    fn as_triples(edges: &[Edge]) -> Vec<(VertexId, VertexId, Weight)> {
+        edges.iter().map(|e| (e.src, e.dst, e.weight)).collect()
+    }
+
     fn bigger_batch() -> EdgeBatch {
         EdgeBatch::inserts(
             &(0..500u32).map(|i| Edge::new(i % 61, (i * 13) % 67, i + 1)).collect::<Vec<_>>(),
@@ -239,6 +288,15 @@ mod tests {
             no_cal.apply_batch(&bigger_batch());
             no_cal.set_analytics_shards(shards);
             check_sharding(&no_cal);
+
+            // Every tier populated, with and without the CAL, in CAL groups
+            // of the default size and of two sources.
+            let edges = three_tier_edges();
+            for cal_group_size in [1024, 2, 0] {
+                let mut tiered = three_tier_store(cal_group_size, &edges);
+                tiered.set_analytics_shards(shards);
+                check_model_sharding(&tiered, &as_triples(&edges));
+            }
 
             let mut s = Stinger::with_defaults();
             s.apply_batch(&bigger_batch());
@@ -290,6 +348,30 @@ mod tests {
         check_sharding(&g);
         g.rebuild_cal();
         check_sharding(&g);
+
+        // Every tier populated, a third of each source's edges deleted (no
+        // tier move), then a compact-mode CAL rebuild.
+        let edges = three_tier_edges();
+        let (dels, kept): (Vec<_>, Vec<_>) =
+            edges.iter().enumerate().partition(|(i, _)| i % 3 == 1);
+        let dels: Vec<_> = dels.iter().map(|(_, e)| (e.src, e.dst)).collect();
+        let kept: Vec<Edge> = kept.into_iter().map(|(_, &e)| e).collect();
+        for cal_group_size in [1024, 2, 0] {
+            let mut g = three_tier_store(cal_group_size, &edges);
+            g.apply_batch(&EdgeBatch::deletes(&dels));
+            let invalid = g.structure_stats().cal_invalid;
+            assert_eq!(invalid > 0, cal_group_size > 0, "deletes leave CAL holes");
+            for rebuilt in [false, true] {
+                if rebuilt {
+                    g.rebuild_cal();
+                    assert_eq!(g.structure_stats().cal_invalid, 0);
+                }
+                for shards in [1usize, 2, 3, 4, 7] {
+                    g.set_analytics_shards(shards);
+                    check_model_sharding(&g, &as_triples(&kept));
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,11 +126,13 @@ test "$DEFAULT_EDGES" = "$PAPER_EDGES"
 echo "==> layout bytes gate (default layout: bytes/edge <= 0.45 x --paper-layout's and <= an absolute bound)"
 # Counts, not timings: memory_bytes is the store's allocated bytes and the
 # RMAT generator is seeded, so both figures repeat exactly on any box.
-# At the commit that set the bounds (PR 22: page-width classes, segmented
-# tables, CAL slot reuse) the default layout holds this graph in 61.3
-# B/edge and the paper layout in 160.9 (ratio 0.38); the commit before it
-# measured 111.0 and 170.0 (0.65).
-MAX_DEFAULT_BYTES_PER_EDGE=64
+# With page-width classes, segmented tables and CAL slot reuse the default
+# layout held this graph in 61.3 B/edge and the paper layout in 160.9
+# (ratio 0.38); the commit before them measured 111.0 and 170.0 (0.65).
+# Since the CAL copies only edgeblock-tier edges the default layout holds
+# it in 51.0 B/edge (50.96; paper unchanged, ratio 0.32), so the absolute
+# bound moved from 64 to 51.
+MAX_DEFAULT_BYTES_PER_EDGE=51
 "$GT" generate --rmat-scale 17 --edges 500000 --seed 3 --out "$SMOKE/big.txt"
 "$GT" stats "$SMOKE/big.txt" --format json > "$SMOKE/stats_rmat_default.json"
 "$GT" stats "$SMOKE/big.txt" --paper-layout --format json > "$SMOKE/stats_rmat_paper.json"

@@ -1,7 +1,7 @@
 //! Per-tier model tests: each tier module of `gtinker_core::tier` driven
 //! directly, through the [`TierOps`] every tier answers, against a
-//! `BTreeMap<dst, weight>` and a real CAL, with one op alphabet (upsert /
-//! delete / delete-nth / re-insert-dead / update-nth):
+//! `BTreeMap<dst, weight>`, with one op alphabet (upsert / delete /
+//! delete-nth / re-insert-dead / update-nth):
 //!
 //! * the inline tier at caps 1, 2 and 4 (a full entry must refuse, not
 //!   drop, the edge);
@@ -15,18 +15,20 @@
 //!   tail tag lane — [`HubTier`]'s own `validate`).
 //!
 //! After every op `find`, `len`, iteration and the tier's `validate` agree
-//! with the model and every stored CAL pointer resolves to its edge; at the
-//! end `drain` followed by `adopt` into each other tier preserves the edge
-//! set and every CAL pointer. The same streams then run through a
-//! [`GraphTinker`] whose one vertex is forced into the hub tier, the
-//! hub-flapping stream holds the 128 / 64 hysteresis band to one tier
-//! change per 64 ops, and a degree sweep holds a vertex to one regrow per
-//! page class between two tier moves. (The file keeps the name of its
-//! oldest cases.)
+//! with the model; the edgeblock tier, the only one with a CAL, also holds
+//! one live CAL copy per edge, each pointed at by its cell. At the end
+//! `drain` followed by `adopt` into each other tier preserves the edge set,
+//! and the CAL follows: a drain out of the edgeblocks invalidates the
+//! copies, an adopt into them registers new ones. The same streams then run
+//! through a [`GraphTinker`] whose one vertex is forced into the hub tier,
+//! the hub-flapping stream holds the 128 / 64 hysteresis band to one tier
+//! change per 64 ops, a degree sweep holds a vertex to one regrow per page
+//! class between two tier moves, and a vertex crossing every tier boundary
+//! 50 times leaks no CAL copy. (The file keeps the name of its oldest
+//! cases.)
 
 use std::collections::BTreeMap;
 
-use gtinker_core::cal::{cal_invalidate, CalArray, CalRecord};
 use gtinker_core::hash::edge_hash;
 use gtinker_core::hubseg::TAIL_CAP;
 use gtinker_core::{
@@ -96,67 +98,68 @@ struct Passes {
     regrows: usize,
 }
 
-/// What the store does for a tier that reports `Full` with room to spare:
-/// only a narrow edgeblock page does, and the store regrows it.
-trait Regrow: TierOps {
+/// What the store does around a tier beyond [`TierOps`]: regrow a page
+/// that reports `Full` with room to spare, and keep a CAL — both the
+/// edgeblock tier's alone.
+trait Harnessed: TierOps {
     fn regrow(&mut self, _stats: &mut ProbeStats) {
         panic!("only an edgeblock page may refuse an edge below its room");
     }
+
+    /// Checks the tier's CAL against the `live` edges it holds for
+    /// [`DENSE`]; a tier without a CAL has nothing to check.
+    fn check_cal(&self, _live: usize) {}
 }
 
-impl Regrow for InlineTier {}
-impl Regrow for HubTier {}
-impl Regrow for BlockTier {
+impl Harnessed for InlineTier {}
+impl Harnessed for HubTier {}
+impl Harnessed for BlockTier {
     fn regrow(&mut self, stats: &mut ProbeStats) {
         BlockTier::regrow(self, DENSE, stats);
+    }
+
+    /// One live copy per edge, each pointed at by its cell.
+    fn check_cal(&self, live: usize) {
+        self.validate_cal(DENSE, SRC).unwrap_or_else(|e| panic!("CAL: {e}"));
+        assert_eq!(self.cal().unwrap().num_live() as usize, live, "CAL live != edges held");
     }
 }
 
 /// A tier under test with the state the store would hold around it.
 struct Driven<T> {
     tier: T,
-    cal: Option<CalArray>,
     stats: ProbeStats,
     model: BTreeMap<u32, u32>,
     /// Edges the tier can hold for one source (the inline cap).
     room: usize,
 }
 
-impl<T: Regrow> Driven<T> {
+impl<T: Harnessed> Driven<T> {
     fn new(tier: T, room: usize) -> Self {
-        let cal = Some(CalArray::new(4, 8));
-        Driven { tier, cal, stats: ProbeStats::default(), model: BTreeMap::new(), room }
+        Driven { tier, stats: ProbeStats::default(), model: BTreeMap::new(), room }
     }
 
     /// The tier against the model: `find` over the key space, `len`,
-    /// iteration, CAL pointers, and the tier's own invariants.
+    /// iteration, the CAL, and the tier's own invariants.
     fn check(&self, keys: u32) {
         self.tier.validate().unwrap_or_else(|e| panic!("tier invalid: {e}"));
         assert_eq!(self.tier.len(DENSE), self.model.len());
         assert!(self.tier.holds(DENSE) || self.model.is_empty(), "edges without storage");
-        let cal = self.cal.as_ref().unwrap();
         let mut seen = Vec::with_capacity(self.model.len());
-        self.tier.for_each(DENSE, |dst, weight, ptr| {
-            let want = CalRecord { src: SRC, dst, weight, valid: true };
-            assert_eq!(cal.get(ptr), Some(want), "CAL pointer must travel with its edge");
-            seen.push((dst, weight));
-        });
+        self.tier.for_each(DENSE, |dst, weight| seen.push((dst, weight)));
         seen.sort_unstable();
         assert!(seen.iter().copied().eq(self.model.iter().map(|(&d, &w)| (d, w))), "iteration");
-        assert_eq!(cal.num_live() as usize, self.model.len());
+        self.tier.check_cal(self.model.len());
         for d in 0..keys {
             assert_eq!(self.tier.find(DENSE, d), self.model.get(&d).copied(), "dst {d}");
         }
     }
 
-    /// Seeds the tier the way a migration would: CAL copies first, then
-    /// one `adopt`.
+    /// Seeds the tier the way a migration would: one `adopt`.
     fn seed(&mut self, edges: impl Iterator<Item = (u32, u32)>) {
-        let cal = self.cal.as_mut().unwrap();
-        let adopted: Vec<TierEdge> =
-            edges.map(|(d, w)| (d, w, cal.insert(DENSE, SRC, d, w))).collect();
-        self.model.extend(adopted.iter().map(|&(d, w, _)| (d, w)));
-        self.tier.adopt(DENSE, adopted, &mut self.stats);
+        let adopted: Vec<TierEdge> = edges.collect();
+        self.model.extend(adopted.iter().copied());
+        self.tier.adopt(DENSE, SRC, adopted, &mut self.stats);
     }
 
     fn run(&mut self, keys: u32, ops: &[Op], every_op: bool, dead: impl Fn(&T) -> usize) -> Passes {
@@ -170,7 +173,7 @@ impl<T: Regrow> Driven<T> {
             match weight {
                 Some(w) => {
                     let e = Edge::new(SRC, dst, w);
-                    let mut got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                    let mut got = self.tier.upsert(DENSE, e, h0, &mut self.stats);
                     while got == Upsert::Full && self.model.len() < self.room {
                         // The refusal wrote nothing and the regrow keeps
                         // the edge set and every CAL pointer.
@@ -178,7 +181,7 @@ impl<T: Regrow> Driven<T> {
                         self.tier.regrow(&mut self.stats);
                         passes.regrows += 1;
                         self.check(keys);
-                        got = self.tier.upsert(DENSE, e, h0, &mut self.stats, &mut self.cal);
+                        got = self.tier.upsert(DENSE, e, h0, &mut self.stats);
                     }
                     let want = match self.model.contains_key(&dst) {
                         true => Upsert::Updated,
@@ -192,12 +195,9 @@ impl<T: Regrow> Driven<T> {
                     passes.merges += (dead0 > 0 && dead(&self.tier) == 0) as usize;
                 }
                 None => {
-                    let ptr = self.tier.remove(DENSE, dst, h0, &mut self.stats);
-                    assert_eq!(ptr.is_some(), self.model.remove(&dst).is_some(), "remove {dst}");
-                    if let Some(ptr) = ptr {
-                        let rec = self.cal.as_ref().unwrap().get(ptr).unwrap();
-                        assert_eq!((rec.src, rec.dst, rec.valid), (SRC, dst, true));
-                        cal_invalidate(&mut self.cal, DENSE, ptr);
+                    let removed = self.tier.remove(DENSE, dst, h0, &mut self.stats);
+                    assert_eq!(removed, self.model.remove(&dst).is_some(), "remove {dst}");
+                    if removed {
                         last_deleted = Some(dst);
                         passes.forced += (dead(&self.tier) < dead0) as usize;
                     }
@@ -213,20 +213,20 @@ impl<T: Regrow> Driven<T> {
         passes
     }
 
-    /// `drain`, then `adopt` into a fresh tier of every kind that has room:
-    /// the edge set and every CAL pointer must survive each move.
+    /// `drain`, then `adopt` into a fresh tier of every kind that has room
+    /// and `drain` again: the edge set survives each move, and after each
+    /// drain and adopt the CAL holds one live copy per edge the tier holds.
     fn migrate_everywhere(mut self, keys: u32) {
         let drained = self.tier.drain(DENSE);
         assert!(!self.tier.holds(DENSE) && self.tier.len(DENSE) == 0, "drain must release");
         self.tier.validate().unwrap();
+        self.tier.check_cal(0);
         assert_eq!(drained.len(), self.model.len());
-        let Driven { cal, model, .. } = self;
         let tiny = tiny_blocks(DeleteMode::DeleteOnly);
-        fn adopt_into<T: Regrow>(
+        fn adopt_into<T: Harnessed>(
             tier: T,
             room: usize,
             edges: &[TierEdge],
-            cal: &Option<CalArray>,
             model: &BTreeMap<u32, u32>,
             keys: u32,
         ) {
@@ -234,21 +234,21 @@ impl<T: Regrow> Driven<T> {
                 return;
             }
             let mut to = Driven::new(tier, room);
-            to.cal = cal.clone();
             to.model = model.clone();
-            to.tier.adopt(DENSE, edges.to_vec(), &mut to.stats);
+            to.tier.adopt(DENSE, SRC, edges.to_vec(), &mut to.stats);
             to.check(keys);
             let mut back = to.tier.drain(DENSE);
+            to.tier.check_cal(0);
             let mut want = edges.to_vec();
             back.sort_unstable();
             want.sort_unstable();
-            assert_eq!(back, want, "a round trip must hand every edge and pointer back");
+            assert_eq!(back, want, "a round trip must hand every edge back");
         }
-        adopt_into(InlineTier::new(4), 4, &drained, &cal, &model, keys);
-        adopt_into(BlockTier::new(&tiny), usize::MAX, &drained, &cal, &model, keys);
+        adopt_into(InlineTier::new(4), 4, &drained, &self.model, keys);
+        adopt_into(BlockTier::new(&tiny), usize::MAX, &drained, &self.model, keys);
         let classes = tiny_classes(DeleteMode::DeleteOnly);
-        adopt_into(BlockTier::new(&classes), usize::MAX, &drained, &cal, &model, keys);
-        adopt_into(HubTier::new(), usize::MAX, &drained, &cal, &model, keys);
+        adopt_into(BlockTier::new(&classes), usize::MAX, &drained, &self.model, keys);
+        adopt_into(HubTier::new(), usize::MAX, &drained, &self.model, keys);
     }
 }
 
@@ -577,5 +577,60 @@ fn page_classes_only_grow_between_tier_moves() {
         assert_eq!(seen, [true; 3], "the sweep must visit every class ({mode:?})");
         let st = g.structure_stats();
         assert!(st.tier_promotions >= 4 && st.tier_demotions >= 4, "{st:?}");
+    }
+}
+
+/// One vertex of the default layout crosses inline ↔ edgeblocks and
+/// edgeblocks ↔ hub 50 times next to three edgeblock neighbours in its CAL
+/// group. Every move out of the edgeblocks frees the vertex's CAL copies and
+/// every move in registers new ones in the freed slots, so the CAL never
+/// holds more live copies than the edgeblock tier holds edges (the
+/// validator's check) and stops growing after the first cycle.
+#[test]
+fn tier_crossings_leak_no_cal_copies() {
+    for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
+        let mut g = GraphTinker::new(TinkerConfig::default().delete_mode(mode)).unwrap();
+        for src in 1..=3u32 {
+            for d in 0..20 {
+                g.insert_edge(Edge::new(src, d, 1));
+            }
+        }
+        let mut model = BTreeMap::new();
+        let mut next_dst = 0u32;
+        let mut first_cycle_blocks = None;
+        for cycle in 0..50 {
+            // Inline → edgeblocks at degree 5, edgeblocks → hub at 128,
+            // back to edgeblocks below 64 and to inline at 2.
+            for target in [128usize, 63, 2] {
+                while model.len() != target {
+                    if model.len() < target {
+                        next_dst += 1;
+                        assert!(g.insert_edge(Edge::new(0, next_dst, next_dst)));
+                        model.insert(next_dst, next_dst);
+                    } else {
+                        let dst = *model.keys().next().unwrap();
+                        assert!(g.delete_edge(0, dst));
+                        model.remove(&dst);
+                    }
+                }
+                gtinker_integration::assert_valid(&g, "tier crossings");
+            }
+            let st = g.structure_stats();
+            assert_eq!(st.tier_inline_vertices, 1, "cycle {cycle} ends inline ({mode:?})");
+            // Written slots never exceed the peak of live copies: 128 of
+            // vertex 0 as it becomes a hub, 60 of its neighbours.
+            assert!(st.cal_invalid <= 128 + 60, "cycle {cycle}: {st:?}");
+            let blocks = *first_cycle_blocks.get_or_insert(st.cal_blocks);
+            assert_eq!(st.cal_blocks, blocks, "the CAL grew on cycle {cycle} ({mode:?})");
+        }
+        let st = g.structure_stats();
+        assert!(st.tier_promotions >= 100 && st.tier_demotions >= 100, "{st:?}");
+        let mut streamed = Vec::new();
+        g.for_each_edge(|s, d, w| streamed.push((s, d, w)));
+        streamed.sort_unstable();
+        let neighbours = (1..=3u32).flat_map(|s| (0..20).map(move |d| (s, d, 1)));
+        let mut want: Vec<_> = model.iter().map(|(&d, &w)| (0, d, w)).chain(neighbours).collect();
+        want.sort_unstable();
+        assert_eq!(streamed, want, "{mode:?}");
     }
 }

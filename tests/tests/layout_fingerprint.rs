@@ -3,12 +3,13 @@
 //! `tiers(2, 12, 6)`, `paper()`) in both delete modes, reduced to one
 //! line per store — every `ProbeStats` and `StructureStats` field, both
 //! histograms, and order-sensitive digests of `sources()` and of the full
-//! `for_each_edge` (CAL) stream — and held to the captured lines. They were
-//! last re-captured on purpose by PR 22 (page-width classes, CAL slot
-//! reuse, segmented tables; EXPERIMENTS.md, "PR 22 ledger", lists every
-//! field that moved): the `paper/*` lines differ from the ones PR 19
-//! captured before the tier split only in `block_classes` (new),
-//! `cal_blocks`, `cal_invalid`, `memory_bytes` and `stream=`.
+//! `for_each_edge` stream — and held to the captured lines. The `paper/*`
+//! lines were last re-captured on purpose for the page-width classes, CAL
+//! slot reuse and segmented tables. The `default/*` and `tiers_2_12_6/*`
+//! lines were re-captured again when the CAL became the edgeblock tier's
+//! own: `cal_blocks`, `cal_invalid`, `inline_bytes`, `hub_bytes`,
+//! `memory_bytes` and `stream=` moved. EXPERIMENTS.md lists every field
+//! each re-capture moved.
 //!
 //! A refactor of the store must leave every line as it is; a PR that
 //! changes the layout on purpose re-captures them (`-- --nocapture` prints
