@@ -101,21 +101,23 @@ WAL) is its own track (--analytics appends a traced BFS plus a
 delete/re-insert churn round through the incremental repair engine, so
 'repair' spans carry per-batch cone sizes). 'serve'
 (optionally after loading FILE or recovering WALDIR into --shards N
-epoch-view shards) exposes /metrics (Prometheus), /healthz (build info +
+shards) exposes /metrics (Prometheus), /healthz (build info +
 live gauges), /trace (timeline JSON), /debug/vars (per-endpoint RED
 windows with p50/p95/p99), /debug/requests (last completed requests with
 phase timings) and — when a store is loaded — the query API /neighbors?v=
 /degree?v= /query/{bfs,sssp}?src= /query/cc /query/pagerank over HTTP on
 --addr (default 127.0.0.1:0, port printed at startup), answered by
---workers N request threads (default 4) from epoch-pinned snapshot
-views; GET /quitquitquit from loopback shuts the server down cleanly.
+--workers N request threads (default 4) from epoch snapshots; GET
+/quitquitquit from loopback shuts the server down cleanly.
 Every response carries an X-Request-Id header; with tracing on, the
 request's pin/engine/serialize spans in /trace carry that id as their
 arg. --slow-query-ms N logs a structured warn record with a per-phase
 breakdown (queue/pin/engine/serialize) for any request slower than N ms.
 'ingest --serve' runs the same endpoint in-process against the live
-store while batches apply; --hold keeps serving after the ingest
-finishes until /quitquitquit.
+store while batches apply: a query reads a copy of the shards taken at a
+batch boundary, shared by every query that overlaps it, and the first
+query after new batches waits for one such copy; --hold keeps serving
+after the ingest finishes until /quitquitquit.
 
 --log LEVEL (any command) sets the structured key=value log level on
 stderr: error|warn|info|debug|off (default warn). Records are
@@ -800,9 +802,9 @@ impl IngestInput {
 /// — logged on this thread, applied by `--pool N` shard workers (default
 /// 1), so the apply of batch k overlaps the WAL append of batch k+1 and
 /// the parse of batch k+2. A non-empty DIR is resumed, whatever `--pool`
-/// wrote it. With `--serve` the store keeps epoch views and is shared with
-/// the HTTP workers (listening before the first byte is parsed), so
-/// `/query/*` reads pinned snapshots while batches keep applying; `--hold`
+/// wrote it. With `--serve` the store is shared with the HTTP workers
+/// (listening before the first byte is parsed), so `/query/*` reads pinned
+/// snapshots while batches keep applying; `--hold`
 /// keeps serving after the ingest finishes until `/quitquitquit`.
 fn ingest(parsed: &Parsed) -> Result<(), String> {
     let path = parsed.input()?;
@@ -818,9 +820,8 @@ fn ingest(parsed: &Parsed) -> Result<(), String> {
     let slow_query_ms = slow_query_ms(parsed)?;
     let input = IngestInput::open(path, batch_size)?;
     let listener = parsed.get("serve").map(crate::serve::bind).transpose()?;
-    let (mut d, report) =
-        DurableTinker::open(Path::new(dir), config(parsed)?, opts, pool, listener.is_some())
-            .map_err(|e| e.to_string())?;
+    let (mut d, report) = DurableTinker::open(Path::new(dir), config(parsed)?, opts, pool)
+        .map_err(|e| e.to_string())?;
     if report.next_lsn > 0 {
         eprintln!(
             "recovered {} edges at lsn {} ({} records replayed)",
@@ -957,9 +958,9 @@ fn slow_query_ms(parsed: &Parsed) -> Result<Option<u64>, String> {
 
 /// `gtinker serve [FILE|WALDIR]`: loads a file, or recovers a directory
 /// (snapshot layout and vertex space kept, each WAL record replayed once),
-/// into an epoch-view-enabled parallel store (`--shards N`), then serves
-/// the telemetry routes plus the `/query/*` API over HTTP until SIGTERM or
-/// a loopback `GET /quitquitquit`.
+/// into a parallel store (`--shards N`), then serves the telemetry routes
+/// plus the `/query/*` API over HTTP until SIGTERM or a loopback
+/// `GET /quitquitquit`.
 fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
     let started = Instant::now();
     let shards = parsed.num("shards", 1usize)?.max(1);
@@ -971,7 +972,7 @@ fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
             let g = if Path::new(input).is_dir() {
                 let dir = Path::new(input);
                 let scan = replay(dir).map_err(|e| e.to_string())?;
-                let (g, report) = recover_sharded(dir, &scan, config(parsed)?, shards, true)
+                let (g, report) = recover_sharded(dir, &scan, config(parsed)?, shards)
                     .map_err(|e| e.to_string())?;
                 eprintln!(
                     "recovered {} edges from {input} ({} records replayed)",
@@ -981,8 +982,7 @@ fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
                 g
             } else {
                 let edges = io::read_edge_list(input).map_err(|e| e.to_string())?;
-                let g = ParallelTinker::new_with_views(config(parsed)?, shards)
-                    .map_err(|e| e.to_string())?;
+                let g = ParallelTinker::new(config(parsed)?, shards).map_err(|e| e.to_string())?;
                 for chunk in edges.chunks(100_000) {
                     g.apply_batch(&EdgeBatch::inserts(chunk));
                 }

@@ -1,6 +1,6 @@
 //! A std-only HTTP/1.1 endpoint (no external crates): telemetry routes
 //! answered from process-global observability state, plus — when a store
-//! is attached — a query API served from epoch-pinned snapshot views.
+//! is attached — a query API served from epoch-pinned snapshots.
 //!
 //! | route              | payload                                          |
 //! |--------------------|--------------------------------------------------|
@@ -20,9 +20,10 @@
 //! Requests are handled by a small worker pool so a slow analytics query
 //! (BFS over a large graph) does not block a `/healthz` probe. Every
 //! query pins an epoch view ([`ParallelTinker::pin_view`]) instead of
-//! draining the ingest pipeline: the writer keeps applying batches while
-//! readers traverse a consistent acked-batch-boundary snapshot. Telemetry
-//! routes read lock-free global state and never touch the store at all.
+//! draining the ingest pipeline: readers traverse a copy of the shards
+//! taken at one batch boundary, shared by every query that overlaps it,
+//! while the writer keeps applying later batches. Telemetry routes read
+//! lock-free global state and never touch the store at all.
 //!
 //! # Request-scoped observability
 //!
@@ -209,9 +210,8 @@ impl ServeCtx {
     }
 
     /// Builds a context: an optional store queries run against (`None`
-    /// serves telemetry only; a store must be built with views,
-    /// [`ParallelTinker::new_with_views`]) plus the slow-query log
-    /// threshold in milliseconds (`None` disables; `Some(0)` logs every
+    /// serves telemetry only) plus the slow-query log threshold in
+    /// milliseconds (`None` disables; `Some(0)` logs every
     /// request — handy for smoke tests).
     pub fn with_options(
         start: Instant,
@@ -583,9 +583,7 @@ fn query_route(path: &str, query: &str, ctx: &ServeCtx) -> (u16, &'static str, S
         return (503, "application/json", error_json("no store attached"), 0);
     };
     let pin_start = Instant::now();
-    let Some(view) = store.pin_view() else {
-        return (503, "application/json", error_json("store built without views"), 0);
-    };
+    let view = store.pin_view().expect("a pool always pins");
     let pin_ns = pin_start.elapsed().as_nanos() as u64;
     let m = gtinker_core::metrics::global();
     m.serve_queries.inc();
@@ -634,7 +632,7 @@ fn required_u32(query: &str, key: &str) -> Result<u32, String> {
         .map_err(|_| format!("bad {key}"))
 }
 
-fn neighbors_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
+fn neighbors_json(view: &StoreView, query: &str) -> Result<String, String> {
     let v = required_u32(query, "v")?;
     let mut out = Vec::new();
     view.for_each_out_edge(v, |d, w| out.push(format!("[{d},{w}]")));
@@ -646,12 +644,12 @@ fn neighbors_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
     ))
 }
 
-fn degree_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
+fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
     let v = required_u32(query, "v")?;
     Ok(format!("{{\"v\":{v},\"epoch\":{},\"degree\":{}}}\n", view.epoch(), view.out_degree(v)))
 }
 
-fn bfs_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
+fn bfs_json(view: &StoreView, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
     let mut e = Engine::new(Bfs::new(src), ModePolicy::hybrid());
     let r = e.run_from_roots(view);
@@ -666,7 +664,7 @@ fn bfs_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
     ))
 }
 
-fn sssp_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
+fn sssp_json(view: &StoreView, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
     let mut e = Engine::new(Sssp::new(src), ModePolicy::hybrid());
     let r = e.run_from_roots(view);
@@ -681,7 +679,7 @@ fn sssp_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
     ))
 }
 
-fn cc_json(view: &StoreView<'_>) -> Result<String, String> {
+fn cc_json(view: &StoreView) -> Result<String, String> {
     let mut e = Engine::new(Cc::new(), ModePolicy::hybrid());
     let r = e.run_from_roots(view);
     let mut labels: Vec<u32> = e.values().to_vec();
@@ -697,7 +695,7 @@ fn cc_json(view: &StoreView<'_>) -> Result<String, String> {
     ))
 }
 
-fn pagerank_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
+fn pagerank_json(view: &StoreView, query: &str) -> Result<String, String> {
     let iterations: usize = num_param(query, "iterations", 10)?;
     let k: usize = num_param(query, "top", 10)?;
     let pr = PageRank::new(0.85, iterations);
@@ -711,11 +709,11 @@ fn pagerank_json(view: &StoreView<'_>, query: &str) -> Result<String, String> {
 }
 
 /// Liveness JSON. With a store attached, live edges and the epoch come
-/// from a pinned view (exact, barrier-free). Without one, live edges fall
-/// back to the hot-path counters (inserts − deletes) — NOT `num_edges()`,
-/// which is a pipeline barrier on a pooled store, and a health probe must
-/// never stall ingest. Build info, acked seq and backlog depth are plain
-/// loads, preserving the barrier-free guarantee.
+/// from a pinned view (exact, no pipeline barrier; it may wait for one
+/// snapshot refresh). Without one, live edges fall back to the hot-path
+/// counters (inserts − deletes) — NOT `num_edges()`, which is a pipeline
+/// barrier on a pooled store, and a health probe must never stall ingest.
+/// Build info and the acked seq are plain loads.
 fn healthz_json(ctx: &ServeCtx) -> String {
     let m = gtinker_core::metrics::global();
     let (live_edges, epoch) = match ctx.store.as_deref().and_then(|s| s.pin_view()) {
@@ -725,7 +723,7 @@ fn healthz_json(ctx: &ServeCtx) -> String {
     format!(
         "{{\"status\":\"ok\",\"version\":\"{}\",\"git_hash\":\"{}\",\"uptime_s\":{:.3},\
          \"live_edges\":{},\"live_vertices\":{},\"epoch\":{},\"acked_batches\":{},\
-         \"backlog_depth\":{},\"trace_enabled\":{}}}\n",
+         \"trace_enabled\":{}}}\n",
         json_escape(VERSION),
         json_escape(GIT_HASH),
         ctx.start.elapsed().as_secs_f64(),
@@ -733,12 +731,11 @@ fn healthz_json(ctx: &ServeCtx) -> String {
         m.sgh_sources.get().max(0),
         epoch,
         ctx.store.as_deref().map(|s| s.acked_batches()).unwrap_or(0),
-        m.epoch_backlog_depth.get().max(0),
         trace::enabled(),
     )
 }
 
-/// Live server variables: build info, ingest progress, pin/backlog state,
+/// Live server variables: build info, ingest progress, pin state,
 /// and the per-endpoint RED windows (sliding-window p50/p95/p99 over the
 /// last ~[`WINDOW_ROTATE_SECS`]×[`gtinker_core::metrics::WINDOW_SLOTS`]
 /// seconds). Everything here is atomic loads plus per-endpoint ring
@@ -761,15 +758,14 @@ fn debug_vars_json(ctx: &ServeCtx) -> String {
     }
     format!(
         "{{\"version\":\"{}\",\"git_hash\":\"{}\",\"uptime_s\":{:.3},\
-         \"acked_batches\":{},\"pending_batches\":{},\"backlog_depth\":{},\
-         \"active_pins\":{},\"epoch_pins\":{},\"trace_enabled\":{},\"log_level\":\"{}\",\
+         \"acked_batches\":{},\"pending_batches\":{},\"active_pins\":{},\"epoch_pins\":{},\
+         \"trace_enabled\":{},\"log_level\":\"{}\",\
          \"window_rotate_s\":{WINDOW_ROTATE_SECS},\"endpoints\":{{{}}}}}\n",
         json_escape(VERSION),
         json_escape(GIT_HASH),
         ctx.start.elapsed().as_secs_f64(),
         store.map(|s| s.acked_batches()).unwrap_or(0),
         store.map(|s| s.pending_batches()).unwrap_or(0),
-        m.epoch_backlog_depth.get().max(0),
         m.epoch_active_pins.get().max(0),
         m.epoch_pins.get(),
         trace::enabled(),
@@ -884,7 +880,7 @@ mod tests {
     }
 
     fn store_ctx_with(slow_query_ms: Option<u64>) -> Arc<ServeCtx> {
-        let store = ParallelTinker::new_with_views(Default::default(), 2).unwrap();
+        let store = ParallelTinker::new(Default::default(), 2).unwrap();
         store.apply_batch(&EdgeBatch::inserts(&[
             Edge::new(0, 1, 5),
             Edge::new(1, 2, 3),
@@ -939,7 +935,6 @@ mod tests {
         assert!(r.contains(&format!("\"version\":\"{VERSION}\"")), "got: {r}");
         assert!(r.contains("\"git_hash\":\""), "got: {r}");
         assert!(r.contains("\"acked_batches\":"), "got: {r}");
-        assert!(r.contains("\"backlog_depth\":"), "got: {r}");
     }
 
     #[test]

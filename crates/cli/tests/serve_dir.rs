@@ -115,7 +115,7 @@ fn serve_keeps_the_snapshots_layout_and_vertex_space() {
     // The only edge touching the highest vertex id goes before the last
     // snapshot: from then on the id space is on record, not in any edge.
     let (mut d, _) =
-        DurableTinker::open(&db, TinkerConfig::default(), WalOptions::default(), 2, false).unwrap();
+        DurableTinker::open(&db, TinkerConfig::default(), WalOptions::default(), 2).unwrap();
     d.apply_batch(EdgeBatch::deletes(&[(7, 900)])).unwrap();
     d.snapshot().unwrap();
     drop(d);

@@ -52,7 +52,7 @@ pub struct CalRecord {
 const DEAD: CalRecord = CalRecord { src: 0, dst: NIL_U32, weight: 0, valid: false };
 
 /// The CAL EdgeblockArray: per-group chains of fixed-size record blocks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CalArray {
     /// Record table, indexed by [`CalPtr`]: block `b` occupies
     /// `[b << slot_bits, (b << slot_bits) + block_size)`, whole blocks per
@@ -75,6 +75,19 @@ pub struct CalArray {
     slot_bits: u32,
     live: u64,
 }
+
+clone_fields!(CalArray {
+    records,
+    next_block,
+    fill,
+    group_head,
+    group_tail,
+    group_free,
+    block_size,
+    group_size,
+    slot_bits,
+    live,
+});
 
 impl CalArray {
     /// Creates an empty CAL with the given group size (source vertices per

@@ -88,7 +88,7 @@ pub type BlockId = u32;
 /// The arena only manages storage and topology (allocation, recycling,
 /// child links, occupancy counts); the hashing policy that decides *where*
 /// edges go lives in [`crate::tier::BlockTier`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockArena {
     cells: SegVec<EdgeCell>,
     /// SWAR tag lane: one control byte per cell (same indexing as `cells`)
@@ -113,6 +113,19 @@ pub struct BlockArena {
     subblock: usize,
     subblocks_per_block: usize,
 }
+
+clone_fields!(BlockArena {
+    cells,
+    tags,
+    children,
+    live,
+    parent,
+    parent_sub,
+    free,
+    pagewidth,
+    subblock,
+    subblocks_per_block,
+});
 
 impl BlockArena {
     /// Creates an empty arena for the given geometry.

@@ -2,257 +2,115 @@
 //!
 //! Every query path used to pay a full [`settle`](crate::ShardPool)
 //! barrier: readers blocked until the pipeline drained, and the writer
-//! stalled behind the reader's shard locks. This module removes the
-//! barrier with a **dual-store deferred-apply** scheme:
+//! stalled behind the reader's shard locks. A reader here reads a
+//! **snapshot** instead — a copy of every shard taken at one batch
+//! boundary — while the workers keep applying later batches to the live
+//! shards.
 //!
-//! * Each shard keeps its **live store** (applied immediately, exactly as
-//!   before — batch outcome counts stay exact at ack time) plus a **read
-//!   replica** that lags behind at an *acked batch boundary*.
-//! * Workers append `(seq, Arc<EdgeBatch>)` to a per-shard **backlog**
-//!   before completing the batch's ticket. Per-shard job channels are
-//!   FIFO and every worker receives every batch, so ticket completion is
-//!   monotone in `seq`: when the last worker completes batch `k`, every
-//!   batch `≤ k` is fully applied and fully backlogged. That worker
-//!   publishes `acked = k + 1` with a single `fetch_max`.
-//! * A reader **pins** an epoch: while no other pin is active it folds
-//!   each shard's backlog entries with `seq < acked` into the replicas
-//!   (deferred apply — this is also the reclamation point, since folded
-//!   entries drop their `Arc` on the batch), then marks the epoch pinned.
-//!   While any pin is active the replicas are immutable, so every reader
-//!   traverses a consistent acked-batch-boundary view while the pipeline
-//!   keeps applying later batches to the live stores.
+//! * The pool keeps at most one snapshot, starting with a copy of the
+//!   stores it was built over (epoch 0). [`pin`](ShardPool::pin) shares it
+//!   while a [`ReadGuard`] still holds it (joiners read the same frozen
+//!   epoch), and while no batch was acked since it was taken and nothing
+//!   changed the shards outside batches
+//!   ([`with_shard_mut`](ShardPool::with_shard_mut) drops it).
+//! * Otherwise the pin **refreshes** it in place, and the refresh is a job
+//!   in the batches' FIFO: every worker reaches it behind the batches
+//!   dispatched before it, copies its shard into the snapshot's copy with
+//!   `clone_from` (which reuses the copy's buffers) and hands it back. The
+//!   snapshot's epoch is the number of batches dispatched before the job,
+//!   so every shard is copied at the same boundary, and never mid-batch.
+//! * A refresh never runs while a guard is alive, so a pool holds at most
+//!   the live shards plus one snapshot, and a pool nobody pins pays
+//!   nothing.
 //!
-//! Visibility is a pure function of `acked`, and folding happens only at
-//! whole-batch granularity, so a pinned view can never observe a torn
-//! mid-batch state. Workers opportunistically fold their own shard when
-//! its backlog grows past a threshold (and no pin is active), bounding
-//! memory when the store serves no readers for a while.
+//! The trade: a refresh costs the shards' bytes once per pin cycle, where
+//! keeping a replica costs one more apply of every batch, pinned or not.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
-use gtinker_types::{partition_of, EdgeBatch};
+use crate::pool::{ShardPool, ShardStore};
+use crate::trace::{self, SpanId};
 
-use crate::pool::ShardStore;
-
-/// Backlog length past which a worker folds its own shard eagerly (when
-/// no reader holds a pin) instead of waiting for the next pin to catch
-/// the replica up. Bounds retained batch memory under write-only load.
-pub const FOLD_THRESHOLD: usize = 32;
-
-/// Reader-pin bookkeeping, guarded by the gate mutex: how many
-/// [`ReadGuard`]s are live and which acked boundary the replicas sit at.
-struct Gate {
-    pins: usize,
-    epoch: u64,
+/// Every shard of a pool, copied at one batch boundary.
+pub(crate) struct Snapshot<S> {
+    /// Batches dispatched before the copy: exactly these are visible.
+    pub(crate) epoch: u64,
+    pub(crate) shards: Vec<S>,
 }
 
-/// Per-shard queue of batches applied to the live store but not yet
-/// folded into the read replica. Entries are `(dispatch seq, batch)`.
-type Backlog = VecDeque<(u64, Arc<EdgeBatch>)>;
-
-/// The read-isolation layer owned by a [`ShardPool`](crate::ShardPool):
-/// one lagging replica and one backlog per shard, plus the shared acked
-/// counter the workers publish batch boundaries through.
-pub struct ViewLayer<S> {
-    replicas: Vec<RwLock<S>>,
-    backlogs: Vec<Mutex<Backlog>>,
-    gate: Mutex<Gate>,
-    /// One past the highest fully-applied batch seq (monotone; published
-    /// by the last worker to complete each ticket).
-    acked: AtomicU64,
-}
-
-impl<S: ShardStore> ViewLayer<S> {
-    /// Builds a layer with one fresh (empty) replica per shard, or a
-    /// disabled layer when `replicas` is empty.
-    pub(crate) fn new(replicas: Vec<S>) -> Self {
-        let n = replicas.len();
-        ViewLayer {
-            replicas: replicas.into_iter().map(RwLock::new).collect(),
-            backlogs: (0..n).map(|_| Mutex::new(Backlog::new())).collect(),
-            gate: Mutex::new(Gate { pins: 0, epoch: 0 }),
-            acked: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether replicas exist (views were requested at pool build time).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        !self.replicas.is_empty()
-    }
-
-    /// One past the highest acked batch seq.
-    #[inline]
-    pub fn acked(&self) -> u64 {
-        self.acked.load(Ordering::Acquire)
-    }
-
-    /// Worker-side: records `batch` in shard `i`'s backlog. Must run
-    /// before the batch's ticket completes so `acked` implies presence.
-    pub(crate) fn record(&self, i: usize, seq: u64, batch: &Arc<EdgeBatch>) {
-        if !self.enabled() {
-            return;
-        }
-        let len = {
-            let mut backlog = self.backlogs[i].lock().expect("backlog poisoned");
-            backlog.push_back((seq, Arc::clone(batch)));
-            backlog.len()
+impl<S: ShardStore> ShardPool<S> {
+    /// Pins a snapshot of every shard at one batch boundary, at or after
+    /// every batch acked before the call. The writer keeps applying later
+    /// batches while the guard is held; the guard never changes.
+    pub fn pin(&self) -> ReadGuard<S> {
+        // Covers the slot wait plus any refresh; the arg carries the
+        // serving request id (0 outside a request) so a slow pin can be
+        // attributed to the query that paid for the copy.
+        let _span = trace::span_arg(SpanId::EpochPin, trace::thread_ctx());
+        let mut latest = self.latest.lock().expect("snapshot slot poisoned");
+        let snapshot = match latest.take() {
+            Some(s) if Arc::strong_count(&s) > 1 || s.epoch >= self.acked_batches() => s,
+            stale => Arc::new(self.refresh(stale.and_then(Arc::into_inner))),
         };
-        crate::metrics::global().epoch_backlog_depth.set(len as i64);
-        if len > FOLD_THRESHOLD {
-            // Opportunistic fold: only if no reader holds a pin right now
-            // (try_lock — a worker never waits behind readers).
-            if let Ok(gate) = self.gate.try_lock() {
-                if gate.pins == 0 {
-                    // Safe while holding the gate: no pin can start, and a
-                    // per-shard fold to any boundary ≤ acked keeps the
-                    // replica at a batch boundary the next pin extends.
-                    self.fold_shard(i, self.acked());
-                }
-            }
-        }
-    }
-
-    /// Worker-side: publishes that every batch with seq ≤ `seq` is fully
-    /// applied (called by the last worker to complete a ticket).
-    pub(crate) fn publish_acked(&self, seq: u64) {
-        self.acked.fetch_max(seq + 1, Ordering::AcqRel);
-    }
-
-    /// Folds shard `i`'s backlog entries with `seq < target` into its
-    /// replica, in dispatch order. Caller must guarantee no reader pin is
-    /// active (the replica write lock alone would un-tear nothing: the
-    /// epoch contract is that pinned replicas do not move at all).
-    fn fold_shard(&self, i: usize, target: u64) {
-        let n = self.replicas.len();
-        let mut backlog = self.backlogs[i].lock().expect("backlog poisoned");
-        if backlog.front().is_none_or(|&(seq, _)| seq >= target) {
-            return;
-        }
-        let mut claim = EdgeBatch::new();
-        let mut replica = self.replicas[i].write().expect("replica poisoned");
-        let mut folded = 0u64;
-        while let Some(&(seq, _)) = backlog.front() {
-            if seq >= target {
-                break;
-            }
-            let (_, batch) = backlog.pop_front().expect("front just checked");
-            claim.clear();
-            for &op in batch.ops() {
-                if partition_of(op.src(), n) == i {
-                    claim.push(op);
-                }
-            }
-            if !claim.is_empty() {
-                replica.apply(&claim);
-            }
-            folded += 1;
-        }
-        let m = crate::metrics::global();
-        m.epoch_fold_batches.add(folded);
-        m.epoch_backlog_depth.set(backlog.len() as i64);
-    }
-
-    /// Runs `f` over replica `i` (nothing to do when the layer is
-    /// disabled), after folding its backlog up to `acked` so the mutation
-    /// lands behind every batch acked before it, as it does on the live
-    /// shard. The caller holds the pool exclusively: no pin is alive and
-    /// no worker is folding.
-    pub(crate) fn with_replica_mut(&self, i: usize, f: impl FnOnce(&mut S)) {
-        if self.enabled() {
-            self.fold_shard(i, self.acked());
-            f(&mut self.replicas[i].write().expect("replica poisoned"));
-        }
-    }
-
-    /// Pins the current acked epoch and returns a guard for reading the
-    /// replicas, or `None` when the layer is disabled. The first pin
-    /// catches every replica up to `acked`; joiners share the already
-    /// pinned epoch (which only ever lags `acked`, never tears).
-    pub fn pin(&self) -> Option<ReadGuard<'_, S>> {
-        if !self.enabled() {
-            return None;
-        }
-        // Covers the gate wait plus any first-pin fold; the arg carries
-        // the serving request id (0 outside a request) so a slow pin can
-        // be attributed to the query that paid for the fold.
-        let _span =
-            crate::trace::span_arg(crate::trace::SpanId::EpochPin, crate::trace::thread_ctx());
-        let mut gate = self.gate.lock().expect("gate poisoned");
-        if gate.pins == 0 {
-            let target = self.acked();
-            for i in 0..self.replicas.len() {
-                self.fold_shard(i, target);
-            }
-            gate.epoch = target;
-        }
-        gate.pins += 1;
-        let epoch = gate.epoch;
-        drop(gate);
+        *latest = Some(Arc::clone(&snapshot));
+        drop(latest);
         let m = crate::metrics::global();
         m.epoch_pins.inc();
         m.epoch_active_pins.inc();
-        Some(ReadGuard { layer: self, epoch })
+        ReadGuard { snapshot }
+    }
+
+    /// Copies every shard at the next batch boundary, into `old`'s buffers
+    /// when there is an old snapshot to reuse.
+    fn refresh(&self, old: Option<Snapshot<S>>) -> Snapshot<S> {
+        crate::metrics::global().epoch_refreshes.inc();
+        let copies = match old {
+            Some(old) => old.shards.into_iter().map(Some).collect(),
+            None => (0..self.num_shards()).map(|_| None).collect(),
+        };
+        let (epoch, replies) = self.queue_refresh(copies);
+        let shards =
+            replies.into_iter().map(|r| r.recv().expect("shard worker exited early")).collect();
+        Snapshot { epoch, shards }
     }
 }
 
-impl<S> std::fmt::Debug for ViewLayer<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ViewLayer")
-            .field("shards", &self.replicas.len())
-            .field("acked", &self.acked.load(Ordering::Relaxed))
-            .finish()
-    }
+/// An epoch pin: every query through the guard observes exactly the graph
+/// after [`epoch`](Self::epoch) batches, however far the writer has moved
+/// on. Dropping the last guard lets the next pin refresh the snapshot.
+pub struct ReadGuard<S> {
+    snapshot: Arc<Snapshot<S>>,
 }
 
-/// An epoch pin over the pool's read replicas: while any guard is live
-/// the replicas are frozen at one acked batch boundary, so every query
-/// through the guard observes exactly the graph after `epoch()` batches.
-/// Dropping the last guard lets the replicas advance again.
-pub struct ReadGuard<'a, S: ShardStore> {
-    layer: &'a ViewLayer<S>,
-    epoch: u64,
-}
-
-impl<'a, S: ShardStore> ReadGuard<'a, S> {
+impl<S> ReadGuard<S> {
     /// The pinned batch boundary: this view reflects exactly the first
     /// `epoch()` submitted batches, in order.
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.snapshot.epoch
     }
 
-    /// Number of replica shards (same partitioning as the live pool).
+    /// Number of shards (same partitioning as the live pool).
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.layer.replicas.len()
+        self.snapshot.shards.len()
     }
 
-    /// Read-locks replica `i` and runs `f` over it. No pipeline barrier:
-    /// the writer keeps applying later batches to the live stores.
-    pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.layer.replicas[i].read().expect("replica poisoned"))
-    }
-
-    /// Borrows replica `i` read-locked, for callers that need a guard
-    /// with its own lifetime (e.g. streaming iteration).
-    pub fn shard(&self, i: usize) -> RwLockReadGuard<'a, S> {
-        self.layer.replicas[i].read().expect("replica poisoned")
+    /// Shard `i` as of the pinned epoch.
+    #[inline]
+    pub fn shard(&self, i: usize) -> &S {
+        &self.snapshot.shards[i]
     }
 }
 
-impl<S: ShardStore> Drop for ReadGuard<'_, S> {
+impl<S> Drop for ReadGuard<S> {
     fn drop(&mut self) {
-        let mut gate = self.layer.gate.lock().expect("gate poisoned");
-        gate.pins -= 1;
         crate::metrics::global().epoch_active_pins.dec();
     }
 }
 
-impl<S: ShardStore> std::fmt::Debug for ReadGuard<'_, S> {
+impl<S> std::fmt::Debug for ReadGuard<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadGuard").field("epoch", &self.epoch).finish()
+        f.debug_struct("ReadGuard").field("epoch", &self.epoch()).finish()
     }
 }

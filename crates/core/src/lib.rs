@@ -46,6 +46,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `Clone` for a struct from one list of its fields. `clone` is a struct
+/// literal, so a field left out of the list fails to compile; `clone_from`
+/// clones field by field into the existing value, so every `Vec` and
+/// [`SegVec`](segvec::SegVec) on the way down keeps its buffer. (A derived
+/// `clone_from` builds the whole copy afresh beside the old one.)
+macro_rules! clone_fields {
+    ($ty:ident $(<$g:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$g: Clone>)? Clone for $ty $(<$g>)? {
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),+ }
+            }
+            fn clone_from(&mut self, src: &Self) {
+                $(self.$field.clone_from(&src.$field);)+
+            }
+        }
+    };
+}
+
 pub mod cal;
 pub mod edgeblock;
 pub mod epoch;
@@ -67,7 +85,7 @@ pub mod vertex;
 
 pub use cal::{CalArray, CalPtr};
 pub use edgeblock::{BlockArena, CellState, EdgeCell};
-pub use epoch::{ReadGuard, ViewLayer};
+pub use epoch::ReadGuard;
 pub use hubseg::HubSegment;
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};

@@ -598,12 +598,14 @@ registry! {
         memory_total_bytes: gauge,
         /// Epoch pins taken by readers (one per `ReadGuard`).
         epoch_pins: counter,
-        /// `ReadGuard`s currently alive (replicas frozen while > 0).
+        /// `ReadGuard`s currently alive (no refresh runs while > 0).
         epoch_active_pins: gauge,
-        /// Backlogged batches folded into read replicas (deferred apply).
-        epoch_fold_batches: counter,
-        /// Un-folded batches queued behind the read replicas right now.
-        epoch_backlog_depth: gauge,
+        /// Pins that copied every shard into the snapshot at a batch
+        /// boundary instead of sharing the latest one.
+        epoch_refreshes: counter,
+        /// Time one worker spent copying its shard into a refreshed
+        /// snapshot, nanoseconds (one observation per shard per refresh).
+        epoch_refresh_ns: histogram,
         /// HTTP query-API requests served (the `/query/*` family plus
         /// `/neighbors` and `/degree`).
         serve_queries: counter,

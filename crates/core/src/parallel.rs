@@ -18,7 +18,7 @@
 //! Reads go through one facade, [`Sharded`], generic over how shard `i` is
 //! borrowed ([`ShardAccess`]): the live pool after a pipeline barrier
 //! ([`ParallelTinker`], and `ParallelStinger` in `gtinker-stinger`), or an
-//! epoch pin's frozen replicas with no barrier ([`StoreView`]).
+//! epoch pin's snapshot with no barrier ([`StoreView`]).
 
 use std::sync::Arc;
 
@@ -54,15 +54,15 @@ impl<S: ShardStore> ShardAccess for ShardPool<S> {
     }
 }
 
-/// The replicas frozen at the pinned epoch; no barrier.
-impl<S: ShardStore> ShardAccess for ReadGuard<'_, S> {
+/// The snapshot taken at the pinned epoch; no barrier.
+impl<S: ShardStore> ShardAccess for ReadGuard<S> {
     type Shard = S;
 
     fn num_shards(&self) -> usize {
         ReadGuard::num_shards(self)
     }
     fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
-        ReadGuard::with_shard(self, i, f)
+        f(self.shard(i))
     }
 }
 
@@ -77,10 +77,10 @@ pub type ParallelTinker = Sharded<ShardPool<GraphTinker>>;
 
 /// A pinned, snapshot-isolated view of a [`ParallelTinker`].
 ///
-/// Obtained from [`pin_view`](Sharded::pin_view); reads the pool's lagging
-/// replicas at one acked batch boundary ([`epoch`](Sharded::epoch)) with no
+/// Obtained from [`pin_view`](Sharded::pin_view); reads a copy of every
+/// shard taken at one batch boundary ([`epoch`](Sharded::epoch)) with no
 /// pipeline barrier, so queries run while ingestion continues.
-pub type StoreView<'a> = Sharded<ReadGuard<'a, GraphTinker>>;
+pub type StoreView = Sharded<ReadGuard<GraphTinker>>;
 
 impl<A: ShardAccess> Sharded<A> {
     /// Number of parallel instances (one per intended core).
@@ -148,11 +148,9 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         Ok(Sharded(ShardPool::new(Self::instances(config, n)?)))
     }
 
-    /// Like [`new`](Self::new), but the pool also maintains epoch-pinned
-    /// read replicas, so [`pin_view`](Self::pin_view) serves barrier-free
-    /// snapshot-isolated queries while ingestion keeps running.
+    #[doc(hidden)]
     pub fn new_with_views(config: S::Config, n: usize) -> Result<Self> {
-        Ok(Sharded(ShardPool::new_with_views(Self::instances(config, n)?)))
+        Self::new(config, n)
     }
 
     fn instances(config: S::Config, n: usize) -> Result<Vec<S>> {
@@ -160,18 +158,12 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         (0..n).map(|_| S::with_config(config)).collect()
     }
 
-    /// Whether this store was built with epoch-pinnable read views.
-    #[inline]
-    pub fn views_enabled(&self) -> bool {
-        self.0.views_enabled()
-    }
-
-    /// Pins the current acked batch boundary and returns a consistent,
-    /// barrier-free view over it — or `None` when the store was built
-    /// without views. The writer keeps applying later batches while the
-    /// view is held; see [`crate::epoch`] for the isolation contract.
-    pub fn pin_view(&self) -> Option<Sharded<ReadGuard<'_, S>>> {
-        self.0.pin().map(Sharded)
+    /// Pins a batch boundary and returns a consistent, barrier-free view
+    /// over it (always `Some`; the `Option` is kept for the `benchmark/`
+    /// harness). The writer keeps applying later batches while the view
+    /// is held; see [`crate::epoch`] for the isolation contract.
+    pub fn pin_view(&self) -> Option<Sharded<ReadGuard<S>>> {
+        Some(Sharded(self.0.pin()))
     }
 
     /// One past the highest fully-applied batch seq (single atomic load —
@@ -188,10 +180,10 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         self.0.pending_batches()
     }
 
-    /// Runs `f` over instance `i` mutably after a pipeline barrier — and
-    /// over its read replica too when the store keeps epoch views (see
+    /// Runs `f` over instance `i` mutably after a pipeline barrier; the
+    /// next [`pin_view`](Self::pin_view) sees the change (see
     /// [`ShardPool::with_shard_mut`]).
-    pub fn with_instance_mut(&mut self, i: usize, f: impl FnMut(&mut S)) {
+    pub fn with_instance_mut(&mut self, i: usize, f: impl FnOnce(&mut S)) {
         self.0.with_shard_mut(i, f);
     }
 
@@ -232,7 +224,7 @@ impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
     }
 }
 
-impl<S: ShardStore> Sharded<ReadGuard<'_, S>> {
+impl<S: ShardStore> Sharded<ReadGuard<S>> {
     /// The pinned batch boundary: exactly the first `epoch()` submitted
     /// batches are visible, in submission order.
     #[inline]
@@ -406,16 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn pin_view_requires_views() {
-        let par = ParallelTinker::new(Default::default(), 2).unwrap();
-        par.apply_batch(&batch(10));
-        assert!(!par.views_enabled());
-        assert!(par.pin_view().is_none());
-    }
-
-    #[test]
     fn pinned_view_matches_live_store_at_boundary() {
-        let par = ParallelTinker::new_with_views(Default::default(), 3).unwrap();
+        let par = ParallelTinker::new(Default::default(), 3).unwrap();
         for round in 0..5u32 {
             par.submit(batch(400 + round * 11));
         }
@@ -435,7 +419,7 @@ mod tests {
 
     #[test]
     fn view_queries_do_not_drain_the_pipeline() {
-        let par = ParallelTinker::new_with_views(Default::default(), 2).unwrap();
+        let par = ParallelTinker::new(Default::default(), 2).unwrap();
         par.apply_batch(&EdgeBatch::inserts(&[Edge::new(1, 2, 3)]));
         let view = par.pin_view().expect("views enabled");
         assert_eq!(view.edge_weight(1, 2), Some(3));
@@ -451,15 +435,23 @@ mod tests {
     }
 
     #[test]
-    fn with_instance_mut_reaches_the_live_shard_and_its_replica() {
-        let mut p = ParallelTinker::new_with_views(Default::default(), 2).unwrap();
-        p.submit(batch(500));
+    fn with_instance_mut_reaches_the_next_pin() {
+        let mut p = ParallelTinker::new(Default::default(), 2).unwrap();
+        p.apply_batch(&batch(500));
+        // A snapshot at the last acked boundary exists; no batch follows the
+        // changes below, so only their own invalidation can make the next
+        // pin see them.
+        drop(p.pin_view().expect("views enabled"));
+        let owner = partition_of(4_000, 2);
         for i in 0..2 {
             p.with_instance_mut(i, |g| g.expand_vertex_space(9_000));
         }
+        p.with_instance_mut(owner, |g| g.import_sources(&[4_000]));
         assert_eq!(p.vertex_space(), 9_000);
         let view = p.pin_view().expect("views enabled");
-        assert_eq!(view.vertex_space(), 9_000, "state outside the batches reaches the replicas");
+        assert_eq!(view.epoch(), 1);
+        assert_eq!(view.vertex_space(), 9_000, "state outside the batches reaches the snapshot");
+        assert!(view.with_instance(owner, |g| g.sources()).contains(&4_000));
         assert_eq!(view.num_edges(), p.num_edges());
     }
 

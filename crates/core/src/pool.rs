@@ -22,17 +22,18 @@
 //!
 //! Shards live in `Arc<Vec<Mutex<S>>>`: each worker locks only its own
 //! shard, exactly once per non-empty batch, so the locks are uncontended
-//! in steady state; queries lock on demand after a pipeline barrier.
+//! in steady state; queries lock on demand after a pipeline barrier, or
+//! read an epoch snapshot ([`crate::epoch`]) with no barrier at all.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig, VertexId, Weight};
 
-use crate::epoch::{ReadGuard, ViewLayer};
+use crate::epoch::Snapshot;
 use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 use crate::trace::{self, SpanId};
 
@@ -42,17 +43,15 @@ pub const PIPELINE_DEPTH: usize = 2;
 
 /// A store that can own one interval shard of a [`ShardPool`]: it applies
 /// its claimed sub-batches ([`ApplyBatch`]) and answers the per-shard reads
-/// the [`Sharded`](crate::Sharded) facade routes to it.
-pub trait ShardStore: ApplyBatch + Sized + Send + Sync + 'static {
+/// the [`Sharded`](crate::Sharded) facade routes to it. `Clone` copies a
+/// shard into an epoch snapshot; its `clone_from` should reuse the
+/// target's buffers, because a snapshot is refreshed in place.
+pub trait ShardStore: ApplyBatch + Clone + Send + Sync + 'static {
     /// Construction parameters shared by every shard of one store.
     type Config: Copy;
 
     /// An empty store.
     fn with_config(config: Self::Config) -> Result<Self>;
-
-    /// An empty store with the same configuration, used as the shard's
-    /// read replica when the pool is built with epoch views.
-    fn fresh_replica(&self) -> Self;
 
     /// Live edges in this shard.
     fn num_edges(&self) -> u64;
@@ -79,9 +78,6 @@ impl ShardStore for GraphTinker {
     fn with_config(config: TinkerConfig) -> Result<Self> {
         GraphTinker::new(config)
     }
-    fn fresh_replica(&self) -> Self {
-        GraphTinker::new(*self.config()).expect("replica shares a validated config")
-    }
     fn num_edges(&self) -> u64 {
         GraphTinker::num_edges(self)
     }
@@ -103,7 +99,7 @@ impl ShardStore for GraphTinker {
 }
 
 /// Completion tracker for one submitted batch: workers decrement the
-/// remaining count and fold their per-shard results in; waiters block on
+/// remaining count and merge their per-shard results in; waiters block on
 /// the condvar until every shard has reported.
 struct Ticket {
     state: Mutex<TicketState>,
@@ -123,7 +119,7 @@ impl Ticket {
         }
     }
 
-    /// Folds one worker's result in. `on_last` runs for the worker that
+    /// Merges one worker's result in. `on_last` runs for the worker that
     /// makes the batch fully applied, while the ticket lock is still held
     /// — so anything it publishes (the acked epoch boundary) is visible
     /// before any `wait`er can return.
@@ -146,12 +142,26 @@ impl Ticket {
     }
 }
 
-struct Job {
-    batch: Arc<EdgeBatch>,
-    ticket: Arc<Ticket>,
-    /// Pool-local dispatch sequence number, threaded into the trace spans
-    /// so the timeline shows which batch each worker is claiming/applying
-    /// (the visual proof that batch k+1 partitions while k applies).
+enum Job<S> {
+    Batch {
+        batch: Arc<EdgeBatch>,
+        ticket: Arc<Ticket>,
+        /// Pool-local dispatch sequence number, threaded into the trace
+        /// spans so the timeline shows which batch each worker is
+        /// claiming/applying (the visual proof that batch k+1 partitions
+        /// while k applies).
+        seq: u64,
+    },
+    /// Copy the shard into `copy` (or into a new copy when there is none)
+    /// and send it `back`: an epoch snapshot refresh.
+    Refresh { copy: Option<S>, back: Sender<S> },
+}
+
+/// The per-worker job queues and the batch count, behind one lock so that
+/// jobs sent by two threads reach every queue in the same order.
+struct Outbox<S> {
+    txs: Vec<Sender<Job<S>>>,
+    /// Batches dispatched so far (the next batch's seq).
     seq: u64,
 }
 
@@ -167,34 +177,41 @@ struct Inflight {
 /// A pool of long-lived worker threads, one per interval shard.
 pub struct ShardPool<S> {
     shards: Arc<Vec<Mutex<S>>>,
-    txs: Vec<Sender<Job>>,
+    outbox: Mutex<Outbox<S>>,
     handles: Vec<JoinHandle<()>>,
     inflight: Mutex<Inflight>,
     /// Number of submitted-but-unreaped batches; lets the query-side
     /// pipeline barrier exit with one atomic load when nothing is in
     /// flight (the common case for read-heavy parallel analytics).
     pending: AtomicUsize,
-    /// Dispatch sequence number carried into each job's trace spans.
-    seq: AtomicU64,
-    /// Epoch-pinned read replicas (disabled unless built with
-    /// [`new_with_views`](Self::new_with_views)); shared with the workers
-    /// so they can backlog batches and publish acked boundaries.
-    views: Arc<ViewLayer<S>>,
+    /// One past the highest fully-applied batch seq (monotone; published
+    /// by the last worker to complete each ticket).
+    acked: Arc<AtomicU64>,
+    /// The epoch snapshot readers pin, unless a change made outside
+    /// batches dropped it.
+    pub(crate) latest: Mutex<Option<Arc<Snapshot<S>>>>,
 }
 
 fn worker_loop<S: ShardStore>(
     index: usize,
     shards: Arc<Vec<Mutex<S>>>,
-    views: Arc<ViewLayer<S>>,
-    rx: mpsc::Receiver<Job>,
+    acked: Arc<AtomicU64>,
+    rx: mpsc::Receiver<Job<S>>,
 ) {
     let n = shards.len();
     let mut claim = EdgeBatch::new();
     while let Ok(job) = rx.recv() {
+        let (batch, ticket, seq) = match job {
+            Job::Batch { batch, ticket, seq } => (batch, ticket, seq),
+            Job::Refresh { copy, back } => {
+                back.send(copy_shard(&shards[index], copy)).ok();
+                continue;
+            }
+        };
         {
-            let _t = trace::span_arg(SpanId::PoolClaim, job.seq);
+            let _t = trace::span_arg(SpanId::PoolClaim, seq);
             claim.clear();
-            for &op in job.batch.ops() {
+            for &op in batch.ops() {
                 if partition_of(op.src(), n) == index {
                     claim.push(op);
                 }
@@ -207,80 +224,72 @@ fn worker_loop<S: ShardStore>(
         let result = if claim.is_empty() {
             BatchResult::default()
         } else {
-            let _t = trace::span_arg(SpanId::PoolApply, job.seq);
+            let _t = trace::span_arg(SpanId::PoolApply, seq);
             shards[index].lock().expect("shard poisoned").apply(&claim)
         };
-        // Backlog before completing: once every worker has completed seq,
-        // the batch is both fully applied and fully recorded, so the last
-        // completer publishes the new acked boundary.
-        views.record(index, job.seq, &job.batch);
-        job.ticket.complete(result, || views.publish_acked(job.seq));
+        // Queues are FIFO and every worker sees every batch, so when the
+        // last worker completes seq, every batch up to seq is applied.
+        ticket.complete(result, || {
+            acked.fetch_max(seq + 1, Ordering::AcqRel);
+        });
     }
+}
+
+/// Copies `shard` into `copy`, reusing its buffers (a fresh copy for
+/// `None`), and records how long it took.
+fn copy_shard<S: Clone>(shard: &Mutex<S>, copy: Option<S>) -> S {
+    let t = crate::metrics::timer();
+    let shard = shard.lock().expect("shard poisoned");
+    let copy = match copy {
+        Some(mut copy) => {
+            copy.clone_from(&shard);
+            copy
+        }
+        None => shard.clone(),
+    };
+    crate::metrics::global().epoch_refresh_ns.record_since(t);
+    copy
 }
 
 impl<S: ShardStore> ShardPool<S> {
     /// Builds a pool over the given shard stores, spawning one worker per
     /// shard. Store `i` owns interval `i` of `stores.len()`.
     pub fn new(stores: Vec<S>) -> Self {
-        Self::build(stores, false)
-    }
-
-    /// Like [`new`](Self::new), but additionally maintains one read
-    /// replica per shard so readers can [`pin`](Self::pin) a consistent
-    /// acked-batch-boundary view without a pipeline barrier.
-    pub fn new_with_views(stores: Vec<S>) -> Self {
-        Self::build(stores, true)
-    }
-
-    fn build(stores: Vec<S>, with_views: bool) -> Self {
         assert!(!stores.is_empty(), "need at least one shard");
-        let replicas: Vec<S> = if with_views {
-            stores.iter().map(|s| s.fresh_replica()).collect()
-        } else {
-            Vec::new()
-        };
-        let views = Arc::new(ViewLayer::new(replicas));
+        // The stores as given are boundary 0: a pin before the first batch
+        // is acked shares this copy instead of waiting for a refresh
+        // behind the batches in flight.
+        let first = Snapshot { epoch: 0, shards: stores.clone() };
+        let acked = Arc::new(AtomicU64::new(0));
         let shards: Arc<Vec<Mutex<S>>> = Arc::new(stores.into_iter().map(Mutex::new).collect());
         let mut txs = Vec::with_capacity(shards.len());
         let mut handles = Vec::with_capacity(shards.len());
         for i in 0..shards.len() {
-            let (tx, rx) = mpsc::channel::<Job>();
+            let (tx, rx) = mpsc::channel::<Job<S>>();
             let shards = Arc::clone(&shards);
-            let views = Arc::clone(&views);
+            let acked = Arc::clone(&acked);
             let handle = std::thread::Builder::new()
                 .name(format!("gtinker-shard-{i}"))
-                .spawn(move || worker_loop(i, shards, views, rx))
+                .spawn(move || worker_loop(i, shards, acked, rx))
                 .expect("spawn shard worker");
             txs.push(tx);
             handles.push(handle);
         }
         ShardPool {
             shards,
-            txs,
+            outbox: Mutex::new(Outbox { txs, seq: 0 }),
             handles,
             inflight: Mutex::new(Inflight::default()),
             pending: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            views,
+            acked,
+            latest: Mutex::new(Some(Arc::new(first))),
         }
     }
 
     /// Number of shards (= worker threads).
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Whether this pool maintains epoch-pinnable read replicas.
-    #[inline]
-    pub fn views_enabled(&self) -> bool {
-        self.views.enabled()
-    }
-
-    /// Pins the current acked epoch for barrier-free reads; `None` when
-    /// the pool was built without views. See [`ViewLayer::pin`].
-    pub fn pin(&self) -> Option<ReadGuard<'_, S>> {
-        self.views.pin()
+        self.shards.len()
     }
 
     /// Number of submitted batches not yet reaped (diagnostic; racy by
@@ -291,31 +300,57 @@ impl<S: ShardStore> ShardPool<S> {
     }
 
     /// One past the highest fully-applied batch seq (a single atomic
-    /// load; valid whether or not the pool maintains read replicas).
+    /// load).
     #[inline]
     pub fn acked_batches(&self) -> u64 {
-        self.views.acked()
+        self.acked.load(Ordering::Acquire)
     }
 
     /// Hands `batch` to every worker under a fresh ticket.
     fn dispatch(&self, batch: Arc<EdgeBatch>) -> Arc<Ticket> {
         crate::metrics::global().pool_batches.inc();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let ticket = Arc::new(Ticket::new(self.num_shards()));
+        let seq = {
+            let mut out = self.outbox.lock().expect("outbox poisoned");
+            let seq = out.seq;
+            out.seq += 1;
+            for tx in &out.txs {
+                let job =
+                    Job::Batch { batch: Arc::clone(&batch), ticket: Arc::clone(&ticket), seq };
+                tx.send(job).expect("shard worker exited early");
+            }
+            seq
+        };
         trace::instant(SpanId::PoolDispatch, seq);
         crate::log::debug("pool")
             .msg("batch dispatched")
             .field("seq", seq)
             .field("ops", batch.len())
             .emit();
-        let ticket = Arc::new(Ticket::new(self.txs.len()));
-        for tx in &self.txs {
-            let job = Job { batch: Arc::clone(&batch), ticket: Arc::clone(&ticket), seq };
-            tx.send(job).expect("shard worker exited early");
-        }
         ticket
     }
 
-    /// Waits until no batch is in flight, folding finished batches into
+    /// Queues a snapshot refresh behind every batch dispatched so far: each
+    /// worker copies its shard into its entry of `copies` (a fresh copy
+    /// for `None`) and sends it back. Returns the number of batches
+    /// dispatched before the refresh — the boundary every shard is copied
+    /// at — and one reply per shard, in shard order. Takes no batch seq.
+    pub(crate) fn queue_refresh(&self, copies: Vec<Option<S>>) -> (u64, Vec<mpsc::Receiver<S>>) {
+        let out = self.outbox.lock().expect("outbox poisoned");
+        let replies = out
+            .txs
+            .iter()
+            .zip(copies)
+            .map(|(tx, copy)| {
+                let (back, reply) = mpsc::channel();
+                tx.send(Job::Refresh { copy, back }).expect("shard worker exited early");
+                reply
+            })
+            .collect();
+        (out.seq, replies)
+    }
+
+    /// Waits until no batch is in flight, merging finished batches into
     /// the reaped accumulator. When the queue is empty but batches are
     /// still pending, another thread holds their tickets; yield until it
     /// finishes reaping so readers never observe a half-applied pipeline.
@@ -396,14 +431,15 @@ impl<S: ShardStore> ShardPool<S> {
         f(&self.shards[i].lock().expect("shard poisoned"))
     }
 
-    /// Runs `f` over shard `i` mutably after a pipeline barrier, and then
-    /// over the shard's read replica when the pool keeps views — state that
+    /// Runs `f` over shard `i` mutably after a pipeline barrier. State that
     /// does not travel in batches (a restored SGH order, a recorded vertex
-    /// space) has to reach both copies. `&mut self`: no pin can be alive.
-    pub fn with_shard_mut(&mut self, i: usize, mut f: impl FnMut(&mut S)) {
+    /// space) changes the shard between batch boundaries, so the pool lets
+    /// go of its snapshot and the next pin copies afresh. (A guard still
+    /// holding the old snapshot keeps reading it unchanged.)
+    pub fn with_shard_mut(&mut self, i: usize, f: impl FnOnce(&mut S)) {
         self.settle();
         f(&mut self.shards[i].lock().expect("shard poisoned"));
-        self.views.with_replica_mut(i, f);
+        *self.latest.get_mut().expect("snapshot slot poisoned") = None;
     }
 }
 
@@ -413,7 +449,7 @@ impl<S> Drop for ShardPool<S> {
     /// reporting disconnection), so a pool dropped mid-stream shuts down
     /// cleanly without deadlocking or losing submitted work.
     fn drop(&mut self) {
-        self.txs.clear();
+        self.outbox.get_mut().unwrap_or_else(PoisonError::into_inner).txs.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -422,13 +458,14 @@ impl<S> Drop for ShardPool<S> {
 
 impl<S> std::fmt::Debug for ShardPool<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool").field("shards", &self.txs.len()).finish()
+        f.debug_struct("ShardPool").field("shards", &self.shards.len()).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ShardAccess;
     use gtinker_types::Edge;
 
     fn pool(n: usize) -> ShardPool<GraphTinker> {
@@ -501,25 +538,14 @@ mod tests {
         assert_eq!(p.flush(), BatchResult::default());
     }
 
-    fn view_pool(n: usize) -> ShardPool<GraphTinker> {
-        ShardPool::new_with_views((0..n).map(|_| GraphTinker::with_defaults()).collect())
-    }
-
-    #[test]
-    fn pin_is_none_without_views() {
-        let p = pool(2);
-        assert!(!p.views_enabled());
-        assert!(p.pin().is_none());
-    }
-
     #[test]
     fn pinned_view_matches_settled_store_after_flush() {
-        let p = view_pool(4);
+        let p = pool(4);
         for round in 0..6 {
             p.submit(Arc::new(batch(800, round * 13)));
         }
         p.flush();
-        let view = p.pin().expect("views enabled");
+        let view = p.pin();
         assert_eq!(view.epoch(), 6);
         let live: u64 = (0..4).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
         let pinned: u64 = (0..4).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
@@ -528,9 +554,9 @@ mod tests {
 
     #[test]
     fn pinned_view_is_frozen_while_writer_advances() {
-        let p = view_pool(3);
+        let p = pool(3);
         p.apply(&batch(1_000, 0));
-        let view = p.pin().expect("views enabled");
+        let view = p.pin();
         assert_eq!(view.epoch(), 1);
         let before: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
         // Writer keeps going while the pin is held.
@@ -538,7 +564,7 @@ mod tests {
         let during: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
         assert_eq!(before, during, "pinned replicas must not move");
         drop(view);
-        let fresh = p.pin().expect("views enabled");
+        let fresh = p.pin();
         assert_eq!(fresh.epoch(), 2);
         let after: u64 = (0..3).map(|i| fresh.with_shard(i, |g| g.num_edges())).sum();
         let live: u64 = (0..3).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
@@ -547,11 +573,11 @@ mod tests {
 
     #[test]
     fn concurrent_pins_share_one_epoch() {
-        let p = view_pool(2);
+        let p = pool(2);
         p.apply(&batch(500, 3));
-        let a = p.pin().expect("views enabled");
+        let a = p.pin();
         p.apply(&batch(500, 9));
-        let b = p.pin().expect("views enabled");
+        let b = p.pin();
         // b joined while a was pinned: it must see a's epoch, not a newer
         // one, so the two readers agree on the graph.
         assert_eq!(a.epoch(), b.epoch());
@@ -561,25 +587,8 @@ mod tests {
     }
 
     #[test]
-    fn backlog_folds_eagerly_without_pins() {
-        use crate::epoch::FOLD_THRESHOLD;
-        let p = view_pool(2);
-        // Far more batches than the fold threshold, with no reader ever
-        // pinning: workers must fold their own backlogs instead of
-        // retaining every batch until drop.
-        for round in 0..(FOLD_THRESHOLD as u32 * 4) {
-            p.submit(Arc::new(batch(64, round)));
-        }
-        p.flush();
-        let view = p.pin().expect("views enabled");
-        let live: u64 = (0..2).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
-        let pinned: u64 = (0..2).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
-        assert_eq!(pinned, live);
-    }
-
-    #[test]
     fn views_survive_deletes_and_mixed_batches() {
-        let p = view_pool(3);
+        let p = pool(3);
         p.apply(&batch(1_000, 0));
         let mut mixed = EdgeBatch::new();
         for i in 0..400u32 {
@@ -589,7 +598,7 @@ mod tests {
             mixed.push_insert(Edge::new(i % 113, i % 251, 9_999));
         }
         p.apply(&mixed);
-        let view = p.pin().expect("views enabled");
+        let view = p.pin();
         let live: u64 = (0..3).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
         let pinned: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
         assert_eq!(pinned, live);

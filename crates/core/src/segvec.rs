@@ -19,7 +19,7 @@ use std::ops::{Index, IndexMut};
 pub const SEGMENT_LEN: usize = 4096;
 
 /// A growable table of `T` in fixed-length segments.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SegVec<T> {
     /// Every segment is opened at full capacity and all but the last are
     /// full. (A clone's last segment is as long as its contents and grows
@@ -29,6 +29,8 @@ pub struct SegVec<T> {
     shift: u32,
     len: usize,
 }
+
+clone_fields!(SegVec<T> { segs, shift, len });
 
 impl<T: Copy> SegVec<T> {
     /// An empty table whose segments hold `segment_len` elements (a power

@@ -54,6 +54,8 @@ pub struct SghUnit {
     len: usize,
 }
 
+clone_fields!(SghUnit { slots, tags, reverse, mask, len });
+
 impl SghUnit {
     /// Creates an empty unit with a small initial capacity.
     pub fn new() -> Self {

@@ -102,7 +102,7 @@ struct Walk {
 
 /// The pages of one width class and the hashing policy over them; every
 /// operation takes the top block of the subtree it works on.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PageClass {
     arena: BlockArena,
     /// Whether a congested subblock branches out (the full-width class) or
@@ -113,8 +113,10 @@ struct PageClass {
     mode: DeleteMode,
 }
 
+clone_fields!(PageClass { arena, branches, workblock, mode });
+
 /// The edgeblock arenas, the main region's index into them and the CAL.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockTier {
     /// One class per page width, narrowest first; the last is PAGEWIDTH.
     classes: Vec<PageClass>,
@@ -125,6 +127,8 @@ pub struct BlockTier {
     /// no CAL (`TinkerConfig::enable_cal`).
     cal: Option<CalArray>,
 }
+
+clone_fields!(BlockTier { classes, tops, cal });
 
 impl PageClass {
     /// The paper disables RHH under delete-and-compact to avoid the

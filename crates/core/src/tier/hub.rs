@@ -9,7 +9,7 @@ use crate::hubseg::{HubSegment, SCAN_WINDOW};
 use crate::stats::ProbeStats;
 
 /// Hub segments and the table that maps a dense source id to its segment.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct HubTier {
     /// Segment slot per dense source ([`NIL_U32`] = not a hub).
     hub_of: Vec<u32>,
@@ -21,6 +21,8 @@ pub struct HubTier {
     /// [`HubSegment::dead_slots`]).
     dead: usize,
 }
+
+clone_fields!(HubTier { hub_of, hubs, free_hubs, dead });
 
 impl HubTier {
     /// An empty tier.

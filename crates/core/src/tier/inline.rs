@@ -13,13 +13,15 @@ use crate::vertex::InlineAdj;
 const SEGMENT_ENTRIES: usize = 1024;
 
 /// Inline adjacency entries, indexed by dense source id.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InlineTier {
     entries: SegVec<InlineAdj>,
     /// Edges an entry may hold (`TinkerConfig::inline_cap`, at most
     /// [`INLINE_CAP_MAX`]).
     cap: usize,
 }
+
+clone_fields!(InlineTier { entries, cap });
 
 impl InlineTier {
     /// An empty tier whose entries hold up to `cap` edges.

@@ -145,6 +145,23 @@ pub struct GraphTinker {
     tier_demotions: u64,
 }
 
+clone_fields!(GraphTinker {
+    config,
+    sgh,
+    props,
+    stats,
+    live_edges,
+    vertex_space,
+    analytics_shards,
+    tiers,
+    inline,
+    blocks,
+    hub,
+    tier_counts,
+    tier_promotions,
+    tier_demotions,
+});
+
 impl GraphTinker {
     /// Creates an empty GraphTinker with the given configuration.
     pub fn new(config: TinkerConfig) -> Result<Self> {

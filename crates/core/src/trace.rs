@@ -95,8 +95,8 @@ pub enum SpanId {
     /// (arg = size of the invalidated cone). Covers the witness sweep,
     /// boundary re-seeding, and the repair fixpoint.
     Repair = 14,
-    /// Epoch pin: acquiring a read guard, including any first-pin backlog
-    /// fold (arg = requesting thread's [`thread_ctx`], i.e. the serving
+    /// Epoch pin: acquiring a read guard, including any snapshot refresh
+    /// it waits for (arg = requesting thread's [`thread_ctx`], i.e. the serving
     /// request id, or 0 outside a request).
     EpochPin = 15,
     /// Serializing + writing one HTTP response (arg = request id).

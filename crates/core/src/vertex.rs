@@ -93,10 +93,12 @@ impl VertexProperty {
 }
 
 /// Dense array of vertex properties.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct VertexPropertyArray {
     props: Vec<VertexProperty>,
 }
+
+clone_fields!(VertexPropertyArray { props });
 
 impl VertexPropertyArray {
     /// Creates an empty array.

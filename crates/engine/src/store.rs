@@ -133,9 +133,10 @@ impl GraphStore for Stinger {
     }
 }
 
-/// Every interval-sharded store (`ParallelTinker`, a pinned `StoreView`,
-/// `ParallelStinger`): one shard per instance, each streaming its own
-/// edges, so sharded analytics mirror the ingestion layout.
+/// Every interval-sharded store (`ParallelTinker`, the snapshot a pinned
+/// `StoreView` reads, `ParallelStinger`): one shard per instance, each
+/// streaming its own edges, so sharded analytics mirror the ingestion
+/// layout.
 impl<A: ShardAccess> GraphStore for Sharded<A> {
     fn vertex_space(&self) -> u32 {
         Sharded::vertex_space(self)
@@ -313,7 +314,7 @@ mod tests {
             pt.apply_batch(&bigger_batch());
             check_sharding(&pt);
 
-            let pv = ParallelTinker::new_with_views(Default::default(), shards).unwrap();
+            let pv = ParallelTinker::new(Default::default(), shards).unwrap();
             pv.apply_batch(&bigger_batch());
             let view = pv.pin_view().unwrap();
             check_sharding(&view);
@@ -324,7 +325,7 @@ mod tests {
 
             // The three sharded stores share one `GraphStore` impl: hold it
             // to the exact-content contract at every shard count as well.
-            let pt = ParallelTinker::new_with_views(Default::default(), shards).unwrap();
+            let pt = ParallelTinker::new(Default::default(), shards).unwrap();
             pt.apply_batch(&sample_batch());
             check_store(&pt);
             check_store(&pt.pin_view().unwrap());
@@ -390,7 +391,7 @@ mod tests {
 
     #[test]
     fn pinned_store_view_implements_store() {
-        let p = ParallelTinker::new_with_views(Default::default(), 2).unwrap();
+        let p = ParallelTinker::new(Default::default(), 2).unwrap();
         p.apply_batch(&sample_batch());
         let view = p.pin_view().unwrap();
         check_store(&view);

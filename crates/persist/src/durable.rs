@@ -47,20 +47,18 @@ pub struct DurableTinker {
 
 impl DurableTinker {
     /// Opens (or creates) a durable store of `shards` interval shards in
-    /// `dir` — with epoch views for concurrent readers when `views` —
-    /// recovering whatever a previous process, cleanly shut down or not and
-    /// at whatever shard count, left behind. Any torn WAL tail is truncated
-    /// on disk so new appends extend a valid log. `default_config` is used
-    /// only when no snapshot exists yet.
+    /// `dir`, recovering whatever a previous process, cleanly shut down or
+    /// not and at whatever shard count, left behind. Any torn WAL tail is
+    /// truncated on disk so new appends extend a valid log.
+    /// `default_config` is used only when no snapshot exists yet.
     pub fn open(
         dir: &Path,
         default_config: TinkerConfig,
         wal_opts: WalOptions,
         shards: usize,
-        views: bool,
     ) -> Result<(Self, RecoveryReport)> {
         let (mut wal, scan) = WalWriter::open(dir, wal_opts)?;
-        let (store, report) = recover_sharded(dir, &scan, default_config, shards, views)?;
+        let (store, report) = recover_sharded(dir, &scan, default_config, shards)?;
         // A snapshot newer than the surviving log (its records were lost
         // to a tear after being folded in): restart the log at the
         // snapshot so new records are not shadowed by it.
@@ -68,8 +66,8 @@ impl DurableTinker {
         Ok((DurableTinker { store: Arc::new(store), wal }, report))
     }
 
-    /// The underlying store, for readers (and, built with views, for
-    /// threads that pin epochs while batches keep applying).
+    /// The underlying store, for readers (and for threads that pin epochs
+    /// while batches keep applying).
     pub fn store(&self) -> &Arc<ParallelTinker> {
         &self.store
     }
@@ -122,7 +120,7 @@ mod tests {
     }
 
     fn open(dir: &Path, opts: WalOptions, shards: usize) -> (DurableTinker, RecoveryReport) {
-        DurableTinker::open(dir, TinkerConfig::default(), opts, shards, false).unwrap()
+        DurableTinker::open(dir, TinkerConfig::default(), opts, shards).unwrap()
     }
 
     fn batch(i: u32) -> EdgeBatch {

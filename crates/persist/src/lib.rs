@@ -29,9 +29,9 @@
 //! use gtinker_types::{Edge, EdgeBatch, TinkerConfig};
 //!
 //! let dir = std::path::Path::new("graph.db");
-//! // Two shards, no epoch views (nothing reads while this writes).
+//! // Two shards; readers of `db.store()` may pin epoch views meanwhile.
 //! let (mut db, report) =
-//!     DurableTinker::open(dir, TinkerConfig::default(), WalOptions::default(), 2, false)?;
+//!     DurableTinker::open(dir, TinkerConfig::default(), WalOptions::default(), 2)?;
 //! println!("recovered {} batches", report.replayed_records);
 //! db.apply_batch(EdgeBatch::inserts(&[Edge::unit(1, 2)]))?; // durable on return
 //! assert!(db.store().contains_edge(1, 2)); // reads wait for the apply

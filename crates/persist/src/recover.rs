@@ -26,7 +26,7 @@ use gtinker_types::{StingerConfig, TinkerConfig};
 
 use crate::format::{PersistError, Result};
 use crate::snapshot::{
-    list_snapshots, load_sharded_snapshot, load_stinger_snapshot, load_tinker_snapshot, new_sharded,
+    list_snapshots, load_sharded_snapshot, load_stinger_snapshot, load_tinker_snapshot,
 };
 use crate::wal::{replay, WalRecord, WalReplay};
 
@@ -131,24 +131,23 @@ pub fn recover_tinker(
     })
 }
 
-/// [`recover_tinker`] into `shards` interval shards (with epoch views when
-/// `views`), over a log scan the caller has: [`replay`]'s to read `dir` as
-/// it is, or the one [`crate::WalWriter::open`] returns once it has cut a
-/// torn tail. The snapshot — whatever shard count wrote it — is restored
-/// across the shard workers and every surviving WAL record is handed to
-/// the pool once, as logged.
+/// [`recover_tinker`] into `shards` interval shards, over a log scan the
+/// caller has: [`replay`]'s to read `dir` as it is, or the one
+/// [`crate::WalWriter::open`] returns once it has cut a torn tail. The
+/// snapshot — whatever shard count wrote it — is restored across the
+/// shard workers and every surviving WAL record is handed to the pool
+/// once, as logged.
 pub fn recover_sharded(
     dir: &Path,
     scan: &WalReplay,
     default_config: TinkerConfig,
     shards: usize,
-    views: bool,
 ) -> Result<(ParallelTinker, RecoveryReport)> {
     recover_with_scan(
         dir,
         scan,
-        |path| load_sharded_snapshot(path, shards, views),
-        || new_sharded(default_config, shards, views),
+        |path| load_sharded_snapshot(path, shards),
+        || Ok(ParallelTinker::new(default_config, shards)?),
     )
 }
 

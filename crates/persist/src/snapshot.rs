@@ -315,13 +315,12 @@ impl TinkerImage {
         Ok(g)
     }
 
-    /// Rebuilds a store of `shards` interval shards (with epoch views when
-    /// `views`), each shard on its own worker: a shard imports the sources
-    /// of its interval in image order, takes the recorded vertex space (a
-    /// maximum, so it commutes with the edges that follow), and claims its
-    /// edges out of the shared payload.
-    fn restore_sharded(&self, shards: usize, views: bool) -> Result<ParallelTinker> {
-        let mut store = new_sharded(self.config, shards, views)?;
+    /// Rebuilds a store of `shards` interval shards, each shard on its own
+    /// worker: a shard imports the sources of its interval in image order,
+    /// takes the recorded vertex space (a maximum, so it commutes with the
+    /// edges that follow), and claims its edges out of the shared payload.
+    fn restore_sharded(&self, shards: usize) -> Result<ParallelTinker> {
+        let mut store = ParallelTinker::new(self.config, shards)?;
         let mut own = vec![Vec::new(); shards];
         for &src in &self.sources {
             own[partition_of(src, shards)].push(src);
@@ -339,16 +338,6 @@ impl TinkerImage {
         check_distinct(&self.edges, store.num_edges())?;
         Ok(store)
     }
-}
-
-/// An empty store of `shards` interval shards, with epoch views or not.
-pub(crate) fn new_sharded(
-    config: TinkerConfig,
-    shards: usize,
-    views: bool,
-) -> Result<ParallelTinker> {
-    let new = if views { ParallelTinker::new_with_views } else { ParallelTinker::new };
-    Ok(new(config, shards)?)
 }
 
 /// The edge payload of an image holds each live edge once: a store that
@@ -492,13 +481,9 @@ pub fn load_tinker_snapshot(path: &Path) -> Result<(GraphTinker, u64)> {
 
 /// Loads a [`GraphTinker`] snapshot file — written from one store or from
 /// any number of shards — into `shards` interval shards.
-pub(crate) fn load_sharded_snapshot(
-    path: &Path,
-    shards: usize,
-    views: bool,
-) -> Result<(ParallelTinker, u64)> {
+pub(crate) fn load_sharded_snapshot(path: &Path, shards: usize) -> Result<(ParallelTinker, u64)> {
     let (image, wal_lsn) = TinkerImage::decode(&fs::read(path)?)?;
-    Ok((image.restore_sharded(shards, views)?, wal_lsn))
+    Ok((image.restore_sharded(shards)?, wal_lsn))
 }
 
 /// Loads a [`Stinger`] snapshot file.

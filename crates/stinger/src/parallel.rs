@@ -24,9 +24,6 @@ impl ShardStore for Stinger {
     fn with_config(config: StingerConfig) -> Result<Self> {
         Stinger::new(config)
     }
-    fn fresh_replica(&self) -> Self {
-        Stinger::new(*self.config()).expect("replica shares a validated config")
-    }
     fn num_edges(&self) -> u64 {
         Stinger::num_edges(self)
     }

@@ -68,6 +68,7 @@ impl StingerStats {
 }
 
 /// The STINGER adjacency-list dynamic-graph store.
+#[derive(Clone)]
 pub struct Stinger {
     config: StingerConfig,
     /// Logical Vertex Array, indexed by raw vertex id.

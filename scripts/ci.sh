@@ -344,6 +344,21 @@ curl -fsS "http://$QADDR/query/cc" | tee "$SMOKE/q_cc.json"
 grep -q '"components":' "$SMOKE/q_cc.json"
 # Bad parameters are a 400 with a JSON error, not a hang or a 500.
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://$QADDR/query/bfs?src=oops")" = 400
+# Once the held ingest is done, a pin reads the last acked batch boundary,
+# and a pin with no batch since shares that snapshot instead of copying.
+for _ in $(seq 1 100); do
+    grep -q "ingest done; serving queries" "$SMOKE/ingest_serve.err" && break
+    sleep 0.1
+done
+epoch_of() { sed -n 's/.*"epoch":\([0-9]*\).*/\1/p'; }
+refreshes() { curl -fsS "http://$QADDR/metrics" | sed -n 's/^gtinker_epoch_refreshes //p'; }
+CC_EPOCH=$(curl -fsS "http://$QADDR/query/cc" | epoch_of)
+ACKED=$(curl -fsS "http://$QADDR/healthz" | sed -n 's/.*"acked_batches":\([0-9]*\).*/\1/p')
+echo "held: /query/cc epoch $CC_EPOCH, /healthz acked_batches $ACKED"
+test -n "$CC_EPOCH" && test "$CC_EPOCH" = "$ACKED"
+REFRESHES=$(refreshes)
+test "$(curl -fsS "http://$QADDR/degree?v=0" | epoch_of)" = "$CC_EPOCH"
+test "$(refreshes)" = "$REFRESHES"
 curl -fsS "http://$QADDR/quitquitquit" | grep -q "shutting down"
 wait "$INGEST_PID"
 grep -q "ingest done; serving queries" "$SMOKE/ingest_serve.err"

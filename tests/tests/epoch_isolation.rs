@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
@@ -62,7 +63,7 @@ fn workload(seed: u64) -> (Vec<EdgeBatch>, Vec<Boundary>) {
     (batches, boundaries)
 }
 
-fn view_edges(view: &gtinker_core::StoreView<'_>) -> Vec<(u32, u32, u32)> {
+fn view_edges(view: &gtinker_core::StoreView) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
     view.for_each_edge(|s, d, w| edges.push((s, d, w)));
     edges.sort_unstable();
@@ -75,7 +76,7 @@ fn config(mode: DeleteMode) -> TinkerConfig {
 
 /// Engine BFS levels over a pinned view must equal the textbook BFS over
 /// the oracle edge list of the same boundary.
-fn check_bfs_at_boundary(view: &gtinker_core::StoreView<'_>, boundary: &[(u32, u32, u32)]) {
+fn check_bfs_at_boundary(view: &gtinker_core::StoreView, boundary: &[(u32, u32, u32)]) {
     let edges: Vec<Edge> = boundary.iter().map(|&(s, d, w)| Edge::new(s, d, w)).collect();
     let n = view.vertex_space().max(VERTICES);
     let mut levels = reference::bfs_levels(&edges, n, 0);
@@ -91,7 +92,7 @@ fn check_bfs_at_boundary(view: &gtinker_core::StoreView<'_>, boundary: &[(u32, u
 /// CC over a pinned view must match CC over a settled single store built
 /// from the oracle edge set of the same boundary (a "settled-store
 /// oracle": same engine, same fixpoint, no concurrency).
-fn check_cc_at_boundary(view: &gtinker_core::StoreView<'_>, boundary: &[(u32, u32, u32)]) {
+fn check_cc_at_boundary(view: &gtinker_core::StoreView, boundary: &[(u32, u32, u32)]) {
     use gtinker_engine::algorithms::Cc;
     let mut oracle = GraphTinker::with_defaults();
     let edges: Vec<Edge> = boundary.iter().map(|&(s, d, w)| Edge::new(s, d, w)).collect();
@@ -120,7 +121,7 @@ fn sequential_pins_observe_every_boundary() {
     for mode in [DeleteMode::DeleteOnly, DeleteMode::DeleteAndCompact] {
         for layout in layouts {
             let (batches, boundaries) = workload(0xE90C);
-            let g = ParallelTinker::new_with_views(layout.delete_mode(mode), 4).unwrap();
+            let g = ParallelTinker::new(layout.delete_mode(mode), 4).unwrap();
             for (k, b) in batches.iter().enumerate() {
                 g.apply_batch(b);
                 assert_valid(&g, &format!("live store, mode {mode:?} batch {k}"));
@@ -139,7 +140,7 @@ fn sequential_pins_observe_every_boundary() {
 /// all fail the exact-equality check.
 fn concurrent_readers_scenario(mode: DeleteMode, pipelined: bool, seed: u64) {
     let (batches, boundaries) = workload(seed);
-    let g = ParallelTinker::new_with_views(config(mode), 3).unwrap();
+    let g = ParallelTinker::new(config(mode), 3).unwrap();
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let readers: Vec<_> = (0..3)
@@ -218,6 +219,65 @@ fn concurrent_readers_sync_apply_delete_and_compact() {
     concurrent_readers_scenario(DeleteMode::DeleteAndCompact, false, 0xD06);
 }
 
+/// Readers that pin and drop at seeded random intervals while a pipelined
+/// writer streams, so pins land both on a snapshot another reader holds
+/// and on a stale one they must refresh: every view is the oracle at its
+/// epoch and passes both validators, a reader's epochs never go back, and
+/// a held view does not change while the writer moves on.
+fn random_pin_intervals(mode: DeleteMode, seed: u64) {
+    let (batches, boundaries) = workload(seed);
+    let g = ParallelTinker::new(config(mode), 3).unwrap();
+    let done = AtomicBool::new(false);
+    let pause = |rng: &mut StdRng| Duration::from_micros(rng.gen_range(0..=2_000));
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4u64)
+            .map(|r| {
+                let (g, done, boundaries) = (&g, &done, &boundaries);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed ^ r);
+                    let (mut last, mut pins) = (0usize, 0u64);
+                    while !done.load(Ordering::Acquire) || pins == 0 {
+                        let view = g.pin_view().expect("views enabled");
+                        let epoch = view.epoch() as usize;
+                        assert!(
+                            epoch >= last,
+                            "reader {r}: epoch went back from {last} to {epoch}"
+                        );
+                        let edges = view_edges(&view);
+                        assert_eq!(edges, boundaries[epoch], "reader {r} at epoch {epoch}");
+                        assert_valid(&view, &format!("reader {r}, view at epoch {epoch}"));
+                        std::thread::sleep(pause(&mut rng));
+                        assert_eq!(view_edges(&view), edges, "reader {r}: a held view changed");
+                        drop(view);
+                        std::thread::sleep(pause(&mut rng));
+                        (last, pins) = (epoch, pins + 1);
+                    }
+                })
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(!seed);
+        for b in &batches {
+            g.submit(b.clone());
+            std::thread::sleep(pause(&mut rng) / 4);
+        }
+        g.flush();
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+    });
+}
+
+#[test]
+fn random_pin_intervals_delete_only() {
+    random_pin_intervals(DeleteMode::DeleteOnly, 0x5EED);
+}
+
+#[test]
+fn random_pin_intervals_delete_and_compact() {
+    random_pin_intervals(DeleteMode::DeleteAndCompact, 0x5EEE);
+}
+
 /// Incremental repair over epoch-pinned views: a reader that pins a view
 /// after each acked batch and feeds the *delta since its previous pin*
 /// (skipped boundaries concatenated into one combined batch) to an
@@ -229,7 +289,7 @@ fn incremental_repair_over_pins(pipelined: bool) {
     use gtinker_engine::{DynamicRunner, RestartPolicy};
 
     let (batches, boundaries) = workload(0x1CEB);
-    let g = ParallelTinker::new_with_views(config(DeleteMode::DeleteOnly), 3).unwrap();
+    let g = ParallelTinker::new(config(DeleteMode::DeleteOnly), 3).unwrap();
     let mut runner =
         DynamicRunner::new(Bfs::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
     let mut applied = 0usize; // batches the runner has absorbed so far
@@ -299,7 +359,7 @@ fn incremental_repair_over_pins_pipelined() {
 #[test]
 fn overlapping_pins_stay_frozen_under_writes() {
     let (batches, boundaries) = workload(0xF00D);
-    let g = ParallelTinker::new_with_views(config(DeleteMode::DeleteOnly), 2).unwrap();
+    let g = ParallelTinker::new(config(DeleteMode::DeleteOnly), 2).unwrap();
     let (first, rest) = batches.split_at(8);
     for b in first {
         g.apply_batch(b);

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use gtinker_core::{metrics, GraphTinker};
+use gtinker_core::{metrics, GraphTinker, ParallelTinker};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use proptest::prelude::*;
 
@@ -260,4 +260,36 @@ fn ingest_parse_metrics_are_exported_under_their_documented_names() {
     let json = after.to_json();
     assert!(json.contains("\"ingest_parse_ns\": {\"count\": "));
     assert!(json.contains("\"ingest_parsed_edges_total\": "));
+}
+
+/// A pin copies the shards only when the snapshot it would share is
+/// stale: two pins with nothing applied between them refresh once, and a
+/// new batch makes the next pin refresh again. Each refresh records one
+/// copy time per shard. Nothing else in this binary pins, so the deltas
+/// are exact.
+#[test]
+fn epoch_refreshes_follow_batches_not_pins() {
+    if !metrics::enabled() {
+        return;
+    }
+    let g = ParallelTinker::new(TinkerConfig::default(), 2).unwrap();
+    g.apply_batch(&EdgeBatch::inserts(&[Edge::new(1, 2, 3), Edge::new(2, 3, 4)]));
+    let before = metrics::global().snapshot();
+    drop(g.pin_view().unwrap());
+    let again = g.pin_view().unwrap();
+    assert_eq!(again.epoch(), 1);
+    drop(again);
+    let quiet = metrics::global().snapshot();
+    assert_eq!(quiet.epoch_refreshes - before.epoch_refreshes, 1, "a quiescent pin shares");
+    assert_eq!(quiet.epoch_refresh_ns.count() - before.epoch_refresh_ns.count(), 2);
+
+    g.apply_batch(&EdgeBatch::inserts(&[Edge::new(3, 4, 5)]));
+    let fresh = g.pin_view().unwrap();
+    assert_eq!((fresh.epoch(), fresh.num_edges()), (2, 3));
+    let after = metrics::global().snapshot();
+    assert_eq!(after.epoch_refreshes - quiet.epoch_refreshes, 1, "a new batch refreshes");
+    assert_eq!(after.epoch_refresh_ns.count() - quiet.epoch_refresh_ns.count(), 2);
+    let prom = after.to_prometheus();
+    assert!(prom.contains("# TYPE gtinker_epoch_refreshes counter"), "{prom}");
+    assert!(prom.contains("gtinker_epoch_refresh_ns_count "));
 }

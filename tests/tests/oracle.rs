@@ -142,8 +142,7 @@ fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64, shards: us
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = TinkerConfig::default().delete_mode(mode);
     let opts = WalOptions { sync: SyncPolicy::EveryN(8), ..WalOptions::default() };
-    let (mut d, report) =
-        DurableTinker::open(&dir, cfg, opts, shards, false).expect("open durable store");
+    let (mut d, report) = DurableTinker::open(&dir, cfg, opts, shards).expect("open durable store");
     assert_eq!(report.replayed_records, 0, "fresh directory");
 
     let mut model = Model::new();

@@ -181,7 +181,7 @@ fn build_dir(
     let dir = fresh_dir(tag);
     // Tiny segments force rotation so crashes span segment boundaries.
     let opts = WalOptions { segment_bytes: 300, sync: SyncPolicy::Never };
-    let (mut d, _) = DurableTinker::open(&dir, cfg, opts, shards, false).unwrap();
+    let (mut d, _) = DurableTinker::open(&dir, cfg, opts, shards).unwrap();
     let mut snap_lsn = 0;
     for (i, b) in batches.iter().enumerate() {
         d.apply_batch(b.clone()).unwrap();
@@ -399,7 +399,7 @@ fn config_payload_of_any_other_length_is_corrupt_and_recovery_falls_back() {
     let n = batches.len() as u64;
     let cfg = TinkerConfig::default();
     let dir = fresh_dir("cfglen");
-    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 2, false).unwrap();
+    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 2).unwrap();
     for (i, b) in batches.iter().enumerate() {
         d.apply_batch(b.clone()).unwrap();
         if i as u64 + 1 == n / 2 || i as u64 + 1 == n {
@@ -450,7 +450,7 @@ fn resume_across_shard_counts_matches_the_model() {
     for (shards, range, snap_at) in
         [(2, 0..n / 2, Some(n / 4)), (3, n / 2..n, None), (1, n..n, None)]
     {
-        let (mut d, report) = DurableTinker::open(&dir, cfg, opts, shards, false).unwrap();
+        let (mut d, report) = DurableTinker::open(&dir, cfg, opts, shards).unwrap();
         assert_eq!(report.next_lsn, range.start as u64, "{shards} shards resume the log");
         for i in range.clone() {
             d.apply_batch(batches[i].clone()).unwrap();
@@ -487,7 +487,7 @@ fn image_written_at_n_shards_restores_each_shards_source_order() {
     let n = batches.len() as u64;
     let dir = fresh_dir("shardorder");
     let cfg = TinkerConfig::default();
-    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3, false).unwrap();
+    let (mut d, _) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3).unwrap();
     for b in &batches {
         d.apply_batch(b.clone()).unwrap();
     }
@@ -498,7 +498,7 @@ fn image_written_at_n_shards_restores_each_shards_source_order() {
     let written = per_shard(&d);
     assert!(written.iter().all(|(sources, _)| !sources.is_empty()), "every shard holds sources");
     drop(d);
-    let (d, report) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3, false).unwrap();
+    let (d, report) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3).unwrap();
     assert_eq!((report.snapshot_lsn, report.replayed_records), (n, 0));
     assert_eq!(per_shard(&d), written);
     assert_shards_valid(d.store(), "restored at the written shard count");
