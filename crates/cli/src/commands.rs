@@ -957,10 +957,10 @@ fn slow_query_ms(parsed: &Parsed) -> Result<Option<u64>, String> {
 }
 
 /// `gtinker serve [FILE|WALDIR]`: loads a file, or recovers a directory
-/// (snapshot layout and vertex space kept, each WAL record replayed once),
-/// into a parallel store (`--shards N`), then serves the telemetry routes
-/// plus the `/query/*` API over HTTP until SIGTERM or a loopback
-/// `GET /quitquitquit`.
+/// (snapshot layout and vertex space kept, the WAL tail replayed once,
+/// grouped by source), into a parallel store (`--shards N`), then serves
+/// the telemetry routes plus the `/query/*` API over HTTP until SIGTERM or
+/// a loopback `GET /quitquitquit`.
 fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
     let started = Instant::now();
     let shards = parsed.num("shards", 1usize)?.max(1);
@@ -972,7 +972,7 @@ fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
             let g = if Path::new(input).is_dir() {
                 let dir = Path::new(input);
                 let scan = replay(dir).map_err(|e| e.to_string())?;
-                let (g, report) = recover_sharded(dir, &scan, config(parsed)?, shards)
+                let (g, report) = recover_sharded(dir, scan, config(parsed)?, shards)
                     .map_err(|e| e.to_string())?;
                 eprintln!(
                     "recovered {} edges from {input} ({} records replayed)",

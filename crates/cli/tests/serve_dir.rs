@@ -1,6 +1,7 @@
 //! `gtinker serve WALDIR` serves the store the directory describes — the
-//! snapshot's layout and recorded vertex space, each WAL record replayed
-//! into the serving shards once — not one rebuilt from command-line flags.
+//! snapshot's layout and recorded vertex space, every logged op replayed
+//! into the serving shards exactly once — not one rebuilt from
+//! command-line flags.
 //!
 //! Out of process on purpose: the tier gauges and `gtinker_pool_batches`
 //! are process-global, and a test thread next door would move them.
@@ -144,11 +145,15 @@ fn serve_keeps_the_snapshots_layout_and_vertex_space() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The log's tail reaches the shards as one stream grouped by source, in
+/// at most one dispatch per record: every logged insert is counted once as
+/// an insert or an update, none twice.
 #[test]
-fn serve_hands_each_wal_record_to_the_shards_once() {
+fn serve_hands_each_logged_op_to_the_shards_once() {
     let dir = scratch("wal");
     let (file, db) = (dir.join("g.txt"), dir.join("db"));
-    let records = write_graph(&file).div_ceil(100) as u64;
+    let inserts = write_graph(&file) as u64;
+    let records = inserts.div_ceil(100);
     gtinker(&["ingest", file.to_str().unwrap(), "--wal", db.to_str().unwrap(), "--batch", "100"]);
     let (truth, report) = recover_tinker(&db, TinkerConfig::default()).unwrap();
     assert_eq!((report.snapshot_lsn, report.replayed_records), (0, records));
@@ -156,7 +161,11 @@ fn serve_hands_each_wal_record_to_the_shards_once() {
     let server = serve(&db);
     let addr = &server.addr;
     let metrics = get(addr, "/metrics");
-    assert_eq!(sample(&metrics, "gtinker_pool_batches"), records, "one dispatch per record");
+    let applied =
+        sample(&metrics, "gtinker_tinker_inserts") + sample(&metrics, "gtinker_tinker_updates");
+    assert_eq!(applied, inserts, "every logged insert applied once");
+    let dispatches = sample(&metrics, "gtinker_pool_batches");
+    assert!((1..=records).contains(&dispatches), "{dispatches} dispatches for {records} records");
     assert_eq!(sample(&metrics, "gtinker_wal_appends"), 0, "serving a directory writes nothing");
     assert_eq!(member(&get(addr, "/healthz"), "live_edges"), truth.num_edges());
     quit(server);

@@ -58,7 +58,7 @@ impl DurableTinker {
         shards: usize,
     ) -> Result<(Self, RecoveryReport)> {
         let (mut wal, scan) = WalWriter::open(dir, wal_opts)?;
-        let (store, report) = recover_sharded(dir, &scan, default_config, shards)?;
+        let (store, report) = recover_sharded(dir, scan, default_config, shards)?;
         // A snapshot newer than the surviving log (its records were lost
         // to a tear after being folded in): restart the log at the
         // snapshot so new records are not shadowed by it.

@@ -11,7 +11,8 @@
 //!    publishing is atomic and pruning is conservative).
 //! 2. The WAL is replayed by the longest-valid-prefix rule
 //!    (see [`crate::wal`]); records already folded into the chosen
-//!    snapshot (`lsn < snapshot_lsn`) are skipped.
+//!    snapshot (`lsn < snapshot_lsn`) are skipped, and the rest are
+//!    applied as one stream stably grouped by source.
 //! 3. The only hard error beyond I/O is a *gap*: a log whose first
 //!    surviving record is newer than the snapshot covers. That state
 //!    cannot be reconstructed faithfully, so it is reported rather than
@@ -22,11 +23,12 @@ use std::path::{Path, PathBuf};
 
 use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
 use gtinker_stinger::Stinger;
-use gtinker_types::{StingerConfig, TinkerConfig};
+use gtinker_types::{StingerConfig, TinkerConfig, UpdateOp};
 
 use crate::format::{PersistError, Result};
 use crate::snapshot::{
     list_snapshots, load_sharded_snapshot, load_stinger_snapshot, load_tinker_snapshot,
+    DECODE_BATCH_OPS,
 };
 use crate::wal::{replay, WalRecord, WalReplay};
 
@@ -71,11 +73,18 @@ fn best_snapshot<T>(
 
 /// Applies the WAL records beyond `snapshot_lsn` to `store`, enforcing the
 /// no-gap rule. Returns how many were applied.
+///
+/// The records' ops are applied as one stream grouped by source (see
+/// [`group_by_source`]), so each source arrives with its whole run of the
+/// log instead of a few ops per record. Each record's buffer is freed as
+/// its ops move into the stream.
 fn apply_tail(
-    records: &[WalRecord],
+    records: Vec<WalRecord>,
     snapshot_lsn: u64,
     store: &mut impl ApplyBatch,
 ) -> Result<u64> {
+    let tail: usize = records.iter().filter(|r| r.lsn >= snapshot_lsn).map(|r| r.batch.len()).sum();
+    let mut ops = Vec::with_capacity(tail);
     let mut applied = 0;
     for rec in records {
         if rec.lsn < snapshot_lsn {
@@ -87,16 +96,61 @@ fn apply_tail(
                 rec.lsn
             )));
         }
-        store.apply(&rec.batch);
+        ops.extend(rec.batch);
         applied += 1;
     }
+    for chunk in group_by_source(ops).chunks(DECODE_BATCH_OPS) {
+        store.apply(&chunk.iter().copied().collect());
+    }
     Ok(applied)
+}
+
+/// `ops` stably sorted by source: a two-pass LSD radix sort, 16 bits of the
+/// source a pass, skipping a pass whose digit is the same for every op.
+/// Its tables are two 64 Ki-entry histograms whatever the id range, plus
+/// one scratch copy of `ops`.
+///
+/// Stability is what makes a grouped replay equal to the arrival-order
+/// one: every `(src, dst)` key still sees its ops in log order, and ops of
+/// different sources touch disjoint adjacency, so edges, weights, degrees,
+/// vertex space and each vertex's tier and page-class history come out
+/// the same; only dense ids and CAL positions differ.
+fn group_by_source(ops: Vec<UpdateOp>) -> Vec<UpdateOp> {
+    const DIGIT: usize = 1 << 16;
+    let n = ops.len();
+    let mut counts = [vec![0usize; DIGIT], vec![0usize; DIGIT]];
+    for op in &ops {
+        let src = op.src() as usize;
+        counts[0][src % DIGIT] += 1;
+        counts[1][src / DIGIT] += 1;
+    }
+    let mut from = ops;
+    let mut to = Vec::new();
+    for (pass, count) in counts.iter_mut().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            let len = *c;
+            *c = at;
+            at += len;
+        }
+        to.resize(n, UpdateOp::Delete { src: 0, dst: 0 });
+        for &op in &from {
+            let digit = (op.src() as usize >> (16 * pass)) % DIGIT;
+            to[count[digit]] = op;
+            count[digit] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
 }
 
 /// Shared recovery skeleton over an already-scanned log.
 fn recover_with_scan<T: ApplyBatch>(
     dir: &Path,
-    scan: &WalReplay,
+    scan: WalReplay,
     load: impl Fn(&Path) -> Result<(T, u64)>,
     fresh: impl FnOnce() -> Result<T>,
 ) -> Result<(T, RecoveryReport)> {
@@ -105,7 +159,7 @@ fn recover_with_scan<T: ApplyBatch>(
         Some((s, lsn, path)) => (s, lsn, Some(path)),
         None => (fresh()?, 0, None),
     };
-    let replayed_records = apply_tail(&scan.records, snapshot_lsn, &mut store)?;
+    let replayed_records = apply_tail(scan.records, snapshot_lsn, &mut store)?;
     let report = RecoveryReport {
         snapshot_lsn,
         snapshot_path,
@@ -126,7 +180,7 @@ pub fn recover_tinker(
     dir: &Path,
     default_config: TinkerConfig,
 ) -> Result<(GraphTinker, RecoveryReport)> {
-    recover_with_scan(dir, &replay(dir)?, load_tinker_snapshot, || {
+    recover_with_scan(dir, replay(dir)?, load_tinker_snapshot, || {
         GraphTinker::new(default_config).map_err(Into::into)
     })
 }
@@ -135,11 +189,11 @@ pub fn recover_tinker(
 /// caller has: [`replay`]'s to read `dir` as it is, or the one
 /// [`crate::WalWriter::open`] returns once it has cut a torn tail. The
 /// snapshot — whatever shard count wrote it — is restored across the
-/// shard workers and every surviving WAL record is handed to the pool
-/// once, as logged.
+/// shard workers, and the surviving WAL tail reaches the pool once, as
+/// one stream grouped by source.
 pub fn recover_sharded(
     dir: &Path,
-    scan: &WalReplay,
+    scan: WalReplay,
     default_config: TinkerConfig,
     shards: usize,
 ) -> Result<(ParallelTinker, RecoveryReport)> {
@@ -156,7 +210,7 @@ pub fn recover_stinger(
     dir: &Path,
     default_config: StingerConfig,
 ) -> Result<(Stinger, RecoveryReport)> {
-    recover_with_scan(dir, &replay(dir)?, load_stinger_snapshot, || {
+    recover_with_scan(dir, replay(dir)?, load_stinger_snapshot, || {
         Stinger::new(default_config).map_err(Into::into)
     })
 }
@@ -326,6 +380,32 @@ mod tests {
         let err = recover_tinker(&dir, TinkerConfig::default()).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "gap must be reported: {err}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn group_by_source_is_a_stable_sort_by_source() {
+        let ops: Vec<UpdateOp> = (0..5000u32)
+            .map(|i| {
+                let src = match i % 4 {
+                    0 => i % 7,
+                    1 => u32::MAX - 1 - i % 3,
+                    2 => (i % 5) << 16,
+                    _ => i.wrapping_mul(0x9E37_79B9),
+                };
+                // Distinct destinations make any reordering of equal
+                // sources visible.
+                if i % 3 == 0 {
+                    UpdateOp::Delete { src, dst: i }
+                } else {
+                    UpdateOp::Insert(Edge::new(src, i, i))
+                }
+            })
+            .collect();
+        for ops in [ops.clone(), ops.iter().filter(|op| op.src() < 7).copied().collect(), vec![]] {
+            let mut expected = ops.clone();
+            expected.sort_by_key(UpdateOp::src);
+            assert_eq!(group_by_source(ops), expected);
+        }
     }
 
     #[test]

@@ -69,10 +69,11 @@ const TAG_END: u8 = 0xFF;
 /// Bytes of a GraphTinker CONFIG payload: eight words and the flags byte.
 const CONFIG_BYTES: usize = 8 * 8 + 1;
 
-/// Decoded edges are replayed into the store this many at a time: batches
-/// go through the store's resolve-ahead window and flush its counters once
-/// each, and the op copy a batch needs stays cache-sized.
-const DECODE_BATCH_OPS: usize = 64 << 10;
+/// Decoded edges (and a recovered WAL tail) are replayed into the store
+/// this many at a time: batches go through the store's resolve-ahead
+/// window and flush its counters once each, and the op copy a batch needs
+/// stays cache-sized.
+pub(crate) const DECODE_BATCH_OPS: usize = 64 << 10;
 
 fn put_section(w: &mut ByteWriter, tag: u8, payload: &[u8]) {
     w.put_u8(tag);

@@ -33,6 +33,11 @@ echo "==> pipeline smoke test (pooled ingest with snapshots, resumed at another 
     --pool 4 --pipeline | tee "$SMOKE/ingest_pool.out"
 LIVE=$(sed -n 's/.* \([0-9][0-9]*\) live, next lsn.*/\1/p' "$SMOKE/ingest_pool.out")
 test -n "$LIVE"
+# No snapshot: the whole 4-shard log is one tail, replayed grouped by source.
+"$GT" recover "$SMOKE/db_pool" --validate | tee "$SMOKE/recover_tail.out"
+grep -q "recovered GraphTinker: $LIVE edges" "$SMOKE/recover_tail.out"
+grep -q "snapshot lsn 0" "$SMOKE/recover_tail.out"
+grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_tail.out"
 # The same file in two runs into one directory: its head at --pool 4 with
 # a snapshot every 4 batches, its tail resumed at --pool 2. What recovers
 # is the one-shot ingest's graph, rebuilt from a snapshot plus a log tail.

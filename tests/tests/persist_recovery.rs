@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gtinker_core::GraphTinker;
+use gtinker_core::{GraphTinker, StructureStats};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
@@ -562,4 +562,142 @@ fn pruned_log_with_snapshot_recovers() {
     assert!(!list_segments(&dir).unwrap().is_empty());
     assert_recovers_to(&dir, cfg, &batches, n, "pruned log");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// What a grouped tail replay must share with the arrival-order one: the
+/// edges with their weights, every count and degree, and each vertex's
+/// tier history. Dense ids and CAL positions are left out on purpose.
+#[derive(Debug, PartialEq)]
+struct Logical {
+    edges: Vec<(u32, u32, u32)>,
+    num_edges: u64,
+    vertex_space: u32,
+    /// `(source, out_degree)`, sorted by source.
+    degrees: Vec<(u32, u32)>,
+    /// Vertices in the inline, blocks and hub tiers.
+    tiers: [usize; 3],
+    /// Tier promotions and demotions.
+    moves: (u64, u64),
+}
+
+impl Logical {
+    /// Assembles the view from each shard's `(sources, structure stats)`.
+    fn new(
+        shards: Vec<(Vec<u32>, StructureStats)>,
+        edges: Vec<(u32, u32, u32)>,
+        num_edges: u64,
+        vertex_space: u32,
+        degree: impl Fn(u32) -> u32,
+    ) -> Logical {
+        let (mut tiers, mut moves) = ([0; 3], (0, 0));
+        let mut sources = Vec::new();
+        for (shard_sources, st) in shards {
+            sources.extend(shard_sources);
+            tiers[0] += st.tier_inline_vertices;
+            tiers[1] += st.tier_blocks_vertices;
+            tiers[2] += st.tier_hub_vertices;
+            moves.0 += st.tier_promotions;
+            moves.1 += st.tier_demotions;
+        }
+        sources.sort_unstable();
+        let degrees = sources.into_iter().map(|s| (s, degree(s))).collect();
+        Logical { edges, num_edges, vertex_space, degrees, tiers, moves }
+    }
+
+    fn of(g: &GraphTinker) -> Logical {
+        assert_valid(g, "logical view");
+        let shards = vec![(g.sources(), g.structure_stats())];
+        Logical::new(shards, edge_set(g), g.num_edges(), g.vertex_space(), |s| g.out_degree(s))
+    }
+
+    fn of_durable(d: &DurableTinker) -> Logical {
+        let store = d.store();
+        assert_shards_valid(store, "logical view");
+        let shards = (0..store.num_instances())
+            .map(|i| store.with_instance(i, |g| (g.sources(), g.structure_stats())))
+            .collect();
+        let (edges, live, space) = (sharded_edge_set(d), store.num_edges(), store.vertex_space());
+        Logical::new(shards, edges, live, space, |s| store.out_degree(s))
+    }
+}
+
+/// Twelve records over three kinds of source. Forty small sources rotate
+/// over eight destinations, so every record re-inserts keys of earlier
+/// records with new weights; from record 4 on each also deletes a key, and
+/// from record 8 on every third re-inserts the key it deleted one record
+/// earlier. Source 5000 takes 150 edges over records 5–7 (a hub under
+/// `default()`) and loses 120 of them over records 8–10, below
+/// `hub_demote`. Source `u32::MAX - 1` and destination `u32::MAX - 1` come
+/// and go. Records 0–3 only insert, so a snapshot after them holds no
+/// vertex inside a tier's hysteresis band.
+fn grouping_stream() -> Vec<EdgeBatch> {
+    const HUB: u32 = 5000;
+    const TOP: u32 = u32::MAX - 1;
+    (0..12u32)
+        .map(|r| {
+            let mut b = EdgeBatch::new();
+            for s in 1..=40u32 {
+                b.push_insert(Edge::new(s, 1000 + (s + r) % 8, r * 100 + s));
+                b.push_insert(Edge::new(s, 1000 + (s + 3 * r) % 8, r * 100 + s + 50));
+                if r >= 4 {
+                    b.push_delete(s, 1000 + (s + 5 * r) % 8);
+                }
+                if r >= 8 && s % 3 == 0 {
+                    b.push_insert(Edge::new(s, 1000 + (s + 5 * (r - 1)) % 8, 7777 + r));
+                }
+            }
+            if (5..8).contains(&r) {
+                for d in 0..50 {
+                    b.push_insert(Edge::new(HUB, 2000 + (r - 5) * 50 + d, d + 1));
+                }
+            }
+            if (8..11).contains(&r) {
+                for d in 0..40 {
+                    b.push_delete(HUB, 2000 + (r - 8) * 40 + d);
+                }
+            }
+            match r {
+                1 => b.push_insert(Edge::new(TOP, 3, 1)),
+                3 => b.push_insert(Edge::new(7, TOP, 2)),
+                6 => b.push_insert(Edge::new(TOP, 4, 3)),
+                9 => b.push_delete(TOP, 3),
+                10 => b.push_insert(Edge::new(TOP, 4, 9)),
+                11 => b.push_delete(7, TOP),
+                _ => {}
+            }
+            b
+        })
+        .collect()
+}
+
+/// Recovery replays the log's tail grouped by source, not record by
+/// record. Whether from the log alone, from a snapshot plus its tail, or
+/// into a `DurableTinker` of 1 or 3 shards, the result is logically the
+/// store that applied the records in arrival order, under both layouts.
+#[test]
+fn grouped_tail_replay_equals_arrival_order() {
+    let batches = grouping_stream();
+    let n = batches.len() as u64;
+    for cfg in [TinkerConfig::default(), TinkerConfig::paper()] {
+        let truth = Logical::of(&truth_store(cfg, &batches, n));
+        if cfg == TinkerConfig::default() {
+            let hub_tiers = |n| Logical::of(&truth_store(cfg, &batches, n)).tiers[2];
+            assert_eq!((hub_tiers(8), hub_tiers(n)), (1, 0), "the hub is promoted, then demoted");
+        }
+        for (tag, snap_after) in [("group_wal", None), ("group_snap", Some(3))] {
+            let (dir, snap_lsn) = build_dir(tag, cfg, 2, &batches, snap_after);
+            let (g, report) = recover_tinker(&dir, cfg).unwrap();
+            let ctx = format!("{tag} under {cfg:?}");
+            assert_eq!(report.snapshot_lsn, snap_lsn, "{ctx}");
+            assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
+            assert_eq!(Logical::of(&g), truth, "{ctx}: recover_tinker");
+            for shards in [1, 3] {
+                let (d, report) =
+                    DurableTinker::open(&dir, cfg, WalOptions::default(), shards).unwrap();
+                assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
+                assert_eq!(Logical::of_durable(&d), truth, "{ctx}: open at {shards} shards");
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
