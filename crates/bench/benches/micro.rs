@@ -2,7 +2,7 @@
 //! and the engine: per-operation costs underlying every figure.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gtinker_core::{sgh::SghUnit, GraphTinker};
+use gtinker_core::{sgh::SghUnit, GraphTinker, ParallelTinker};
 use gtinker_datasets::RmatConfig;
 use gtinker_engine::{
     algorithms::{Bfs, PageRank, TriangleCount},
@@ -261,17 +261,18 @@ fn bench_triangles(c: &mut Criterion) {
 }
 
 fn bench_parallel_gas(c: &mut Criterion) {
-    // BFS/PageRank over the sharded engine path vs shard (thread) count.
+    // BFS/PageRank over the sharded engine path vs shard (thread) count:
+    // one ParallelTinker instance per shard.
     let edges = workload(100_000, 9);
     let root = edges[0].src;
-    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
-    gt.apply_batch(&EdgeBatch::inserts(&edges));
+    let batch = EdgeBatch::inserts(&edges);
 
     let mut group = c.benchmark_group("parallel_gas");
-    group.throughput(Throughput::Elements(gt.num_edges()));
     group.sample_size(10);
     for shards in [1usize, 2, 4, 8] {
-        gt.set_analytics_shards(shards);
+        let gt = ParallelTinker::new(TinkerConfig::paper(), shards).unwrap();
+        gt.apply_batch(&batch);
+        group.throughput(Throughput::Elements(gt.num_edges()));
         group.bench_with_input(BenchmarkId::new("bfs_full", shards), &gt, |b, g| {
             b.iter(|| {
                 let mut e = Engine::new(Bfs::new(root), ModePolicy::AlwaysFull);
@@ -283,7 +284,6 @@ fn bench_parallel_gas(c: &mut Criterion) {
             b.iter(|| black_box(PageRank::new(0.85, 5).run(g)))
         });
     }
-    gt.set_analytics_shards(1);
     group.finish();
 }
 

@@ -1,6 +1,7 @@
 //! Analytics scaling companion to Fig. 10: BFS and PageRank throughput
 //! vs. shard (worker-thread) count over the sharded GAS engine, on the
-//! Hollywood-2009 RMAT stand-in.
+//! Hollywood-2009 RMAT stand-in loaded into a `ParallelTinker` of that
+//! many instances.
 //!
 //! Like the update-side Fig. 10, absolute scaling flattens when the host
 //! has fewer cores than shards; the per-shard timing columns expose the
@@ -9,9 +10,9 @@
 
 use std::time::{Duration, Instant};
 
-use gtinker_core::GraphTinker;
+use gtinker_core::ParallelTinker;
 use gtinker_engine::{algorithms::Bfs, algorithms::PageRank, Engine, ModePolicy};
-use gtinker_types::EdgeBatch;
+use gtinker_types::{EdgeBatch, TinkerConfig};
 
 use crate::cli::Args;
 use crate::experiments::common::hollywood;
@@ -33,7 +34,7 @@ fn imbalance(totals: &[Duration]) -> f64 {
     }
 }
 
-fn measure(g: &GraphTinker, root: u32, pr_iters: usize) -> (f64, f64, f64) {
+fn measure(g: &ParallelTinker, root: u32, pr_iters: usize) -> (f64, f64, f64) {
     let mut bfs = Engine::new(Bfs::new(root), ModePolicy::AlwaysFull);
     let t0 = Instant::now();
     let report = bfs.run_from_roots(g);
@@ -58,9 +59,6 @@ pub fn run(args: &Args) -> Table {
     let batch = EdgeBatch::inserts(&edges);
     let pr_iters = 10;
 
-    let mut g = crate::experiments::common::fresh_tinker();
-    g.apply_batch(&batch);
-
     let mut t = Table::new(
         "fig10_analytics",
         &format!(
@@ -72,7 +70,8 @@ pub fn run(args: &Args) -> Table {
     );
     let mut series = Vec::new();
     for &n in &args.threads {
-        g.set_analytics_shards(n);
+        let g = ParallelTinker::new(TinkerConfig::paper(), n).expect("valid experiment config");
+        g.apply_batch(&batch);
         let (bfs_meps, bfs_imb, pagerank_meps) = measure(&g, root, pr_iters);
         t.push_row(vec![n.to_string(), f3(bfs_meps), f3(bfs_imb), f3(pagerank_meps)]);
         series.push(Fact::Obj(vec![

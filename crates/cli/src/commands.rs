@@ -963,7 +963,7 @@ fn slow_query_ms(parsed: &Parsed) -> Result<Option<u64>, String> {
 /// a loopback `GET /quitquitquit`.
 fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
     let started = Instant::now();
-    let shards = parsed.num("shards", 1usize)?.max(1);
+    let shards = shards(parsed)?;
     let workers = parsed.num("workers", crate::serve::DEFAULT_WORKERS)?.max(1);
     let store = match parsed.positional.first() {
         None => None,
@@ -1321,7 +1321,7 @@ mod tests {
         assert!(!db.exists(), "rejected ingest must not create the WAL dir");
         let e = run(&parsed(&["bfs", file_s, "--shards", "0"])).unwrap_err();
         assert!(e.contains("--shards") && e.contains("at least 1"), "got: {e}");
-        for cmd in ["sssp", "cc", "pagerank"] {
+        for cmd in ["sssp", "cc", "pagerank", "serve"] {
             let e = run(&parsed(&[cmd, file_s, "--shards", "0"])).unwrap_err();
             assert!(e.contains("--shards"), "{cmd}: {e}");
         }

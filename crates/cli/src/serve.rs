@@ -14,7 +14,7 @@
 //! | `/query/bfs?src=`  | BFS from a root: reached count, eccentricity     |
 //! | `/query/sssp?src=` | SSSP from a root: reached count, max distance    |
 //! | `/query/cc`        | connected components count                       |
-//! | `/query/pagerank`  | top-k PageRank (`?iterations=&top=`)             |
+//! | `/query/pagerank`  | top-k PageRank (`?iterations=` ≤ 100, `&top=`)   |
 //! | `/quitquitquit`    | graceful shutdown (loopback clients only)        |
 //!
 //! Requests are handled by a small worker pool so a slow analytics query
@@ -67,7 +67,7 @@ use gtinker_core::trace::{self, json_escape, SpanId};
 use gtinker_core::{ParallelTinker, StoreView};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
-    Engine, ModePolicy,
+    Engine, GasProgram, ModePolicy,
 };
 
 /// Route catalogue; each entry owns one [`EndpointStats`] slot (the extra
@@ -88,6 +88,10 @@ const ROUTES: &[&str] = &[
 
 /// Default number of request-worker threads.
 pub const DEFAULT_WORKERS: usize = 4;
+
+/// Largest `/query/pagerank?iterations=` answered: one request must not pin
+/// a worker for hours.
+const MAX_PAGERANK_ITERATIONS: usize = 100;
 
 /// Per-connection socket timeout: a client that stalls mid-request (or
 /// never reads the response) cannot wedge a worker forever.
@@ -649,33 +653,43 @@ fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
     Ok(format!("{{\"v\":{v},\"epoch\":{},\"degree\":{}}}\n", view.epoch(), view.out_degree(v)))
 }
 
+/// Runs a single-root program (BFS or SSSP from `src`) over the view and
+/// returns the vertices it reached, the largest value among them, the
+/// iterations and the edges visited. A root at or beyond the view's vertex
+/// space has no edges, so it reaches only itself, at 0, without running
+/// the engine: no engine array is sized by a request parameter.
+fn reach<P: GasProgram<Value = u32>>(
+    view: &StoreView,
+    src: u32,
+    program: P,
+) -> (usize, u32, usize, u64) {
+    if src >= view.vertex_space() {
+        return (1, 0, 0, 0);
+    }
+    let mut e = Engine::new(program, ModePolicy::hybrid());
+    let r = e.run_from_roots(view);
+    let reached = e.values().iter().filter(|&&v| v != u32::MAX);
+    let max = reached.clone().max().copied().unwrap_or(0);
+    (reached.count(), max, r.num_iterations(), r.total_edges_processed)
+}
+
 fn bfs_json(view: &StoreView, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
-    let mut e = Engine::new(Bfs::new(src), ModePolicy::hybrid());
-    let r = e.run_from_roots(view);
-    let reached = e.values().iter().filter(|&&v| v != u32::MAX).count();
-    let ecc = e.values().iter().filter(|&&v| v != u32::MAX).max().copied().unwrap_or(0);
+    let (reached, ecc, iterations, edges) = reach(view, src, Bfs::new(src));
     Ok(format!(
         "{{\"src\":{src},\"epoch\":{},\"reached\":{reached},\"eccentricity\":{ecc},\
-         \"iterations\":{},\"edges_processed\":{}}}\n",
+         \"iterations\":{iterations},\"edges_processed\":{edges}}}\n",
         view.epoch(),
-        r.num_iterations(),
-        r.total_edges_processed,
     ))
 }
 
 fn sssp_json(view: &StoreView, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
-    let mut e = Engine::new(Sssp::new(src), ModePolicy::hybrid());
-    let r = e.run_from_roots(view);
-    let reached: Vec<u32> = e.values().iter().copied().filter(|&v| v != u32::MAX).collect();
-    let max_dist = reached.iter().max().copied().unwrap_or(0);
+    let (reached, max_dist, iterations, _) = reach(view, src, Sssp::new(src));
     Ok(format!(
-        "{{\"src\":{src},\"epoch\":{},\"reached\":{},\"max_distance\":{max_dist},\
-         \"iterations\":{}}}\n",
+        "{{\"src\":{src},\"epoch\":{},\"reached\":{reached},\"max_distance\":{max_dist},\
+         \"iterations\":{iterations}}}\n",
         view.epoch(),
-        reached.len(),
-        r.num_iterations(),
     ))
 }
 
@@ -697,6 +711,9 @@ fn cc_json(view: &StoreView) -> Result<String, String> {
 
 fn pagerank_json(view: &StoreView, query: &str) -> Result<String, String> {
     let iterations: usize = num_param(query, "iterations", 10)?;
+    if iterations > MAX_PAGERANK_ITERATIONS {
+        return Err(format!("iterations must be at most {MAX_PAGERANK_ITERATIONS}"));
+    }
     let k: usize = num_param(query, "top", 10)?;
     let pr = PageRank::new(0.85, iterations);
     let top = pr.top_k(view, k);
@@ -1242,6 +1259,36 @@ mod tests {
             let body = r.split_once("\r\n\r\n").map(|(_, b)| b);
             assert_eq!(body, Some("{\"error\":\"bad top: 'a\\\"b\\\\c'\"}\n"), "got: {r}");
         });
+    }
+
+    #[test]
+    fn out_of_space_roots_and_oversized_pagerank_leave_the_server_up() {
+        // One worker: a panic in it would leave nothing to answer /healthz.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = spawn(listener, store_ctx(), 1);
+        let addr = handle.addr();
+        for src in [u32::MAX, 3_000_000_000, 3] {
+            let r = get_at(addr, &format!("/query/bfs?src={src}"));
+            assert!(r.starts_with("HTTP/1.1 200"), "bfs {src} got: {r}");
+            assert!(r.contains("\"reached\":1,\"eccentricity\":0"), "bfs {src} got: {r}");
+            let r = get_at(addr, &format!("/query/sssp?src={src}"));
+            assert!(r.starts_with("HTTP/1.1 200"), "sssp {src} got: {r}");
+            assert!(r.contains("\"reached\":1,\"max_distance\":0"), "sssp {src} got: {r}");
+        }
+        // Inside the vertex space a root with no out-edges answers alike.
+        let r = get_at(addr, "/query/bfs?src=2");
+        assert!(r.contains("\"reached\":1,\"eccentricity\":0"), "got: {r}");
+
+        let r = get_at(addr, &format!("/query/pagerank?iterations={MAX_PAGERANK_ITERATIONS}"));
+        assert!(r.starts_with("HTTP/1.1 200"), "got: {r}");
+        let r =
+            get_at(addr, &format!("/query/pagerank?iterations={}", MAX_PAGERANK_ITERATIONS + 1));
+        assert!(r.starts_with("HTTP/1.1 400"), "got: {r}");
+        assert!(r.contains(&format!("at most {MAX_PAGERANK_ITERATIONS}")), "got: {r}");
+
+        let r = get_at(addr, "/healthz");
+        assert!(r.starts_with("HTTP/1.1 200"), "got: {r}");
+        handle.shutdown();
     }
 
     #[test]

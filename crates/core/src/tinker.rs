@@ -128,10 +128,6 @@ pub struct GraphTinker {
     live_edges: u64,
     /// One past the largest original vertex id seen (src or dst side).
     vertex_space: u32,
-    /// Logical shard count for parallel analytics streaming (see
-    /// [`for_each_edge_shard`](Self::for_each_edge_shard)). Purely a read
-    /// path setting; ingestion is unaffected.
-    analytics_shards: usize,
     /// Adjacency tier per dense source: one slot per source ever inserted
     /// (with SGH enabled, exactly as long as the number of such sources).
     /// A source registered by `import_sources` alone has no slot yet.
@@ -152,7 +148,6 @@ clone_fields!(GraphTinker {
     stats,
     live_edges,
     vertex_space,
-    analytics_shards,
     tiers,
     inline,
     blocks,
@@ -172,7 +167,6 @@ impl GraphTinker {
             stats: ProbeStats::default(),
             live_edges: 0,
             vertex_space: 0,
-            analytics_shards: 1,
             tiers: Vec::new(),
             inline: InlineTier::new(config.inline_cap),
             blocks: BlockTier::new(&config),
@@ -627,104 +621,24 @@ impl GraphTinker {
     /// edgeblocks vertex by vertex: the non-contiguous access pattern the
     /// CAL exists to avoid.
     pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        self.stream_groups(0..self.num_groups(), &mut f);
+        let Some(cal) = self.blocks.cal() else { return self.for_each_edge_main(f) };
+        let (len, sources) = (self.config.cal_group_size, self.tiers.len());
+        for g in 0..sources.div_ceil(len) {
+            let dense = g * len..((g + 1) * len).min(sources);
+            cal.for_each_edge_in_group(g, &mut f);
+            self.inline.stream(dense.clone(), |d| self.original_of(d), &mut f);
+            self.hub.stream(dense, |d| self.original_of(d), &mut f);
+        }
     }
 
     /// Visits every live edge from the tiers themselves, source by source
     /// in dense order, whether or not a CAL exists (snapshots, tests and
     /// the CAL ablation).
     pub fn for_each_edge_main<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        self.stream_sources(0..self.tiers.len(), &mut f);
-    }
-
-    /// Dense sources per streaming group: a CAL group, or one source
-    /// without a CAL.
-    fn group_len(&self) -> usize {
-        self.blocks.cal().map_or(1, |_| self.config.cal_group_size)
-    }
-
-    /// Streaming groups covering every dense source.
-    fn num_groups(&self) -> usize {
-        self.tiers.len().div_ceil(self.group_len())
-    }
-
-    /// Streams the groups in `groups`, in the
-    /// [`for_each_edge`](Self::for_each_edge) order.
-    fn stream_groups(
-        &self,
-        groups: std::ops::Range<usize>,
-        f: &mut impl FnMut(VertexId, VertexId, Weight),
-    ) {
-        let Some(cal) = self.blocks.cal() else { return self.stream_sources(groups, f) };
-        let len = self.group_len();
-        for g in groups {
-            let dense = g * len..((g + 1) * len).min(self.tiers.len());
-            cal.for_each_edge_in_group(g, &mut *f);
-            self.inline.stream(dense.clone(), |d| self.original_of(d), &mut *f);
-            self.hub.stream(dense, |d| self.original_of(d), &mut *f);
-        }
-    }
-
-    /// Streams the sources in `dense` one by one, from the tier holding
-    /// each.
-    fn stream_sources(
-        &self,
-        dense: std::ops::Range<usize>,
-        f: &mut impl FnMut(VertexId, VertexId, Weight),
-    ) {
-        for d in dense {
+        for d in 0..self.tiers.len() {
             let src = self.original_of(d as u32);
             on_tier!(self, self.tiers[d], for_each(d as u32, |v, w| f(src, v, w)));
         }
-    }
-
-    /// Logical shard count used by the sharded analytics read path.
-    #[inline]
-    pub fn analytics_shards(&self) -> usize {
-        self.analytics_shards
-    }
-
-    /// Sets the logical shard count for parallel analytics streaming.
-    /// The edges are split into `n` balanced, contiguous intervals of the
-    /// streaming order, counted in CAL groups of dense source ids when the
-    /// CAL is enabled and in dense source ids otherwise, so every source's
-    /// edges stream in one shard; ingestion and point queries are
-    /// unaffected.
-    pub fn set_analytics_shards(&mut self, n: usize) {
-        assert!(n > 0, "shard count must be positive");
-        self.analytics_shards = n;
-    }
-
-    /// Streams the edges owned by one analytics shard.
-    ///
-    /// Concatenating shards `0..analytics_shards()` in order visits exactly
-    /// the edges of [`for_each_edge`](Self::for_each_edge), in the same
-    /// order — the contract parallel full-processing analytics rely on to
-    /// reproduce sequential results.
-    pub fn for_each_edge_shard<F: FnMut(VertexId, VertexId, Weight)>(
-        &self,
-        shard: usize,
-        mut f: F,
-    ) {
-        let r = gtinker_types::shard_range(self.num_groups(), self.analytics_shards, shard);
-        self.stream_groups(r, &mut f);
-    }
-
-    /// The analytics shard owning the out-edges of `src` (vertices not in
-    /// the store map to shard 0). Matches the intervals streamed by
-    /// [`for_each_edge_shard`](Self::for_each_edge_shard).
-    pub fn shard_of_source(&self, src: VertexId) -> usize {
-        if self.analytics_shards == 1 {
-            return 0;
-        }
-        let Some(dense) = self.dense_lookup(src) else { return 0 };
-        let (group, groups) = (dense as usize / self.group_len(), self.num_groups());
-        if group >= groups {
-            // Registered by `import_sources` alone: no edges, any shard
-            // serves.
-            return 0;
-        }
-        gtinker_types::shard_of_index(group, groups, self.analytics_shards)
     }
 
     /// Iterates the original ids of all non-empty source vertices, in SGH
@@ -744,7 +658,7 @@ impl GraphTinker {
     /// had streamed one edge in. Snapshot import calls this with the saved
     /// SGH arrival order before replaying the edge payload, so the restored
     /// store reproduces the original dense remapping (and therefore the
-    /// original CAL grouping, shard intervals and analytics stream order).
+    /// original CAL grouping and analytics stream order).
     /// With SGH disabled the ids are their own dense index and this only
     /// widens the observed vertex space.
     pub fn import_sources(&mut self, sources: &[VertexId]) {

@@ -34,11 +34,11 @@ impl PageRank {
     /// Runs power iteration; returns the rank vector (sums to 1 for a
     /// non-empty graph; dangling mass is redistributed uniformly).
     ///
-    /// When the store reports more than one shard, each iteration's edge
-    /// pass streams the shards on scoped worker threads into per-shard
-    /// contribution vectors, merged in shard order afterwards. Floating-
-    /// point addition is not associative, so the parallel ranks can differ
-    /// from the sequential ones in the last few ulps (well inside the
+    /// Each iteration's edge pass streams the store's shards: shard 0 on
+    /// the calling thread, shards 1..n on scoped worker threads into
+    /// per-shard contribution vectors added in shard order afterwards.
+    /// Floating-point addition is not associative, so ranks at different
+    /// shard counts can differ in the last few ulps (well inside the
     /// power-iteration convergence tolerance); within a fixed shard count
     /// the result is deterministic.
     pub fn run<S: GraphStore + Sync>(&self, store: &S) -> Vec<f64> {
@@ -86,37 +86,32 @@ impl PageRank {
         };
         let mut iters_run = 0;
         let mut contrib = vec![0.0f64; n];
-        // Per-shard partial contribution buffers, reused across iterations.
-        let mut partials: Vec<Vec<f64>> =
-            if num_shards > 1 { vec![vec![0.0f64; n]; num_shards] } else { Vec::new() };
+        // Contribution partials of shards 1..n, reused across iterations.
+        let mut partials = vec![vec![0.0f64; n]; num_shards - 1];
         for _ in 0..self.iterations {
+            // Full-processing phase: shard 0 accumulates into `contrib` on
+            // this thread, shards 1..n into their partials on scoped
+            // workers; the partials are added in shard order.
+            let (ranks_ref, degrees_ref) = (&ranks[..], &degrees[..]);
+            let pass = |shard: usize, acc: &mut [f64]| {
+                store.stream_shard_edges(shard, |src, dst, _| {
+                    acc[dst as usize] += ranks_ref[src as usize] / degrees_ref[src as usize] as f64;
+                });
+            };
             contrib.fill(0.0);
-            if num_shards > 1 {
-                // Parallel full-processing phase: one worker per shard.
-                let ranks_ref = &ranks[..];
-                let degrees_ref = &degrees[..];
-                std::thread::scope(|scope| {
-                    for (shard, part) in partials.iter_mut().enumerate() {
-                        scope.spawn(move || {
-                            part.fill(0.0);
-                            store.stream_shard_edges(shard, |src, dst, _| {
-                                part[dst as usize] +=
-                                    ranks_ref[src as usize] / degrees_ref[src as usize] as f64;
-                            });
-                        });
-                    }
-                });
-                // Deterministic shard-order merge.
-                for part in &partials {
-                    for (c, p) in contrib.iter_mut().zip(part) {
-                        *c += p;
-                    }
+            std::thread::scope(|scope| {
+                for (i, part) in partials.iter_mut().enumerate() {
+                    scope.spawn(move || {
+                        part.fill(0.0);
+                        pass(i + 1, part);
+                    });
                 }
-            } else {
-                // Full-processing phase: one sequential pass over all edges.
-                store.stream_edges(|src, dst, _| {
-                    contrib[dst as usize] += ranks[src as usize] / degrees[src as usize] as f64;
-                });
+                pass(0, &mut contrib);
+            });
+            for part in &partials {
+                for (c, p) in contrib.iter_mut().zip(part) {
+                    *c += p;
+                }
             }
             // Dangling vertices spread their rank uniformly.
             let dangling: f64 =
@@ -191,7 +186,7 @@ impl IncrementalPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtinker_core::GraphTinker;
+    use gtinker_core::{GraphTinker, ParallelTinker};
     use gtinker_stinger::Stinger;
     use gtinker_types::{Edge, EdgeBatch};
 
@@ -260,11 +255,14 @@ mod tests {
         seq.apply_batch(&batch);
         let pr = PageRank::new(0.85, 30);
         let baseline = pr.run(&seq);
-        for shards in [2, 3, 4] {
-            let mut g = GraphTinker::with_defaults();
+        for shards in [1, 2, 3, 4] {
+            let g = ParallelTinker::new(Default::default(), shards).unwrap();
             g.apply_batch(&batch);
-            g.set_analytics_shards(shards);
             let ranks = pr.run(&g);
+            if shards == 1 {
+                // One instance streams the plain store's order: same bits.
+                assert_eq!(ranks, baseline);
+            }
             assert_eq!(ranks.len(), baseline.len());
             for (x, y) in baseline.iter().zip(&ranks) {
                 assert!((x - y).abs() < 1e-12, "shards={shards} diverged: {x} vs {y}");

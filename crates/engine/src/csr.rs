@@ -21,9 +21,6 @@ pub struct CsrSnapshot {
     offsets: Vec<u64>,
     dsts: Vec<VertexId>,
     weights: Vec<Weight>,
-    /// Logical shard count for parallel analytics streaming (balanced
-    /// contiguous vertex ranges).
-    analytics_shards: usize,
 }
 
 impl CsrSnapshot {
@@ -46,7 +43,7 @@ impl CsrSnapshot {
             weights[at] = w;
             cursor[src as usize] += 1;
         });
-        CsrSnapshot { offsets: counts, dsts, weights, analytics_shards: 1 }
+        CsrSnapshot { offsets: counts, dsts, weights }
     }
 
     /// Builds a snapshot directly from an edge list (testing/static use).
@@ -69,7 +66,7 @@ impl CsrSnapshot {
             weights[at] = w;
             cursor[src as usize] += 1;
         }
-        CsrSnapshot { offsets: counts, dsts, weights, analytics_shards: 1 }
+        CsrSnapshot { offsets: counts, dsts, weights }
     }
 
     /// Number of vertices covered.
@@ -89,27 +86,6 @@ impl CsrSnapshot {
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.capacity() * 8 + (self.dsts.capacity() + self.weights.capacity()) * 4
-    }
-
-    /// Sets the logical shard count for parallel analytics streaming: the
-    /// vertex range is split into balanced, contiguous intervals.
-    pub fn set_analytics_shards(&mut self, n: usize) {
-        assert!(n > 0, "shard count must be positive");
-        self.analytics_shards = n;
-    }
-
-    fn stream_vertex_range(
-        &self,
-        vs: std::ops::Range<usize>,
-        mut f: impl FnMut(VertexId, VertexId, Weight),
-    ) {
-        for v in vs.start as u32..vs.end as u32 {
-            let lo = self.offsets[v as usize] as usize;
-            let hi = self.offsets[v as usize + 1] as usize;
-            for i in lo..hi {
-                f(v, self.dsts[i], self.weights[i]);
-            }
-        }
     }
 }
 
@@ -131,23 +107,12 @@ impl GraphStore for CsrSnapshot {
             f(d, w);
         }
     }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        self.stream_vertex_range(0..self.num_vertices() as usize, f);
-    }
-    fn num_shards(&self) -> usize {
-        self.analytics_shards
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        let n = self.num_vertices() as usize;
-        if self.analytics_shards == 1 || (v as usize) >= n {
-            return 0;
+    fn stream_edges(&self, mut f: impl FnMut(VertexId, VertexId, Weight)) {
+        for (v, span) in self.offsets.windows(2).enumerate() {
+            for i in span[0] as usize..span[1] as usize {
+                f(v as VertexId, self.dsts[i], self.weights[i]);
+            }
         }
-        gtinker_types::shard_of_index(v as usize, n, self.analytics_shards)
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        let r =
-            gtinker_types::shard_range(self.num_vertices() as usize, self.analytics_shards, shard);
-        self.stream_vertex_range(r, f);
     }
 }
 

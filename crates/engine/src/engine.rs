@@ -38,8 +38,8 @@ pub struct IterationStats {
     pub process_time: Duration,
     /// Wall-clock duration of the apply phase.
     pub apply_time: Duration,
-    /// Processing-phase wall-clock per shard worker, in shard order.
-    /// Empty when the iteration ran on the single-shard sequential path.
+    /// Processing-phase wall-clock per store shard, in shard order (one
+    /// entry for a single-shard store).
     pub shard_times: Vec<Duration>,
 }
 
@@ -66,9 +66,9 @@ impl RunReport {
         (full, self.iterations.len() - full)
     }
 
-    /// Total processing-phase time spent in each shard across all parallel
-    /// iterations, in shard order (longest vector over the run). Empty for
-    /// fully sequential runs — the load-imbalance view of a parallel run.
+    /// Total processing-phase time spent in each shard across all
+    /// iterations, in shard order (longest vector over the run) — the
+    /// load-imbalance view of a sharded run.
     pub fn shard_time_totals(&self) -> Vec<Duration> {
         let mut totals: Vec<Duration> = Vec::new();
         for it in &self.iterations {
@@ -100,60 +100,151 @@ impl RunReport {
     }
 }
 
-/// Reusable per-shard scratch for the parallel processing phase: a
-/// thread-local VTempProperty accumulator with its touched list, the
-/// shard's slice of the active frontier, and the counters the merge step
-/// folds back into the iteration stats. Kept on the engine so steady-state
-/// parallel iterations allocate nothing.
-struct WorkerScratch<V> {
+/// A VTempProperty buffer: the combined pending message per vertex, the
+/// witness source of each (kept only under witness tracking, empty
+/// otherwise), and the vertices holding one. The engine owns the buffer
+/// its apply phase reads; every shard worker but shard 0 fills a private
+/// one that is merged into it.
+struct Inbox<V> {
     temp: Vec<Option<V>>,
-    /// Witness source of each pending message in `temp` (maintained only
-    /// under witness tracking, empty otherwise).
     witness: Vec<VertexId>,
     touched: Vec<VertexId>,
+}
+
+impl<V> Default for Inbox<V> {
+    fn default() -> Self {
+        Inbox { temp: Vec::new(), witness: Vec::new(), touched: Vec::new() }
+    }
+}
+
+impl<V: Copy + PartialEq> Inbox<V> {
+    /// Reduces `msg`, sent by `src`, into the pending message of `dst`.
+    /// Under witness tracking `src` becomes the witness when its message
+    /// is the first or strictly improves the pending one, so a selective
+    /// `reduce` keeps the first sender of the winning value.
+    #[inline]
+    fn deposit<P: GasProgram<Value = V>>(
+        &mut self,
+        program: &P,
+        track: bool,
+        src: VertexId,
+        dst: VertexId,
+        msg: V,
+    ) {
+        let slot = &mut self.temp[dst as usize];
+        *slot = Some(match slot.take() {
+            Some(prev) => {
+                let combined = program.reduce(prev, msg);
+                if track && combined == msg && msg != prev {
+                    self.witness[dst as usize] = src;
+                }
+                combined
+            }
+            None => {
+                self.touched.push(dst);
+                if track {
+                    self.witness[dst as usize] = src;
+                }
+                msg
+            }
+        });
+    }
+}
+
+/// Reusable scratch of one shard worker (shards 1..n): its inbox and its
+/// slice of the active frontier. Kept on the engine so steady-state
+/// sharded iterations allocate nothing.
+struct WorkerScratch<V> {
+    inbox: Inbox<V>,
     frontier: Vec<VertexId>,
-    edges_processed: u64,
-    messages: u64,
-    elapsed: Duration,
 }
 
 impl<V> Default for WorkerScratch<V> {
     fn default() -> Self {
-        WorkerScratch {
-            temp: Vec::new(),
-            witness: Vec::new(),
-            touched: Vec::new(),
-            frontier: Vec::new(),
-            edges_processed: 0,
-            messages: 0,
-            elapsed: Duration::ZERO,
+        WorkerScratch { inbox: Inbox::default(), frontier: Vec::new() }
+    }
+}
+
+/// What every shard of one processing phase reads.
+struct Phase<'a, P: GasProgram, S> {
+    program: &'a P,
+    store: &'a S,
+    mode: ExecMode,
+    values: &'a [P::Value],
+    active_bits: &'a [bool],
+    track: bool,
+}
+
+impl<P: GasProgram, S: GraphStore> Phase<'_, P, S> {
+    /// Processes one store shard into `inbox`: full mode streams the
+    /// shard's edges and keeps those whose source is active, incremental
+    /// mode walks `frontier`. Returns the edges visited, the messages
+    /// deposited and the wall-clock spent.
+    fn run_shard(
+        &self,
+        shard: usize,
+        frontier: &[VertexId],
+        inbox: &mut Inbox<P::Value>,
+    ) -> (u64, u64, Duration) {
+        let start = Instant::now();
+        let Phase { program, store, values, active_bits, track, .. } = *self;
+        let mut edges: u64 = 0;
+        let mut messages: u64 = 0;
+        let mut deposit = |src: VertexId, dst: VertexId, msg: P::Value| {
+            messages += 1;
+            inbox.deposit(program, track, src, dst, msg);
+        };
+        match self.mode {
+            ExecMode::Full => {
+                store.stream_shard_edges(shard, |src, dst, w| {
+                    edges += 1;
+                    if active_bits[src as usize] {
+                        if let Some(m) = program.process_edge(values[src as usize], dst, w) {
+                            deposit(src, dst, m);
+                        }
+                    }
+                });
+            }
+            ExecMode::Incremental => {
+                for &v in frontier {
+                    let sv = values[v as usize];
+                    store.for_each_out_edge(v, |dst, w| {
+                        edges += 1;
+                        if let Some(m) = program.process_edge(sv, dst, w) {
+                            deposit(v, dst, m);
+                        }
+                    });
+                }
+            }
         }
+        (edges, messages, start.elapsed())
     }
 }
 
 /// The edge-centric GAS engine (paper Fig. 7), generic over the graph store
 /// and the algorithm.
 ///
-/// Holds the VPropertyArray (`values`), the VTempProperty buffer (`temp`)
+/// Holds the VPropertyArray (`values`), the VTempProperty buffer (`inbox`)
 /// and the active set between runs, so incremental processing can continue
 /// from a previous analysis after more batches arrive.
 ///
-/// When the store exposes more than one shard (see
-/// [`GraphStore::num_shards`]), each iteration's processing phase runs one
-/// scoped worker thread per shard: full mode streams each shard's edge
-/// interval, incremental mode routes the frontier to the shard owning each
-/// source. Workers deposit into private accumulators that are merged in
-/// shard order through the program's commutative [`GasProgram::reduce`],
-/// so the committed result is identical to the sequential engine's.
+/// Each iteration's processing phase runs one pass per store shard (see
+/// [`GraphStore::num_shards`]): full mode streams the shard's edges,
+/// incremental mode walks the part of the frontier whose sources the
+/// shard owns. Shard 0 runs on the calling thread and deposits straight
+/// into the engine's buffer; shards 1..n run on scoped worker threads into
+/// private buffers merged afterwards in shard order through the program's
+/// commutative [`GasProgram::reduce`], so the committed result does not
+/// depend on the shard count. A single-shard store spawns, routes and
+/// merges nothing.
 pub struct Engine<P: GasProgram> {
     program: P,
     policy: ModePolicy,
     /// VPropertyArray: committed per-vertex properties.
     values: Vec<P::Value>,
-    /// VTempProperty: combined incoming message per vertex, taken by apply.
-    temp: Vec<Option<P::Value>>,
-    /// Vertices holding a message this iteration (dense scan avoidance).
-    touched: Vec<VertexId>,
+    /// VTempProperty: combined incoming message per vertex with its
+    /// witness source, and the vertices holding one; taken by apply.
+    inbox: Inbox<P::Value>,
     /// Current active list and its bitset (used by FP-mode filtering).
     active: Vec<VertexId>,
     active_bits: Vec<bool>,
@@ -161,8 +252,6 @@ pub struct Engine<P: GasProgram> {
     /// committed value ([`NO_WITNESS`] = root/default). Maintained only
     /// under witness tracking; the invalidate-and-repair path reads it.
     witness: Vec<VertexId>,
-    /// Witness source of the pending message in `temp`, taken by apply.
-    witness_temp: Vec<VertexId>,
     /// Whether deposits attribute witnesses (enabled by repair users; a
     /// single predictable branch per deposit otherwise).
     track_witness: bool,
@@ -172,8 +261,11 @@ pub struct Engine<P: GasProgram> {
     /// Iteration budget per run; guards against programs that never
     /// converge (only monotone programs are guaranteed to).
     max_iterations: usize,
-    /// Per-shard scratch pool for the parallel processing phase, reused
-    /// across iterations and runs.
+    /// Shard 0's slice of the active frontier when the store has more
+    /// than one shard (with one, shard 0 walks `active` itself).
+    frontier: Vec<VertexId>,
+    /// Scratch of the workers running shards 1..n, reused across
+    /// iterations and runs.
     workers: Vec<WorkerScratch<P::Value>>,
 }
 
@@ -184,15 +276,14 @@ impl<P: GasProgram> Engine<P> {
             program,
             policy,
             values: Vec::new(),
-            temp: Vec::new(),
-            touched: Vec::new(),
+            inbox: Inbox::default(),
             active: Vec::new(),
             active_bits: Vec::new(),
             witness: Vec::new(),
-            witness_temp: Vec::new(),
             track_witness: false,
             seeded: false,
             max_iterations: usize::MAX,
+            frontier: Vec::new(),
             workers: Vec::new(),
         }
     }
@@ -232,12 +323,12 @@ impl<P: GasProgram> Engine<P> {
         if self.values.len() < n {
             let start = self.values.len() as u32;
             self.values.extend((start..n as u32).map(|v| self.program.default_value(v)));
-            self.temp.resize(n, None);
+            self.inbox.temp.resize(n, None);
             self.active_bits.resize(n, false);
         }
         if self.track_witness && self.witness.len() < self.values.len() {
             self.witness.resize(self.values.len(), NO_WITNESS);
-            self.witness_temp.resize(self.values.len(), NO_WITNESS);
+            self.inbox.witness.resize(self.values.len(), NO_WITNESS);
         }
     }
 
@@ -247,14 +338,14 @@ impl<P: GasProgram> Engine<P> {
         for (v, slot) in self.values.iter_mut().enumerate() {
             *slot = self.program.default_value(v as u32);
         }
-        self.temp.fill(None);
-        self.touched.clear();
+        self.inbox.temp.fill(None);
+        self.inbox.touched.clear();
         for &v in &self.active {
             self.active_bits[v as usize] = false;
         }
         self.active.clear();
         self.witness.fill(NO_WITNESS);
-        self.witness_temp.fill(NO_WITNESS);
+        self.inbox.witness.fill(NO_WITNESS);
         self.seeded = false;
     }
 
@@ -265,7 +356,7 @@ impl<P: GasProgram> Engine<P> {
         self.track_witness = on;
         if on && self.witness.len() < self.values.len() {
             self.witness.resize(self.values.len(), NO_WITNESS);
-            self.witness_temp.resize(self.values.len(), NO_WITNESS);
+            self.inbox.witness.resize(self.values.len(), NO_WITNESS);
         }
     }
 
@@ -306,24 +397,7 @@ impl<P: GasProgram> Engine<P> {
     /// cone from its still-valid in-boundary.
     pub fn inject_message(&mut self, src: VertexId, dst: VertexId, msg: P::Value) {
         self.ensure_capacity(dst + 1);
-        let di = dst as usize;
-        let slot = &mut self.temp[di];
-        *slot = Some(match slot.take() {
-            Some(prev) => {
-                let combined = self.program.reduce(prev, msg);
-                if self.track_witness && combined == msg && msg != prev {
-                    self.witness_temp[di] = src;
-                }
-                combined
-            }
-            None => {
-                self.touched.push(dst);
-                if self.track_witness {
-                    self.witness_temp[di] = src;
-                }
-                msg
-            }
-        });
+        self.inbox.deposit(&self.program, self.track_witness, src, dst, msg);
     }
 
     fn seed_roots(&mut self, vertex_space: u32) {
@@ -380,9 +454,8 @@ impl<P: GasProgram> Engine<P> {
         self.run_to_fixpoint(store)
     }
 
-    /// The GAS iteration loop: decide mode, processing phase (sequential
-    /// or one worker per store shard), apply phase, until no vertex is
-    /// active.
+    /// The GAS iteration loop: decide mode, processing phase (one pass per
+    /// store shard), apply phase, until no vertex is active.
     fn run_to_fixpoint<S: GraphStore + Sync>(&mut self, store: &S) -> RunReport {
         let mut report = RunReport::default();
         let run_start = Instant::now();
@@ -396,7 +469,7 @@ impl<P: GasProgram> Engine<P> {
         let num_shards = store.num_shards().max(1);
         // Injected (repair-boundary) messages may be pending with no vertex
         // active yet; the loop must run at least one apply to drain them.
-        while (!self.active.is_empty() || !self.touched.is_empty())
+        while (!self.active.is_empty() || !self.inbox.touched.is_empty())
             && report.iterations.len() < self.max_iterations
         {
             let iter_start = Instant::now();
@@ -421,11 +494,7 @@ impl<P: GasProgram> Engine<P> {
             let (edges_processed, messages, shard_times) = {
                 let _t =
                     gtinker_core::trace::span_arg(gtinker_core::SpanId::EngineProcess, span_tag);
-                if num_shards > 1 {
-                    self.process_sharded(store, mode, num_shards)
-                } else {
-                    self.process_sequential(store, mode)
-                }
+                self.process(store, mode, num_shards)
             };
             let process_time = process_start.elapsed();
 
@@ -438,12 +507,12 @@ impl<P: GasProgram> Engine<P> {
                 self.active_bits[v as usize] = false;
             }
             self.active.clear();
-            for &d in &self.touched {
-                if let Some(msg) = self.temp[d as usize].take() {
+            for &d in &self.inbox.touched {
+                if let Some(msg) = self.inbox.temp[d as usize].take() {
                     if let Some(new) = self.program.apply(self.values[d as usize], msg) {
                         self.values[d as usize] = new;
                         if self.track_witness {
-                            self.witness[d as usize] = self.witness_temp[d as usize];
+                            self.witness[d as usize] = self.inbox.witness[d as usize];
                         }
                         if !self.active_bits[d as usize] {
                             self.active_bits[d as usize] = true;
@@ -452,7 +521,7 @@ impl<P: GasProgram> Engine<P> {
                     }
                 }
             }
-            self.touched.clear();
+            self.inbox.touched.clear();
             let apply_time = apply_start.elapsed();
             drop(apply_span);
 
@@ -478,210 +547,84 @@ impl<P: GasProgram> Engine<P> {
         report
     }
 
-    /// Single-shard processing phase: the original in-place sequential
-    /// path, depositing straight into the engine's VTempProperty buffer.
-    fn process_sequential<S: GraphStore>(
-        &mut self,
-        store: &S,
-        mode: ExecMode,
-    ) -> (u64, u64, Vec<Duration>) {
-        let mut edges_processed: u64 = 0;
-        let mut messages: u64 = 0;
-        let program = &self.program;
-        let values = &self.values;
-        let temp = &mut self.temp;
-        let witness_temp = &mut self.witness_temp;
-        let track = self.track_witness;
-        let touched = &mut self.touched;
-        let active_bits = &self.active_bits;
-        let mut deposit = |src: VertexId, dst: VertexId, msg: P::Value| {
-            messages += 1;
-            let slot = &mut temp[dst as usize];
-            *slot = Some(match slot.take() {
-                Some(prev) => {
-                    let combined = program.reduce(prev, msg);
-                    if track && combined == msg && msg != prev {
-                        witness_temp[dst as usize] = src;
-                    }
-                    combined
-                }
-                None => {
-                    touched.push(dst);
-                    if track {
-                        witness_temp[dst as usize] = src;
-                    }
-                    msg
-                }
-            });
-        };
-        match mode {
-            ExecMode::Full => {
-                // Stream every edge sequentially; only edges whose
-                // source is active contribute.
-                store.stream_edges(|src, dst, w| {
-                    edges_processed += 1;
-                    if active_bits[src as usize] {
-                        if let Some(m) = program.process_edge(values[src as usize], dst, w) {
-                            deposit(src, dst, m);
-                        }
-                    }
-                });
-            }
-            ExecMode::Incremental => {
-                for &v in &self.active {
-                    let sv = values[v as usize];
-                    store.for_each_out_edge(v, |dst, w| {
-                        edges_processed += 1;
-                        if let Some(m) = program.process_edge(sv, dst, w) {
-                            deposit(v, dst, m);
-                        }
-                    });
-                }
-            }
-        }
-        (edges_processed, messages, Vec::new())
-    }
-
-    /// Sharded processing phase: one scoped worker thread per store shard.
-    ///
-    /// Full mode streams each shard's edge interval; incremental mode
-    /// walks the frontier slice routed to each shard (every source's
-    /// out-edges live in exactly one shard). Workers deposit into private
-    /// accumulators; the merge folds them into the engine's buffer in
-    /// shard order via the program's commutative, associative `reduce`, so
-    /// the committed messages — and therefore the run's results — match
-    /// the sequential path's exactly.
-    fn process_sharded<S: GraphStore + Sync>(
+    /// The processing phase: one pass per store shard (see
+    /// [`Phase::run_shard`]). Shard 0 runs here, depositing straight into
+    /// the engine's inbox after any injected messages; shards 1..n run on
+    /// scoped threads into their own inboxes, which are then folded into
+    /// the engine's in shard order. For a selective `reduce` (min, as in
+    /// BFS, SSSP and CC) depositing shard 0's messages one by one yields
+    /// the same values and witnesses as folding them in afterwards, so the
+    /// committed result does not depend on the shard count. Returns the
+    /// edges visited, the messages deposited and each shard's wall-clock.
+    fn process<S: GraphStore + Sync>(
         &mut self,
         store: &S,
         mode: ExecMode,
         num_shards: usize,
     ) -> (u64, u64, Vec<Duration>) {
-        if self.workers.len() < num_shards {
-            self.workers.resize_with(num_shards, WorkerScratch::default);
-        }
-        let space = self.temp.len();
         let track = self.track_witness;
-        for w in &mut self.workers[..num_shards] {
-            if w.temp.len() < space {
-                w.temp.resize(space, None);
+        let workers = num_shards - 1;
+        if workers > 0 {
+            if self.workers.len() < workers {
+                self.workers.resize_with(workers, WorkerScratch::default);
             }
-            if track && w.witness.len() < space {
-                w.witness.resize(space, NO_WITNESS);
-            }
-        }
-        if mode == ExecMode::Incremental {
-            for &v in &self.active {
-                let s = store.shard_of_source(v).min(num_shards - 1);
-                self.workers[s].frontier.push(v);
-            }
-        }
-        {
-            let program = &self.program;
-            let values = &self.values[..];
-            let active_bits = &self.active_bits[..];
-            let workers = &mut self.workers[..num_shards];
-            std::thread::scope(|scope| {
-                for (shard, scratch) in workers.iter_mut().enumerate() {
-                    scope.spawn(move || {
-                        let start = Instant::now();
-                        let WorkerScratch {
-                            temp,
-                            witness,
-                            touched,
-                            frontier,
-                            edges_processed,
-                            messages,
-                            elapsed,
-                        } = scratch;
-                        let mut edges: u64 = 0;
-                        let mut msgs: u64 = 0;
-                        let mut deposit = |src: VertexId, dst: VertexId, msg: P::Value| {
-                            msgs += 1;
-                            let slot = &mut temp[dst as usize];
-                            *slot = Some(match slot.take() {
-                                Some(prev) => {
-                                    let combined = program.reduce(prev, msg);
-                                    if track && combined == msg && msg != prev {
-                                        witness[dst as usize] = src;
-                                    }
-                                    combined
-                                }
-                                None => {
-                                    touched.push(dst);
-                                    if track {
-                                        witness[dst as usize] = src;
-                                    }
-                                    msg
-                                }
-                            });
-                        };
-                        match mode {
-                            ExecMode::Full => {
-                                store.stream_shard_edges(shard, |src, dst, w| {
-                                    edges += 1;
-                                    if active_bits[src as usize] {
-                                        if let Some(m) =
-                                            program.process_edge(values[src as usize], dst, w)
-                                        {
-                                            deposit(src, dst, m);
-                                        }
-                                    }
-                                });
-                            }
-                            ExecMode::Incremental => {
-                                for &v in frontier.iter() {
-                                    let sv = values[v as usize];
-                                    store.for_each_out_edge(v, |dst, w| {
-                                        edges += 1;
-                                        if let Some(m) = program.process_edge(sv, dst, w) {
-                                            deposit(v, dst, m);
-                                        }
-                                    });
-                                }
-                            }
-                        }
-                        *edges_processed = edges;
-                        *messages = msgs;
-                        *elapsed = start.elapsed();
-                    });
+            let space = self.inbox.temp.len();
+            for w in &mut self.workers[..workers] {
+                if w.inbox.temp.len() < space {
+                    w.inbox.temp.resize(space, None);
                 }
-            });
-        }
-        // Deterministic merge: fold the workers' accumulators in shard
-        // order, independent of thread scheduling.
-        let mut edges_total: u64 = 0;
-        let mut msg_total: u64 = 0;
-        let mut shard_times = Vec::with_capacity(num_shards);
-        for scratch in &mut self.workers[..num_shards] {
-            edges_total += scratch.edges_processed;
-            msg_total += scratch.messages;
-            shard_times.push(scratch.elapsed);
-            for &d in &scratch.touched {
-                if let Some(msg) = scratch.temp[d as usize].take() {
-                    let slot = &mut self.temp[d as usize];
-                    *slot = Some(match slot.take() {
-                        Some(prev) => {
-                            let combined = self.program.reduce(prev, msg);
-                            if track && combined == msg && msg != prev {
-                                self.witness_temp[d as usize] = scratch.witness[d as usize];
-                            }
-                            combined
-                        }
-                        None => {
-                            self.touched.push(d);
-                            if track {
-                                self.witness_temp[d as usize] = scratch.witness[d as usize];
-                            }
-                            msg
-                        }
-                    });
+                if track && w.inbox.witness.len() < space {
+                    w.inbox.witness.resize(space, NO_WITNESS);
                 }
             }
-            scratch.touched.clear();
-            scratch.frontier.clear();
+            if mode == ExecMode::Incremental {
+                for &v in &self.active {
+                    match store.shard_of_source(v).min(workers) {
+                        0 => self.frontier.push(v),
+                        s => self.workers[s - 1].frontier.push(v),
+                    }
+                }
+            }
         }
-        (edges_total, msg_total, shard_times)
+        let phase = Phase {
+            program: &self.program,
+            store,
+            mode,
+            values: &self.values,
+            active_bits: &self.active_bits,
+            track,
+        };
+        let frontier = if workers > 0 { &self.frontier } else { &self.active };
+        let inbox = &mut self.inbox;
+        let runs: Vec<(u64, u64, Duration)> = std::thread::scope(|scope| {
+            let phase = &phase;
+            let spawned: Vec<_> = self.workers[..workers]
+                .iter_mut()
+                .enumerate()
+                .map(|(i, w)| {
+                    scope.spawn(move || phase.run_shard(i + 1, &w.frontier, &mut w.inbox))
+                })
+                .collect();
+            let first = phase.run_shard(0, frontier, inbox);
+            let rest = spawned.into_iter().map(|h| h.join().expect("shard worker panicked"));
+            std::iter::once(first).chain(rest).collect()
+        });
+        // Deterministic merge: fold the workers' inboxes in shard order,
+        // independent of thread scheduling.
+        for w in &mut self.workers[..workers] {
+            for &d in &w.inbox.touched {
+                if let Some(msg) = w.inbox.temp[d as usize].take() {
+                    let src = if track { w.inbox.witness[d as usize] } else { NO_WITNESS };
+                    self.inbox.deposit(&self.program, track, src, d, msg);
+                }
+            }
+            w.inbox.touched.clear();
+            w.frontier.clear();
+        }
+        self.frontier.clear();
+        let edges = runs.iter().map(|r| r.0).sum();
+        let messages = runs.iter().map(|r| r.1).sum();
+        (edges, messages, runs.into_iter().map(|r| r.2).collect())
     }
 }
 

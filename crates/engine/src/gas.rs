@@ -95,8 +95,8 @@ impl ModePolicy {
 /// Programs must be `Sync` and their values `Send + Sync`: the engine
 /// shares both across the scoped worker threads of its sharded processing
 /// phase. [`reduce`](Self::reduce) must be commutative and associative —
-/// already implicit in the sequential engine (FP and IP modes deliver the
-/// same messages in different orders), and what lets the parallel merge
+/// already implicit in a single-shard run (FP and IP modes deliver the
+/// same messages in different orders), and what lets the shard-order merge
 /// combine per-shard partial reductions deterministically.
 pub trait GasProgram: Sync {
     /// Per-vertex property type (the VPropertyArray element).

@@ -38,14 +38,15 @@ pub trait GraphStore {
         found
     }
 
-    /// Number of edge shards the store exposes for parallel streaming.
+    /// Number of edge shards the store exposes for parallel analytics.
     ///
-    /// Sharded stores split their edge stream into `num_shards` pieces
-    /// whose concatenation, in shard order, is exactly the
+    /// An interval-sharded store (paper §III.D) exposes one shard per
+    /// instance; every other store is one shard (the default). The
+    /// concatenation of the shard streams, in shard order, is exactly the
     /// [`stream_edges`](Self::stream_edges) order — the property that lets
-    /// a parallel full-processing pass reproduce the sequential result.
-    /// All of one source's out-edges live in a single shard (the
-    /// single-writer interval rule of paper §III.D). Default: 1.
+    /// a sharded full-processing pass reproduce the single-shard result —
+    /// and all of one source's out-edges live in a single shard (the
+    /// single-writer interval rule).
     fn num_shards(&self) -> usize {
         1
     }
@@ -90,15 +91,6 @@ impl GraphStore for GraphTinker {
     fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
         GraphTinker::contains_edge(self, src, dst)
     }
-    fn num_shards(&self) -> usize {
-        GraphTinker::analytics_shards(self)
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        GraphTinker::shard_of_source(self, v)
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        GraphTinker::for_each_edge_shard(self, shard, f)
-    }
 }
 
 impl GraphStore for Stinger {
@@ -122,21 +114,12 @@ impl GraphStore for Stinger {
     fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
         Stinger::contains_edge(self, src, dst)
     }
-    fn num_shards(&self) -> usize {
-        Stinger::analytics_shards(self)
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        Stinger::shard_of_source(self, v)
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        Stinger::for_each_edge_shard(self, shard, f)
-    }
 }
 
 /// Every interval-sharded store (`ParallelTinker`, the snapshot a pinned
 /// `StoreView` reads, `ParallelStinger`): one shard per instance, each
 /// streaming its own edges, so sharded analytics mirror the ingestion
-/// layout.
+/// layout. These are the only stores with more than one shard.
 impl<A: ShardAccess> GraphStore for Sharded<A> {
     fn vertex_space(&self) -> u32 {
         Sharded::vertex_space(self)
@@ -240,20 +223,34 @@ mod tests {
         edges
     }
 
-    /// A compact-mode default-layout store with CAL groups of
-    /// `cal_group_size` sources (no CAL at 0) holding `edges`.
-    fn three_tier_store(cal_group_size: usize, edges: &[Edge]) -> GraphTinker {
+    /// A compact-mode default-layout store of `shards` instances with CAL
+    /// groups of `cal_group_size` sources (no CAL at 0) holding `edges`.
+    fn three_tier_store(cal_group_size: usize, shards: usize, edges: &[Edge]) -> ParallelTinker {
         let cfg = TinkerConfig {
             enable_cal: cal_group_size > 0,
             cal_group_size: cal_group_size.max(1),
             ..TinkerConfig::default().delete_mode(DeleteMode::DeleteAndCompact)
         };
-        let mut g = GraphTinker::new(cfg).unwrap();
+        let g = ParallelTinker::new(cfg, shards).unwrap();
         g.apply_batch(&EdgeBatch::inserts(edges));
-        let st = g.structure_stats();
-        let tiers = (st.tier_inline_vertices, st.tier_blocks_vertices, st.tier_hub_vertices);
+        let tiers = (0..shards).fold((0, 0, 0), |(i, b, h), s| {
+            let st = g.with_instance(s, |g| g.structure_stats());
+            (i + st.tier_inline_vertices, b + st.tier_blocks_vertices, h + st.tier_hub_vertices)
+        });
         assert_eq!(tiers, (8, 2, 1), "every tier must be populated");
         g
+    }
+
+    fn cal_invalid(g: &ParallelTinker) -> u64 {
+        (0..g.num_instances())
+            .map(|s| g.with_instance(s, |g| g.structure_stats().cal_invalid))
+            .sum()
+    }
+
+    fn rebuild_cal(g: &mut ParallelTinker) {
+        for s in 0..g.num_instances() {
+            g.with_instance_mut(s, GraphTinker::rebuild_cal);
+        }
     }
 
     fn as_triples(edges: &[Edge]) -> Vec<(VertexId, VertexId, Weight)> {
@@ -275,49 +272,37 @@ mod tests {
 
     #[test]
     fn sharded_streaming_contract_holds_for_all_stores() {
-        for shards in [1usize, 2, 3, 4, 7] {
-            let mut g = GraphTinker::with_defaults();
-            g.apply_batch(&bigger_batch());
-            g.set_analytics_shards(shards);
-            check_sharding(&g);
+        // The plain stores take the trait defaults: one shard streaming
+        // everything.
+        let mut g = GraphTinker::with_defaults();
+        g.apply_batch(&bigger_batch());
+        let mut s = Stinger::with_defaults();
+        s.apply_batch(&bigger_batch());
+        let csr = crate::CsrSnapshot::build(&g);
+        assert_eq!((g.num_shards(), s.num_shards(), csr.num_shards()), (1, 1, 1));
+        check_sharding(&g);
+        check_sharding(&s);
+        check_sharding(&csr);
 
-            let mut no_cal = GraphTinker::new(gtinker_types::TinkerConfig {
-                enable_cal: false,
-                ..Default::default()
-            })
-            .unwrap();
-            no_cal.apply_batch(&bigger_batch());
-            no_cal.set_analytics_shards(shards);
-            check_sharding(&no_cal);
+        for shards in [1usize, 2, 3, 4, 7] {
+            let pt = ParallelTinker::new(Default::default(), shards).unwrap();
+            pt.apply_batch(&bigger_batch());
+            assert_eq!(pt.num_shards(), shards);
+            check_sharding(&pt);
+            check_sharding(&pt.pin_view().unwrap());
+
+            let no_cal = TinkerConfig { enable_cal: false, ..Default::default() };
+            let pt = ParallelTinker::new(no_cal, shards).unwrap();
+            pt.apply_batch(&bigger_batch());
+            check_sharding(&pt);
 
             // Every tier populated, with and without the CAL, in CAL groups
             // of the default size and of two sources.
             let edges = three_tier_edges();
             for cal_group_size in [1024, 2, 0] {
-                let mut tiered = three_tier_store(cal_group_size, &edges);
-                tiered.set_analytics_shards(shards);
+                let tiered = three_tier_store(cal_group_size, shards, &edges);
                 check_model_sharding(&tiered, &as_triples(&edges));
             }
-
-            let mut s = Stinger::with_defaults();
-            s.apply_batch(&bigger_batch());
-            s.set_analytics_shards(shards);
-            check_sharding(&s);
-
-            let mut csr_src = GraphTinker::with_defaults();
-            csr_src.apply_batch(&bigger_batch());
-            let mut csr = crate::CsrSnapshot::build(&csr_src);
-            csr.set_analytics_shards(shards);
-            check_sharding(&csr);
-
-            let pt = ParallelTinker::new(Default::default(), shards).unwrap();
-            pt.apply_batch(&bigger_batch());
-            check_sharding(&pt);
-
-            let pv = ParallelTinker::new(Default::default(), shards).unwrap();
-            pv.apply_batch(&bigger_batch());
-            let view = pv.pin_view().unwrap();
-            check_sharding(&view);
 
             let ps = ParallelStinger::new(Default::default(), shards).unwrap();
             ps.apply_batch(&bigger_batch());
@@ -337,40 +322,34 @@ mod tests {
 
     #[test]
     fn sharding_survives_deletions_and_cal_rebuild() {
-        let mut g = GraphTinker::with_defaults();
-        g.apply_batch(&bigger_batch());
-        let mut pairs = Vec::new();
-        g.for_each_edge(|s, d, _| pairs.push((s, d)));
-        // Delete two thirds of the edges to force invalid records.
-        let dels: Vec<_> =
-            pairs.iter().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, &p)| p).collect();
-        g.apply_batch(&EdgeBatch::deletes(&dels));
-        g.set_analytics_shards(4);
-        check_sharding(&g);
-        g.rebuild_cal();
-        check_sharding(&g);
-
         // Every tier populated, a third of each source's edges deleted (no
-        // tier move), then a compact-mode CAL rebuild.
+        // tier move), then a compact-mode CAL rebuild of every instance.
         let edges = three_tier_edges();
         let (dels, kept): (Vec<_>, Vec<_>) =
             edges.iter().enumerate().partition(|(i, _)| i % 3 == 1);
         let dels: Vec<_> = dels.iter().map(|(_, e)| (e.src, e.dst)).collect();
         let kept: Vec<Edge> = kept.into_iter().map(|(_, &e)| e).collect();
-        for cal_group_size in [1024, 2, 0] {
-            let mut g = three_tier_store(cal_group_size, &edges);
-            g.apply_batch(&EdgeBatch::deletes(&dels));
-            let invalid = g.structure_stats().cal_invalid;
-            assert_eq!(invalid > 0, cal_group_size > 0, "deletes leave CAL holes");
-            for rebuilt in [false, true] {
-                if rebuilt {
-                    g.rebuild_cal();
-                    assert_eq!(g.structure_stats().cal_invalid, 0);
-                }
-                for shards in [1usize, 2, 3, 4, 7] {
-                    g.set_analytics_shards(shards);
-                    check_model_sharding(&g, &as_triples(&kept));
-                }
+        for shards in [1usize, 2, 3, 4, 7] {
+            let mut g = ParallelTinker::new(Default::default(), shards).unwrap();
+            g.apply_batch(&bigger_batch());
+            let mut pairs = Vec::new();
+            g.for_each_edge(|s, d, _| pairs.push((s, d)));
+            // Delete two thirds of the edges to force invalid records.
+            let two_thirds: Vec<_> =
+                pairs.iter().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, &p)| p).collect();
+            g.apply_batch(&EdgeBatch::deletes(&two_thirds));
+            check_sharding(&g);
+            rebuild_cal(&mut g);
+            check_sharding(&g);
+
+            for cal_group_size in [1024, 2, 0] {
+                let mut g = three_tier_store(cal_group_size, shards, &edges);
+                g.apply_batch(&EdgeBatch::deletes(&dels));
+                assert_eq!(cal_invalid(&g) > 0, cal_group_size > 0, "deletes leave CAL holes");
+                check_model_sharding(&g, &as_triples(&kept));
+                rebuild_cal(&mut g);
+                assert_eq!(cal_invalid(&g), 0);
+                check_model_sharding(&g, &as_triples(&kept));
             }
         }
     }

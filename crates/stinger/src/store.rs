@@ -82,9 +82,6 @@ pub struct Stinger {
     live_edges: u64,
     vertex_space: u32,
     stats: StingerStats,
-    /// Logical shard count for parallel analytics streaming (read path
-    /// only; the LVA index space is split into balanced intervals).
-    analytics_shards: usize,
 }
 
 impl Stinger {
@@ -100,7 +97,6 @@ impl Stinger {
             live_edges: 0,
             vertex_space: 0,
             stats: StingerStats::default(),
-            analytics_shards: 1,
         })
     }
 
@@ -329,46 +325,8 @@ impl Stinger {
     /// Visits every live edge as `(src, dst, weight)` by walking each
     /// vertex's chain — the scattered access pattern the paper contrasts
     /// with the CAL stream.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, f: F) {
-        self.for_each_edge_shard_impl(0..self.lva.len(), f);
-    }
-
-    /// Logical shard count used by the sharded analytics read path.
-    #[inline]
-    pub fn analytics_shards(&self) -> usize {
-        self.analytics_shards
-    }
-
-    /// Sets the logical shard count for parallel analytics streaming: the
-    /// LVA is split into `n` balanced, contiguous vertex intervals.
-    pub fn set_analytics_shards(&mut self, n: usize) {
-        assert!(n > 0, "shard count must be positive");
-        self.analytics_shards = n;
-    }
-
-    /// Streams the edges owned by one analytics shard. Concatenating
-    /// shards `0..analytics_shards()` in order reproduces
-    /// [`for_each_edge`](Self::for_each_edge) exactly.
-    pub fn for_each_edge_shard<F: FnMut(VertexId, VertexId, Weight)>(&self, shard: usize, f: F) {
-        let r = gtinker_types::shard_range(self.lva.len(), self.analytics_shards, shard);
-        self.for_each_edge_shard_impl(r, f);
-    }
-
-    /// The analytics shard owning the out-edges of `src` (vertices outside
-    /// the LVA map to shard 0).
-    pub fn shard_of_source(&self, src: VertexId) -> usize {
-        if self.analytics_shards == 1 || (src as usize) >= self.lva.len() {
-            return 0;
-        }
-        gtinker_types::shard_of_index(src as usize, self.lva.len(), self.analytics_shards)
-    }
-
-    fn for_each_edge_shard_impl<F: FnMut(VertexId, VertexId, Weight)>(
-        &self,
-        srcs: std::ops::Range<usize>,
-        mut f: F,
-    ) {
-        for src in srcs.start as u32..srcs.end as u32 {
+    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+        for src in 0..self.lva.len() as u32 {
             self.for_each_out_edge(src, |dst, w| f(src, dst, w));
         }
     }
@@ -376,8 +334,8 @@ impl Stinger {
     /// Widens the observed vertex id space (and the LVA) to at least
     /// `space`. Snapshot import restores the space recorded at save time:
     /// endpoints of since-deleted edges are not recoverable from the live
-    /// edge payload, yet the LVA length drives analytics array sizing and
-    /// shard intervals. Never shrinks.
+    /// edge payload, yet the LVA length drives analytics array sizing.
+    /// Never shrinks.
     pub fn expand_vertex_space(&mut self, space: u32) {
         if space > self.vertex_space {
             self.vertex_space = space;

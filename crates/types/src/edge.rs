@@ -225,25 +225,6 @@ pub fn partition_of(src: VertexId, n: usize) -> usize {
     ((h >> 32) as usize) % n
 }
 
-/// The contiguous index range shard `shard` of `num_shards` owns when
-/// `items` sequential positions are split into balanced intervals: shard
-/// `i` owns `[i*items/n, (i+1)*items/n)`. Concatenating the ranges for
-/// shards `0..num_shards` covers `0..items` exactly once, in order — the
-/// property sharded edge streaming relies on.
-#[inline]
-pub fn shard_range(items: usize, num_shards: usize, shard: usize) -> std::ops::Range<usize> {
-    assert!(num_shards > 0, "shard count must be positive");
-    assert!(shard < num_shards, "shard {shard} out of {num_shards}");
-    (shard * items / num_shards)..((shard + 1) * items / num_shards)
-}
-
-/// Inverse of [`shard_range`]: the shard whose range contains `index`.
-#[inline]
-pub fn shard_of_index(index: usize, items: usize, num_shards: usize) -> usize {
-    assert!(index < items, "index {index} out of {items}");
-    (index * num_shards + num_shards - 1) / items
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,24 +294,6 @@ mod tests {
         let parts = batch.partition(8);
         let nonempty = parts.iter().filter(|p| !p.is_empty()).count();
         assert_eq!(nonempty, 1);
-    }
-
-    #[test]
-    fn shard_ranges_concatenate_and_invert() {
-        for items in [1usize, 2, 3, 7, 10, 100] {
-            for n in [1usize, 2, 3, 4, 8] {
-                let mut covered = 0;
-                for s in 0..n {
-                    let r = shard_range(items, n, s);
-                    assert_eq!(r.start, covered, "ranges must concatenate in order");
-                    covered = r.end;
-                    for i in r {
-                        assert_eq!(shard_of_index(i, items, n), s);
-                    }
-                }
-                assert_eq!(covered, items, "ranges must cover all items");
-            }
-        }
     }
 
     #[test]

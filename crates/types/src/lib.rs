@@ -17,7 +17,7 @@ mod edge;
 mod error;
 
 pub use config::{DeleteMode, StingerConfig, TinkerConfig, INLINE_CAP_MAX};
-pub use edge::{partition_of, shard_of_index, shard_range, Edge, EdgeBatch, UpdateOp};
+pub use edge::{partition_of, Edge, EdgeBatch, UpdateOp};
 pub use error::{GraphError, Result};
 
 /// Identifier of a vertex. The paper's datasets top out at ~2 M vertices, so

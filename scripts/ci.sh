@@ -349,6 +349,11 @@ curl -fsS "http://$QADDR/query/cc" | tee "$SMOKE/q_cc.json"
 grep -q '"components":' "$SMOKE/q_cc.json"
 # Bad parameters are a 400 with a JSON error, not a hang or a 500.
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://$QADDR/query/bfs?src=oops")" = 400
+# A root beyond the vertex space reaches only itself, and the worker that
+# answered it is still serving.
+curl -fsS "http://$QADDR/query/bfs?src=4294967295" | tee "$SMOKE/q_bfs_far.json"
+grep -q '"reached":1' "$SMOKE/q_bfs_far.json"
+test "$(curl -s -o /dev/null -w '%{http_code}' "http://$QADDR/healthz")" = 200
 # Once the held ingest is done, a pin reads the last acked batch boundary,
 # and a pin with no batch since shares that snapshot instead of copying.
 for _ in $(seq 1 100); do

@@ -1,31 +1,51 @@
 //! Parallel/sequential parity: the sharded processing phase must produce
-//! exactly the results of the sequential engine — same algorithms, same
-//! stores, same policies — because the merge folds per-shard partials in
-//! shard order through the programs' commutative, associative `reduce`.
-//! PageRank (f64 sums, not associative) gets a tight tolerance instead.
+//! exactly the results of a single-shard run — same algorithms, same
+//! policies — because shards 1..n are folded in shard order through the
+//! programs' commutative, associative `reduce`. The sharded stores are the
+//! interval-partitioned ones (`ParallelTinker`, `ParallelStinger`), one
+//! shard per instance; the baseline is a plain `GraphTinker`. PageRank
+//! (f64 sums, not associative) gets a tight tolerance instead.
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_datasets::RmatConfig;
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
     dynamic::symmetrize,
-    CsrSnapshot, DynamicRunner, Engine, GraphStore, ModePolicy, RestartPolicy,
+    DynamicRunner, Engine, GraphStore, ModePolicy, RestartPolicy,
 };
-use gtinker_stinger::Stinger;
+use gtinker_stinger::ParallelStinger;
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 
-const SHARD_COUNTS: [usize; 2] = [2, 4];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
 fn rmat(scale: u32, edges: u64, seed: u64) -> Vec<Edge> {
     RmatConfig::graph500(scale, edges, seed).generate()
 }
 
-fn modes() -> [ModePolicy; 3] {
-    [ModePolicy::AlwaysFull, ModePolicy::AlwaysIncremental, ModePolicy::hybrid()]
+fn modes() -> [ModePolicy; 4] {
+    [
+        ModePolicy::AlwaysFull,
+        ModePolicy::AlwaysIncremental,
+        ModePolicy::hybrid(),
+        ModePolicy::degree_aware(),
+    ]
 }
 
-/// Runs `make_engine`'s program from roots on a 1-shard store and on each
-/// sharded clone, asserting bit-identical vertex values.
+fn parallel_tinker(batch: &EdgeBatch, shards: usize) -> ParallelTinker {
+    let pt = ParallelTinker::new(TinkerConfig::default(), shards).unwrap();
+    pt.apply_batch(batch);
+    pt
+}
+
+fn parallel_stinger(batch: &EdgeBatch, shards: usize) -> ParallelStinger {
+    let ps = ParallelStinger::new(Default::default(), shards).unwrap();
+    ps.apply_batch(batch);
+    ps
+}
+
+/// Runs `make_engine`'s program from roots on a plain `GraphTinker` and on
+/// a `ParallelTinker` and a `ParallelStinger` at each shard count,
+/// asserting bit-identical vertex values.
 fn assert_parity_tinker<P, F>(edges: &[Edge], policy: ModePolicy, make_engine: F)
 where
     P: gtinker_engine::GasProgram,
@@ -38,25 +58,13 @@ where
     base.run_from_roots(&seq);
 
     for &shards in &SHARD_COUNTS {
-        let mut g = GraphTinker::with_defaults();
-        g.apply_batch(&batch);
-        g.set_analytics_shards(shards);
         let mut e = make_engine();
-        e.run_from_roots(&g);
-        assert_eq!(e.values(), base.values(), "GraphTinker {shards} shards, {policy:?}");
+        e.run_from_roots(&parallel_tinker(&batch, shards));
+        assert_eq!(e.values(), base.values(), "ParallelTinker {shards} shards, {policy:?}");
 
-        let mut st = Stinger::with_defaults();
-        st.apply_batch(&batch);
-        st.set_analytics_shards(shards);
         let mut e = make_engine();
-        e.run_from_roots(&st);
-        assert_eq!(e.values(), base.values(), "Stinger {shards} shards, {policy:?}");
-
-        let mut csr = CsrSnapshot::build(&seq);
-        csr.set_analytics_shards(shards);
-        let mut e = make_engine();
-        e.run_from_roots(&csr);
-        assert_eq!(e.values(), base.values(), "CSR {shards} shards, {policy:?}");
+        e.run_from_roots(&parallel_stinger(&batch, shards));
+        assert_eq!(e.values(), base.values(), "ParallelStinger {shards} shards, {policy:?}");
     }
 }
 
@@ -134,8 +142,7 @@ fn incremental_updates_stay_in_parity_after_deletes() {
     for policy in modes() {
         let mut g_seq = GraphTinker::with_defaults();
         let mut seq = DynamicRunner::new(Bfs::new(root), policy, RestartPolicy::Incremental);
-        let mut g_par = GraphTinker::with_defaults();
-        g_par.set_analytics_shards(4);
+        let g_par = ParallelTinker::new(TinkerConfig::default(), 4).unwrap();
         let mut par = DynamicRunner::new(Bfs::new(root), policy, RestartPolicy::Incremental);
         // Deletions can orphan previously-reached vertices, which
         // incremental BFS cannot lower; recompute from roots after the
@@ -169,10 +176,7 @@ fn pagerank_parallel_matches_sequential_within_tolerance() {
     let baseline = pr.run(&seq);
 
     for &shards in &SHARD_COUNTS {
-        let mut g = GraphTinker::with_defaults();
-        g.apply_batch(&batch);
-        g.set_analytics_shards(shards);
-        let ranks = pr.run(&g);
+        let ranks = pr.run(&parallel_tinker(&batch, shards));
         assert_eq!(ranks.len(), baseline.len());
         for (v, (a, b)) in baseline.iter().zip(&ranks).enumerate() {
             assert!(
@@ -181,12 +185,9 @@ fn pagerank_parallel_matches_sequential_within_tolerance() {
             );
         }
 
-        let mut st = Stinger::with_defaults();
-        st.apply_batch(&batch);
-        st.set_analytics_shards(shards);
-        let ranks = pr.run(&st);
+        let ranks = pr.run(&parallel_stinger(&batch, shards));
         for (a, b) in baseline.iter().zip(&ranks) {
-            assert!((a - b).abs() < 1e-12, "Stinger PageRank diverged: {a} vs {b}");
+            assert!((a - b).abs() < 1e-12, "ParallelStinger PageRank diverged: {a} vs {b}");
         }
     }
 }
@@ -269,7 +270,7 @@ fn dropping_pool_mid_stream_shuts_down_cleanly() {
     }
     drop(pt); // queued work still in flight
 
-    let ps = gtinker_stinger::ParallelStinger::new(Default::default(), 4).unwrap();
+    let ps = ParallelStinger::new(Default::default(), 4).unwrap();
     for b in &chunks {
         ps.submit(b.clone());
     }
@@ -279,14 +280,25 @@ fn dropping_pool_mid_stream_shuts_down_cleanly() {
 #[test]
 fn shard_reports_record_per_shard_times() {
     let edges = rmat(9, 4_000, 77);
-    let mut g = GraphTinker::with_defaults();
-    g.apply_batch(&EdgeBatch::inserts(&edges));
-    g.set_analytics_shards(3);
+    let batch = EdgeBatch::inserts(&edges);
     let mut e = Engine::new(Bfs::new(edges[0].src), ModePolicy::AlwaysFull);
-    let report = e.run_from_roots(&g);
+    let report = e.run_from_roots(&parallel_tinker(&batch, 3));
     assert!(!report.iterations.is_empty());
     for it in &report.iterations {
         assert_eq!(it.shard_times.len(), 3, "full iterations run all shards");
     }
     assert_eq!(report.shard_time_totals().len(), 3);
+
+    let mut e = Engine::new(Bfs::new(edges[0].src), ModePolicy::AlwaysFull);
+    let report = e.run_from_roots(&parallel_stinger(&batch, 3));
+    assert!(report.iterations.iter().all(|it| it.shard_times.len() == 3));
+
+    // A plain store is one shard: one entry per iteration.
+    let mut g = GraphTinker::with_defaults();
+    g.apply_batch(&batch);
+    let mut e = Engine::new(Bfs::new(edges[0].src), ModePolicy::hybrid());
+    let report = e.run_from_roots(&g);
+    assert!(!report.iterations.is_empty());
+    assert!(report.iterations.iter().all(|it| it.shard_times.len() == 1));
+    assert_eq!(report.shard_time_totals().len(), 1);
 }
