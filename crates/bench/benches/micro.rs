@@ -2,12 +2,12 @@
 //! and the engine: per-operation costs underlying every figure.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gtinker_core::{sgh::SghUnit, GraphTinker, ParallelTinker};
+use gtinker_core::{sgh::SghUnit, GraphStore, GraphTinker, ParallelTinker};
 use gtinker_datasets::RmatConfig;
 use gtinker_engine::{
     algorithms::{Bfs, PageRank, TriangleCount},
     dynamic::symmetrize,
-    CsrSnapshot, Engine, ModePolicy, VertexCentricEngine,
+    CsrSnapshot, Engine, ModePolicy,
 };
 use gtinker_stinger::Stinger;
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
@@ -76,7 +76,7 @@ fn bench_lookup(c: &mut Criterion) {
         b.iter(|| {
             let mut found = 0u32;
             for &(s, d) in &probes {
-                found += st.contains_edge(s, d) as u32;
+                found += st.has_edge(s, d) as u32;
             }
             black_box(found)
         })
@@ -147,7 +147,7 @@ fn bench_stream(c: &mut Criterion) {
     group.bench_function("stinger_chains", |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            st.for_each_edge(|_, _, w| acc += w as u64);
+            st.stream_edges(|_, _, w| acc += w as u64);
             black_box(acc)
         })
     });
@@ -203,31 +203,6 @@ fn bench_bfs_modes(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn bench_vc_vs_ec(c: &mut Criterion) {
-    let edges = workload(80_000, 6);
-    let root = edges[0].src;
-    let mut gt = GraphTinker::new(TinkerConfig::paper()).unwrap();
-    gt.apply_batch(&EdgeBatch::inserts(&edges));
-
-    let mut group = c.benchmark_group("vc_vs_ec_bfs");
-    group.sample_size(20);
-    group.bench_function("edge_centric_hybrid", |b| {
-        b.iter(|| {
-            let mut e = Engine::new(Bfs::new(root), ModePolicy::hybrid());
-            e.run_from_roots(&gt);
-            black_box(e.values()[0])
-        })
-    });
-    group.bench_function("vertex_centric_async", |b| {
-        b.iter(|| {
-            let mut e = VertexCentricEngine::new(Bfs::new(root));
-            e.run_from_roots(&gt);
-            black_box(e.values()[0])
-        })
-    });
     group.finish();
 }
 
@@ -295,7 +270,6 @@ criterion_group!(
     bench_stream,
     bench_sgh,
     bench_bfs_modes,
-    bench_vc_vs_ec,
     bench_csr_rebuild,
     bench_triangles,
     bench_parallel_gas

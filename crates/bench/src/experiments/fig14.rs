@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use gtinker_core::ApplyBatch;
+use gtinker_core::{ApplyBatch, GraphStore};
 use gtinker_types::{DeleteMode, TinkerConfig};
 
 use crate::cli::Args;

@@ -11,11 +11,11 @@ use gtinker_engine::{
     Engine, GasProgram, GraphStore, IncrementalState, ModePolicy,
 };
 use gtinker_persist::{
-    recover_sharded, recover_stinger, recover_tinker, replay, write_stinger_snapshot,
-    write_tinker_snapshot, DurableTinker, SyncPolicy, WalOptions,
+    recover_sharded, recover_tinker, replay, write_tinker_snapshot, DurableTinker, SyncPolicy,
+    WalOptions,
 };
 use gtinker_stinger::Stinger;
-use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, UpdateOp};
+use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
 
 use crate::args::Parsed;
 
@@ -46,8 +46,8 @@ USAGE:
                 [--batch N] [--pool N] [--sync never|always|N]
   gtinker serve [FILE|WALDIR] [--addr HOST:PORT] [--shards N] [--workers N]
                 [--slow-query-ms N]
-  gtinker snapshot FILE --dir DIR [--baseline]
-  gtinker recover DIR [--baseline] [--root R] [--validate]
+  gtinker snapshot FILE --dir DIR
+  gtinker recover DIR [--root R] [--validate]
   gtinker help
 
 Datasets for --dataset: RMAT_1M_10M, RMAT_500K_8M, RMAT_1M_16M,
@@ -1003,16 +1003,8 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
     let dir = parsed.get("dir").ok_or("snapshot requires --dir DIR")?;
     let dir = Path::new(dir);
     let t0 = Instant::now();
-    let out = if parsed.flag("baseline") {
-        let path = parsed.input()?;
-        let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-        let mut s = Stinger::with_defaults();
-        s.apply_batch(&EdgeBatch::inserts(&edges));
-        write_stinger_snapshot(dir, &s, 0).map_err(|e| e.to_string())?
-    } else {
-        let (g, _) = load_graph(parsed, false)?;
-        write_tinker_snapshot(dir, &g, 0).map_err(|e| e.to_string())?
-    };
+    let (g, _) = load_graph(parsed, false)?;
+    let out = write_tinker_snapshot(dir, &g, 0).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     let dur = t0.elapsed();
     println!(
@@ -1026,19 +1018,6 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
 fn recover(parsed: &Parsed) -> Result<(), String> {
     let dir = Path::new(parsed.input()?);
     let t0 = Instant::now();
-    if parsed.flag("baseline") {
-        let (s, report) =
-            recover_stinger(dir, StingerConfig::default()).map_err(|e| e.to_string())?;
-        println!(
-            "recovered STINGER: {} edges, snapshot lsn {}, {} records replayed{} in {:.2?}",
-            s.num_edges(),
-            report.snapshot_lsn,
-            report.replayed_records,
-            if report.wal_truncated { " (torn tail truncated)" } else { "" },
-            t0.elapsed()
-        );
-        return Ok(());
-    }
     let (g, report) = recover_tinker(dir, config(parsed)?).map_err(|e| e.to_string())?;
     println!(
         "recovered GraphTinker: {} edges, {} sources, snapshot lsn {}{}, \
@@ -1413,16 +1392,11 @@ mod tests {
         ]))
         .unwrap();
         run(&parsed(&["recover", db_s, "--root", "0", "--validate"])).unwrap();
-        // A direct snapshot of the same input, both store kinds (separate
-        // dirs: both would publish under the same lsn-0 name).
+        // A direct snapshot of the same input.
         let sd = dir.join("snaps");
         let sd_s = sd.to_str().unwrap();
         run(&parsed(&["snapshot", file_s, "--dir", sd_s])).unwrap();
         run(&parsed(&["recover", sd_s])).unwrap();
-        let bd = dir.join("snaps_baseline");
-        let bd_s = bd.to_str().unwrap();
-        run(&parsed(&["snapshot", file_s, "--dir", bd_s, "--baseline"])).unwrap();
-        run(&parsed(&["recover", bd_s, "--baseline"])).unwrap();
         assert!(run(&parsed(&["ingest", file_s])).unwrap_err().contains("--wal"));
         assert!(run(&parsed(&["snapshot", file_s])).unwrap_err().contains("--dir"));
         std::fs::remove_dir_all(&dir).ok();

@@ -44,7 +44,9 @@
 //! # HTTP support
 //!
 //! Deliberately minimal: `GET`/`HEAD` only (anything else draws `405`
-//! with an `Allow` header and closes), request bodies ignored. A client
+//! with an `Allow` header and closes), request bodies ignored, and a
+//! request head bounded by [`MAX_HEAD_LINE_BYTES`] per line and
+//! [`MAX_HEADER_LINES`] headers (`414` / `431`, then close). A client
 //! that sends `Connection: keep-alive` may reuse the connection for up to
 //! [`MAX_KEEPALIVE_REQUESTS`] requests with a [`KEEPALIVE_IDLE`] idle
 //! timeout between them; everyone else gets the classic
@@ -53,7 +55,7 @@
 //! keeps the whole server dependency-free and small enough to audit.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -64,7 +66,7 @@ use std::time::{Duration, Instant};
 use gtinker_core::log;
 use gtinker_core::metrics::{Counter, WindowedHistogram};
 use gtinker_core::trace::{self, json_escape, SpanId};
-use gtinker_core::{ParallelTinker, StoreView};
+use gtinker_core::{GraphStore, ParallelTinker, StoreView};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
     Engine, GasProgram, ModePolicy,
@@ -104,6 +106,19 @@ const KEEPALIVE_IDLE: Duration = Duration::from_secs(5);
 /// Requests served on one connection before the server forces a close (a
 /// fairness valve: one chatty client cannot monopolise a worker forever).
 pub const MAX_KEEPALIVE_REQUESTS: u64 = 100;
+
+/// Longest request or header line read, terminator included: a longer
+/// request line draws `414`, a longer header line `431`.
+const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines read per request; one more draws `431`. With
+/// [`MAX_HEAD_LINE_BYTES`] this bounds what a worker buffers for a head.
+const MAX_HEADER_LINES: usize = 64;
+
+/// How long the unread rest of a refused request head is discarded before
+/// the close, so the close does not reset the connection before the
+/// client has read the refusal.
+const REFUSED_LINGER: Duration = Duration::from_secs(1);
 
 /// How many completed request summaries `/debug/requests` retains.
 const REQUEST_RING: usize = 64;
@@ -378,9 +393,10 @@ fn handle_connection(conn: Conn, ctx: &ServeCtx, addr: SocketAddr) -> std::io::R
     let mut queue_wait = accepted.elapsed();
     let result = loop {
         let mut request_line = String::new();
-        match reader.read_line(&mut request_line) {
-            Ok(0) => break Ok(()), // client closed between requests
-            Ok(_) => {}
+        match read_head_line(&mut reader, &mut request_line) {
+            Ok(Some(0)) => break Ok(()), // client closed between requests
+            Ok(Some(_)) => {}
+            Ok(None) => break refuse_head(&mut reader, 414),
             // An expired keep-alive idle timeout is a normal close.
             Err(e)
                 if served > 0
@@ -399,16 +415,22 @@ fn handle_connection(conn: Conn, ctx: &ServeCtx, addr: SocketAddr) -> std::io::R
         // Drain the remaining headers, noting the Connection request.
         let mut wants_keep_alive = false;
         let mut line = String::new();
-        loop {
+        let mut headers = 0;
+        let too_large = loop {
             line.clear();
-            if reader.read_line(&mut line)? <= 2 {
-                break;
+            match read_head_line(&mut reader, &mut line)? {
+                Some(n) if n <= 2 => break false,
+                Some(_) if headers < MAX_HEADER_LINES => headers += 1,
+                _ => break true,
             }
             if let Some((k, v)) = line.split_once(':') {
                 if k.eq_ignore_ascii_case("connection") {
                     wants_keep_alive = v.trim().eq_ignore_ascii_case("keep-alive");
                 }
             }
+        };
+        if too_large {
+            break refuse_head(&mut reader, 431);
         }
         served += 1;
         match handle_request(
@@ -436,6 +458,39 @@ fn handle_connection(conn: Conn, ctx: &ServeCtx, addr: SocketAddr) -> std::io::R
         .field_str("peer", &peer.map(|p| p.to_string()).unwrap_or_default())
         .emit();
     result
+}
+
+/// Reads one head line of at most [`MAX_HEAD_LINE_BYTES`] into `line`,
+/// returning its length, or `None` if the line is longer (the rest of it
+/// stays unread).
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> std::io::Result<Option<usize>> {
+    let n = reader.by_ref().take(MAX_HEAD_LINE_BYTES as u64).read_line(line)?;
+    Ok((n < MAX_HEAD_LINE_BYTES || line.ends_with('\n')).then_some(n))
+}
+
+/// Answers a request whose head broke a size limit with `status`, counts
+/// it as an error of the `other` endpoint, and ends the connection: the
+/// reply is followed by a FIN, and for up to [`REFUSED_LINGER`] what the
+/// client still sends is discarded so the close does not reset the reply
+/// away.
+fn refuse_head(reader: &mut BufReader<TcpStream>, status: u16) -> std::io::Result<()> {
+    let stats = &ENDPOINT_STATS[OTHER_ENDPOINT];
+    stats.requests.inc();
+    stats.errors.inc();
+    let id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
+    log::warn("serve").msg("request head refused").field("id", id).field("status", status).emit();
+    let body = if status == 414 { "request line too long\n" } else { "request head too large\n" };
+    let stream = reader.get_mut();
+    respond(stream, status, "text/plain; charset=utf-8", body, false, id, false)?;
+    stream.shutdown(std::net::Shutdown::Write)?;
+    stream.set_read_timeout(Some(REFUSED_LINGER))?;
+    let deadline = Instant::now() + REFUSED_LINGER;
+    let mut discard = [0u8; 4096];
+    while Instant::now() < deadline && matches!(reader.read(&mut discard), Ok(n) if n > 0) {}
+    Ok(())
 }
 
 /// Handles one already-parsed-headers request on `stream`. Returns
@@ -830,6 +885,8 @@ fn respond(
         403 => "Forbidden",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -1059,6 +1116,24 @@ mod tests {
                 "HEAD must omit the body: {out}"
             );
         });
+    }
+
+    #[test]
+    fn oversized_request_heads_are_refused_and_closed() {
+        let errors = || ENDPOINT_STATS[OTHER_ENDPOINT].errors.get();
+        let before = errors();
+        with_server(ServeCtx::telemetry(Instant::now()), |addr| {
+            let long_line = format!("GET /{} HTTP/1.1\r\nHost: x\r\n\r\n", "a".repeat(64 << 10));
+            let out = request(addr, &long_line);
+            assert!(out.starts_with("HTTP/1.1 414 URI Too Long"), "got: {out}");
+            assert!(out.contains("Connection: close"), "got: {out}");
+            let headers: String = (0..100).map(|i| format!("X-H{i}: v\r\n")).collect();
+            let out = request(addr, &format!("GET /healthz HTTP/1.1\r\n{headers}\r\n"));
+            assert!(out.starts_with("HTTP/1.1 431 Request Header Fields Too Large"), "got: {out}");
+            assert!(out.contains("Connection: close"), "got: {out}");
+            assert!(get_at(addr, "/healthz").starts_with("HTTP/1.1 200"));
+        });
+        assert!(errors() >= before + 2, "both refusals count as `other` errors");
     }
 
     #[test]

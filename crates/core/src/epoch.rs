@@ -28,6 +28,7 @@
 
 use std::sync::Arc;
 
+use crate::parallel::ShardAccess;
 use crate::pool::{ShardPool, ShardStore};
 use crate::trace::{self, SpanId};
 
@@ -89,17 +90,18 @@ impl<S> ReadGuard<S> {
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch
     }
+}
 
-    /// Number of shards (same partitioning as the live pool).
-    #[inline]
-    pub fn num_shards(&self) -> usize {
+/// The snapshot taken at the pinned epoch, with the live pool's
+/// partitioning; no barrier.
+impl<S: ShardStore> ShardAccess for ReadGuard<S> {
+    type Shard = S;
+
+    fn num_shards(&self) -> usize {
         self.snapshot.shards.len()
     }
-
-    /// Shard `i` as of the pinned epoch.
-    #[inline]
-    pub fn shard(&self, i: usize) -> &S {
-        &self.snapshot.shards[i]
+    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
+        f(&self.snapshot.shards[i])
     }
 }
 

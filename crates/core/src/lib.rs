@@ -77,6 +77,7 @@ pub mod rhh;
 pub mod segvec;
 pub mod sgh;
 pub mod stats;
+pub mod store;
 pub mod swar;
 pub mod tier;
 pub mod tinker;
@@ -92,6 +93,7 @@ pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};
 pub use pool::{ShardPool, ShardStore};
 pub use sgh::SghUnit;
 pub use stats::{ClassBlocks, ProbeStats, StructureStats};
+pub use store::GraphStore;
 pub use tier::{BlockTier, HubTier, InlineTier, TierEdge, TierOps, Upsert};
 pub use tinker::{ApplyBatch, BatchResult, GraphTinker};
 pub use trace::{SpanId, TraceDump, TraceEvent};

@@ -15,10 +15,11 @@
 //! [`flush`](Sharded::flush) pair double-buffers so batch *k+1*
 //! partitions while batch *k* applies.
 //!
-//! Reads go through one facade, [`Sharded`], generic over how shard `i` is
-//! borrowed ([`ShardAccess`]): the live pool after a pipeline barrier
-//! ([`ParallelTinker`], and `ParallelStinger` in `gtinker-stinger`), or an
-//! epoch pin's snapshot with no barrier ([`StoreView`]).
+//! Reads go through one facade, [`Sharded`]'s [`GraphStore`] impl, generic
+//! over how shard `i` is borrowed ([`ShardAccess`]): the live pool after a
+//! pipeline barrier ([`ParallelTinker`], and `ParallelStinger` in
+//! `gtinker-stinger`), or an epoch pin's snapshot with no barrier
+//! ([`StoreView`]).
 
 use std::sync::Arc;
 
@@ -27,6 +28,7 @@ use gtinker_types::{partition_of, EdgeBatch, Result, VertexId, Weight};
 use crate::epoch::ReadGuard;
 use crate::pool::{ShardPool, ShardStore};
 use crate::stats::ProbeStats;
+use crate::store::GraphStore;
 use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 
 /// How a sharded store lends out shard `i` for reading.
@@ -51,18 +53,6 @@ impl<S: ShardStore> ShardAccess for ShardPool<S> {
     }
     fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
         ShardPool::with_shard(self, i, f)
-    }
-}
-
-/// The snapshot taken at the pinned epoch; no barrier.
-impl<S: ShardStore> ShardAccess for ReadGuard<S> {
-    type Shard = S;
-
-    fn num_shards(&self) -> usize {
-        ReadGuard::num_shards(self)
-    }
-    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
-        f(self.shard(i))
     }
 }
 
@@ -99,45 +89,48 @@ impl<A: ShardAccess> Sharded<A> {
         self.0.with_shard(i, f)
     }
 
-    /// Total live edges across instances.
+    /// Total live edges across instances (the [`GraphStore`] read, callable
+    /// without the trait in scope).
     pub fn num_edges(&self) -> u64 {
-        (0..self.num_instances()).map(|i| self.with_instance(i, |g| g.num_edges())).sum()
+        GraphStore::num_edges(self)
     }
+}
 
-    /// One past the largest vertex id seen by any instance.
-    pub fn vertex_space(&self) -> u32 {
+/// The only stores with more than one shard: one per instance, each
+/// streaming its own edges, so sharded analytics mirror the ingestion
+/// layout.
+impl<A: ShardAccess> GraphStore for Sharded<A> {
+    fn vertex_space(&self) -> u32 {
         (0..self.num_instances())
             .map(|i| self.with_instance(i, |g| g.vertex_space()))
             .max()
             .unwrap_or(0)
     }
-
-    /// Weight of `(src, dst)`, routed to the owning instance.
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        self.with_instance(self.shard(src), |g| g.edge_weight(src, dst))
+    fn num_edges(&self) -> u64 {
+        (0..self.num_instances()).map(|i| self.with_instance(i, |g| g.num_edges())).sum()
     }
-
-    /// Whether `(src, dst)` is present.
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.edge_weight(src, dst).is_some()
-    }
-
-    /// Out-degree of `src`.
-    pub fn out_degree(&self, src: VertexId) -> u32 {
+    fn out_degree(&self, src: VertexId) -> u32 {
         self.with_instance(self.shard(src), |g| g.out_degree(src))
     }
-
-    /// Visits the out-edges of `src`.
-    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, f: F) {
+    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight)) {
         self.with_instance(self.shard(src), |g| g.for_each_out_edge(src, f));
     }
-
-    /// Visits every live edge, instance by instance (each instance in its
-    /// own streaming order — the CAL for GraphTinker).
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
+    fn stream_edges(&self, mut f: impl FnMut(VertexId, VertexId, Weight)) {
         for i in 0..self.num_instances() {
-            self.with_instance(i, |g| g.for_each_edge(&mut f));
+            self.with_instance(i, |g| g.stream_edges(&mut f));
         }
+    }
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        self.with_instance(self.shard(src), |g| g.edge_weight(src, dst))
+    }
+    fn num_shards(&self) -> usize {
+        self.num_instances()
+    }
+    fn shard_of_source(&self, v: VertexId) -> usize {
+        self.shard(v)
+    }
+    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
+        self.with_instance(shard, |g| g.stream_edges(f))
     }
 }
 
@@ -302,7 +295,7 @@ mod tests {
         let mut seq_edges: Vec<(u32, u32, u32)> = Vec::new();
         seq.for_each_edge(|s, d, w| seq_edges.push((s, d, w)));
         let mut par_edges: Vec<(u32, u32, u32)> = Vec::new();
-        par.for_each_edge(|s, d, w| par_edges.push((s, d, w)));
+        par.stream_edges(|s, d, w| par_edges.push((s, d, w)));
         seq_edges.sort_unstable();
         par_edges.sort_unstable();
         assert_eq!(seq_edges, par_edges);
@@ -382,7 +375,7 @@ mod tests {
         let mut a: Vec<(u32, u32, u32)> = Vec::new();
         seq.for_each_edge(|s, d, w| a.push((s, d, w)));
         let mut b: Vec<(u32, u32, u32)> = Vec::new();
-        par.for_each_edge(|s, d, w| b.push((s, d, w)));
+        par.stream_edges(|s, d, w| b.push((s, d, w)));
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -409,9 +402,9 @@ mod tests {
         assert_eq!(view.num_edges(), par.num_edges());
         assert_eq!(view.vertex_space(), par.vertex_space());
         let mut live: Vec<(u32, u32, u32)> = Vec::new();
-        par.for_each_edge(|s, d, w| live.push((s, d, w)));
+        par.stream_edges(|s, d, w| live.push((s, d, w)));
         let mut pinned: Vec<(u32, u32, u32)> = Vec::new();
-        view.for_each_edge(|s, d, w| pinned.push((s, d, w)));
+        view.stream_edges(|s, d, w| pinned.push((s, d, w)));
         live.sort_unstable();
         pinned.sort_unstable();
         assert_eq!(live, pinned);
@@ -424,7 +417,7 @@ mod tests {
         let view = par.pin_view().expect("views enabled");
         assert_eq!(view.edge_weight(1, 2), Some(3));
         assert_eq!(view.out_degree(1), 1);
-        assert!(view.contains_edge(1, 2));
+        assert!(view.has_edge(1, 2));
         // Writer applies more while the view is held; the view is frozen.
         par.submit(EdgeBatch::inserts(&[Edge::new(1, 9, 9)]));
         assert_eq!(view.out_degree(1), 1);

@@ -31,9 +31,10 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig, VertexId, Weight};
+use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig};
 
 use crate::epoch::Snapshot;
+use crate::store::GraphStore;
 use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 use crate::trace::{self, SpanId};
 
@@ -42,34 +43,16 @@ use crate::trace::{self, SpanId};
 pub const PIPELINE_DEPTH: usize = 2;
 
 /// A store that can own one interval shard of a [`ShardPool`]: it applies
-/// its claimed sub-batches ([`ApplyBatch`]) and answers the per-shard reads
-/// the [`Sharded`](crate::Sharded) facade routes to it. `Clone` copies a
-/// shard into an epoch snapshot; its `clone_from` should reuse the
-/// target's buffers, because a snapshot is refreshed in place.
-pub trait ShardStore: ApplyBatch + Clone + Send + Sync + 'static {
+/// its claimed sub-batches ([`ApplyBatch`]) and answers the [`GraphStore`]
+/// reads the [`Sharded`](crate::Sharded) facade routes to it. `Clone`
+/// copies a shard into an epoch snapshot; its `clone_from` should reuse
+/// the target's buffers, because a snapshot is refreshed in place.
+pub trait ShardStore: GraphStore + ApplyBatch + Clone + Send + Sync + 'static {
     /// Construction parameters shared by every shard of one store.
     type Config: Copy;
 
     /// An empty store.
     fn with_config(config: Self::Config) -> Result<Self>;
-
-    /// Live edges in this shard.
-    fn num_edges(&self) -> u64;
-
-    /// One past the largest vertex id this shard has seen.
-    fn vertex_space(&self) -> u32;
-
-    /// Weight of `(src, dst)`, if present.
-    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight>;
-
-    /// Live out-degree of `src`.
-    fn out_degree(&self, src: VertexId) -> u32;
-
-    /// Visits the out-edges of `src`.
-    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight));
-
-    /// Visits every live edge of this shard in its streaming order.
-    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight));
 }
 
 impl ShardStore for GraphTinker {
@@ -77,24 +60,6 @@ impl ShardStore for GraphTinker {
 
     fn with_config(config: TinkerConfig) -> Result<Self> {
         GraphTinker::new(config)
-    }
-    fn num_edges(&self) -> u64 {
-        GraphTinker::num_edges(self)
-    }
-    fn vertex_space(&self) -> u32 {
-        GraphTinker::vertex_space(self)
-    }
-    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        GraphTinker::edge_weight(self, src, dst)
-    }
-    fn out_degree(&self, src: VertexId) -> u32 {
-        GraphTinker::out_degree(self, src)
-    }
-    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight)) {
-        GraphTinker::for_each_out_edge(self, src, f)
-    }
-    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        GraphTinker::for_each_edge(self, f)
     }
 }
 
@@ -367,17 +332,21 @@ impl<S: ShardStore> ShardPool<S> {
             }
             let next = self.inflight.lock().expect("inflight poisoned").queue.pop_front();
             match next {
-                Some(ticket) => {
-                    let r = ticket.wait();
-                    self.inflight.lock().expect("inflight poisoned").reaped.merge(&r);
-                    self.pending.fetch_sub(1, Ordering::Release);
-                    crate::metrics::global().pool_queue_depth.dec();
-                }
+                Some(ticket) => self.reap(&ticket),
                 None => std::thread::yield_now(),
             }
         }
         // Close the barrier span (if one was opened) before readers go on.
         drop(barrier);
+    }
+
+    /// Waits for a batch popped off the in-flight queue and merges its
+    /// outcome into the reaped accumulator.
+    fn reap(&self, ticket: &Ticket) {
+        let r = ticket.wait();
+        self.inflight.lock().expect("inflight poisoned").reaped.merge(&r);
+        self.pending.fetch_sub(1, Ordering::Release);
+        crate::metrics::global().pool_queue_depth.dec();
     }
 
     /// Applies one batch synchronously: the batch is claimed, partitioned
@@ -403,10 +372,7 @@ impl<S: ShardStore> ShardPool<S> {
                 inflight.queue.pop_front()
             };
             if let Some(ticket) = front {
-                let r = ticket.wait();
-                self.inflight.lock().expect("inflight poisoned").reaped.merge(&r);
-                self.pending.fetch_sub(1, Ordering::Release);
-                crate::metrics::global().pool_queue_depth.dec();
+                self.reap(&ticket);
             }
         }
         let ticket = self.dispatch(batch);

@@ -14,8 +14,6 @@
 //! * [`catalog`] — Table 1's dataset list with paper-reported sizes and a
 //!   `scale_factor` knob that shrinks every dataset proportionally so the
 //!   full evaluation fits on a laptop;
-//! * [`grid`] — bounded-degree, high-diameter meshes (the opposite workload
-//!   corner, used by examples and engine tests);
 //! * [`stream`] — batching utilities (1 M-edge update batches, deletion
 //!   streams, high-degree root pre-collection for Fig. 19);
 //! * [`io`] — plain edge-list file I/O.
@@ -24,14 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod grid;
 pub mod io;
 pub mod powerlaw;
 pub mod rmat;
 pub mod stream;
 
 pub use catalog::{dataset_by_name, scaled_datasets, DatasetKind, DatasetSpec};
-pub use grid::GridConfig;
 pub use powerlaw::{PowerLawConfig, SourceSkewConfig};
 pub use rmat::RmatConfig;
 pub use stream::{churn_batches, deletion_batches, insertion_batches, top_degree_vertices};

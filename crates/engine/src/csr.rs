@@ -114,6 +114,9 @@ impl GraphStore for CsrSnapshot {
             }
         }
     }
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        self.out_edges(src).find(|&(d, _)| d == dst).map(|(_, w)| w)
+    }
 }
 
 #[cfg(test)]

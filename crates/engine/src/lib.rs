@@ -14,8 +14,9 @@
 //!
 //! Graph algorithms are expressed as [`GasProgram`]s (processEdge / reduce /
 //! apply); BFS, SSSP and weakly-connected components ship in
-//! [`algorithms`]. The engine is generic over [`GraphStore`], implemented
-//! for both [`gtinker_core::GraphTinker`] and the
+//! [`algorithms`]. The engine is generic over [`GraphStore`] — the one
+//! store contract, declared in `gtinker-core` and re-exported here —
+//! implemented by [`gtinker_core::GraphTinker`], its sharded forms and the
 //! [`gtinker_stinger::Stinger`] baseline, so every comparison in the
 //! paper's Figs. 11-16 runs through identical engine code.
 //!
@@ -48,11 +49,9 @@ pub mod dynamic;
 pub mod engine;
 pub mod gas;
 pub mod store;
-pub mod vc;
 
 pub use csr::CsrSnapshot;
 pub use dynamic::{DynamicRunner, RestartPolicy};
 pub use engine::{Engine, IterationStats, RunReport, NO_WITNESS};
 pub use gas::{ExecMode, GasProgram, IncrementalState, ModePolicy};
 pub use store::GraphStore;
-pub use vc::VertexCentricEngine;

@@ -1,161 +1,17 @@
-//! The [`GraphStore`] abstraction: the two edge-retrieval paths the hybrid
-//! engine multiplexes between.
+//! The [`GraphStore`] contract the engine runs over. It is declared once, in
+//! `gtinker-core`, and implemented by every store where the store lives
+//! (GraphTinker and the interval-sharded `Sharded` facade in core, STINGER
+//! in `gtinker-stinger`, [`CsrSnapshot`](crate::CsrSnapshot) here); this
+//! module re-exports it and holds the contract tests over all of them.
 
-use gtinker_core::{GraphTinker, ShardAccess, ShardStore, Sharded};
-use gtinker_stinger::Stinger;
-use gtinker_types::{VertexId, Weight};
-
-/// A dynamic graph store the engine can run analytics over.
-///
-/// The two retrieval methods correspond to the paper's LoadEdges unit
-/// (§IV.C): `stream_edges` is the full-processing path (sequential,
-/// compacted — the CAL for GraphTinker), `for_each_out_edge` the
-/// incremental path (random, per-vertex — the EdgeblockArray).
-pub trait GraphStore {
-    /// One past the largest vertex id in the store (sizes engine arrays).
-    fn vertex_space(&self) -> u32;
-
-    /// Live edge count (the `E` of the inference formula).
-    fn num_edges(&self) -> u64;
-
-    /// Live out-degree of a vertex.
-    fn out_degree(&self, v: VertexId) -> u32;
-
-    /// Visits the out-edges of one vertex (incremental / random path).
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight));
-
-    /// Streams every edge (full-processing / sequential path).
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight));
-
-    /// Point query: is `(src, dst)` a live edge? The default scans the
-    /// source's out-edges; stores with a FIND path (GraphTinker's hashed
-    /// subblock walk, STINGER's chain scan) override with their native
-    /// lookup. Triangle counting and other intersection workloads lean on
-    /// this heavily.
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        let mut found = false;
-        self.for_each_out_edge(src, |d, _| found |= d == dst);
-        found
-    }
-
-    /// Number of edge shards the store exposes for parallel analytics.
-    ///
-    /// An interval-sharded store (paper §III.D) exposes one shard per
-    /// instance; every other store is one shard (the default). The
-    /// concatenation of the shard streams, in shard order, is exactly the
-    /// [`stream_edges`](Self::stream_edges) order — the property that lets
-    /// a sharded full-processing pass reproduce the single-shard result —
-    /// and all of one source's out-edges live in a single shard (the
-    /// single-writer interval rule).
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    /// The shard owning the out-edges of `v` (for routing an active
-    /// frontier to shard-local workers). Vertices absent from the store
-    /// may map anywhere; the result is always `< num_shards()`.
-    fn shard_of_source(&self, _v: VertexId) -> usize {
-        0
-    }
-
-    /// Streams the edges of one shard (see [`num_shards`](Self::num_shards)
-    /// for the ordering contract). The default serves the single-shard
-    /// case by streaming everything.
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        debug_assert!(shard < self.num_shards(), "shard {shard} out of range");
-        if shard == 0 {
-            self.stream_edges(f);
-        }
-    }
-}
-
-impl GraphStore for GraphTinker {
-    fn vertex_space(&self) -> u32 {
-        GraphTinker::vertex_space(self)
-    }
-    fn num_edges(&self) -> u64 {
-        GraphTinker::num_edges(self)
-    }
-    fn out_degree(&self, v: VertexId) -> u32 {
-        GraphTinker::out_degree(self, v)
-    }
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        GraphTinker::for_each_out_edge(self, v, f)
-    }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        // Per CAL group, the edgeblock tier's CAL chain and then the inline
-        // and hub runs in place; a scattered main-structure scan without a
-        // CAL (the ablation's cost).
-        GraphTinker::for_each_edge(self, f)
-    }
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        GraphTinker::contains_edge(self, src, dst)
-    }
-}
-
-impl GraphStore for Stinger {
-    fn vertex_space(&self) -> u32 {
-        Stinger::vertex_space(self)
-    }
-    fn num_edges(&self) -> u64 {
-        Stinger::num_edges(self)
-    }
-    fn out_degree(&self, v: VertexId) -> u32 {
-        Stinger::out_degree(self, v)
-    }
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        Stinger::for_each_out_edge(self, v, f)
-    }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        // STINGER has no compacted copy: "streaming" walks the per-vertex
-        // chains, which is exactly why Figs. 11-13 favour GraphTinker.
-        Stinger::for_each_edge(self, f)
-    }
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        Stinger::contains_edge(self, src, dst)
-    }
-}
-
-/// Every interval-sharded store (`ParallelTinker`, the snapshot a pinned
-/// `StoreView` reads, `ParallelStinger`): one shard per instance, each
-/// streaming its own edges, so sharded analytics mirror the ingestion
-/// layout. These are the only stores with more than one shard.
-impl<A: ShardAccess> GraphStore for Sharded<A> {
-    fn vertex_space(&self) -> u32 {
-        Sharded::vertex_space(self)
-    }
-    fn num_edges(&self) -> u64 {
-        Sharded::num_edges(self)
-    }
-    fn out_degree(&self, v: VertexId) -> u32 {
-        Sharded::out_degree(self, v)
-    }
-    fn for_each_out_edge(&self, v: VertexId, f: impl FnMut(VertexId, Weight)) {
-        Sharded::for_each_out_edge(self, v, f)
-    }
-    fn stream_edges(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        Sharded::for_each_edge(self, f)
-    }
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        Sharded::contains_edge(self, src, dst)
-    }
-    fn num_shards(&self) -> usize {
-        Sharded::num_instances(self)
-    }
-    fn shard_of_source(&self, v: VertexId) -> usize {
-        gtinker_types::partition_of(v, Sharded::num_instances(self))
-    }
-    fn stream_shard_edges(&self, shard: usize, f: impl FnMut(VertexId, VertexId, Weight)) {
-        Sharded::with_instance(self, shard, |g| g.for_each_edge(f))
-    }
-}
+pub use gtinker_core::GraphStore;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtinker_core::ParallelTinker;
-    use gtinker_stinger::ParallelStinger;
-    use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
+    use gtinker_core::{GraphTinker, ParallelTinker};
+    use gtinker_stinger::{ParallelStinger, Stinger};
+    use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, VertexId, Weight};
 
     fn sample_batch() -> EdgeBatch {
         EdgeBatch::inserts(&[Edge::new(0, 1, 5), Edge::new(1, 2, 3), Edge::new(0, 2, 7)])
@@ -333,7 +189,7 @@ mod tests {
             let mut g = ParallelTinker::new(Default::default(), shards).unwrap();
             g.apply_batch(&bigger_batch());
             let mut pairs = Vec::new();
-            g.for_each_edge(|s, d, _| pairs.push((s, d)));
+            g.stream_edges(|s, d, _| pairs.push((s, d)));
             // Delete two thirds of the edges to force invalid records.
             let two_thirds: Vec<_> =
                 pairs.iter().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, &p)| p).collect();

@@ -109,7 +109,7 @@ mod tests {
     use super::*;
     use crate::recover::recover_tinker;
     use crate::wal::SyncPolicy;
-    use gtinker_core::GraphTinker;
+    use gtinker_core::{GraphStore, GraphTinker};
     use gtinker_types::Edge;
     use std::fs;
 
@@ -138,7 +138,7 @@ mod tests {
 
     fn edge_set(d: &DurableTinker) -> Vec<(u32, u32, u32)> {
         let mut v = Vec::new();
-        d.store().for_each_edge(|s, d, w| v.push((s, d, w)));
+        d.store().stream_edges(|s, d, w| v.push((s, d, w)));
         sorted(v)
     }
 

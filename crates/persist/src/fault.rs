@@ -1,28 +1,23 @@
 //! Fault injection for durability tests.
 //!
 //! Crash-consistency claims are only as good as the crashes they were
-//! tested against. This module provides two ways to manufacture the
-//! failure modes a real system sees:
+//! tested against. [`corrupt_file`] manufactures the failure modes a real
+//! system sees in bytes already on disk — cutting a file off at an offset
+//! (process killed mid-write), silently dropping a span (a short
+//! `write(2)` the caller never noticed), or flipping a bit (media/bus
+//! corruption) — which is how the crash-point sweep in the recovery tests
+//! simulates "power failed after byte N of the log".
 //!
-//! * [`FaultWriter`] wraps any [`io::Write`] and corrupts the byte stream
-//!   *as it is written* — cutting it off at an offset (process killed
-//!   mid-write), silently dropping a span (a short `write(2)` the caller
-//!   never noticed), or flipping a bit (media/bus corruption).
-//! * [`corrupt_file`] applies the same faults to bytes already on disk,
-//!   which is how the crash-point sweep in the recovery tests simulates
-//!   "power failed after byte N of the log".
-//!
-//! Both are deliberately deterministic: a fault is named by its byte
+//! Faults are deliberately deterministic: a fault is named by its byte
 //! offset, so a failing crash point reproduces exactly.
 
 use std::fs;
-use std::io::{self, Write};
 use std::path::Path;
 
 use crate::format::Result;
 
 /// A single injected fault, addressed by absolute byte offset in the
-/// stream or file.
+/// file or buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Everything from byte `at` onward is lost (crash / power cut).
@@ -76,140 +71,9 @@ pub fn corrupt_file(path: &Path, fault: Fault) -> Result<()> {
     Ok(())
 }
 
-/// An [`io::Write`] adapter that injects one [`Fault`] into the stream
-/// passing through it.
-///
-/// After a [`Fault::Truncate`] trips, every further write reports success
-/// while writing nothing — mimicking a process that keeps running after
-/// the plug was pulled on its storage. Byte accounting (`written`) tracks
-/// the *logical* stream position, so the caller's offsets stay meaningful.
-#[derive(Debug)]
-pub struct FaultWriter<W: Write> {
-    inner: W,
-    fault: Fault,
-    /// Logical bytes the caller has pushed through.
-    written: u64,
-    /// Whether the fault has already fired.
-    tripped: bool,
-}
-
-impl<W: Write> FaultWriter<W> {
-    /// Wraps `inner`, arming `fault`.
-    pub fn new(inner: W, fault: Fault) -> Self {
-        FaultWriter { inner, fault, written: 0, tripped: false }
-    }
-
-    /// Logical bytes written by the caller so far (faults included).
-    pub fn logical_written(&self) -> u64 {
-        self.written
-    }
-
-    /// Whether the armed fault has fired.
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
-
-    /// Unwraps the adapter.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FaultWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let start = self.written;
-        let end = start + buf.len() as u64;
-        let mut out = buf.to_vec();
-        match self.fault {
-            Fault::Truncate { at } => {
-                if self.tripped || start >= at {
-                    // Storage is gone; pretend everything still works.
-                    self.tripped = true;
-                    self.written = end;
-                    return Ok(buf.len());
-                }
-                if end > at {
-                    self.tripped = true;
-                    out.truncate((at - start) as usize);
-                }
-            }
-            Fault::ShortWrite { at, drop } => {
-                if !self.tripped && start <= at && at < end {
-                    self.tripped = true;
-                    let local = (at - start) as usize;
-                    let stop = local.saturating_add(drop as usize).min(out.len());
-                    out.drain(local..stop);
-                }
-            }
-            Fault::BitFlip { at, bit } => {
-                if !self.tripped && start <= at && at < end {
-                    self.tripped = true;
-                    out[(at - start) as usize] ^= 1 << (bit & 7);
-                }
-            }
-        }
-        self.inner.write_all(&out)?;
-        self.written = end;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn through(fault: Fault, chunks: &[&[u8]]) -> Vec<u8> {
-        let mut w = FaultWriter::new(Vec::new(), fault);
-        for c in chunks {
-            w.write_all(c).unwrap();
-        }
-        w.flush().unwrap();
-        w.into_inner()
-    }
-
-    #[test]
-    fn truncate_cuts_mid_chunk_and_swallows_the_rest() {
-        let out = through(Fault::Truncate { at: 5 }, &[b"abcd", b"efgh", b"ijkl"]);
-        assert_eq!(out, b"abcde");
-    }
-
-    #[test]
-    fn truncate_at_zero_writes_nothing() {
-        let out = through(Fault::Truncate { at: 0 }, &[b"abcd"]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn short_write_drops_a_span_once() {
-        let out = through(Fault::ShortWrite { at: 2, drop: 3 }, &[b"abcdef", b"ghij"]);
-        assert_eq!(out, b"abfghij");
-        // Only the first crossing chunk is affected.
-        let out = through(Fault::ShortWrite { at: 4, drop: 100 }, &[b"abcdef", b"ghij"]);
-        assert_eq!(out, b"abcdghij");
-    }
-
-    #[test]
-    fn bit_flip_inverts_exactly_one_bit() {
-        let out = through(Fault::BitFlip { at: 6, bit: 0 }, &[b"abcd", b"efgh"]);
-        assert_eq!(out.len(), 8);
-        assert_eq!(out[6], b'g' ^ 1);
-        let mut expect = b"abcdefgh".to_vec();
-        expect[6] ^= 1;
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn logical_accounting_ignores_faults() {
-        let mut w = FaultWriter::new(Vec::new(), Fault::Truncate { at: 1 });
-        w.write_all(b"abcdef").unwrap();
-        assert_eq!(w.logical_written(), 6);
-        assert!(w.tripped());
-        assert_eq!(w.into_inner(), b"a");
-    }
 
     #[test]
     fn apply_fault_on_buffers() {

@@ -22,13 +22,11 @@
 use std::path::{Path, PathBuf};
 
 use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
-use gtinker_stinger::Stinger;
-use gtinker_types::{StingerConfig, TinkerConfig, UpdateOp};
+use gtinker_types::{TinkerConfig, UpdateOp};
 
 use crate::format::{PersistError, Result};
 use crate::snapshot::{
-    list_snapshots, load_sharded_snapshot, load_stinger_snapshot, load_tinker_snapshot,
-    DECODE_BATCH_OPS,
+    list_snapshots, load_sharded_snapshot, load_tinker_snapshot, DECODE_BATCH_OPS,
 };
 use crate::wal::{replay, WalRecord, WalReplay};
 
@@ -203,16 +201,6 @@ pub fn recover_sharded(
         |path| load_sharded_snapshot(path, shards),
         || Ok(ParallelTinker::new(default_config, shards)?),
     )
-}
-
-/// Recovers a [`Stinger`] from `dir`, mirroring [`recover_tinker`].
-pub fn recover_stinger(
-    dir: &Path,
-    default_config: StingerConfig,
-) -> Result<(Stinger, RecoveryReport)> {
-    recover_with_scan(dir, replay(dir)?, load_stinger_snapshot, || {
-        Stinger::new(default_config).map_err(Into::into)
-    })
 }
 
 #[cfg(test)]
@@ -406,30 +394,5 @@ mod tests {
             expected.sort_by_key(UpdateOp::src);
             assert_eq!(group_by_source(ops), expected);
         }
-    }
-
-    #[test]
-    fn stinger_recovery_mirrors_tinker() {
-        let dir = tmpdir("stinger");
-        let (mut w, _) = WalWriter::open(&dir, WalOptions::default()).unwrap();
-        for i in 0..8u32 {
-            w.append(&batch(i)).unwrap();
-        }
-        drop(w);
-        let mut truth = Stinger::with_defaults();
-        for i in 0..8u32 {
-            truth.apply_batch(&batch(i));
-        }
-        let (s, report) = recover_stinger(&dir, StingerConfig::default()).unwrap();
-        assert_eq!(report.replayed_records, 8);
-        assert_eq!(s.num_edges(), truth.num_edges());
-        let mut a = Vec::new();
-        s.for_each_edge(|x, y, z| a.push((x, y, z)));
-        let mut b = Vec::new();
-        truth.for_each_edge(|x, y, z| b.push((x, y, z)));
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,11 +1,10 @@
-//! Versioned, section-checksummed binary snapshots of a [`GraphTinker`] or
-//! a [`Stinger`].
+//! Versioned, section-checksummed binary snapshots of a [`GraphTinker`].
 //!
 //! ## File layout (`snap-<lsn:016x>.gts`)
 //!
 //! ```text
 //! magic   "GTSNAP01"                     8 bytes
-//! kind    u8        0 = GraphTinker, 1 = Stinger
+//! kind    u8        0 = GraphTinker (any other kind is refused)
 //! wal_lsn u64       WAL records already folded into this image
 //! section*                               repeated
 //!   tag     u8      1=CONFIG 2=SGH 3=EDGES 4=SPACE
@@ -37,10 +36,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use gtinker_core::{GraphTinker, ParallelTinker};
-use gtinker_stinger::Stinger;
-use gtinker_types::{
-    partition_of, DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, VertexId,
-};
+use gtinker_types::{partition_of, DeleteMode, Edge, EdgeBatch, TinkerConfig, VertexId};
 
 use crate::format::{crc32, ByteReader, ByteWriter, PersistError, Result};
 
@@ -51,14 +47,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"GTSNAP01";
 /// File extension of published snapshots.
 pub const SNAPSHOT_EXT: &str = "gts";
 
-/// Which store a snapshot serializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// A [`GraphTinker`] image (config + SGH remap + edge payload).
-    Tinker,
-    /// A [`Stinger`] image (config + edge payload).
-    Stinger,
-}
+/// The store-kind byte of a GraphTinker image, the only kind written or
+/// read: an image of any other kind (1 is a STINGER image) is refused.
+const KIND_TINKER: u8 = 0;
 
 const TAG_CONFIG: u8 = 1;
 const TAG_SGH: u8 = 2;
@@ -97,13 +88,10 @@ fn put_tail(mut w: ByteWriter, edges: &[Edge], space: u32) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn header(kind: StoreKind, wal_lsn: u64, cap: usize) -> ByteWriter {
+fn header(wal_lsn: u64, cap: usize) -> ByteWriter {
     let mut w = ByteWriter::with_capacity(cap);
     w.put_bytes(SNAPSHOT_MAGIC);
-    w.put_u8(match kind {
-        StoreKind::Tinker => 0,
-        StoreKind::Stinger => 1,
-    });
+    w.put_u8(KIND_TINKER);
     w.put_u64(wal_lsn);
     w
 }
@@ -138,7 +126,7 @@ impl TinkerImage {
     }
 
     fn encode(&self, wal_lsn: u64) -> Vec<u8> {
-        let mut w = header(StoreKind::Tinker, wal_lsn, 64 + self.edges.len() * 12);
+        let mut w = header(wal_lsn, 64 + self.edges.len() * 12);
         let cfg = &self.config;
         let mut p = ByteWriter::with_capacity(CONFIG_BYTES);
         p.put_u64(cfg.pagewidth as u64);
@@ -177,16 +165,6 @@ pub fn encode_tinker(g: &GraphTinker, wal_lsn: u64) -> Vec<u8> {
     image.encode(wal_lsn)
 }
 
-/// Serializes a [`Stinger`] to snapshot bytes.
-pub fn encode_stinger(s: &Stinger, wal_lsn: u64) -> Vec<u8> {
-    let mut edges = Vec::with_capacity(s.num_edges() as usize);
-    s.for_each_edge(|src, dst, w| edges.push(Edge::new(src, dst, w)));
-
-    let mut w = header(StoreKind::Stinger, wal_lsn, 32 + edges.len() * 12);
-    put_section(&mut w, TAG_CONFIG, &(s.config().edges_per_block as u64).to_le_bytes());
-    put_tail(w, &edges, s.vertex_space())
-}
-
 /// The verified sections of a snapshot, before store reconstruction.
 struct Sections<'a> {
     wal_lsn: u64,
@@ -198,23 +176,21 @@ struct Sections<'a> {
     space: u32,
 }
 
-/// Parses and checksum-verifies the section framing of a `want` image. Any
-/// structural defect — bad magic, the other store kind, short section, CRC
-/// mismatch, missing end marker, trailing bytes — is
+/// Parses and checksum-verifies the section framing of an image. Any
+/// structural defect — bad magic, a store kind other than GraphTinker,
+/// short section, CRC mismatch, missing end marker, trailing bytes — is
 /// [`PersistError::Corrupt`].
-fn parse_sections(bytes: &[u8], want: StoreKind) -> Result<Sections<'_>> {
+fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>> {
     let mut r = ByteReader::new(bytes);
     let magic = r.bytes(8, "snapshot magic")?;
     if magic != SNAPSHOT_MAGIC {
         return Err(PersistError::Corrupt("bad snapshot magic".into()));
     }
-    let kind = match r.u8("store kind")? {
-        0 => StoreKind::Tinker,
-        1 => StoreKind::Stinger,
-        k => return Err(PersistError::Corrupt(format!("unknown store kind {k}"))),
-    };
-    if kind != want {
-        return Err(PersistError::Corrupt(format!("snapshot holds a {kind:?}, not a {want:?}")));
+    let kind = r.u8("store kind")?;
+    if kind != KIND_TINKER {
+        return Err(PersistError::Corrupt(format!(
+            "snapshot holds store kind {kind}, not GraphTinker"
+        )));
     }
     let wal_lsn = r.u64("wal lsn")?;
     let (mut config, mut sources, mut edges, mut space) = (None, Vec::new(), None, 0);
@@ -271,7 +247,7 @@ impl TinkerImage {
     /// WAL position recorded in it. The CONFIG payload is exactly what
     /// [`encode`](Self::encode) writes: a shorter or longer one is corrupt.
     fn decode(bytes: &[u8]) -> Result<(Self, u64)> {
-        let s = parse_sections(bytes, StoreKind::Tinker)?;
+        let s = parse_sections(bytes)?;
         let mut r = ByteReader::new(s.config);
         let pagewidth = r.u64("pagewidth")? as usize;
         let subblock = r.u64("subblock")? as usize;
@@ -358,19 +334,6 @@ fn check_distinct(payload: &[Edge], live: u64) -> Result<()> {
 pub fn decode_tinker(bytes: &[u8]) -> Result<(GraphTinker, u64)> {
     let (image, wal_lsn) = TinkerImage::decode(bytes)?;
     Ok((image.restore()?, wal_lsn))
-}
-
-/// Reconstructs a [`Stinger`] from snapshot bytes.
-pub fn decode_stinger(bytes: &[u8]) -> Result<(Stinger, u64)> {
-    let s = parse_sections(bytes, StoreKind::Stinger)?;
-    let epb = ByteReader::new(s.config).u64("edges_per_block")? as usize;
-    let mut st = Stinger::new(StingerConfig { edges_per_block: epb })?;
-    for e in &s.edges {
-        st.insert_edge(*e);
-    }
-    check_distinct(&s.edges, st.num_edges())?;
-    st.expand_vertex_space(s.space);
-    Ok((st, s.wal_lsn))
 }
 
 /// A published snapshot file and the WAL position encoded in its name.
@@ -470,11 +433,6 @@ pub(crate) fn write_sharded_snapshot(
     })
 }
 
-/// Snapshots a [`Stinger`] into `dir` at WAL position `lsn`.
-pub fn write_stinger_snapshot(dir: &Path, s: &Stinger, lsn: u64) -> Result<PathBuf> {
-    publish(dir, lsn, || encode_stinger(s, lsn))
-}
-
 /// Loads a [`GraphTinker`] snapshot file.
 pub fn load_tinker_snapshot(path: &Path) -> Result<(GraphTinker, u64)> {
     decode_tinker(&fs::read(path)?)
@@ -485,11 +443,6 @@ pub fn load_tinker_snapshot(path: &Path) -> Result<(GraphTinker, u64)> {
 pub(crate) fn load_sharded_snapshot(path: &Path, shards: usize) -> Result<(ParallelTinker, u64)> {
     let (image, wal_lsn) = TinkerImage::decode(&fs::read(path)?)?;
     Ok((image.restore_sharded(shards)?, wal_lsn))
-}
-
-/// Loads a [`Stinger`] snapshot file.
-pub fn load_stinger_snapshot(path: &Path) -> Result<(Stinger, u64)> {
-    decode_stinger(&fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -578,20 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn stinger_roundtrip() {
-        let mut s = Stinger::with_defaults();
-        let edges: Vec<Edge> =
-            (0..500u32).map(|i| Edge::new(i % 61, i * 17 % 127, i + 1)).collect();
-        s.apply_batch(&EdgeBatch::inserts(&edges));
-        s.delete_edge(0, 0);
-        let (back, lsn) = decode_stinger(&encode_stinger(&s, 7)).unwrap();
-        assert_eq!(lsn, 7);
-        assert_eq!(back.num_edges(), s.num_edges());
-        assert_eq!(back.vertex_space(), s.vertex_space());
-        assert_eq!(edge_set(|f| s.for_each_edge(f)), edge_set(|f| back.for_each_edge(f)));
-    }
-
-    #[test]
     fn empty_store_roundtrips() {
         let g = GraphTinker::with_defaults();
         let (back, _) = decode_tinker(&encode_tinker(&g, 0)).unwrap();
@@ -632,11 +571,16 @@ mod tests {
 
     #[test]
     fn kind_mismatch_rejected() {
-        let s = Stinger::with_defaults();
-        let bytes = encode_stinger(&s, 0);
-        assert!(decode_tinker(&bytes).is_err());
-        let g = GraphTinker::with_defaults();
-        assert!(decode_stinger(&encode_tinker(&g, 0)).is_err());
+        // A STINGER image: kind 1, a CONFIG word, no edges, space 0. Its
+        // sections are well formed, so only the kind byte refuses it.
+        let mut w = ByteWriter::with_capacity(64);
+        w.put_bytes(SNAPSHOT_MAGIC);
+        w.put_u8(1);
+        w.put_u64(0);
+        put_section(&mut w, TAG_CONFIG, &16u64.to_le_bytes());
+        let bytes = put_tail(w, &[], 0);
+        let e = decode_tinker(&bytes).unwrap_err();
+        assert!(matches!(&e, PersistError::Corrupt(m) if m.contains("kind 1")), "{e}");
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //!
 //! Batches flow through the same persistent [`ShardPool`] as
 //! `ParallelTinker`, and reads through the same [`Sharded`] facade:
-//! [`Stinger`] only has to be a [`ShardStore`].
+//! [`Stinger`] only has to be a [`ShardStore`] — its
+//! [`GraphStore`](gtinker_core::GraphStore) reads (which also put it under
+//! the engine) plus construction.
 
 use gtinker_core::{ApplyBatch, BatchResult, ShardPool, ShardStore, Sharded};
-use gtinker_types::{EdgeBatch, Result, StingerConfig, VertexId, Weight};
+use gtinker_types::{EdgeBatch, Result, StingerConfig};
 
 use crate::store::Stinger;
 
@@ -24,24 +26,6 @@ impl ShardStore for Stinger {
     fn with_config(config: StingerConfig) -> Result<Self> {
         Stinger::new(config)
     }
-    fn num_edges(&self) -> u64 {
-        Stinger::num_edges(self)
-    }
-    fn vertex_space(&self) -> u32 {
-        Stinger::vertex_space(self)
-    }
-    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        Stinger::edge_weight(self, src, dst)
-    }
-    fn out_degree(&self, src: VertexId) -> u32 {
-        Stinger::out_degree(self, src)
-    }
-    fn for_each_out_edge(&self, src: VertexId, f: impl FnMut(VertexId, Weight)) {
-        Stinger::for_each_out_edge(self, src, f)
-    }
-    fn for_each_edge(&self, f: impl FnMut(VertexId, VertexId, Weight)) {
-        Stinger::for_each_edge(self, f)
-    }
 }
 
 /// Interval-partitioned STINGER instances updated in parallel by a
@@ -51,6 +35,7 @@ pub type ParallelStinger = Sharded<ShardPool<Stinger>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtinker_core::GraphStore;
     use gtinker_types::Edge;
 
     #[test]
@@ -63,9 +48,9 @@ mod tests {
         par.apply_batch(&b);
         assert_eq!(par.num_edges(), seq.num_edges());
         let mut a: Vec<(u32, u32, u32)> = Vec::new();
-        seq.for_each_edge(|s, d, w| a.push((s, d, w)));
+        seq.stream_edges(|s, d, w| a.push((s, d, w)));
         let mut c: Vec<(u32, u32, u32)> = Vec::new();
-        par.for_each_edge(|s, d, w| c.push((s, d, w)));
+        par.stream_edges(|s, d, w| c.push((s, d, w)));
         a.sort_unstable();
         c.sort_unstable();
         assert_eq!(a, c);
@@ -86,9 +71,9 @@ mod tests {
         par.flush();
         assert_eq!(par.num_edges(), seq.num_edges());
         let mut a: Vec<(u32, u32, u32)> = Vec::new();
-        seq.for_each_edge(|s, d, w| a.push((s, d, w)));
+        seq.stream_edges(|s, d, w| a.push((s, d, w)));
         let mut c: Vec<(u32, u32, u32)> = Vec::new();
-        par.for_each_edge(|s, d, w| c.push((s, d, w)));
+        par.stream_edges(|s, d, w| c.push((s, d, w)));
         a.sort_unstable();
         c.sort_unstable();
         assert_eq!(a, c);
@@ -99,7 +84,7 @@ mod tests {
         let par = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
         par.apply_batch(&EdgeBatch::inserts(&[Edge::new(5, 6, 7)]));
         assert_eq!(par.edge_weight(5, 6), Some(7));
-        assert!(!par.contains_edge(6, 5));
+        assert!(!par.has_edge(6, 5));
         let operations: u64 = (0..3).map(|i| par.with_instance(i, |s| s.stats().operations)).sum();
         assert_eq!(operations, 1);
         assert_eq!(par.num_instances(), 3);

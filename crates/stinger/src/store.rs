@@ -1,5 +1,6 @@
 //! The single-writer STINGER store.
 
+use gtinker_core::GraphStore;
 use gtinker_types::{
     Edge, EdgeBatch, GraphError, Result, StingerConfig, UpdateOp, VertexId, Weight, NIL_U32,
     NIL_VERTEX,
@@ -108,18 +109,6 @@ impl Stinger {
     /// The active configuration.
     pub fn config(&self) -> &StingerConfig {
         &self.config
-    }
-
-    /// Live edge count.
-    #[inline]
-    pub fn num_edges(&self) -> u64 {
-        self.live_edges
-    }
-
-    /// One past the largest vertex id observed.
-    #[inline]
-    pub fn vertex_space(&self) -> u32 {
-        self.vertex_space
     }
 
     /// Accumulated probe counters.
@@ -255,36 +244,6 @@ impl Stinger {
         false
     }
 
-    /// Weight of `(src, dst)`, if present.
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        let entry = self.lva.get(src as usize)?;
-        let mut block = entry.first_block;
-        let epb = self.epb();
-        while block != NIL_U32 {
-            let base = block as usize * epb;
-            let hw = self.high[block as usize] as usize;
-            for off in 0..hw {
-                let s = self.slots[base + off];
-                if s.dst == dst {
-                    return Some(s.weight);
-                }
-            }
-            block = self.next[block as usize];
-        }
-        None
-    }
-
-    /// Whether `(src, dst)` is present.
-    #[inline]
-    pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.edge_weight(src, dst).is_some()
-    }
-
-    /// Live out-degree of `src`.
-    pub fn out_degree(&self, src: VertexId) -> u32 {
-        self.lva.get(src as usize).map_or(0, |e| e.degree)
-    }
-
     /// Applies a batch of updates; returns `(inserted_or_updated, deleted)`.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> (u64, u64) {
         let mut ins = 0;
@@ -305,37 +264,11 @@ impl Stinger {
         (ins, del)
     }
 
-    /// Visits every live out-edge of `src` as `(dst, weight)`.
-    pub fn for_each_out_edge<F: FnMut(VertexId, Weight)>(&self, src: VertexId, mut f: F) {
-        let Some(entry) = self.lva.get(src as usize) else { return };
-        let mut block = entry.first_block;
-        let epb = self.epb();
-        while block != NIL_U32 {
-            let base = block as usize * epb;
-            let hw = self.high[block as usize] as usize;
-            for s in &self.slots[base..base + hw] {
-                if s.dst != NIL_VERTEX {
-                    f(s.dst, s.weight);
-                }
-            }
-            block = self.next[block as usize];
-        }
-    }
-
-    /// Visits every live edge as `(src, dst, weight)` by walking each
-    /// vertex's chain — the scattered access pattern the paper contrasts
-    /// with the CAL stream.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId, Weight)>(&self, mut f: F) {
-        for src in 0..self.lva.len() as u32 {
-            self.for_each_out_edge(src, |dst, w| f(src, dst, w));
-        }
-    }
-
     /// Widens the observed vertex id space (and the LVA) to at least
-    /// `space`. Snapshot import restores the space recorded at save time:
-    /// endpoints of since-deleted edges are not recoverable from the live
-    /// edge payload, yet the LVA length drives analytics array sizing.
-    /// Never shrinks.
+    /// `space`, as [`GraphTinker::expand_vertex_space`] does: the LVA length
+    /// drives analytics array sizing. Never shrinks.
+    ///
+    /// [`GraphTinker::expand_vertex_space`]: gtinker_core::GraphTinker::expand_vertex_space
     pub fn expand_vertex_space(&mut self, space: u32) {
         if space > self.vertex_space {
             self.vertex_space = space;
@@ -350,6 +283,58 @@ impl Stinger {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.lva.capacity() * std::mem::size_of::<VertexEntry>()
             + (self.next.capacity() + self.high.capacity()) * 4
+    }
+}
+
+/// The baseline's reads: point queries walk the source's chain, and
+/// "streaming" walks every chain in vertex order — STINGER has no
+/// compacted copy, which is exactly why Figs. 11-13 favour GraphTinker.
+impl GraphStore for Stinger {
+    fn vertex_space(&self) -> u32 {
+        self.vertex_space
+    }
+    fn num_edges(&self) -> u64 {
+        self.live_edges
+    }
+    fn out_degree(&self, src: VertexId) -> u32 {
+        self.lva.get(src as usize).map_or(0, |e| e.degree)
+    }
+    fn for_each_out_edge(&self, src: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        let Some(entry) = self.lva.get(src as usize) else { return };
+        let mut block = entry.first_block;
+        let epb = self.epb();
+        while block != NIL_U32 {
+            let base = block as usize * epb;
+            let hw = self.high[block as usize] as usize;
+            for s in &self.slots[base..base + hw] {
+                if s.dst != NIL_VERTEX {
+                    f(s.dst, s.weight);
+                }
+            }
+            block = self.next[block as usize];
+        }
+    }
+    fn stream_edges(&self, mut f: impl FnMut(VertexId, VertexId, Weight)) {
+        for src in 0..self.lva.len() as u32 {
+            self.for_each_out_edge(src, |dst, w| f(src, dst, w));
+        }
+    }
+    fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
+        let entry = self.lva.get(src as usize)?;
+        let mut block = entry.first_block;
+        let epb = self.epb();
+        while block != NIL_U32 {
+            let base = block as usize * epb;
+            let hw = self.high[block as usize] as usize;
+            for off in 0..hw {
+                let s = self.slots[base + off];
+                if s.dst == dst {
+                    return Some(s.weight);
+                }
+            }
+            block = self.next[block as usize];
+        }
+        None
     }
 }
 
@@ -397,7 +382,7 @@ mod tests {
         }
         assert!(s.num_blocks() >= 7, "100 edges at 16/block need >= 7 blocks");
         for d in 0..100u32 {
-            assert!(s.contains_edge(0, d + 1));
+            assert!(s.has_edge(0, d + 1));
         }
         let mut n = 0;
         s.for_each_out_edge(0, |_, _| n += 1);
@@ -413,11 +398,11 @@ mod tests {
         let blocks_before = s.num_blocks();
         assert!(s.delete_edge(4, 3));
         assert!(!s.delete_edge(4, 3));
-        assert!(!s.contains_edge(4, 3));
+        assert!(!s.has_edge(4, 3));
         // New edge should reuse the vacated slot, not grow the chain.
         s.insert_edge(Edge::unit(4, 99));
         assert_eq!(s.num_blocks(), blocks_before);
-        assert!(s.contains_edge(4, 99));
+        assert!(s.has_edge(4, 99));
         assert_eq!(s.out_degree(4), 20);
     }
 
@@ -458,7 +443,7 @@ mod tests {
         }
         assert_eq!(s.num_edges() as usize, model.len());
         let mut got: Vec<(u32, u32, u32)> = Vec::new();
-        s.for_each_edge(|a, b, w| got.push((a, b, w)));
+        s.stream_edges(|a, b, w| got.push((a, b, w)));
         got.sort_unstable();
         let want: Vec<(u32, u32, u32)> = model.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
         assert_eq!(got, want);
@@ -495,7 +480,7 @@ mod tests {
         assert_eq!(s.vertex_space(), 2_000);
         assert_eq!(s.out_degree(1_999), 0, "widened vertices exist and are empty");
         let mut n = 0;
-        s.for_each_edge(|_, _, _| n += 1);
+        s.stream_edges(|_, _, _| n += 1);
         assert_eq!(n, 1, "widening adds no edges");
     }
 

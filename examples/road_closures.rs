@@ -11,18 +11,40 @@
 //! force a recompute — and the example verifies both against a fresh run.
 
 use gtinker_core::GraphTinker;
-use gtinker_datasets::GridConfig;
 use gtinker_engine::{algorithms::Sssp, Engine, GasProgram, ModePolicy};
-use gtinker_types::{Edge, EdgeBatch};
+use gtinker_types::{Edge, EdgeBatch, VertexId};
 
 const SIDE: u32 = 60; // 60x60 grid
 
+/// The intersection at column `x`, row `y`.
+fn node(x: u32, y: u32) -> VertexId {
+    y * SIDE + x
+}
+
+/// Every pair of neighbouring intersections linked both ways, with small
+/// deterministic travel costs in `1..=9`.
+fn road_grid() -> Vec<Edge> {
+    let mut edges = Vec::new();
+    for y in 0..SIDE {
+        for x in 0..SIDE {
+            let cost = |dir: u32| 1 + (x * 7 + y * 13 + dir) % 9;
+            if x + 1 < SIDE {
+                edges.push(Edge::new(node(x, y), node(x + 1, y), cost(0)));
+                edges.push(Edge::new(node(x + 1, y), node(x, y), cost(1)));
+            }
+            if y + 1 < SIDE {
+                edges.push(Edge::new(node(x, y), node(x, y + 1), cost(2)));
+                edges.push(Edge::new(node(x, y + 1), node(x, y), cost(3)));
+            }
+        }
+    }
+    edges
+}
+
 fn main() {
-    let grid = GridConfig::square(SIDE);
-    let node = |x: u32, y: u32| grid.node(x, y);
     let depot = node(0, 0);
     let mall = node(SIDE - 1, SIDE - 1);
-    let roads = grid.generate();
+    let roads = road_grid();
 
     let mut graph = GraphTinker::with_defaults();
     graph.apply_batch(&EdgeBatch::inserts(&roads));

@@ -12,6 +12,9 @@ export GTINKER_GIT_HASH
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark lock (benchmark/ builds --offline without --locked: a dependency edit must not rewrite its Cargo.lock)"
+cargo metadata --offline --locked --manifest-path benchmark/Cargo.toml --format-version 1 >/dev/null
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -13,7 +13,7 @@
 //! the edgeblock tier into the hub tier and back down through both
 //! demotions, against the same oracle.
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use gtinker_core::{GraphStore, GraphTinker, ParallelTinker};
 use gtinker_datasets::{churn_batches, SourceSkewConfig};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
@@ -188,14 +188,14 @@ fn pooled_default_matches_sequential_paper() {
             par.apply_batch(b);
         }
         assert_eq!(par.num_edges(), seq.num_edges());
-        assert_eq!(edge_set(&|f| par.for_each_edge(f)), tinker_edges(&seq));
+        assert_eq!(edge_set(&|f| par.stream_edges(f)), tinker_edges(&seq));
         // The pipelined submit/flush path hits the same tier code.
         let pipe = ParallelTinker::new(tiered_cfg, 3).unwrap();
         for b in churn_stream(42) {
             pipe.submit(b);
         }
         pipe.flush();
-        assert_eq!(edge_set(&|f| pipe.for_each_edge(f)), tinker_edges(&seq));
+        assert_eq!(edge_set(&|f| pipe.stream_edges(f)), tinker_edges(&seq));
     }
 }
 

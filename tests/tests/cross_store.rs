@@ -2,7 +2,7 @@
 //! wrappers must expose identical graph contents for identical update
 //! streams — including under feature ablations and both delete modes.
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use gtinker_core::{GraphStore, GraphTinker, ParallelTinker};
 use gtinker_datasets::{insertion_batches, RmatConfig};
 use gtinker_stinger::{ParallelStinger, Stinger};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, UpdateOp};
@@ -18,7 +18,7 @@ fn sorted_edges_gt(g: &GraphTinker) -> Vec<(u32, u32, u32)> {
 
 fn sorted_edges_st(s: &Stinger) -> Vec<(u32, u32, u32)> {
     let mut v = Vec::new();
-    s.for_each_edge(|a, b, w| v.push((a, b, w)));
+    s.stream_edges(|a, b, w| v.push((a, b, w)));
     v.sort_unstable();
     v
 }
@@ -53,11 +53,11 @@ fn all_structures_agree_on_mixed_stream() {
     let reference = sorted_edges_gt(&gt);
     assert_eq!(sorted_edges_st(&st), reference, "Stinger vs GraphTinker");
     let mut pt_edges = Vec::new();
-    pt.for_each_edge(|s, d, w| pt_edges.push((s, d, w)));
+    pt.stream_edges(|s, d, w| pt_edges.push((s, d, w)));
     pt_edges.sort_unstable();
     assert_eq!(pt_edges, reference, "ParallelTinker vs GraphTinker");
     let mut ps_edges = Vec::new();
-    ps.for_each_edge(|s, d, w| ps_edges.push((s, d, w)));
+    ps.stream_edges(|s, d, w| ps_edges.push((s, d, w)));
     ps_edges.sort_unstable();
     assert_eq!(ps_edges, reference, "ParallelStinger vs GraphTinker");
 
@@ -133,7 +133,7 @@ fn parallel_instance_counts_do_not_change_results() {
             p.apply_batch(b);
         }
         let mut got = Vec::new();
-        p.for_each_edge(|s, d, w| got.push((s, d, w)));
+        p.stream_edges(|s, d, w| got.push((s, d, w)));
         got.sort_unstable();
         assert_eq!(got, reference, "{n} instances");
     }

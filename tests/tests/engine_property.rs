@@ -5,7 +5,7 @@
 use gtinker_core::GraphTinker;
 use gtinker_engine::{
     algorithms::{Bfs, Cc, Sssp},
-    CsrSnapshot, Engine, GraphStore, ModePolicy, VertexCentricEngine,
+    CsrSnapshot, Engine, GraphStore, ModePolicy,
 };
 use gtinker_integration::reference;
 use gtinker_types::{Edge, EdgeBatch};
@@ -101,19 +101,6 @@ proptest! {
         for (v, &l) in labels.iter().enumerate() {
             prop_assert!(l <= v as u32);
         }
-    }
-
-    /// The vertex-centric engine reaches the same fixpoint as the
-    /// edge-centric engine on arbitrary graphs.
-    #[test]
-    fn vc_equals_ec(edges in arb_edges(64, 300)) {
-        let g = store_from(&edges);
-        let root = edges[0].src;
-        let mut vc = VertexCentricEngine::new(Sssp::new(root));
-        vc.run_from_roots(&g);
-        let mut ec = Engine::new(Sssp::new(root), ModePolicy::hybrid());
-        ec.run_from_roots(&g);
-        prop_assert_eq!(vc.values(), ec.values());
     }
 
     /// CSR snapshots are content-equal to the live store, and the engine

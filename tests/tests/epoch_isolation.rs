@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use gtinker_core::{GraphStore, GraphTinker, ParallelTinker};
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
 use gtinker_integration::{assert_shards_valid as assert_valid, reference};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
@@ -65,7 +65,7 @@ fn workload(seed: u64) -> (Vec<EdgeBatch>, Vec<Boundary>) {
 
 fn view_edges(view: &gtinker_core::StoreView) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
-    view.for_each_edge(|s, d, w| edges.push((s, d, w)));
+    view.stream_edges(|s, d, w| edges.push((s, d, w)));
     edges.sort_unstable();
     edges
 }

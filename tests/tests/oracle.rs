@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use gtinker_core::GraphTinker;
+use gtinker_core::{GraphStore, GraphTinker};
 use gtinker_persist::{DurableTinker, SyncPolicy, WalOptions};
 use gtinker_stinger::Stinger;
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp, VertexId, Weight};
@@ -174,7 +174,7 @@ fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64, shards: us
     gtinker_integration::assert_shards_valid(g, "durable store");
     assert_eq!(g.num_edges() as usize, model.len(), "mode {mode:?}");
     let mut got: Vec<(u32, u32, u32)> = Vec::new();
-    g.for_each_edge(|s, dst, w| got.push((s, dst, w)));
+    g.stream_edges(|s, dst, w| got.push((s, dst, w)));
     got.sort_unstable();
     let want: Vec<(u32, u32, u32)> = model.iter().map(|(&(s, dst), &w)| (s, dst, w)).collect();
     assert_eq!(got, want, "mode {mode:?}: stream path diverged from model");
@@ -218,7 +218,7 @@ fn stinger_matches_oracle() {
     }
     assert_eq!(s.num_edges() as usize, model.len());
     let mut got: Vec<(u32, u32, u32)> = Vec::new();
-    s.for_each_edge(|a, b, w| got.push((a, b, w)));
+    s.stream_edges(|a, b, w| got.push((a, b, w)));
     got.sort_unstable();
     let want: Vec<(u32, u32, u32)> = model.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
     assert_eq!(got, want);

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gtinker_core::{GraphTinker, StructureStats};
+use gtinker_core::{GraphStore, GraphTinker, StructureStats};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
@@ -429,7 +429,7 @@ fn config_payload_of_any_other_length_is_corrupt_and_recovery_falls_back() {
 
 fn sharded_edge_set(d: &DurableTinker) -> Vec<(u32, u32, u32)> {
     let mut v = Vec::new();
-    d.store().for_each_edge(|s, dst, w| v.push((s, dst, w)));
+    d.store().stream_edges(|s, dst, w| v.push((s, dst, w)));
     v.sort_unstable();
     v
 }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use gtinker_core::{BatchResult, GraphTinker, ParallelTinker};
+use gtinker_core::{BatchResult, GraphStore, GraphTinker, ParallelTinker};
 use gtinker_datasets::{churn_batches, SourceSkewConfig};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
@@ -163,7 +163,7 @@ fn pooled_tagged_matches_sequential_seed() {
         }
     }
     assert_eq!(par.num_edges(), model.0.len() as u64);
-    assert_eq!(edge_set(&|f| par.for_each_edge(f)), model.edges());
+    assert_eq!(edge_set(&|f| par.stream_edges(f)), model.edges());
     assert!(par.stats().tag_group_scans > 0, "pooled store never exercised the SWAR engine");
 }
 

@@ -87,9 +87,9 @@ fn three_structures_stay_in_lockstep_under_churn() {
     let mut a: Vec<(u32, u32, u32)> = Vec::new();
     gt.for_each_edge(|s, d, w| a.push((s, d, w)));
     let mut b: Vec<(u32, u32, u32)> = Vec::new();
-    st.for_each_edge(|s, d, w| b.push((s, d, w)));
+    st.stream_edges(|s, d, w| b.push((s, d, w)));
     let mut c: Vec<(u32, u32, u32)> = Vec::new();
-    pt.for_each_edge(|s, d, w| c.push((s, d, w)));
+    pt.stream_edges(|s, d, w| c.push((s, d, w)));
     a.sort_unstable();
     b.sort_unstable();
     c.sort_unstable();
