@@ -1021,9 +1021,9 @@ fn recover(parsed: &Parsed) -> Result<(), String> {
     let (g, report) = recover_tinker(dir, config(parsed)?).map_err(|e| e.to_string())?;
     println!(
         "recovered GraphTinker: {} edges, {} sources, snapshot lsn {}{}, \
-         {} records replayed{}{} in {:.2?}",
+         {} records replayed{}{} in {:.2?}, {} sources placed whole",
         g.num_edges(),
-        g.sources().len(),
+        g.num_sources(),
         report.snapshot_lsn,
         report.snapshot_path.as_deref().map(|p| format!(" ({})", p.display())).unwrap_or_default(),
         report.replayed_records,
@@ -1033,7 +1033,8 @@ fn recover(parsed: &Parsed) -> Result<(), String> {
         } else {
             String::new()
         },
-        t0.elapsed()
+        t0.elapsed(),
+        report.placed_whole
     );
     if parsed.flag("validate") {
         g.validate_rhh_invariants().map_err(|e| format!("RHH invariant violated: {e}"))?;

@@ -187,6 +187,14 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         self.0.apply(batch)
     }
 
+    /// [`apply_batch`](Self::apply_batch) for a batch whose ops are grouped
+    /// by source: each instance applies its claim with
+    /// [`ApplyBatch::apply_grouped`], so the instances bulk-place in
+    /// parallel.
+    pub fn apply_grouped(&self, batch: &EdgeBatch) -> BatchResult {
+        self.0.apply_grouped(batch)
+    }
+
     /// Queues a batch asynchronously (pipelined ingestion): the call
     /// returns as soon as the batch is staged, so the caller can prepare
     /// batch *k+1* — and the workers can claim-partition it — while batch
@@ -214,6 +222,10 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
 impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
     fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
         self.apply_batch(batch)
+    }
+
+    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
+        Sharded::apply_grouped(self, batch)
     }
 }
 

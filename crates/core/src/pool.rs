@@ -116,6 +116,10 @@ enum Job<S> {
         /// claiming/applying (the visual proof that batch k+1 partitions
         /// while k applies).
         seq: u64,
+        /// The batch is grouped by source: a claim keeps batch order, so
+        /// each shard's claim is grouped too and goes to
+        /// [`ApplyBatch::apply_grouped`].
+        grouped: bool,
     },
     /// Copy the shard into `copy` (or into a new copy when there is none)
     /// and send it `back`: an epoch snapshot refresh.
@@ -166,8 +170,8 @@ fn worker_loop<S: ShardStore>(
     let n = shards.len();
     let mut claim = EdgeBatch::new();
     while let Ok(job) = rx.recv() {
-        let (batch, ticket, seq) = match job {
-            Job::Batch { batch, ticket, seq } => (batch, ticket, seq),
+        let (batch, ticket, seq, grouped) = match job {
+            Job::Batch { batch, ticket, seq, grouped } => (batch, ticket, seq, grouped),
             Job::Refresh { copy, back } => {
                 back.send(copy_shard(&shards[index], copy)).ok();
                 continue;
@@ -190,7 +194,12 @@ fn worker_loop<S: ShardStore>(
             BatchResult::default()
         } else {
             let _t = trace::span_arg(SpanId::PoolApply, seq);
-            shards[index].lock().expect("shard poisoned").apply(&claim)
+            let mut shard = shards[index].lock().expect("shard poisoned");
+            if grouped {
+                shard.apply_grouped(&claim)
+            } else {
+                shard.apply(&claim)
+            }
         };
         // Queues are FIFO and every worker sees every batch, so when the
         // last worker completes seq, every batch up to seq is applied.
@@ -272,7 +281,7 @@ impl<S: ShardStore> ShardPool<S> {
     }
 
     /// Hands `batch` to every worker under a fresh ticket.
-    fn dispatch(&self, batch: Arc<EdgeBatch>) -> Arc<Ticket> {
+    fn dispatch(&self, batch: Arc<EdgeBatch>, grouped: bool) -> Arc<Ticket> {
         crate::metrics::global().pool_batches.inc();
         let ticket = Arc::new(Ticket::new(self.num_shards()));
         let seq = {
@@ -280,8 +289,8 @@ impl<S: ShardStore> ShardPool<S> {
             let seq = out.seq;
             out.seq += 1;
             for tx in &out.txs {
-                let job =
-                    Job::Batch { batch: Arc::clone(&batch), ticket: Arc::clone(&ticket), seq };
+                let (batch, ticket) = (Arc::clone(&batch), Arc::clone(&ticket));
+                let job = Job::Batch { batch, ticket, seq, grouped };
                 tx.send(job).expect("shard worker exited early");
             }
             seq
@@ -355,7 +364,14 @@ impl<S: ShardStore> ShardPool<S> {
     /// first (their results stay buffered for [`flush`](Self::flush)).
     pub fn apply(&self, batch: &EdgeBatch) -> BatchResult {
         self.settle();
-        self.dispatch(Arc::new(batch.clone())).wait()
+        self.dispatch(Arc::new(batch.clone()), false).wait()
+    }
+
+    /// [`apply`](Self::apply) for a batch grouped by source: each worker
+    /// hands its claim to [`ApplyBatch::apply_grouped`].
+    pub fn apply_grouped(&self, batch: &EdgeBatch) -> BatchResult {
+        self.settle();
+        self.dispatch(Arc::new(batch.clone()), true).wait()
     }
 
     /// Queues a batch asynchronously. At most [`PIPELINE_DEPTH`] batches
@@ -375,7 +391,7 @@ impl<S: ShardStore> ShardPool<S> {
                 self.reap(&ticket);
             }
         }
-        let ticket = self.dispatch(batch);
+        let ticket = self.dispatch(batch, false);
         let mut inflight = self.inflight.lock().expect("inflight poisoned");
         inflight.queue.push_back(ticket);
         self.pending.fetch_add(1, Ordering::Release);

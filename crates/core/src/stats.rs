@@ -106,11 +106,10 @@ pub struct StructureStats {
     pub cal_blocks: usize,
     /// CAL records flagged invalid.
     pub cal_invalid: u64,
-    /// Live edges of the store ÷ edge-cells of the blocks in use, over all
-    /// page-width classes. On the fixed-geometry layout that is the
-    /// fraction of cells holding an edge; on a tiered one the numerator
-    /// also counts inline and hub edges, so a store that keeps most edges
-    /// there reads above 1.
+    /// Edges held by the edgeblock tier ÷ edge-cells of the blocks in use,
+    /// over all page-width classes: the fraction of allocated cells
+    /// holding an edge (at most 1). Inline and hub edges occupy no cell
+    /// and are not counted.
     pub occupancy: f64,
     /// Vertices with live edges stored in the inline tier (0 on a
     /// fixed-geometry store, where tiering is disabled).

@@ -708,12 +708,17 @@ impl BlockTier {
         self.classes.iter().map(|c| c.arena.memory_bytes()).sum()
     }
 
+    /// Edges the tier holds, over every page class.
+    pub fn live_edges(&self) -> u64 {
+        self.classes.iter().map(|c| c.arena.total_live()).sum()
+    }
+
     /// Edges of a store holding `live_edges` that sit outside the
     /// edgeblocks: inline and hub adjacency is flat (tree depth 0) and
     /// position-exact (probe distance 0), which is where the histograms
     /// count it.
     fn flat_edges(&self, live_edges: u64) -> u64 {
-        live_edges - self.classes.iter().map(|c| c.arena.total_live()).sum::<u64>()
+        live_edges - self.live_edges()
     }
 
     /// Histogram of the store's `live_edges` by tree depth: `hist[d]` =

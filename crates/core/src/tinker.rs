@@ -57,11 +57,23 @@ pub trait ApplyBatch {
     /// without per-op outcome tracking leaves the fields it cannot tell
     /// apart at zero).
     fn apply(&mut self, batch: &EdgeBatch) -> BatchResult;
+
+    /// [`apply`](Self::apply) for a batch in which the ops of each source
+    /// are contiguous (recovery's grouped log tail, a snapshot's payload).
+    /// A store that can use the grouping overrides it; the outcome equals
+    /// `apply`'s.
+    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
+        self.apply(batch)
+    }
 }
 
 impl ApplyBatch for GraphTinker {
     fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
         self.apply_batch(batch)
+    }
+
+    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
+        GraphTinker::apply_grouped(self, batch)
     }
 }
 
@@ -114,6 +126,7 @@ macro_rules! on_tier {
 }
 
 mod diagnostics;
+mod grouped;
 
 /// The GraphTinker dynamic-graph data structure.
 ///
@@ -139,6 +152,8 @@ pub struct GraphTinker {
     tier_counts: [u64; 3],
     tier_promotions: u64,
     tier_demotions: u64,
+    /// Sources [`apply_grouped`](Self::apply_grouped) placed whole.
+    placed_whole: u64,
 }
 
 clone_fields!(GraphTinker {
@@ -155,6 +170,7 @@ clone_fields!(GraphTinker {
     tier_counts,
     tier_promotions,
     tier_demotions,
+    placed_whole,
 });
 
 impl GraphTinker {
@@ -174,6 +190,7 @@ impl GraphTinker {
             tier_counts: [0; 3],
             tier_promotions: 0,
             tier_demotions: 0,
+            placed_whole: 0,
             config,
         })
     }
@@ -1377,5 +1394,145 @@ mod tests {
             }
             assert!(g.stats().tag_group_scans > 0, "the store must exercise the SWAR engine");
         }
+    }
+
+    /// A batch of one insert-only run per `(src, distinct, again)`: inserts
+    /// to `distinct` destinations, with `again` of them re-inserted under a
+    /// new weight halfway through the run.
+    fn runs(runs: &[(u32, u32, u32)]) -> Vec<UpdateOp> {
+        let mut ops = Vec::new();
+        for &(src, distinct, again) in runs {
+            for d in 0..distinct {
+                ops.push(UpdateOp::Insert(Edge::new(src, 1000 + 7 * d, d + 1)));
+                if d == distinct / 2 {
+                    let repeats =
+                        (0..again).map(|i| Edge::new(src, 1000 + 7 * (i % (d + 1)), 900 + i));
+                    ops.extend(repeats.map(UpdateOp::Insert));
+                }
+            }
+        }
+        ops
+    }
+
+    fn tier(g: &GraphTinker, src: VertexId) -> Option<Tier> {
+        g.dense_lookup(src).and_then(|d| g.tier_of(d))
+    }
+
+    /// Applies `setup` to two stores of `cfg`, then `ops` with
+    /// `apply_grouped` to one and `apply_batch` to the other, and checks
+    /// they agree: outcome, edges and weights, SGH order, degrees, tiers,
+    /// tier counts, vertex space, op counters and both validators. Returns
+    /// the grouped store and the arrival-order one.
+    fn grouped_and_batched(
+        cfg: TinkerConfig,
+        setup: impl Fn(&mut GraphTinker),
+        ops: &[UpdateOp],
+    ) -> (GraphTinker, GraphTinker) {
+        let (mut grouped, mut batched) =
+            (GraphTinker::new(cfg).unwrap(), GraphTinker::new(cfg).unwrap());
+        setup(&mut grouped);
+        setup(&mut batched);
+        let batch: EdgeBatch = ops.iter().copied().collect();
+        assert_eq!(grouped.apply_grouped(&batch), batched.apply_batch(&batch), "outcome");
+        for g in [&grouped, &batched] {
+            g.validate_rhh_invariants().unwrap();
+            g.validate_tag_invariants().unwrap();
+        }
+        let edges = |g: &GraphTinker| {
+            let mut v = Vec::new();
+            g.for_each_edge(|s, d, w| v.push((s, d, w)));
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(edges(&grouped), edges(&batched), "edges and weights");
+        assert_eq!(grouped.sources(), batched.sources(), "SGH order");
+        for src in grouped.sources() {
+            assert_eq!(grouped.out_degree(src), batched.out_degree(src), "degree of {src}");
+            assert_eq!(tier(&grouped, src), tier(&batched, src), "tier of {src}");
+        }
+        let (a, b) = (grouped.structure_stats(), batched.structure_stats());
+        let tiers = |s: crate::StructureStats| {
+            [s.tier_inline_vertices, s.tier_blocks_vertices, s.tier_hub_vertices]
+        };
+        assert_eq!(tiers(a), tiers(b), "tier counts");
+        assert_eq!((a.live_edges, grouped.vertex_space()), (b.live_edges, batched.vertex_space()));
+        let ops = |s: ProbeStats| (s.operations, s.inserts, s.updates, s.deletes, s.delete_misses);
+        assert_eq!(ops(grouped.stats()), ops(batched.stats()), "op counters");
+        (grouped, batched)
+    }
+
+    #[test]
+    fn apply_grouped_places_new_runs_in_their_final_tier() {
+        let cfg = TinkerConfig::default();
+        let (cap, hub) = (cfg.inline_cap as u32, cfg.hub_promote);
+        // Netted counts at both sides of both thresholds, and 130 ops that
+        // net to 127 distinct edges (still below the hub).
+        let plan =
+            [(1, cap, 2), (2, cap + 1, 1), (3, hub - 1, 0), (4, hub, 0), (5, 127, 3), (6, 300, 9)];
+        let (g, batched) = grouped_and_batched(cfg, |_| {}, &runs(&plan));
+        let want = [Tier::Inline, Tier::Blocks, Tier::Blocks, Tier::Hub, Tier::Blocks, Tier::Hub];
+        for (&(src, distinct, _), want) in plan.iter().zip(want) {
+            assert_eq!((tier(&g, src), g.out_degree(src)), (Some(want), distinct), "source {src}");
+        }
+        assert_eq!(g.placed_whole(), plan.len() as u64);
+        let moves = |g: &GraphTinker| g.structure_stats().tier_promotions;
+        assert_eq!((moves(&g), g.structure_stats().tier_demotions), (0, 0), "no climb");
+        assert!(moves(&batched) > 0, "the arrival order climbs");
+    }
+
+    #[test]
+    fn apply_grouped_falls_back_for_deletes_and_present_sources() {
+        let present = EdgeBatch::inserts(&[Edge::new(7, 1, 1), Edge::new(7, 2, 2)]);
+        let setup = |g: &mut GraphTinker| {
+            g.apply_batch(&present);
+            g.import_sources(&[10]);
+        };
+        let mut ops = runs(&[(7, 9, 1), (8, 6, 0)]);
+        ops.push(UpdateOp::Delete { src: 8, dst: 1007 });
+        ops.extend(runs(&[(9, 20, 2), (10, 3, 0), (11, 2, 0)]));
+        ops.push(UpdateOp::Delete { src: 11, dst: 1000 });
+        ops.push(UpdateOp::Delete { src: 12, dst: 1 });
+        let (g, _) = grouped_and_batched(TinkerConfig::default(), setup, &ops);
+        // 9 is new and 10 was only imported: both placed whole. 7 holds
+        // edges, 8 and 11 delete, 12 only deletes: `apply_batch`.
+        assert_eq!(g.placed_whole(), 2);
+        assert_eq!(g.edge_weight(8, 1007), None);
+        assert_eq!(g.out_degree(11), 1);
+    }
+
+    #[test]
+    fn apply_grouped_on_the_paper_layout_and_without_sgh() {
+        let plan = [(1, 4, 2), (2, 5, 1), (3, 127, 3), (4, 128, 0), (5, 300, 9)];
+        let (g, _) = grouped_and_batched(TinkerConfig::paper(), |_| {}, &runs(&plan));
+        assert_eq!(g.placed_whole(), plan.len() as u64);
+        assert!(plan.iter().all(|&(src, ..)| tier(&g, src) == Some(Tier::Blocks)));
+        let no_sgh = TinkerConfig { enable_sgh: false, ..TinkerConfig::default() };
+        let (g, _) = grouped_and_batched(no_sgh, |_| {}, &runs(&plan));
+        assert_eq!(g.placed_whole(), 0, "without the SGH every run takes apply_batch");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "contiguous")]
+    fn apply_grouped_refuses_a_source_split_over_two_runs() {
+        let mut ops = runs(&[(1, 3, 0), (2, 3, 0)]);
+        ops.push(UpdateOp::Delete { src: 1, dst: 1000 });
+        GraphTinker::with_defaults().apply_grouped(&ops.into_iter().collect());
+    }
+
+    #[test]
+    fn occupancy_counts_edgeblock_cells_only() {
+        // Forty hubs and ten edgeblock vertices: most edges live outside
+        // the edgeblocks, which the ratio used to count (reading 10+).
+        let mut g = GraphTinker::new(TinkerConfig::default().tiers(2, 12, 6)).unwrap();
+        for src in 0..50u32 {
+            let degree = if src < 40 { 40 } else { 5 };
+            g.apply_batch(&(0..degree).map(|d| UpdateOp::Insert(Edge::unit(src, d))).collect());
+        }
+        let st = g.structure_stats();
+        let cells: usize = st.block_classes.iter().map(|c| c.blocks * c.width).sum();
+        assert!(st.live_edges as f64 / cells as f64 > 1.0, "hub-heavy: {st:?}");
+        assert_eq!(st.occupancy, 50.0 / cells as f64, "ten sources of five edges");
+        assert!(st.occupancy <= 1.0);
     }
 }

@@ -29,7 +29,7 @@ impl GraphTinker {
             occupancy: if allocated_cells == 0 {
                 0.0
             } else {
-                self.live_edges as f64 / allocated_cells as f64
+                self.blocks.live_edges() as f64 / allocated_cells as f64
             },
             tier_inline_vertices: self.tier_counts[Tier::Inline as usize] as usize,
             tier_blocks_vertices: self.tier_counts[Tier::Blocks as usize] as usize,

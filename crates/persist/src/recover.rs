@@ -25,9 +25,7 @@ use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
 use gtinker_types::{TinkerConfig, UpdateOp};
 
 use crate::format::{PersistError, Result};
-use crate::snapshot::{
-    list_snapshots, load_sharded_snapshot, load_tinker_snapshot, DECODE_BATCH_OPS,
-};
+use crate::snapshot::{list_snapshots, load_sharded_snapshot, load_tinker_snapshot, run_chunks};
 use crate::wal::{replay, WalRecord, WalReplay};
 
 /// What a recovery pass did, for logging and tests.
@@ -47,6 +45,9 @@ pub struct RecoveryReport {
     /// LSN the next appended record should get
     /// (`max(snapshot_lsn, end of valid log)`).
     pub next_lsn: u64,
+    /// Sources the snapshot restore and the tail replay placed whole, each
+    /// straight into its final tier ([`GraphTinker::apply_grouped`]).
+    pub placed_whole: u64,
 }
 
 /// A loaded snapshot: the store, its LSN, and the file it came from.
@@ -97,8 +98,9 @@ fn apply_tail(
         ops.extend(rec.batch);
         applied += 1;
     }
-    for chunk in group_by_source(ops).chunks(DECODE_BATCH_OPS) {
-        store.apply(&chunk.iter().copied().collect());
+    let ops = group_by_source(ops);
+    for chunk in run_chunks(&ops, UpdateOp::src) {
+        store.apply_grouped(&chunk.iter().copied().collect());
     }
     Ok(applied)
 }
@@ -165,6 +167,7 @@ fn recover_with_scan<T: ApplyBatch>(
         replayed_records,
         wal_truncated: scan.truncated,
         next_lsn: scan.next_lsn.max(snapshot_lsn),
+        placed_whole: 0,
     };
     Ok((store, report))
 }
@@ -178,9 +181,11 @@ pub fn recover_tinker(
     dir: &Path,
     default_config: TinkerConfig,
 ) -> Result<(GraphTinker, RecoveryReport)> {
-    recover_with_scan(dir, replay(dir)?, load_tinker_snapshot, || {
+    let (g, mut report) = recover_with_scan(dir, replay(dir)?, load_tinker_snapshot, || {
         GraphTinker::new(default_config).map_err(Into::into)
-    })
+    })?;
+    report.placed_whole = g.placed_whole();
+    Ok((g, report))
 }
 
 /// [`recover_tinker`] into `shards` interval shards, over a log scan the
@@ -195,12 +200,14 @@ pub fn recover_sharded(
     default_config: TinkerConfig,
     shards: usize,
 ) -> Result<(ParallelTinker, RecoveryReport)> {
-    recover_with_scan(
+    let (store, mut report) = recover_with_scan(
         dir,
         scan,
         |path| load_sharded_snapshot(path, shards),
         || Ok(ParallelTinker::new(default_config, shards)?),
-    )
+    )?;
+    report.placed_whole = (0..shards).map(|i| store.with_instance(i, |g| g.placed_whole())).sum();
+    Ok((store, report))
 }
 
 #[cfg(test)]

@@ -264,20 +264,6 @@ impl Stinger {
         (ins, del)
     }
 
-    /// Widens the observed vertex id space (and the LVA) to at least
-    /// `space`, as [`GraphTinker::expand_vertex_space`] does: the LVA length
-    /// drives analytics array sizing. Never shrinks.
-    ///
-    /// [`GraphTinker::expand_vertex_space`]: gtinker_core::GraphTinker::expand_vertex_space
-    pub fn expand_vertex_space(&mut self, space: u32) {
-        if space > self.vertex_space {
-            self.vertex_space = space;
-        }
-        if space as usize > self.lva.len() {
-            self.lva.resize(space as usize, EMPTY_VERTEX);
-        }
-    }
-
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
@@ -468,20 +454,6 @@ mod tests {
         let mut s = Stinger::with_defaults();
         s.insert_edge(Edge::unit(2, 500));
         assert_eq!(s.vertex_space(), 501);
-    }
-
-    #[test]
-    fn expand_vertex_space_widens_lva_but_never_shrinks() {
-        let mut s = Stinger::with_defaults();
-        s.insert_edge(Edge::unit(2, 500));
-        s.expand_vertex_space(100);
-        assert_eq!(s.vertex_space(), 501, "expand must not shrink");
-        s.expand_vertex_space(2_000);
-        assert_eq!(s.vertex_space(), 2_000);
-        assert_eq!(s.out_degree(1_999), 0, "widened vertices exist and are empty");
-        let mut n = 0;
-        s.stream_edges(|_, _, _| n += 1);
-        assert_eq!(n, 1, "widening adds no edges");
     }
 
     #[test]

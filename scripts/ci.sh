@@ -40,6 +40,8 @@ test -n "$LIVE"
 "$GT" recover "$SMOKE/db_pool" --validate | tee "$SMOKE/recover_tail.out"
 grep -q "recovered GraphTinker: $LIVE edges" "$SMOKE/recover_tail.out"
 grep -q "snapshot lsn 0" "$SMOKE/recover_tail.out"
+# Each new source's whole insert-only run goes straight to its final tier.
+grep -q ", [1-9][0-9]* sources placed whole" "$SMOKE/recover_tail.out"
 grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover_tail.out"
 # The same file in two runs into one directory: its head at --pool 4 with
 # a snapshot every 4 batches, its tail resumed at --pool 2. What recovers

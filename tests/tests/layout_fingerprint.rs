@@ -8,8 +8,10 @@
 //! slot reuse and segmented tables. The `default/*` and `tiers_2_12_6/*`
 //! lines were re-captured again when the CAL became the edgeblock tier's
 //! own: `cal_blocks`, `cal_invalid`, `inline_bytes`, `hub_bytes`,
-//! `memory_bytes` and `stream=` moved. EXPERIMENTS.md lists every field
-//! each re-capture moved.
+//! `memory_bytes` and `stream=` moved. Their `occupancy` field was
+//! re-captured alone when it became edgeblock-tier edges ÷ block cells
+//! (the store's work is unchanged). EXPERIMENTS.md lists every field each
+//! re-capture moved.
 //!
 //! A refactor of the store must leave every line as it is; a PR that
 //! changes the layout on purpose re-captures them (`-- --nocapture` prints

@@ -565,9 +565,10 @@ fn pruned_log_with_snapshot_recovers() {
 }
 
 /// What a grouped tail replay must share with the arrival-order one: the
-/// edges with their weights, every count and degree, and each vertex's
-/// tier history. Dense ids and CAL positions are left out on purpose.
-#[derive(Debug, PartialEq)]
+/// edges with their weights, every count and degree, each vertex's tier
+/// and the tier moves. Dense ids, page classes and CAL positions are left
+/// out on purpose.
+#[derive(Debug, Clone, PartialEq)]
 struct Logical {
     edges: Vec<(u32, u32, u32)>,
     num_edges: u64,
@@ -670,34 +671,114 @@ fn grouping_stream() -> Vec<EdgeBatch> {
         .collect()
 }
 
+/// Insert-only sources that climb tiers in arrival order. Batches 0–3
+/// carry sources 1–6 with 3, 5, 20, 127, 128 and 300 distinct destinations
+/// and source 50 with 70 000, batches 4–7 new sources 101–106 with the
+/// same six sizes. Each batch takes the next quarter of every source's
+/// destinations plus re-inserts with new weights, so source 50's run is
+/// 74 000 ops, more than the 64 Ki ops recovery applies at a time. A
+/// snapshot after batch 3 leaves a tail of new sources only.
+fn climbing_stream() -> Vec<EdgeBatch> {
+    const SIZES: [u32; 6] = [3, 5, 20, 127, 128, 300];
+    const BIG: (u32, u32) = (50, 70_000);
+    (0..8u32)
+        .map(|r| {
+            let (base, part) = if r < 4 { (1, r) } else { (101, r - 4) };
+            let mut b = EdgeBatch::new();
+            let sources = SIZES.iter().enumerate().map(|(i, &n)| (base + i as u32, n));
+            for (src, n) in sources.chain((r < 4).then_some(BIG)) {
+                for d in part * n / 4..(part + 1) * n / 4 {
+                    b.push_insert(Edge::new(src, d, r * 100_000 + d + 1));
+                }
+                for d in 0..(n / 280).max(1) {
+                    b.push_insert(Edge::new(src, (d + part) % n, 7 + r));
+                }
+            }
+            b
+        })
+        .collect()
+}
+
+/// Recovers `batches` logged at 2 shards, from the log alone and from a
+/// snapshot after record `snap_after` plus its tail, through
+/// `recover_tinker` and `DurableTinker::open` at 1 and 3 shards, and
+/// returns `(recovered view, report.placed_whole, recovered memory bytes)`
+/// per recovery for `check` to hold against the arrival-order store.
+fn check_grouped_recovery(
+    tag: &str,
+    cfg: TinkerConfig,
+    batches: &[EdgeBatch],
+    snap_after: u64,
+    check: impl Fn(&str, Logical, u64, Option<usize>, u64),
+) {
+    let n = batches.len() as u64;
+    for (mode, snap_after) in [("wal", None), ("snap", Some(snap_after))] {
+        let (dir, snap_lsn) = build_dir(&format!("{tag}_{mode}"), cfg, 2, batches, snap_after);
+        let (g, report) = recover_tinker(&dir, cfg).unwrap();
+        let ctx = format!("{tag}_{mode} under {cfg:?}");
+        assert_eq!(report.snapshot_lsn, snap_lsn, "{ctx}");
+        assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
+        let memory = Some(g.structure_stats().memory_bytes);
+        check(
+            &format!("{ctx}: recover_tinker"),
+            Logical::of(&g),
+            report.placed_whole,
+            memory,
+            snap_lsn,
+        );
+        for shards in [1, 3] {
+            let (d, report) =
+                DurableTinker::open(&dir, cfg, WalOptions::default(), shards).unwrap();
+            assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
+            let ctx = format!("{ctx}: open at {shards} shards");
+            check(&ctx, Logical::of_durable(&d), report.placed_whole, None, snap_lsn);
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Recovery replays the log's tail grouped by source, not record by
-/// record. Whether from the log alone, from a snapshot plus its tail, or
-/// into a `DurableTinker` of 1 or 3 shards, the result is logically the
+/// record, and places each source that is new to the store whole in its
+/// final tier. Whether from the log alone, from a snapshot plus its tail,
+/// or into a `DurableTinker` of 1 or 3 shards, the result is logically the
 /// store that applied the records in arrival order, under both layouts.
+///
+/// `grouping_stream`'s runs all delete (or continue a source the snapshot
+/// holds), so its tail replay makes the arrival order's tier moves; the
+/// snapshot restore places every image source whole, so from a snapshot
+/// the moves are the truth's less those made before it. The climbing
+/// stream's sources are all placed whole: no moves, and no more memory.
 #[test]
 fn grouped_tail_replay_equals_arrival_order() {
-    let batches = grouping_stream();
-    let n = batches.len() as u64;
     for cfg in [TinkerConfig::default(), TinkerConfig::paper()] {
+        let batches = grouping_stream();
+        let n = batches.len() as u64;
         let truth = Logical::of(&truth_store(cfg, &batches, n));
         if cfg == TinkerConfig::default() {
             let hub_tiers = |n| Logical::of(&truth_store(cfg, &batches, n)).tiers[2];
             assert_eq!((hub_tiers(8), hub_tiers(n)), (1, 0), "the hub is promoted, then demoted");
         }
-        for (tag, snap_after) in [("group_wal", None), ("group_snap", Some(3))] {
-            let (dir, snap_lsn) = build_dir(tag, cfg, 2, &batches, snap_after);
-            let (g, report) = recover_tinker(&dir, cfg).unwrap();
-            let ctx = format!("{tag} under {cfg:?}");
-            assert_eq!(report.snapshot_lsn, snap_lsn, "{ctx}");
-            assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
-            assert_eq!(Logical::of(&g), truth, "{ctx}: recover_tinker");
-            for shards in [1, 3] {
-                let (d, report) =
-                    DurableTinker::open(&dir, cfg, WalOptions::default(), shards).unwrap();
-                assert_eq!(report.replayed_records, n - snap_lsn, "{ctx}");
-                assert_eq!(Logical::of_durable(&d), truth, "{ctx}: open at {shards} shards");
-            }
-            fs::remove_dir_all(&dir).ok();
+        check_grouped_recovery("group", cfg, &batches, 3, |ctx, got, _, _, snap_lsn| {
+            let before = Logical::of(&truth_store(cfg, &batches, snap_lsn)).moves;
+            let mut want = truth.clone();
+            want.moves = (truth.moves.0 - before.0, truth.moves.1 - before.1);
+            assert_eq!(got, want, "{ctx}");
+        });
+
+        let batches = climbing_stream();
+        let truth_store = truth_store(cfg, &batches, batches.len() as u64);
+        let truth = Logical::of(&truth_store);
+        let truth_memory = truth_store.structure_stats().memory_bytes;
+        if cfg == TinkerConfig::default() {
+            assert!(truth.moves.0 > 0, "the arrival order climbs: {:?}", truth.moves);
         }
+        check_grouped_recovery("climb", cfg, &batches, 3, |ctx, got, placed, memory, _| {
+            assert_eq!(got.moves, (0, 0), "{ctx}: a source placed whole makes no tier move");
+            assert_eq!(Logical { moves: truth.moves, ..got }, truth, "{ctx}");
+            assert!(placed > 0, "{ctx}: no source placed whole");
+            if let Some(bytes) = memory {
+                assert!(bytes <= truth_memory, "{ctx}: {bytes} B > arrival order's {truth_memory}");
+            }
+        });
     }
 }
