@@ -1,6 +1,6 @@
 //! A std-only HTTP/1.1 endpoint (no external crates): telemetry routes
 //! answered from process-global observability state, plus — when a store
-//! is attached — a query API served from epoch-pinned snapshots.
+//! is attached — a query API served from epoch-pinned views.
 //!
 //! | route              | payload                                          |
 //! |--------------------|--------------------------------------------------|
@@ -20,10 +20,11 @@
 //! Requests are handled by a small worker pool so a slow analytics query
 //! (BFS over a large graph) does not block a `/healthz` probe. Every
 //! query pins an epoch view ([`ParallelTinker::pin_view`]) instead of
-//! draining the ingest pipeline: readers traverse a copy of the shards
-//! taken at one batch boundary, shared by every query that overlaps it,
-//! while the writer keeps applying later batches. Telemetry routes read
-//! lock-free global state and never touch the store at all.
+//! draining the ingest pipeline: readers traverse, per shard, an
+//! immutable CSR base plus the batches acked after it netted into a
+//! sorted delta, all at one batch boundary and shared by every query that
+//! overlaps it, while the writer keeps applying later batches. Telemetry
+//! routes read lock-free global state and never touch the store at all.
 //!
 //! # Request-scoped observability
 //!
@@ -781,8 +782,9 @@ fn pagerank_json(view: &StoreView, query: &str) -> Result<String, String> {
 }
 
 /// Liveness JSON. With a store attached, live edges and the epoch come
-/// from a pinned view (exact, no pipeline barrier; it may wait for one
-/// snapshot refresh). Without one, live edges fall back to the hot-path
+/// from a pinned view (exact, no pipeline barrier; the pin may net the
+/// batches acked since the last one into the delta). Without one, live
+/// edges fall back to the hot-path
 /// counters (inserts − deletes) — NOT `num_edges()`, which is a pipeline
 /// barrier on a pooled store, and a health probe must never stall ingest.
 /// Build info and the acked seq are plain loads.
@@ -807,11 +809,14 @@ fn healthz_json(ctx: &ServeCtx) -> String {
     )
 }
 
-/// Live server variables: build info, ingest progress, pin state,
-/// and the per-endpoint RED windows (sliding-window p50/p95/p99 over the
-/// last ~[`WINDOW_ROTATE_SECS`]×[`gtinker_core::metrics::WINDOW_SLOTS`]
-/// seconds). Everything here is atomic loads plus per-endpoint ring
-/// locks; no store barrier, no pin.
+/// Live server variables: build info, ingest progress, pin state, the
+/// read side's delta (`base_epoch`: the oldest shard base's batch
+/// boundary; `delta_ops`: ops held after the bases; `rebase_lag_batches`:
+/// acked batches since that base), and the per-endpoint RED windows
+/// (sliding-window p50/p95/p99 over the last
+/// ~[`WINDOW_ROTATE_SECS`]×[`gtinker_core::metrics::WINDOW_SLOTS`]
+/// seconds). Everything here is atomic loads plus short locks; no store
+/// barrier, no pin.
 fn debug_vars_json(ctx: &ServeCtx) -> String {
     let m = gtinker_core::metrics::global();
     let store = ctx.store.as_deref();
@@ -828,18 +833,21 @@ fn debug_vars_json(ctx: &ServeCtx) -> String {
             w.count(),
         ));
     }
+    let acked = store.map(|s| s.acked_batches()).unwrap_or(0);
+    let (base_epoch, delta_ops) = store.map(|s| s.read_side_stats()).unwrap_or((0, 0));
     format!(
         "{{\"version\":\"{}\",\"git_hash\":\"{}\",\"uptime_s\":{:.3},\
-         \"acked_batches\":{},\"pending_batches\":{},\"active_pins\":{},\"epoch_pins\":{},\
+         \"acked_batches\":{acked},\"pending_batches\":{},\"active_pins\":{},\"epoch_pins\":{},\
+         \"base_epoch\":{base_epoch},\"delta_ops\":{delta_ops},\"rebase_lag_batches\":{},\
          \"trace_enabled\":{},\"log_level\":\"{}\",\
          \"window_rotate_s\":{WINDOW_ROTATE_SECS},\"endpoints\":{{{}}}}}\n",
         json_escape(VERSION),
         json_escape(GIT_HASH),
         ctx.start.elapsed().as_secs_f64(),
-        store.map(|s| s.acked_batches()).unwrap_or(0),
         store.map(|s| s.pending_batches()).unwrap_or(0),
         m.epoch_active_pins.get().max(0),
         m.epoch_pins.get(),
+        acked.saturating_sub(base_epoch),
         trace::enabled(),
         log::max_level().map(|l| l.name()).unwrap_or("off"),
         endpoints.join(","),

@@ -76,19 +76,6 @@ pub struct CalArray {
     live: u64,
 }
 
-clone_fields!(CalArray {
-    records,
-    next_block,
-    fill,
-    group_head,
-    group_tail,
-    group_free,
-    block_size,
-    group_size,
-    slot_bits,
-    live,
-});
-
 impl CalArray {
     /// Creates an empty CAL with the given group size (source vertices per
     /// group) and block size (records per block).

@@ -114,19 +114,6 @@ pub struct BlockArena {
     subblocks_per_block: usize,
 }
 
-clone_fields!(BlockArena {
-    cells,
-    tags,
-    children,
-    live,
-    parent,
-    parent_sub,
-    free,
-    pagewidth,
-    subblock,
-    subblocks_per_block,
-});
-
 impl BlockArena {
     /// Creates an empty arena for the given geometry.
     pub fn new(pagewidth: usize, subblock: usize) -> Self {

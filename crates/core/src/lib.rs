@@ -46,25 +46,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// `Clone` for a struct from one list of its fields. `clone` is a struct
-/// literal, so a field left out of the list fails to compile; `clone_from`
-/// clones field by field into the existing value, so every `Vec` and
-/// [`SegVec`](segvec::SegVec) on the way down keeps its buffer. (A derived
-/// `clone_from` builds the whole copy afresh beside the old one.)
-macro_rules! clone_fields {
-    ($ty:ident $(<$g:ident>)? { $($field:ident),+ $(,)? }) => {
-        impl $(<$g: Clone>)? Clone for $ty $(<$g>)? {
-            fn clone(&self) -> Self {
-                $ty { $($field: self.$field.clone()),+ }
-            }
-            fn clone_from(&mut self, src: &Self) {
-                $(self.$field.clone_from(&src.$field);)+
-            }
-        }
-    };
-}
-
 pub mod cal;
+pub mod csr;
+pub mod delta;
 pub mod edgeblock;
 pub mod epoch;
 pub mod hash;
@@ -85,6 +69,8 @@ pub mod trace;
 pub mod vertex;
 
 pub use cal::{CalArray, CalPtr};
+pub use csr::CsrSnapshot;
+pub use delta::PinnedShard;
 pub use edgeblock::{BlockArena, CellState, EdgeCell};
 pub use epoch::ReadGuard;
 pub use hubseg::HubSegment;

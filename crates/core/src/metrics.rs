@@ -598,14 +598,19 @@ registry! {
         memory_total_bytes: gauge,
         /// Epoch pins taken by readers (one per `ReadGuard`).
         epoch_pins: counter,
-        /// `ReadGuard`s currently alive (no refresh runs while > 0).
+        /// `ReadGuard`s currently alive.
         epoch_active_pins: gauge,
-        /// Pins that copied every shard into the snapshot at a batch
-        /// boundary instead of sharing the latest one.
-        epoch_refreshes: counter,
-        /// Time one worker spent copying its shard into a refreshed
-        /// snapshot, nanoseconds (one observation per shard per refresh).
-        epoch_refresh_ns: histogram,
+        /// Shard bases the read side's rebaser merged with their delta.
+        epoch_rebases: counter,
+        /// Time one rebase took (merge plus re-netting the delta against
+        /// the new base), nanoseconds.
+        epoch_rebase_ns: histogram,
+        /// Ops the read side holds after its bases: netted into overlays
+        /// plus handed over and not netted yet.
+        epoch_delta_ops: gauge,
+        /// Bytes of the read side: CSR bases, the spare base, overlays
+        /// and raw ops waiting to be netted.
+        epoch_read_side_bytes: gauge,
         /// HTTP query-API requests served (the `/query/*` family plus
         /// `/neighbors` and `/degree`).
         serve_queries: counter,

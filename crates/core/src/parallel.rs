@@ -18,8 +18,8 @@
 //! Reads go through one facade, [`Sharded`]'s [`GraphStore`] impl, generic
 //! over how shard `i` is borrowed ([`ShardAccess`]): the live pool after a
 //! pipeline barrier ([`ParallelTinker`], and `ParallelStinger` in
-//! `gtinker-stinger`), or an epoch pin's snapshot with no barrier
-//! ([`StoreView`]).
+//! `gtinker-stinger`), or an epoch pin's CSR base plus netted delta with
+//! no barrier ([`StoreView`]).
 
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 /// How a sharded store lends out shard `i` for reading.
 pub trait ShardAccess {
     /// The per-interval store.
-    type Shard: ShardStore;
+    type Shard: GraphStore;
 
     /// Number of interval shards.
     fn num_shards(&self) -> usize;
@@ -65,12 +65,13 @@ pub struct Sharded<A>(A);
 /// persistent worker pool.
 pub type ParallelTinker = Sharded<ShardPool<GraphTinker>>;
 
-/// A pinned, snapshot-isolated view of a [`ParallelTinker`].
+/// A pinned, snapshot-isolated view of a sharded pool.
 ///
-/// Obtained from [`pin_view`](Sharded::pin_view); reads a copy of every
-/// shard taken at one batch boundary ([`epoch`](Sharded::epoch)) with no
-/// pipeline barrier, so queries run while ingestion continues.
-pub type StoreView = Sharded<ReadGuard<GraphTinker>>;
+/// Obtained from [`pin_view`](Sharded::pin_view); reads every shard at one
+/// batch boundary ([`epoch`](Sharded::epoch)) — an immutable CSR base plus
+/// the netted delta after it — with no pipeline barrier, so queries run
+/// while ingestion continues.
+pub type StoreView = Sharded<ReadGuard>;
 
 impl<A: ShardAccess> Sharded<A> {
     /// Number of parallel instances (one per intended core).
@@ -153,10 +154,19 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
 
     /// Pins a batch boundary and returns a consistent, barrier-free view
     /// over it (always `Some`; the `Option` is kept for the `benchmark/`
-    /// harness). The writer keeps applying later batches while the view
-    /// is held; see [`crate::epoch`] for the isolation contract.
-    pub fn pin_view(&self) -> Option<Sharded<ReadGuard<S>>> {
+    /// harness). The pin clones each shard's CSR base and netted delta;
+    /// it never queues behind the batches in flight. The writer keeps
+    /// applying later batches while the view is held; see [`crate::epoch`]
+    /// for the isolation contract.
+    pub fn pin_view(&self) -> Option<StoreView> {
         Some(Sharded(self.0.pin()))
+    }
+
+    /// `(base_epoch, delta_ops)` of the read side pins are served from:
+    /// the batch boundary of the oldest shard base, and the ops held after
+    /// the bases. No barrier.
+    pub fn read_side_stats(&self) -> (u64, u64) {
+        self.0.read_side_stats()
     }
 
     /// One past the highest fully-applied batch seq (single atomic load —
@@ -229,7 +239,7 @@ impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
     }
 }
 
-impl<S: ShardStore> Sharded<ReadGuard<S>> {
+impl Sharded<ReadGuard> {
     /// The pinned batch boundary: exactly the first `epoch()` submitted
     /// batches are visible, in submission order.
     #[inline]
@@ -443,9 +453,9 @@ mod tests {
     fn with_instance_mut_reaches_the_next_pin() {
         let mut p = ParallelTinker::new(Default::default(), 2).unwrap();
         p.apply_batch(&batch(500));
-        // A snapshot at the last acked boundary exists; no batch follows the
-        // changes below, so only their own invalidation can make the next
-        // pin see them.
+        // A view at the last acked boundary exists; no batch follows the
+        // changes below, so only the bases they drop can make the next pin
+        // see them.
         drop(p.pin_view().expect("views enabled"));
         let owner = partition_of(4_000, 2);
         for i in 0..2 {
@@ -455,8 +465,9 @@ mod tests {
         assert_eq!(p.vertex_space(), 9_000);
         let view = p.pin_view().expect("views enabled");
         assert_eq!(view.epoch(), 1);
-        assert_eq!(view.vertex_space(), 9_000, "state outside the batches reaches the snapshot");
-        assert!(view.with_instance(owner, |g| g.sources()).contains(&4_000));
+        assert_eq!(view.vertex_space(), 9_000, "state outside the batches reaches the view");
+        assert_eq!(view.with_instance(owner, |g| g.vertex_space()), 9_000);
+        assert_eq!(view.out_degree(4_000), 0);
         assert_eq!(view.num_edges(), p.num_edges());
     }
 

@@ -20,10 +20,12 @@
 //!   the producer can prepare batch *k+2*. [`flush`](ShardPool::flush)
 //!   drains the pipeline and returns the merged outcome counts.
 //!
-//! Shards live in `Arc<Vec<Mutex<S>>>`: each worker locks only its own
+//! Each shard sits behind its own `Mutex`: each worker locks only its own
 //! shard, exactly once per non-empty batch, so the locks are uncontended
 //! in steady state; queries lock on demand after a pipeline barrier, or
-//! read an epoch snapshot ([`crate::epoch`]) with no barrier at all.
+//! read an epoch view ([`crate::epoch`]) with no barrier at all. The pool
+//! hands every batch it dispatches to that read side too, so a pin needs
+//! nothing from the workers.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -33,7 +35,8 @@ use std::thread::JoinHandle;
 
 use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig};
 
-use crate::epoch::Snapshot;
+use crate::csr::CsrSnapshot;
+use crate::epoch::ReadSide;
 use crate::store::GraphStore;
 use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 use crate::trace::{self, SpanId};
@@ -44,10 +47,9 @@ pub const PIPELINE_DEPTH: usize = 2;
 
 /// A store that can own one interval shard of a [`ShardPool`]: it applies
 /// its claimed sub-batches ([`ApplyBatch`]) and answers the [`GraphStore`]
-/// reads the [`Sharded`](crate::Sharded) facade routes to it. `Clone`
-/// copies a shard into an epoch snapshot; its `clone_from` should reuse
-/// the target's buffers, because a snapshot is refreshed in place.
-pub trait ShardStore: GraphStore + ApplyBatch + Clone + Send + Sync + 'static {
+/// reads the [`Sharded`](crate::Sharded) facade routes to it (and a pin's
+/// bootstrap builds its CSR base from).
+pub trait ShardStore: GraphStore + ApplyBatch + Sized + Send + Sync + 'static {
     /// Construction parameters shared by every shard of one store.
     type Config: Copy;
 
@@ -107,31 +109,35 @@ impl Ticket {
     }
 }
 
-enum Job<S> {
-    Batch {
-        batch: Arc<EdgeBatch>,
-        ticket: Arc<Ticket>,
-        /// Pool-local dispatch sequence number, threaded into the trace
-        /// spans so the timeline shows which batch each worker is
-        /// claiming/applying (the visual proof that batch k+1 partitions
-        /// while k applies).
-        seq: u64,
-        /// The batch is grouped by source: a claim keeps batch order, so
-        /// each shard's claim is grouped too and goes to
-        /// [`ApplyBatch::apply_grouped`].
-        grouped: bool,
-    },
-    /// Copy the shard into `copy` (or into a new copy when there is none)
-    /// and send it `back`: an epoch snapshot refresh.
-    Refresh { copy: Option<S>, back: Sender<S> },
+struct Job {
+    batch: Arc<EdgeBatch>,
+    ticket: Arc<Ticket>,
+    /// Pool-local dispatch sequence number, threaded into the trace spans
+    /// so the timeline shows which batch each worker is claiming/applying
+    /// (the visual proof that batch k+1 partitions while k applies).
+    seq: u64,
+    /// The batch is grouped by source: a claim keeps batch order, so each
+    /// shard's claim is grouped too and goes to
+    /// [`ApplyBatch::apply_grouped`].
+    grouped: bool,
 }
 
 /// The per-worker job queues and the batch count, behind one lock so that
-/// jobs sent by two threads reach every queue in the same order.
-struct Outbox<S> {
-    txs: Vec<Sender<Job<S>>>,
+/// jobs sent by two threads reach every queue (and the read side) in the
+/// same order.
+struct Outbox {
+    txs: Vec<Sender<Job>>,
     /// Batches dispatched so far (the next batch's seq).
     seq: u64,
+}
+
+/// One interval shard and the batch boundary its worker has reached.
+struct Slot<S> {
+    store: Mutex<S>,
+    /// Batches this shard's worker has finished (stored under the shard
+    /// lock when the claim changed the shard), so a pin's bootstrap knows
+    /// the boundary of the copy it builds.
+    applied: AtomicU64,
 }
 
 #[derive(Default)]
@@ -145,8 +151,8 @@ struct Inflight {
 
 /// A pool of long-lived worker threads, one per interval shard.
 pub struct ShardPool<S> {
-    shards: Arc<Vec<Mutex<S>>>,
-    outbox: Mutex<Outbox<S>>,
+    shards: Arc<Vec<Slot<S>>>,
+    outbox: Mutex<Outbox>,
     handles: Vec<JoinHandle<()>>,
     inflight: Mutex<Inflight>,
     /// Number of submitted-but-unreaped batches; lets the query-side
@@ -156,27 +162,22 @@ pub struct ShardPool<S> {
     /// One past the highest fully-applied batch seq (monotone; published
     /// by the last worker to complete each ticket).
     acked: Arc<AtomicU64>,
-    /// The epoch snapshot readers pin, unless a change made outside
-    /// batches dropped it.
-    pub(crate) latest: Mutex<Option<Arc<Snapshot<S>>>>,
+    /// What readers pin: CSR bases, netted deltas and the batches handed
+    /// over since.
+    read: Arc<ReadSide>,
+    rebaser: Option<JoinHandle<()>>,
 }
 
 fn worker_loop<S: ShardStore>(
     index: usize,
-    shards: Arc<Vec<Mutex<S>>>,
+    shards: Arc<Vec<Slot<S>>>,
     acked: Arc<AtomicU64>,
-    rx: mpsc::Receiver<Job<S>>,
+    rx: mpsc::Receiver<Job>,
 ) {
     let n = shards.len();
+    let slot = &shards[index];
     let mut claim = EdgeBatch::new();
-    while let Ok(job) = rx.recv() {
-        let (batch, ticket, seq, grouped) = match job {
-            Job::Batch { batch, ticket, seq, grouped } => (batch, ticket, seq, grouped),
-            Job::Refresh { copy, back } => {
-                back.send(copy_shard(&shards[index], copy)).ok();
-                continue;
-            }
-        };
+    while let Ok(Job { batch, ticket, seq, grouped }) = rx.recv() {
         {
             let _t = trace::span_arg(SpanId::PoolClaim, seq);
             claim.clear();
@@ -191,15 +192,14 @@ fn worker_loop<S: ShardStore>(
         m.pool_claimed_ops.add(claim.len() as u64);
         // Empty interval: report without touching (or locking) the shard.
         let result = if claim.is_empty() {
+            slot.applied.store(seq + 1, Ordering::Release);
             BatchResult::default()
         } else {
             let _t = trace::span_arg(SpanId::PoolApply, seq);
-            let mut shard = shards[index].lock().expect("shard poisoned");
-            if grouped {
-                shard.apply_grouped(&claim)
-            } else {
-                shard.apply(&claim)
-            }
+            let mut shard = slot.store.lock().expect("shard poisoned");
+            let r = if grouped { shard.apply_grouped(&claim) } else { shard.apply(&claim) };
+            slot.applied.store(seq + 1, Ordering::Release);
+            r
         };
         // Queues are FIFO and every worker sees every batch, so when the
         // last worker completes seq, every batch up to seq is applied.
@@ -209,37 +209,29 @@ fn worker_loop<S: ShardStore>(
     }
 }
 
-/// Copies `shard` into `copy`, reusing its buffers (a fresh copy for
-/// `None`), and records how long it took.
-fn copy_shard<S: Clone>(shard: &Mutex<S>, copy: Option<S>) -> S {
-    let t = crate::metrics::timer();
-    let shard = shard.lock().expect("shard poisoned");
-    let copy = match copy {
-        Some(mut copy) => {
-            copy.clone_from(&shard);
-            copy
-        }
-        None => shard.clone(),
-    };
-    crate::metrics::global().epoch_refresh_ns.record_since(t);
-    copy
-}
-
 impl<S: ShardStore> ShardPool<S> {
     /// Builds a pool over the given shard stores, spawning one worker per
     /// shard. Store `i` owns interval `i` of `stores.len()`.
     pub fn new(stores: Vec<S>) -> Self {
         assert!(!stores.is_empty(), "need at least one shard");
-        // The stores as given are boundary 0: a pin before the first batch
-        // is acked shares this copy instead of waiting for a refresh
-        // behind the batches in flight.
-        let first = Snapshot { epoch: 0, shards: stores.clone() };
         let acked = Arc::new(AtomicU64::new(0));
-        let shards: Arc<Vec<Mutex<S>>> = Arc::new(stores.into_iter().map(Mutex::new).collect());
+        // Empty stores are boundary 0 of an empty base: a pin before the
+        // first batch is acked costs nothing.
+        let empty = stores.iter().all(|s| s.num_edges() == 0 && s.vertex_space() == 0);
+        let read = Arc::new(ReadSide::new(stores.len(), empty, Arc::clone(&acked)));
+        let rebaser = {
+            let read = Arc::clone(&read);
+            std::thread::Builder::new()
+                .name("gtinker-rebase".into())
+                .spawn(move || read.run_rebaser())
+                .expect("spawn rebaser")
+        };
+        let slot = |s| Slot { store: Mutex::new(s), applied: AtomicU64::new(0) };
+        let shards: Arc<Vec<Slot<S>>> = Arc::new(stores.into_iter().map(slot).collect());
         let mut txs = Vec::with_capacity(shards.len());
         let mut handles = Vec::with_capacity(shards.len());
         for i in 0..shards.len() {
-            let (tx, rx) = mpsc::channel::<Job<S>>();
+            let (tx, rx) = mpsc::channel::<Job>();
             let shards = Arc::clone(&shards);
             let acked = Arc::clone(&acked);
             let handle = std::thread::Builder::new()
@@ -256,8 +248,33 @@ impl<S: ShardStore> ShardPool<S> {
             inflight: Mutex::new(Inflight::default()),
             pending: AtomicUsize::new(0),
             acked,
-            latest: Mutex::new(Some(Arc::new(first))),
+            read,
+            rebaser: Some(rebaser),
         }
+    }
+
+    pub(crate) fn read_side(&self) -> &ReadSide {
+        &self.read
+    }
+
+    /// Every shard's CSR, each built under its shard's lock, with the batch
+    /// boundary it holds: a pin's bootstrap, which waits for at most the
+    /// claim each worker is applying.
+    pub(crate) fn build_bases(&self) -> Vec<(u64, CsrSnapshot)> {
+        self.shards
+            .iter()
+            .map(|slot| {
+                let shard = slot.store.lock().expect("shard poisoned");
+                (slot.applied.load(Ordering::Acquire), CsrSnapshot::build(&*shard))
+            })
+            .collect()
+    }
+
+    /// `(base_epoch, delta_ops)` of the read side: the batch boundary of
+    /// the oldest shard base, and the ops held after the bases (netted or
+    /// not yet). A single short lock; no barrier.
+    pub fn read_side_stats(&self) -> (u64, u64) {
+        self.read.stats()
     }
 
     /// Number of shards (= worker threads).
@@ -288,9 +305,10 @@ impl<S: ShardStore> ShardPool<S> {
             let mut out = self.outbox.lock().expect("outbox poisoned");
             let seq = out.seq;
             out.seq += 1;
+            self.read.offer(seq, &batch);
             for tx in &out.txs {
                 let (batch, ticket) = (Arc::clone(&batch), Arc::clone(&ticket));
-                let job = Job::Batch { batch, ticket, seq, grouped };
+                let job = Job { batch, ticket, seq, grouped };
                 tx.send(job).expect("shard worker exited early");
             }
             seq
@@ -302,26 +320,6 @@ impl<S: ShardStore> ShardPool<S> {
             .field("ops", batch.len())
             .emit();
         ticket
-    }
-
-    /// Queues a snapshot refresh behind every batch dispatched so far: each
-    /// worker copies its shard into its entry of `copies` (a fresh copy
-    /// for `None`) and sends it back. Returns the number of batches
-    /// dispatched before the refresh — the boundary every shard is copied
-    /// at — and one reply per shard, in shard order. Takes no batch seq.
-    pub(crate) fn queue_refresh(&self, copies: Vec<Option<S>>) -> (u64, Vec<mpsc::Receiver<S>>) {
-        let out = self.outbox.lock().expect("outbox poisoned");
-        let replies = out
-            .txs
-            .iter()
-            .zip(copies)
-            .map(|(tx, copy)| {
-                let (back, reply) = mpsc::channel();
-                tx.send(Job::Refresh { copy, back }).expect("shard worker exited early");
-                reply
-            })
-            .collect();
-        (out.seq, replies)
     }
 
     /// Waits until no batch is in flight, merging finished batches into
@@ -410,18 +408,18 @@ impl<S: ShardStore> ShardPool<S> {
     /// every submitted batch is visible.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
         self.settle();
-        f(&self.shards[i].lock().expect("shard poisoned"))
+        f(&self.shards[i].store.lock().expect("shard poisoned"))
     }
 
     /// Runs `f` over shard `i` mutably after a pipeline barrier. State that
     /// does not travel in batches (a restored SGH order, a recorded vertex
-    /// space) changes the shard between batch boundaries, so the pool lets
-    /// go of its snapshot and the next pin copies afresh. (A guard still
-    /// holding the old snapshot keeps reading it unchanged.)
+    /// space) changes the shard between batch boundaries, so the read side
+    /// drops its bases and the next pin builds them afresh. (A guard still
+    /// holding the old view keeps reading it unchanged.)
     pub fn with_shard_mut(&mut self, i: usize, f: impl FnOnce(&mut S)) {
         self.settle();
-        f(&mut self.shards[i].lock().expect("shard poisoned"));
-        *self.latest.get_mut().expect("snapshot slot poisoned") = None;
+        f(&mut self.shards[i].store.lock().expect("shard poisoned"));
+        self.read.disarm();
     }
 }
 
@@ -431,6 +429,10 @@ impl<S> Drop for ShardPool<S> {
     /// reporting disconnection), so a pool dropped mid-stream shuts down
     /// cleanly without deadlocking or losing submitted work.
     fn drop(&mut self) {
+        self.read.shut_down();
+        if let Some(h) = self.rebaser.take() {
+            let _ = h.join();
+        }
         self.outbox.get_mut().unwrap_or_else(PoisonError::into_inner).txs.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();

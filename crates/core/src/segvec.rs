@@ -30,8 +30,6 @@ pub struct SegVec<T> {
     len: usize,
 }
 
-clone_fields!(SegVec<T> { segs, shift, len });
-
 impl<T: Copy> SegVec<T> {
     /// An empty table whose segments hold `segment_len` elements (a power
     /// of two). Allocates nothing until the first element arrives.

@@ -54,8 +54,6 @@ pub struct SghUnit {
     len: usize,
 }
 
-clone_fields!(SghUnit { slots, tags, reverse, mask, len });
-
 impl SghUnit {
     /// Creates an empty unit with a small initial capacity.
     pub fn new() -> Self {

@@ -113,8 +113,6 @@ struct PageClass {
     mode: DeleteMode,
 }
 
-clone_fields!(PageClass { arena, branches, workblock, mode });
-
 /// The edgeblock arenas, the main region's index into them and the CAL.
 #[derive(Debug)]
 pub struct BlockTier {
@@ -127,8 +125,6 @@ pub struct BlockTier {
     /// no CAL (`TinkerConfig::enable_cal`).
     cal: Option<CalArray>,
 }
-
-clone_fields!(BlockTier { classes, tops, cal });
 
 impl PageClass {
     /// The paper disables RHH under delete-and-compact to avoid the

@@ -22,8 +22,6 @@ pub struct HubTier {
     dead: usize,
 }
 
-clone_fields!(HubTier { hub_of, hubs, free_hubs, dead });
-
 impl HubTier {
     /// An empty tier.
     pub fn new() -> Self {

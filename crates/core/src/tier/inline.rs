@@ -21,8 +21,6 @@ pub struct InlineTier {
     cap: usize,
 }
 
-clone_fields!(InlineTier { entries, cap });
-
 impl InlineTier {
     /// An empty tier whose entries hold up to `cap` edges.
     pub fn new(cap: usize) -> Self {

@@ -156,23 +156,6 @@ pub struct GraphTinker {
     placed_whole: u64,
 }
 
-clone_fields!(GraphTinker {
-    config,
-    sgh,
-    props,
-    stats,
-    live_edges,
-    vertex_space,
-    tiers,
-    inline,
-    blocks,
-    hub,
-    tier_counts,
-    tier_promotions,
-    tier_demotions,
-    placed_whole,
-});
-
 impl GraphTinker {
     /// Creates an empty GraphTinker with the given configuration.
     pub fn new(config: TinkerConfig) -> Result<Self> {

@@ -95,9 +95,9 @@ pub enum SpanId {
     /// (arg = size of the invalidated cone). Covers the witness sweep,
     /// boundary re-seeding, and the repair fixpoint.
     Repair = 14,
-    /// Epoch pin: acquiring a read guard, including any snapshot refresh
-    /// it waits for (arg = requesting thread's [`thread_ctx`], i.e. the serving
-    /// request id, or 0 outside a request).
+    /// Epoch pin: acquiring a read guard, including any fold of new
+    /// batches or base bootstrap it pays for (arg = requesting thread's
+    /// [`thread_ctx`], i.e. the serving request id, or 0 outside a request).
     EpochPin = 15,
     /// Serializing + writing one HTTP response (arg = request id).
     ServeSerialize = 16,

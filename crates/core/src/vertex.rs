@@ -3,8 +3,8 @@
 //!
 //! The paper stores "the degree, value and any flags" of each vertex here;
 //! the graph engine reads degrees during inference (total degree of the
-//! active set) and algorithms may use the value/flags slots as scratch
-//! state that lives alongside the structure.
+//! active set). Algorithm values live in the engine's own arrays, so a
+//! slot here holds only the original id and the degree.
 
 use gtinker_types::{VertexId, Weight, NIL_VERTEX};
 
@@ -81,15 +81,10 @@ pub struct VertexProperty {
     pub original_id: VertexId,
     /// Current out-degree (live edges owned by this vertex).
     pub out_degree: u32,
-    /// Algorithm value slot (e.g. BFS level, CC label).
-    pub value: u32,
-    /// Algorithm flag slot.
-    pub flags: u32,
 }
 
 impl VertexProperty {
-    const EMPTY: VertexProperty =
-        VertexProperty { original_id: NIL_VERTEX, out_degree: 0, value: 0, flags: 0 };
+    const EMPTY: VertexProperty = VertexProperty { original_id: NIL_VERTEX, out_degree: 0 };
 }
 
 /// Dense array of vertex properties.
@@ -97,8 +92,6 @@ impl VertexProperty {
 pub struct VertexPropertyArray {
     props: Vec<VertexProperty>,
 }
-
-clone_fields!(VertexPropertyArray { props });
 
 impl VertexPropertyArray {
     /// Creates an empty array.

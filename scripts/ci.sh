@@ -360,20 +360,38 @@ curl -fsS "http://$QADDR/query/bfs?src=4294967295" | tee "$SMOKE/q_bfs_far.json"
 grep -q '"reached":1' "$SMOKE/q_bfs_far.json"
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://$QADDR/healthz")" = 200
 # Once the held ingest is done, a pin reads the last acked batch boundary,
-# and a pin with no batch since shares that snapshot instead of copying.
+# and a pin with no batch since shares that view instead of netting again.
 for _ in $(seq 1 100); do
     grep -q "ingest done; serving queries" "$SMOKE/ingest_serve.err" && break
     sleep 0.1
 done
 epoch_of() { sed -n 's/.*"epoch":\([0-9]*\).*/\1/p'; }
-refreshes() { curl -fsS "http://$QADDR/metrics" | sed -n 's/^gtinker_epoch_refreshes //p'; }
+json_num() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+pins() { curl -fsS "http://$QADDR/metrics" | sed -n 's/^gtinker_epoch_pins //p'; }
+rebases() { curl -fsS "http://$QADDR/metrics" | sed -n 's/^gtinker_epoch_rebases //p'; }
 CC_EPOCH=$(curl -fsS "http://$QADDR/query/cc" | epoch_of)
-ACKED=$(curl -fsS "http://$QADDR/healthz" | sed -n 's/.*"acked_batches":\([0-9]*\).*/\1/p')
+ACKED=$(curl -fsS "http://$QADDR/healthz" | json_num acked_batches)
 echo "held: /query/cc epoch $CC_EPOCH, /healthz acked_batches $ACKED"
 test -n "$CC_EPOCH" && test "$CC_EPOCH" = "$ACKED"
-REFRESHES=$(refreshes)
+REBASES=$(rebases)
+PINS=$(pins)
 test "$(curl -fsS "http://$QADDR/degree?v=0" | epoch_of)" = "$CC_EPOCH"
-test "$(refreshes)" = "$REFRESHES"
+test "$(rebases)" = "$REBASES"
+test "$(pins)" -gt "$PINS"
+# The pin answers the ingest's own count: /healthz's epoch catches up with
+# acked_batches, and its live_edges equals the status line's live count.
+LIVE=$(sed -n 's/^ingested .* \([0-9]*\) live.*/\1/p' "$SMOKE/ingest_serve.out")
+for _ in $(seq 1 100); do
+    HEALTH=$(curl -fsS "http://$QADDR/healthz")
+    test "$(echo "$HEALTH" | json_num epoch)" = "$(echo "$HEALTH" | json_num acked_batches)" && break
+    sleep 0.1
+done
+echo "held: /healthz $HEALTH; ingest live $LIVE"
+test -n "$LIVE" && test "$(echo "$HEALTH" | json_num live_edges)" = "$LIVE"
+# /debug/vars reports the read side: the base epoch and the delta length.
+curl -fsS "http://$QADDR/debug/vars" | tee "$SMOKE/vars.json" | grep -q '"delta_ops":[0-9]'
+grep -q '"base_epoch":[0-9]' "$SMOKE/vars.json"
+grep -q '"rebase_lag_batches":[0-9]' "$SMOKE/vars.json"
 curl -fsS "http://$QADDR/quitquitquit" | grep -q "shutting down"
 wait "$INGEST_PID"
 grep -q "ingest done; serving queries" "$SMOKE/ingest_serve.err"

@@ -15,7 +15,7 @@ use std::time::Duration;
 use gtinker_core::{GraphStore, GraphTinker, ParallelTinker};
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
 use gtinker_integration::{assert_shards_valid as assert_valid, reference};
-use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
+use gtinker_types::{partition_of, DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,8 +220,8 @@ fn concurrent_readers_sync_apply_delete_and_compact() {
 }
 
 /// Readers that pin and drop at seeded random intervals while a pipelined
-/// writer streams, so pins land both on a snapshot another reader holds
-/// and on a stale one they must refresh: every view is the oracle at its
+/// writer streams, so pins land both on a view another reader holds and
+/// on a stale one they must fold forward: every view is the oracle at its
 /// epoch and passes both validators, a reader's epochs never go back, and
 /// a held view does not change while the writer moves on.
 fn random_pin_intervals(mode: DeleteMode, seed: u64) {
@@ -391,4 +391,242 @@ fn overlapping_pins_stay_frozen_under_writes() {
     assert_valid(&fresh, "fresh view after the writer finished");
     assert_eq!(fresh.epoch(), BATCHES as u64);
     assert_eq!(view_edges(&fresh), *boundaries.last().unwrap());
+}
+
+/// Mixed stream over a keyspace large enough that every shard's overlay
+/// crosses the rebase floor: fresh inserts, weight updates, deletes and
+/// re-inserts of deleted edges, in batches well under the floor.
+fn rebase_workload(shards: usize, seed: u64) -> Vec<EdgeBatch> {
+    const BATCH: usize = 4_000;
+    let ops = shards * gtinker_core::epoch::REBASE_FLOOR * 5 / 2;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut live: Vec<(u32, u32)> = Vec::new();
+    let mut dead: Vec<(u32, u32)> = Vec::new();
+    let mut batches = Vec::new();
+    for _ in 0..ops.div_ceil(BATCH) {
+        let mut b = EdgeBatch::new();
+        for _ in 0..BATCH {
+            let roll = rng.gen_range(0..10);
+            let w = rng.gen_range(1..1_000u32);
+            if roll < 6 || live.is_empty() {
+                let (s, d) = (rng.gen_range(0..5_000u32), rng.gen_range(0..5_000u32));
+                live.push((s, d));
+                b.push_insert(Edge::new(s, d, w));
+            } else if roll < 8 {
+                let (s, d) = live[rng.gen_range(0..live.len())];
+                b.push_insert(Edge::new(s, d, w));
+            } else if roll < 9 || dead.is_empty() {
+                let (s, d) = live.swap_remove(rng.gen_range(0..live.len()));
+                dead.push((s, d));
+                b.push_delete(s, d);
+            } else {
+                let (s, d) = dead.swap_remove(rng.gen_range(0..dead.len()));
+                live.push((s, d));
+                b.push_insert(Edge::new(s, d, w));
+            }
+        }
+        batches.push(b);
+    }
+    batches
+}
+
+/// One shard's edges and vertex space, replayed batch by batch: the
+/// oracle a rebased base is held to.
+struct ShardModel {
+    shard: usize,
+    shards: usize,
+    at: usize,
+    edges: BTreeMap<(u32, u32), u32>,
+    vertex_space: u32,
+}
+
+impl ShardModel {
+    fn new(shard: usize, shards: usize) -> Self {
+        ShardModel { shard, shards, at: 0, edges: BTreeMap::new(), vertex_space: 0 }
+    }
+
+    /// The shard's CSR after the first `epoch` batches (`epoch` never
+    /// goes back).
+    fn csr_at(&mut self, batches: &[EdgeBatch], epoch: usize) -> gtinker_core::CsrSnapshot {
+        assert!(epoch >= self.at, "a shard's base epoch went back");
+        for b in &batches[self.at..epoch] {
+            for op in b.iter().filter(|op| partition_of(op.src(), self.shards) == self.shard) {
+                match *op {
+                    UpdateOp::Insert(e) => {
+                        self.edges.insert((e.src, e.dst), e.weight);
+                        self.vertex_space = self.vertex_space.max(e.src.max(e.dst) + 1);
+                    }
+                    UpdateOp::Delete { src, dst } => {
+                        self.edges.remove(&(src, dst));
+                    }
+                }
+            }
+        }
+        self.at = epoch;
+        let edges: Vec<_> = self.edges.iter().map(|(&(s, d), &w)| (s, d, w)).collect();
+        gtinker_core::CsrSnapshot::from_edges(&edges, self.vertex_space)
+    }
+}
+
+/// The whole graph after the first `epoch` batches.
+fn boundary_of(batches: &[EdgeBatch], epoch: usize) -> Boundary {
+    let mut model = BTreeMap::new();
+    for op in batches[..epoch].iter().flat_map(|b| b.iter()) {
+        match *op {
+            UpdateOp::Insert(e) => {
+                model.insert((e.src, e.dst), e.weight);
+            }
+            UpdateOp::Delete { src, dst } => {
+                model.remove(&(src, dst));
+            }
+        }
+    }
+    model.into_iter().map(|((s, d), w)| (s, d, w)).collect()
+}
+
+/// Pins until every shard's base is past `epoch` (the rebaser runs in the
+/// background), checking each new base on the way.
+fn await_bases_past(
+    g: &ParallelTinker,
+    epoch: u64,
+    mut check: impl FnMut(&gtinker_core::StoreView),
+) -> gtinker_core::StoreView {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let view = g.pin_view().expect("views enabled");
+        check(&view);
+        let oldest = (0..view.num_instances())
+            .map(|i| view.with_instance(i, |s| s.base_epoch()))
+            .min()
+            .unwrap();
+        if oldest > epoch {
+            return view;
+        }
+        assert!(std::time::Instant::now() < deadline, "no rebase past epoch {epoch}");
+        drop(view);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// After every rebase, each shard's base equals `CsrSnapshot::build` of
+/// that shard at the rebase's batch boundary, and every pin still equals
+/// the oracle — over a stream that crosses the rebase floor on every shard
+/// at 1, 2 and 3 shards.
+#[test]
+fn rebased_bases_equal_a_fresh_build() {
+    for shards in 1..=3 {
+        let batches = rebase_workload(shards, 0x4EBA5E ^ shards as u64);
+        let g = ParallelTinker::new(config(DeleteMode::DeleteOnly), shards).unwrap();
+        let mut models: Vec<_> = (0..shards).map(|i| ShardModel::new(i, shards)).collect();
+        let mut seen = vec![0u64; shards];
+        let mut rebases = 0;
+        let mut check = |view: &gtinker_core::StoreView| {
+            for (i, model) in models.iter_mut().enumerate() {
+                let epoch = view.with_instance(i, |s| s.base_epoch());
+                if epoch != seen[i] {
+                    let want = model.csr_at(&batches, epoch as usize);
+                    view.with_instance(i, |s| assert!(*s.base() == want, "shard {i} at {epoch}"));
+                    (seen[i], rebases) = (epoch, rebases + 1);
+                }
+            }
+        };
+        for (k, b) in batches.iter().enumerate() {
+            g.apply_batch(b);
+            let view = g.pin_view().expect("views enabled");
+            assert_eq!(view.epoch(), k as u64 + 1);
+            check(&view);
+            if k % 16 == 15 {
+                assert_valid(&view, &format!("{shards} shards at batch {k}"));
+                assert_eq!(view_edges(&view), boundary_of(&batches, k + 1), "batch {k}");
+            }
+        }
+        let view = await_bases_past(&g, 0, &mut check);
+        assert!(rebases >= shards, "{shards} shards: {rebases} rebases");
+        assert_valid(&view, "after the rebases");
+        assert_eq!(view_edges(&view), boundary_of(&batches, batches.len()));
+        let live: Vec<_> = {
+            let mut e = Vec::new();
+            g.stream_edges(|s, d, w| e.push((s, d, w)));
+            e.sort_unstable();
+            e
+        };
+        assert_eq!(view_edges(&view), live, "{shards} shards: the final view is the live store");
+        assert_eq!(view.vertex_space(), g.vertex_space());
+        for v in (0..5_000).step_by(7) {
+            assert_eq!(view.out_degree(v), g.out_degree(v), "degree of {v}");
+        }
+    }
+}
+
+/// A guard held while the rebaser replaces every shard's base keeps
+/// answering its own epoch: its stream, degrees and point reads stay the
+/// oracle's. Joiners share it, and their pins are what lets the rebaser
+/// fold and merge the batches piling up behind it.
+#[test]
+fn held_guard_survives_rebases() {
+    let shards = 2;
+    let batches = rebase_workload(shards, 0x601D);
+    let g = ParallelTinker::new(config(DeleteMode::DeleteAndCompact), shards).unwrap();
+    let held_at = 5;
+    for b in &batches[..held_at] {
+        g.apply_batch(b);
+    }
+    let held = g.pin_view().expect("views enabled");
+    let want = boundary_of(&batches, held_at);
+    assert_eq!(view_edges(&held), want);
+    for b in &batches[held_at..] {
+        g.apply_batch(b);
+        let joiner = g.pin_view().expect("views enabled");
+        assert_eq!(joiner.epoch(), held_at as u64, "a joiner shares the held epoch");
+    }
+    // The rebaser folded and merged behind the held guard.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while g.read_side_stats().0 <= held_at as u64 {
+        assert!(std::time::Instant::now() < deadline, "no rebase behind the held guard");
+        drop(g.pin_view());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(held.epoch(), held_at as u64);
+    assert_valid(&held, "held guard after the rebases");
+    assert_eq!(view_edges(&held), want, "a held guard changed under a rebase");
+    for &(s, d, w) in want.iter().step_by(13) {
+        assert_eq!(held.edge_weight(s, d), Some(w));
+    }
+    let degree = |v: u32| want.iter().filter(|e| e.0 == v).count() as u32;
+    for v in (0..5_000).step_by(11) {
+        assert_eq!(held.out_degree(v), degree(v), "degree of {v} in the held view");
+    }
+    drop(held);
+    let fresh = g.pin_view().expect("views enabled");
+    assert_eq!(fresh.epoch(), batches.len() as u64);
+    assert_eq!(view_edges(&fresh), boundary_of(&batches, batches.len()));
+}
+
+/// A pool nobody pins keeps at most one rebase floor of ops for its read
+/// side and rebases nothing; the first pin then bootstraps bases that
+/// equal the live shards.
+#[test]
+fn unpinned_pool_retains_at_most_one_floor() {
+    for shards in [1, 3] {
+        let batches = rebase_workload(shards, 0x0FF ^ shards as u64);
+        let g = ParallelTinker::new(config(DeleteMode::DeleteOnly), shards).unwrap();
+        for (k, b) in batches.iter().enumerate() {
+            g.apply_batch(b);
+            let (base_epoch, held) = g.read_side_stats();
+            assert_eq!(base_epoch, 0, "{shards} shards, batch {k}: nothing rebases");
+            assert!(
+                held as usize <= gtinker_core::epoch::REBASE_FLOOR,
+                "{shards} shards, batch {k}: {held} ops held"
+            );
+        }
+        let view = g.pin_view().expect("views enabled");
+        assert_eq!(view.epoch(), batches.len() as u64);
+        assert_eq!(g.read_side_stats(), (batches.len() as u64, 0), "bootstrapped at the boundary");
+        assert_valid(&view, "bootstrapped view");
+        assert_eq!(view_edges(&view), boundary_of(&batches, batches.len()));
+        for i in 0..shards {
+            let live = g.with_instance(i, gtinker_core::CsrSnapshot::build);
+            view.with_instance(i, |s| assert!(*s.base() == live, "shard {i} base"));
+        }
+    }
 }

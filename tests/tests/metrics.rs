@@ -262,34 +262,44 @@ fn ingest_parse_metrics_are_exported_under_their_documented_names() {
     assert!(json.contains("\"ingest_parsed_edges_total\": "));
 }
 
-/// A pin copies the shards only when the snapshot it would share is
-/// stale: two pins with nothing applied between them refresh once, and a
-/// new batch makes the next pin refresh again. Each refresh records one
-/// copy time per shard. Nothing else in this binary pins, so the deltas
-/// are exact.
+/// A pin never rebases by itself: two pins with nothing applied between
+/// them share one view and a delta under the rebase rule merges nothing.
+/// A delta past the rule rebases its shard exactly once, in the
+/// background, and re-nets the overlay empty. Nothing else in this binary
+/// pins, so the deltas are exact.
 #[test]
-fn epoch_refreshes_follow_batches_not_pins() {
+fn epoch_rebases_follow_the_delta_not_pins() {
     if !metrics::enabled() {
         return;
     }
-    let g = ParallelTinker::new(TinkerConfig::default(), 2).unwrap();
+    let g = ParallelTinker::new(TinkerConfig::default(), 1).unwrap();
     g.apply_batch(&EdgeBatch::inserts(&[Edge::new(1, 2, 3), Edge::new(2, 3, 4)]));
     let before = metrics::global().snapshot();
     drop(g.pin_view().unwrap());
     let again = g.pin_view().unwrap();
-    assert_eq!(again.epoch(), 1);
+    assert_eq!((again.epoch(), again.num_edges()), (1, 2));
     drop(again);
     let quiet = metrics::global().snapshot();
-    assert_eq!(quiet.epoch_refreshes - before.epoch_refreshes, 1, "a quiescent pin shares");
-    assert_eq!(quiet.epoch_refresh_ns.count() - before.epoch_refresh_ns.count(), 2);
+    assert_eq!(quiet.epoch_rebases - before.epoch_rebases, 0, "a quiescent pin rebases nothing");
+    assert_eq!(quiet.epoch_pins - before.epoch_pins, 2);
 
-    g.apply_batch(&EdgeBatch::inserts(&[Edge::new(3, 4, 5)]));
+    let floor = gtinker_core::epoch::REBASE_FLOOR as u32;
+    let edges: Vec<Edge> = (0..floor).map(|i| Edge::new(i % 97, 100 + i, 1)).collect();
+    g.apply_batch(&EdgeBatch::inserts(&edges));
     let fresh = g.pin_view().unwrap();
-    assert_eq!((fresh.epoch(), fresh.num_edges()), (2, 3));
+    assert_eq!((fresh.epoch(), fresh.num_edges()), (2, u64::from(floor) + 2));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while g.read_side_stats() != (2, 0) {
+        assert!(std::time::Instant::now() < deadline, "no rebase: {:?}", g.read_side_stats());
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let after = metrics::global().snapshot();
-    assert_eq!(after.epoch_refreshes - quiet.epoch_refreshes, 1, "a new batch refreshes");
-    assert_eq!(after.epoch_refresh_ns.count() - quiet.epoch_refresh_ns.count(), 2);
+    assert_eq!(after.epoch_rebases - quiet.epoch_rebases, 1, "a delta past the rule rebases");
+    assert_eq!(after.epoch_rebase_ns.count() - quiet.epoch_rebase_ns.count(), 1);
     let prom = after.to_prometheus();
-    assert!(prom.contains("# TYPE gtinker_epoch_refreshes counter"), "{prom}");
-    assert!(prom.contains("gtinker_epoch_refresh_ns_count "));
+    assert!(prom.contains("# TYPE gtinker_epoch_rebases counter"), "{prom}");
+    assert!(prom.contains("gtinker_epoch_rebase_ns_count "));
+    assert!(prom.contains("# TYPE gtinker_epoch_delta_ops gauge"));
+    assert!(prom.contains("# TYPE gtinker_epoch_read_side_bytes gauge"));
+    assert!(prom.contains("# TYPE gtinker_epoch_pins counter"));
 }
