@@ -114,9 +114,9 @@ request's pin/engine/serialize spans in /trace carry that id as their
 arg. --slow-query-ms N logs a structured warn record with a per-phase
 breakdown (queue/pin/engine/serialize) for any request slower than N ms.
 'ingest --serve' runs the same endpoint in-process against the live
-store while batches apply: a query reads a copy of the shards taken at a
-batch boundary, shared by every query that overlaps it, and the first
-query after new batches waits for one such copy; --hold keeps serving
+store while batches apply: a query pins a batch boundary and reads each
+shard's CSR base plus the batches acked after it, netted on the query's
+own thread (a pin never waits for a shard worker); --hold keeps serving
 after the ingest finishes until /quitquitquit.
 
 --log LEVEL (any command) sets the structured key=value log level on
@@ -202,45 +202,10 @@ fn churn_ops(edges: &[Edge], churn: usize) -> Vec<UpdateOp> {
     ops
 }
 
-/// Streams the input through a [`DynamicRunner`] in `--batch`-op batches
-/// (repairing the standing result after each) and returns the runner
-/// plus the number of batches driven.
-fn drive_incremental<S: ApplyBatch + GraphStore + Sync, P: IncrementalState>(
-    g: &mut S,
-    parsed: &Parsed,
-    program: P,
-    sym: bool,
-) -> Result<(DynamicRunner<P>, usize), String> {
-    let path = parsed.input()?;
-    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-    let ops = churn_ops(&edges, parsed.num("churn-every", 0usize)?);
-    let batch_size = parsed.num("batch", 10_000usize)?.max(1);
-    let mut runner = DynamicRunner::new(program, mode_policy(parsed)?, RestartPolicy::Incremental);
-    let m = gtinker_core::metrics::global();
-    let (cone0, iters0) = (m.engine_repair_invalidated.get(), m.engine_repair_iters.get());
-    let t0 = Instant::now();
-    let mut batches = 0usize;
-    for chunk in ops.chunks(batch_size) {
-        let mut batch = EdgeBatch::with_capacity(chunk.len());
-        for &op in chunk {
-            batch.push(op);
-        }
-        if sym {
-            batch = symmetrize(&batch);
-        }
-        g.apply(&batch);
-        runner.after_batch(&*g, &batch);
-        batches += 1;
-    }
-    eprintln!(
-        "incremental: {} ops over {batches} batches from {path} in {:.2?} \
-         ({} vertices invalidated, {} repair iterations)",
-        ops.len(),
-        t0.elapsed(),
-        m.engine_repair_invalidated.get() - cone0,
-        m.engine_repair_iters.get() - iters0,
-    );
-    Ok((runner, batches))
+/// Refuses a root outside `0..space`: the engine sizes its arrays from it.
+fn check_roots<P: GasProgram>(program: &P, space: u32) -> Result<(), String> {
+    let Some(&(v, _)) = program.roots(space).iter().find(|r| r.0 >= space) else { return Ok(()) };
+    Err(format!("option --root: {v} is outside the graph (vertex space {space})"))
 }
 
 /// `--verify`: recomputes a cold AlwaysFull fixpoint on the final store
@@ -282,25 +247,39 @@ fn config(parsed: &Parsed) -> Result<TinkerConfig, String> {
     Ok(cfg)
 }
 
-/// Loads the input edge list into a single store (symmetrizing first
-/// when `sym` is set, for the undirected analytics).
-fn load_graph(parsed: &Parsed, sym: bool) -> Result<(GraphTinker, Vec<Edge>), String> {
+/// A [`GraphTinker`] built from the command's configuration flags.
+fn tinker(parsed: &Parsed) -> Result<GraphTinker, String> {
+    GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())
+}
+
+/// A [`ParallelTinker`] of `n` shards built from the configuration flags.
+fn sharded(parsed: &Parsed, n: usize) -> Result<ParallelTinker, String> {
+    ParallelTinker::new(config(parsed)?, n).map_err(|e| e.to_string())
+}
+
+/// The one way a command loads a whole file: the input edge list (made
+/// symmetric when `sym`, for the undirected analytics) into `g` through
+/// [`ApplyBatch::load`]. `placed_whole` reads what the load placed whole.
+fn load<S: ApplyBatch + GraphStore>(
+    parsed: &Parsed,
+    sym: bool,
+    mut g: S,
+    placed_whole: fn(&S) -> u64,
+) -> Result<S, String> {
     let path = parsed.input()?;
-    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-    let mut batch = EdgeBatch::inserts(&edges);
+    let mut batch = EdgeBatch::inserts(&io::read_edge_list(path).map_err(|e| e.to_string())?);
     if sym {
         batch = symmetrize(&batch);
     }
-    let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-    let t0 = Instant::now();
-    g.apply_batch(&batch);
+    let (ops, t0) = (batch.len(), Instant::now());
+    g.load(batch.into_iter().collect());
     eprintln!(
-        "loaded {} edges ({} live) from {path} in {:.2?}",
-        edges.len(),
+        "loaded {ops} ops ({} live) from {path} in {:.2?}, {} sources placed whole",
         g.num_edges(),
-        t0.elapsed()
+        t0.elapsed(),
+        placed_whole(&g)
     );
-    Ok((g, edges))
+    Ok(g)
 }
 
 fn generate(parsed: &Parsed) -> Result<(), String> {
@@ -353,7 +332,10 @@ fn stats(parsed: &Parsed) -> Result<(), String> {
         );
         g
     } else {
-        load_graph(parsed, false)?.0
+        // The per-batch insert path, on purpose: it is what this profiles.
+        let mut g = tinker(parsed)?;
+        g.apply_batch(&EdgeBatch::inserts(&io::read_edge_list(&input).map_err(|e| e.to_string())?));
+        g
     };
     // Refresh the memory_*_bytes gauge family from the final structure
     // state so every output format reports it.
@@ -522,28 +504,6 @@ fn shards(parsed: &Parsed) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Loads the input edge list into an interval-partitioned parallel store
-/// of `n` shards (symmetrizing first when `sym` is set, for the
-/// undirected analytics).
-fn load_parallel(parsed: &Parsed, n: usize, sym: bool) -> Result<ParallelTinker, String> {
-    let path = parsed.input()?;
-    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-    let mut batch = EdgeBatch::inserts(&edges);
-    if sym {
-        batch = symmetrize(&batch);
-    }
-    let g = ParallelTinker::new(config(parsed)?, n).map_err(|e| e.to_string())?;
-    let t0 = Instant::now();
-    g.apply_batch(&batch);
-    eprintln!(
-        "loaded {} ops into {n} shards ({} live) from {path} in {:.2?}",
-        batch.len(),
-        g.num_edges(),
-        t0.elapsed()
-    );
-    Ok(g)
-}
-
 fn bfs(parsed: &Parsed) -> Result<(), String> {
     let root = parsed.num("root", 0u32)?;
     analytic(parsed, Bfs::new(root), false, true, |levels| {
@@ -585,21 +545,20 @@ fn analytic<P: IncrementalState<Value = u32> + Copy>(
 ) -> Result<(), String> {
     let n = shards(parsed)?;
     if incremental_restart(parsed)? {
-        let cfg = config(parsed)?;
         return match n {
-            1 => {
-                let mut g = GraphTinker::new(cfg).map_err(|e| e.to_string())?;
-                solve_incremental(&mut g, parsed, program, sym, summary)
-            }
-            n => {
-                let mut g = ParallelTinker::new(cfg, n).map_err(|e| e.to_string())?;
-                solve_incremental(&mut g, parsed, program, sym, summary)
-            }
+            1 => solve_incremental(&mut tinker(parsed)?, parsed, program, sym, summary),
+            n => solve_incremental(&mut sharded(parsed, n)?, parsed, program, sym, summary),
         };
     }
     match n {
-        1 => solve_cold(&load_graph(parsed, sym)?.0, parsed, program, mode_split, summary),
-        n => solve_cold(&load_parallel(parsed, n, sym)?, parsed, program, mode_split, summary),
+        1 => {
+            let g = load(parsed, sym, tinker(parsed)?, GraphTinker::placed_whole)?;
+            solve_cold(&g, parsed, program, mode_split, summary)
+        }
+        n => {
+            let g = load(parsed, sym, sharded(parsed, n)?, ParallelTinker::placed_whole)?;
+            solve_cold(&g, parsed, program, mode_split, summary)
+        }
     }
 }
 
@@ -610,6 +569,7 @@ fn solve_cold<S: GraphStore + Sync, P: GasProgram<Value = u32> + Copy>(
     mode_split: bool,
     summary: impl Fn(&[u32]) -> String,
 ) -> Result<(), String> {
+    check_roots(&program, g.vertex_space())?;
     let mut e = Engine::new(program, mode_policy(parsed)?);
     let t0 = Instant::now();
     let r = e.run_from_roots(g);
@@ -631,6 +591,8 @@ fn solve_cold<S: GraphStore + Sync, P: GasProgram<Value = u32> + Copy>(
     Ok(())
 }
 
+/// Streams the input through a [`DynamicRunner`] in `--batch`-op batches,
+/// repairing the standing result after each, and prints `summary` of it.
 fn solve_incremental<S, P>(
     g: &mut S,
     parsed: &Parsed,
@@ -642,8 +604,31 @@ where
     S: ApplyBatch + GraphStore + Sync,
     P: IncrementalState<Value = u32> + Copy,
 {
+    let path = parsed.input()?;
+    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
+    let space = edges.iter().map(|e| e.src.max(e.dst).saturating_add(1)).max().unwrap_or(0);
+    check_roots(&program, space)?;
+    let ops = churn_ops(&edges, parsed.num("churn-every", 0usize)?);
+    let batch_size = parsed.num("batch", 10_000usize)?.max(1);
+    let mut runner = DynamicRunner::new(program, mode_policy(parsed)?, RestartPolicy::Incremental);
+    let m = gtinker_core::metrics::global();
+    let (cone0, iters0) = (m.engine_repair_invalidated.get(), m.engine_repair_iters.get());
     let t0 = Instant::now();
-    let (runner, batches) = drive_incremental(g, parsed, program, sym)?;
+    let batches = ops.len().div_ceil(batch_size);
+    for chunk in ops.chunks(batch_size) {
+        let batch: EdgeBatch = chunk.iter().copied().collect();
+        let batch = if sym { symmetrize(&batch) } else { batch };
+        g.apply(&batch);
+        runner.after_batch(&*g, &batch);
+    }
+    eprintln!(
+        "incremental: {} ops over {batches} batches from {path} in {:.2?} \
+         ({} vertices invalidated, {} repair iterations)",
+        ops.len(),
+        t0.elapsed(),
+        m.engine_repair_invalidated.get() - cone0,
+        m.engine_repair_iters.get() - iters0,
+    );
     let e = runner.engine();
     println!("{}, {batches} incremental batches in {:.2?}", summary(e.values()), t0.elapsed());
     if parsed.flag("verify") {
@@ -654,8 +639,11 @@ where
 
 fn pagerank(parsed: &Parsed) -> Result<(), String> {
     match shards(parsed)? {
-        1 => pagerank_on(&load_graph(parsed, false)?.0, parsed),
-        n => pagerank_on(&load_parallel(parsed, n, false)?, parsed),
+        1 => pagerank_on(&load(parsed, false, tinker(parsed)?, GraphTinker::placed_whole)?, parsed),
+        n => pagerank_on(
+            &load(parsed, false, sharded(parsed, n)?, ParallelTinker::placed_whole)?,
+            parsed,
+        ),
     }
 }
 
@@ -673,10 +661,7 @@ fn pagerank_on<S: GraphStore + Sync>(g: &S, parsed: &Parsed) -> Result<(), Strin
 }
 
 fn triangles(parsed: &Parsed) -> Result<(), String> {
-    let path = parsed.input()?;
-    let edges = io::read_edge_list(path).map_err(|e| e.to_string())?;
-    let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
-    g.apply_batch(&symmetrize(&EdgeBatch::inserts(&edges)));
+    let g = load(parsed, true, tinker(parsed)?, GraphTinker::placed_whole)?;
     let t0 = Instant::now();
     let n = TriangleCount::new().count(&g);
     println!("{n} triangles ({} edges, symmetrized) in {:.2?}", g.num_edges(), t0.elapsed());
@@ -689,7 +674,7 @@ fn bench_insert(parsed: &Parsed) -> Result<(), String> {
     let batch_size = parsed.num("batch", 1_000_000usize)?;
     let batches: Vec<EdgeBatch> = edges.chunks(batch_size.max(1)).map(EdgeBatch::inserts).collect();
 
-    let mut g = GraphTinker::new(config(parsed)?).map_err(|e| e.to_string())?;
+    let mut g = tinker(parsed)?;
     let t0 = Instant::now();
     for b in &batches {
         g.apply_batch(b);
@@ -907,24 +892,28 @@ fn trace_cmd(parsed: &Parsed) -> Result<(), String> {
     // branch-out instants must not evict the ingest's WAL/pool spans.
     let mut dump = gtinker_core::trace::dump();
     if parsed.flag("analytics") {
-        let (mut g, edges) = load_graph(parsed, false)?;
+        let mut g = load(parsed, false, tinker(parsed)?, GraphTinker::placed_whole)?;
         let root = parsed.num("root", 0u32)?;
+        check_roots(&Bfs::new(root), g.vertex_space())?;
         let mut runner =
             DynamicRunner::new(Bfs::new(root), mode_policy(parsed)?, RestartPolicy::Incremental);
         let r = runner.after_batch(&g, &EdgeBatch::new());
-        // A delete + re-insert churn round so the timeline carries
-        // 'repair' spans with real cone sizes, not just the cold solve.
-        let k = edges.len().min(256);
-        let pairs: Vec<_> = edges[..k].iter().map(|e| (e.src, e.dst)).collect();
+        // A delete + re-insert churn round of 256 stored edges so the
+        // timeline carries 'repair' spans with real cone sizes, not just
+        // the cold solve.
+        let mut edges = Vec::new();
+        g.for_each_edge(|s, d, w| edges.extend((edges.len() < 256).then(|| Edge::new(s, d, w))));
+        let pairs: Vec<_> = edges.iter().map(|e| (e.src, e.dst)).collect();
         let del = EdgeBatch::deletes(&pairs);
         g.apply_batch(&del);
         runner.after_batch(&g, &del);
-        let ins = EdgeBatch::inserts(&edges[..k]);
+        let ins = EdgeBatch::inserts(&edges);
         g.apply_batch(&ins);
         runner.after_batch(&g, &ins);
         eprintln!(
-            "traced BFS from {root}: {} iterations, then 2 repair batches ({k} ops each)",
-            r.num_iterations()
+            "traced BFS from {root}: {} iterations, then 2 repair batches ({} ops each)",
+            r.num_iterations(),
+            edges.len()
         );
     }
     gtinker_core::trace::set_enabled(false);
@@ -981,12 +970,7 @@ fn serve_cmd(parsed: &Parsed) -> Result<(), String> {
                 );
                 g
             } else {
-                let edges = io::read_edge_list(input).map_err(|e| e.to_string())?;
-                let g = ParallelTinker::new(config(parsed)?, shards).map_err(|e| e.to_string())?;
-                for chunk in edges.chunks(100_000) {
-                    g.apply_batch(&EdgeBatch::inserts(chunk));
-                }
-                g
+                load(parsed, false, sharded(parsed, shards)?, ParallelTinker::placed_whole)?
             };
             eprintln!("serving {} edges over {shards} shard(s)", g.num_edges());
             Some(std::sync::Arc::new(g))
@@ -1003,7 +987,7 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
     let dir = parsed.get("dir").ok_or("snapshot requires --dir DIR")?;
     let dir = Path::new(dir);
     let t0 = Instant::now();
-    let (g, _) = load_graph(parsed, false)?;
+    let g = load(parsed, false, tinker(parsed)?, GraphTinker::placed_whole)?;
     let out = write_tinker_snapshot(dir, &g, 0).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     let dur = t0.elapsed();
@@ -1017,6 +1001,10 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
 
 fn recover(parsed: &Parsed) -> Result<(), String> {
     let dir = Path::new(parsed.input()?);
+    // Only opening a durable store may treat a missing directory as empty.
+    if !dir.is_dir() {
+        return Err(format!("recover: {} is not a directory", dir.display()));
+    }
     let t0 = Instant::now();
     let (g, report) = recover_tinker(dir, config(parsed)?).map_err(|e| e.to_string())?;
     println!(
@@ -1043,6 +1031,7 @@ fn recover(parsed: &Parsed) -> Result<(), String> {
     }
     if let Some(root) = parsed.get("root") {
         let root: u32 = root.parse().map_err(|_| format!("option --root: bad value '{root}'"))?;
+        check_roots(&Bfs::new(root), g.vertex_space())?;
         let mut e = Engine::new(Bfs::new(root), mode_policy(parsed)?);
         let r = e.run_from_roots(&g);
         let reached = e.values().iter().filter(|&&v| v != u32::MAX).count();
@@ -1305,6 +1294,58 @@ mod tests {
             let e = run(&parsed(&[cmd, file_s, "--shards", "0"])).unwrap_err();
             assert!(e.contains("--shards"), "{cmd}: {e}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn roots_outside_the_graph_are_refused() {
+        let dir = std::env::temp_dir().join("gtinker_cli_roots");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("g.txt");
+        std::fs::write(&file, "0 1\n1 2\n2 3\n").unwrap();
+        let f = file.to_str().unwrap();
+        let db = dir.join("db");
+        let db_s = db.to_str().unwrap();
+        run(&parsed(&["ingest", f, "--wal", db_s, "--sync", "never"])).unwrap();
+        // Vertex space 4 whichever way the store is built: a cold load at
+        // 1 or 2 shards, the input's largest id for an incremental restart,
+        // a recovered log.
+        let ways: [&[&str]; 4] = [
+            &[],
+            &["--shards", "2"],
+            &["--restart", "incremental"],
+            &["--shards", "2", "--churn-every", "2"],
+        ];
+        for root in [u32::MAX.to_string(), "4".to_string()] {
+            let refused = format!("option --root: {root} is outside the graph (vertex space 4)");
+            for cmd in ["bfs", "sssp"] {
+                for way in ways {
+                    let e = run(&parsed(&[&[cmd, f, "--root", &root][..], way].concat()));
+                    assert_eq!(e.unwrap_err(), refused, "{cmd} {way:?}");
+                }
+            }
+            let e = run(&parsed(&["recover", db_s, "--root", &root])).unwrap_err();
+            assert_eq!(e, refused, "recover");
+        }
+        run(&parsed(&["bfs", f, "--root", "3", "--shards", "2"])).unwrap();
+        run(&parsed(&["sssp", f, "--root", "3", "--restart", "incremental"])).unwrap();
+        run(&parsed(&["recover", db_s, "--root", "3"])).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_refuses_a_path_that_is_not_a_directory() {
+        let dir = std::env::temp_dir().join("gtinker_cli_recover_missing");
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = run(&parsed(&["recover", dir.to_str().unwrap(), "--root", "1"])).unwrap_err();
+        assert!(e.contains("is not a directory"), "got: {e}");
+        assert!(!dir.exists(), "a read-only recover creates nothing");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("g.txt");
+        std::fs::write(&file, "0 1\n").unwrap();
+        let e = run(&parsed(&["recover", file.to_str().unwrap()])).unwrap_err();
+        assert!(e.contains("is not a directory"), "got: {e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

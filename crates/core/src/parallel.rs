@@ -197,14 +197,6 @@ impl<S: ShardStore> Sharded<ShardPool<S>> {
         self.0.apply(batch)
     }
 
-    /// [`apply_batch`](Self::apply_batch) for a batch whose ops are grouped
-    /// by source: each instance applies its claim with
-    /// [`ApplyBatch::apply_grouped`], so the instances bulk-place in
-    /// parallel.
-    pub fn apply_grouped(&self, batch: &EdgeBatch) -> BatchResult {
-        self.0.apply_grouped(batch)
-    }
-
     /// Queues a batch asynchronously (pipelined ingestion): the call
     /// returns as soon as the batch is staged, so the caller can prepare
     /// batch *k+1* — and the workers can claim-partition it — while batch
@@ -235,7 +227,7 @@ impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
     }
 
     fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
-        Sharded::apply_grouped(self, batch)
+        self.0.apply_grouped(batch)
     }
 }
 
@@ -256,6 +248,11 @@ impl ParallelTinker {
             self.with_instance(i, |g| s.merge(&g.stats()));
         }
         s
+    }
+
+    /// Sources the instances placed whole ([`GraphTinker::placed_whole`]).
+    pub fn placed_whole(&self) -> u64 {
+        (0..self.num_instances()).map(|i| self.with_instance(i, GraphTinker::placed_whole)).sum()
     }
 
     /// Clears probe statistics on all instances.

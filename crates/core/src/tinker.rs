@@ -65,6 +65,23 @@ pub trait ApplyBatch {
     fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
         self.apply(batch)
     }
+
+    /// Applies a whole input (a file, a WAL tail) as one stream: it is
+    /// [`group_by_source`], then [`apply_grouped`](Self::apply_grouped) on
+    /// each chunk of [`run_chunks`]. The outcome, edges, weights, degrees
+    /// and vertex space are `apply`'s (the sort is stable); new sources are
+    /// placed whole, so dense ids, slot and CAL order and tier moves differ.
+    /// What measures the per-batch insert path stays on `apply`: `gtinker
+    /// stats FILE`, `bench-insert`, the paper figures, `ingest` and
+    /// `--restart incremental`.
+    fn load(&mut self, ops: Vec<UpdateOp>) -> BatchResult {
+        let ops = group_by_source(ops);
+        let mut r = BatchResult::default();
+        for chunk in run_chunks(&ops, UpdateOp::src) {
+            r.merge(&self.apply_grouped(&chunk.iter().copied().collect()));
+        }
+        r
+    }
 }
 
 impl ApplyBatch for GraphTinker {
@@ -127,6 +144,7 @@ macro_rules! on_tier {
 
 mod diagnostics;
 mod grouped;
+pub use grouped::{group_by_source, run_chunks, DECODE_BATCH_OPS};
 
 /// The GraphTinker dynamic-graph data structure.
 ///
@@ -1402,10 +1420,12 @@ mod tests {
     }
 
     /// Applies `setup` to two stores of `cfg`, then `ops` with
-    /// `apply_grouped` to one and `apply_batch` to the other, and checks
-    /// they agree: outcome, edges and weights, SGH order, degrees, tiers,
-    /// tier counts, vertex space, op counters and both validators. Returns
-    /// the grouped store and the arrival-order one.
+    /// [`ApplyBatch::load`] to one and `apply_batch` to the other, and
+    /// checks they agree: outcome, edges and weights, degrees, tiers, tier
+    /// counts, vertex space, op counters and both validators, and the SGH
+    /// order when `ops` is already sorted by source (`load` then hands it
+    /// to `apply_grouped` as it is). Returns the grouped store and the
+    /// arrival-order one.
     fn grouped_and_batched(
         cfg: TinkerConfig,
         setup: impl Fn(&mut GraphTinker),
@@ -1416,7 +1436,7 @@ mod tests {
         setup(&mut grouped);
         setup(&mut batched);
         let batch: EdgeBatch = ops.iter().copied().collect();
-        assert_eq!(grouped.apply_grouped(&batch), batched.apply_batch(&batch), "outcome");
+        assert_eq!(grouped.load(ops.to_vec()), batched.apply_batch(&batch), "outcome");
         for g in [&grouped, &batched] {
             g.validate_rhh_invariants().unwrap();
             g.validate_tag_invariants().unwrap();
@@ -1428,7 +1448,14 @@ mod tests {
             v
         };
         assert_eq!(edges(&grouped), edges(&batched), "edges and weights");
-        assert_eq!(grouped.sources(), batched.sources(), "SGH order");
+        let order = |g: &GraphTinker| {
+            let mut s = g.sources();
+            if !ops.is_sorted_by_key(UpdateOp::src) {
+                s.sort_unstable();
+            }
+            s
+        };
+        assert_eq!(order(&grouped), order(&batched), "SGH order");
         for src in grouped.sources() {
             assert_eq!(grouped.out_degree(src), batched.out_degree(src), "degree of {src}");
             assert_eq!(tier(&grouped, src), tier(&batched, src), "tier of {src}");
@@ -1481,6 +1508,24 @@ mod tests {
         assert_eq!(g.placed_whole(), 2);
         assert_eq!(g.edge_weight(8, 1007), None);
         assert_eq!(g.out_degree(11), 1);
+
+        // The same ops plus a hub-sized source that deletes most of its
+        // edges, one that deletes and re-inserts, and one insert-only
+        // source, shuffled: `load` regroups them, and every key keeps its
+        // ops' input order (the last weight wins), under both layouts.
+        ops.extend(runs(&[(13, 140, 5), (14, 30, 3), (15, 9, 2)]));
+        ops.extend((0..100).map(|d| UpdateOp::Delete { src: 13, dst: 1000 + 7 * d }));
+        ops.extend((0..6).map(|d| UpdateOp::Delete { src: 14, dst: 1000 + 7 * d }));
+        ops.extend(runs(&[(14, 4, 1)]));
+        let mut lcg = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..ops.len()).rev() {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ops.swap(i, (lcg >> 33) as usize % (i + 1));
+        }
+        for cfg in [TinkerConfig::default(), TinkerConfig::paper()] {
+            let (g, _) = grouped_and_batched(cfg, setup, &ops);
+            assert!(g.placed_whole() >= 3, "sources 9, 10 and 15 insert only");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! at its final size. A store that learns a degree one edge at a time makes
 //! a source climb through every tier it passes (inline, a 16-, 32- then
 //! 64-cell page, the hub), copying its edges at each step; a source-grouped
-//! stream — recovery's log tail, a snapshot's payload — knows the whole run
-//! up front, so the climb is skipped.
+//! stream — [`super::ApplyBatch::load`]'s input, a snapshot's payload —
+//! knows the whole run up front, so the climb is skipped.
 
 use gtinker_types::{EdgeBatch, UpdateOp, VertexId, NIL_VERTEX};
 
@@ -153,4 +153,120 @@ impl GraphTinker {
 fn is_grouped(ops: &[UpdateOp]) -> bool {
     let mut seen = std::collections::HashSet::new();
     ops.chunk_by(|a, b| a.src() == b.src()).all(|run| seen.insert(run[0].src()))
+}
+
+/// Grouped streams are applied about this many ops at a time
+/// ([`run_chunks`]): a batch flushes the store's counters once, and the op
+/// copy it needs stays cache-sized.
+pub const DECODE_BATCH_OPS: usize = 64 << 10;
+
+/// Cuts `items`, grouped into runs by `key`, into chunks of about
+/// [`DECODE_BATCH_OPS`] items that each end at a run boundary. A run is
+/// never split, so a chunk holding a longer run is as long as the run.
+pub fn run_chunks<'a, T>(
+    items: &'a [T],
+    key: impl Fn(&T) -> VertexId + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let mut end = rest.len().min(DECODE_BATCH_OPS);
+        let last = key(rest.get(end.checked_sub(1)?)?);
+        end += rest[end..].iter().take_while(|x| key(x) == last).count();
+        let (chunk, tail) = rest.split_at(end);
+        rest = tail;
+        Some(chunk)
+    })
+}
+
+/// `ops` stably sorted by source: a two-pass LSD radix sort, 16 bits of the
+/// source a pass, skipping a pass whose digit is the same for every op.
+/// Its tables are two 64 Ki-entry histograms whatever the id range, plus
+/// one scratch copy of `ops`.
+///
+/// Stability is what makes a grouped apply equal to the arrival-order
+/// one: every `(src, dst)` key still sees its ops in input order, and ops
+/// of different sources touch disjoint adjacency, so edges, weights,
+/// degrees, vertex space and each vertex's tier and page-class history
+/// come out the same; only dense ids and CAL positions differ.
+pub fn group_by_source(ops: Vec<UpdateOp>) -> Vec<UpdateOp> {
+    const DIGIT: usize = 1 << 16;
+    let n = ops.len();
+    let mut counts = [vec![0usize; DIGIT], vec![0usize; DIGIT]];
+    for op in &ops {
+        let src = op.src() as usize;
+        counts[0][src % DIGIT] += 1;
+        counts[1][src / DIGIT] += 1;
+    }
+    let mut from = ops;
+    let mut to = Vec::new();
+    for (pass, count) in counts.iter_mut().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            let len = *c;
+            *c = at;
+            at += len;
+        }
+        to.resize(n, UpdateOp::Delete { src: 0, dst: 0 });
+        for &op in &from {
+            let digit = (op.src() as usize >> (16 * pass)) % DIGIT;
+            to[count[digit]] = op;
+            count[digit] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gtinker_types::Edge;
+
+    #[test]
+    fn group_by_source_is_a_stable_sort_by_source() {
+        let ops: Vec<UpdateOp> = (0..5000u32)
+            .map(|i| {
+                let src = match i % 4 {
+                    0 => i % 7,
+                    1 => u32::MAX - 1 - i % 3,
+                    2 => (i % 5) << 16,
+                    _ => i.wrapping_mul(0x9E37_79B9),
+                };
+                // Distinct destinations make any reordering of equal
+                // sources visible.
+                if i % 3 == 0 {
+                    UpdateOp::Delete { src, dst: i }
+                } else {
+                    UpdateOp::Insert(Edge::new(src, i, i))
+                }
+            })
+            .collect();
+        for ops in [ops.clone(), ops.iter().filter(|op| op.src() < 7).copied().collect(), vec![]] {
+            let mut expected = ops.clone();
+            expected.sort_by_key(UpdateOp::src);
+            assert_eq!(group_by_source(ops), expected);
+        }
+    }
+
+    #[test]
+    fn run_chunks_end_only_at_run_boundaries() {
+        // Runs of 10, then one longer than a chunk, then a run straddling
+        // the next cut, then short ones.
+        let mut keys: Vec<u32> = (0..2_000).map(|i| i / 10).collect();
+        keys.extend(std::iter::repeat_n(5_000, DECODE_BATCH_OPS + 7));
+        keys.extend(std::iter::repeat_n(6_000, DECODE_BATCH_OPS - 2));
+        keys.extend((0..DECODE_BATCH_OPS as u32).map(|i| 7_000 + i / 3));
+        let chunks: Vec<&[u32]> = run_chunks(&keys, |&k| k).collect();
+        assert_eq!(chunks.concat(), keys);
+        assert_eq!(chunks[0].len(), 2_000 + DECODE_BATCH_OPS + 7, "a long run is never split");
+        // The cut falls two ops into a run of three: it moves past the third.
+        assert_eq!(chunks[1].len(), DECODE_BATCH_OPS + 1);
+        for pair in chunks.windows(2) {
+            assert_ne!(pair[0].last(), pair[1].first(), "a run spans two chunks");
+        }
+        assert_eq!(run_chunks(&[] as &[u32], |&k| k).count(), 0);
+    }
 }

@@ -22,10 +22,10 @@
 use std::path::{Path, PathBuf};
 
 use gtinker_core::{ApplyBatch, GraphTinker, ParallelTinker};
-use gtinker_types::{TinkerConfig, UpdateOp};
+use gtinker_types::TinkerConfig;
 
 use crate::format::{PersistError, Result};
-use crate::snapshot::{list_snapshots, load_sharded_snapshot, load_tinker_snapshot, run_chunks};
+use crate::snapshot::{list_snapshots, load_sharded_snapshot, load_tinker_snapshot};
 use crate::wal::{replay, WalRecord, WalReplay};
 
 /// What a recovery pass did, for logging and tests.
@@ -73,10 +73,10 @@ fn best_snapshot<T>(
 /// Applies the WAL records beyond `snapshot_lsn` to `store`, enforcing the
 /// no-gap rule. Returns how many were applied.
 ///
-/// The records' ops are applied as one stream grouped by source (see
-/// [`group_by_source`]), so each source arrives with its whole run of the
-/// log instead of a few ops per record. Each record's buffer is freed as
-/// its ops move into the stream.
+/// The records' ops are applied as one stream with [`ApplyBatch::load`],
+/// so each source arrives with its whole run of the log instead of a few
+/// ops per record. Each record's buffer is freed as its ops move into the
+/// stream.
 fn apply_tail(
     records: Vec<WalRecord>,
     snapshot_lsn: u64,
@@ -98,53 +98,8 @@ fn apply_tail(
         ops.extend(rec.batch);
         applied += 1;
     }
-    let ops = group_by_source(ops);
-    for chunk in run_chunks(&ops, UpdateOp::src) {
-        store.apply_grouped(&chunk.iter().copied().collect());
-    }
+    store.load(ops);
     Ok(applied)
-}
-
-/// `ops` stably sorted by source: a two-pass LSD radix sort, 16 bits of the
-/// source a pass, skipping a pass whose digit is the same for every op.
-/// Its tables are two 64 Ki-entry histograms whatever the id range, plus
-/// one scratch copy of `ops`.
-///
-/// Stability is what makes a grouped replay equal to the arrival-order
-/// one: every `(src, dst)` key still sees its ops in log order, and ops of
-/// different sources touch disjoint adjacency, so edges, weights, degrees,
-/// vertex space and each vertex's tier and page-class history come out
-/// the same; only dense ids and CAL positions differ.
-fn group_by_source(ops: Vec<UpdateOp>) -> Vec<UpdateOp> {
-    const DIGIT: usize = 1 << 16;
-    let n = ops.len();
-    let mut counts = [vec![0usize; DIGIT], vec![0usize; DIGIT]];
-    for op in &ops {
-        let src = op.src() as usize;
-        counts[0][src % DIGIT] += 1;
-        counts[1][src / DIGIT] += 1;
-    }
-    let mut from = ops;
-    let mut to = Vec::new();
-    for (pass, count) in counts.iter_mut().enumerate() {
-        if count.contains(&n) {
-            continue;
-        }
-        let mut at = 0;
-        for c in count.iter_mut() {
-            let len = *c;
-            *c = at;
-            at += len;
-        }
-        to.resize(n, UpdateOp::Delete { src: 0, dst: 0 });
-        for &op in &from {
-            let digit = (op.src() as usize >> (16 * pass)) % DIGIT;
-            to[count[digit]] = op;
-            count[digit] += 1;
-        }
-        std::mem::swap(&mut from, &mut to);
-    }
-    from
 }
 
 /// Shared recovery skeleton over an already-scanned log.
@@ -152,6 +107,7 @@ fn recover_with_scan<T: ApplyBatch>(
     dir: &Path,
     scan: WalReplay,
     load: impl Fn(&Path) -> Result<(T, u64)>,
+    placed_whole: fn(&T) -> u64,
     fresh: impl FnOnce() -> Result<T>,
 ) -> Result<(T, RecoveryReport)> {
     let (best, snapshots_skipped) = best_snapshot(dir, load)?;
@@ -167,7 +123,7 @@ fn recover_with_scan<T: ApplyBatch>(
         replayed_records,
         wal_truncated: scan.truncated,
         next_lsn: scan.next_lsn.max(snapshot_lsn),
-        placed_whole: 0,
+        placed_whole: placed_whole(&store),
     };
     Ok((store, report))
 }
@@ -181,11 +137,9 @@ pub fn recover_tinker(
     dir: &Path,
     default_config: TinkerConfig,
 ) -> Result<(GraphTinker, RecoveryReport)> {
-    let (g, mut report) = recover_with_scan(dir, replay(dir)?, load_tinker_snapshot, || {
+    recover_with_scan(dir, replay(dir)?, load_tinker_snapshot, GraphTinker::placed_whole, || {
         GraphTinker::new(default_config).map_err(Into::into)
-    })?;
-    report.placed_whole = g.placed_whole();
-    Ok((g, report))
+    })
 }
 
 /// [`recover_tinker`] into `shards` interval shards, over a log scan the
@@ -200,14 +154,13 @@ pub fn recover_sharded(
     default_config: TinkerConfig,
     shards: usize,
 ) -> Result<(ParallelTinker, RecoveryReport)> {
-    let (store, mut report) = recover_with_scan(
+    recover_with_scan(
         dir,
         scan,
         |path| load_sharded_snapshot(path, shards),
+        ParallelTinker::placed_whole,
         || Ok(ParallelTinker::new(default_config, shards)?),
-    )?;
-    report.placed_whole = (0..shards).map(|i| store.with_instance(i, |g| g.placed_whole())).sum();
-    Ok((store, report))
+    )
 }
 
 #[cfg(test)]
@@ -375,31 +328,5 @@ mod tests {
         let err = recover_tinker(&dir, TinkerConfig::default()).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "gap must be reported: {err}");
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_by_source_is_a_stable_sort_by_source() {
-        let ops: Vec<UpdateOp> = (0..5000u32)
-            .map(|i| {
-                let src = match i % 4 {
-                    0 => i % 7,
-                    1 => u32::MAX - 1 - i % 3,
-                    2 => (i % 5) << 16,
-                    _ => i.wrapping_mul(0x9E37_79B9),
-                };
-                // Distinct destinations make any reordering of equal
-                // sources visible.
-                if i % 3 == 0 {
-                    UpdateOp::Delete { src, dst: i }
-                } else {
-                    UpdateOp::Insert(Edge::new(src, i, i))
-                }
-            })
-            .collect();
-        for ops in [ops.clone(), ops.iter().filter(|op| op.src() < 7).copied().collect(), vec![]] {
-            let mut expected = ops.clone();
-            expected.sort_by_key(UpdateOp::src);
-            assert_eq!(group_by_source(ops), expected);
-        }
     }
 }

@@ -35,7 +35,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gtinker_core::{GraphTinker, ParallelTinker};
+use gtinker_core::tinker::run_chunks;
+use gtinker_core::{ApplyBatch, GraphStore, GraphTinker, ParallelTinker};
 use gtinker_types::{partition_of, DeleteMode, Edge, EdgeBatch, TinkerConfig, VertexId};
 
 use crate::format::{crc32, ByteReader, ByteWriter, PersistError, Result};
@@ -59,29 +60,6 @@ const TAG_END: u8 = 0xFF;
 
 /// Bytes of a GraphTinker CONFIG payload: eight words and the flags byte.
 const CONFIG_BYTES: usize = 8 * 8 + 1;
-
-/// Decoded edges (and a recovered WAL tail) are replayed into the store
-/// about this many at a time ([`run_chunks`]): a batch flushes the store's
-/// counters once, and the op copy it needs stays cache-sized.
-const DECODE_BATCH_OPS: usize = 64 << 10;
-
-/// Cuts `items`, grouped into runs by `key`, into chunks of about
-/// [`DECODE_BATCH_OPS`] items that each end at a run boundary. A run is
-/// never split, so a chunk holding a longer run is as long as the run.
-pub(crate) fn run_chunks<'a, T>(
-    items: &'a [T],
-    key: impl Fn(&T) -> VertexId + 'a,
-) -> impl Iterator<Item = &'a [T]> + 'a {
-    let mut rest = items;
-    std::iter::from_fn(move || {
-        let mut end = rest.len().min(DECODE_BATCH_OPS);
-        let last = key(rest.get(end.checked_sub(1)?)?);
-        end += rest[end..].iter().take_while(|x| key(x) == last).count();
-        let (chunk, tail) = rest.split_at(end);
-        rest = tail;
-        Some(chunk)
-    })
-}
 
 fn put_section(w: &mut ByteWriter, tag: u8, payload: &[u8]) {
     w.put_u8(tag);
@@ -301,12 +279,8 @@ impl TinkerImage {
     fn restore(&self) -> Result<GraphTinker> {
         let mut g = GraphTinker::new(self.config)?;
         g.import_sources(&self.sources);
-        for chunk in run_chunks(&self.edges, |e| e.src) {
-            g.apply_grouped(&EdgeBatch::inserts(chunk));
-        }
-        check_distinct(&self.edges, g.num_edges())?;
         g.expand_vertex_space(self.space);
-        Ok(g)
+        self.place_edges(g)
     }
 
     /// Rebuilds a store of `shards` interval shards, each shard on its own
@@ -325,24 +299,25 @@ impl TinkerImage {
                 g.expand_vertex_space(self.space);
             });
         }
+        self.place_edges(store)
+    }
+
+    /// Applies the edge payload to `store`, which holds the image's
+    /// sources and vertex space. The payload is one insert-only run per
+    /// source, so it is cut with [`run_chunks`], not sorted again. It
+    /// holds each live edge once: the store must count as many edges as
+    /// it had records.
+    fn place_edges<S: ApplyBatch + GraphStore>(&self, mut store: S) -> Result<S> {
         for chunk in run_chunks(&self.edges, |e| e.src) {
             store.apply_grouped(&EdgeBatch::inserts(chunk));
         }
-        check_distinct(&self.edges, store.num_edges())?;
+        let (records, live) = (self.edges.len(), store.num_edges());
+        if live != records as u64 {
+            let e = format!("edge payload held {records} records but {live} distinct edges");
+            return Err(PersistError::Corrupt(e));
+        }
         Ok(store)
     }
-}
-
-/// The edge payload of an image holds each live edge once: a store that
-/// replayed it must count as many edges as it had records.
-fn check_distinct(payload: &[Edge], live: u64) -> Result<()> {
-    if live == payload.len() as u64 {
-        return Ok(());
-    }
-    Err(PersistError::Corrupt(format!(
-        "edge payload held {} records but {live} distinct edges",
-        payload.len()
-    )))
 }
 
 /// Reconstructs a [`GraphTinker`] from snapshot bytes, returning the store
@@ -597,25 +572,6 @@ mod tests {
         let bytes = put_tail(w, &[], 0);
         let e = decode_tinker(&bytes).unwrap_err();
         assert!(matches!(&e, PersistError::Corrupt(m) if m.contains("kind 1")), "{e}");
-    }
-
-    #[test]
-    fn run_chunks_end_only_at_run_boundaries() {
-        // Runs of 10, then one longer than a chunk, then a run straddling
-        // the next cut, then short ones.
-        let mut keys: Vec<u32> = (0..2_000).map(|i| i / 10).collect();
-        keys.extend(std::iter::repeat_n(5_000, DECODE_BATCH_OPS + 7));
-        keys.extend(std::iter::repeat_n(6_000, DECODE_BATCH_OPS - 2));
-        keys.extend((0..DECODE_BATCH_OPS as u32).map(|i| 7_000 + i / 3));
-        let chunks: Vec<&[u32]> = run_chunks(&keys, |&k| k).collect();
-        assert_eq!(chunks.concat(), keys);
-        assert_eq!(chunks[0].len(), 2_000 + DECODE_BATCH_OPS + 7, "a long run is never split");
-        // The cut falls two ops into a run of three: it moves past the third.
-        assert_eq!(chunks[1].len(), DECODE_BATCH_OPS + 1);
-        for pair in chunks.windows(2) {
-            assert_ne!(pair[0].last(), pair[1].first(), "a run spans two chunks");
-        }
-        assert_eq!(run_chunks(&[] as &[u32], |&k| k).count(), 0);
     }
 
     #[test]

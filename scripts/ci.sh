@@ -179,6 +179,18 @@ test -n "$RECOVER_REACH"
 INCR_REACH=$(sed -n 's/BFS from 0: \([0-9][0-9]*\) reached.*/\1/p' "$SMOKE/bfs_incr.out")
 test "$RECOVER_REACH" = "$INCR_REACH"
 
+echo "==> loaders-agree smoke test (cold whole-file bfs at 1 and 2 shards == recovered log; sources placed whole)"
+# The cold load groups the file by source and places each new source's
+# run whole (`ApplyBatch::load`, the path recovery replays its tail on).
+for SH in 1 2; do
+    "$GT" bfs "$SMOKE/g.txt" --root 0 --shards "$SH" \
+        > "$SMOKE/bfs_cold_$SH.out" 2> "$SMOKE/bfs_cold_$SH.err"
+    cat "$SMOKE/bfs_cold_$SH.err" "$SMOKE/bfs_cold_$SH.out"
+    COLD_REACH=$(sed -n 's/BFS from 0: \([0-9][0-9]*\) reached.*/\1/p' "$SMOKE/bfs_cold_$SH.out")
+    test "$COLD_REACH" = "$RECOVER_REACH"
+    grep -q "^loaded .*, [1-9][0-9]* sources placed whole" "$SMOKE/bfs_cold_$SH.err"
+done
+
 echo "==> trace smoke test (traced pooled ingest -> Perfetto-loadable timeline with live shard tracks)"
 # The append/apply overlap is a timing property: with --sync never an append
 # can finish before any worker picks up the previous batch, so retry the

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gtinker_core::{GraphStore, GraphTinker, StructureStats};
+use gtinker_core::{ApplyBatch, GraphStore, GraphTinker, ParallelTinker, StructureStats};
 use gtinker_engine::{
     algorithms::{Bfs, Cc},
     Engine, ModePolicy,
@@ -26,7 +26,7 @@ use gtinker_persist::{
     corrupt_file, crc32, list_segments, list_snapshots, recover_tinker, replay, DurableTinker,
     Fault, PersistError, SyncPolicy, WalOptions,
 };
-use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
+use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -612,12 +612,18 @@ impl Logical {
     }
 
     fn of_durable(d: &DurableTinker) -> Logical {
-        let store = d.store();
+        Logical::of_sharded(d.store())
+    }
+
+    fn of_sharded(store: &ParallelTinker) -> Logical {
         assert_shards_valid(store, "logical view");
         let shards = (0..store.num_instances())
             .map(|i| store.with_instance(i, |g| (g.sources(), g.structure_stats())))
             .collect();
-        let (edges, live, space) = (sharded_edge_set(d), store.num_edges(), store.vertex_space());
+        let mut edges = Vec::new();
+        store.stream_edges(|s, dst, w| edges.push((s, dst, w)));
+        edges.sort_unstable();
+        let (live, space) = (store.num_edges(), store.vertex_space());
         Logical::new(shards, edges, live, space, |s| store.out_degree(s))
     }
 }
@@ -737,6 +743,39 @@ fn check_grouped_recovery(
     }
 }
 
+/// Loads `batches` as one shuffled stream with `ApplyBatch::load` into a
+/// `GraphTinker` and into a `ParallelTinker` of 1–3 shards, and holds each
+/// to `apply_batch` of the same stream: the same logical view, except that
+/// a source placed whole makes no tier move. `all_whole` says every
+/// source's run only inserts (and is placed whole), else none does.
+fn check_load(cfg: TinkerConfig, batches: &[EdgeBatch], all_whole: bool) {
+    let mut ops: Vec<UpdateOp> = batches.iter().flat_map(|b| b.iter().copied()).collect();
+    let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+    for i in (1..ops.len()).rev() {
+        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ops.swap(i, (lcg >> 33) as usize % (i + 1));
+    }
+    let mut truth = GraphTinker::new(cfg).unwrap();
+    truth.apply_batch(&ops.iter().copied().collect());
+    let mut want = Logical::of(&truth);
+    if all_whole {
+        want.moves = (0, 0);
+    }
+    let check = |ctx: String, got: Logical, placed: u64| {
+        assert_eq!(got, want, "{ctx}");
+        assert_eq!(placed > 0, all_whole, "{ctx}: {placed} sources placed whole");
+    };
+    let mut g = GraphTinker::new(cfg).unwrap();
+    g.load(ops.clone());
+    check(format!("load under {cfg:?}"), Logical::of(&g), g.placed_whole());
+    for shards in 1..=3 {
+        let mut store = ParallelTinker::new(cfg, shards).unwrap();
+        store.load(ops.clone());
+        let ctx = format!("load at {shards} shards under {cfg:?}");
+        check(ctx, Logical::of_sharded(&store), store.placed_whole());
+    }
+}
+
 /// Recovery replays the log's tail grouped by source, not record by
 /// record, and places each source that is new to the store whole in its
 /// final tier. Whether from the log alone, from a snapshot plus its tail,
@@ -748,6 +787,8 @@ fn check_grouped_recovery(
 /// snapshot restore places every image source whole, so from a snapshot
 /// the moves are the truth's less those made before it. The climbing
 /// stream's sources are all placed whole: no moves, and no more memory.
+/// The same two streams, shuffled into one and loaded whole
+/// ([`check_load`]), equal `apply_batch` of that stream.
 #[test]
 fn grouped_tail_replay_equals_arrival_order() {
     for cfg in [TinkerConfig::default(), TinkerConfig::paper()] {
@@ -764,6 +805,7 @@ fn grouped_tail_replay_equals_arrival_order() {
             want.moves = (truth.moves.0 - before.0, truth.moves.1 - before.1);
             assert_eq!(got, want, "{ctx}");
         });
+        check_load(cfg, &batches, false);
 
         let batches = climbing_stream();
         let truth_store = truth_store(cfg, &batches, batches.len() as u64);
@@ -780,5 +822,6 @@ fn grouped_tail_replay_equals_arrival_order() {
                 assert!(bytes <= truth_memory, "{ctx}: {bytes} B > arrival order's {truth_memory}");
             }
         });
+        check_load(cfg, &batches, true);
     }
 }
