@@ -26,13 +26,22 @@
 //! overlaps it, while the writer keeps applying later batches. Telemetry
 //! routes read lock-free global state and never touch the store at all.
 //!
+//! BFS, SSSP and CC run [`walk()`], not the GAS [`Engine`]: one cold answer
+//! needs no message inbox, apply pass, FP stream or per-shard thread,
+//! and for a selective (min) reduce committing each improvement in place
+//! reaches the engine's fixpoint exactly. `iterations` is the walk's
+//! rounds and `edges_processed` the out-edges its frontiers read.
+//! PageRank, which blends messages, keeps its own pass.
+//!
+//! [`Engine`]: gtinker_engine::Engine
+//!
 //! # Request-scoped observability
 //!
 //! Every request is minted a process-unique `RequestId`, echoed in the
 //! `X-Request-Id` response header. The id rides the thread context
 //! ([`trace::set_thread_ctx`]) for the duration of the request, so the
 //! trace spans recorded underneath it — `serve_request`, `epoch_pin`,
-//! `engine_process`/`engine_apply`, `serve_serialize` — all carry the id
+//! `engine_process` (one per walk round), `serve_serialize` — all carry the id
 //! as their `args.v` payload: grep the `/trace` dump for one id and you
 //! have that request's full timeline. On top of that the server keeps
 //! per-endpoint RED stats (request/error counters plus a sliding-window
@@ -70,7 +79,7 @@ use gtinker_core::trace::{self, json_escape, SpanId};
 use gtinker_core::{GraphStore, ParallelTinker, StoreView};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
-    Engine, GasProgram, ModePolicy,
+    walk, IncrementalState,
 };
 
 /// Route catalogue; each entry owns one [`EndpointStats`] slot (the extra
@@ -693,15 +702,20 @@ fn required_u32(query: &str, key: &str) -> Result<u32, String> {
 }
 
 fn neighbors_json(view: &StoreView, query: &str) -> Result<String, String> {
+    use std::fmt::Write as _;
     let v = required_u32(query, "v")?;
-    let mut out = Vec::new();
-    view.for_each_out_edge(v, |d, w| out.push(format!("[{d},{w}]")));
-    Ok(format!(
-        "{{\"v\":{v},\"epoch\":{},\"degree\":{},\"neighbors\":[{}]}}\n",
-        view.epoch(),
-        out.len(),
-        out.join(",")
-    ))
+    let degree = view.out_degree(v);
+    // One buffer sized for the head and about 12 bytes a pair.
+    let mut body = String::with_capacity(64 + 12 * degree as usize);
+    let _ =
+        write!(body, "{{\"v\":{v},\"epoch\":{},\"degree\":{degree},\"neighbors\":[", view.epoch());
+    let mut sep = "";
+    view.for_each_out_edge(v, |d, w| {
+        let _ = write!(body, "{sep}[{d},{w}]");
+        sep = ",";
+    });
+    body.push_str("]}\n");
+    Ok(body)
 }
 
 fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
@@ -709,12 +723,12 @@ fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
     Ok(format!("{{\"v\":{v},\"epoch\":{},\"degree\":{}}}\n", view.epoch(), view.out_degree(v)))
 }
 
-/// Runs a single-root program (BFS or SSSP from `src`) over the view and
-/// returns the vertices it reached, the largest value among them, the
-/// iterations and the edges visited. A root at or beyond the view's vertex
-/// space has no edges, so it reaches only itself, at 0, without running
-/// the engine: no engine array is sized by a request parameter.
-fn reach<P: GasProgram<Value = u32>>(
+/// Runs a single-root program (BFS or SSSP from `src`) over the view with
+/// [`walk()`] and returns the vertices it reached, the largest value among
+/// them, the rounds and the edges walked. A root at or beyond the view's
+/// vertex space has no edges, so it reaches only itself, at 0, without a
+/// walk: no array is sized by a request parameter.
+fn reach<P: IncrementalState<Value = u32>>(
     view: &StoreView,
     src: u32,
     program: P,
@@ -722,11 +736,10 @@ fn reach<P: GasProgram<Value = u32>>(
     if src >= view.vertex_space() {
         return (1, 0, 0, 0);
     }
-    let mut e = Engine::new(program, ModePolicy::hybrid());
-    let r = e.run_from_roots(view);
-    let reached = e.values().iter().filter(|&&v| v != u32::MAX);
+    let w = walk(&program, view);
+    let reached = w.values.iter().filter(|&&v| v != u32::MAX);
     let max = reached.clone().max().copied().unwrap_or(0);
-    (reached.count(), max, r.num_iterations(), r.total_edges_processed)
+    (reached.count(), max, w.rounds, w.edges)
 }
 
 fn bfs_json(view: &StoreView, query: &str) -> Result<String, String> {
@@ -750,18 +763,15 @@ fn sssp_json(view: &StoreView, query: &str) -> Result<String, String> {
 }
 
 fn cc_json(view: &StoreView) -> Result<String, String> {
-    let mut e = Engine::new(Cc::new(), ModePolicy::hybrid());
-    let r = e.run_from_roots(view);
-    let mut labels: Vec<u32> = e.values().to_vec();
-    labels.sort_unstable();
-    labels.dedup();
-    // Isolated label space includes never-touched vertices (u32::MAX).
-    let components = labels.iter().filter(|&&l| l != u32::MAX).count();
+    let w = walk(&Cc::new(), view);
+    // A label is the smallest id that reaches its vertices, so it labels
+    // itself: the components are the vertices that keep their own id.
+    let components = w.values.iter().enumerate().filter(|&(v, &l)| l == v as u32).count();
     Ok(format!(
         "{{\"epoch\":{},\"components\":{components},\"vertices\":{},\"iterations\":{}}}\n",
         view.epoch(),
-        e.values().len(),
-        r.num_iterations(),
+        w.values.len(),
+        w.rounds,
     ))
 }
 
@@ -1325,6 +1335,30 @@ mod tests {
             assert!(r.starts_with("HTTP/1.1 200"), "got: {r}");
             assert!(r.contains("\"top\":[["), "got: {r}");
         });
+    }
+
+    /// `/neighbors` writes one buffer; its body is byte for byte the
+    /// per-neighbour-`String` format it replaced, for a hub row, a
+    /// one-edge row, an empty row and a vertex past the store.
+    #[test]
+    fn neighbors_body_matches_the_joined_format() {
+        let store = ParallelTinker::new(Default::default(), 2).unwrap();
+        let hub: Vec<Edge> = (0..3_000).map(|d| Edge::new(3, d * 7 + 1, d % 97 + 1)).collect();
+        store.apply_batch(&EdgeBatch::inserts(&hub));
+        store.apply_batch(&EdgeBatch::inserts(&[Edge::new(5, 4_000_000, u32::MAX)]));
+        store.apply_batch(&EdgeBatch::deletes(&[(3, 8), (3, 701)]));
+        let view = store.pin_view().unwrap();
+        for v in [3, 5, 7, 9_000_000] {
+            let mut out = Vec::new();
+            view.for_each_out_edge(v, |d, w| out.push(format!("[{d},{w}]")));
+            let want = format!(
+                "{{\"v\":{v},\"epoch\":{},\"degree\":{},\"neighbors\":[{}]}}\n",
+                view.epoch(),
+                out.len(),
+                out.join(",")
+            );
+            assert_eq!(neighbors_json(&view, &format!("v={v}")).unwrap(), want, "row {v}");
+        }
     }
 
     #[test]

@@ -229,13 +229,18 @@ impl Claim {
     }
 }
 
-/// One row of `base` with one overlay run applied, in `dst` order.
+/// One row of `base` with one overlay run applied, in `dst` order. A row
+/// the overlay does not touch is read as the base's slices.
 #[inline]
 fn merge_row(
     (dsts, weights): (&[VertexId], &[Weight]),
     run: &[Entry],
     mut f: impl FnMut(VertexId, Weight),
 ) {
+    if run.is_empty() {
+        dsts.iter().zip(weights).for_each(|(&d, &w)| f(d, w));
+        return;
+    }
     let (mut i, mut j) = (0, 0);
     while i < dsts.len() || j < run.len() {
         if j == run.len() || (i < dsts.len() && dsts[i] < run[j].dst()) {

@@ -226,7 +226,7 @@ impl<S: ShardStore> ApplyBatch for Sharded<ShardPool<S>> {
         self.apply_batch(batch)
     }
 
-    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
+    fn apply_grouped(&mut self, batch: EdgeBatch) -> BatchResult {
         self.0.apply_grouped(batch)
     }
 }

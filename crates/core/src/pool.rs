@@ -197,7 +197,12 @@ fn worker_loop<S: ShardStore>(
         } else {
             let _t = trace::span_arg(SpanId::PoolApply, seq);
             let mut shard = slot.store.lock().expect("shard poisoned");
-            let r = if grouped { shard.apply_grouped(&claim) } else { shard.apply(&claim) };
+            // A grouped claim is handed over whole; the next one starts empty.
+            let r = if grouped {
+                shard.apply_grouped(std::mem::take(&mut claim))
+            } else {
+                shard.apply(&claim)
+            };
             slot.applied.store(seq + 1, Ordering::Release);
             r
         };
@@ -365,11 +370,12 @@ impl<S: ShardStore> ShardPool<S> {
         self.dispatch(Arc::new(batch.clone()), false).wait()
     }
 
-    /// [`apply`](Self::apply) for a batch grouped by source: each worker
-    /// hands its claim to [`ApplyBatch::apply_grouped`].
-    pub fn apply_grouped(&self, batch: &EdgeBatch) -> BatchResult {
+    /// [`apply`](Self::apply) for a batch grouped by source, taken without
+    /// a copy: each worker hands its claim to
+    /// [`ApplyBatch::apply_grouped`].
+    pub fn apply_grouped(&self, batch: EdgeBatch) -> BatchResult {
         self.settle();
-        self.dispatch(Arc::new(batch.clone()), true).wait()
+        self.dispatch(Arc::new(batch), true).wait()
     }
 
     /// Queues a batch asynchronously. At most [`PIPELINE_DEPTH`] batches

@@ -61,24 +61,25 @@ pub trait ApplyBatch {
     /// [`apply`](Self::apply) for a batch in which the ops of each source
     /// are contiguous (recovery's grouped log tail, a snapshot's payload).
     /// A store that can use the grouping overrides it; the outcome equals
-    /// `apply`'s.
-    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
-        self.apply(batch)
+    /// `apply`'s. The batch is taken, so a pool shares it with its workers
+    /// without a copy.
+    fn apply_grouped(&mut self, batch: EdgeBatch) -> BatchResult {
+        self.apply(&batch)
     }
 
     /// Applies a whole input (a file, a WAL tail) as one stream: it is
     /// [`group_by_source`], then [`apply_grouped`](Self::apply_grouped) on
-    /// each chunk of [`run_chunks`]. The outcome, edges, weights, degrees
-    /// and vertex space are `apply`'s (the sort is stable); new sources are
-    /// placed whole, so dense ids, slot and CAL order and tier moves differ.
-    /// What measures the per-batch insert path stays on `apply`: `gtinker
-    /// stats FILE`, `bench-insert`, the paper figures, `ingest` and
-    /// `--restart incremental`.
+    /// each chunk of [`run_chunks`], copied once into its own batch. The
+    /// outcome, edges, weights, degrees and vertex space are `apply`'s (the
+    /// sort is stable); new sources are placed whole, so dense ids, slot
+    /// and CAL order and tier moves differ. What measures the per-batch
+    /// insert path stays on `apply`: `gtinker stats FILE`, `bench-insert`,
+    /// the paper figures, `ingest` and `--restart incremental`.
     fn load(&mut self, ops: Vec<UpdateOp>) -> BatchResult {
         let ops = group_by_source(ops);
         let mut r = BatchResult::default();
         for chunk in run_chunks(&ops, UpdateOp::src) {
-            r.merge(&self.apply_grouped(&chunk.iter().copied().collect()));
+            r.merge(&self.apply_grouped(chunk.iter().copied().collect()));
         }
         r
     }
@@ -89,8 +90,8 @@ impl ApplyBatch for GraphTinker {
         self.apply_batch(batch)
     }
 
-    fn apply_grouped(&mut self, batch: &EdgeBatch) -> BatchResult {
-        GraphTinker::apply_grouped(self, batch)
+    fn apply_grouped(&mut self, batch: EdgeBatch) -> BatchResult {
+        GraphTinker::apply_grouped(self, &batch)
     }
 }
 

@@ -58,8 +58,11 @@ impl GasProgram for Bfs {
 
 // Min-reduce is selective, so the derived witness attribution and invariant
 // (`parent_level + 1 == child_level`) are exact: the witness forest is the
-// BFS parent tree.
-impl IncrementalState for Bfs {}
+// BFS parent tree. Every edge adds one level, so round `k` of a walk from
+// the single root reaches exactly the vertices at level `k + 1`.
+impl IncrementalState for Bfs {
+    const FIRST_REACH_FINAL: bool = true;
+}
 
 #[cfg(test)]
 mod tests {

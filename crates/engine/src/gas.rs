@@ -164,6 +164,13 @@ pub trait GasProgram: Sync {
 /// *selective* reduce (min/max — all of BFS/SSSP/CC); a program whose
 /// reduce blends its inputs must override them or stay off this trait.
 pub trait IncrementalState: GasProgram {
+    /// Whether, in a level-synchronous walk from the program's roots, the
+    /// first message to reach a vertex already carries its final value
+    /// (BFS: it carries the vertex's level). A property of the program,
+    /// not a setting: [`walk`](crate::walk::walk) then skips every vertex
+    /// it has reached without reading its value.
+    const FIRST_REACH_FINAL: bool = false;
+
     /// Whether `candidate` strictly improves on `current`, i.e. the reduce
     /// would pick `candidate` over it. This is the order the engine uses
     /// to attribute witnesses.

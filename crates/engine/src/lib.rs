@@ -20,6 +20,10 @@
 //! [`gtinker_stinger::Stinger`] baseline, so every comparison in the
 //! paper's Figs. 11-16 runs through identical engine code.
 //!
+//! [`walk()`] is the cold solver beside it for selective programs
+//! ([`IncrementalState`]: BFS, SSSP, CC): a frontier walk that commits
+//! each improvement in place, which the served `/query/*` routes use.
+//!
 //! ## Example: BFS over a dynamic graph
 //!
 //! ```
@@ -49,9 +53,11 @@ pub mod dynamic;
 pub mod engine;
 pub mod gas;
 pub mod store;
+pub mod walk;
 
 pub use csr::CsrSnapshot;
 pub use dynamic::{DynamicRunner, RestartPolicy};
 pub use engine::{Engine, IterationStats, RunReport, NO_WITNESS};
 pub use gas::{ExecMode, GasProgram, IncrementalState, ModePolicy};
 pub use store::GraphStore;
+pub use walk::{walk, Walk};

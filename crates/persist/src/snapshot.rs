@@ -309,7 +309,7 @@ impl TinkerImage {
     /// it had records.
     fn place_edges<S: ApplyBatch + GraphStore>(&self, mut store: S) -> Result<S> {
         for chunk in run_chunks(&self.edges, |e| e.src) {
-            store.apply_grouped(&EdgeBatch::inserts(chunk));
+            store.apply_grouped(EdgeBatch::inserts(chunk));
         }
         let (records, live) = (self.edges.len(), store.num_edges());
         if live != records as u64 {

@@ -390,6 +390,21 @@ PINS=$(pins)
 test "$(curl -fsS "http://$QADDR/degree?v=0" | epoch_of)" = "$CC_EPOCH"
 test "$(rebases)" = "$REBASES"
 test "$(pins)" -gt "$PINS"
+# Served BFS, SSSP and CC (the in-place frontier walk) answer what the
+# CLI's cold runs on the engine answer for the same file. The served CC
+# propagates along the stored (directed) edges and the CLI's over the
+# symmetrized file; on this graph root 0 reaches every vertex with an
+# edge, so the two counts agree.
+BFS_Q=$(curl -fsS "http://$QADDR/query/bfs?src=0")
+SSSP_Q=$(curl -fsS "http://$QADDR/query/sssp?src=0")
+CC_Q=$(curl -fsS "http://$QADDR/query/cc")
+BFS_CLI=$("$GT" bfs "$SMOKE/g.txt" --root 0 | sed -n 's/^BFS from 0: \([0-9]*\) reached, eccentricity \([0-9]*\).*/\1 \2/p')
+SSSP_CLI=$("$GT" sssp "$SMOKE/g.txt" --root 0 | sed -n 's/^SSSP from 0: \([0-9]*\) reached, max distance \([0-9]*\).*/\1 \2/p')
+CC_CLI=$("$GT" cc "$SMOKE/g.txt" | sed -n 's/^CC: \([0-9]*\) components.*/\1/p')
+echo "served vs cold: bfs $BFS_Q / $BFS_CLI; sssp $SSSP_Q / $SSSP_CLI; cc $CC_Q / $CC_CLI"
+test -n "$BFS_CLI" && test "$(echo "$BFS_Q" | json_num reached) $(echo "$BFS_Q" | json_num eccentricity)" = "$BFS_CLI"
+test -n "$SSSP_CLI" && test "$(echo "$SSSP_Q" | json_num reached) $(echo "$SSSP_Q" | json_num max_distance)" = "$SSSP_CLI"
+test -n "$CC_CLI" && test "$(echo "$CC_Q" | json_num components)" = "$CC_CLI"
 # The pin answers the ingest's own count: /healthz's epoch catches up with
 # acked_batches, and its live_edges equals the status line's live count.
 LIVE=$(sed -n 's/^ingested .* \([0-9]*\) live.*/\1/p' "$SMOKE/ingest_serve.out")

@@ -7,11 +7,12 @@ use gtinker_datasets::{PowerLawConfig, RmatConfig};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, Sssp},
     dynamic::symmetrize,
-    DynamicRunner, Engine, GraphStore, ModePolicy, RestartPolicy,
+    walk, DynamicRunner, Engine, GasProgram, GraphStore, IncrementalState, ModePolicy,
+    RestartPolicy,
 };
 use gtinker_integration::reference;
 use gtinker_stinger::Stinger;
-use gtinker_types::{Edge, EdgeBatch, TinkerConfig};
+use gtinker_types::{Edge, EdgeBatch, TinkerConfig, VertexId, Weight};
 
 fn rmat(scale: u32, edges: u64, seed: u64) -> Vec<Edge> {
     RmatConfig::graph500(scale, edges, seed).generate()
@@ -50,6 +51,47 @@ fn bfs_matches_reference_on_all_stores_and_policies() {
         e3.run_from_roots(&pt);
         assert_eq!(e3.values(), &expected[..], "ParallelTinker {policy:?}");
     }
+    assert_eq!(walk(&Bfs::new(root), &gt).values, expected, "GraphTinker walk");
+    assert_eq!(walk(&Bfs::new(root), &st).values, expected, "Stinger walk");
+    assert_eq!(walk(&Bfs::new(root), &pt).values, expected, "ParallelTinker walk");
+}
+
+/// `Bfs` without [`IncrementalState::FIRST_REACH_FINAL`]: the walk reads
+/// every target's value instead of skipping the ones it has reached.
+struct NoSkip(Bfs);
+
+impl GasProgram for NoSkip {
+    type Value = u32;
+
+    fn initial_value(&self) -> u32 {
+        self.0.initial_value()
+    }
+    fn process_edge(&self, src_value: u32, dst: VertexId, weight: Weight) -> Option<u32> {
+        self.0.process_edge(src_value, dst, weight)
+    }
+    fn reduce(&self, a: u32, b: u32) -> u32 {
+        self.0.reduce(a, b)
+    }
+    fn apply(&self, old: u32, incoming: u32) -> Option<u32> {
+        self.0.apply(old, incoming)
+    }
+    fn roots(&self, vertex_space: u32) -> Vec<(VertexId, u32)> {
+        self.0.roots(vertex_space)
+    }
+}
+
+impl IncrementalState for NoSkip {}
+
+#[test]
+fn bfs_walk_skip_equals_the_walk_without_it() {
+    let edges = rmat(11, 16_000, 91);
+    let pt = ParallelTinker::new(TinkerConfig::default(), 2).unwrap();
+    pt.apply_batch(&EdgeBatch::inserts(&edges));
+    for root in [edges[0].src, edges[5].src, edges[77].dst, 0] {
+        let (skip, plain) = (walk(&Bfs::new(root), &pt), walk(&NoSkip(Bfs::new(root)), &pt));
+        assert_eq!(skip.values, plain.values, "root {root}");
+        assert_eq!((skip.rounds, skip.edges), (plain.rounds, plain.edges), "root {root}");
+    }
 }
 
 #[test]
@@ -68,6 +110,7 @@ fn sssp_matches_dijkstra() {
         e.run_from_roots(&gt);
         assert_eq!(e.values(), &expected[..], "SSSP under {policy:?}");
     }
+    assert_eq!(walk(&Sssp::new(root), &gt).values, expected, "SSSP walk");
 }
 
 #[test]
@@ -87,6 +130,7 @@ fn cc_matches_union_find() {
         e.run_from_roots(&gt);
         assert_eq!(e.values(), &expected[..], "CC under {policy:?}");
     }
+    assert_eq!(walk(&Cc::new(), &gt).values, expected, "CC walk");
 }
 
 #[test]
@@ -210,4 +254,5 @@ fn analytics_after_deletions_matches_reference() {
     let mut e = Engine::new(Bfs::new(root), ModePolicy::hybrid());
     e.run_from_roots(&store);
     assert_eq!(e.values(), &expected[..]);
+    assert_eq!(walk(&Bfs::new(root), &store).values, expected, "walk");
 }

@@ -508,6 +508,29 @@ fn await_bases_past(
     }
 }
 
+/// The walk serving `/query/*` and the engine agree on one pin: BFS and
+/// SSSP from a few roots, and CC. Returns whether some shard of the pin
+/// has been rebased.
+fn check_walk_equals_engine(view: &gtinker_core::StoreView, at: &str) -> bool {
+    use gtinker_engine::algorithms::{Cc, Sssp};
+    use gtinker_engine::{walk, IncrementalState};
+    fn same<P: IncrementalState + Copy + std::fmt::Debug>(
+        p: P,
+        view: &gtinker_core::StoreView,
+        at: &str,
+    ) {
+        let mut e = Engine::new(p, ModePolicy::hybrid());
+        e.run_from_roots(view);
+        assert_eq!(walk(&p, view).values, e.values(), "{at}: {p:?}");
+    }
+    for root in [0, 1, 2_500] {
+        same(Bfs::new(root), view, at);
+        same(Sssp::new(root), view, at);
+    }
+    same(Cc::new(), view, at);
+    (0..view.num_instances()).any(|i| view.with_instance(i, |s| s.base_epoch()) > 0)
+}
+
 /// After every rebase, each shard's base equals `CsrSnapshot::build` of
 /// that shard at the rebase's batch boundary, and every pin still equals
 /// the oracle — over a stream that crosses the rebase floor on every shard
@@ -520,6 +543,8 @@ fn rebased_bases_equal_a_fresh_build() {
         let mut models: Vec<_> = (0..shards).map(|i| ShardModel::new(i, shards)).collect();
         let mut seen = vec![0u64; shards];
         let mut rebases = 0;
+        // Walk/engine comparisons on pins before any rebase and after one.
+        let mut walked = [0; 2];
         let mut check = |view: &gtinker_core::StoreView| {
             for (i, model) in models.iter_mut().enumerate() {
                 let epoch = view.with_instance(i, |s| s.base_epoch());
@@ -539,8 +564,14 @@ fn rebased_bases_equal_a_fresh_build() {
                 assert_valid(&view, &format!("{shards} shards at batch {k}"));
                 assert_eq!(view_edges(&view), boundary_of(&batches, k + 1), "batch {k}");
             }
+            if k % 16 == 15 || k == 3 {
+                let rebased = check_walk_equals_engine(&view, &format!("batch {k}"));
+                walked[usize::from(rebased)] += 1;
+            }
         }
+        assert!(walked[0] > 0 && walked[1] > 0, "{shards} shards: walks {walked:?}");
         let view = await_bases_past(&g, 0, &mut check);
+        check_walk_equals_engine(&view, "after the rebases");
         assert!(rebases >= shards, "{shards} shards: {rebases} rebases");
         assert_valid(&view, "after the rebases");
         assert_eq!(view_edges(&view), boundary_of(&batches, batches.len()));
