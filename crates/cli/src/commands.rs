@@ -44,6 +44,7 @@ USAGE:
                  [--workers N] [--slow-query-ms N]
   gtinker trace FILE --wal DIR [--out TRACE.json] [--analytics]
                 [--batch N] [--pool N] [--sync never|always|N]
+                [--serve HOST:PORT --hold]
   gtinker serve [FILE|WALDIR] [--addr HOST:PORT] [--shards N] [--workers N]
                 [--slow-query-ms N]
   gtinker snapshot FILE --dir DIR
@@ -99,7 +100,10 @@ timeline as Chrome trace-event JSON (--out, default trace.json): load it
 in https://ui.perfetto.dev and each shard worker and the driver (parse +
 WAL) is its own track (--analytics appends a traced BFS plus a
 delete/re-insert churn round through the incremental repair engine, so
-'repair' spans carry per-batch cone sizes). 'serve'
+'repair' spans carry per-batch cone sizes). 'serve' and 'ingest --serve'
+run with tracing off, so their /trace holds no spans; 'trace ... --serve
+HOST:PORT --hold' is the traced server: the same endpoint with tracing
+on until /quitquitquit, then --out is written. 'serve'
 (optionally after loading FILE or recovering WALDIR into --shards N
 shards) exposes /metrics (Prometheus), /healthz (build info +
 live gauges), /trace (timeline JSON), /debug/vars (per-endpoint RED
@@ -109,10 +113,11 @@ phase timings) and — when a store is loaded — the query API /neighbors?v=
 --addr (default 127.0.0.1:0, port printed at startup), answered by
 --workers N request threads (default 4) from epoch snapshots; GET
 /quitquitquit from loopback shuts the server down cleanly.
-Every response carries an X-Request-Id header; with tracing on, the
-request's pin/engine/serialize spans in /trace carry that id as their
-arg. --slow-query-ms N logs a structured warn record with a per-phase
-breakdown (queue/pin/engine/serialize) for any request slower than N ms.
+Every response carries an X-Request-Id header; with tracing on ('trace
+--serve'), the request's pin/engine/serialize spans in /trace carry that
+id as their arg. --slow-query-ms N logs a structured warn record with a
+per-phase breakdown (queue/pin/engine/serialize) for any request slower
+than N ms.
 'ingest --serve' runs the same endpoint in-process against the live
 store while batches apply: a query pins a batch boundary and reads each
 shard's CSR base plus the batches acked after it, netted on the query's

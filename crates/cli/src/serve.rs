@@ -19,8 +19,8 @@
 //!
 //! Requests are handled by a small worker pool so a slow analytics query
 //! (BFS over a large graph) does not block a `/healthz` probe. Every
-//! query pins an epoch view ([`ParallelTinker::pin_view`]) instead of
-//! draining the ingest pipeline: readers traverse, per shard, an
+//! query pins an epoch view ([`ParallelTinker::pin`], a [`ReadGuard`])
+//! instead of draining the ingest pipeline: readers traverse, per shard, an
 //! immutable CSR base plus the batches acked after it netted into a
 //! sorted delta, all at one batch boundary and shared by every query that
 //! overlaps it, while the writer keeps applying later batches. Telemetry
@@ -43,7 +43,10 @@
 //! trace spans recorded underneath it — `serve_request`, `epoch_pin`,
 //! `engine_process` (one per walk round), `serve_serialize` — all carry the id
 //! as their `args.v` payload: grep the `/trace` dump for one id and you
-//! have that request's full timeline. On top of that the server keeps
+//! have that request's full timeline. Tracing is a process-wide switch
+//! that `serve` and `ingest --serve` leave off, so their `/trace` holds no
+//! spans; `gtinker trace FILE --wal DIR --serve HOST:PORT --hold` runs the
+//! same server with it on. On top of that the server keeps
 //! per-endpoint RED stats (request/error counters plus a sliding-window
 //! latency histogram, surfaced with p50/p95/p99 at `/debug/vars`), a ring
 //! of completed request summaries (`/debug/requests`), and a
@@ -76,7 +79,7 @@ use std::time::{Duration, Instant};
 use gtinker_core::log;
 use gtinker_core::metrics::{Counter, WindowedHistogram};
 use gtinker_core::trace::{self, json_escape, SpanId};
-use gtinker_core::{GraphStore, ParallelTinker, StoreView};
+use gtinker_core::{GraphStore, ParallelTinker, ReadGuard};
 use gtinker_engine::{
     algorithms::{Bfs, Cc, PageRank, Sssp},
     walk, IncrementalState,
@@ -652,7 +655,7 @@ fn query_route(path: &str, query: &str, ctx: &ServeCtx) -> (u16, &'static str, S
         return (503, "application/json", error_json("no store attached"), 0);
     };
     let pin_start = Instant::now();
-    let view = store.pin_view().expect("a pool always pins");
+    let view = store.pin();
     let pin_ns = pin_start.elapsed().as_nanos() as u64;
     let m = gtinker_core::metrics::global();
     m.serve_queries.inc();
@@ -701,7 +704,7 @@ fn required_u32(query: &str, key: &str) -> Result<u32, String> {
         .map_err(|_| format!("bad {key}"))
 }
 
-fn neighbors_json(view: &StoreView, query: &str) -> Result<String, String> {
+fn neighbors_json(view: &ReadGuard, query: &str) -> Result<String, String> {
     use std::fmt::Write as _;
     let v = required_u32(query, "v")?;
     let degree = view.out_degree(v);
@@ -718,7 +721,7 @@ fn neighbors_json(view: &StoreView, query: &str) -> Result<String, String> {
     Ok(body)
 }
 
-fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
+fn degree_json(view: &ReadGuard, query: &str) -> Result<String, String> {
     let v = required_u32(query, "v")?;
     Ok(format!("{{\"v\":{v},\"epoch\":{},\"degree\":{}}}\n", view.epoch(), view.out_degree(v)))
 }
@@ -729,7 +732,7 @@ fn degree_json(view: &StoreView, query: &str) -> Result<String, String> {
 /// vertex space has no edges, so it reaches only itself, at 0, without a
 /// walk: no array is sized by a request parameter.
 fn reach<P: IncrementalState<Value = u32>>(
-    view: &StoreView,
+    view: &ReadGuard,
     src: u32,
     program: P,
 ) -> (usize, u32, usize, u64) {
@@ -742,7 +745,7 @@ fn reach<P: IncrementalState<Value = u32>>(
     (reached.count(), max, w.rounds, w.edges)
 }
 
-fn bfs_json(view: &StoreView, query: &str) -> Result<String, String> {
+fn bfs_json(view: &ReadGuard, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
     let (reached, ecc, iterations, edges) = reach(view, src, Bfs::new(src));
     Ok(format!(
@@ -752,7 +755,7 @@ fn bfs_json(view: &StoreView, query: &str) -> Result<String, String> {
     ))
 }
 
-fn sssp_json(view: &StoreView, query: &str) -> Result<String, String> {
+fn sssp_json(view: &ReadGuard, query: &str) -> Result<String, String> {
     let src = required_u32(query, "src")?;
     let (reached, max_dist, iterations, _) = reach(view, src, Sssp::new(src));
     Ok(format!(
@@ -762,7 +765,7 @@ fn sssp_json(view: &StoreView, query: &str) -> Result<String, String> {
     ))
 }
 
-fn cc_json(view: &StoreView) -> Result<String, String> {
+fn cc_json(view: &ReadGuard) -> Result<String, String> {
     let w = walk(&Cc::new(), view);
     // A label is the smallest id that reaches its vertices, so it labels
     // itself: the components are the vertices that keep their own id.
@@ -775,7 +778,7 @@ fn cc_json(view: &StoreView) -> Result<String, String> {
     ))
 }
 
-fn pagerank_json(view: &StoreView, query: &str) -> Result<String, String> {
+fn pagerank_json(view: &ReadGuard, query: &str) -> Result<String, String> {
     let iterations: usize = num_param(query, "iterations", 10)?;
     if iterations > MAX_PAGERANK_ITERATIONS {
         return Err(format!("iterations must be at most {MAX_PAGERANK_ITERATIONS}"));
@@ -800,7 +803,7 @@ fn pagerank_json(view: &StoreView, query: &str) -> Result<String, String> {
 /// Build info and the acked seq are plain loads.
 fn healthz_json(ctx: &ServeCtx) -> String {
     let m = gtinker_core::metrics::global();
-    let (live_edges, epoch) = match ctx.store.as_deref().and_then(|s| s.pin_view()) {
+    let (live_edges, epoch) = match ctx.store.as_deref().map(ParallelTinker::pin) {
         Some(view) => (view.num_edges(), view.epoch() as i64),
         None => (m.tinker_inserts.get().saturating_sub(m.tinker_deletes.get()), -1),
     };
@@ -1347,7 +1350,7 @@ mod tests {
         store.apply_batch(&EdgeBatch::inserts(&hub));
         store.apply_batch(&EdgeBatch::inserts(&[Edge::new(5, 4_000_000, u32::MAX)]));
         store.apply_batch(&EdgeBatch::deletes(&[(3, 8), (3, 701)]));
-        let view = store.pin_view().unwrap();
+        let view = store.pin();
         for v in [3, 5, 7, 9_000_000] {
             let mut out = Vec::new();
             view.for_each_out_edge(v, |d, w| out.push(format!("[{d},{w}]")));

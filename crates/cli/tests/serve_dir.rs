@@ -1,10 +1,12 @@
 //! `gtinker serve WALDIR` serves the store the directory describes — the
 //! snapshot's layout and recorded vertex space, every logged op replayed
 //! into the serving shards exactly once — not one rebuilt from
-//! command-line flags.
+//! command-line flags. And `gtinker trace … --serve` is the server with
+//! tracing on: its `/trace` ties each request's spans to its id.
 //!
-//! Out of process on purpose: the tier gauges and `gtinker_pool_batches`
-//! are process-global, and a test thread next door would move them.
+//! Out of process on purpose: the tier gauges, `gtinker_pool_batches` and
+//! the trace switch are process-global, and a test thread next door would
+//! move them.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -60,14 +62,18 @@ impl Drop for Server {
 
 /// Spawns `gtinker serve DIR --shards 2` and waits for its address.
 fn serve(dir: &Path) -> Server {
-    let mut child = Command::new(GT)
-        .args(["serve", dir.to_str().unwrap(), "--shards", "2", "--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
+    spawn(&["serve", dir.to_str().unwrap(), "--shards", "2", "--addr", "127.0.0.1:0"])
+}
+
+/// Spawns `gtinker ARGS…`, a command whose first stdout line is the
+/// server's `serving on http://ADDR …`, and waits for that address.
+fn spawn(args: &[&str]) -> Server {
+    let mut child =
+        Command::new(GT).args(args).stdout(Stdio::piped()).stderr(Stdio::null()).spawn().unwrap();
+    // The pipe stays open with the child: a later status line must not
+    // meet a closed stdout.
     let mut line = String::new();
-    BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
+    BufReader::new(child.stdout.as_mut().unwrap()).read_line(&mut line).unwrap();
     let addr = line
         .strip_prefix("serving on http://")
         .and_then(|rest| rest.split_whitespace().next())
@@ -76,14 +82,20 @@ fn serve(dir: &Path) -> Server {
     Server { child, addr }
 }
 
-/// Body of `GET path` (the server closes the connection after answering).
-fn get(addr: &str, path: &str) -> String {
+/// Head and body of `GET path` (the server closes the connection after
+/// answering).
+fn request(addr: &str, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
-    response.split_once("\r\n\r\n").unwrap().1.to_string()
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    (head.to_string(), body.to_string())
+}
+
+fn get(addr: &str, path: &str) -> String {
+    request(addr, path).1
 }
 
 fn quit(mut server: Server) {
@@ -168,6 +180,31 @@ fn serve_hands_each_logged_op_to_the_shards_once() {
     assert!((1..=records).contains(&dispatches), "{dispatches} dispatches for {records} records");
     assert_eq!(sample(&metrics, "gtinker_wal_appends"), 0, "serving a directory writes nothing");
     assert_eq!(member(&get(addr, "/healthz"), "live_edges"), truth.num_edges());
+    quit(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `gtinker trace FILE --wal DIR --serve ADDR --hold` is the way to trace
+/// a server: `/healthz` reports tracing on, and a query's `X-Request-Id`
+/// is the arg of the `epoch_pin` span its pin recorded in `/trace`.
+#[test]
+fn traced_server_tags_a_requests_pin_with_its_id() {
+    let dir = scratch("trace");
+    let (file, db, out) = (dir.join("g.txt"), dir.join("db"), dir.join("t.json"));
+    write_graph(&file);
+    let [file, db, out] = [&file, &db, &out].map(|p| p.to_str().unwrap());
+    let server =
+        spawn(&["trace", file, "--wal", db, "--serve", "127.0.0.1:0", "--hold", "--out", out]);
+    let addr = &server.addr;
+    assert!(get(addr, "/healthz").contains("\"trace_enabled\":true"));
+    let (head, _) = request(addr, "/degree?v=0");
+    let id = head
+        .lines()
+        .find_map(|l| l.strip_prefix("X-Request-Id: "))
+        .unwrap_or_else(|| panic!("no X-Request-Id in {head}"));
+    let trace = get(addr, "/trace");
+    let pin = format!("\"name\":\"epoch_pin\",\"args\":{{\"v\":{id}}}");
+    assert!(trace.contains(&pin), "no epoch_pin span of request {id} in /trace");
     quit(server);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -520,7 +520,8 @@ impl<S: ShardStore> ShardPool<S> {
 
 /// An epoch pin: every query through the guard observes exactly the graph
 /// after [`epoch`](Self::epoch) batches, however far the writer has moved
-/// on.
+/// on. It is a [`GraphStore`](crate::GraphStore) with the pool's shards
+/// and routing ([`ShardAccess`]), read with no pipeline barrier.
 pub struct ReadGuard {
     view: Arc<View>,
 }
@@ -539,7 +540,7 @@ impl ReadGuard {
 impl ShardAccess for ReadGuard {
     type Shard = PinnedShard;
 
-    fn num_shards(&self) -> usize {
+    fn shard_count(&self) -> usize {
         self.view.shards.len()
     }
     fn with_shard<R>(&self, i: usize, f: impl FnOnce(&PinnedShard) -> R) -> R {

@@ -75,7 +75,7 @@ pub use edgeblock::{BlockArena, CellState, EdgeCell};
 pub use epoch::ReadGuard;
 pub use hubseg::HubSegment;
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
-pub use parallel::{ParallelTinker, ShardAccess, Sharded, StoreView};
+pub use parallel::{ParallelTinker, ShardAccess};
 pub use pool::{ShardPool, ShardStore};
 pub use sgh::SghUnit;
 pub use stats::{ClassBlocks, ProbeStats, StructureStats};

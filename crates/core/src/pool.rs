@@ -1,10 +1,10 @@
-//! Persistent shard worker pool for pipelined ingestion.
+//! Persistent shard worker pool for pipelined ingestion: the interval-
+//! sharded store itself ([`ParallelTinker`](crate::ParallelTinker) is a
+//! `ShardPool<GraphTinker>`).
 //!
-//! [`ParallelTinker`](crate::ParallelTinker) originally spawned fresh
-//! scoped threads and ran a serial partition pass for every batch, so
-//! steady-state ingestion paid thread creation plus a single-threaded scan
-//! on the hot path. The [`ShardPool`] keeps one long-lived worker per
-//! interval shard instead:
+//! A per-batch `thread::scope` would pay thread creation plus a serial
+//! partition scan on the hot path. The [`ShardPool`] keeps one long-lived
+//! worker per interval shard instead:
 //!
 //! * **Spawned once, joined on drop.** Workers are created with the pool
 //!   and fed per-shard job queues over channels; dropping the pool closes
@@ -22,10 +22,11 @@
 //!
 //! Each shard sits behind its own `Mutex`: each worker locks only its own
 //! shard, exactly once per non-empty batch, so the locks are uncontended
-//! in steady state; queries lock on demand after a pipeline barrier, or
-//! read an epoch view ([`crate::epoch`]) with no barrier at all. The pool
-//! hands every batch it dispatches to that read side too, so a pin needs
-//! nothing from the workers.
+//! in steady state; queries ([`GraphStore`], routed through
+//! [`ShardAccess`]) lock on demand after a pipeline barrier, or read an
+//! epoch pin ([`pin`](ShardPool::pin), a [`ReadGuard`]) with no barrier at
+//! all. The pool hands every batch it dispatches to that read side too, so
+//! a pin needs nothing from the workers.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +37,8 @@ use std::thread::JoinHandle;
 use gtinker_types::{partition_of, EdgeBatch, Result, TinkerConfig};
 
 use crate::csr::CsrSnapshot;
-use crate::epoch::ReadSide;
+use crate::epoch::{ReadGuard, ReadSide};
+use crate::parallel::ShardAccess;
 use crate::store::GraphStore;
 use crate::tinker::{ApplyBatch, BatchResult, GraphTinker};
 use crate::trace::{self, SpanId};
@@ -47,8 +49,8 @@ pub const PIPELINE_DEPTH: usize = 2;
 
 /// A store that can own one interval shard of a [`ShardPool`]: it applies
 /// its claimed sub-batches ([`ApplyBatch`]) and answers the [`GraphStore`]
-/// reads the [`Sharded`](crate::Sharded) facade routes to it (and a pin's
-/// bootstrap builds its CSR base from).
+/// reads the pool routes to it (and a pin's bootstrap builds its CSR base
+/// from).
 pub trait ShardStore: GraphStore + ApplyBatch + Sized + Send + Sync + 'static {
     /// Construction parameters shared by every shard of one store.
     type Config: Copy;
@@ -215,9 +217,16 @@ fn worker_loop<S: ShardStore>(
 }
 
 impl<S: ShardStore> ShardPool<S> {
+    /// Creates `n` empty shards sharing one configuration, and spawns the
+    /// `n` worker threads that own them until drop.
+    pub fn new(config: S::Config, n: usize) -> Result<Self> {
+        assert!(n > 0, "need at least one shard");
+        Ok(Self::over((0..n).map(|_| S::with_config(config)).collect::<Result<_>>()?))
+    }
+
     /// Builds a pool over the given shard stores, spawning one worker per
     /// shard. Store `i` owns interval `i` of `stores.len()`.
-    pub fn new(stores: Vec<S>) -> Self {
+    pub fn over(stores: Vec<S>) -> Self {
         assert!(!stores.is_empty(), "need at least one shard");
         let acked = Arc::new(AtomicU64::new(0));
         // Empty stores are boundary 0 of an empty base: a pin before the
@@ -365,24 +374,34 @@ impl<S: ShardStore> ShardPool<S> {
     /// and applied by all workers in parallel, and the merged outcome is
     /// returned. Any previously [`submit`](Self::submit)ted batches finish
     /// first (their results stay buffered for [`flush`](Self::flush)).
-    pub fn apply(&self, batch: &EdgeBatch) -> BatchResult {
+    pub fn apply_batch(&self, batch: &EdgeBatch) -> BatchResult {
         self.settle();
         self.dispatch(Arc::new(batch.clone()), false).wait()
     }
 
-    /// [`apply`](Self::apply) for a batch grouped by source, taken without
-    /// a copy: each worker hands its claim to
+    /// [`apply_batch`](Self::apply_batch) for a batch grouped by source,
+    /// taken without a copy: each worker hands its claim to
     /// [`ApplyBatch::apply_grouped`].
     pub fn apply_grouped(&self, batch: EdgeBatch) -> BatchResult {
         self.settle();
         self.dispatch(Arc::new(batch), true).wait()
     }
 
-    /// Queues a batch asynchronously. At most [`PIPELINE_DEPTH`] batches
-    /// are in flight; beyond that, `submit` blocks on the oldest one, so
-    /// batch *k+1* partitions while batch *k* applies but the producer can
-    /// never run unboundedly ahead of the workers.
-    pub fn submit(&self, batch: Arc<EdgeBatch>) {
+    /// Queues a batch asynchronously (pipelined ingestion): the call
+    /// returns as soon as the batch is staged, so the caller can prepare
+    /// batch *k+1* — and the workers can claim-partition it — while batch
+    /// *k* is still applying. At most [`PIPELINE_DEPTH`] batches are in
+    /// flight; beyond that, `submit` blocks on the oldest one, so the
+    /// producer never runs unboundedly ahead of the workers. Results are
+    /// collected by [`flush`](Self::flush); reads barrier on the in-flight
+    /// batches themselves.
+    pub fn submit(&self, batch: EdgeBatch) {
+        self.submit_shared(Arc::new(batch));
+    }
+
+    /// [`submit`](Self::submit) without re-owning the batch, for callers
+    /// (e.g. a WAL writer) that keep a reference to it.
+    pub fn submit_shared(&self, batch: Arc<EdgeBatch>) {
         loop {
             let front = {
                 let mut inflight = self.inflight.lock().expect("inflight poisoned");
@@ -427,6 +446,47 @@ impl<S: ShardStore> ShardPool<S> {
         f(&mut self.shards[i].store.lock().expect("shard poisoned"));
         self.read.disarm();
     }
+
+    // The `benchmark/` harness's names for `new`, `pin` and the
+    // `GraphStore` read (it does not import the trait); nothing else calls
+    // them (ROADMAP item 11).
+    #[doc(hidden)]
+    pub fn new_with_views(config: S::Config, n: usize) -> Result<Self> {
+        Self::new(config, n)
+    }
+
+    #[doc(hidden)]
+    pub fn pin_view(&self) -> Option<ReadGuard> {
+        Some(self.pin())
+    }
+
+    #[doc(hidden)]
+    pub fn num_edges(&self) -> u64 {
+        GraphStore::num_edges(self)
+    }
+}
+
+/// The live shards, after a pipeline barrier so every submitted batch is
+/// visible.
+impl<S: ShardStore> ShardAccess for ShardPool<S> {
+    type Shard = S;
+
+    fn shard_count(&self) -> usize {
+        self.num_shards()
+    }
+    fn with_shard<R>(&self, i: usize, f: impl FnOnce(&S) -> R) -> R {
+        ShardPool::with_shard(self, i, f)
+    }
+}
+
+impl<S: ShardStore> ApplyBatch for ShardPool<S> {
+    fn apply(&mut self, batch: &EdgeBatch) -> BatchResult {
+        self.apply_batch(batch)
+    }
+
+    fn apply_grouped(&mut self, batch: EdgeBatch) -> BatchResult {
+        ShardPool::apply_grouped(self, batch)
+    }
 }
 
 impl<S> Drop for ShardPool<S> {
@@ -455,11 +515,10 @@ impl<S> std::fmt::Debug for ShardPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ShardAccess;
     use gtinker_types::Edge;
 
     fn pool(n: usize) -> ShardPool<GraphTinker> {
-        ShardPool::new((0..n).map(|_| GraphTinker::with_defaults()).collect())
+        ShardPool::over((0..n).map(|_| GraphTinker::with_defaults()).collect())
     }
 
     fn batch(n: u32, salt: u32) -> EdgeBatch {
@@ -474,7 +533,7 @@ mod tests {
         let mut seq = GraphTinker::with_defaults();
         let want = seq.apply_batch(&b);
         let p = pool(4);
-        let got = p.apply(&b);
+        let got = p.apply_batch(&b);
         assert_eq!(got, want);
         let edges: u64 = (0..4).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
         assert_eq!(edges, seq.num_edges());
@@ -487,8 +546,8 @@ mod tests {
         let mut want = BatchResult::default();
         for round in 0..10 {
             let b = batch(500, round * 31);
-            want.merge(&q.apply(&b));
-            p.submit(Arc::new(b));
+            want.merge(&q.apply_batch(&b));
+            p.submit(b);
         }
         assert_eq!(p.flush(), want);
         for i in 0..3 {
@@ -503,7 +562,7 @@ mod tests {
         // other workers must report zero without applying anything.
         let p = pool(8);
         let b = EdgeBatch::inserts(&(0..64).map(|d| Edge::unit(42, d)).collect::<Vec<_>>());
-        let r = p.apply(&b);
+        let r = p.apply_batch(&b);
         assert_eq!(r.inserted, 64);
         let owner = partition_of(42, 8);
         for i in 0..8 {
@@ -516,7 +575,7 @@ mod tests {
     fn drop_mid_stream_joins_cleanly() {
         let p = pool(4);
         for round in 0..6 {
-            p.submit(Arc::new(batch(2_000, round * 17)));
+            p.submit(batch(2_000, round * 17));
         }
         // No flush: the pool is dropped with batches still in flight.
         drop(p);
@@ -532,7 +591,7 @@ mod tests {
     fn pinned_view_matches_settled_store_after_flush() {
         let p = pool(4);
         for round in 0..6 {
-            p.submit(Arc::new(batch(800, round * 13)));
+            p.submit(batch(800, round * 13));
         }
         p.flush();
         let view = p.pin();
@@ -545,12 +604,12 @@ mod tests {
     #[test]
     fn pinned_view_is_frozen_while_writer_advances() {
         let p = pool(3);
-        p.apply(&batch(1_000, 0));
+        p.apply_batch(&batch(1_000, 0));
         let view = p.pin();
         assert_eq!(view.epoch(), 1);
         let before: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
         // Writer keeps going while the pin is held.
-        p.apply(&batch(1_000, 7));
+        p.apply_batch(&batch(1_000, 7));
         let during: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();
         assert_eq!(before, during, "pinned replicas must not move");
         drop(view);
@@ -564,9 +623,9 @@ mod tests {
     #[test]
     fn concurrent_pins_share_one_epoch() {
         let p = pool(2);
-        p.apply(&batch(500, 3));
+        p.apply_batch(&batch(500, 3));
         let a = p.pin();
-        p.apply(&batch(500, 9));
+        p.apply_batch(&batch(500, 9));
         let b = p.pin();
         // b joined while a was pinned: it must see a's epoch, not a newer
         // one, so the two readers agree on the graph.
@@ -579,7 +638,7 @@ mod tests {
     #[test]
     fn views_survive_deletes_and_mixed_batches() {
         let p = pool(3);
-        p.apply(&batch(1_000, 0));
+        p.apply_batch(&batch(1_000, 0));
         let mut mixed = EdgeBatch::new();
         for i in 0..400u32 {
             mixed.push_delete((i * 7) % 113, i % 251);
@@ -587,7 +646,7 @@ mod tests {
         for i in 0..100u32 {
             mixed.push_insert(Edge::new(i % 113, i % 251, 9_999));
         }
-        p.apply(&mixed);
+        p.apply_batch(&mixed);
         let view = p.pin();
         let live: u64 = (0..3).map(|i| p.with_shard(i, |g| g.num_edges())).sum();
         let pinned: u64 = (0..3).map(|i| view.with_shard(i, |g| g.num_edges())).sum();

@@ -5,10 +5,8 @@
 //! counters make both directly observable, so the benchmark harness can
 //! report them next to throughput and the tests can assert on them.
 
-use serde::{Deserialize, Serialize};
-
 /// Running counters over update operations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Update operations performed (inserts + deletes + finds).
     pub operations: u64,
@@ -70,7 +68,7 @@ impl ProbeStats {
 pub const MAX_CLASSES: usize = 3;
 
 /// Edgeblocks of one page-width class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassBlocks {
     /// Cells per page of the class (0 in a slot the layout does not use).
     pub width: usize,
@@ -81,7 +79,7 @@ pub struct ClassBlocks {
 }
 
 /// Point-in-time snapshot of the structure's shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StructureStats {
     /// Live edges.
     pub live_edges: u64,

@@ -527,18 +527,6 @@ pub fn dump() -> TraceDump {
     d
 }
 
-/// Starts a wall-clock timer when tracing is enabled (the [`Instant`]
-/// mirror of [`metrics::timer`](crate::metrics::timer); handy for callers
-/// that want both a span and a latency sample without two clock reads).
-#[inline]
-pub fn timer() -> Option<Instant> {
-    if enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -149,12 +149,7 @@ impl<P: GasProgram> DynamicRunner<P> {
         self.repair = on;
     }
 
-    /// Whether deletion batches run invalidate-and-repair.
-    pub fn repair_enabled(&self) -> bool {
-        self.repair
-    }
-
-    /// The underlying engine (for values, policy changes, resets).
+    /// The underlying engine (for values and resets).
     pub fn engine(&self) -> &Engine<P> {
         &self.engine
     }
@@ -162,11 +157,6 @@ impl<P: GasProgram> DynamicRunner<P> {
     /// Mutable access to the underlying engine.
     pub fn engine_mut(&mut self) -> &mut Engine<P> {
         &mut self.engine
-    }
-
-    /// The restart policy.
-    pub fn restart(&self) -> RestartPolicy {
-        self.restart
     }
 }
 
@@ -674,7 +664,6 @@ mod tests {
         let mut r =
             DynamicRunner::new(Bfs::new(0), ModePolicy::hybrid(), RestartPolicy::Incremental);
         r.set_repair(false);
-        assert!(!r.repair_enabled());
         r.after_batch(&g, &b1);
 
         let before = gtinker_core::metrics::global().engine_delete_fallbacks.get();

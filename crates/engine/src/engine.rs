@@ -4,7 +4,6 @@
 use std::time::{Duration, Instant};
 
 use gtinker_types::VertexId;
-use serde::{Deserialize, Serialize};
 
 use crate::gas::{ExecMode, GasProgram, ModePolicy};
 use crate::store::GraphStore;
@@ -15,7 +14,7 @@ use crate::store::GraphStore;
 pub const NO_WITNESS: VertexId = VertexId::MAX;
 
 /// Record of one engine iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterationStats {
     /// Mode the inference box (or fixed policy) chose.
     pub mode: ExecMode,
@@ -44,7 +43,7 @@ pub struct IterationStats {
 }
 
 /// Summary of one run to fixpoint.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Per-iteration records, in order.
     pub iterations: Vec<IterationStats>,
@@ -80,16 +79,6 @@ impl RunReport {
             }
         }
         totals
-    }
-
-    /// Processing throughput in edges per second (edges visited / elapsed).
-    pub fn throughput_eps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_edges_processed as f64 / secs
-        }
     }
 
     /// Merges another report into this one (multi-run accumulation).
@@ -300,17 +289,6 @@ impl<P: GasProgram> Engine<P> {
         &self.program
     }
 
-    /// The active mode policy.
-    pub fn policy(&self) -> ModePolicy {
-        self.policy
-    }
-
-    /// Replaces the mode policy (e.g. to compare FP/IP/hybrid on the same
-    /// state).
-    pub fn set_policy(&mut self, policy: ModePolicy) {
-        self.policy = policy;
-    }
-
     /// Committed vertex properties, indexed by vertex id.
     pub fn values(&self) -> &[P::Value] {
         &self.values
@@ -358,11 +336,6 @@ impl<P: GasProgram> Engine<P> {
             self.witness.resize(self.values.len(), NO_WITNESS);
             self.inbox.witness.resize(self.values.len(), NO_WITNESS);
         }
-    }
-
-    /// Whether witness attribution is enabled.
-    pub fn witness_tracking(&self) -> bool {
-        self.track_witness
     }
 
     /// Witness parents, indexed by vertex id ([`NO_WITNESS`] where none).
@@ -759,7 +732,6 @@ mod tests {
         let r = e.run_from_roots(&g);
         assert!(r.total_edges_processed >= 49);
         assert_eq!(r.mode_counts().0, 0, "no FP iterations under AlwaysIncremental");
-        assert!(r.throughput_eps() > 0.0);
         let mut merged = RunReport::default();
         merged.merge(&r);
         merged.merge(&r);

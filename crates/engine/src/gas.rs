@@ -1,10 +1,9 @@
 //! The edge-centric GAS program abstraction and the inference box.
 
 use gtinker_types::{UpdateOp, VertexId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// Retrieval mode of one engine iteration (paper §IV.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Full processing: stream all edges sequentially, filter by the active
     /// bitset.

@@ -1,8 +1,9 @@
 //! The [`GraphStore`] contract the engine runs over. It is declared once, in
-//! `gtinker-core`, and implemented by every store where the store lives
-//! (GraphTinker and the interval-sharded `Sharded` facade in core, STINGER
-//! in `gtinker-stinger`, [`CsrSnapshot`](crate::CsrSnapshot) here); this
-//! module re-exports it and holds the contract tests over all of them.
+//! `gtinker-core`, and implemented where each store lives: in core for
+//! GraphTinker, [`CsrSnapshot`](crate::CsrSnapshot), a pin's `PinnedShard`
+//! and, through one impl over `ShardAccess`, every interval-sharded
+//! `ShardPool` and its `ReadGuard` pins; in `gtinker-stinger` for STINGER.
+//! This module re-exports it and holds the contract tests over all of them.
 
 pub use gtinker_core::GraphStore;
 
@@ -90,7 +91,7 @@ mod tests {
         let g = ParallelTinker::new(cfg, shards).unwrap();
         g.apply_batch(&EdgeBatch::inserts(edges));
         let tiers = (0..shards).fold((0, 0, 0), |(i, b, h), s| {
-            let st = g.with_instance(s, |g| g.structure_stats());
+            let st = g.with_shard(s, |g| g.structure_stats());
             (i + st.tier_inline_vertices, b + st.tier_blocks_vertices, h + st.tier_hub_vertices)
         });
         assert_eq!(tiers, (8, 2, 1), "every tier must be populated");
@@ -98,14 +99,12 @@ mod tests {
     }
 
     fn cal_invalid(g: &ParallelTinker) -> u64 {
-        (0..g.num_instances())
-            .map(|s| g.with_instance(s, |g| g.structure_stats().cal_invalid))
-            .sum()
+        (0..g.num_shards()).map(|s| g.with_shard(s, |g| g.structure_stats().cal_invalid)).sum()
     }
 
     fn rebuild_cal(g: &mut ParallelTinker) {
-        for s in 0..g.num_instances() {
-            g.with_instance_mut(s, GraphTinker::rebuild_cal);
+        for s in 0..g.num_shards() {
+            g.with_shard_mut(s, GraphTinker::rebuild_cal);
         }
     }
 
@@ -145,7 +144,7 @@ mod tests {
             pt.apply_batch(&bigger_batch());
             assert_eq!(pt.num_shards(), shards);
             check_sharding(&pt);
-            check_sharding(&pt.pin_view().unwrap());
+            check_sharding(&pt.pin());
 
             let no_cal = TinkerConfig { enable_cal: false, ..Default::default() };
             let pt = ParallelTinker::new(no_cal, shards).unwrap();
@@ -169,7 +168,7 @@ mod tests {
             let pt = ParallelTinker::new(Default::default(), shards).unwrap();
             pt.apply_batch(&sample_batch());
             check_store(&pt);
-            check_store(&pt.pin_view().unwrap());
+            check_store(&pt.pin());
             let ps = ParallelStinger::new(Default::default(), shards).unwrap();
             ps.apply_batch(&sample_batch());
             check_store(&ps);
@@ -228,7 +227,7 @@ mod tests {
     fn pinned_store_view_implements_store() {
         let p = ParallelTinker::new(Default::default(), 2).unwrap();
         p.apply_batch(&sample_batch());
-        let view = p.pin_view().unwrap();
+        let view = p.pin();
         check_store(&view);
         assert_eq!(view.epoch(), 1);
     }

@@ -294,7 +294,7 @@ impl TinkerImage {
             own[partition_of(src, shards)].push(src);
         }
         for (i, own) in own.iter().enumerate() {
-            store.with_instance_mut(i, |g| {
+            store.with_shard_mut(i, |g| {
                 g.import_sources(own);
                 g.expand_vertex_space(self.space);
             });
@@ -416,9 +416,9 @@ pub(crate) fn write_sharded_snapshot(
     lsn: u64,
 ) -> Result<PathBuf> {
     publish(dir, lsn, || {
-        let mut image = TinkerImage::of(store.with_instance(0, |g| *g.config()));
-        for i in 0..store.num_instances() {
-            store.with_instance(i, |g| image.absorb(g));
+        let mut image = TinkerImage::of(store.with_shard(0, |g| *g.config()));
+        for i in 0..store.num_shards() {
+            store.with_shard(i, |g| image.absorb(g));
         }
         image.encode(lsn)
     })

@@ -2,13 +2,13 @@
 //! (one single-writer instance per core, edges sharded by source hash), so
 //! the multicore comparison in Fig. 10 is apples-to-apples.
 //!
-//! Batches flow through the same persistent [`ShardPool`] as
-//! `ParallelTinker`, and reads through the same [`Sharded`] facade:
-//! [`Stinger`] only has to be a [`ShardStore`] — its
-//! [`GraphStore`](gtinker_core::GraphStore) reads (which also put it under
-//! the engine) plus construction.
+//! [`ParallelStinger`] is the same persistent [`ShardPool`] as
+//! `ParallelTinker`, with the same routed reads and epoch pins
+//! ([`ReadGuard`](gtinker_core::ReadGuard)): [`Stinger`] only has to be a
+//! [`ShardStore`] — its [`GraphStore`](gtinker_core::GraphStore) reads
+//! (which also put it under the engine) plus construction.
 
-use gtinker_core::{ApplyBatch, BatchResult, ShardPool, ShardStore, Sharded};
+use gtinker_core::{ApplyBatch, BatchResult, ShardPool, ShardStore};
 use gtinker_types::{EdgeBatch, Result, StingerConfig};
 
 use crate::store::Stinger;
@@ -30,7 +30,7 @@ impl ShardStore for Stinger {
 
 /// Interval-partitioned STINGER instances updated in parallel by a
 /// persistent worker pool.
-pub type ParallelStinger = Sharded<ShardPool<Stinger>>;
+pub type ParallelStinger = ShardPool<Stinger>;
 
 #[cfg(test)]
 mod tests {
@@ -85,8 +85,8 @@ mod tests {
         par.apply_batch(&EdgeBatch::inserts(&[Edge::new(5, 6, 7)]));
         assert_eq!(par.edge_weight(5, 6), Some(7));
         assert!(!par.has_edge(6, 5));
-        let operations: u64 = (0..3).map(|i| par.with_instance(i, |s| s.stats().operations)).sum();
+        let operations: u64 = (0..3).map(|i| par.with_shard(i, |s| s.stats().operations)).sum();
         assert_eq!(operations, 1);
-        assert_eq!(par.num_instances(), 3);
+        assert_eq!(par.num_shards(), 3);
     }
 }

@@ -1,9 +1,7 @@
 //! Configuration for the GraphTinker structure and the STINGER baseline.
 
-use serde::{Deserialize, Serialize};
-
 /// Edge-deletion mechanism (paper §III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeleteMode {
     /// Flag the cell as a tombstone and move on. Fast deletes, but the
     /// structure never shrinks, so traversal cost stays constant as the
@@ -29,7 +27,7 @@ pub enum DeleteMode {
 /// promotion at out-degree 128, demotion below 64) over that geometry;
 /// [`TinkerConfig::paper`] is the paper's fixed layout with tiering off,
 /// which the paper-figure experiments use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TinkerConfig {
     /// Edge-cells per edgeblock (the paper's PAGEWIDTH).
     pub pagewidth: usize,
@@ -212,7 +210,7 @@ impl TinkerConfig {
 }
 
 /// Configuration of the STINGER baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StingerConfig {
     /// Edges per edgeblock in the adjacency chain. The paper configures
     /// STINGER with an average edgeblock size of 16.

@@ -1,11 +1,9 @@
 //! Edges, update operations and update batches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{VertexId, Weight};
 
 /// A directed, weighted edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     /// Source vertex id (the vertex that "owns" the edge).
     pub src: VertexId,
@@ -39,7 +37,7 @@ impl Edge {
 ///
 /// The paper's update streams consist of insertions (which also act as
 /// weight-updates when the edge already exists) and deletions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateOp {
     /// Insert the edge, or update its weight if `(src, dst)` already exists.
     Insert(Edge),
@@ -80,7 +78,7 @@ impl UpdateOp {
 
 /// A batch of update operations, the unit at which the paper streams changes
 /// into the data structures (1 M edges per batch in the evaluation).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeBatch {
     ops: Vec<UpdateOp>,
 }

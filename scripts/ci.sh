@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> benchmark lock (benchmark/ builds --offline without --locked: a dependency edit must not rewrite its Cargo.lock)"
 cargo metadata --offline --locked --manifest-path benchmark/Cargo.toml --format-version 1 >/dev/null
 
+echo "==> benchmark compiles (a core API change that breaks benchmark/ fails here, not in a benchmark run)"
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 

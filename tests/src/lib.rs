@@ -6,7 +6,7 @@
 
 pub mod reference;
 
-use gtinker_core::{GraphTinker, PinnedShard, ShardAccess, Sharded};
+use gtinker_core::{GraphTinker, PinnedShard, ShardAccess};
 
 /// Both structural validators of a store, panicking with `what` on the
 /// first violation: RHH placement, and the tag lanes / tier exclusivity /
@@ -37,11 +37,11 @@ impl ValidShard for PinnedShard {
 }
 
 /// [`assert_valid`] over every shard of a pooled store or a pinned view.
-pub fn assert_shards_valid<A: ShardAccess>(store: &Sharded<A>, what: &str)
+pub fn assert_shards_valid<A: ShardAccess>(store: &A, what: &str)
 where
     A::Shard: ValidShard,
 {
-    for i in 0..store.num_instances() {
-        store.with_instance(i, |g| g.assert_valid(what));
+    for i in 0..store.shard_count() {
+        store.with_shard(i, |g| g.assert_valid(what));
     }
 }

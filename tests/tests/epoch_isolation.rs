@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use gtinker_core::{GraphStore, GraphTinker, ParallelTinker};
+use gtinker_core::{GraphStore, GraphTinker, ParallelTinker, ReadGuard, ShardAccess};
 use gtinker_engine::{algorithms::Bfs, Engine, ModePolicy};
 use gtinker_integration::{assert_shards_valid as assert_valid, reference};
 use gtinker_types::{partition_of, DeleteMode, Edge, EdgeBatch, TinkerConfig, UpdateOp};
@@ -63,7 +63,8 @@ fn workload(seed: u64) -> (Vec<EdgeBatch>, Vec<Boundary>) {
     (batches, boundaries)
 }
 
-fn view_edges(view: &gtinker_core::StoreView) -> Vec<(u32, u32, u32)> {
+/// A pin's (or a live pool's) edges, sorted.
+fn view_edges(view: &impl GraphStore) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
     view.stream_edges(|s, d, w| edges.push((s, d, w)));
     edges.sort_unstable();
@@ -76,7 +77,7 @@ fn config(mode: DeleteMode) -> TinkerConfig {
 
 /// Engine BFS levels over a pinned view must equal the textbook BFS over
 /// the oracle edge list of the same boundary.
-fn check_bfs_at_boundary(view: &gtinker_core::StoreView, boundary: &[(u32, u32, u32)]) {
+fn check_bfs_at_boundary(view: &ReadGuard, boundary: &[(u32, u32, u32)]) {
     let edges: Vec<Edge> = boundary.iter().map(|&(s, d, w)| Edge::new(s, d, w)).collect();
     let n = view.vertex_space().max(VERTICES);
     let mut levels = reference::bfs_levels(&edges, n, 0);
@@ -92,7 +93,7 @@ fn check_bfs_at_boundary(view: &gtinker_core::StoreView, boundary: &[(u32, u32, 
 /// CC over a pinned view must match CC over a settled single store built
 /// from the oracle edge set of the same boundary (a "settled-store
 /// oracle": same engine, same fixpoint, no concurrency).
-fn check_cc_at_boundary(view: &gtinker_core::StoreView, boundary: &[(u32, u32, u32)]) {
+fn check_cc_at_boundary(view: &ReadGuard, boundary: &[(u32, u32, u32)]) {
     use gtinker_engine::algorithms::Cc;
     let mut oracle = GraphTinker::with_defaults();
     let edges: Vec<Edge> = boundary.iter().map(|&(s, d, w)| Edge::new(s, d, w)).collect();
@@ -125,7 +126,7 @@ fn sequential_pins_observe_every_boundary() {
             for (k, b) in batches.iter().enumerate() {
                 g.apply_batch(b);
                 assert_valid(&g, &format!("live store, mode {mode:?} batch {k}"));
-                let view = g.pin_view().expect("views enabled");
+                let view = g.pin();
                 assert_valid(&view, &format!("pinned view, mode {mode:?} batch {k}"));
                 assert_eq!(view.epoch(), k as u64 + 1, "mode {mode:?}");
                 assert_eq!(view_edges(&view), boundaries[k + 1], "mode {mode:?} at batch {k}");
@@ -152,7 +153,7 @@ fn concurrent_readers_scenario(mode: DeleteMode, pipelined: bool, seed: u64) {
                     let mut pins = 0u64;
                     let mut distinct = std::collections::BTreeSet::new();
                     while !done.load(Ordering::Acquire) || pins == 0 {
-                        let view = g.pin_view().expect("views enabled");
+                        let view = g.pin();
                         let epoch = view.epoch() as usize;
                         assert!(epoch < boundaries.len(), "epoch {epoch} beyond submitted batches");
                         assert_eq!(
@@ -191,7 +192,7 @@ fn concurrent_readers_scenario(mode: DeleteMode, pipelined: bool, seed: u64) {
         }
     });
     // After the stream drains, the final pinned view is the final boundary.
-    let view = g.pin_view().expect("views enabled");
+    let view = g.pin();
     assert_valid(&view, "final pinned view");
     assert_eq!(view.epoch(), BATCHES as u64);
     assert_eq!(view_edges(&view), *boundaries.last().unwrap());
@@ -237,7 +238,7 @@ fn random_pin_intervals(mode: DeleteMode, seed: u64) {
                     let mut rng = StdRng::seed_from_u64(seed ^ r);
                     let (mut last, mut pins) = (0usize, 0u64);
                     while !done.load(Ordering::Acquire) || pins == 0 {
-                        let view = g.pin_view().expect("views enabled");
+                        let view = g.pin();
                         let epoch = view.epoch() as usize;
                         assert!(
                             epoch >= last,
@@ -303,7 +304,7 @@ fn incremental_repair_over_pins(pipelined: bool) {
     // Pin repeatedly while (under `pipelined`) the writer may still be
     // draining; each pin advances the runner by the missed delta.
     loop {
-        let view = g.pin_view().expect("views enabled");
+        let view = g.pin();
         let epoch = view.epoch() as usize;
         if epoch > applied {
             assert_valid(&view, &format!("pinned view at epoch {epoch}"));
@@ -365,7 +366,7 @@ fn overlapping_pins_stay_frozen_under_writes() {
         g.apply_batch(b);
         assert_valid(&g, "live store before the pin");
     }
-    let view = g.pin_view().expect("views enabled");
+    let view = g.pin();
     assert_eq!(view.epoch(), 8);
     std::thread::scope(|scope| {
         let g = &g;
@@ -377,7 +378,7 @@ fn overlapping_pins_stay_frozen_under_writes() {
         // While the writer advances, this pin and any overlapping pin must
         // stay at the frozen boundary.
         for _ in 0..50 {
-            let overlapping = g.pin_view().expect("views enabled");
+            let overlapping = g.pin();
             assert_eq!(overlapping.epoch(), 8, "joiner must share the pinned epoch");
             assert_eq!(view_edges(&overlapping), boundaries[8]);
             std::thread::yield_now();
@@ -387,7 +388,7 @@ fn overlapping_pins_stay_frozen_under_writes() {
     });
     assert_eq!(view_edges(&view), boundaries[8], "still frozen after writer finished");
     drop(view);
-    let fresh = g.pin_view().expect("views enabled");
+    let fresh = g.pin();
     assert_valid(&fresh, "fresh view after the writer finished");
     assert_eq!(fresh.epoch(), BATCHES as u64);
     assert_eq!(view_edges(&fresh), *boundaries.last().unwrap());
@@ -489,16 +490,14 @@ fn boundary_of(batches: &[EdgeBatch], epoch: usize) -> Boundary {
 fn await_bases_past(
     g: &ParallelTinker,
     epoch: u64,
-    mut check: impl FnMut(&gtinker_core::StoreView),
-) -> gtinker_core::StoreView {
+    mut check: impl FnMut(&ReadGuard),
+) -> ReadGuard {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
-        let view = g.pin_view().expect("views enabled");
+        let view = g.pin();
         check(&view);
-        let oldest = (0..view.num_instances())
-            .map(|i| view.with_instance(i, |s| s.base_epoch()))
-            .min()
-            .unwrap();
+        let oldest =
+            (0..view.num_shards()).map(|i| view.with_shard(i, |s| s.base_epoch())).min().unwrap();
         if oldest > epoch {
             return view;
         }
@@ -511,14 +510,10 @@ fn await_bases_past(
 /// The walk serving `/query/*` and the engine agree on one pin: BFS and
 /// SSSP from a few roots, and CC. Returns whether some shard of the pin
 /// has been rebased.
-fn check_walk_equals_engine(view: &gtinker_core::StoreView, at: &str) -> bool {
+fn check_walk_equals_engine(view: &ReadGuard, at: &str) -> bool {
     use gtinker_engine::algorithms::{Cc, Sssp};
     use gtinker_engine::{walk, IncrementalState};
-    fn same<P: IncrementalState + Copy + std::fmt::Debug>(
-        p: P,
-        view: &gtinker_core::StoreView,
-        at: &str,
-    ) {
+    fn same<P: IncrementalState + Copy + std::fmt::Debug>(p: P, view: &ReadGuard, at: &str) {
         let mut e = Engine::new(p, ModePolicy::hybrid());
         e.run_from_roots(view);
         assert_eq!(walk(&p, view).values, e.values(), "{at}: {p:?}");
@@ -528,7 +523,7 @@ fn check_walk_equals_engine(view: &gtinker_core::StoreView, at: &str) -> bool {
         same(Sssp::new(root), view, at);
     }
     same(Cc::new(), view, at);
-    (0..view.num_instances()).any(|i| view.with_instance(i, |s| s.base_epoch()) > 0)
+    (0..view.num_shards()).any(|i| view.with_shard(i, |s| s.base_epoch()) > 0)
 }
 
 /// After every rebase, each shard's base equals `CsrSnapshot::build` of
@@ -545,19 +540,19 @@ fn rebased_bases_equal_a_fresh_build() {
         let mut rebases = 0;
         // Walk/engine comparisons on pins before any rebase and after one.
         let mut walked = [0; 2];
-        let mut check = |view: &gtinker_core::StoreView| {
+        let mut check = |view: &ReadGuard| {
             for (i, model) in models.iter_mut().enumerate() {
-                let epoch = view.with_instance(i, |s| s.base_epoch());
+                let epoch = view.with_shard(i, |s| s.base_epoch());
                 if epoch != seen[i] {
                     let want = model.csr_at(&batches, epoch as usize);
-                    view.with_instance(i, |s| assert!(*s.base() == want, "shard {i} at {epoch}"));
+                    view.with_shard(i, |s| assert!(*s.base() == want, "shard {i} at {epoch}"));
                     (seen[i], rebases) = (epoch, rebases + 1);
                 }
             }
         };
         for (k, b) in batches.iter().enumerate() {
             g.apply_batch(b);
-            let view = g.pin_view().expect("views enabled");
+            let view = g.pin();
             assert_eq!(view.epoch(), k as u64 + 1);
             check(&view);
             if k % 16 == 15 {
@@ -602,19 +597,19 @@ fn held_guard_survives_rebases() {
     for b in &batches[..held_at] {
         g.apply_batch(b);
     }
-    let held = g.pin_view().expect("views enabled");
+    let held = g.pin();
     let want = boundary_of(&batches, held_at);
     assert_eq!(view_edges(&held), want);
     for b in &batches[held_at..] {
         g.apply_batch(b);
-        let joiner = g.pin_view().expect("views enabled");
+        let joiner = g.pin();
         assert_eq!(joiner.epoch(), held_at as u64, "a joiner shares the held epoch");
     }
     // The rebaser folded and merged behind the held guard.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     while g.read_side_stats().0 <= held_at as u64 {
         assert!(std::time::Instant::now() < deadline, "no rebase behind the held guard");
-        drop(g.pin_view());
+        drop(g.pin());
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(held.epoch(), held_at as u64);
@@ -628,7 +623,7 @@ fn held_guard_survives_rebases() {
         assert_eq!(held.out_degree(v), degree(v), "degree of {v} in the held view");
     }
     drop(held);
-    let fresh = g.pin_view().expect("views enabled");
+    let fresh = g.pin();
     assert_eq!(fresh.epoch(), batches.len() as u64);
     assert_eq!(view_edges(&fresh), boundary_of(&batches, batches.len()));
 }
@@ -650,14 +645,69 @@ fn unpinned_pool_retains_at_most_one_floor() {
                 "{shards} shards, batch {k}: {held} ops held"
             );
         }
-        let view = g.pin_view().expect("views enabled");
+        let view = g.pin();
         assert_eq!(view.epoch(), batches.len() as u64);
         assert_eq!(g.read_side_stats(), (batches.len() as u64, 0), "bootstrapped at the boundary");
         assert_valid(&view, "bootstrapped view");
         assert_eq!(view_edges(&view), boundary_of(&batches, batches.len()));
         for i in 0..shards {
-            let live = g.with_instance(i, gtinker_core::CsrSnapshot::build);
-            view.with_instance(i, |s| assert!(*s.base() == live, "shard {i} base"));
+            let live = g.with_shard(i, gtinker_core::CsrSnapshot::build);
+            view.with_shard(i, |s| assert!(*s.base() == live, "shard {i} base"));
         }
+    }
+}
+
+/// A `ParallelStinger` pins like a `ParallelTinker`: fed the same mixed
+/// stream — inserts, deletes, then every deleted pair inserted again with a
+/// new weight — the two pins equal each other, their live pools and the
+/// oracle at every boundary on the sorted edge stream, every out-degree
+/// and `walk(Bfs)` from a fixed root.
+#[test]
+fn parallel_stinger_pins_like_parallel_tinker() {
+    use gtinker_engine::walk;
+    use gtinker_stinger::ParallelStinger;
+    use gtinker_types::StingerConfig;
+
+    let (mut batches, mut boundaries) = workload(0x5719);
+    let mut model: BTreeMap<(u32, u32), u32> =
+        boundaries[BATCHES].iter().map(|&(s, d, w)| ((s, d), w)).collect();
+    let mut again = EdgeBatch::new();
+    for op in batches.iter().flat_map(|b| b.iter()) {
+        if let UpdateOp::Delete { src, dst } = *op {
+            if let std::collections::btree_map::Entry::Vacant(gone) = model.entry((src, dst)) {
+                gone.insert(src + dst + 1);
+                again.push_insert(Edge::new(src, dst, src + dst + 1));
+            }
+        }
+    }
+    assert!(!again.is_empty(), "the stream deletes pairs it can re-insert");
+    batches.push(again);
+    boundaries.push(model.iter().map(|(&(s, d), &w)| (s, d, w)).collect());
+
+    let tinker = ParallelTinker::new(TinkerConfig::default(), 3).unwrap();
+    let stinger = ParallelStinger::new(StingerConfig::default(), 3).unwrap();
+    for (k, b) in batches.iter().enumerate() {
+        tinker.apply_batch(b);
+        stinger.apply_batch(b);
+        let (tv, sv) = (tinker.pin(), stinger.pin());
+        assert_eq!((tv.epoch(), sv.epoch()), (k as u64 + 1, k as u64 + 1));
+        let want = &boundaries[k + 1];
+        assert_eq!(&view_edges(&tv), want, "tinker pin, batch {k}");
+        assert_eq!(&view_edges(&sv), want, "stinger pin, batch {k}");
+        assert_eq!(&view_edges(&tinker), want, "live tinker pool, batch {k}");
+        assert_eq!(&view_edges(&stinger), want, "live stinger pool, batch {k}");
+        let n = tv.vertex_space().max(sv.vertex_space());
+        for v in 0..n {
+            let d = tinker.out_degree(v);
+            assert_eq!(
+                (tv.out_degree(v), sv.out_degree(v), stinger.out_degree(v)),
+                (d, d, d),
+                "out-degree of {v}, batch {k}"
+            );
+        }
+        let bfs = walk(&Bfs::new(0), &tinker).values;
+        assert_eq!(walk(&Bfs::new(0), &tv).values, bfs, "tinker pin BFS, batch {k}");
+        assert_eq!(walk(&Bfs::new(0), &sv).values, bfs, "stinger pin BFS, batch {k}");
+        assert_eq!(walk(&Bfs::new(0), &stinger).values, bfs, "live stinger BFS, batch {k}");
     }
 }

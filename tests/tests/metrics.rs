@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use gtinker_core::{metrics, GraphTinker, ParallelTinker};
+use gtinker_core::{metrics, GraphStore, GraphTinker, ParallelTinker};
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use proptest::prelude::*;
 
@@ -275,8 +275,8 @@ fn epoch_rebases_follow_the_delta_not_pins() {
     let g = ParallelTinker::new(TinkerConfig::default(), 1).unwrap();
     g.apply_batch(&EdgeBatch::inserts(&[Edge::new(1, 2, 3), Edge::new(2, 3, 4)]));
     let before = metrics::global().snapshot();
-    drop(g.pin_view().unwrap());
-    let again = g.pin_view().unwrap();
+    drop(g.pin());
+    let again = g.pin();
     assert_eq!((again.epoch(), again.num_edges()), (1, 2));
     drop(again);
     let quiet = metrics::global().snapshot();
@@ -286,7 +286,7 @@ fn epoch_rebases_follow_the_delta_not_pins() {
     let floor = gtinker_core::epoch::REBASE_FLOOR as u32;
     let edges: Vec<Edge> = (0..floor).map(|i| Edge::new(i % 97, 100 + i, 1)).collect();
     g.apply_batch(&EdgeBatch::inserts(&edges));
-    let fresh = g.pin_view().unwrap();
+    let fresh = g.pin();
     assert_eq!((fresh.epoch(), fresh.num_edges()), (2, u64::from(floor) + 2));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while g.read_side_stats() != (2, 0) {

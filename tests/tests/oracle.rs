@@ -171,7 +171,7 @@ fn check_durable_pipelined_against_model(mode: DeleteMode, seed: u64, shards: us
     d.sync().expect("final sync");
 
     let g = d.store();
-    gtinker_integration::assert_shards_valid(g, "durable store");
+    gtinker_integration::assert_shards_valid(g.as_ref(), "durable store");
     assert_eq!(g.num_edges() as usize, model.len(), "mode {mode:?}");
     let mut got: Vec<(u32, u32, u32)> = Vec::new();
     g.stream_edges(|s, dst, w| got.push((s, dst, w)));

@@ -185,7 +185,7 @@ fn build_dir(
     let mut snap_lsn = 0;
     for (i, b) in batches.iter().enumerate() {
         d.apply_batch(b.clone()).unwrap();
-        assert_shards_valid(d.store(), "durable store");
+        assert_shards_valid(d.store().as_ref(), "durable store");
         if snap_after == Some(i as u64) {
             d.snapshot().unwrap();
             snap_lsn = d.next_lsn();
@@ -461,8 +461,8 @@ fn resume_across_shard_counts_matches_the_model() {
         d.sync().unwrap();
         let truth = truth_store(cfg, &batches, range.end as u64);
         let ctx = format!("{shards} shards after batch {}", range.end);
-        assert_shards_valid(d.store(), &ctx);
-        assert_eq!(d.store().num_instances(), shards);
+        assert_shards_valid(d.store().as_ref(), &ctx);
+        assert_eq!(d.store().num_shards(), shards);
         assert_eq!(sharded_edge_set(&d), edge_set(&truth), "{ctx}");
         assert_eq!(d.store().vertex_space(), truth.vertex_space(), "{ctx}");
         for v in 0..truth.vertex_space() {
@@ -493,7 +493,7 @@ fn image_written_at_n_shards_restores_each_shards_source_order() {
     }
     d.snapshot().unwrap();
     let per_shard = |d: &DurableTinker| -> Vec<_> {
-        (0..3).map(|i| d.store().with_instance(i, |g| (g.sources(), edge_set(g)))).collect()
+        (0..3).map(|i| d.store().with_shard(i, |g| (g.sources(), edge_set(g)))).collect()
     };
     let written = per_shard(&d);
     assert!(written.iter().all(|(sources, _)| !sources.is_empty()), "every shard holds sources");
@@ -501,7 +501,7 @@ fn image_written_at_n_shards_restores_each_shards_source_order() {
     let (d, report) = DurableTinker::open(&dir, cfg, WalOptions::default(), 3).unwrap();
     assert_eq!((report.snapshot_lsn, report.replayed_records), (n, 0));
     assert_eq!(per_shard(&d), written);
-    assert_shards_valid(d.store(), "restored at the written shard count");
+    assert_shards_valid(d.store().as_ref(), "restored at the written shard count");
     drop(d);
     let (g, _) = recover_tinker(&dir, cfg).unwrap();
     assert_valid(&g, "3-shard image into one store");
@@ -617,8 +617,8 @@ impl Logical {
 
     fn of_sharded(store: &ParallelTinker) -> Logical {
         assert_shards_valid(store, "logical view");
-        let shards = (0..store.num_instances())
-            .map(|i| store.with_instance(i, |g| (g.sources(), g.structure_stats())))
+        let shards = (0..store.num_shards())
+            .map(|i| store.with_shard(i, |g| (g.sources(), g.structure_stats())))
             .collect();
         let mut edges = Vec::new();
         store.stream_edges(|s, dst, w| edges.push((s, dst, w)));

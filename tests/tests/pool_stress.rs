@@ -11,7 +11,7 @@
 //! serializing the tests inside it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use gtinker_core::{metrics, BatchResult, GraphTinker, ShardPool};
 use gtinker_types::{partition_of, Edge, EdgeBatch, UpdateOp};
@@ -70,7 +70,7 @@ fn stress_concurrent_submit_and_settle() {
     let _guard = LOCK.lock().unwrap();
     let depth_before = metrics::global().snapshot().pool_queue_depth;
     let pool =
-        ShardPool::new((0..NUM_SHARDS).map(|_| GraphTinker::with_defaults()).collect::<Vec<_>>());
+        ShardPool::over((0..NUM_SHARDS).map(|_| GraphTinker::with_defaults()).collect::<Vec<_>>());
 
     let workloads: Vec<_> = (0..NUM_WRITERS).map(writer_workload).collect();
     let done = AtomicBool::new(false);
@@ -102,7 +102,7 @@ fn stress_concurrent_submit_and_settle() {
             .map(|(batches, _, _)| {
                 s.spawn(move || {
                     for b in batches {
-                        pool_ref.submit(Arc::new(b.clone()));
+                        pool_ref.submit(b.clone());
                     }
                 })
             })
@@ -160,21 +160,21 @@ fn stress_concurrent_submit_and_settle() {
     drop(pool);
 }
 
-/// Same accounting on the synchronous path: `apply` interleaved with
+/// Same accounting on the synchronous path: `apply_batch` interleaved with
 /// `submit` from one thread still drains completely.
 #[test]
 fn mixed_apply_submit_drains() {
     let _guard = LOCK.lock().unwrap();
     let depth_before = metrics::global().snapshot().pool_queue_depth;
     let pool =
-        ShardPool::new((0..NUM_SHARDS).map(|_| GraphTinker::with_defaults()).collect::<Vec<_>>());
+        ShardPool::over((0..NUM_SHARDS).map(|_| GraphTinker::with_defaults()).collect::<Vec<_>>());
     let (batches, want, model) = writer_workload(7);
     let mut got = BatchResult::default();
     for (i, b) in batches.iter().enumerate() {
         if i % 3 == 0 {
-            got.merge(&pool.apply(b));
+            got.merge(&pool.apply_batch(b));
         } else {
-            pool.submit(Arc::new(b.clone()));
+            pool.submit(b.clone());
         }
     }
     got.merge(&pool.flush());

@@ -155,8 +155,8 @@ fn pooled_tagged_matches_sequential_seed() {
     let par = ParallelTinker::new(tiny_config(DeleteMode::DeleteOnly), 4).unwrap();
     for (i, b) in churn_stream(63).iter().enumerate() {
         assert_eq!(par.apply_batch(b), model.apply(b), "outcome of batch {i} diverged");
-        for shard in 0..par.num_instances() {
-            par.with_instance(shard, |g| {
+        for shard in 0..par.num_shards() {
+            par.with_shard(shard, |g| {
                 g.validate_rhh_invariants().unwrap_or_else(|e| panic!("batch {i}: {e}"));
                 g.validate_tag_invariants().unwrap_or_else(|e| panic!("batch {i}: {e}"));
             });
